@@ -40,24 +40,13 @@ fn bench_merged_vs_unmerged(c: &mut Criterion) {
     let (coef, _) = prep.entropy_decode_all().unwrap();
 
     // Report simulated times once, outside the timing loop.
-    let merged = decode_region_gpu(
-        &prep,
-        &coef,
-        0,
-        prep.geom.mcus_y,
-        &platform,
-        8,
-        KernelPlan::Merged,
-    );
-    let unmerged = decode_region_gpu(
-        &prep,
-        &coef,
-        0,
-        prep.geom.mcus_y,
-        &platform,
-        8,
-        KernelPlan::Unmerged,
-    );
+    let simulated = |plan| {
+        decode_region_gpu(&prep, &coef, 0, prep.geom.mcus_y, &platform, 8, plan)
+            .expect("plan supports the image's subsampling")
+            .1
+    };
+    let merged = simulated(KernelPlan::Merged);
+    let unmerged = simulated(KernelPlan::Unmerged);
     eprintln!(
         "[ablation] merged kernels: {:.3} ms simulated, {} bus bytes; unmerged: {:.3} ms, {} bus bytes",
         merged.kernels_total() * 1e3,

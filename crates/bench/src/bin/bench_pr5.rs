@@ -28,7 +28,7 @@
 //! Output: human-readable table on stdout and machine-readable
 //! `BENCH_PR5.json` in the established schema, committed at the repo root.
 
-use hetjpeg_core::gpu_decode::{decode_region_gpu_mode, GpuStaging, KernelPlan, TransferMode};
+use hetjpeg_core::gpu_decode::{GpuContext, KernelPlan, TransferMode};
 use hetjpeg_core::platform::Platform;
 use hetjpeg_corpus::{generate_jpeg, ImageSpec, Pattern};
 use hetjpeg_jpeg::coef::CoefBuffer;
@@ -300,19 +300,13 @@ fn measure_corpus(cases: &[Case], reps: usize, level: SimdLevel) -> Vec<(String,
     let platform = Platform::gtx560();
     let idct_time = |mode: TransferMode| -> f64 {
         let mut total = 0.0;
-        let mut staging = GpuStaging::default();
+        let mut device = GpuContext::new(&platform, mode);
         for (i, p) in preps.iter().enumerate() {
-            let res = decode_region_gpu_mode(
-                p,
-                &decoded[i],
-                0,
-                p.geom.mcus_y,
-                &platform,
-                8,
-                KernelPlan::Merged,
-                mode,
-                &mut staging,
-            );
+            let rows = p.geom.mcus_y;
+            let mut rgb = vec![0u8; p.geom.rgb_bytes_in_mcu_rows(0, rows)];
+            let res = device
+                .decode_region(p, &decoded[i], 0, rows, 8, KernelPlan::Merged, &mut rgb)
+                .expect("merged plan");
             total += res
                 .kernel_times
                 .iter()

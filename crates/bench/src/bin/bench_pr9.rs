@@ -23,7 +23,7 @@
 //! Output: human-readable table on stdout and machine-readable
 //! `BENCH_PR9.json` at the repo root.
 
-use hetjpeg_core::gpu_decode::{decode_region_gpu_mode, GpuStaging, KernelPlan, TransferMode};
+use hetjpeg_core::gpu_decode::{GpuContext, GpuRegionResult, KernelPlan, TransferMode};
 use hetjpeg_core::platform::Platform;
 use hetjpeg_core::schedule::Mode;
 use hetjpeg_core::{DecodeOptions, Decoder};
@@ -62,23 +62,22 @@ struct LayoutTotals {
 
 /// Ship every image of a corpus through one transfer layout and total the
 /// H2D bytes, modeled transfer time and simulated kernel time.
+/// Whole-image merged-plan decode of `jpeg` on `device`, timings only.
+fn decode_whole(device: &mut GpuContext, jpeg: &[u8]) -> GpuRegionResult {
+    let prep = Prepared::new(jpeg).expect("parse");
+    let (coef, _) = prep.entropy_decode_all().expect("entropy");
+    let rows = prep.geom.mcus_y;
+    let mut rgb = vec![0u8; prep.geom.rgb_bytes_in_mcu_rows(0, rows)];
+    device
+        .decode_region(&prep, &coef, 0, rows, 8, KernelPlan::Merged, &mut rgb)
+        .expect("merged plan")
+}
+
 fn measure_layout(cases: &[Case], platform: &Platform, mode: TransferMode) -> LayoutTotals {
-    let mut staging = GpuStaging::default();
+    let mut device = GpuContext::new(platform, mode);
     let mut t = LayoutTotals::default();
     for c in cases {
-        let prep = Prepared::new(&c.jpeg).expect("parse");
-        let (coef, _) = prep.entropy_decode_all().expect("entropy");
-        let res = decode_region_gpu_mode(
-            &prep,
-            &coef,
-            0,
-            prep.geom.mcus_y,
-            platform,
-            8,
-            KernelPlan::Merged,
-            mode,
-            &mut staging,
-        );
+        let res = decode_whole(&mut device, &c.jpeg);
         t.h2d_bytes += res.h2d_bytes as u64;
         t.h2d_s += res.h2d_time;
         t.kernels_s += res.kernels_total();
@@ -166,25 +165,10 @@ fn main() {
         })
         .collect();
     let sizes: Vec<usize> = {
-        let mut staging = GpuStaging::default();
+        let mut device = GpuContext::new(&platform, TransferMode::Compacted);
         batch_specs
             .iter()
-            .map(|j| {
-                let prep = Prepared::new(j).expect("parse");
-                let (coef, _) = prep.entropy_decode_all().expect("entropy");
-                decode_region_gpu_mode(
-                    &prep,
-                    &coef,
-                    0,
-                    prep.geom.mcus_y,
-                    &platform,
-                    8,
-                    KernelPlan::Merged,
-                    TransferMode::Compacted,
-                    &mut staging,
-                )
-                .h2d_bytes
-            })
+            .map(|j| decode_whole(&mut device, j).h2d_bytes)
             .collect()
     };
     let one_by_one: f64 = sizes

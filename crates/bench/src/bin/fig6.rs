@@ -61,7 +61,7 @@ fn main() {
 
             // GPU parallel phase (Eq. 7: transfers + kernels).
             let (coef, _) = prep.entropy_decode_all().expect("decode");
-            let res = decode_region_gpu(
+            let (_, res) = decode_region_gpu(
                 &prep,
                 &coef,
                 0,
@@ -69,7 +69,8 @@ fn main() {
                 &platform,
                 8,
                 KernelPlan::Merged,
-            );
+            )
+            .expect("merged plan");
             let t_gpu = res.device_total();
 
             println!(

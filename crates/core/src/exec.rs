@@ -16,7 +16,7 @@
 //! recycled to the entropy thread through a return channel acting as a
 //! free-list, so `pack_mcu_rows_into` reuses their capacity.
 
-use crate::gpu_decode::{decode_packed_region_gpu, KernelPlan};
+use crate::gpu_decode::{GpuContext, KernelPlan, TransferMode};
 use crate::model::PerformanceModel;
 use crate::partition::pps;
 use crate::platform::Platform;
@@ -45,11 +45,13 @@ pub struct ThreadedOutcome {
 /// Implementation of the real-thread pipeline behind
 /// [`crate::session::Decoder::decode_threaded`]: entropy+CPU-band on the
 /// calling thread, GPU kernels on a worker fed through a bounded channel
-/// with pooled chunk buffers.
+/// with pooled chunk buffers. The worker owns one device context for the
+/// whole decode and reads each chunk back into its rows of the image.
 pub(crate) fn decode_pps_threaded_impl(
     data: &[u8],
     platform: &Platform,
     model: &PerformanceModel,
+    transfer: TransferMode,
 ) -> Result<ThreadedOutcome> {
     let prep = Prepared::new(data)?;
     let geom = &prep.geom;
@@ -61,7 +63,9 @@ pub(crate) fn decode_pps_threaded_impl(
 
     let start = Instant::now();
     let mut image = RgbImage::new(geom.width, geom.height);
-    let width = geom.width;
+    let row_bytes = geom.width * 3;
+    let (gpu_px_end, _) = geom.mcu_rows_to_pixel_rows(gpu_end, geom.mcus_y);
+    let (gpu_rgb, cpu_rgb) = image.data.split_at_mut(gpu_px_end * row_bytes);
 
     crossbeam::scope(|s| -> Result<()> {
         type Chunk = (usize, usize, Vec<i16>, Vec<u8>);
@@ -73,23 +77,23 @@ pub(crate) fn decode_pps_threaded_impl(
         // GPU worker: functional kernel execution per chunk (coefficients
         // plus the EOB sidecar the kernels dispatch on), returning each
         // chunk buffer pair to the pool once decoded.
-        let worker = s.spawn(move |_| {
-            let mut parts: Vec<(usize, usize, Vec<u8>)> = Vec::new();
+        let worker = s.spawn(move |_| -> Result<()> {
+            let mut gpu = GpuContext::new(platform, transfer);
             for (row0, row1, packed, eobs) in rx.iter() {
-                let res = decode_packed_region_gpu(
+                let (p0, p1) = prep_ref.geom.mcu_rows_to_pixel_rows(row0, row1);
+                gpu.decode_packed_region(
                     prep_ref,
                     &packed,
                     &eobs,
                     row0,
                     row1,
-                    platform,
                     model.wg_blocks,
                     KernelPlan::Merged,
-                );
+                    &mut gpu_rgb[p0 * row_bytes..p1 * row_bytes],
+                )?;
                 let _ = pool_tx.send((packed, eobs)); // producer may already be done
-                parts.push((row0, row1, res.rgb));
             }
-            parts
+            Ok(())
         });
 
         // Entropy thread (this thread): decode and stream the GPU's chunks.
@@ -110,27 +114,13 @@ pub(crate) fn decode_pps_threaded_impl(
         drop(tx);
 
         // CPU band: finish Huffman, then the SIMD-style parallel phase.
-        let mut cpu_rgb = Vec::new();
         if gpu_end < geom.mcus_y {
             while !dec.is_finished() {
                 dec.decode_mcu_row(&mut coef)?;
             }
-            let (p0, p1) = geom.mcu_rows_to_pixel_rows(gpu_end, geom.mcus_y);
-            cpu_rgb = vec![0u8; (p1 - p0) * width * 3];
-            simd::decode_region_rgb_simd(&prep, &coef, gpu_end, geom.mcus_y, &mut cpu_rgb)?;
+            simd::decode_region_rgb_simd(&prep, &coef, gpu_end, geom.mcus_y, cpu_rgb)?;
         }
-
-        // Assemble.
-        let gpu_parts = worker.join().expect("gpu worker panicked");
-        for (row0, row1, rgb) in gpu_parts {
-            let (p0, p1) = geom.mcu_rows_to_pixel_rows(row0, row1);
-            image.data[p0 * width * 3..p1 * width * 3].copy_from_slice(&rgb);
-        }
-        if gpu_end < geom.mcus_y {
-            let (p0, p1) = geom.mcu_rows_to_pixel_rows(gpu_end, geom.mcus_y);
-            image.data[p0 * width * 3..p1 * width * 3].copy_from_slice(&cpu_rgb);
-        }
-        Ok(())
+        worker.join().expect("gpu worker panicked")
     })
     .expect("scope panicked")?;
 
@@ -430,7 +420,8 @@ mod tests {
         let platform = Platform::gtx560();
         let model = platform.untrained_model();
         let want = decode(&jpeg).unwrap();
-        let got = decode_pps_threaded_impl(&jpeg, &platform, &model).unwrap();
+        let got =
+            decode_pps_threaded_impl(&jpeg, &platform, &model, TransferMode::default()).unwrap();
         assert_eq!(got.image.data, want.data);
         assert!(got.wall.as_nanos() > 0);
     }
@@ -578,12 +569,14 @@ mod tests {
         let platform = Platform::gtx680();
         let mut all_gpu = platform.untrained_model();
         all_gpu.p_cpu.coefs[1][1] *= 1e3; // CPU looks terrible => all GPU
-        let out = decode_pps_threaded_impl(&jpeg, &platform, &all_gpu).unwrap();
+        let out =
+            decode_pps_threaded_impl(&jpeg, &platform, &all_gpu, TransferMode::default()).unwrap();
         assert_eq!(out.image.data, decode(&jpeg).unwrap().data);
 
         let mut all_cpu = platform.untrained_model();
         all_cpu.p_gpu.coefs[1][1] *= 1e3; // GPU looks terrible => all CPU
-        let out = decode_pps_threaded_impl(&jpeg, &platform, &all_cpu).unwrap();
+        let out =
+            decode_pps_threaded_impl(&jpeg, &platform, &all_cpu, TransferMode::default()).unwrap();
         assert_eq!(out.image.data, decode(&jpeg).unwrap().data);
     }
 }

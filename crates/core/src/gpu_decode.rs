@@ -1,7 +1,9 @@
 //! GPU decode orchestration: buffers, kernel sequence, timing.
 //!
-//! [`decode_region_gpu_with`] decodes a band of MCU rows on the simulated
-//! GPU, following the paper's kernel plans:
+//! A [`GpuContext`] is the session's simulated device: the simulator, its
+//! device buffers, the host-side staging and the transfer layout, created
+//! once and reused for every region. [`GpuContext::decode_region`] decodes
+//! a band of MCU rows on it, following the paper's kernel plans:
 //!
 //! * 4:4:4 — single merged IDCT×3+color kernel (§4.4),
 //! * 4:2:2 / 4:2:0 — IDCT per component into planes, then the merged
@@ -9,9 +11,10 @@
 //! * optionally the unmerged plan (IDCT, upsample, color as separate
 //!   kernels) for the §4.4 ablation.
 //!
-//! The result carries both the functional RGB bytes and the *simulated*
-//! stage durations (H2D, per-kernel, D2H) that the schedulers place on the
-//! command-queue timeline.
+//! The RGB bytes land in the caller's slice; the returned
+//! [`GpuRegionResult`] carries the *simulated* stage durations (H2D,
+//! per-kernel, D2H) that the schedulers place on the command-queue
+//! timeline.
 
 use crate::kernels::color::ColorKernel;
 use crate::kernels::idct::IdctKernel;
@@ -19,9 +22,10 @@ use crate::kernels::merged::{IdctColorKernel444, UpsampleColorKernel};
 use crate::kernels::upsample::UpsampleKernel422;
 use crate::kernels::{CoefAccess, RegionLayout};
 use crate::platform::Platform;
-use hetjpeg_gpusim::{GpuSim, LaunchStats, TimingModel};
+use hetjpeg_gpusim::{BufId, GpuSim, Kernel, LaunchStats, PcieModel, TimingModel};
 use hetjpeg_jpeg::coef::{compact_packed_blocks, CoefBuffer, EOB_DENSE};
 use hetjpeg_jpeg::decoder::Prepared;
+use hetjpeg_jpeg::error::{Error, Result};
 use hetjpeg_jpeg::types::Subsampling;
 
 /// Which coefficient layout the GPU path ships over PCIe (PR 9).
@@ -41,7 +45,8 @@ pub enum TransferMode {
 impl TransferMode {
     /// Resolve the mode from `HETJPEG_GPU_TRANSFER`
     /// (`dense` | `sidecar` | `compacted`); unset or unrecognized values
-    /// fall back to the compacted default.
+    /// fall back to the compacted default. Read once per session, when its
+    /// [`crate::workspace::Workspace`] is created — never per region.
     pub fn from_env() -> Self {
         match std::env::var("HETJPEG_GPU_TRANSFER").as_deref() {
             Ok("dense") => TransferMode::Dense,
@@ -51,11 +56,9 @@ impl TransferMode {
     }
 }
 
-/// Simulated timings and functional output of one GPU region decode.
-#[derive(Debug, Clone)]
+/// Simulated timings of one GPU region decode.
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuRegionResult {
-    /// Interleaved RGB for the region's (clipped) pixel rows.
-    pub rgb: Vec<u8>,
     /// Host→device transfer time (coefficients), seconds.
     pub h2d_time: f64,
     /// Device→host transfer time (RGB), seconds.
@@ -88,28 +91,16 @@ impl GpuRegionResult {
 pub enum KernelPlan {
     /// The paper's production plan with merged kernels (§4.4).
     Merged,
-    /// Separate IDCT / upsample / color kernels (ablation baseline).
+    /// Separate IDCT / upsample / color kernels (ablation baseline;
+    /// 4:4:4 and 4:2:2 only).
     Unmerged,
 }
 
-/// Reusable host-side staging for GPU region decodes: the packed
-/// coefficient chunk, its little-endian byte image, and the per-block EOB
-/// sidecar. Holding one of these across chunks/images (the session
-/// decoder's workspace does) removes the per-chunk heap allocations from
-/// the dispatch path.
+/// Reusable serialization scratch of whatever [`TransferMode`] payload
+/// ships: its little-endian byte image, plus the compacted corners / offset
+/// table / synthesized dense sidecar the layouts need.
 #[derive(Debug, Default)]
-pub struct GpuStaging {
-    packed: Vec<i16>,
-    eobs: Vec<u8>,
-    xfer: XferScratch,
-}
-
-/// Reusable serialization scratch for one transfer-layout upload: the
-/// little-endian byte image of whatever payload ships, plus the compacted
-/// corners / offset table / synthesized dense sidecar the non-default
-/// [`TransferMode`]s need.
-#[derive(Debug, Default)]
-pub struct XferScratch {
+struct XferScratch {
     bytes: Vec<u8>,
     payload: Vec<i16>,
     offsets: Vec<u32>,
@@ -117,10 +108,349 @@ pub struct XferScratch {
     dense_eobs: Vec<u8>,
 }
 
-/// Decode MCU rows `[row0, row1)` on the simulated GPU.
+/// The device buffers every region decode uses, allocated once per context
+/// and re-created in place per region.
+#[derive(Debug, Clone, Copy)]
+struct DeviceBuffers {
+    coef: BufId,
+    offsets: BufId,
+    eobs: BufId,
+    planes: BufId,
+    rgb: BufId,
+    /// Upsampled chroma of the unmerged 4:2:2 plan.
+    upsampled: BufId,
+}
+
+/// One simulated device and everything a session keeps on it between
+/// regions: the simulator (with its worker bookkeeping), grow-only device
+/// buffers, host staging, and the transfer layout resolved when the
+/// context was made.
 ///
-/// `wg_blocks` is the tuned work-group size in blocks (paper §5.1 sweeps 4
-/// to 32 MCUs); it is used for the IDCT-family kernels.
+/// A reused device buffer is indistinguishable from a fresh zeroed one:
+/// each region re-creates the buffers it uploads from exactly the uploaded
+/// bytes and re-zeroes the ones its kernels fill (`planes`, `rgb`), so
+/// nothing of an earlier, larger region can be read back.
+pub struct GpuContext {
+    device: Device,
+    /// The region's packed coefficient chunk and per-block EOB sidecar,
+    /// staged by [`Self::decode_region`].
+    packed: Vec<i16>,
+    eobs: Vec<u8>,
+}
+
+struct Device {
+    sim: GpuSim,
+    pcie: PcieModel,
+    mode: TransferMode,
+    bufs: DeviceBuffers,
+    xfer: XferScratch,
+}
+
+impl GpuContext {
+    /// A context for `platform`'s GPU and PCIe link shipping `mode`.
+    pub fn new(platform: &Platform, mode: TransferMode) -> Self {
+        let mut sim = GpuSim::new(platform.gpu.clone());
+        let mut buf = || sim.create_buffer(0);
+        let bufs = DeviceBuffers {
+            coef: buf(),
+            offsets: buf(),
+            eobs: buf(),
+            planes: buf(),
+            rgb: buf(),
+            upsampled: buf(),
+        };
+        GpuContext {
+            device: Device {
+                sim,
+                pcie: platform.pcie,
+                mode,
+                bufs,
+                xfer: XferScratch::default(),
+            },
+            packed: Vec::new(),
+            eobs: Vec::new(),
+        }
+    }
+
+    /// The coefficient layout this context ships.
+    pub fn transfer_mode(&self) -> TransferMode {
+        self.device.mode
+    }
+
+    /// True when this context simulates `platform`'s device and link.
+    pub fn serves(&self, platform: &Platform) -> bool {
+        self.device.sim.device == platform.gpu && self.device.pcie == platform.pcie
+    }
+
+    /// Cap the host workers a launch may use (results never depend on it).
+    pub fn set_host_threads(&mut self, threads: usize) {
+        self.device.sim.host_threads = threads.max(1);
+    }
+
+    /// Decode MCU rows `[row0, row1)` of `coefbuf` on the device into
+    /// `out`, the region's (clipped) interleaved RGB rows.
+    ///
+    /// `wg_blocks` is the tuned work-group size in blocks (paper §5.1 sweeps
+    /// 4 to 32 MCUs); it is used for the IDCT-family kernels.
+    #[allow(clippy::too_many_arguments)]
+    pub fn decode_region(
+        &mut self,
+        prep: &Prepared<'_>,
+        coefbuf: &CoefBuffer,
+        row0: usize,
+        row1: usize,
+        wg_blocks: usize,
+        plan: KernelPlan,
+        out: &mut [u8],
+    ) -> Result<GpuRegionResult> {
+        coefbuf.pack_mcu_rows_into(&prep.geom, row0, row1, &mut self.packed);
+        coefbuf.pack_eobs_mcu_rows_into(&prep.geom, row0, row1, &mut self.eobs);
+        self.device.decode_packed(
+            prep,
+            &self.packed,
+            &self.eobs,
+            row0,
+            row1,
+            wg_blocks,
+            plan,
+            out,
+        )
+    }
+
+    /// Like [`Self::decode_region`] but takes an already-packed coefficient
+    /// chunk and its EOB sidecar — the form the real-thread pipelined
+    /// executor sends through its channel (so the entropy thread and the
+    /// GPU thread never alias the coefficient buffer). `eob_sidecar` holds
+    /// one byte per block in the packed block order
+    /// (`CoefBuffer::pack_eobs_mcu_rows_into`).
+    #[allow(clippy::too_many_arguments)]
+    pub fn decode_packed_region(
+        &mut self,
+        prep: &Prepared<'_>,
+        packed: &[i16],
+        eob_sidecar: &[u8],
+        row0: usize,
+        row1: usize,
+        wg_blocks: usize,
+        plan: KernelPlan,
+        out: &mut [u8],
+    ) -> Result<GpuRegionResult> {
+        self.device
+            .decode_packed(prep, packed, eob_sidecar, row0, row1, wg_blocks, plan, out)
+    }
+}
+
+impl Device {
+    #[allow(clippy::too_many_arguments)]
+    fn decode_packed(
+        &mut self,
+        prep: &Prepared<'_>,
+        packed: &[i16],
+        eob_sidecar: &[u8],
+        row0: usize,
+        row1: usize,
+        wg_blocks: usize,
+        plan: KernelPlan,
+        out: &mut [u8],
+    ) -> Result<GpuRegionResult> {
+        let geom = &prep.geom;
+        if plan == KernelPlan::Unmerged && geom.subsampling == Subsampling::S420 {
+            return Err(Error::Unsupported(
+                "unmerged kernel plan is 4:4:4/4:2:2 only",
+            ));
+        }
+        let layout = RegionLayout::new(geom, row0, row1);
+        debug_assert_eq!(packed.len() * 2, layout.coef_bytes);
+        debug_assert_eq!(eob_sidecar.len(), layout.eob_bytes());
+        assert_eq!(out.len(), layout.rgb_len, "destination is the region's RGB");
+        let Device {
+            sim,
+            pcie,
+            mode,
+            bufs,
+            xfer,
+        } = self;
+        let DeviceBuffers {
+            coef,
+            offsets,
+            eobs,
+            planes,
+            rgb,
+            upsampled,
+        } = *bufs;
+
+        // H2D staging per transfer layout (pinned buffers, §5.1). The byte
+        // serialization reuses the staging scratch: one exact resize +
+        // chunked stores — the iterator-of-arrays collect this replaces was
+        // measurably slower per chunk.
+        let bytes = &mut xfer.bytes;
+        bytes.clear();
+        let (access, payload_sidecar_bytes) = match mode {
+            TransferMode::Dense | TransferMode::Sidecar => {
+                bytes.resize(packed.len() * 2, 0);
+                for (dst, v) in bytes.chunks_exact_mut(2).zip(packed.iter()) {
+                    dst.copy_from_slice(&v.to_le_bytes());
+                }
+                sim.recreate_buffer_from(coef, bytes);
+                (CoefAccess::Dense, bytes.len())
+            }
+            TransferMode::Compacted => {
+                // Only each block's ≤EOB class corner crosses the bus, plus a
+                // u32 offset-table word per block locating it.
+                xfer.payload.clear();
+                xfer.offsets.clear();
+                compact_packed_blocks(packed, eob_sidecar, &mut xfer.payload, &mut xfer.offsets);
+                bytes.resize(xfer.payload.len() * 2, 0);
+                for (dst, v) in bytes.chunks_exact_mut(2).zip(xfer.payload.iter()) {
+                    dst.copy_from_slice(&v.to_le_bytes());
+                }
+                xfer.obytes.clear();
+                xfer.obytes.resize(xfer.offsets.len() * 4, 0);
+                for (dst, v) in xfer.obytes.chunks_exact_mut(4).zip(xfer.offsets.iter()) {
+                    dst.copy_from_slice(&v.to_le_bytes());
+                }
+                sim.recreate_buffer_from(coef, bytes);
+                sim.recreate_buffer_from(offsets, &xfer.obytes);
+                (
+                    CoefAccess::Compacted { offsets },
+                    bytes.len() + xfer.obytes.len(),
+                )
+            }
+        };
+
+        // The EOB sidecar rides along: one byte per block (~0.8% of the dense
+        // coefficient payload) buys the kernels their sparse dispatch. The
+        // Dense ablation ships an all-dense sidecar instead, blinding the
+        // kernels to sparsity exactly like the pre-PR-5 baseline.
+        if *mode == TransferMode::Dense {
+            xfer.dense_eobs.clear();
+            xfer.dense_eobs.resize(eob_sidecar.len(), EOB_DENSE);
+            sim.recreate_buffer_from(eobs, &xfer.dense_eobs);
+        } else {
+            sim.recreate_buffer_from(eobs, eob_sidecar);
+        }
+        sim.recreate_buffer(planes, layout.planes_len);
+        sim.recreate_buffer(rgb, layout.rgb_len);
+        let h2d_bytes = payload_sidecar_bytes + eob_sidecar.len();
+        let h2d_time = pcie.transfer_time(h2d_bytes, true);
+
+        let mut kernel_times: Vec<(&'static str, f64)> = Vec::new();
+        let mut stats = LaunchStats::default();
+        let mut run = |sim: &mut GpuSim, name: &'static str, k: &dyn Kernel, groups: usize| {
+            let s = sim.launch(k, groups);
+            let t = TimingModel::kernel_time(&sim.device, &s, k.items_per_group());
+            stats.merge(&s);
+            kernel_times.push((name, t));
+        };
+        let idct = |c: usize| IdctKernel {
+            coef,
+            eobs,
+            planes,
+            layout: layout.clone(),
+            comp: c,
+            quant: prep.quant[c].values,
+            blocks_per_group: wg_blocks,
+            pad_lmem: true,
+            access,
+        };
+
+        match (geom.subsampling, plan) {
+            (Subsampling::S444, KernelPlan::Merged) => {
+                let k = IdctColorKernel444 {
+                    coef,
+                    eobs,
+                    rgb,
+                    layout: layout.clone(),
+                    quant: [
+                        prep.quant[0].values,
+                        prep.quant[1].values,
+                        prep.quant[2].values,
+                    ],
+                    blocks_per_group: wg_blocks,
+                    access,
+                };
+                run(sim, "idct+color", &k, k.num_groups());
+            }
+            (sub, plan) => {
+                // Every other plan runs the IDCT into planes first.
+                for c in 0..3 {
+                    let k = idct(c);
+                    run(sim, "idct", &k, k.num_groups());
+                }
+                // Where the color kernel finds full-resolution chroma.
+                let mut chroma = (planes, layout.plane_base[1], layout.plane_base[2]);
+                match (sub, plan) {
+                    (_, KernelPlan::Merged) => {
+                        let k = UpsampleColorKernel {
+                            planes,
+                            rgb,
+                            layout: layout.clone(),
+                            v2: sub == Subsampling::S420,
+                            blocks_per_group: if sub == Subsampling::S420 { 4 } else { 8 },
+                            parity_major: true,
+                        };
+                        run(sim, "upsample+color", &k, k.num_groups());
+                    }
+                    (Subsampling::S422, KernelPlan::Unmerged) => {
+                        let lw = layout.plane_stride[0];
+                        let lrows = layout.comp_block_rows[0] * 8;
+                        sim.recreate_buffer(upsampled, 2 * lw * lrows);
+                        for (comp, out_base) in [(1usize, 0usize), (2, lw * lrows)] {
+                            let k = UpsampleKernel422 {
+                                planes,
+                                upsampled,
+                                layout: layout.clone(),
+                                comp,
+                                out_base,
+                                out_stride: lw,
+                                blocks_per_group: 8,
+                            };
+                            run(sim, "upsample", &k, k.num_groups());
+                        }
+                        chroma = (upsampled, 0, lw * lrows);
+                    }
+                    (_, KernelPlan::Unmerged) => {}
+                }
+                if plan == KernelPlan::Unmerged {
+                    let (c_buf, cb_base, cr_base) = chroma;
+                    let k = ColorKernel {
+                        y_buf: planes,
+                        y_base: layout.plane_base[0],
+                        y_stride: layout.plane_stride[0],
+                        cb_buf: c_buf,
+                        cb_base,
+                        cr_buf: c_buf,
+                        cr_base,
+                        // 4:4:4 chroma planes and upsampled 4:2:2 chroma
+                        // are both luma-wide.
+                        c_stride: layout.plane_stride[0],
+                        rgb,
+                        width: layout.width,
+                        rows: layout.pixel_rows,
+                        segments_per_group: 64,
+                        block_order: true,
+                    };
+                    run(sim, "color", &k, k.num_groups());
+                }
+            }
+        }
+
+        // D2H: read the region's RGB rows straight into the destination.
+        out.copy_from_slice(sim.read_buffer(rgb));
+        Ok(GpuRegionResult {
+            h2d_time,
+            d2h_time: pcie.transfer_time(out.len(), true),
+            kernel_times,
+            stats,
+            h2d_bytes,
+            d2h_bytes: out.len(),
+        })
+    }
+}
+
+/// One-shot [`GpuContext::decode_region`] on a fresh context (transfer
+/// layout from the environment), returning the region's RGB — for
+/// benches, examples and tests that decode a single region.
 pub fn decode_region_gpu(
     prep: &Prepared<'_>,
     coefbuf: &CoefBuffer,
@@ -129,330 +459,11 @@ pub fn decode_region_gpu(
     platform: &Platform,
     wg_blocks: usize,
     plan: KernelPlan,
-) -> GpuRegionResult {
-    let mut staging = GpuStaging::default();
-    decode_region_gpu_with(
-        prep,
-        coefbuf,
-        row0,
-        row1,
-        platform,
-        wg_blocks,
-        plan,
-        &mut staging,
-    )
-}
-
-/// [`decode_region_gpu`] with caller-owned [`GpuStaging`], reused across
-/// chunks and images. The transfer layout comes from the environment
-/// ([`TransferMode::from_env`]); use [`decode_region_gpu_mode`] to pin it.
-#[allow(clippy::too_many_arguments)]
-pub fn decode_region_gpu_with(
-    prep: &Prepared<'_>,
-    coefbuf: &CoefBuffer,
-    row0: usize,
-    row1: usize,
-    platform: &Platform,
-    wg_blocks: usize,
-    plan: KernelPlan,
-    staging: &mut GpuStaging,
-) -> GpuRegionResult {
-    decode_region_gpu_mode(
-        prep,
-        coefbuf,
-        row0,
-        row1,
-        platform,
-        wg_blocks,
-        plan,
-        TransferMode::from_env(),
-        staging,
-    )
-}
-
-/// [`decode_region_gpu_with`] with an explicit [`TransferMode`] — the entry
-/// point the transfer ablations and the differential tests use.
-#[allow(clippy::too_many_arguments)]
-pub fn decode_region_gpu_mode(
-    prep: &Prepared<'_>,
-    coefbuf: &CoefBuffer,
-    row0: usize,
-    row1: usize,
-    platform: &Platform,
-    wg_blocks: usize,
-    plan: KernelPlan,
-    mode: TransferMode,
-    staging: &mut GpuStaging,
-) -> GpuRegionResult {
-    let GpuStaging { packed, eobs, xfer } = staging;
-    coefbuf.pack_mcu_rows_into(&prep.geom, row0, row1, packed);
-    coefbuf.pack_eobs_mcu_rows_into(&prep.geom, row0, row1, eobs);
-    decode_packed_inner(
-        prep, packed, eobs, row0, row1, platform, wg_blocks, plan, mode, xfer,
-    )
-}
-
-/// Like [`decode_region_gpu`] but takes an already-packed coefficient chunk
-/// and its EOB sidecar — the form the real-thread pipelined executor sends
-/// through its channel (so the entropy thread and the GPU thread never
-/// alias the coefficient buffer). `eobs` holds one byte per block in the
-/// packed block order (`CoefBuffer::pack_eobs_mcu_rows_into`).
-#[allow(clippy::too_many_arguments)]
-pub fn decode_packed_region_gpu(
-    prep: &Prepared<'_>,
-    packed: &[i16],
-    eobs: &[u8],
-    row0: usize,
-    row1: usize,
-    platform: &Platform,
-    wg_blocks: usize,
-    plan: KernelPlan,
-) -> GpuRegionResult {
-    let mut xfer = XferScratch::default();
-    decode_packed_inner(
-        prep,
-        packed,
-        eobs,
-        row0,
-        row1,
-        platform,
-        wg_blocks,
-        plan,
-        TransferMode::from_env(),
-        &mut xfer,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn decode_packed_inner(
-    prep: &Prepared<'_>,
-    packed: &[i16],
-    eob_sidecar: &[u8],
-    row0: usize,
-    row1: usize,
-    platform: &Platform,
-    wg_blocks: usize,
-    plan: KernelPlan,
-    mode: TransferMode,
-    xfer: &mut XferScratch,
-) -> GpuRegionResult {
-    let geom = &prep.geom;
-    let layout = RegionLayout::new(geom, row0, row1);
-    let mut sim = GpuSim::new(platform.gpu.clone());
-    debug_assert_eq!(packed.len() * 2, layout.coef_bytes);
-    debug_assert_eq!(eob_sidecar.len(), layout.eob_bytes());
-
-    // H2D staging per transfer layout (pinned buffers, §5.1). The byte
-    // serialization reuses `xfer`'s scratch: one exact resize + chunked
-    // stores — the iterator-of-arrays collect this replaces was measurably
-    // slower per chunk.
-    let bytes = &mut xfer.bytes;
-    bytes.clear();
-    let (coef, access, payload_sidecar_bytes) = match mode {
-        TransferMode::Dense | TransferMode::Sidecar => {
-            bytes.resize(packed.len() * 2, 0);
-            for (dst, v) in bytes.chunks_exact_mut(2).zip(packed.iter()) {
-                dst.copy_from_slice(&v.to_le_bytes());
-            }
-            let coef = sim.create_buffer(layout.coef_bytes);
-            sim.write_buffer(coef, 0, bytes);
-            (coef, CoefAccess::Dense, bytes.len())
-        }
-        TransferMode::Compacted => {
-            // Only each block's ≤EOB class corner crosses the bus, plus a
-            // u32 offset-table word per block locating it.
-            xfer.payload.clear();
-            xfer.offsets.clear();
-            compact_packed_blocks(packed, eob_sidecar, &mut xfer.payload, &mut xfer.offsets);
-            bytes.resize(xfer.payload.len() * 2, 0);
-            for (dst, v) in bytes.chunks_exact_mut(2).zip(xfer.payload.iter()) {
-                dst.copy_from_slice(&v.to_le_bytes());
-            }
-            xfer.obytes.clear();
-            xfer.obytes.resize(xfer.offsets.len() * 4, 0);
-            for (dst, v) in xfer.obytes.chunks_exact_mut(4).zip(xfer.offsets.iter()) {
-                dst.copy_from_slice(&v.to_le_bytes());
-            }
-            let coef = sim.create_buffer(bytes.len().max(2));
-            sim.write_buffer(coef, 0, bytes);
-            let offsets = sim.create_buffer(xfer.obytes.len().max(4));
-            sim.write_buffer(offsets, 0, &xfer.obytes);
-            (
-                coef,
-                CoefAccess::Compacted { offsets },
-                bytes.len() + xfer.obytes.len(),
-            )
-        }
-    };
-    let eobs = sim.create_buffer(layout.eob_bytes());
-    let planes = sim.create_buffer(layout.planes_len.max(1));
-    let rgb = sim.create_buffer(layout.rgb_len);
-
-    // The EOB sidecar rides along: one byte per block (~0.8% of the dense
-    // coefficient payload) buys the kernels their sparse dispatch. The
-    // Dense ablation ships an all-dense sidecar instead, blinding the
-    // kernels to sparsity exactly like the pre-PR-5 baseline.
-    if mode == TransferMode::Dense {
-        xfer.dense_eobs.clear();
-        xfer.dense_eobs.resize(eob_sidecar.len(), EOB_DENSE);
-        sim.write_buffer(eobs, 0, &xfer.dense_eobs);
-    } else {
-        sim.write_buffer(eobs, 0, eob_sidecar);
-    }
-    let h2d_bytes = payload_sidecar_bytes + eob_sidecar.len();
-    let h2d_time = platform.pcie.transfer_time(h2d_bytes, true);
-
-    let mut kernel_times: Vec<(&'static str, f64)> = Vec::new();
-    let mut stats = LaunchStats::default();
-    let mut run =
-        |sim: &GpuSim, name: &'static str, k: &dyn hetjpeg_gpusim::Kernel, groups: usize| {
-            let s = sim.launch(k, groups);
-            let t = TimingModel::kernel_time(&platform.gpu, &s, k.items_per_group());
-            stats.merge(&s);
-            kernel_times.push((name, t));
-        };
-
-    match (geom.subsampling, plan) {
-        (Subsampling::S444, KernelPlan::Merged) => {
-            let k = IdctColorKernel444 {
-                coef,
-                eobs,
-                rgb,
-                layout: layout.clone(),
-                quant: [
-                    prep.quant[0].values,
-                    prep.quant[1].values,
-                    prep.quant[2].values,
-                ],
-                blocks_per_group: wg_blocks,
-                access,
-            };
-            run(&sim, "idct+color", &k, k.num_groups());
-        }
-        (Subsampling::S444, KernelPlan::Unmerged) => {
-            for c in 0..3 {
-                let k = IdctKernel {
-                    coef,
-                    eobs,
-                    planes,
-                    layout: layout.clone(),
-                    comp: c,
-                    quant: prep.quant[c].values,
-                    blocks_per_group: wg_blocks,
-                    pad_lmem: true,
-                    access,
-                };
-                run(&sim, "idct", &k, k.num_groups());
-            }
-            let k = ColorKernel {
-                y_buf: planes,
-                y_base: layout.plane_base[0],
-                y_stride: layout.plane_stride[0],
-                cb_buf: planes,
-                cb_base: layout.plane_base[1],
-                cr_buf: planes,
-                cr_base: layout.plane_base[2],
-                c_stride: layout.plane_stride[1],
-                rgb,
-                width: layout.width,
-                rows: layout.pixel_rows,
-                segments_per_group: 64,
-                block_order: true,
-            };
-            run(&sim, "color", &k, k.num_groups());
-        }
-        (sub, plan) => {
-            // 4:2:2 / 4:2:0: IDCT into planes first.
-            for c in 0..3 {
-                let k = IdctKernel {
-                    coef,
-                    eobs,
-                    planes,
-                    layout: layout.clone(),
-                    comp: c,
-                    quant: prep.quant[c].values,
-                    blocks_per_group: wg_blocks,
-                    pad_lmem: true,
-                    access,
-                };
-                run(&sim, "idct", &k, k.num_groups());
-            }
-            match plan {
-                KernelPlan::Merged => {
-                    let k = UpsampleColorKernel {
-                        planes,
-                        rgb,
-                        layout: layout.clone(),
-                        v2: sub == Subsampling::S420,
-                        blocks_per_group: if sub == Subsampling::S420 { 4 } else { 8 },
-                        parity_major: true,
-                    };
-                    run(&sim, "upsample+color", &k, k.num_groups());
-                }
-                KernelPlan::Unmerged => {
-                    if sub != Subsampling::S422 {
-                        unimplemented!("unmerged plan is implemented for 4:2:2 only");
-                    }
-                    let lw = layout.plane_stride[0];
-                    let lrows = layout.comp_block_rows[0] * 8;
-                    let mut sim2 = sim; // need a new buffer: rebind mutably
-                    let upsampled = sim2.create_buffer(2 * lw * lrows);
-                    for (comp, out_base) in [(1usize, 0usize), (2, lw * lrows)] {
-                        let k = UpsampleKernel422 {
-                            planes,
-                            upsampled,
-                            layout: layout.clone(),
-                            comp,
-                            out_base,
-                            out_stride: lw,
-                            blocks_per_group: 8,
-                        };
-                        run(&sim2, "upsample", &k, k.num_groups());
-                    }
-                    let k = ColorKernel {
-                        y_buf: planes,
-                        y_base: layout.plane_base[0],
-                        y_stride: lw,
-                        cb_buf: upsampled,
-                        cb_base: 0,
-                        cr_buf: upsampled,
-                        cr_base: lw * lrows,
-                        c_stride: lw,
-                        rgb,
-                        width: layout.width,
-                        rows: layout.pixel_rows,
-                        segments_per_group: 64,
-                        block_order: true,
-                    };
-                    run(&sim2, "color", &k, k.num_groups());
-                    let out = sim2.read_buffer(rgb).to_vec();
-                    let d2h_time = platform.pcie.transfer_time(out.len(), true);
-                    return GpuRegionResult {
-                        d2h_bytes: out.len(),
-                        rgb: out,
-                        h2d_time,
-                        d2h_time,
-                        kernel_times,
-                        stats,
-                        h2d_bytes,
-                    };
-                }
-            }
-        }
-    }
-
-    // D2H: read back the region's RGB rows.
-    let out = sim.read_buffer(rgb).to_vec();
-    let d2h_time = platform.pcie.transfer_time(out.len(), true);
-    GpuRegionResult {
-        d2h_bytes: out.len(),
-        rgb: out,
-        h2d_time,
-        d2h_time,
-        kernel_times,
-        stats,
-        h2d_bytes,
-    }
+) -> Result<(Vec<u8>, GpuRegionResult)> {
+    let mut rgb = vec![0u8; prep.geom.rgb_bytes_in_mcu_rows(row0, row1)];
+    let mut ctx = GpuContext::new(platform, TransferMode::from_env());
+    let res = ctx.decode_region(prep, coefbuf, row0, row1, wg_blocks, plan, &mut rgb)?;
+    Ok((rgb, res))
 }
 
 #[cfg(test)]
@@ -493,30 +504,107 @@ mod tests {
             let mut want = vec![0u8; prep.geom.rgb_bytes_in_mcu_rows(0, prep.geom.mcus_y)];
             stages::decode_region_rgb(&prep, &coef, 0, prep.geom.mcus_y, &mut want).unwrap();
 
-            let res = decode_region_gpu(
-                &prep,
-                &coef,
-                0,
-                prep.geom.mcus_y,
-                &platform,
-                4,
-                KernelPlan::Merged,
-            );
-            assert_eq!(res.rgb, want, "merged {}", sub.notation());
+            let decode =
+                |plan| decode_region_gpu(&prep, &coef, 0, prep.geom.mcus_y, &platform, 4, plan);
+            let (rgb, res) = decode(KernelPlan::Merged).unwrap();
+            assert_eq!(rgb, want, "merged {}", sub.notation());
             assert!(res.h2d_time > 0.0 && res.d2h_time > 0.0);
             assert!(res.kernels_total() > 0.0);
 
             if sub != Subsampling::S420 {
-                let res2 = decode_region_gpu(
-                    &prep,
-                    &coef,
-                    0,
-                    prep.geom.mcus_y,
-                    &platform,
-                    4,
-                    KernelPlan::Unmerged,
-                );
-                assert_eq!(res2.rgb, want, "unmerged {}", sub.notation());
+                let (rgb, _) = decode(KernelPlan::Unmerged).unwrap();
+                assert_eq!(rgb, want, "unmerged {}", sub.notation());
+            }
+        }
+    }
+
+    /// The unmerged ablation plan has no 4:2:0 kernels: asking for it is an
+    /// error the caller can handle, not a panic, and the context stays
+    /// usable.
+    #[test]
+    fn unmerged_plan_on_420_is_unsupported_not_a_panic() {
+        let platform = Platform::gtx560();
+        let jpeg = jpeg_of(48, 48, Subsampling::S420);
+        let prep = Prepared::new(&jpeg).unwrap();
+        let (coef, _) = prep.entropy_decode_all().unwrap();
+        let rows = prep.geom.mcus_y;
+        let mut ctx = GpuContext::new(&platform, TransferMode::default());
+        let mut rgb = vec![0u8; prep.geom.rgb_bytes_in_mcu_rows(0, rows)];
+        let err = ctx
+            .decode_region(&prep, &coef, 0, rows, 4, KernelPlan::Unmerged, &mut rgb)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            Error::Unsupported("unmerged kernel plan is 4:4:4/4:2:2 only")
+        );
+        let mut want = vec![0u8; rgb.len()];
+        stages::decode_region_rgb(&prep, &coef, 0, rows, &mut want).unwrap();
+        ctx.decode_region(&prep, &coef, 0, rows, 4, KernelPlan::Merged, &mut rgb)
+            .unwrap();
+        assert_eq!(rgb, want);
+    }
+
+    /// Launch-level differential: one long-lived context per transfer
+    /// layout, its workers and buffers reused over every subsampling ×
+    /// work-group size × odd shape (big and small regions alternating, so
+    /// each decode runs on what a different one left behind), must report
+    /// exactly what a fresh single-threaded device reports per region —
+    /// statistics, kernel times, byte counts and pixels.
+    #[test]
+    fn reused_parallel_device_matches_fresh_serial_device_across_matrix() {
+        let platform = Platform::gtx680();
+        let modes = [
+            TransferMode::Dense,
+            TransferMode::Sidecar,
+            TransferMode::Compacted,
+        ];
+        let mut reused = modes.map(|mode| GpuContext::new(&platform, mode));
+        for sub in [Subsampling::S444, Subsampling::S422, Subsampling::S420] {
+            for (w, h) in [(131usize, 77usize), (35, 19), (61, 113)] {
+                let jpeg = jpeg_of(w, h, sub);
+                let prep = Prepared::new(&jpeg).unwrap();
+                let (coef, _) = prep.entropy_decode_all().unwrap();
+                let rows = prep.geom.mcus_y;
+                // The whole image, then a band that ends inside it.
+                for (r0, r1) in [(0, rows), (rows / 3, (rows / 3 + 2).min(rows))] {
+                    let mut want_rgb = vec![0u8; prep.geom.rgb_bytes_in_mcu_rows(r0, r1)];
+                    let mut got_rgb = want_rgb.clone();
+                    for wg in [4usize, 8, 32] {
+                        for ctx in &mut reused {
+                            let label = format!(
+                                "{sub:?} {w}x{h} rows {r0}..{r1} wg {wg} {:?}",
+                                ctx.transfer_mode()
+                            );
+                            let mut fresh = GpuContext::new(&platform, ctx.transfer_mode());
+                            fresh.set_host_threads(1);
+                            let want = fresh
+                                .decode_region(
+                                    &prep,
+                                    &coef,
+                                    r0,
+                                    r1,
+                                    wg,
+                                    KernelPlan::Merged,
+                                    &mut want_rgb,
+                                )
+                                .unwrap();
+                            got_rgb.fill(0xA5);
+                            let got = ctx
+                                .decode_region(
+                                    &prep,
+                                    &coef,
+                                    r0,
+                                    r1,
+                                    wg,
+                                    KernelPlan::Merged,
+                                    &mut got_rgb,
+                                )
+                                .unwrap();
+                            assert_eq!(got, want, "{label}");
+                            assert_eq!(got_rgb, want_rgb, "{label}");
+                        }
+                    }
+                }
             }
         }
     }
@@ -559,24 +647,18 @@ mod tests {
             let prep = Prepared::new(&jpeg).unwrap();
             let (coef, _) = prep.entropy_decode_all().unwrap();
             let run = |mode: TransferMode| {
-                let mut staging = GpuStaging::default();
-                decode_region_gpu_mode(
-                    &prep,
-                    &coef,
-                    0,
-                    prep.geom.mcus_y,
-                    &platform,
-                    4,
-                    KernelPlan::Merged,
-                    mode,
-                    &mut staging,
-                )
+                let rows = prep.geom.mcus_y;
+                let mut rgb = vec![0u8; prep.geom.rgb_bytes_in_mcu_rows(0, rows)];
+                let res = GpuContext::new(&platform, mode)
+                    .decode_region(&prep, &coef, 0, rows, 4, KernelPlan::Merged, &mut rgb)
+                    .unwrap();
+                (rgb, res)
             };
-            let dense = run(TransferMode::Dense);
-            let sidecar = run(TransferMode::Sidecar);
-            let compacted = run(TransferMode::Compacted);
-            assert_eq!(dense.rgb, sidecar.rgb, "{}", sub.notation());
-            assert_eq!(sidecar.rgb, compacted.rgb, "{}", sub.notation());
+            let (dense_rgb, dense) = run(TransferMode::Dense);
+            let (sidecar_rgb, sidecar) = run(TransferMode::Sidecar);
+            let (compacted_rgb, compacted) = run(TransferMode::Compacted);
+            assert_eq!(dense_rgb, sidecar_rgb, "{}", sub.notation());
+            assert_eq!(sidecar_rgb, compacted_rgb, "{}", sub.notation());
             assert!(
                 compacted.h2d_bytes < sidecar.h2d_bytes,
                 "{}: compacted {} vs sidecar {}",
@@ -600,8 +682,9 @@ mod tests {
         for (a, b) in [(0usize, 2usize), (2, 5), (5, 8)] {
             let mut want = vec![0u8; prep.geom.rgb_bytes_in_mcu_rows(a, b)];
             stages::decode_region_rgb(&prep, &coef, a, b, &mut want).unwrap();
-            let res = decode_region_gpu(&prep, &coef, a, b, &platform, 4, KernelPlan::Merged);
-            assert_eq!(res.rgb, want, "band {a}..{b}");
+            let (rgb, _) =
+                decode_region_gpu(&prep, &coef, a, b, &platform, 4, KernelPlan::Merged).unwrap();
+            assert_eq!(rgb, want, "band {a}..{b}");
         }
     }
 
@@ -613,24 +696,13 @@ mod tests {
         let jpeg = jpeg_of(128, 128, Subsampling::S444);
         let prep = Prepared::new(&jpeg).unwrap();
         let (coef, _) = prep.entropy_decode_all().unwrap();
-        let merged = decode_region_gpu(
-            &prep,
-            &coef,
-            0,
-            prep.geom.mcus_y,
-            &platform,
-            4,
-            KernelPlan::Merged,
-        );
-        let unmerged = decode_region_gpu(
-            &prep,
-            &coef,
-            0,
-            prep.geom.mcus_y,
-            &platform,
-            4,
-            KernelPlan::Unmerged,
-        );
+        let decode = |plan| {
+            decode_region_gpu(&prep, &coef, 0, prep.geom.mcus_y, &platform, 4, plan)
+                .unwrap()
+                .1
+        };
+        let merged = decode(KernelPlan::Merged);
+        let unmerged = decode(KernelPlan::Unmerged);
         assert!(
             merged.stats.bus_bytes() < unmerged.stats.bus_bytes(),
             "merged {} vs unmerged {}",
@@ -647,6 +719,8 @@ mod tests {
         let (coef, _) = prep.entropy_decode_all().unwrap();
         let t = |p: &Platform| {
             decode_region_gpu(&prep, &coef, 0, prep.geom.mcus_y, p, 4, KernelPlan::Merged)
+                .unwrap()
+                .1
                 .kernels_total()
         };
         let t430 = t(&Platform::gt430());

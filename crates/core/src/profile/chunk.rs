@@ -29,22 +29,23 @@ pub fn candidate_chunk_rows(mcus_y: usize) -> Vec<usize> {
     out
 }
 
-/// Tune the chunk height over a set of (large) profiling images.
+/// Tune the chunk height over a set of (large) profiling images, decoding
+/// on `ws`'s pools and device context.
 pub fn tune_chunk_rows(
     platform: &Platform,
     proto_model: &PerformanceModel,
     profiling_jpegs: &[impl AsRef<[u8]>],
+    ws: &mut Workspace,
 ) -> usize {
     let mut best_per_image = Vec::new();
-    let mut ws = Workspace::default();
     for jpeg in profiling_jpegs {
         let prep = Prepared::new(jpeg.as_ref()).expect("profiling image parses");
         let mut best = (f64::INFINITY, 1usize);
         for c in candidate_chunk_rows(prep.geom.mcus_y) {
             let mut trial = proto_model.clone();
             trial.chunk_mcu_rows = c;
-            let out = decode_pipelined_gpu_in(&prep, platform, &trial, &mut ws)
-                .expect("pipelined decode");
+            let out =
+                decode_pipelined_gpu_in(&prep, platform, &trial, ws).expect("pipelined decode");
             if out.times.total < best.0 {
                 best = (out.times.total, c);
             }
@@ -90,7 +91,7 @@ mod tests {
         .unwrap();
         let platform = Platform::gtx560();
         let model = platform.untrained_model();
-        let chunk = tune_chunk_rows(&platform, &model, &[&jpeg]);
+        let chunk = tune_chunk_rows(&platform, &model, &[&jpeg], &mut Workspace::default());
         let prep = Prepared::new(&jpeg).unwrap();
         assert!(chunk >= 1 && chunk <= prep.geom.mcus_y);
         // The tuned chunk must beat (or match) the single-chunk pipeline.

@@ -5,11 +5,12 @@
 //! set of images. Multivariate polynomial regression analysis is applied to
 //! derive closed forms."
 
-use crate::gpu_decode::{decode_region_gpu, KernelPlan};
+use crate::gpu_decode::KernelPlan;
 use crate::model::PerformanceModel;
 use crate::platform::Platform;
 use crate::profile::{tune_chunk_rows, tune_wg_blocks};
 use crate::regress::{fit_poly1_aic, fit_poly2_aic};
+use crate::workspace::Workspace;
 use hetjpeg_jpeg::decoder::Prepared;
 use hetjpeg_jpeg::metrics::ParallelWork;
 use hetjpeg_jpeg::Subsampling;
@@ -56,9 +57,14 @@ pub fn train(
                 .unwrap_or(0)
         })
         .expect("non-empty");
+    // One workspace — one device context, one set of grow-only buffers —
+    // serves the work-group sweep, every training decode and the chunk
+    // sweep.
+    let mut ws = Workspace::default();
+    let mut rgb = Vec::new();
     let wg_blocks = opts
         .wg_blocks
-        .unwrap_or_else(|| tune_wg_blocks(platform, largest.as_ref()));
+        .unwrap_or_else(|| tune_wg_blocks(ws.gpu.on(platform), largest.as_ref()));
 
     let mut density_samples = Vec::with_capacity(images.len());
     let mut huff_rate_samples = Vec::with_capacity(images.len());
@@ -99,15 +105,20 @@ pub fn train(
         }
 
         // Parallel phase on the GPU: transfers + kernels (Eq. 7).
-        let res = decode_region_gpu(
-            &prep,
-            &coef,
-            0,
-            geom.mcus_y,
-            platform,
-            wg_blocks,
-            KernelPlan::Merged,
-        );
+        rgb.resize(geom.rgb_bytes_in_mcu_rows(0, geom.mcus_y), 0);
+        let res = ws
+            .gpu
+            .on(platform)
+            .decode_region(
+                &prep,
+                &coef,
+                0,
+                geom.mcus_y,
+                wg_blocks,
+                KernelPlan::Merged,
+                &mut rgb,
+            )
+            .expect("merged plan decodes every subsampling");
         pgpu_samples.push(res.device_total());
         // PR 9: the compacted H2D payload tracks content density; record
         // the measured per-pixel transfer seconds against the image's
@@ -185,7 +196,7 @@ pub fn train(
             std::cmp::Reverse(Prepared::new(img).map(|p| p.geom.pixels()).unwrap_or(0))
         });
         let top: Vec<&[u8]> = sorted.into_iter().take(3).collect();
-        model.chunk_mcu_rows = tune_chunk_rows(platform, &model, &top);
+        model.chunk_mcu_rows = tune_chunk_rows(platform, &model, &top, &mut ws);
     }
     model
 }

@@ -4,30 +4,32 @@
 //! alternated from 4 MCUs to 32 MCUs to find the best work-group size for a
 //! specific platform."
 
-use crate::gpu_decode::{decode_region_gpu, KernelPlan};
-use crate::platform::Platform;
+use crate::gpu_decode::{GpuContext, KernelPlan};
 use hetjpeg_jpeg::decoder::Prepared;
 
 /// Candidate work-group sizes in blocks (multiples of 4 blocks so groups
 /// stay warp-aligned, §4.1).
 pub const WG_CANDIDATES: [usize; 4] = [4, 8, 16, 32];
 
-/// Sweep the candidates on a profiling image and return the size with the
-/// lowest simulated kernel time.
-pub fn tune_wg_blocks(platform: &Platform, profiling_jpeg: &[u8]) -> usize {
+/// Sweep the candidates on a profiling image, on the trainer's device
+/// context, and return the size with the lowest simulated kernel time.
+pub fn tune_wg_blocks(gpu: &mut GpuContext, profiling_jpeg: &[u8]) -> usize {
     let prep = Prepared::new(profiling_jpeg).expect("profiling image parses");
     let (coef, _) = prep.entropy_decode_all().expect("profiling image decodes");
+    let mut rgb = vec![0u8; prep.geom.rgb_bytes_in_mcu_rows(0, prep.geom.mcus_y)];
     let mut best = (f64::INFINITY, WG_CANDIDATES[0]);
     for &wg in &WG_CANDIDATES {
-        let res = decode_region_gpu(
-            &prep,
-            &coef,
-            0,
-            prep.geom.mcus_y,
-            platform,
-            wg,
-            KernelPlan::Merged,
-        );
+        let res = gpu
+            .decode_region(
+                &prep,
+                &coef,
+                0,
+                prep.geom.mcus_y,
+                wg,
+                KernelPlan::Merged,
+                &mut rgb,
+            )
+            .expect("merged plan decodes every subsampling");
         let t = res.kernels_total();
         if t < best.0 {
             best = (t, wg);
@@ -39,6 +41,8 @@ pub fn tune_wg_blocks(platform: &Platform, profiling_jpeg: &[u8]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gpu_decode::TransferMode;
+    use crate::platform::Platform;
     use hetjpeg_jpeg::encoder::{encode_rgb, EncodeParams};
     use hetjpeg_jpeg::types::Subsampling;
 
@@ -59,7 +63,8 @@ mod tests {
             },
         )
         .unwrap();
-        let wg = tune_wg_blocks(&Platform::gtx560(), &jpeg);
+        let mut gpu = GpuContext::new(&Platform::gtx560(), TransferMode::default());
+        let wg = tune_wg_blocks(&mut gpu, &jpeg);
         assert!(WG_CANDIDATES.contains(&wg));
     }
 }

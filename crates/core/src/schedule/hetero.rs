@@ -3,7 +3,7 @@
 //! The `*_in` functions are the implementations on pooled scratch.
 
 use super::{entropy_into, eob_classes_in, DecodeOutcome, Mode};
-use crate::gpu_decode::{decode_region_gpu_with, GpuStaging, KernelPlan};
+use crate::gpu_decode::{GpuContext, KernelPlan};
 use crate::model::PerformanceModel;
 use crate::partition::{pps, sps, Partition};
 use crate::platform::Platform;
@@ -48,16 +48,16 @@ pub(crate) fn decode_sps_in(
         cpu_now += t_disp;
         b.dispatch = t_disp;
 
-        let res = decode_region_gpu_with(
+        let (p0, p1) = geom.mcu_rows_to_pixel_rows(0, g_rows);
+        let res = p.gpu.on(platform).decode_region(
             prep,
             p.coef,
             0,
             g_rows,
-            platform,
             model.wg_blocks,
             KernelPlan::Merged,
-            p.staging,
-        );
+            &mut image.data[p0 * geom.width * 3..p1 * geom.width * 3],
+        )?;
         p.stats.h2d_transfers += 1;
         p.stats.h2d_bytes += res.h2d_bytes as u64;
         let h2d = q.enqueue("h2d", cpu_now, res.h2d_time);
@@ -71,9 +71,6 @@ pub(crate) fn decode_sps_in(
         let d2h = q.enqueue("d2h", q.drain_time(), res.d2h_time);
         trace.push("d2h", Resource::Gpu, d2h.start, d2h.end);
         b.d2h = res.d2h_time;
-
-        let (p0, p1) = geom.mcu_rows_to_pixel_rows(0, g_rows);
-        image.data[p0 * geom.width * 3..p1 * geom.width * 3].copy_from_slice(&res.rgb);
     }
 
     if part.cpu_mcu_rows > 0 {
@@ -129,6 +126,7 @@ pub(crate) fn decode_pps_in(
 
     ws.ensure(prep);
     let p = ws.parts();
+    let gpu = p.gpu.on(platform);
     let mut dec = prep.entropy_decoder()?;
     let mut trace = Trace::default();
     let mut q = CommandQueue::new();
@@ -142,7 +140,7 @@ pub(crate) fn decode_pps_in(
 
     let enqueue_gpu_chunk = |prep: &Prepared<'_>,
                              coef: &hetjpeg_jpeg::coef::CoefBuffer,
-                             staging: &mut GpuStaging,
+                             gpu: &mut GpuContext,
                              stats: &mut crate::workspace::PoolStats,
                              row0: usize,
                              row1: usize,
@@ -150,21 +148,22 @@ pub(crate) fn decode_pps_in(
                              trace: &mut Trace,
                              q: &mut CommandQueue,
                              b: &mut Breakdown,
-                             image: &mut RgbImage| {
+                             image: &mut RgbImage|
+     -> Result<()> {
         let t_disp = platform.cpu.dispatch_time(geom, row0, row1);
         trace.push("dispatch", Resource::Cpu, *cpu_now, *cpu_now + t_disp);
         *cpu_now += t_disp;
         b.dispatch += t_disp;
-        let res = decode_region_gpu_with(
+        let (p0, p1) = geom.mcu_rows_to_pixel_rows(row0, row1);
+        let res = gpu.decode_region(
             prep,
             coef,
             row0,
             row1,
-            platform,
             model.wg_blocks,
             KernelPlan::Merged,
-            staging,
-        );
+            &mut image.data[p0 * geom.width * 3..p1 * geom.width * 3],
+        )?;
         stats.h2d_transfers += 1;
         stats.h2d_bytes += res.h2d_bytes as u64;
         let h2d = q.enqueue("h2d", *cpu_now, res.h2d_time);
@@ -178,8 +177,7 @@ pub(crate) fn decode_pps_in(
         let d2h = q.enqueue("d2h", q.drain_time(), res.d2h_time);
         trace.push("d2h", Resource::Gpu, d2h.start, d2h.end);
         b.d2h += res.d2h_time;
-        let (p0, p1) = geom.mcu_rows_to_pixel_rows(row0, row1);
-        image.data[p0 * geom.width * 3..p1 * geom.width * 3].copy_from_slice(&res.rgb);
+        Ok(())
     };
 
     // Pipeline the GPU share chunk by chunk.
@@ -239,7 +237,7 @@ pub(crate) fn decode_pps_in(
         enqueue_gpu_chunk(
             prep,
             p.coef,
-            p.staging,
+            gpu,
             p.stats,
             row,
             end,
@@ -248,7 +246,7 @@ pub(crate) fn decode_pps_in(
             &mut q,
             &mut b,
             &mut image,
-        );
+        )?;
         row = end;
     }
 

@@ -5,7 +5,7 @@
 //! allocates the big buffers once.
 
 use super::{entropy_into, eob_classes_in, DecodeOutcome, Mode};
-use crate::gpu_decode::{decode_region_gpu_with, KernelPlan};
+use crate::gpu_decode::KernelPlan;
 use crate::model::PerformanceModel;
 use crate::platform::Platform;
 use crate::timeline::{Breakdown, Resource, Trace};
@@ -82,16 +82,16 @@ pub(crate) fn decode_gpu_in(
     let (_rows, t_huff) = entropy_into(prep, platform, p.coef)?;
     let t_disp = platform.cpu.dispatch_time(geom, 0, geom.mcus_y);
 
-    let res = decode_region_gpu_with(
+    let mut image = RgbImage::new(geom.width, geom.height);
+    let res = p.gpu.on(platform).decode_region(
         prep,
         p.coef,
         0,
         geom.mcus_y,
-        platform,
         model.wg_blocks,
         KernelPlan::Merged,
-        p.staging,
-    );
+        &mut image.data,
+    )?;
     p.stats.h2d_transfers += 1;
     p.stats.h2d_bytes += res.h2d_bytes as u64;
 
@@ -109,9 +109,6 @@ pub(crate) fn decode_gpu_in(
     }
     let d2h = q.enqueue("d2h", q.drain_time(), res.d2h_time);
     trace.push("d2h", Resource::Gpu, d2h.start, d2h.end);
-
-    let mut image = RgbImage::new(geom.width, geom.height);
-    image.data.copy_from_slice(&res.rgb);
 
     Ok(DecodeOutcome {
         image,
@@ -163,19 +160,17 @@ pub(crate) fn decode_gpu_batch_stage(
     let p = ws.parts();
     let (_rows, t_huff) = entropy_into(prep, platform, p.coef)?;
     let t_disp = platform.cpu.dispatch_time(geom, 0, geom.mcus_y);
-    let res = decode_region_gpu_with(
+    let mut image = RgbImage::new(geom.width, geom.height);
+    let res = p.gpu.on(platform).decode_region(
         prep,
         p.coef,
         0,
         geom.mcus_y,
-        platform,
         model.wg_blocks,
         KernelPlan::Merged,
-        p.staging,
-    );
+        &mut image.data,
+    )?;
     p.stats.h2d_bytes += res.h2d_bytes as u64;
-    let mut image = RgbImage::new(geom.width, geom.height);
-    image.data.copy_from_slice(&res.rgb);
     Ok(GpuBatchMember {
         image,
         t_huff,
@@ -236,6 +231,7 @@ pub(crate) fn decode_pipelined_gpu_in(
     let chunk = model.chunk_mcu_rows.max(1);
     ws.ensure(prep);
     let p = ws.parts();
+    let gpu = p.gpu.on(platform);
 
     let mut dec = prep.entropy_decoder()?;
     let mut trace = Trace::default();
@@ -262,16 +258,17 @@ pub(crate) fn decode_pipelined_gpu_in(
         cpu_now += t_disp;
         b.dispatch += t_disp;
 
-        let res = decode_region_gpu_with(
+        // D2H lands in the chunk's rows of the image.
+        let (p0, p1) = geom.mcu_rows_to_pixel_rows(row, end);
+        let res = gpu.decode_region(
             prep,
             p.coef,
             row,
             end,
-            platform,
             model.wg_blocks,
             KernelPlan::Merged,
-            p.staging,
-        );
+            &mut image.data[p0 * geom.width * 3..p1 * geom.width * 3],
+        )?;
         p.stats.h2d_transfers += 1;
         p.stats.h2d_bytes += res.h2d_bytes as u64;
         let h2d = q.enqueue("h2d", cpu_now, res.h2d_time);
@@ -285,10 +282,6 @@ pub(crate) fn decode_pipelined_gpu_in(
         let d2h = q.enqueue("d2h", q.drain_time(), res.d2h_time);
         trace.push("d2h", Resource::Gpu, d2h.start, d2h.end);
         b.d2h += res.d2h_time;
-
-        // Functional output assembly.
-        let (p0, p1) = geom.mcu_rows_to_pixel_rows(row, end);
-        image.data[p0 * geom.width * 3..p1 * geom.width * 3].copy_from_slice(&res.rgb);
         row = end;
     }
 

@@ -900,7 +900,11 @@ impl Decoder {
     /// Decode with the real two-thread PPS pipeline (wall-clock, not
     /// virtual time) — the host demonstration of §3/§4.5.
     pub fn decode_threaded(&self, data: &[u8]) -> Result<ThreadedOutcome> {
-        decode_pps_threaded_impl(data, &self.platform, &self.model)
+        let transfer = {
+            let state = self.state.lock().expect("decoder state lock");
+            state.ws.gpu.transfer()
+        };
+        decode_pps_threaded_impl(data, &self.platform, &self.model, transfer)
     }
 
     /// Predict every concrete mode's total for an image without decoding

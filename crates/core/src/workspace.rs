@@ -3,13 +3,15 @@
 //! PR 1 made the hot path allocation-free *within* one decode; this module
 //! makes it allocation-free *across* decodes: a [`Workspace`] owns the
 //! whole-image coefficient buffer, the scalar and SIMD band scratches, the
-//! planar output staging and the GPU chunk staging, and re-shapes them for
-//! each image instead of reallocating. The session decoder
+//! planar output staging and the simulated GPU device with its buffers and
+//! chunk staging, and re-shapes them for each image instead of
+//! reallocating. The session decoder
 //! ([`crate::session::Decoder`]) holds one workspace for its lifetime, so a
 //! batch of same-shaped images performs the large allocations exactly once
 //! — the property [`PoolStats`] exposes and the batch tests assert.
 
-use crate::gpu_decode::GpuStaging;
+use crate::gpu_decode::{GpuContext, TransferMode};
+use crate::platform::Platform;
 use hetjpeg_jpeg::coef::CoefBuffer;
 use hetjpeg_jpeg::decoder::kernels::SimdLevel;
 use hetjpeg_jpeg::decoder::{simd, stages, Prepared};
@@ -82,6 +84,40 @@ impl GeomKey {
     }
 }
 
+/// The session's simulated GPU: the transfer layout, read from
+/// `HETJPEG_GPU_TRANSFER` once when the slot (and so the workspace) is
+/// created, and the device context, made on the first GPU region and kept
+/// for every later one.
+pub(crate) struct GpuSlot {
+    transfer: TransferMode,
+    ctx: Option<GpuContext>,
+}
+
+impl Default for GpuSlot {
+    fn default() -> Self {
+        GpuSlot {
+            transfer: TransferMode::from_env(),
+            ctx: None,
+        }
+    }
+}
+
+impl GpuSlot {
+    /// The layout every GPU decode of this session ships.
+    pub(crate) fn transfer(&self) -> TransferMode {
+        self.transfer
+    }
+
+    /// The device context for `platform` (a session has one platform; a
+    /// bare workspace handed a different one gets a new device).
+    pub(crate) fn on(&mut self, platform: &Platform) -> &mut GpuContext {
+        if !self.ctx.as_ref().is_some_and(|c| c.serves(platform)) {
+            self.ctx = Some(GpuContext::new(platform, self.transfer));
+        }
+        self.ctx.as_mut().expect("context made above")
+    }
+}
+
 /// Pooled scratch for one decode session. `Default` yields an empty pool;
 /// every buffer is created lazily on first use and re-shaped afterwards.
 #[derive(Default)]
@@ -94,7 +130,7 @@ pub struct Workspace {
     /// scratch's own choice (host detection) in place; the session decoder
     /// sets it per decode (one-time choice or force-scalar override).
     simd_level: Option<SimdLevel>,
-    pub(crate) staging: GpuStaging,
+    pub(crate) gpu: GpuSlot,
     pub(crate) stats: PoolStats,
     /// Cumulative speculative-entropy counters (ISSUE 6): chunk workers
     /// launched, convergence waste, stitch re-decodes. Merged in by every
@@ -114,7 +150,7 @@ pub(crate) struct WsParts<'a> {
     pub coef: &'a mut CoefBuffer,
     pub scalar: &'a mut stages::Scratch,
     pub simd: &'a mut simd::SimdScratch,
-    pub staging: &'a mut GpuStaging,
+    pub gpu: &'a mut GpuSlot,
     pub stats: &'a mut PoolStats,
 }
 
@@ -205,7 +241,7 @@ impl Workspace {
             coef: self.coef.as_mut().expect("Workspace::ensure not called"),
             scalar: self.scalar.as_mut().expect("Workspace::ensure not called"),
             simd: self.simd.as_mut().expect("Workspace::ensure not called"),
-            staging: &mut self.staging,
+            gpu: &mut self.gpu,
             stats: &mut self.stats,
         }
     }

@@ -10,10 +10,15 @@
 //! All global/local accesses and arithmetic go through [`ItemCtx`] so the
 //! executor can meter coalescing, bank conflicts, divergence and compute.
 
-use crate::memory::{Buffer, LocalMem, WarpTracker};
+use crate::memory::{Buffer, GmemTracker, LocalMem};
 use crate::stats::LaunchStats;
 
 /// A simulated GPU kernel.
+///
+/// Work-groups of a launch run concurrently on host workers, so a kernel
+/// must keep the discipline a real GPU kernel needs: groups write pairwise
+/// disjoint global ranges and never read bytes another group writes in the
+/// same launch. Debug builds check every launch against it.
 pub trait Kernel: Sync {
     /// Kernel name for reports.
     fn name(&self) -> &'static str;
@@ -28,49 +33,71 @@ pub trait Kernel: Sync {
     fn run_group(&self, ctx: &mut GroupCtx<'_>);
 }
 
-/// Divergence tracking slot: has any lane taken / not taken the branch?
-#[derive(Debug, Clone, Copy, Default)]
-struct BranchSlot {
-    taken: bool,
-    not_taken: bool,
+/// Divergence bits of one (issue slot, warp): has any lane taken / not
+/// taken the branch?
+const TAKEN: u8 = 1;
+const NOT_TAKEN: u8 = 2;
+
+/// The host-side bookkeeping of one executor worker: local memory, the
+/// coalescing / conflict / divergence trackers and the counters they fold
+/// into. It outlives launches — the device keeps one per worker — so its
+/// tables grow to the largest kernel seen and are then only reset.
+#[derive(Debug, Default)]
+pub(crate) struct GroupState {
+    local: LocalMem,
+    gmem: GmemTracker,
+    warps: usize,
+    /// `[seq][warp]` divergence bits of the current phase.
+    branch_slots: Vec<u8>,
+    /// `branch_slots[..branch_seqs * warps]` may be non-zero.
+    branch_seqs: usize,
+    stats: LaunchStats,
+    /// Byte ranges the current group touched (recorded in debug builds).
+    log: crate::memory::audit::GroupLog,
 }
 
-/// Per-group execution context.
+/// Per-group execution context. One is built per worker per launch and
+/// reset for each work-group the worker runs.
 pub struct GroupCtx<'a> {
     /// Index of this group in the NDRange.
     pub group_id: usize,
     items: usize,
     warp_size: usize,
     buffers: &'a [Buffer],
-    local: LocalMem,
-    warps: Vec<WarpTracker>,
-    branch_slots: Vec<Vec<BranchSlot>>,
-    stats: LaunchStats,
+    st: GroupState,
 }
 
 impl<'a> GroupCtx<'a> {
+    /// Shape `st` for `kernel`'s groups on a device of `warp_size` lanes.
     pub(crate) fn new(
-        group_id: usize,
-        items: usize,
+        mut st: GroupState,
+        kernel: &dyn Kernel,
         warp_size: usize,
-        local_bytes: usize,
         buffers: &'a [Buffer],
     ) -> Self {
-        let warps = items.div_ceil(warp_size);
+        let items = kernel.items_per_group();
+        let warps = items.div_ceil(warp_size).max(1);
+        st.warps = warps;
+        st.local.configure(kernel.local_bytes(), warps, warp_size);
+        st.gmem.configure(warps, warp_size);
+        st.stats = LaunchStats::default();
         GroupCtx {
-            group_id,
+            group_id: 0,
             items,
             warp_size,
             buffers,
-            local: LocalMem::new(local_bytes, warps, warp_size),
-            warps: (0..warps).map(|_| WarpTracker::default()).collect(),
-            branch_slots: vec![Vec::new(); warps],
-            stats: LaunchStats {
-                groups: 1,
-                items: items as u64,
-                ..Default::default()
-            },
+            st,
         }
+    }
+
+    /// Start work-group `group_id`: local memory reads as zero again, the
+    /// trackers are empty (every phase ends drained), and the counters keep
+    /// summing over the groups this worker runs.
+    pub(crate) fn reset(&mut self, group_id: usize) {
+        self.group_id = group_id;
+        self.st.local.reset();
+        self.st.stats.groups += 1;
+        self.st.stats.items += self.items as u64;
     }
 
     /// Number of work-items in this group.
@@ -82,47 +109,52 @@ impl<'a> GroupCtx<'a> {
     /// Run one lockstep phase over all work-items, then retire the phase's
     /// coalescing / conflict / divergence accounting (the implicit barrier).
     pub fn phase<F: FnMut(&mut ItemCtx<'_, 'a>)>(&mut self, mut f: F) {
+        let mut ops = 0u64;
         for item in 0..self.items {
+            let warp = item / self.warp_size;
             let mut ictx = ItemCtx {
                 grp: self,
                 item,
+                warp,
                 seq: 0,
                 ops: 0,
             };
             f(&mut ictx);
-            let ops = ictx.ops;
-            self.stats.compute_ops += ops;
+            ops += ictx.ops;
         }
+        self.st.stats.compute_ops += ops;
         self.finish_phase();
     }
 
     fn finish_phase(&mut self) {
-        for w in self.warps.iter_mut() {
-            let (r, wtx) = w.finish_phase();
-            self.stats.gmem_read_transactions += r;
-            self.stats.gmem_write_transactions += wtx;
-        }
-        for slots in self.branch_slots.iter_mut() {
-            for s in slots.iter_mut() {
-                if s.taken && s.not_taken {
-                    self.stats.divergent_branches += 1;
-                }
-                *s = BranchSlot::default();
+        let st = &mut self.st;
+        let (r, w) = st.gmem.finish_phase();
+        st.stats.gmem_read_transactions += r;
+        st.stats.gmem_write_transactions += w;
+        for s in st.branch_slots[..st.branch_seqs * st.warps].iter_mut() {
+            if *s == TAKEN | NOT_TAKEN {
+                st.stats.divergent_branches += 1;
             }
-            slots.clear();
+            *s = 0;
         }
-        self.local.finish_phase();
+        st.branch_seqs = 0;
+        st.local.finish_phase();
     }
 
-    /// Finalize and return this group's statistics.
-    pub(crate) fn into_stats(mut self) -> LaunchStats {
-        for w in &self.warps {
-            self.stats.gmem_read_bytes += w.read_bytes;
-            self.stats.gmem_write_bytes += w.write_bytes;
-        }
-        self.stats.lmem_accesses = self.local.accesses;
-        self.stats.lmem_conflict_cycles = self.local.conflict_cycles;
-        self.stats
+    /// The statistics of every group run since [`Self::new`], and the
+    /// worker state for the device to keep.
+    pub(crate) fn finish(self) -> (LaunchStats, GroupState) {
+        let mut st = self.st;
+        st.stats.gmem_read_bytes = st.gmem.read_bytes;
+        st.stats.gmem_write_bytes = st.gmem.write_bytes;
+        st.stats.lmem_accesses = st.local.accesses;
+        st.stats.lmem_conflict_cycles = st.local.conflict_cycles;
+        (st.stats, st)
+    }
+
+    /// Hand the group's access log to the launch's.
+    pub(crate) fn log_into(&mut self, launch: &mut crate::memory::audit::LaunchLog) {
+        launch.absorb(self.group_id, &mut self.st.log);
     }
 }
 
@@ -130,6 +162,8 @@ impl<'a> GroupCtx<'a> {
 pub struct ItemCtx<'g, 'a> {
     grp: &'g mut GroupCtx<'a>,
     item: usize,
+    /// `item / warp_size`, computed once per item.
+    warp: usize,
     seq: usize,
     ops: u64,
 }
@@ -153,44 +187,45 @@ impl<'g, 'a> ItemCtx<'g, 'a> {
         self.grp.group_id * self.grp.items + self.item
     }
 
-    #[inline]
-    fn warp(&self) -> usize {
-        self.item / self.grp.warp_size
-    }
-
     /// Charge `n` scalar compute operations.
     #[inline]
     pub fn charge(&mut self, n: u64) {
         self.ops += n;
     }
 
+    /// Issue the item's next operation: its lockstep slot.
+    #[inline]
+    fn issue(&mut self) -> usize {
+        let seq = self.seq;
+        self.seq += 1;
+        self.ops += 1;
+        seq
+    }
+
     /// Record a potentially divergent branch; returns `taken` unchanged so
     /// it can wrap a condition inline.
     #[inline]
     pub fn branch(&mut self, taken: bool) -> bool {
-        let warp = self.warp();
-        let seq = self.seq;
-        self.seq += 1;
-        self.ops += 1;
-        let slots = &mut self.grp.branch_slots[warp];
-        if slots.len() <= seq {
-            slots.resize_with(seq + 1, Default::default);
+        let seq = self.issue();
+        let st = &mut self.grp.st;
+        if seq >= st.branch_seqs {
+            st.branch_seqs = seq + 1;
+            if st.branch_slots.len() < st.branch_seqs * st.warps {
+                st.branch_slots.resize(st.branch_seqs * st.warps, 0);
+            }
         }
-        if taken {
-            slots[seq].taken = true;
-        } else {
-            slots[seq].not_taken = true;
-        }
+        st.branch_slots[seq * st.warps + self.warp] |= if taken { TAKEN } else { NOT_TAKEN };
         taken
     }
 
     #[inline]
     fn record_gmem(&mut self, buf: usize, addr: usize, len: usize, write: bool) {
-        let warp = self.warp();
-        let seq = self.seq;
-        self.seq += 1;
-        self.ops += 1;
-        self.grp.warps[warp].record(seq, buf, addr, len, write);
+        let seq = self.issue();
+        let st = &mut self.grp.st;
+        st.gmem.record(self.warp, seq, buf, addr, len, write);
+        if cfg!(debug_assertions) {
+            st.log.record(buf, addr, len, write);
+        }
     }
 
     /// Global load: one `i16` at byte address `addr`.
@@ -224,80 +259,73 @@ impl<'g, 'a> ItemCtx<'g, 'a> {
         self.grp.buffers[buf.0].load::<8>(addr)
     }
 
+    /// Global store of `N` bytes.
+    #[inline]
+    fn gstore<const N: usize>(&mut self, buf: crate::BufId, addr: usize, v: [u8; N]) {
+        self.record_gmem(buf.0, addr, N, true);
+        // SAFETY: the kernel discipline (see [`Kernel`]) keeps every other
+        // work-group off these bytes for the launch; debug builds log the
+        // range above and check it when the launch retires.
+        unsafe { self.grp.buffers[buf.0].store::<N>(addr, v) }
+    }
+
     /// Global store: one byte (uncoalesced-friendly scalar store).
     #[inline]
     pub fn gstore_u8(&mut self, buf: crate::BufId, addr: usize, v: u8) {
-        self.record_gmem(buf.0, addr, 1, true);
-        unsafe { self.grp.buffers[buf.0].store::<1>(addr, [v]) }
+        self.gstore(buf, addr, [v]);
     }
 
     /// Global vectorized store of 4 bytes (`uchar4` in OpenCL terms) — the
     /// paper's Fig. 4 vectorization unit.
     #[inline]
     pub fn gstore_vec4(&mut self, buf: crate::BufId, addr: usize, v: [u8; 4]) {
-        self.record_gmem(buf.0, addr, 4, true);
-        unsafe { self.grp.buffers[buf.0].store::<4>(addr, v) }
+        self.gstore(buf, addr, v);
     }
 
     /// Global vectorized store of 8 bytes (`uchar8`).
     #[inline]
     pub fn gstore_vec8(&mut self, buf: crate::BufId, addr: usize, v: [u8; 8]) {
-        self.record_gmem(buf.0, addr, 8, true);
-        unsafe { self.grp.buffers[buf.0].store::<8>(addr, v) }
+        self.gstore(buf, addr, v);
     }
 
     /// Global vectorized store of 16 bytes (`uchar16`).
     #[inline]
     pub fn gstore_vec16(&mut self, buf: crate::BufId, addr: usize, v: [u8; 16]) {
-        self.record_gmem(buf.0, addr, 16, true);
-        unsafe { self.grp.buffers[buf.0].store::<16>(addr, v) }
+        self.gstore(buf, addr, v);
     }
 
     /// Global store of one `i16`.
     #[inline]
     pub fn gstore_i16(&mut self, buf: crate::BufId, addr: usize, v: i16) {
-        self.record_gmem(buf.0, addr, 2, true);
-        unsafe { self.grp.buffers[buf.0].store::<2>(addr, v.to_le_bytes()) }
+        self.gstore(buf, addr, v.to_le_bytes());
     }
 
     /// Local-memory load of an `i64` word (byte address).
     #[inline]
     pub fn lload_i64(&mut self, addr: usize) -> i64 {
-        let seq = self.seq;
-        self.seq += 1;
-        self.ops += 1;
-        let item = self.item;
-        self.grp.local.load_i64(item, seq, addr)
+        let seq = self.issue();
+        self.grp.st.local.load_i64(self.warp, seq, addr)
     }
 
     /// Local-memory store of an `i64` word.
     #[inline]
     pub fn lstore_i64(&mut self, addr: usize, v: i64) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.ops += 1;
-        let item = self.item;
-        self.grp.local.store_i64(item, seq, addr, v);
+        let seq = self.issue();
+        self.grp.st.local.store_i64(self.warp, seq, addr, v);
     }
 
     /// Local-memory load of an `i32` word.
     #[inline]
     pub fn lload_i32(&mut self, addr: usize) -> i32 {
-        let seq = self.seq;
-        self.seq += 1;
-        self.ops += 1;
-        let item = self.item;
-        self.grp.local.load_i32(item, seq, addr)
+        let seq = self.issue();
+        self.grp.st.local.load_i32(self.warp, seq, addr)
     }
 
     /// Local-memory store of an `i32` word.
     #[inline]
     pub fn lstore_i32(&mut self, addr: usize, v: i32) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.ops += 1;
-        let item = self.item;
-        self.grp.local.store_i32(item, seq, addr, v);
+        let seq = self.issue();
+        self.grp.st.local.store_i32(self.warp, seq, addr, v);
     }
 }
 
@@ -525,7 +553,7 @@ mod tests {
 
     #[test]
     fn divergence_detected_only_within_warps() {
-        let sim = GpuSim::new(DeviceSpec::gtx680());
+        let mut sim = GpuSim::new(DeviceSpec::gtx680());
         let s1 = sim.launch(&DivergentKernel, 4);
         assert_eq!(s1.divergent_branches, 4); // one per group's single warp
         let s2 = sim.launch(&UniformKernel, 4);

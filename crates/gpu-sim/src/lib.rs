@@ -31,9 +31,11 @@
 pub mod device;
 pub mod exec;
 pub mod kernel;
-pub mod memory;
+mod memory;
 pub mod pcie;
 pub mod queue;
+#[cfg(test)]
+mod reference;
 pub mod stats;
 pub mod subseq;
 pub mod timing;

@@ -111,7 +111,8 @@ fn main() {
         ("merged", KernelPlan::Merged),
         ("unmerged", KernelPlan::Unmerged),
     ] {
-        let res = decode_region_gpu(&prep, &coefbuf, 0, prep.geom.mcus_y, &platform, 8, plan);
+        let (_, res) = decode_region_gpu(&prep, &coefbuf, 0, prep.geom.mcus_y, &platform, 8, plan)
+            .expect("plan supports the image's subsampling");
         println!(
             "{name:<9}: kernels {:.3} ms, bus {:.2} MB, h2d {:.3} ms, d2h {:.3} ms",
             res.kernels_total() * 1e3,
@@ -126,7 +127,7 @@ fn main() {
 
     println!("\n== work-group size sweep (§5.1: 4 to 32 MCUs) ==\n");
     for wg in [4usize, 8, 16, 32] {
-        let res = decode_region_gpu(
+        let (_, res) = decode_region_gpu(
             &prep,
             &coefbuf,
             0,
@@ -134,7 +135,8 @@ fn main() {
             &platform,
             wg,
             KernelPlan::Merged,
-        );
+        )
+        .expect("merged plan");
         println!(
             "wg {wg:>2} blocks: kernels {:.3} ms",
             res.kernels_total() * 1e3

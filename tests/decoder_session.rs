@@ -122,6 +122,70 @@ fn batch_decode_amortizes_pools_across_many_images() {
     assert_eq!(stats.coef_reuses, 2 * images.len() as u64);
 }
 
+/// One session's device context, device buffers and staging serve images
+/// of any shape in any order. A large image, then a small one of another
+/// subsampling, then a large one again — under every GPU-backed mode —
+/// must come out exactly as from a session built for that image alone:
+/// same pixels, same virtual times, same transfer accounting. Nothing of
+/// the bigger earlier regions may be left in `planes`, `rgb` or local
+/// memory.
+#[test]
+fn one_session_across_shapes_matches_a_fresh_session_per_image() {
+    let gallery = [
+        noise_jpeg(200, 136, 85, Subsampling::S422, 0, 11),
+        noise_jpeg(40, 24, 60, Subsampling::S420, 0, 12),
+        noise_jpeg(168, 152, 90, Subsampling::S444, 0, 13),
+        noise_jpeg(57, 43, 75, Subsampling::S422, 0, 14),
+        noise_jpeg(216, 120, 80, Subsampling::S420, 0, 15),
+    ];
+    let session = || {
+        Decoder::builder()
+            .platform(Platform::gtx680())
+            .build()
+            .expect("session")
+    };
+    for mode in [Mode::Gpu, Mode::PipelinedGpu, Mode::Sps, Mode::Pps] {
+        let shared = session();
+        for (i, jpeg) in gallery.iter().enumerate() {
+            let label = format!("{mode:?} image {i}");
+            let before = shared.stats().pool;
+            let got = shared
+                .decode(jpeg, DecodeOptions::with_mode(mode))
+                .expect("shared session decode");
+            let after = shared.stats().pool;
+
+            let fresh = session();
+            let want = fresh
+                .decode(jpeg, DecodeOptions::with_mode(mode))
+                .expect("fresh session decode");
+            let alone = fresh.stats().pool;
+
+            assert_eq!(got.image.data, want.image.data, "{label}");
+            assert_eq!(got.times, want.times, "{label}");
+            assert_eq!(got.partition, want.partition, "{label}");
+            assert_eq!(
+                after.h2d_transfers - before.h2d_transfers,
+                alone.h2d_transfers,
+                "{label}"
+            );
+            assert_eq!(
+                after.h2d_bytes - before.h2d_bytes,
+                alone.h2d_bytes,
+                "{label}"
+            );
+            // The shared session re-shapes its pools where the fresh one
+            // allocates them: one coefficient buffer either way.
+            assert_eq!(
+                (after.coef_allocs + after.coef_reuses) - (before.coef_allocs + before.coef_reuses),
+                alone.coef_allocs,
+                "{label}"
+            );
+        }
+        assert_eq!(shared.stats().pool.coef_allocs, 1, "{mode:?}");
+        assert_eq!(shared.stats().pool.scratch_allocs, 1, "{mode:?}");
+    }
+}
+
 #[test]
 fn mixed_gallery_through_auto_matches_reference() {
     // A heterogeneous batch (sizes, qualities, restart intervals) through

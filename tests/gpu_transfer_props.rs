@@ -19,7 +19,7 @@
 //!
 //! Everything is seeded; failures reproduce from the printed case label.
 
-use hetjpeg_core::gpu_decode::{decode_region_gpu_mode, GpuStaging, KernelPlan, TransferMode};
+use hetjpeg_core::gpu_decode::{GpuContext, KernelPlan, TransferMode};
 use hetjpeg_core::platform::Platform;
 use hetjpeg_core::schedule::Mode;
 use hetjpeg_core::{DecodeOptions, Decoder};
@@ -90,8 +90,9 @@ fn assert_offsets_are_exclusive_scan(payload_len: usize, offsets: &[u32], eobs: 
 /// the histogram-scan prediction exactly.
 #[test]
 fn transfer_layouts_decode_bit_identically_across_matrix() {
-    let platform = Platform::gtx560();
-    let mut staging = GpuStaging::default();
+    // One device context per layout serves the whole matrix, so every cell
+    // after the first also decodes on buffers an earlier shape left behind.
+    let mut devices = ALL_TRANSFERS.map(|mode| GpuContext::new(&Platform::gtx560(), mode));
     for sub in [Subsampling::S444, Subsampling::S422, Subsampling::S420] {
         for quality in [35u8, 80, 95] {
             for (w, h, restart) in [(97usize, 61usize, 0usize), (64, 48, 3)] {
@@ -115,20 +116,15 @@ fn transfer_layouts_decode_bit_identically_across_matrix() {
                     &[KernelPlan::Merged]
                 };
                 let mut h2d = Vec::new();
-                for mode in ALL_TRANSFERS {
+                let mut rgb = vec![0u8; reference.len()];
+                for device in &mut devices {
+                    let mode = device.transfer_mode();
                     for &plan in plans {
-                        let res = decode_region_gpu_mode(
-                            &prep,
-                            &coef,
-                            0,
-                            prep.geom.mcus_y,
-                            &platform,
-                            8,
-                            plan,
-                            mode,
-                            &mut staging,
-                        );
-                        assert_eq!(res.rgb, reference, "{label} {mode:?} {plan:?}");
+                        rgb.fill(0);
+                        let res = device
+                            .decode_region(&prep, &coef, 0, prep.geom.mcus_y, 8, plan, &mut rgb)
+                            .expect("plan supported");
+                        assert_eq!(rgb, reference, "{label} {mode:?} {plan:?}");
                         if plan == KernelPlan::Merged {
                             h2d.push(res.h2d_bytes);
                         }
@@ -156,8 +152,7 @@ fn transfer_layouts_decode_bit_identically_across_matrix() {
 /// must roundtrip and match the per-row histogram scan.
 #[test]
 fn progressive_prefix_transfers_agree_and_roundtrip() {
-    let platform = Platform::gtx560();
-    let mut staging = GpuStaging::default();
+    let mut devices = ALL_TRANSFERS.map(|mode| GpuContext::new(&Platform::gtx560(), mode));
     for preset in [ScanPreset::Standard10, ScanPreset::Spectral4] {
         let spec = ImageSpec {
             width: 81,
@@ -175,21 +170,15 @@ fn progressive_prefix_transfers_agree_and_roundtrip() {
             let outcome = progressive::decode_scans(&parsed, &prep.geom, &mut coef, Some(k), false)
                 .expect("scans");
 
-            let renders: Vec<Vec<u8>> = ALL_TRANSFERS
-                .iter()
-                .map(|&mode| {
-                    decode_region_gpu_mode(
-                        &prep,
-                        &coef,
-                        0,
-                        prep.geom.mcus_y,
-                        &platform,
-                        8,
-                        KernelPlan::Merged,
-                        mode,
-                        &mut staging,
-                    )
-                    .rgb
+            let renders: Vec<Vec<u8>> = devices
+                .iter_mut()
+                .map(|device| {
+                    let rows = prep.geom.mcus_y;
+                    let mut rgb = vec![0u8; prep.geom.rgb_bytes_in_mcu_rows(0, rows)];
+                    device
+                        .decode_region(&prep, &coef, 0, rows, 8, KernelPlan::Merged, &mut rgb)
+                        .expect("merged plan");
+                    rgb
                 })
                 .collect();
             assert_eq!(renders[0], renders[1], "{label} dense vs sidecar");
