@@ -14,7 +14,7 @@
 //! Calibration anchors (see EXPERIMENTS.md and `docs/PERF.md`):
 //! * Huffman ≈ 1.5–6 ns/pixel over d ∈ [0.05, 0.45] B/px (Fig. 7 on i7),
 //! * the SIMD path's per-stage speedups are **re-anchored to the PR-3
-//!   vectorized kernels** (`BENCH_PR3.json`): the upsample and color
+//!   vectorized kernels** (docs/PERF.md, PR 3): the upsample and color
 //!   stages run real AVX2/SSE2 kernels (measured ≈8× and ≈4.2× over
 //!   scalar respectively), while the EOB-dispatched sparse IDCT is shared
 //!   by both paths and gains only the row-tile fusion (a few percent).
@@ -23,7 +23,7 @@
 //!   repository actually ships.
 //! * On sparse corpora (q80 4:2:0) the combination of EOB dispatch and the
 //!   vector kernels lands the overall SIMD-vs-sequential speedup back at
-//!   the §1 "about 2×" (BENCH_PR3 measures ≈2.2×); on dense corpora it is
+//!   the §1 "about 2×" (PR 3 measured ≈2.2×); on dense corpora it is
 //!   ≈1.5× because the scalar IDCT dominates.
 
 use hetjpeg_jpeg::geometry::Geometry;
@@ -50,7 +50,7 @@ pub struct CpuCostModel {
     pub color_cycles_per_pixel: f64,
     /// SIMD-path speedup of the dequant+IDCT stage **per sparse class**
     /// (DC-only, 2×2, 4×4, dense), anchored to the PR-5 vector islow
-    /// kernels (`BENCH_PR5.json`). DC-only blocks share the scalar flat
+    /// kernels (docs/PERF.md, PR 5). DC-only blocks share the scalar flat
     /// fill (factor 1); the corner and dense classes run the AVX2
     /// column-parallel butterflies. The dense factor is *corpus-effective*
     /// (the scalar baseline's flat-column shortcut fires on real blocks),
@@ -58,10 +58,10 @@ pub struct CpuCostModel {
     /// microbench alone would claim ≈5×.
     pub simd_idct_class_speedup: [f64; 4],
     /// SIMD-path speedup of the chroma-upsample stage (the SSE2/AVX2
-    /// Algorithm-1 kernels, BENCH_PR3).
+    /// Algorithm-1 kernels; PR-3 measurement).
     pub simd_upsample_speedup: f64,
     /// SIMD-path speedup of the color-conversion stage (the SSE2/AVX2
-    /// Algorithm-2 kernels, BENCH_PR3).
+    /// Algorithm-2 kernels; PR-3 measurement).
     pub simd_color_speedup: f64,
     /// Fixed OpenCL dispatch overhead per command batch, µs (the paper's
     /// `Tdisp`).
@@ -91,11 +91,11 @@ impl CpuCostModel {
             idct_cycles_per_block: 600.0,
             upsample_cycles_per_sample: 4.0,
             color_cycles_per_pixel: 12.0,
-            // PR-3 re-anchor (BENCH_PR3.json, AVX2): the row-kernel
-            // microbench measures ≈8× on Algorithm-1 upsampling and ≈4.2×
+            // PR-3 re-anchor (docs/PERF.md, AVX2): the row-kernel
+            // microbench measured ≈8× on Algorithm-1 upsampling and ≈4.2×
             // on Algorithm-2 color conversion, and the corpus-level stage
             // deltas confirm the same effective in-pipeline factors.
-            // PR-5 re-anchor (BENCH_PR5.json): the EOB-dispatched vector
+            // PR-5 re-anchor (docs/PERF.md): the EOB-dispatched vector
             // islow IDCT replaces the fusion-only 1.05 with per-class
             // factors — stage speedup ≈1.9× on the dense q95 4:2:0 corpus,
             // ≈1.6–2.0× on sparse q80 (DC blocks dilute it), composed of
@@ -150,7 +150,7 @@ impl CpuCostModel {
     /// dispatch policy actually runs — the canonical pins describe the
     /// AVX2 path, but a session resolved at a lower level must not price
     /// bands it cannot decode that fast. At [`hetjpeg_jpeg::decoder::kernels::SimdLevel::Sse2`] only the
-    /// 4×4 IDCT class keeps a vector win (BENCH_PR5 `idct_class_*` under
+    /// 4×4 IDCT class keeps a vector win (PR 5's per-class microbench under
     /// `HETJPEG_SIMD=sse2`: ≈1.47×; 2×2 and dense dispatch to scalar) and
     /// the 128-bit upsample/color kernels run at roughly half the AVX2
     /// factors; at [`hetjpeg_jpeg::decoder::kernels::SimdLevel::Scalar`] every factor is 1. The session
@@ -255,7 +255,7 @@ impl CpuCostModel {
 
     /// Relative dequant+IDCT cost of each sparse-dispatch class (DC-only,
     /// 2×2, 4×4, dense) against the dense transform, anchored to the PR-1
-    /// hot-path bench (`BENCH_PR1.json`: ~2.25× on a q80 4:2:0 corpus whose
+    /// hot-path measurement (docs/PERF.md: ~2.25× on a q80 4:2:0 corpus whose
     /// blocks are mostly DC-only/2×2).
     pub const SPARSE_CLASS_FACTORS: [f64; 4] = [0.12, 0.28, 0.55, 1.0];
 
@@ -540,7 +540,7 @@ mod tests {
         // §1: "the SIMD-version of libjpeg-turbo decodes an image twice as
         // fast as the sequential version on an Intel i7". Re-anchored for
         // PR-5: the vector IDCT lifts the dense overall win to ≈1.8–2.2×
-        // (BENCH_PR5 parallel-phase ≈2.1–2.6× before Huffman dilution),
+        // (PR 5 measured the parallel phase ≈2.1–2.6× before Huffman dilution),
         // and sparse histograms hold ≈2× as well.
         let cpu = CpuCostModel::i7_2600k();
         let geom = Geometry::new(2048, 2048, Subsampling::S422).unwrap();

@@ -118,7 +118,9 @@ pub(crate) fn decode_pps_threaded_impl(
             while !dec.is_finished() {
                 dec.decode_mcu_row(&mut coef)?;
             }
-            simd::decode_region_rgb_simd(&prep, &coef, gpu_end, geom.mcus_y, cpu_rgb)?;
+            let mut scratch = simd::SimdScratch::new(&prep);
+            let mut sink = simd::RgbBand::new(&prep, gpu_end, geom.mcus_y, cpu_rgb)?;
+            simd::render_rows(&prep, &coef, gpu_end, geom.mcus_y, &mut scratch, &mut sink);
         }
         worker.join().expect("gpu worker panicked")
     })

@@ -6,7 +6,7 @@
 //! number of multiplications required for polynomial evaluations."
 //!
 //! * [`poly`] — [`poly::Poly1`] / [`poly::Poly2`] with Horner-form
-//!   evaluation (plus a naive evaluator for the ablation bench) and
+//!   evaluation (plus the naive evaluator the tests hold it to) and
 //!   analytic derivatives (needed by Newton's method, Eq. 11),
 //! * [`lsq`] — Householder-QR least squares, written from scratch,
 //! * [`aic`] — Akaike information criterion model selection.

@@ -37,7 +37,8 @@ impl Poly1 {
         acc
     }
 
-    /// Naive power-by-power evaluation, kept for the Horner ablation bench.
+    /// Naive power-by-power evaluation: the oracle the Horner form is
+    /// tested against.
     pub fn eval_naive(&self, x: f64) -> f64 {
         let x = x / self.x_scale;
         self.coefs
@@ -141,7 +142,8 @@ impl Poly2 {
         acc
     }
 
-    /// Naive evaluation (ablation bench).
+    /// Naive term-by-term evaluation: the oracle the Horner form is tested
+    /// against.
     pub fn eval_naive(&self, x: f64, y: f64) -> f64 {
         let xs = x / self.x_scale;
         let ys = y / self.y_scale;

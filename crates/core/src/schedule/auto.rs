@@ -362,11 +362,27 @@ mod tests {
         let platform = Platform::gtx680();
         let model = platform.untrained_model();
         let mut ws = Workspace::default();
-        let auto_out =
-            crate::schedule::dispatch(&prep, Mode::Auto, &platform, &model, 4, &mut ws).unwrap();
+        let auto_out = crate::schedule::dispatch(
+            &prep,
+            Mode::Auto,
+            crate::OutputFormat::Rgb,
+            &platform,
+            &model,
+            4,
+            &mut ws,
+        )
+        .unwrap();
         assert_ne!(auto_out.mode, Mode::Auto, "outcome reports the selection");
-        let direct =
-            crate::schedule::dispatch(&prep, auto_out.mode, &platform, &model, 4, &mut ws).unwrap();
+        let direct = crate::schedule::dispatch(
+            &prep,
+            auto_out.mode,
+            crate::OutputFormat::Rgb,
+            &platform,
+            &model,
+            4,
+            &mut ws,
+        )
+        .unwrap();
         assert_eq!(auto_out.image.data, direct.image.data);
         assert_eq!(auto_out.total(), direct.total());
     }

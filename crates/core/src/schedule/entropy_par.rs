@@ -12,7 +12,7 @@
 //! threaded decode, while the virtual-time trace list-schedules the
 //! measured per-unit Huffman work (segments, or speculative chunk efforts
 //! including their convergence waste) onto `threads` virtual workers,
-//! appends the serial stitch span, then the SIMD parallel phase.
+//! appends the serial stitch span, then the CPU render at the SIMD costs.
 //!
 //! The parallel phase is priced with the **sparse-aware** per-unit cost
 //! ([`crate::cost::CpuCostModel::parallel_time_sparse`]): this mode
@@ -23,15 +23,14 @@
 //! With one thread the mode degenerates to sequential entropy + SIMD band,
 //! still byte-identical.
 
-use super::{DecodeOutcome, Mode};
+use super::{render_cpu, DecodeOutcome, Filled, Mode};
 use crate::exec::{decode_entropy_parallel_into, EntropyParallelOutcome};
 use crate::platform::Platform;
-use crate::timeline::{Breakdown, Resource, Trace};
+use crate::session::OutputFormat;
+use crate::timeline::{Resource, Trace};
 use crate::workspace::Workspace;
-use hetjpeg_jpeg::decoder::{simd, Prepared};
+use hetjpeg_jpeg::decoder::Prepared;
 use hetjpeg_jpeg::error::Result;
-use hetjpeg_jpeg::metrics::ParallelWork;
-use hetjpeg_jpeg::types::RgbImage;
 
 /// Fixed virtual-time overhead charged per restart segment (per-segment
 /// Huffman table construction and worker hand-off in the real driver).
@@ -94,46 +93,35 @@ pub(crate) fn schedule_entropy(
 
 /// Parallel-entropy decode on pooled scratch: segment-parallel on
 /// restartful streams, speculative chunk workers + stitch on restart-free
-/// ones.
+/// ones, then the CPU render.
 pub(crate) fn decode_parallel_entropy_in(
     prep: &Prepared<'_>,
     platform: &Platform,
     threads: usize,
+    format: OutputFormat,
     ws: &mut Workspace,
 ) -> Result<DecodeOutcome> {
-    let geom = &prep.geom;
     ws.ensure(prep);
-    let p = ws.parts();
-
     // Functional decode on real threads, with per-unit work metrics.
-    let outcome = decode_entropy_parallel_into(prep, threads, p.coef)?;
+    let outcome = decode_entropy_parallel_into(prep, threads, ws.parts().coef)?;
+    ws.spec.merge(&outcome.spec);
 
     let mut trace = Trace::default();
-    let (t_huff_wall, classes) = schedule_entropy(platform, &outcome, threads, &mut trace);
-
-    // SIMD parallel phase over the whole image, priced sparse-aware.
-    let mut image = RgbImage::new(geom.width, geom.height);
-    let work =
-        simd::decode_region_rgb_simd_with(prep, p.coef, 0, geom.mcus_y, &mut image.data, p.simd)?;
-    debug_assert_eq!(work, ParallelWork::for_mcu_rows(geom, 0, geom.mcus_y));
-    let t_band = platform.cpu.parallel_time_sparse(&work, &classes, true);
-    trace.push("cpu-simd", Resource::Cpu, t_huff_wall, t_huff_wall + t_band);
-
-    ws.spec.merge(&outcome.spec);
-    Ok(DecodeOutcome {
-        image,
-        ycc: None,
-        times: Breakdown {
-            huffman: t_huff_wall,
-            cpu_parallel: t_band,
-            total: t_huff_wall + t_band,
-            ..Default::default()
-        },
+    let (t_huff, classes) = schedule_entropy(platform, &outcome, threads, &mut trace);
+    let filled = Filled {
         trace,
-        partition: None,
-        mode: Mode::ParallelEntropy,
+        t_huff,
+        classes,
         truncated: false,
-    })
+    };
+    render_cpu(
+        prep,
+        platform,
+        ws.parts(),
+        filled,
+        Mode::ParallelEntropy,
+        format,
+    )
 }
 
 #[cfg(test)]
@@ -169,8 +157,11 @@ mod tests {
         let platform = Platform::gtx560();
         let prep = Prepared::new(&jpeg).unwrap();
         let mut ws = Workspace::default();
-        let simd_out = single::decode_cpu_in(&prep, &platform, true, &mut ws).unwrap();
-        let par = decode_parallel_entropy_in(&prep, &platform, 4, &mut ws).unwrap();
+        let simd_out =
+            single::decode_cpu_in(&prep, &platform, Mode::Simd, OutputFormat::Rgb, &mut ws)
+                .unwrap();
+        let par =
+            decode_parallel_entropy_in(&prep, &platform, 4, OutputFormat::Rgb, &mut ws).unwrap();
         assert_eq!(par.image.data, simd_out.image.data);
         // Four workers over many segments shrink the Huffman wall-time well
         // below the sequential stage.
@@ -192,8 +183,11 @@ mod tests {
         let platform = Platform::gt430();
         let prep = Prepared::new(&jpeg).unwrap();
         let mut ws = Workspace::default();
-        let simd_out = single::decode_cpu_in(&prep, &platform, true, &mut ws).unwrap();
-        let par = decode_parallel_entropy_in(&prep, &platform, 4, &mut ws).unwrap();
+        let simd_out =
+            single::decode_cpu_in(&prep, &platform, Mode::Simd, OutputFormat::Rgb, &mut ws)
+                .unwrap();
+        let par =
+            decode_parallel_entropy_in(&prep, &platform, 4, OutputFormat::Rgb, &mut ws).unwrap();
         assert_eq!(par.image.data, simd_out.image.data);
         assert!(
             par.times.huffman < simd_out.times.huffman,
@@ -212,8 +206,11 @@ mod tests {
         let platform = Platform::gt430();
         let prep = Prepared::new(&jpeg).unwrap();
         let mut ws = Workspace::default();
-        let simd_out = single::decode_cpu_in(&prep, &platform, true, &mut ws).unwrap();
-        let par = decode_parallel_entropy_in(&prep, &platform, 1, &mut ws).unwrap();
+        let simd_out =
+            single::decode_cpu_in(&prep, &platform, Mode::Simd, OutputFormat::Rgb, &mut ws)
+                .unwrap();
+        let par =
+            decode_parallel_entropy_in(&prep, &platform, 1, OutputFormat::Rgb, &mut ws).unwrap();
         assert_eq!(par.image.data, simd_out.image.data);
         // One worker: the Huffman wall-time is the sequential time plus
         // the fixed per-unit overhead.
@@ -229,7 +226,9 @@ mod tests {
         let mut ws = Workspace::default();
         let mut last = f64::INFINITY;
         for threads in [1usize, 2, 4, 8] {
-            let out = decode_parallel_entropy_in(&prep, &platform, threads, &mut ws).unwrap();
+            let out =
+                decode_parallel_entropy_in(&prep, &platform, threads, OutputFormat::Rgb, &mut ws)
+                    .unwrap();
             assert!(
                 out.times.huffman <= last * 1.0001,
                 "{threads} threads: {} vs {}",

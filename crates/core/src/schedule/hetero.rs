@@ -76,9 +76,8 @@ pub(crate) fn decode_sps_in(
     if part.cpu_mcu_rows > 0 {
         let (p0, p1) = geom.mcu_rows_to_pixel_rows(g_rows, geom.mcus_y);
         let out = &mut image.data[p0 * geom.width * 3..p1 * geom.width * 3];
-        let work =
-            simd::decode_region_rgb_simd_with(prep, p.coef, g_rows, geom.mcus_y, out, p.simd)?;
-        debug_assert_eq!(work, ParallelWork::for_mcu_rows(geom, g_rows, geom.mcus_y));
+        let mut sink = simd::RgbBand::new(prep, g_rows, geom.mcus_y, out)?;
+        let (work, _) = simd::render_rows(prep, p.coef, g_rows, geom.mcus_y, p.scratch, &mut sink);
         let classes = eob_classes_in(&rows, g_rows, geom.mcus_y);
         let t_band = platform.cpu.parallel_time_sparse(&work, &classes, true);
         trace.push("cpu-simd", Resource::Cpu, cpu_now, cpu_now + t_band);
@@ -268,8 +267,9 @@ pub(crate) fn decode_pps_in(
 
         let (p0, p1) = geom.mcu_rows_to_pixel_rows(cpu_rows0, geom.mcus_y);
         let out = &mut image.data[p0 * geom.width * 3..p1 * geom.width * 3];
-        let work =
-            simd::decode_region_rgb_simd_with(prep, p.coef, cpu_rows0, geom.mcus_y, out, p.simd)?;
+        let mut sink = simd::RgbBand::new(prep, cpu_rows0, geom.mcus_y, out)?;
+        let (work, _) =
+            simd::render_rows(prep, p.coef, cpu_rows0, geom.mcus_y, p.scratch, &mut sink);
         let t_band = platform.cpu.parallel_time_sparse(&work, &classes, true);
         trace.push("cpu-simd", Resource::Cpu, cpu_now, cpu_now + t_band);
         cpu_now += t_band;
@@ -300,6 +300,7 @@ pub(crate) fn decode_pps_in(
 mod tests {
     use super::*;
     use crate::schedule::single;
+    use crate::session::OutputFormat;
     use hetjpeg_jpeg::encoder::{encode_rgb, EncodeParams};
     use hetjpeg_jpeg::types::Subsampling;
 
@@ -332,7 +333,9 @@ mod tests {
             let model = platform.untrained_model();
             let prep = Prepared::new(&jpeg).unwrap();
             let mut ws = Workspace::default();
-            let simd_out = single::decode_cpu_in(&prep, &platform, true, &mut ws).unwrap();
+            let simd_out =
+                single::decode_cpu_in(&prep, &platform, Mode::Simd, OutputFormat::Rgb, &mut ws)
+                    .unwrap();
             let sps_out = decode_sps_in(&prep, &platform, &model, &mut ws).unwrap();
             assert_eq!(simd_out.image.data, sps_out.image.data, "{}", platform.name);
             let part = sps_out.partition.unwrap();
@@ -347,7 +350,9 @@ mod tests {
             let model = platform.untrained_model();
             let prep = Prepared::new(&jpeg).unwrap();
             let mut ws = Workspace::default();
-            let simd_out = single::decode_cpu_in(&prep, &platform, true, &mut ws).unwrap();
+            let simd_out =
+                single::decode_cpu_in(&prep, &platform, Mode::Simd, OutputFormat::Rgb, &mut ws)
+                    .unwrap();
             let pps_out = decode_pps_in(&prep, &platform, &model, true, &mut ws).unwrap();
             assert_eq!(simd_out.image.data, pps_out.image.data, "{}", platform.name);
         }
@@ -394,7 +399,9 @@ mod tests {
         let jpeg = jpeg_of(512, 512, 5);
         let prep = Prepared::new(&jpeg).unwrap();
         let mut ws = Workspace::default();
-        let simd_out = single::decode_cpu_in(&prep, &platform, true, &mut ws).unwrap();
+        let simd_out =
+            single::decode_cpu_in(&prep, &platform, Mode::Simd, OutputFormat::Rgb, &mut ws)
+                .unwrap();
         let sps_out = decode_sps_in(&prep, &platform, &model, &mut ws).unwrap();
         assert!(
             sps_out.total() < simd_out.total(),
@@ -475,7 +482,7 @@ mod tests {
         let totals: Vec<(Mode, f64)> = vec![
             (
                 Mode::Simd,
-                single::decode_cpu_in(&prep, &platform, true, &mut ws)
+                single::decode_cpu_in(&prep, &platform, Mode::Simd, OutputFormat::Rgb, &mut ws)
                     .unwrap()
                     .total(),
             ),

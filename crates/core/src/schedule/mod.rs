@@ -21,11 +21,12 @@ pub(crate) mod single;
 use crate::model::PerformanceModel;
 use crate::partition::Partition;
 use crate::platform::Platform;
-use crate::timeline::{Breakdown, Trace};
-use crate::workspace::Workspace;
+use crate::session::OutputFormat;
+use crate::timeline::{Breakdown, Resource, Trace};
+use crate::workspace::{Workspace, WsParts};
 use hetjpeg_jpeg::coef::CoefBuffer;
-use hetjpeg_jpeg::decoder::Prepared;
-use hetjpeg_jpeg::error::Result;
+use hetjpeg_jpeg::decoder::{simd, Prepared};
+use hetjpeg_jpeg::error::{Error, Result};
 use hetjpeg_jpeg::types::{RgbImage, YccImage};
 
 /// Default worker count for [`Mode::ParallelEntropy`]; the session API
@@ -160,10 +161,12 @@ impl DecodeOutcome {
 
 /// Route one prepared image through the requested mode, resolving
 /// [`Mode::Auto`] via the performance model first. All decode paths share
-/// the caller's pooled [`Workspace`].
+/// the caller's pooled [`Workspace`]. Planar output comes from the CPU
+/// render only (the simulated GPU kernels produce RGB).
 pub(crate) fn dispatch(
     prep: &Prepared<'_>,
     mode: Mode,
+    format: OutputFormat,
     platform: &Platform,
     model: &PerformanceModel,
     threads: usize,
@@ -174,15 +177,17 @@ pub(crate) fn dispatch(
         m => m,
     };
     match mode {
-        Mode::Sequential => single::decode_cpu_in(prep, platform, false, ws),
-        Mode::Simd => single::decode_cpu_in(prep, platform, true, ws),
+        Mode::Sequential | Mode::Simd => single::decode_cpu_in(prep, platform, mode, format, ws),
+        Mode::ParallelEntropy => {
+            entropy_par::decode_parallel_entropy_in(prep, platform, threads, format, ws)
+        }
+        _ if format != OutputFormat::Rgb => Err(Error::Unsupported(
+            "planar output requires a CPU mode (sequential, SIMD or par-entropy)",
+        )),
         Mode::Gpu => single::decode_gpu_in(prep, platform, model, ws),
         Mode::PipelinedGpu => single::decode_pipelined_gpu_in(prep, platform, model, ws),
         Mode::Sps => hetero::decode_sps_in(prep, platform, model, ws),
         Mode::Pps => hetero::decode_pps_in(prep, platform, model, true, ws),
-        Mode::ParallelEntropy => {
-            entropy_par::decode_parallel_entropy_in(prep, platform, threads, ws)
-        }
         Mode::Auto => unreachable!("Auto resolved above"),
     }
 }
@@ -206,6 +211,117 @@ pub(crate) fn entropy_into(
         rows.push(m);
     }
     Ok((rows, total))
+}
+
+/// The account of a filled coefficient buffer — the first of the two steps
+/// every CPU-only decode is composed of: what the entropy phase cost under
+/// the platform model, and what [`render_cpu`] prices its band from.
+/// However the buffer was filled (baseline sequential, parallel entropy,
+/// progressive scans, tolerant salvage), the render that follows is the
+/// same.
+pub(crate) struct Filled {
+    /// The entropy phase's spans; the render span is appended to them.
+    pub trace: Trace,
+    /// Virtual time at which the entropy phase ends and the render starts.
+    pub t_huff: f64,
+    /// EOB-class histogram of the blocks written — the sparse-pricing
+    /// input. Blocks missing from it price as dense.
+    pub classes: [u64; 4],
+    /// True when the buffer holds less than the whole image (salvaged
+    /// rows, a scan prefix).
+    pub truncated: bool,
+}
+
+impl Filled {
+    /// An entropy phase that ran as one serial span from time zero.
+    pub(crate) fn serial(t_huff: f64, classes: [u64; 4], truncated: bool) -> Filled {
+        let mut trace = Trace::default();
+        trace.push("huffman", Resource::Cpu, 0.0, t_huff);
+        Filled {
+            trace,
+            t_huff,
+            classes,
+            truncated,
+        }
+    }
+
+    /// Fill `coef` with the sequential baseline entropy decode.
+    pub(crate) fn sequential(
+        prep: &Prepared<'_>,
+        platform: &Platform,
+        coef: &mut CoefBuffer,
+    ) -> Result<Filled> {
+        let (rows, t_huff) = entropy_into(prep, platform, coef)?;
+        let classes = eob_classes_in(&rows, 0, rows.len());
+        Ok(Filled::serial(t_huff, classes, false))
+    }
+}
+
+/// The second step of every CPU-only decode: the whole image through the
+/// render loop on the workspace's pinned kernel level, into the sink
+/// `format` asks for. `mode` prices the band (`Sequential` at the scalar
+/// costs, anything else at the SIMD costs) and labels the outcome; it does
+/// not choose code.
+pub(crate) fn render_cpu(
+    prep: &Prepared<'_>,
+    platform: &Platform,
+    p: WsParts<'_>,
+    filled: Filled,
+    mode: Mode,
+    format: OutputFormat,
+) -> Result<DecodeOutcome> {
+    let geom = &prep.geom;
+    let use_simd = mode != Mode::Sequential;
+    let Filled {
+        mut trace,
+        t_huff,
+        classes,
+        truncated,
+    } = filled;
+    let (data, ycc, t_band) = match format {
+        OutputFormat::Rgb => {
+            let mut data = vec![0u8; geom.width * geom.height * 3];
+            let mut sink = simd::RgbBand::new(prep, 0, geom.mcus_y, &mut data)?;
+            let (work, _) = simd::render_rows(prep, p.coef, 0, geom.mcus_y, p.scratch, &mut sink);
+            let t = platform.cpu.parallel_time_sparse(&work, &classes, use_simd);
+            (data, None, t)
+        }
+        OutputFormat::PlanarYcc => {
+            let mut planes = YccImage::new(geom.width, geom.height);
+            let mut sink = simd::Planar::new(prep, &mut planes)?;
+            let (work, _) = simd::render_rows(prep, p.coef, 0, geom.mcus_y, p.scratch, &mut sink);
+            let t = platform
+                .cpu
+                .parallel_time_planar_sparse(&work, &classes, use_simd);
+            // Planar outcomes leave `image.data` empty; `ycc` carries the
+            // pixels.
+            (Vec::new(), Some(planes), t)
+        }
+    };
+    trace.push(
+        if use_simd { "cpu-simd" } else { "cpu-scalar" },
+        Resource::Cpu,
+        t_huff,
+        t_huff + t_band,
+    );
+    Ok(DecodeOutcome {
+        image: RgbImage {
+            width: geom.width,
+            height: geom.height,
+            data,
+        },
+        ycc,
+        times: Breakdown {
+            huffman: t_huff,
+            cpu_parallel: t_band,
+            total: t_huff + t_band,
+            ..Default::default()
+        },
+        trace,
+        partition: None,
+        mode,
+        truncated,
+    })
 }
 
 /// EOB-class histogram of MCU rows `[start, end)` — the sparse-pricing

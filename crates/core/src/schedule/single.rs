@@ -4,67 +4,30 @@
 //! the caller's pooled [`Workspace`], so a session decoding many images
 //! allocates the big buffers once.
 
-use super::{entropy_into, eob_classes_in, DecodeOutcome, Mode};
+use super::{entropy_into, render_cpu, DecodeOutcome, Filled, Mode};
 use crate::gpu_decode::KernelPlan;
 use crate::model::PerformanceModel;
 use crate::platform::Platform;
+use crate::session::OutputFormat;
 use crate::timeline::{Breakdown, Resource, Trace};
 use crate::workspace::Workspace;
 use hetjpeg_gpusim::CommandQueue;
-use hetjpeg_jpeg::decoder::{simd, stages, Prepared};
+use hetjpeg_jpeg::decoder::Prepared;
 use hetjpeg_jpeg::error::Result;
-use hetjpeg_jpeg::metrics::ParallelWork;
 use hetjpeg_jpeg::types::RgbImage;
 
-/// CPU-only decoding, scalar or SIMD path, on pooled scratch.
+/// CPU-only decoding ([`Mode::Sequential`] or [`Mode::Simd`]) on pooled
+/// scratch: sequential entropy, then the CPU render.
 pub(crate) fn decode_cpu_in(
     prep: &Prepared<'_>,
     platform: &Platform,
-    use_simd: bool,
+    mode: Mode,
+    format: OutputFormat,
     ws: &mut Workspace,
 ) -> Result<DecodeOutcome> {
-    let geom = &prep.geom;
     ws.ensure(prep);
-    let p = ws.parts();
-    let (rows, t_huff) = entropy_into(prep, platform, p.coef)?;
-    let classes = eob_classes_in(&rows, 0, geom.mcus_y);
-
-    let mut image = RgbImage::new(geom.width, geom.height);
-    let work = if use_simd {
-        simd::decode_region_rgb_simd_with(prep, p.coef, 0, geom.mcus_y, &mut image.data, p.simd)?
-    } else {
-        stages::decode_region_rgb_with(prep, p.coef, 0, geom.mcus_y, &mut image.data, p.scalar)?
-    };
-    debug_assert_eq!(work, ParallelWork::for_mcu_rows(geom, 0, geom.mcus_y));
-    let t_par = platform.cpu.parallel_time_sparse(&work, &classes, use_simd);
-
-    let mut trace = Trace::default();
-    trace.push("huffman", Resource::Cpu, 0.0, t_huff);
-    trace.push(
-        if use_simd { "cpu-simd" } else { "cpu-scalar" },
-        Resource::Cpu,
-        t_huff,
-        t_huff + t_par,
-    );
-
-    Ok(DecodeOutcome {
-        image,
-        ycc: None,
-        times: Breakdown {
-            huffman: t_huff,
-            cpu_parallel: t_par,
-            total: t_huff + t_par,
-            ..Default::default()
-        },
-        trace,
-        partition: None,
-        mode: if use_simd {
-            Mode::Simd
-        } else {
-            Mode::Sequential
-        },
-        truncated: false,
-    })
+    let filled = Filled::sequential(prep, platform, ws.parts().coef)?;
+    render_cpu(prep, platform, ws.parts(), filled, mode, format)
 }
 
 /// GPU mode (Fig. 5a) on pooled scratch: whole-image Huffman on the CPU,
@@ -327,8 +290,15 @@ mod tests {
         let platform = Platform::gtx560();
         let prep = Prepared::new(&jpeg).unwrap();
         let mut ws = Workspace::default();
-        let seq = decode_cpu_in(&prep, &platform, false, &mut ws).unwrap();
-        let simd = decode_cpu_in(&prep, &platform, true, &mut ws).unwrap();
+        let seq = decode_cpu_in(
+            &prep,
+            &platform,
+            Mode::Sequential,
+            OutputFormat::Rgb,
+            &mut ws,
+        )
+        .unwrap();
+        let simd = decode_cpu_in(&prep, &platform, Mode::Simd, OutputFormat::Rgb, &mut ws).unwrap();
         assert_eq!(seq.image.data, simd.image.data);
         let speedup = seq.total() / simd.total();
         // §1: "twice as fast" overall.
@@ -342,7 +312,7 @@ mod tests {
         let model = platform.untrained_model();
         let prep = Prepared::new(&jpeg).unwrap();
         let mut ws = Workspace::default();
-        let cpu = decode_cpu_in(&prep, &platform, true, &mut ws).unwrap();
+        let cpu = decode_cpu_in(&prep, &platform, Mode::Simd, OutputFormat::Rgb, &mut ws).unwrap();
         let gpu = decode_gpu_in(&prep, &platform, &model, &mut ws).unwrap();
         assert_eq!(cpu.image.data, gpu.image.data);
         // GPU breakdown contains transfers and kernels.
@@ -393,7 +363,7 @@ mod tests {
         let prep = Prepared::new(&jpeg).unwrap();
         let mut ws = Workspace::default();
         for out in [
-            decode_cpu_in(&prep, &platform, true, &mut ws).unwrap(),
+            decode_cpu_in(&prep, &platform, Mode::Simd, OutputFormat::Rgb, &mut ws).unwrap(),
             decode_gpu_in(&prep, &platform, &model, &mut ws).unwrap(),
             decode_pipelined_gpu_in(&prep, &platform, &model, &mut ws).unwrap(),
         ] {

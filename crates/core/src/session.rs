@@ -8,7 +8,7 @@
 //! hand — [`Mode::Auto`] (the default) prices all seven concrete modes with
 //! the §5.1 closed forms per image and runs the cheapest. A session
 //! amortizes everything that is per-machine rather than per-image: the
-//! whole-image coefficient buffer, the band scratches, the GPU chunk
+//! whole-image coefficient buffer, the render scratch, the GPU chunk
 //! staging, and the `Auto` decisions themselves (cached per image shape).
 //!
 //! ```
@@ -27,13 +27,14 @@
 use crate::exec::{decode_pps_threaded_impl, ThreadedOutcome};
 use crate::model::PerformanceModel;
 use crate::platform::Platform;
-use crate::schedule::{auto, dispatch, entropy_par, DecodeOutcome, Mode};
-use crate::timeline::{Breakdown, Resource, Trace};
+use crate::schedule::{auto, dispatch, eob_classes_in, render_cpu, DecodeOutcome, Filled, Mode};
 use crate::workspace::{PoolStats, Workspace};
 use hetjpeg_jpeg::decoder::kernels::SimdLevel;
-use hetjpeg_jpeg::decoder::{simd, stages, Prepared};
+use hetjpeg_jpeg::decoder::{simd, Prepared};
 use hetjpeg_jpeg::error::{Error, Result};
-use hetjpeg_jpeg::types::{RgbImage, Subsampling, YccImage};
+use hetjpeg_jpeg::metrics::{ParallelWork, RowMetrics};
+use hetjpeg_jpeg::progressive::{self, ProgressiveParsed};
+use hetjpeg_jpeg::types::Subsampling;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Mutex;
@@ -91,16 +92,12 @@ pub struct DecodeOptions {
     /// Decompression-bomb guard: images with more pixels than this are
     /// rejected before any allocation. `None` (default) disables the guard.
     pub max_pixels: Option<usize>,
-    /// Run the parallel-phase row kernels at [`SimdLevel::Scalar`] for this
-    /// call, overriding the session's one-time dispatch choice — the
-    /// testing hook that keeps the portable fallback exercised (output is
-    /// bit-identical at every level).
-    pub force_scalar_simd: bool,
-    /// Run the parallel-phase kernels (IDCT included since PR 5) at an
-    /// explicit [`SimdLevel`] for this call, clamped to what the host can
-    /// run — the generalization of [`Self::force_scalar_simd`] that lets
-    /// the bit-identity matrices pin SSE2 specifically on an AVX2 host.
-    /// Takes precedence over `force_scalar_simd` when set.
+    /// Run the render kernels at an explicit [`SimdLevel`] for this call,
+    /// clamped to what the host can run, overriding the session's one-time
+    /// dispatch choice — the testing hook that keeps the scalar and SSE2
+    /// kernels exercised on an AVX2 host (output is bit-identical at every
+    /// level). [`Mode::Sequential`] is the scalar pipeline and renders at
+    /// [`SimdLevel::Scalar`] regardless.
     pub force_simd_level: Option<SimdLevel>,
     /// For progressive (SOF2) images: decode at most this many scans and
     /// render the prefix — a coarser but well-defined image
@@ -117,7 +114,6 @@ impl Default for DecodeOptions {
             format: OutputFormat::Rgb,
             strictness: Strictness::Strict,
             max_pixels: None,
-            force_scalar_simd: false,
             force_simd_level: None,
             max_scans: None,
         }
@@ -148,12 +144,6 @@ impl DecodeOptions {
     /// Set the decompression-bomb guard.
     pub fn max_pixels(mut self, px: usize) -> Self {
         self.max_pixels = Some(px);
-        self
-    }
-
-    /// Force the scalar fallback kernels for this call (testing hook).
-    pub fn force_scalar_simd(mut self) -> Self {
-        self.force_scalar_simd = true;
         self
     }
 
@@ -333,8 +323,8 @@ struct AutoKey {
     subsampling: Subsampling,
     /// Entropy density quantized to 1/16 B/px. The bucket must be coarse
     /// enough that a batch of same-shaped, same-corpus images shares one
-    /// decision: the original 1/4096 quantization put every image of
-    /// BENCH_PR2's `q85_422_batch` in its own bucket (`auto_evals: 6,
+    /// decision: the original 1/4096 quantization put every image of a
+    /// six-image q85 4:2:2 batch in its own bucket (`auto_evals: 6,
     /// auto_cache_hits: 0`), defeating the cache. Mode-choice boundaries
     /// move slowly in `d` (Fig. 7 is a gentle line), so 1/16 B/px is still
     /// far finer than any decision flip observed across the corpora.
@@ -431,10 +421,11 @@ pub struct SessionStats {
     /// The session's configured cache cap.
     pub auto_cache_cap: usize,
     /// The kernel dispatch level that served the session's most recent
-    /// decode (the build-time resolution before any decode happens) — a
-    /// per-call force override shows up here, so the server layer can
-    /// assert which vector level actually served traffic rather than
-    /// which one was configured.
+    /// decode (the build-time resolution before any decode happens):
+    /// [`SimdLevel::Scalar`] after a [`Mode::Sequential`] decode, the
+    /// per-call forced level after a forced one, the session's level
+    /// otherwise — so the server layer can assert which kernels actually
+    /// served traffic rather than which were configured.
     pub simd_level: SimdLevel,
     /// Cumulative speculative-entropy counters (ISSUE 6): chunk workers
     /// launched, convergence-prefix MCUs wasted, stitch re-decodes — how
@@ -673,18 +664,18 @@ impl Decoder {
 
     /// Decode one image as a stream of MCU-row tiles instead of a
     /// whole-image buffer: the entropy phase runs to completion (it is
-    /// inherently sequential), then each MCU row is rendered through the
-    /// fused row-tile pipeline and handed to `sink` while cache-hot. Peak
-    /// pixel memory is **one tile** (`width * mcu_h * 3` bytes) no matter
-    /// how tall the image — the serving layer's bounded streaming
-    /// responses are built on this.
+    /// inherently sequential), then each MCU row is rendered by the CPU
+    /// render loop into the session's pooled tile buffer and handed to
+    /// `sink` while cache-hot. Peak pixel memory is **one tile**
+    /// (`width * mcu_h * 3` bytes) no matter how tall the image — the
+    /// serving layer's bounded streaming responses are built on this.
     ///
     /// Tile bytes are bit-identical to the corresponding rows of
     /// [`Decoder::decode`] in *any* mode (the cross-mode bit-identity
     /// invariant), so a streamed response reassembles exactly to the
     /// whole-image frame. `opts.mode == Sequential` renders on the scalar
     /// kernels; every other mode (GPU modes included — their pixels are
-    /// identical) renders on the session's SIMD dispatch. Progressive
+    /// identical) renders on the session's kernel level. Progressive
     /// sources honor `max_scans`; `Strictness::Tolerant` salvages damaged
     /// streams exactly as `decode` would. Only RGB output streams —
     /// planar requests are rejected.
@@ -703,149 +694,49 @@ impl Decoder {
             ));
         }
         let mut guard = self.state.lock().expect("decoder state lock");
-        let state = &mut *guard;
-        state
-            .ws
-            .set_simd_level(if let Some(level) = opts.force_simd_level {
-                level
-            } else if opts.force_scalar_simd {
-                SimdLevel::Scalar
-            } else {
-                self.simd_level
-            });
-        let tolerant = opts.strictness == Strictness::Tolerant;
-        if hetjpeg_jpeg::progressive::is_progressive(data) {
-            use hetjpeg_jpeg::progressive;
-            let parsed = progressive::parse_progressive(data)?;
-            if opts.strictness == Strictness::Strict {
-                if let Some(damage) = &parsed.damage {
-                    return Err(damage.clone());
-                }
-                if !parsed.complete {
-                    return Err(Error::UnexpectedEof);
-                }
-            }
-            let prep = Prepared::from_progressive(&parsed)?;
-            if let Some(max) = opts.max_pixels {
-                if prep.geom.pixels() > max {
-                    return Err(Error::Unsupported("image exceeds the max_pixels guard"));
-                }
-            }
-            state.ws.ensure(&prep);
-            state.ws.parts().coef.reset_for(&prep.geom);
-            let outcome = progressive::decode_scans(
-                &parsed,
-                &prep.geom,
-                state.ws.parts().coef,
-                opts.max_scans,
-                tolerant,
-            )?;
-            let limited = opts.max_scans.is_some_and(|m| m < parsed.scans.len());
-            let partial = limited || outcome.truncated;
-            state.ws.progressive.scans_decoded += outcome.scans_decoded as u64;
-            state.ws.progressive.refine_passes += outcome.refine_passes;
-            state.ws.progressive.partial_renders += u64::from(partial);
-            self.stream_tiles(state, &prep, &opts, partial, sink)
-        } else {
-            let prep = Prepared::new(data)?;
-            if let Some(max) = opts.max_pixels {
-                if prep.geom.pixels() > max {
-                    return Err(Error::Unsupported("image exceeds the max_pixels guard"));
-                }
-            }
-            state.ws.ensure(&prep);
-            let entropy = {
-                let p = state.ws.parts();
-                crate::schedule::entropy_into(&prep, &self.platform, p.coef).map(|_| ())
-            };
-            let truncated = match entropy {
-                Ok(()) => false,
-                Err(e) if tolerant && is_stream_error(&e) => {
-                    // Tolerant salvage, exactly as `Decoder::decode` would:
-                    // zero the buffer, re-decode row by row as far as the
-                    // stream allows, render the damaged tail neutral gray.
-                    state.ws.ensure_zeroed(&prep);
-                    let p = state.ws.parts();
-                    let mut dec = prep.entropy_decoder()?;
-                    let mut rows_ok = 0usize;
-                    while !dec.is_finished() {
-                        match dec.decode_mcu_row(p.coef) {
-                            Ok(_) => rows_ok += 1,
-                            Err(_) => break,
-                        }
-                    }
-                    rows_ok < prep.geom.mcus_y
-                }
-                Err(e) => return Err(e),
-            };
-            self.stream_tiles(state, &prep, &opts, truncated, sink)
-        }
-    }
-
-    /// The tile-render phase of [`Decoder::decode_rows`]: walk the MCU
-    /// rows of the already-filled coefficient buffer through the fused
-    /// pipeline, one caller-visible tile at a time.
-    fn stream_tiles(
-        &self,
-        state: &mut SessionState,
-        prep: &Prepared<'_>,
-        opts: &DecodeOptions,
-        truncated: bool,
-        sink: &mut dyn FnMut(RowTile<'_>) -> bool,
-    ) -> Result<RowStreamOutcome> {
-        let geom = &prep.geom;
-        let use_simd = opts.mode != Mode::Sequential;
-        let w = geom.width;
-        let h = geom.height;
-        let mut tile = Vec::new();
-        let mut tiles = 0usize;
-        let p = state.ws.parts();
-        let completed = {
-            let mut tile_sink = |y0: usize, rows: usize, rgb: &[u8]| -> bool {
-                tiles += 1;
-                sink(RowTile {
-                    y0,
-                    rows,
-                    width: w,
-                    height: h,
-                    rgb,
-                })
-            };
-            let (_work, completed) = if use_simd {
-                simd::stream_region_rgb_simd_with(
-                    prep,
-                    p.coef,
-                    0,
-                    geom.mcus_y,
-                    &mut tile,
-                    p.simd,
-                    &mut tile_sink,
-                )?
-            } else {
-                stages::stream_region_rgb_with(
-                    prep,
-                    p.coef,
-                    0,
-                    geom.mcus_y,
-                    &mut tile,
-                    p.scalar,
-                    &mut tile_sink,
-                )?
-            };
-            completed
+        let ws = &mut guard.ws;
+        let (prep, scans) = open(data, &opts)?;
+        let mode = match opts.mode {
+            Mode::Sequential => Mode::Sequential,
+            _ => Mode::Simd,
         };
+        self.pin_level(ws, &opts, mode);
+        let filled = match scans {
+            Some(parsed) => self.fill_progressive(ws, &parsed, &prep, &opts)?,
+            None => {
+                ws.ensure(&prep);
+                match Filled::sequential(&prep, &self.platform, ws.parts().coef) {
+                    Err(e) if opts.strictness == Strictness::Tolerant && is_stream_error(&e) => {
+                        self.fill_salvage(ws, &prep)?
+                    }
+                    other => other?,
+                }
+            }
+        };
+
+        let geom = &prep.geom;
+        let p = ws.parts();
+        let mut tiles = 0usize;
+        let mut tile_sink = simd::RgbTiles::new(&prep, 0, p.tile, |y0, rows, rgb: &[u8]| {
+            tiles += 1;
+            sink(RowTile {
+                y0,
+                rows,
+                width: geom.width,
+                height: geom.height,
+                rgb,
+            })
+        });
+        let (_, completed) =
+            simd::render_rows(&prep, p.coef, 0, geom.mcus_y, p.scratch, &mut tile_sink);
         Ok(RowStreamOutcome {
-            width: w,
+            width: geom.width,
             height: geom.height,
             mcu_rows: geom.mcus_y,
             tiles,
-            truncated,
+            truncated: filled.truncated,
             completed,
-            mode: if use_simd {
-                Mode::Simd
-            } else {
-                Mode::Sequential
-            },
+            mode,
         })
     }
 
@@ -862,26 +753,12 @@ impl Decoder {
         data: &[u8],
         opts: &DecodeOptions,
     ) -> BatchPlan {
-        if opts.format != OutputFormat::Rgb || hetjpeg_jpeg::progressive::is_progressive(data) {
+        if opts.format != OutputFormat::Rgb || progressive::is_progressive(data) {
             return BatchPlan::Solo;
         }
-        let Ok(prep) = Prepared::new(data) else {
+        let Ok((prep, _)) = open(data, opts) else {
             return BatchPlan::Solo;
         };
-        if let Some(max) = opts.max_pixels {
-            if prep.geom.pixels() > max {
-                return BatchPlan::Solo;
-            }
-        }
-        state
-            .ws
-            .set_simd_level(if let Some(level) = opts.force_simd_level {
-                level
-            } else if opts.force_scalar_simd {
-                SimdLevel::Scalar
-            } else {
-                self.simd_level
-            });
         let mode = match opts.mode {
             Mode::Auto => self.auto_mode(state, &prep, false),
             m => m,
@@ -889,6 +766,7 @@ impl Decoder {
         if mode != Mode::Gpu {
             return BatchPlan::Resolved(mode);
         }
+        self.pin_level(&mut state.ws, opts, mode);
         BatchPlan::Stage(crate::schedule::single::decode_gpu_batch_stage(
             &prep,
             &self.platform,
@@ -919,164 +797,81 @@ impl Decoder {
         ))
     }
 
+    /// Resolve the kernel level of one call, once: [`Mode::Sequential`] is
+    /// the scalar pipeline; every other mode renders at the per-call
+    /// forced level if there is one, else at the level the session
+    /// detected at build time.
+    fn pin_level(&self, ws: &mut Workspace, opts: &DecodeOptions, mode: Mode) {
+        ws.set_simd_level(match (mode, opts.force_simd_level) {
+            (Mode::Sequential, _) => SimdLevel::Scalar,
+            (_, Some(forced)) => forced,
+            (_, None) => self.simd_level,
+        });
+    }
+
     fn decode_locked(
         &self,
         state: &mut SessionState,
         data: &[u8],
         opts: &DecodeOptions,
     ) -> Result<DecodeOutcome> {
-        // Progressive (SOF2) images take their own path: every scan decodes
-        // sequentially on the CPU into the pooled coefficient buffer, then
-        // the parallel phase runs unchanged.
-        if hetjpeg_jpeg::progressive::is_progressive(data) {
-            return self.decode_progressive_locked(state, data, opts);
+        let (prep, scans) = open(data, opts)?;
+        if let Some(parsed) = scans {
+            return self.decode_progressive(&mut state.ws, &parsed, &prep, opts);
         }
-        let prep = Prepared::new(data)?;
-        if let Some(max) = opts.max_pixels {
-            if prep.geom.pixels() > max {
-                return Err(Error::Unsupported("image exceeds the max_pixels guard"));
+        let tolerant = opts.strictness == Strictness::Tolerant;
+        // Planar output comes from the CPU render only: `Auto` is
+        // restricted to the modes that have one (cached under its own
+        // selection-space key), a tolerant call falls back to SIMD, and a
+        // strict call with a GPU mode is refused by `dispatch`.
+        let planar = opts.format == OutputFormat::PlanarYcc;
+        let mode = match opts.mode {
+            Mode::Auto => self.auto_mode(state, &prep, planar),
+            m if planar && tolerant && !m.is_cpu_only() => Mode::Simd,
+            m => m,
+        };
+        let ws = &mut state.ws;
+        self.pin_level(ws, opts, mode);
+        let res = dispatch(
+            &prep,
+            mode,
+            opts.format,
+            &self.platform,
+            &self.model,
+            self.threads,
+            ws,
+        );
+        match res {
+            Err(e) if tolerant && is_stream_error(&e) => {
+                let filled = self.fill_salvage(ws, &prep)?;
+                let mode = if mode.is_cpu_only() { mode } else { Mode::Simd };
+                render_cpu(&prep, &self.platform, ws.parts(), filled, mode, opts.format)
             }
-        }
-        // The session's one-time dispatch choice (or the per-call
-        // force-level override) rides into the pooled band scratch.
-        state
-            .ws
-            .set_simd_level(if let Some(level) = opts.force_simd_level {
-                level
-            } else if opts.force_scalar_simd {
-                SimdLevel::Scalar
-            } else {
-                self.simd_level
-            });
-        match opts.format {
-            OutputFormat::Rgb => {
-                let mode = match opts.mode {
-                    Mode::Auto => self.auto_mode(state, &prep, false),
-                    m => m,
-                };
-                let res = dispatch(
-                    &prep,
-                    mode,
-                    &self.platform,
-                    &self.model,
-                    self.threads,
-                    &mut state.ws,
-                );
-                match res {
-                    Err(e) if opts.strictness == Strictness::Tolerant && is_stream_error(&e) => {
-                        self.salvage(&mut state.ws, &prep, mode, OutputFormat::Rgb)
-                    }
-                    other => other,
-                }
-            }
-            OutputFormat::PlanarYcc => {
-                let mode =
-                    match opts.mode {
-                        // Auto restricted to the modes that can produce planar
-                        // output: cheapest of sequential / SIMD / par-entropy,
-                        // cached under its own selection-space key.
-                        Mode::Auto => self.auto_mode(state, &prep, true),
-                        m if m.is_cpu_only() => m,
-                        _ if opts.strictness == Strictness::Tolerant => Mode::Simd,
-                        _ => return Err(Error::Unsupported(
-                            "planar output requires a CPU mode (sequential, SIMD or par-entropy)",
-                        )),
-                    };
-                let res = self.decode_planar(&mut state.ws, &prep, mode);
-                match res {
-                    Err(e) if opts.strictness == Strictness::Tolerant && is_stream_error(&e) => {
-                        self.salvage(&mut state.ws, &prep, mode, OutputFormat::PlanarYcc)
-                    }
-                    other => other,
-                }
-            }
+            other => other,
         }
     }
 
-    /// The progressive (SOF2) decode path: parse the scan script, decode
-    /// every scan (or the `max_scans` prefix) sequentially into the pooled
-    /// coefficient buffer, re-derive the EOB classes from the accumulated
-    /// state, and run the unchanged CPU parallel phase over it.
-    ///
-    /// The accumulated coefficients live in host memory and every scan is
-    /// strictly sequential, so only the CPU render paths apply: `Auto`
+    /// The progressive (SOF2) decode: fill from the scan script, then the
+    /// CPU render. The accumulated coefficients live in host memory and
+    /// every scan is strictly sequential, so no GPU mode applies: `Auto`
     /// prices the scalar vs SIMD band with the per-class sparse costs (an
     /// early prefix is dramatically sparse and prices accordingly), forced
-    /// `Sequential` keeps the scalar kernels, and every other forced mode
-    /// renders on the SIMD path.
-    fn decode_progressive_locked(
+    /// `Sequential` stays sequential, and every other forced mode renders
+    /// as SIMD.
+    fn decode_progressive(
         &self,
-        state: &mut SessionState,
-        data: &[u8],
+        ws: &mut Workspace,
+        parsed: &ProgressiveParsed<'_>,
+        prep: &Prepared<'_>,
         opts: &DecodeOptions,
     ) -> Result<DecodeOutcome> {
-        use hetjpeg_jpeg::metrics::{ParallelWork, RowMetrics};
-        use hetjpeg_jpeg::progressive;
-
-        let parsed = progressive::parse_progressive(data)?;
-        if opts.strictness == Strictness::Strict {
-            if let Some(damage) = &parsed.damage {
-                return Err(damage.clone());
-            }
-            if !parsed.complete {
-                return Err(Error::UnexpectedEof);
-            }
-        }
-        let prep = Prepared::from_progressive(&parsed)?;
-        if let Some(max) = opts.max_pixels {
-            if prep.geom.pixels() > max {
-                return Err(Error::Unsupported("image exceeds the max_pixels guard"));
-            }
-        }
-        state
-            .ws
-            .set_simd_level(if let Some(level) = opts.force_simd_level {
-                level
-            } else if opts.force_scalar_simd {
-                SimdLevel::Scalar
-            } else {
-                self.simd_level
-            });
-        // Progressive scans accumulate into prior state, and a prefix
-        // render leaves later bands untouched — the buffer must be zeroed.
-        state.ws.ensure(&prep);
-        state.ws.parts().coef.reset_for(&prep.geom);
-        let tolerant = opts.strictness == Strictness::Tolerant;
-        let outcome = progressive::decode_scans(
-            &parsed,
-            &prep.geom,
-            state.ws.parts().coef,
-            opts.max_scans,
-            tolerant,
-        )?;
-
-        let limited = opts.max_scans.is_some_and(|m| m < parsed.scans.len());
-        let partial = limited || outcome.truncated;
-        state.ws.progressive.scans_decoded += outcome.scans_decoded as u64;
-        state.ws.progressive.refine_passes += outcome.refine_passes;
-        state.ws.progressive.partial_renders += u64::from(partial);
-
-        let classes = crate::schedule::eob_classes_in(&outcome.rows, 0, outcome.rows.len());
-        let mut total = RowMetrics::default();
-        for r in &outcome.rows {
-            total.add(r);
-        }
-        let t_huff = self
-            .platform
-            .cpu
-            .progressive_huff_time(&total, outcome.block_visits);
-
+        let filled = self.fill_progressive(ws, parsed, prep, opts)?;
         let mode = match opts.mode {
             Mode::Auto => {
+                let cpu = &self.platform.cpu;
                 let work = ParallelWork::for_mcu_rows(&prep.geom, 0, prep.geom.mcus_y);
-                let scalar = self
-                    .platform
-                    .cpu
-                    .parallel_time_sparse(&work, &classes, false);
-                let simd = self
-                    .platform
-                    .cpu
-                    .parallel_time_sparse(&work, &classes, true);
+                let scalar = cpu.parallel_time_sparse(&work, &filled.classes, false);
+                let simd = cpu.parallel_time_sparse(&work, &filled.classes, true);
                 if simd <= scalar {
                     Mode::Simd
                 } else {
@@ -1086,34 +881,74 @@ impl Decoder {
             Mode::Sequential => Mode::Sequential,
             _ => Mode::Simd,
         };
-        let use_simd = mode != Mode::Sequential;
+        self.pin_level(ws, opts, mode);
+        render_cpu(prep, &self.platform, ws.parts(), filled, mode, opts.format)
+    }
 
-        let mut trace = Trace::default();
-        trace.push("huffman", Resource::Cpu, 0.0, t_huff);
-        let mut p = state.ws.parts();
-        let (image, ycc, t_band) =
-            self.cpu_parallel_output(&prep, &mut p, opts.format, use_simd, &classes)?;
-        trace.push(
-            if use_simd { "cpu-simd" } else { "cpu-scalar" },
-            Resource::Cpu,
-            t_huff,
-            t_huff + t_band,
-        );
+    /// Fill from a progressive scan script: decode every scan (or the
+    /// `max_scans` prefix) sequentially into the pooled coefficient
+    /// buffer, which re-derives the EOB classes from the accumulated
+    /// state. A prefix or a tolerated truncation is a partial render.
+    fn fill_progressive(
+        &self,
+        ws: &mut Workspace,
+        parsed: &ProgressiveParsed<'_>,
+        prep: &Prepared<'_>,
+        opts: &DecodeOptions,
+    ) -> Result<Filled> {
+        // Progressive scans accumulate into prior state, and a prefix
+        // render leaves later bands untouched — the buffer must be zeroed.
+        ws.ensure(prep);
+        let coef = ws.parts().coef;
+        coef.reset_for(&prep.geom);
+        let outcome = progressive::decode_scans(
+            parsed,
+            &prep.geom,
+            coef,
+            opts.max_scans,
+            opts.strictness == Strictness::Tolerant,
+        )?;
 
-        Ok(DecodeOutcome {
-            image,
-            ycc,
-            times: Breakdown {
-                huffman: t_huff,
-                cpu_parallel: t_band,
-                total: t_huff + t_band,
-                ..Default::default()
-            },
-            trace,
-            partition: None,
-            mode,
-            truncated: partial,
-        })
+        let limited = opts.max_scans.is_some_and(|m| m < parsed.scans.len());
+        let partial = limited || outcome.truncated;
+        ws.progressive.scans_decoded += outcome.scans_decoded as u64;
+        ws.progressive.refine_passes += outcome.refine_passes;
+        ws.progressive.partial_renders += u64::from(partial);
+
+        let mut total = RowMetrics::default();
+        for r in &outcome.rows {
+            total.add(r);
+        }
+        let t_huff = self
+            .platform
+            .cpu
+            .progressive_huff_time(&total, outcome.block_visits);
+        let classes = eob_classes_in(&outcome.rows, 0, outcome.rows.len());
+        Ok(Filled::serial(t_huff, classes, partial))
+    }
+
+    /// Tolerant salvage fill: sequentially entropy-decode as far as the
+    /// stream allows and leave the damaged tail as zero coefficients,
+    /// which render neutral gray. The tail rows are absent from the
+    /// histogram and price as dense — conservative for such a region.
+    fn fill_salvage(&self, ws: &mut Workspace, prep: &Prepared<'_>) -> Result<Filled> {
+        ws.ensure_zeroed(prep);
+        let coef = ws.parts().coef;
+        let mut dec = prep.entropy_decoder()?;
+        let mut t_huff = 0.0;
+        let mut rows_ok = 0usize;
+        let mut classes = [0u64; 4];
+        while !dec.is_finished() {
+            let Ok(m) = dec.decode_mcu_row(coef) else {
+                break;
+            };
+            t_huff += self.platform.cpu.huff_time(&m);
+            rows_ok += 1;
+            for (a, b) in classes.iter_mut().zip(m.eob_classes) {
+                *a += b;
+            }
+        }
+        Ok(Filled::serial(t_huff, classes, rows_ok < prep.geom.mcus_y))
     }
 
     /// `Mode::Auto` with the per-shape session cache. `cpu_only` restricts
@@ -1142,200 +977,34 @@ impl Decoder {
         }
         mode
     }
+}
 
-    /// Planar YCbCr decode on the CPU path: entropy (sequential, or
-    /// restart-parallel for `Mode::ParallelEntropy`), then dequant + IDCT +
-    /// upsample — no color conversion.
-    fn decode_planar(
-        &self,
-        ws: &mut Workspace,
-        prep: &Prepared<'_>,
-        mode: Mode,
-    ) -> Result<DecodeOutcome> {
-        let platform = &self.platform;
-        ws.ensure(prep);
-        let p = ws.parts();
-        let mut trace = Trace::default();
-        let mut spec = hetjpeg_jpeg::speculate::SpecStats::default();
-        let (t_huff, classes) = match mode {
-            Mode::ParallelEntropy => {
-                let outcome =
-                    crate::exec::decode_entropy_parallel_into(prep, self.threads, p.coef)?;
-                spec = outcome.spec;
-                entropy_par::schedule_entropy(platform, &outcome, self.threads, &mut trace)
+/// Parse `data`, baseline or progressive, and apply the checks that come
+/// before any allocation: strict handling refuses a damaged or incomplete
+/// scan script, and the `max_pixels` guard refuses an oversized frame. The
+/// second value is the scan script of a progressive source.
+fn open<'a>(
+    data: &'a [u8],
+    opts: &DecodeOptions,
+) -> Result<(Prepared<'a>, Option<ProgressiveParsed<'a>>)> {
+    let (prep, scans) = if progressive::is_progressive(data) {
+        let parsed = progressive::parse_progressive(data)?;
+        if opts.strictness == Strictness::Strict {
+            if let Some(damage) = &parsed.damage {
+                return Err(damage.clone());
             }
-            _ => {
-                let (rows, total) = crate::schedule::entropy_into(prep, platform, p.coef)?;
-                trace.push("huffman", Resource::Cpu, 0.0, total);
-                (total, crate::schedule::eob_classes_in(&rows, 0, rows.len()))
-            }
-        };
-
-        let use_simd = mode != Mode::Sequential;
-        let mut p = p;
-        let (image, ycc, t_band) =
-            self.cpu_parallel_output(prep, &mut p, OutputFormat::PlanarYcc, use_simd, &classes)?;
-        trace.push(
-            if use_simd { "cpu-simd" } else { "cpu-scalar" },
-            Resource::Cpu,
-            t_huff,
-            t_huff + t_band,
-        );
-
-        ws.spec.merge(&spec);
-        Ok(DecodeOutcome {
-            image,
-            ycc,
-            times: Breakdown {
-                huffman: t_huff,
-                cpu_parallel: t_band,
-                total: t_huff + t_band,
-                ..Default::default()
-            },
-            trace,
-            partition: None,
-            mode,
-            truncated: false,
-        })
-    }
-
-    /// The whole-image CPU parallel phase for one output format, on pooled
-    /// scratch: assembles the outcome's image/planes and returns the band's
-    /// virtual time (sparse-priced from `classes`). Shared by the planar
-    /// path and the tolerant salvage.
-    fn cpu_parallel_output(
-        &self,
-        prep: &Prepared<'_>,
-        p: &mut crate::workspace::WsParts<'_>,
-        format: OutputFormat,
-        use_simd: bool,
-        classes: &[u64; 4],
-    ) -> Result<(RgbImage, Option<YccImage>, f64)> {
-        let geom = &prep.geom;
-        let platform = &self.platform;
-        match format {
-            OutputFormat::Rgb => {
-                let mut image = RgbImage::new(geom.width, geom.height);
-                let work = if use_simd {
-                    simd::decode_region_rgb_simd_with(
-                        prep,
-                        p.coef,
-                        0,
-                        geom.mcus_y,
-                        &mut image.data,
-                        p.simd,
-                    )?
-                } else {
-                    stages::decode_region_rgb_with(
-                        prep,
-                        p.coef,
-                        0,
-                        geom.mcus_y,
-                        &mut image.data,
-                        p.scalar,
-                    )?
-                };
-                let t = platform.cpu.parallel_time_sparse(&work, classes, use_simd);
-                Ok((image, None, t))
-            }
-            OutputFormat::PlanarYcc => {
-                let mut ycc = YccImage::new(geom.width, geom.height);
-                let work = if use_simd {
-                    simd::decode_region_ycc_simd_with(
-                        prep,
-                        p.coef,
-                        0,
-                        geom.mcus_y,
-                        &mut ycc,
-                        p.simd,
-                    )?
-                } else {
-                    stages::decode_region_ycc_with(
-                        prep,
-                        p.coef,
-                        0,
-                        geom.mcus_y,
-                        &mut ycc,
-                        p.scalar,
-                    )?
-                };
-                // Planar outcomes leave `image.data` empty; `ycc` carries
-                // the pixels.
-                let image = RgbImage {
-                    width: geom.width,
-                    height: geom.height,
-                    data: Vec::new(),
-                };
-                let t = platform
-                    .cpu
-                    .parallel_time_planar_sparse(&work, classes, use_simd);
-                Ok((image, Some(ycc), t))
+            if !parsed.complete {
+                return Err(Error::UnexpectedEof);
             }
         }
+        (Prepared::from_progressive(&parsed)?, Some(parsed))
+    } else {
+        (Prepared::new(data)?, None)
+    };
+    if opts.max_pixels.is_some_and(|max| prep.geom.pixels() > max) {
+        return Err(Error::Unsupported("image exceeds the max_pixels guard"));
     }
-
-    /// Tolerant salvage: sequentially entropy-decode as far as the stream
-    /// allows, leave the damaged tail as zero coefficients (neutral gray),
-    /// and run the parallel phase over the whole image.
-    fn salvage(
-        &self,
-        ws: &mut Workspace,
-        prep: &Prepared<'_>,
-        mode: Mode,
-        format: OutputFormat,
-    ) -> Result<DecodeOutcome> {
-        let geom = &prep.geom;
-        let platform = &self.platform;
-        ws.ensure_zeroed(prep); // untouched blocks must render neutral gray
-        let p = ws.parts();
-        let mut dec = prep.entropy_decoder()?;
-        let mut t_huff = 0.0;
-        let mut rows_ok = 0usize;
-        let mut classes = [0u64; 4];
-        while !dec.is_finished() {
-            match dec.decode_mcu_row(p.coef) {
-                Ok(m) => {
-                    t_huff += platform.cpu.huff_time(&m);
-                    rows_ok += 1;
-                    for (a, b) in classes.iter_mut().zip(m.eob_classes) {
-                        *a += b;
-                    }
-                }
-                Err(_) => break,
-            }
-        }
-        let truncated = rows_ok < geom.mcus_y;
-
-        let mut trace = Trace::default();
-        trace.push("huffman", Resource::Cpu, 0.0, t_huff);
-        let use_simd = mode != Mode::Sequential;
-        let mut p = p;
-        // The damaged tail rows are absent from the histogram and price as
-        // dense — conservative for a region that renders neutral gray.
-        let (image, ycc, t_band) =
-            self.cpu_parallel_output(prep, &mut p, format, use_simd, &classes)?;
-        trace.push(
-            if use_simd { "cpu-simd" } else { "cpu-scalar" },
-            Resource::Cpu,
-            t_huff,
-            t_huff + t_band,
-        );
-
-        Ok(DecodeOutcome {
-            image,
-            ycc,
-            times: Breakdown {
-                huffman: t_huff,
-                cpu_parallel: t_band,
-                total: t_huff + t_band,
-                ..Default::default()
-            },
-            trace,
-            partition: None,
-            mode: if mode.is_cpu_only() { mode } else { Mode::Simd },
-            truncated,
-        })
-    }
+    Ok((prep, scans))
 }
 
 /// True for errors that indicate a damaged/truncated entropy stream — the
@@ -1513,7 +1182,7 @@ mod tests {
     #[test]
     fn batch_reuses_pools_and_auto_cache() {
         // Distinct images (different seeds ⇒ slightly different entropy
-        // densities) of one shape: the BENCH_PR2 `q85_422_batch` scenario
+        // densities) of one shape: the q85 4:2:2 batch scenario
         // whose fine-grained density key used to miss the cache on every
         // image (auto_evals: 6, auto_cache_hits: 0).
         let images: Vec<Vec<u8>> = (0..5)

@@ -2,8 +2,8 @@
 //!
 //! PR 1 made the hot path allocation-free *within* one decode; this module
 //! makes it allocation-free *across* decodes: a [`Workspace`] owns the
-//! whole-image coefficient buffer, the scalar and SIMD band scratches, the
-//! planar output staging and the simulated GPU device with its buffers and
+//! whole-image coefficient buffer, the render loop's MCU-row scratch and
+//! streamed-tile buffer, and the simulated GPU device with its buffers and
 //! chunk staging, and re-shapes them for each image instead of
 //! reallocating. The session decoder
 //! ([`crate::session::Decoder`]) holds one workspace for its lifetime, so a
@@ -14,7 +14,7 @@ use crate::gpu_decode::{GpuContext, TransferMode};
 use crate::platform::Platform;
 use hetjpeg_jpeg::coef::CoefBuffer;
 use hetjpeg_jpeg::decoder::kernels::SimdLevel;
-use hetjpeg_jpeg::decoder::{simd, stages, Prepared};
+use hetjpeg_jpeg::decoder::{simd, Prepared};
 use hetjpeg_jpeg::geometry::Geometry;
 use hetjpeg_jpeg::types::Subsampling;
 
@@ -26,9 +26,9 @@ pub struct PoolStats {
     pub coef_allocs: u64,
     /// Coefficient buffers re-shaped in place (no new allocation).
     pub coef_reuses: u64,
-    /// Fresh band-scratch allocations (scalar + SIMD combined).
+    /// Fresh render-scratch allocations.
     pub scratch_allocs: u64,
-    /// Band scratches re-shaped in place.
+    /// Render scratches re-shaped in place.
     pub scratch_reuses: u64,
     /// `Mode::Auto` decisions computed from the performance model.
     pub auto_evals: u64,
@@ -123,12 +123,14 @@ impl GpuSlot {
 #[derive(Default)]
 pub struct Workspace {
     coef: Option<CoefBuffer>,
-    scalar: Option<stages::Scratch>,
-    simd: Option<simd::SimdScratch>,
+    scratch: Option<simd::SimdScratch>,
     scratch_key: Option<GeomKey>,
-    /// Kernel level the SIMD scratch should dispatch to. `None` leaves the
-    /// scratch's own choice (host detection) in place; the session decoder
-    /// sets it per decode (one-time choice or force-scalar override).
+    /// The one-MCU-row RGB buffer streamed tiles are rendered into and
+    /// lent out of; grows to the widest image streamed, never shrinks.
+    tile: Vec<u8>,
+    /// Kernel level the render scratch should dispatch to. `None` leaves
+    /// the scratch's own choice (host detection) in place; the session
+    /// decoder resolves it once per call.
     simd_level: Option<SimdLevel>,
     pub(crate) gpu: GpuSlot,
     pub(crate) stats: PoolStats,
@@ -145,11 +147,11 @@ pub struct Workspace {
 }
 
 /// Mutable views of the workspace's independent pools, so a decode path can
-/// hold the coefficient buffer and a band scratch at the same time.
+/// hold the coefficient buffer and the render scratch at the same time.
 pub(crate) struct WsParts<'a> {
     pub coef: &'a mut CoefBuffer,
-    pub scalar: &'a mut stages::Scratch,
-    pub simd: &'a mut simd::SimdScratch,
+    pub scratch: &'a mut simd::SimdScratch,
+    pub tile: &'a mut Vec<u8>,
     pub gpu: &'a mut GpuSlot,
     pub stats: &'a mut PoolStats,
 }
@@ -159,7 +161,7 @@ impl Workspace {
     /// buffer is re-shaped but *not* cleared — a complete entropy decode
     /// overwrites every block and EOB, so the memset would be pure cost;
     /// paths that can leave blocks untouched use [`Self::ensure_zeroed`].
-    /// Band scratches are re-shaped only when the geometry changed.
+    /// The render scratch is re-shaped only when the geometry changed.
     pub(crate) fn ensure(&mut self, prep: &Prepared<'_>) {
         self.ensure_counted(prep, true);
     }
@@ -181,42 +183,37 @@ impl Workspace {
             }
         }
         let key = GeomKey::of(geom);
-        let same_shape = self.scratch_key == Some(key);
-        match (self.scalar.as_mut(), self.simd.as_mut()) {
-            (Some(sc), Some(si)) => {
-                if !same_shape {
-                    sc.reset_for(prep);
-                    si.reset_for(prep);
+        match self.scratch.as_mut() {
+            Some(scratch) => {
+                if self.scratch_key != Some(key) {
+                    scratch.reset_for(prep);
                 }
                 if count {
                     self.stats.scratch_reuses += 1;
                 }
             }
-            _ => {
-                self.scalar = Some(stages::Scratch::new(prep));
-                self.simd = Some(simd::SimdScratch::new(prep));
+            None => {
+                self.scratch = Some(simd::SimdScratch::new(prep));
                 if count {
                     self.stats.scratch_allocs += 1;
                 }
             }
         }
-        if let (Some(level), Some(si)) = (self.simd_level, self.simd.as_mut()) {
-            si.set_level(level);
-        }
         self.scratch_key = Some(key);
     }
 
-    /// Pin the kernel level the pooled SIMD scratch dispatches to (applied
-    /// on the next [`Self::ensure`]).
+    /// Pin the kernel level the render scratch dispatches to (applied on
+    /// the next [`Self::parts`], so it may be decided after the buffer is
+    /// filled).
     pub(crate) fn set_simd_level(&mut self, level: SimdLevel) {
         self.simd_level = Some(level);
     }
 
-    /// The kernel level the pooled SIMD scratch was last pinned to — what
-    /// the most recent decode actually dispatched (`None` before the first
+    /// The kernel level the render scratch was last pinned to — what the
+    /// most recent decode actually dispatched (`None` before the first
     /// decode). [`crate::SessionStats`] reports this rather than the
-    /// session's configured level, so a stray force override cannot hide
-    /// behind configuration.
+    /// session's configured level, so neither a scalar `Sequential`
+    /// decode nor a stray force override can hide behind configuration.
     pub(crate) fn simd_level(&self) -> Option<SimdLevel> {
         self.simd_level
     }
@@ -237,10 +234,14 @@ impl Workspace {
     /// Split the workspace into its independent pools. Call after
     /// [`Self::ensure`]; panics otherwise.
     pub(crate) fn parts(&mut self) -> WsParts<'_> {
+        let scratch = self.scratch.as_mut().expect("Workspace::ensure not called");
+        if let Some(level) = self.simd_level {
+            scratch.set_level(level);
+        }
         WsParts {
             coef: self.coef.as_mut().expect("Workspace::ensure not called"),
-            scalar: self.scalar.as_mut().expect("Workspace::ensure not called"),
-            simd: self.simd.as_mut().expect("Workspace::ensure not called"),
+            scratch,
+            tile: &mut self.tile,
             gpu: &mut self.gpu,
             stats: &mut self.stats,
         }

@@ -60,7 +60,7 @@ impl CoefBuffer {
     /// unspecified (stale from the previous image) until written. A full
     /// entropy decode overwrites every block's 64 coefficients and its EOB,
     /// so the decode paths skip the whole-buffer memset `reset_for` pays —
-    /// the difference is measurable on batch decodes (see BENCH_PR2.json).
+    /// the difference was measurable on batch decodes (PR 2).
     pub fn reset_for_entropy(&mut self, geom: &Geometry) {
         self.data.resize(geom.total_blocks * 64, 0);
         self.eob.resize(geom.total_blocks, EOB_DENSE);

@@ -1,7 +1,7 @@
 //! Accurate 13-bit fixed-point DCT pair (libjpeg's "islow" algorithm,
 //! after Loeffler–Ligtenberg–Moshovitz).
 //!
-//! Both decode paths — the CPU stage functions and the simulated GPU IDCT
+//! Both decode paths — the CPU render loop and the simulated GPU IDCT
 //! kernel — run this integer transform so that every decoding mode of the
 //! scheduler produces **bit-identical** pixels regardless of where the
 //! partition boundary falls. That property is load-bearing for the

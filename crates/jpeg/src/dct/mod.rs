@@ -18,8 +18,8 @@
 //!   per-block dispatch the CPU hot paths run, bit-identical to [`islow`],
 //! * [`simd_islow`] — runtime-dispatched SSE2/AVX2 vector kernels for the
 //!   same EOB-dispatched fused pass (column-parallel butterflies on i64
-//!   lanes), bit-identical to [`sparse`] at every level; what the fused
-//!   row-tile pipeline runs when the session's `SimdLevel` allows.
+//!   lanes), bit-identical to [`sparse`] at every level; what the render
+//!   loop runs when the session's `SimdLevel` allows.
 
 pub mod aan;
 pub mod islow;

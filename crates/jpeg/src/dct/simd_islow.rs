@@ -81,8 +81,8 @@ pub fn dequant_idct_to_level(
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Sse2 => match class {
             SparseClass::DcOnly => unreachable!("handled above"),
-            // Measured policy (BENCH_PR5.json `idct_class_*` at
-            // HETJPEG_SIMD=sse2): with only two i64 lanes and the emulated
+            // Measured policy (PR 5's per-class IDCT microbench at
+            // HETJPEG_SIMD=sse2, docs/PERF.md): with only two i64 lanes and the emulated
             // 64-bit signed multiply, the SSE2 butterflies beat the scalar
             // path's per-column pruning only on the 4×4 class (≈1.5×);
             // 2×2 blocks are too small (≈0.93×) and dense-class blocks

@@ -30,7 +30,8 @@ use std::sync::OnceLock;
 /// Ordered: a level implies every lower one is also usable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SimdLevel {
-    /// Portable scalar fallback (the pre-PR-3 code paths, unchanged).
+    /// Portable scalar kernels — `Mode::Sequential`'s level, and the
+    /// fallback on hosts without the vector sets.
     Scalar,
     /// 128-bit SSE2 kernels (baseline on every x86-64).
     Sse2,

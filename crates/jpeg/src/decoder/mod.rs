@@ -1,4 +1,4 @@
-//! Whole-image decoding and the region-addressable stage functions used by
+//! Whole-image decoding and the region-addressable parallel phase used by
 //! the heterogeneous scheduler.
 //!
 //! Mirroring the paper's re-engineered libjpeg-turbo (§3), decoding is split
@@ -7,14 +7,13 @@
 //! 1. a strictly sequential **entropy phase** ([`crate::entropy`]) that fills
 //!    a whole-image [`CoefBuffer`], and
 //! 2. a data-parallel **parallel phase** (dequantization, IDCT, upsampling,
-//!    color conversion) that can run over any horizontal band of MCU rows,
-//!    implemented in [`stages`] (scalar) and [`simd`] (optimized,
-//!    bit-identical) variants.
+//!    color conversion) that can run over any horizontal band of MCU rows:
+//!    one render loop ([`simd::render_rows`]) parameterised by kernel level
+//!    ([`kernels::SimdLevel`]) and output sink, plus the three-pass scalar
+//!    oracle it is tested against ([`stages`]).
 //!
-//! [`decode`] and [`decode_simd`] are the two single-device reference
-//! decoders the paper calls "sequential" and "SIMD" mode. The SIMD path
-//! runs the row-tile pipeline on runtime-dispatched vector kernels
-//! ([`kernels`]); both paths produce identical bytes.
+//! [`decode`] runs the oracle and [`decode_simd`] the loop at the host's
+//! best level; both produce identical bytes.
 
 pub mod kernels;
 pub mod simd;
@@ -126,7 +125,8 @@ impl<'a> Prepared<'a> {
     }
 }
 
-/// Decode a JPEG byte stream with the scalar ("sequential mode") pipeline.
+/// Decode a JPEG byte stream with the three-pass scalar oracle
+/// ([`stages`]) — the reference the tests hold every other path to.
 pub fn decode(data: &[u8]) -> Result<RgbImage> {
     let prep = Prepared::new(data)?;
     let (coef, _) = prep.entropy_decode_all()?;
@@ -135,13 +135,16 @@ pub fn decode(data: &[u8]) -> Result<RgbImage> {
     Ok(img)
 }
 
-/// Decode with the optimized ("SIMD mode") parallel phase. Output is
-/// bit-identical to [`decode`]; only the host-side speed differs.
+/// Decode with the render loop ([`simd::render_rows`]) at the host's best
+/// kernel level. Output is bit-identical to [`decode`]; only the host-side
+/// speed differs.
 pub fn decode_simd(data: &[u8]) -> Result<RgbImage> {
     let prep = Prepared::new(data)?;
     let (coef, _) = prep.entropy_decode_all()?;
     let mut img = RgbImage::new(prep.geom.width, prep.geom.height);
-    simd::decode_region_rgb_simd(&prep, &coef, 0, prep.geom.mcus_y, &mut img.data)?;
+    let mut scratch = simd::SimdScratch::new(&prep);
+    let mut sink = simd::RgbBand::new(&prep, 0, prep.geom.mcus_y, &mut img.data)?;
+    simd::render_rows(&prep, &coef, 0, prep.geom.mcus_y, &mut scratch, &mut sink);
     Ok(img)
 }
 

@@ -1,17 +1,20 @@
-//! Scalar region-based stage functions for the parallel phase.
+//! The three-pass scalar parallel phase: the oracle the render loop is held
+//! to.
 //!
-//! Each function operates on a band of MCU rows so the heterogeneous
-//! scheduler can hand disjoint bands to the CPU and the (simulated) GPU:
-//! the paper's partitioning "splits images horizontally such that the
-//! initial x rows ... are assigned to the GPU, and the remaining h − x rows
-//! are assigned to the CPU" (§5.2).
+//! Dequantize + IDCT a band into whole-image sample planes, upsample its
+//! chroma into band-sized rasters, then color-convert — three separate
+//! passes with full intermediate planes, in plain scalar code
+//! ([`crate::dct::sparse`], [`crate::sample`], [`crate::color`]). It shares
+//! no loop and no kernel dispatch with [`super::simd::render_rows`], which
+//! is what makes it worth comparing against: [`crate::decoder::decode`],
+//! the corpus generator's reference pixels, the GPU-kernel unit tests and
+//! the cross-mode bit-identity suites all use it as the reference. Nothing
+//! a decode session executes calls it.
 //!
-//! The hot path is allocation-free per block and per band: dequantization,
-//! IDCT and the plane store are fused into one pass dispatched on each
-//! block's recorded EOB ([`crate::dct::sparse`]), and all band-sized
-//! temporaries (sample planes, upsampled chroma rasters) live in a reusable
-//! [`Scratch`] that callers decoding many bands carry across calls. The
-//! allocating entry points remain as thin wrappers.
+//! Like the loop, each pass operates on a band of MCU rows: the paper's
+//! partitioning "splits images horizontally such that the initial x rows
+//! ... are assigned to the GPU, and the remaining h − x rows are assigned
+//! to the CPU" (§5.2).
 
 use crate::coef::CoefBuffer;
 use crate::color::ycc_to_rgb;
@@ -22,41 +25,6 @@ use crate::metrics::ParallelWork;
 use crate::planes::SamplePlanes;
 use crate::sample::{upsample_row_h2v1_blockwise, upsample_v2_pair};
 use crate::types::Subsampling;
-
-/// Reusable band-decoding workspace: whole-image sample planes plus
-/// band-sized upsampled chroma rasters. Create once, pass to
-/// [`decode_region_rgb_with`] for every band — steady-state decoding then
-/// performs no heap allocation per band.
-pub struct Scratch {
-    /// Post-IDCT sample planes spanning the whole image.
-    pub planes: SamplePlanes,
-    /// Full-resolution upsampled Cb for the current band.
-    cb: Vec<u8>,
-    /// Full-resolution upsampled Cr for the current band.
-    cr: Vec<u8>,
-    /// Vertically upsampled (still horizontally subsampled) row for 4:2:0.
-    vtmp: Vec<u8>,
-}
-
-impl Scratch {
-    /// Allocate a workspace for an image.
-    pub fn new(prep: &Prepared<'_>) -> Self {
-        Scratch {
-            planes: SamplePlanes::new(&prep.geom),
-            cb: Vec::new(),
-            cr: Vec::new(),
-            vtmp: vec![0u8; prep.geom.comps[1].plane_width()],
-        }
-    }
-
-    /// Re-shape the workspace for another image, reusing the allocations —
-    /// the session decoder's pool hook.
-    pub fn reset_for(&mut self, prep: &Prepared<'_>) {
-        self.planes.reset_for(&prep.geom);
-        self.vtmp.clear();
-        self.vtmp.resize(prep.geom.comps[1].plane_width(), 0);
-    }
-}
 
 /// Dequantize + IDCT every block of MCU rows `[start, end)` into `planes`.
 ///
@@ -95,18 +63,17 @@ pub fn dequant_idct_region(
     }
 }
 
-/// Upsample the chroma planes of MCU rows `[start, end)` to full
-/// resolution, into the scratch's band rasters (band-local row indexing).
-/// 4:4:4 input is copied through unchanged.
-fn upsample_region_into(
+/// Upsample the chroma planes of MCU rows `[start, end)` to full resolution.
+///
+/// Returns full-resolution Cb/Cr rasters for the band's pixel rows
+/// (band-local row indexing, luma plane width). 4:4:4 input is copied
+/// through unchanged.
+pub fn upsample_region(
     prep: &Prepared<'_>,
     planes: &SamplePlanes,
     start: usize,
     end: usize,
-    cb: &mut Vec<u8>,
-    cr: &mut Vec<u8>,
-    vtmp: &mut [u8],
-) {
+) -> (Vec<u8>, Vec<u8>) {
     let geom = &prep.geom;
     let lw = geom.comps[0].plane_width();
     let (p0, p1) = (
@@ -114,10 +81,9 @@ fn upsample_region_into(
         (end * geom.mcu_h).min(geom.comps[0].plane_height()),
     );
     let band_rows = p1 - p0;
-    cb.clear();
-    cb.resize(band_rows * lw, 0);
-    cr.clear();
-    cr.resize(band_rows * lw, 0);
+    let mut cb = vec![0u8; band_rows * lw];
+    let mut cr = vec![0u8; band_rows * lw];
+    let mut vtmp = vec![0u8; geom.comps[1].plane_width()];
 
     match geom.subsampling {
         Subsampling::S444 => {
@@ -159,28 +125,11 @@ fn upsample_region_into(
                     } else {
                         &mut cr[r * lw..(r + 1) * lw]
                     };
-                    upsample_row_h2v1_blockwise(vtmp, dst);
+                    upsample_row_h2v1_blockwise(&vtmp, dst);
                 }
             }
         }
     }
-}
-
-/// Upsample the chroma planes of MCU rows `[start, end)` to full resolution.
-///
-/// Returns full-resolution Cb/Cr rasters for the band's pixel rows
-/// (band-local row indexing). Allocating wrapper around the scratch-based
-/// path used by [`decode_region_rgb_with`].
-pub fn upsample_region(
-    prep: &Prepared<'_>,
-    planes: &SamplePlanes,
-    start: usize,
-    end: usize,
-) -> (Vec<u8>, Vec<u8>) {
-    let mut cb = Vec::new();
-    let mut cr = Vec::new();
-    let mut vtmp = vec![0u8; prep.geom.comps[1].plane_width()];
-    upsample_region_into(prep, planes, start, end, &mut cb, &mut cr, &mut vtmp);
     (cb, cr)
 }
 
@@ -220,118 +169,11 @@ pub fn color_convert_region(
     Ok(())
 }
 
-/// The whole parallel phase for a band, reusing `scratch` across calls:
-/// dequant + IDCT + upsample + color conversion, writing interleaved RGB
-/// for the band's pixel rows into `out`.
+/// The whole parallel phase for a band as the composition of the three
+/// passes: dequant + IDCT + upsample + color conversion, writing
+/// interleaved RGB for the band's pixel rows into `out`.
 ///
 /// Returns the work metrics the cost model charges for the band.
-pub fn decode_region_rgb_with(
-    prep: &Prepared<'_>,
-    coef: &CoefBuffer,
-    start: usize,
-    end: usize,
-    out: &mut [u8],
-    scratch: &mut Scratch,
-) -> Result<ParallelWork> {
-    dequant_idct_region(prep, coef, start, end, &mut scratch.planes);
-    upsample_region_into(
-        prep,
-        &scratch.planes,
-        start,
-        end,
-        &mut scratch.cb,
-        &mut scratch.cr,
-        &mut scratch.vtmp,
-    );
-    color_convert_region(
-        prep,
-        &scratch.planes,
-        &scratch.cb,
-        &scratch.cr,
-        start,
-        end,
-        out,
-    )?;
-    Ok(ParallelWork::for_mcu_rows(&prep.geom, start, end))
-}
-
-/// The scalar parallel phase as a *tile stream*: render each MCU row of
-/// `[start, end)` into `tile` (resized to that row's exact pixel-byte
-/// count) and hand it to `sink` as `(first_pixel_row, pixel_rows, rgb)` —
-/// the scalar sibling of
-/// [`super::simd::stream_region_rgb_simd_with`], bit-identical to it at
-/// every dispatch level. `sink` returning `false` aborts the stream after
-/// the current tile; the second return value is whether the band
-/// completed.
-pub fn stream_region_rgb_with(
-    prep: &Prepared<'_>,
-    coef: &CoefBuffer,
-    start: usize,
-    end: usize,
-    tile: &mut Vec<u8>,
-    scratch: &mut Scratch,
-    sink: &mut dyn FnMut(usize, usize, &[u8]) -> bool,
-) -> Result<(ParallelWork, bool)> {
-    let geom = &prep.geom;
-    let w = geom.width;
-    for mcu_row in start..end {
-        let (py0, py1) = geom.mcu_rows_to_pixel_rows(mcu_row, mcu_row + 1);
-        tile.resize((py1 - py0) * w * 3, 0);
-        decode_region_rgb_with(prep, coef, mcu_row, mcu_row + 1, tile, scratch)?;
-        if !sink(py0, py1 - py0, tile) {
-            return Ok((ParallelWork::for_mcu_rows(geom, start, mcu_row + 1), false));
-        }
-    }
-    Ok((ParallelWork::for_mcu_rows(geom, start, end), true))
-}
-
-/// The parallel phase for a band, stopping *before* color conversion:
-/// dequant + IDCT + chroma upsampling, writing full-resolution Y/Cb/Cr
-/// planes for the band's pixel rows into `out` (which must span the whole
-/// image). Skipping the RGB transform is what planar consumers (re-encode,
-/// tone-mapping, ML preprocessing) want; [`crate::types::YccImage::to_rgb`]
-/// recovers the exact RGB bytes of [`decode_region_rgb`].
-pub fn decode_region_ycc_with(
-    prep: &Prepared<'_>,
-    coef: &CoefBuffer,
-    start: usize,
-    end: usize,
-    out: &mut crate::types::YccImage,
-    scratch: &mut Scratch,
-) -> Result<ParallelWork> {
-    let geom = &prep.geom;
-    if out.width != geom.width || out.height != geom.height {
-        return Err(Error::BufferSize {
-            expected: geom.width * geom.height,
-            got: out.width * out.height,
-        });
-    }
-    dequant_idct_region(prep, coef, start, end, &mut scratch.planes);
-    upsample_region_into(
-        prep,
-        &scratch.planes,
-        start,
-        end,
-        &mut scratch.cb,
-        &mut scratch.cr,
-        &mut scratch.vtmp,
-    );
-    let (r0, r1) = geom.mcu_rows_to_pixel_rows(start, end);
-    let w = geom.width;
-    let lw = geom.comps[0].plane_width();
-    let band_p0 = start * geom.mcu_h;
-    for y in r0..r1 {
-        let band_row = y - band_p0;
-        out.y[y * w..(y + 1) * w].copy_from_slice(&scratch.planes.row(0, y)[..w]);
-        out.cb[y * w..(y + 1) * w].copy_from_slice(&scratch.cb[band_row * lw..band_row * lw + w]);
-        out.cr[y * w..(y + 1) * w].copy_from_slice(&scratch.cr[band_row * lw..band_row * lw + w]);
-    }
-    Ok(ParallelWork::for_mcu_rows(geom, start, end))
-}
-
-/// The whole parallel phase for a band with a freshly allocated workspace.
-/// Callers decoding many bands should hold a [`Scratch`] and call
-/// [`decode_region_rgb_with`] instead.
 pub fn decode_region_rgb(
     prep: &Prepared<'_>,
     coef: &CoefBuffer,
@@ -339,8 +181,11 @@ pub fn decode_region_rgb(
     end: usize,
     out: &mut [u8],
 ) -> Result<ParallelWork> {
-    let mut scratch = Scratch::new(prep);
-    decode_region_rgb_with(prep, coef, start, end, out, &mut scratch)
+    let mut planes = SamplePlanes::new(&prep.geom);
+    dequant_idct_region(prep, coef, start, end, &mut planes);
+    let (cb, cr) = upsample_region(prep, &planes, start, end);
+    color_convert_region(prep, &planes, &cb, &cr, start, end, out)?;
+    Ok(ParallelWork::for_mcu_rows(&prep.geom, start, end))
 }
 
 #[cfg(test)]
@@ -423,46 +268,6 @@ mod tests {
         let w2 = decode_region_rgb(&prep, &coef, 0, 2, &mut out2).unwrap();
         assert_eq!(w2.idct_blocks, 2 * w1.idct_blocks);
         assert_eq!(w2.color_pixels, 2 * w1.color_pixels);
-    }
-
-    #[test]
-    fn reused_scratch_matches_fresh_allocations() {
-        for sub in [Subsampling::S444, Subsampling::S422, Subsampling::S420] {
-            let (_, jpeg) = setup(sub, 48, 56);
-            let prep = Prepared::new(&jpeg).unwrap();
-            let (coef, _) = prep.entropy_decode_all().unwrap();
-            let mut scratch = Scratch::new(&prep);
-            for (a, b) in [(0usize, 2usize), (2, 3), (0, prep.geom.mcus_y)] {
-                let bytes = prep.geom.rgb_bytes_in_mcu_rows(a, b);
-                let mut fresh = vec![0u8; bytes];
-                let mut reused = vec![0u8; bytes];
-                decode_region_rgb(&prep, &coef, a, b, &mut fresh).unwrap();
-                decode_region_rgb_with(&prep, &coef, a, b, &mut reused, &mut scratch).unwrap();
-                assert_eq!(fresh, reused, "{} band {a}..{b}", sub.notation());
-            }
-        }
-    }
-
-    #[test]
-    fn planar_ycc_converts_to_the_exact_rgb_bytes() {
-        for sub in [Subsampling::S444, Subsampling::S422, Subsampling::S420] {
-            let (_, jpeg) = setup(sub, 52, 41); // non-MCU-aligned on purpose
-            let prep = Prepared::new(&jpeg).unwrap();
-            let (coef, _) = prep.entropy_decode_all().unwrap();
-            let mut scratch = Scratch::new(&prep);
-            let mut rgb = vec![0u8; prep.geom.rgb_bytes_in_mcu_rows(0, prep.geom.mcus_y)];
-            decode_region_rgb_with(&prep, &coef, 0, prep.geom.mcus_y, &mut rgb, &mut scratch)
-                .unwrap();
-            let mut ycc = crate::types::YccImage::new(prep.geom.width, prep.geom.height);
-            // Decode in two bands to exercise band-local indexing.
-            let mid = prep.geom.mcus_y / 2;
-            for (a, b) in [(0, mid), (mid, prep.geom.mcus_y)] {
-                if a < b {
-                    decode_region_ycc_with(&prep, &coef, a, b, &mut ycc, &mut scratch).unwrap();
-                }
-            }
-            assert_eq!(ycc.to_rgb().data, rgb, "{}", sub.notation());
-        }
     }
 
     #[test]

@@ -32,8 +32,10 @@
 //!   parsing, successive-approximation entropy decoding with coefficient
 //!   accumulation, and a scan-script encoder for corpus generation,
 //! * [`encoder`] — a baseline JPEG encoder used to synthesize corpora,
-//! * [`decoder`] — whole-image sequential and SIMD-style decoders plus the
-//!   region-based stage functions used by the heterogeneous scheduler,
+//! * [`decoder`] — the parallel phase over any band of MCU rows: one
+//!   render loop parameterised by kernel level and output sink (what the
+//!   heterogeneous scheduler hands the CPU), the three-pass scalar oracle
+//!   it is tested against, and whole-image decoders over each,
 //! * [`metrics`] — work counters that feed the performance model of §5.
 //!
 //! ## Quick example

@@ -32,17 +32,6 @@ impl SamplePlanes {
         }
     }
 
-    /// Re-shape the planes for another image's geometry, reusing the
-    /// existing allocations (zeroed, like a fresh instance).
-    pub fn reset_for(&mut self, geom: &Geometry) {
-        for (c, plane) in self.planes.iter_mut().enumerate() {
-            let comp = &geom.comps[c];
-            plane.clear();
-            plane.resize(comp.plane_width() * comp.plane_height(), 0);
-            self.strides[c] = comp.plane_width();
-        }
-    }
-
     /// Write an 8x8 IDCT output block at block coordinates (`bx`, `by`) of
     /// component `c`.
     #[inline]

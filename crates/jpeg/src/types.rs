@@ -170,9 +170,9 @@ impl RgbImage {
 ///
 /// This is the output format video and imaging pipelines that re-encode or
 /// tone-map want — converting to RGB only to convert back wastes two passes
-/// per pixel. Produced by
-/// [`crate::decoder::stages::decode_region_ycc_with`] and by the session
-/// decoder when asked for planar output.
+/// per pixel. Produced by the render loop's
+/// [`crate::decoder::simd::Planar`] sink, which is what the session
+/// decoder uses when asked for planar output.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct YccImage {
     /// Width in pixels.

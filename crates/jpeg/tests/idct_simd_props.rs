@@ -2,7 +2,8 @@
 //! scalar vs SSE2 vs AVX2 bit-identity per sparse class on arbitrary
 //! in-domain blocks, per-class oracles against the f64 reference DCT, and
 //! end-to-end decode identity across quality × subsampling × odd
-//! dimensions × restart intervals at every [`SimdLevel`] the host can run.
+//! dimensions × restart intervals × output sink at every [`SimdLevel`] the
+//! host can run.
 //!
 //! On an AVX2 host the matrix covers Scalar/SSE2/AVX2; on older x86-64 it
 //! degrades to Scalar/SSE2, elsewhere to Scalar only — and CI additionally
@@ -13,11 +14,13 @@ use hetjpeg_jpeg::dct::simd_islow::dequant_idct_block_level;
 use hetjpeg_jpeg::dct::sparse::{class_for_eob, SparseClass, EOB_CORNER2, EOB_CORNER4};
 use hetjpeg_jpeg::dct::{reference, sparse};
 use hetjpeg_jpeg::decoder::kernels::SimdLevel;
-use hetjpeg_jpeg::decoder::{simd, stages, Prepared};
+use hetjpeg_jpeg::decoder::Prepared;
 use hetjpeg_jpeg::encoder::{encode_rgb, EncodeParams};
 use hetjpeg_jpeg::testutil::{coef_block_for_eob, noise_rgb as noise_rgb_px, quant_8bit};
 use hetjpeg_jpeg::types::Subsampling;
 use proptest::prelude::*;
+
+mod common;
 
 fn subsampling_strategy() -> impl Strategy<Value = Subsampling> {
     prop_oneof![
@@ -113,9 +116,10 @@ proptest! {
         }
     }
 
-    /// End-to-end matrix: the fused row-tile pipeline decodes identically
-    /// at every level across subsampling × quality × odd dimensions ×
-    /// restart intervals — the full-decode twin of the block-level matrix.
+    /// End-to-end matrix: the render loop decodes identically at every
+    /// level, into every sink, across subsampling × quality × odd
+    /// dimensions × restart intervals — the full-decode twin of the
+    /// block-level matrix.
     #[test]
     fn decode_bit_identical_across_levels(
         sub in subsampling_strategy(),
@@ -134,16 +138,10 @@ proptest! {
         ).expect("encode");
         let prep = Prepared::new(&jpeg).expect("parse");
         let (coef, _) = prep.entropy_decode_all().expect("entropy");
-        let bytes = prep.geom.rgb_bytes_in_mcu_rows(0, prep.geom.mcus_y);
-        let mut want = vec![0u8; bytes];
-        stages::decode_region_rgb(&prep, &coef, 0, prep.geom.mcus_y, &mut want).unwrap();
+        let want = common::oracle(&prep, &coef);
+        let label = format!("{} q{quality} {w}x{h} dri {interval}", sub.notation());
         for level in SimdLevel::all_available() {
-            let mut scratch = simd::SimdScratch::with_level(&prep, level);
-            let mut got = vec![0u8; bytes];
-            simd::decode_region_rgb_simd_with(&prep, &coef, 0, prep.geom.mcus_y, &mut got, &mut scratch)
-                .unwrap();
-            prop_assert_eq!(&got, &want, "{} {} q{} {}x{} dri {}",
-                level.name(), sub.notation(), quality, w, h, interval);
+            common::assert_every_sink_matches(&prep, &coef, level, &want, &label);
         }
     }
 }

@@ -1,7 +1,8 @@
 //! PR-3 acceptance matrix: the runtime-dispatched SIMD kernels are
 //! bit-identical to the scalar stage code — at the row-kernel level on
 //! arbitrary bytes, and end-to-end across subsampling × quality × odd
-//! dimensions × restart intervals for every [`SimdLevel`] the host can run.
+//! dimensions × restart intervals × output sink for every [`SimdLevel`]
+//! the host can run.
 //!
 //! On an AVX2 host the matrix covers Scalar/SSE2/AVX2; on older x86-64 it
 //! degrades to Scalar/SSE2, elsewhere to Scalar only — and CI additionally
@@ -10,11 +11,13 @@
 
 use hetjpeg_jpeg::color::{ycc_to_rgb, YccTables};
 use hetjpeg_jpeg::decoder::kernels::{blend_v2_row, convert_row, upsample_row_h2v1, SimdLevel};
-use hetjpeg_jpeg::decoder::{simd, stages, Prepared};
+use hetjpeg_jpeg::decoder::{simd, Prepared};
 use hetjpeg_jpeg::encoder::{encode_rgb, EncodeParams};
 use hetjpeg_jpeg::sample::{upsample_row_h2v1_blockwise, upsample_v2_pair};
-use hetjpeg_jpeg::types::{Subsampling, YccImage};
+use hetjpeg_jpeg::types::Subsampling;
 use proptest::prelude::*;
+
+mod common;
 
 fn subsampling_strategy() -> impl Strategy<Value = Subsampling> {
     prop_oneof![
@@ -94,10 +97,10 @@ proptest! {
         }
     }
 
-    /// End-to-end matrix: whole-image decode through the row-tile pipeline
-    /// is bit-identical to the scalar stages at every level, across
-    /// subsampling × quality × odd dimensions × restart intervals — for
-    /// both the RGB and the planar-YCbCr output paths.
+    /// End-to-end matrix: the render loop is bit-identical to the
+    /// three-pass oracle at every level, across subsampling × quality ×
+    /// odd dimensions × restart intervals — into every sink (RGB bands,
+    /// tiles, planar), over whole-image and split bands.
     #[test]
     fn pipeline_bit_identical_across_levels(
         w in 1usize..130,
@@ -115,28 +118,10 @@ proptest! {
         ).expect("encode");
         let prep = Prepared::new(&jpeg).expect("parse");
         let (coef, _) = prep.entropy_decode_all().expect("entropy");
-        let mcus = prep.geom.mcus_y;
-
-        let mut want = vec![0u8; prep.geom.rgb_bytes_in_mcu_rows(0, mcus)];
-        stages::decode_region_rgb(&prep, &coef, 0, mcus, &mut want).expect("scalar");
-        let mut want_ycc = YccImage::new(w, h);
-        let mut scalar_scratch = stages::Scratch::new(&prep);
-        stages::decode_region_ycc_with(&prep, &coef, 0, mcus, &mut want_ycc, &mut scalar_scratch)
-            .expect("scalar planar");
-
+        let want = common::oracle(&prep, &coef);
+        let label = format!("{w}x{h} {} q{quality} dri{interval}", sub.notation());
         for level in SimdLevel::all_available() {
-            let mut scratch = simd::SimdScratch::with_level(&prep, level);
-            let mut got = vec![0u8; want.len()];
-            simd::decode_region_rgb_simd_with(&prep, &coef, 0, mcus, &mut got, &mut scratch)
-                .expect("simd");
-            prop_assert_eq!(&got, &want, "{}x{} {} q{} dri{} {}",
-                w, h, sub.notation(), quality, interval, level.name());
-            let mut got_ycc = YccImage::new(w, h);
-            simd::decode_region_ycc_simd_with(&prep, &coef, 0, mcus, &mut got_ycc, &mut scratch)
-                .expect("simd planar");
-            prop_assert_eq!(&got_ycc.y, &want_ycc.y, "Y {}", level.name());
-            prop_assert_eq!(&got_ycc.cb, &want_ycc.cb, "Cb {}", level.name());
-            prop_assert_eq!(&got_ycc.cr, &want_ycc.cr, "Cr {}", level.name());
+            common::assert_every_sink_matches(&prep, &coef, level, &want, &label);
         }
     }
 }
@@ -175,15 +160,10 @@ fn one_px_odd_dimensions_every_mode() {
             .expect("encode");
             let prep = Prepared::new(&jpeg).expect("parse");
             let (coef, _) = prep.entropy_decode_all().expect("entropy");
-            let mcus = prep.geom.mcus_y;
-            let mut want = vec![0u8; prep.geom.rgb_bytes_in_mcu_rows(0, mcus)];
-            stages::decode_region_rgb(&prep, &coef, 0, mcus, &mut want).expect("scalar");
+            let want = common::oracle(&prep, &coef);
+            let label = format!("{w}x{h} {}", sub.notation());
             for level in SimdLevel::all_available() {
-                let mut scratch = simd::SimdScratch::with_level(&prep, level);
-                let mut got = vec![0u8; want.len()];
-                simd::decode_region_rgb_simd_with(&prep, &coef, 0, mcus, &mut got, &mut scratch)
-                    .expect("simd");
-                assert_eq!(got, want, "{w}x{h} {} {}", sub.notation(), level.name());
+                common::assert_every_sink_matches(&prep, &coef, level, &want, &label);
             }
         }
     }
@@ -212,16 +192,10 @@ fn constant_image_stays_constant_at_odd_edges() {
         let (coef, _) = prep.entropy_decode_all().expect("entropy");
         for level in SimdLevel::all_available() {
             let mut scratch = simd::SimdScratch::with_level(&prep, level);
-            let mut got = vec![0u8; prep.geom.rgb_bytes_in_mcu_rows(0, prep.geom.mcus_y)];
-            simd::decode_region_rgb_simd_with(
-                &prep,
-                &coef,
-                0,
-                prep.geom.mcus_y,
-                &mut got,
-                &mut scratch,
-            )
-            .expect("simd");
+            let mcus = prep.geom.mcus_y;
+            let mut got = vec![0u8; prep.geom.rgb_bytes_in_mcu_rows(0, mcus)];
+            let mut sink = simd::RgbBand::new(&prep, 0, mcus, &mut got).expect("band");
+            simd::render_rows(&prep, &coef, 0, mcus, &mut scratch, &mut sink);
             let first = &got[..3];
             assert!(
                 got.chunks_exact(3).all(|px| px == first),

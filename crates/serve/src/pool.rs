@@ -5,7 +5,7 @@
 //! ## Why shards, and why shape-keyed routing
 //!
 //! A `Decoder` serializes decodes on its internal workspace lock — that is
-//! what lets it reuse one coefficient buffer and one set of band scratches
+//! what lets it reuse one coefficient buffer and one render scratch
 //! across images. Throughput therefore scales by adding *sessions*, not by
 //! hammering one session from more threads. Each shard worker owns its
 //! session outright, so shards decode truly concurrently.
@@ -1456,11 +1456,7 @@ fn apply_request_options(opts: &mut DecodeOptions, ro: &RequestOptions, session_
         opts.max_pixels = Some(opts.max_pixels.map_or(mp, |m| m.min(mp)));
     }
     if let Some(cap) = ro.simd_cap {
-        let base = opts.force_simd_level.unwrap_or(if opts.force_scalar_simd {
-            SimdLevel::Scalar
-        } else {
-            session_level
-        });
+        let base = opts.force_simd_level.unwrap_or(session_level);
         opts.force_simd_level = Some(base.min(cap));
     }
     if let Some(ms) = ro.max_scans {

@@ -453,7 +453,9 @@ fn smoke(mut config: ServeConfig) -> ExitCode {
     }
     // Every shard must have decoded at the host's detected kernel level
     // (honoring HETJPEG_SIMD) — a silent scalar fallback would still
-    // produce bit-identical bytes, so only the stats can catch it.
+    // produce bit-identical bytes, so only the stats can catch it. (The
+    // stats report what the last decode dispatched, so this also says no
+    // shard's last request resolved to `Mode::Sequential`.)
     let expected = hetjpeg_core::SimdLevel::detect();
     if stats.simd_level() != Some(expected) {
         eprintln!(

@@ -31,7 +31,7 @@ pub use hetjpeg_core::{
 };
 pub use hetjpeg_serve::{ServeConfig, ServeHandle, Server, ServerStats};
 
-/// Decode a JPEG byte stream with the reference scalar pipeline.
+/// Decode a JPEG byte stream with the reference three-pass scalar decoder.
 ///
 /// For anything beyond a one-off decode, build a [`Decoder`] session (it
 /// amortizes pools and `Mode::Auto` decisions across images), or front a

@@ -257,9 +257,10 @@ fn planar_through_parallel_entropy_matches_too() {
 #[test]
 fn session_dispatch_choice_is_honored_and_force_scalar_matches() {
     // The kernel dispatch is resolved once at build time; the per-call
-    // force-scalar override swaps in the portable fallback, and both paths
-    // must produce identical bytes for every mode and output format.
+    // forced-scalar override swaps in the portable kernels, and both must
+    // produce identical bytes for every mode and output format.
     use hetjpeg_core::SimdLevel;
+    let scalar = |opts: DecodeOptions| opts.force_simd(SimdLevel::Scalar);
     let decoder = Decoder::builder()
         .platform(Platform::gtx560())
         .threads(4)
@@ -282,34 +283,69 @@ fn session_dispatch_choice_is_honored_and_force_scalar_matches() {
                 .decode(jpeg, DecodeOptions::with_mode(mode))
                 .expect("decode");
             let forced = decoder
-                .decode(jpeg, DecodeOptions::with_mode(mode).force_scalar_simd())
+                .decode(jpeg, scalar(DecodeOptions::with_mode(mode)))
                 .expect("forced-scalar decode");
             assert_eq!(
                 fast.image.data, forced.image.data,
                 "image {jpeg_idx} {mode:?}: forced-scalar bytes differ"
             );
         }
-        // Planar output through the row-tile SIMD path vs forced scalar.
+        // Planar output at the session's level vs forced scalar.
         let planar = DecodeOptions::with_mode(Mode::Simd).format(OutputFormat::PlanarYcc);
         let fast = decoder.decode(jpeg, planar).expect("planar");
-        let forced = decoder
-            .decode(jpeg, planar.force_scalar_simd())
-            .expect("planar forced");
+        let forced = decoder.decode(jpeg, scalar(planar)).expect("planar forced");
         assert_eq!(
             fast.planar().unwrap().to_rgb().data,
             forced.planar().unwrap().to_rgb().data,
             "image {jpeg_idx}: planar forced-scalar bytes differ"
         );
     }
+
+    // The stats report what the last decode really dispatched, whichever
+    // entry point it came through: `Sequential` is the scalar pipeline
+    // (even under a forced level), and the next `Simd` decode is back on
+    // the session's level, or on the level forced for it.
+    let jpeg = noise_jpeg(72, 40, 85, Subsampling::S420, 0, 23);
+    let level_after = |entry: &str, opts: DecodeOptions| {
+        match entry {
+            "whole-frame" => drop(decoder.decode(&jpeg, opts).expect(entry)),
+            "planar" => drop(
+                decoder
+                    .decode(&jpeg, opts.format(OutputFormat::PlanarYcc))
+                    .expect(entry),
+            ),
+            _ => {
+                let streamed = decoder
+                    .decode_rows(&jpeg, opts, &mut |_| true)
+                    .expect(entry);
+                assert!(streamed.completed);
+            }
+        }
+        decoder.stats().simd_level
+    };
+    let seq = DecodeOptions::with_mode(Mode::Sequential);
+    let simd = DecodeOptions::with_mode(Mode::Simd);
+    for entry in ["whole-frame", "planar", "rows"] {
+        assert_eq!(level_after(entry, seq), SimdLevel::Scalar, "{entry}");
+        assert_eq!(level_after(entry, simd), decoder.simd_level(), "{entry}");
+        for level in SimdLevel::all_available() {
+            assert_eq!(level_after(entry, simd.force_simd(level)), level, "{entry}");
+            assert_eq!(
+                level_after(entry, seq.force_simd(level)),
+                SimdLevel::Scalar,
+                "{entry}"
+            );
+        }
+    }
 }
 
 #[test]
 fn tolerant_salvage_at_odd_dimensions_matches_forced_scalar() {
     // Truncated streams at 1-px-odd dimensions: the salvage pass runs the
-    // row-tile pipeline over an image whose tail rows never saw entropy
-    // data (zero coefficients → neutral gray). The vector kernels must
-    // neither read past the plane edges nor diverge from the scalar
-    // fallback on the damaged tail.
+    // render loop over an image whose tail rows never saw entropy data
+    // (zero coefficients → neutral gray). The vector kernels must neither
+    // read past the plane edges nor diverge from the scalar kernels on
+    // the damaged tail.
     let decoder = Decoder::builder().build().expect("valid configuration");
     for sub in [Subsampling::S444, Subsampling::S422, Subsampling::S420] {
         for (w, h) in [(17usize, 33usize), (33, 17), (49, 49)] {
@@ -318,7 +354,7 @@ fn tolerant_salvage_at_odd_dimensions_matches_forced_scalar() {
             let opts = DecodeOptions::with_mode(Mode::Simd).tolerant();
             let fast = decoder.decode(&jpeg, opts).expect("tolerant decode");
             let forced = decoder
-                .decode(&jpeg, opts.force_scalar_simd())
+                .decode(&jpeg, opts.force_simd(hetjpeg_core::SimdLevel::Scalar))
                 .expect("tolerant forced-scalar decode");
             assert!(fast.truncated, "{w}x{h} {} should salvage", sub.notation());
             assert_eq!(
