@@ -13,10 +13,9 @@
 //!   pools and `Mode::Auto` caches);
 //! * an **admission queue** per shard — bounded, so a flooded server
 //!   exerts backpressure on submitters instead of growing an unbounded
-//!   backlog — whose consumer coalesces queued requests into one
-//!   [`decode_batch`](hetjpeg_core::Decoder::decode_batch) call
-//!   (deadline-aware: the first request in a batch waits at most
-//!   [`ServeConfig::flush_after`]);
+//!   backlog — whose consumer takes whatever is already queued (up to
+//!   [`ServeConfig::max_batch`]) and serves it under one hot session; it
+//!   never holds a request back to wait for company;
 //! * **shape-keyed routing**: requests are routed to shards by a cheap
 //!   header scan of (width, height, subsampling), so images of one shape
 //!   land on one session and its per-shape `Auto` decision cache and
@@ -58,8 +57,8 @@ pub mod pool;
 pub mod protocol;
 
 pub use pool::{
-    RequestOptions, ServeHandle, ServeReply, Served, ServedStream, Server, ServerStats, ShardStats,
-    StreamEnd, StreamEvent, StreamTile, SubmitOptions, Ticket, TryEvent, TILE_POOL_CAP,
+    Notifier, RequestOptions, ServeHandle, ServeReply, Served, ServedStream, Server, ServerStats,
+    ShardStats, StreamEnd, StreamEvent, StreamTile, SubmitOptions, Ticket, TryEvent, TILE_POOL_CAP,
 };
 
 use hetjpeg_core::{DecodeOptions, Platform, DEFAULT_AUTO_CACHE_CAP};
@@ -76,11 +75,9 @@ pub struct ServeConfig {
     /// Per-shard admission-queue depth. A submit against a full queue
     /// blocks — backpressure, not unbounded buffering.
     pub queue_depth: usize,
-    /// Maximum images coalesced into one `decode_batch` call.
+    /// Maximum already-queued requests a shard worker takes off its queue
+    /// in one go (it never waits for more to arrive).
     pub max_batch: usize,
-    /// How long the first request of a batch may wait for company before
-    /// the batch is flushed regardless of size.
-    pub flush_after: Duration,
     /// `Mode::Auto` decision-cache cap for each shard's session.
     pub auto_cache_cap: usize,
     /// Target platform shared by every shard.
@@ -127,7 +124,6 @@ impl Default for ServeConfig {
             shards,
             queue_depth: 64,
             max_batch: 8,
-            flush_after: Duration::from_micros(200),
             auto_cache_cap: DEFAULT_AUTO_CACHE_CAP,
             platform: Platform::gtx560(),
             model: None,

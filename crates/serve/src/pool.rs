@@ -1,6 +1,6 @@
 //! The shard pool: worker threads owning one [`Decoder`] session each, fed
-//! by bounded per-shard admission queues whose consumers coalesce requests
-//! and decode them under one hot session.
+//! by bounded per-shard admission queues whose consumers take whatever is
+//! already queued and decode it under one hot session.
 //!
 //! ## Why shards, and why shape-keyed routing
 //!
@@ -26,14 +26,28 @@
 //!
 //! ## Batch admission
 //!
-//! Each worker blocks on its queue; on the first arrival it keeps
-//! collecting until the batch reaches [`ServeConfig::max_batch`] or
-//! [`ServeConfig::flush_after`] has elapsed, then decodes the coalesced
-//! group under its session. Under light load the deadline keeps latency
-//! bounded (a lone request waits at most `flush_after`); under heavy load
-//! batches fill instantly and the per-image admission overhead amortizes
-//! away. The queues are bounded: a flooded server blocks submitters
-//! (backpressure) rather than queueing without limit.
+//! Each worker blocks on its queue; on the first arrival it also takes
+//! whatever else is **already** queued, up to [`ServeConfig::max_batch`],
+//! and serves that group under its session, one request at a time. It
+//! never waits for company: a lone request starts decoding the moment the
+//! worker is free, and under load the group is as large as the backlog —
+//! batching that costs no latency because nothing is held back to form
+//! it. `batches`, `requests` and the `max_batch` high-water mark in
+//! [`ShardStats`] therefore measure real queueing, not a window. The
+//! queues are bounded: a flooded server blocks submitters (backpressure)
+//! rather than queueing without limit.
+//!
+//! ## Completion notification
+//!
+//! A submitter that cannot block on its [`Ticket`] — the event-driven
+//! front end — passes a [`Notifier`] with the request
+//! ([`ServeHandle::submit_nonblocking`]). The worker calls it after every
+//! message it sends toward that request: the ticket's reply and each
+//! [`StreamEvent`], on every exit of the serve path (decode, decode
+//! error, shed, breaker-open, shutdown drain, recovered panic), and once
+//! more when it lets go of the request, so even a worker that dies
+//! mid-request leaves its submitter a wake-up to find the hang-up with.
+//! Blocking submitters pass none and pay nothing.
 //!
 //! ## Failure domains (PR 8)
 //!
@@ -75,7 +89,6 @@ use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, AtomicU8, Ordering};
-use std::sync::mpsc::RecvTimeoutError;
 use std::sync::{mpsc, Arc, Mutex, Once};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -84,7 +97,7 @@ use std::time::{Duration, Instant};
 /// answers into, and the admission-control context attached at submit.
 struct Request {
     data: Vec<u8>,
-    reply: mpsc::Sender<Result<ServeReply, ServeError>>,
+    reply: Notifying<Result<ServeReply, ServeError>>,
     /// Per-request decode overrides (and the streaming opt-in).
     options: RequestOptions,
     /// Absolute completion deadline, when the submitter set one.
@@ -100,6 +113,63 @@ struct Request {
     /// Microseconds of estimated work charged to the serving shard's
     /// queue; the worker credits it back when the request completes.
     charged_us: u64,
+}
+
+/// Completion callback of an event-driven submitter
+/// ([`ServeHandle::submit_nonblocking`]): the shard worker calls it after
+/// every message it sends toward the request's [`Ticket`] or
+/// [`ServedStream`], so a loop that cannot block on those channels knows
+/// when to look. It runs on the worker between decodes — keep it cheap and
+/// never block in it. Spurious calls must be harmless.
+pub type Notifier = Arc<dyn Fn() + Send + Sync>;
+
+/// The worker's sending half of a reply or stream-event channel, paired
+/// with the submitter's [`Notifier`] so that "send, then tell the
+/// submitter to look" is one operation no exit path can forget half of.
+struct Notifying<T> {
+    // Field order is drop order: the channel disconnects first and the
+    // drop notification fires second, so a submitter woken because the
+    // worker let go of an unanswered request finds the hang-up, not an
+    // empty channel.
+    tx: mpsc::Sender<T>,
+    notifier: NotifyOnDrop,
+}
+
+/// Fires the notifier once more when the worker drops its end — the
+/// backstop for a request that is never answered (a worker dying outside
+/// `catch_unwind`, a request dropped on a closed queue).
+struct NotifyOnDrop(Option<Notifier>);
+
+impl Drop for NotifyOnDrop {
+    fn drop(&mut self) {
+        if let Some(notify) = &self.0 {
+            notify();
+        }
+    }
+}
+
+impl<T> Notifying<T> {
+    fn new(tx: mpsc::Sender<T>, notifier: Option<Notifier>) -> Notifying<T> {
+        Notifying {
+            tx,
+            notifier: NotifyOnDrop(notifier),
+        }
+    }
+
+    /// A second channel toward the same submitter (a reply's stream).
+    fn sibling<U>(&self, tx: mpsc::Sender<U>) -> Notifying<U> {
+        Notifying::new(tx, self.notifier.0.clone())
+    }
+
+    /// Send, then notify — in that order, so the message is in the channel
+    /// before the submitter is told to look for it.
+    fn send(&self, msg: T) -> Result<(), mpsc::SendError<T>> {
+        let sent = self.tx.send(msg);
+        if let Some(notify) = &self.notifier.0 {
+            notify();
+        }
+        sent
+    }
 }
 
 /// A successful server response: the decode outcome plus whether the
@@ -286,13 +356,43 @@ impl Ticket {
 
     /// Non-blocking poll: `None` while the worker has not answered yet.
     /// A dead worker answers [`ServeError::WorkerGone`]. The event-driven
-    /// front end pumps tickets with this from its poll loop.
+    /// front end pumps tickets with this when the request's [`Notifier`]
+    /// has fired.
     pub fn try_reply(&self) -> Option<Result<ServeReply, ServeError>> {
         match self.rx.try_recv() {
             Ok(r) => Some(r),
             Err(mpsc::TryRecvError::Empty) => None,
             Err(mpsc::TryRecvError::Disconnected) => Some(Err(ServeError::WorkerGone)),
         }
+    }
+
+    /// The ticket of a request the pool refused at submission: already
+    /// answered with the refusal, so a submitter that keeps its replies in
+    /// a queue of tickets needs no second kind of entry.
+    #[cfg(unix)] // its one user, the event front end, is unix-only
+    pub(crate) fn refused(error: ServeError) -> Ticket {
+        let (tx, rx) = mpsc::channel();
+        let _ = tx.send(Err(error));
+        Ticket { rx }
+    }
+
+    /// A ticket with no server behind it: the returned closure plays the
+    /// worker — it answers (send, then notify) when called with `Some`,
+    /// and lets go of the request unanswered on `None` or when dropped.
+    #[cfg(test)]
+    pub(crate) fn detached(
+        notifier: Option<Notifier>,
+    ) -> (
+        Ticket,
+        impl FnOnce(Option<Result<ServeReply, ServeError>>) + Send,
+    ) {
+        let (tx, rx) = mpsc::channel();
+        let slot = Notifying::new(tx, notifier);
+        (Ticket { rx }, move |reply| {
+            if let Some(reply) = reply {
+                let _ = slot.send(reply);
+            }
+        })
     }
 }
 
@@ -958,11 +1058,10 @@ impl Server {
         for (i, rx) in receivers.into_iter().enumerate() {
             let worker_inner = Arc::clone(&inner);
             let max_batch = config.max_batch;
-            let flush_after = config.flush_after;
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("hetjpeg-shard-{i}"))
-                    .spawn(move || shard_worker(&worker_inner, i, &rx, max_batch, flush_after))
+                    .spawn(move || shard_worker(&worker_inner, i, &rx, max_batch))
                     .expect("spawn shard worker"),
             );
         }
@@ -1068,7 +1167,7 @@ impl ServeHandle {
     /// so an admission mistake delays a request but never lets it decode
     /// in full past its deadline silently.
     pub fn submit_with(&self, data: Vec<u8>, options: SubmitOptions) -> Result<Ticket, ServeError> {
-        self.submit_impl(data, options, true)
+        self.submit_impl(data, options, None)
     }
 
     /// [`Self::submit_with`] that never blocks the caller: when every
@@ -1078,20 +1177,32 @@ impl ServeHandle {
     /// event-driven front end submits with this from its single poll
     /// thread, which must never park on a full queue — backpressure is
     /// surfaced to the client as an in-band `Busy` frame instead.
+    ///
+    /// Nor can that thread park on the ticket, so the worker calls
+    /// `notifier` whenever there is something to collect: after the
+    /// ticket's reply and after every [`StreamEvent`] of a streamed one
+    /// (see [`Notifier`]). Poll with [`Ticket::try_reply`] /
+    /// [`ServedStream::try_next`] when it fires.
     pub fn submit_nonblocking(
         &self,
         data: Vec<u8>,
         options: SubmitOptions,
+        notifier: Notifier,
     ) -> Result<Ticket, ServeError> {
-        self.submit_impl(data, options, false)
+        self.submit_impl(data, options, Some(notifier))
     }
 
+    /// `notifier` is what tells the two kinds of submitter apart: one that
+    /// brings a completion callback is an event loop and must never block
+    /// on a full queue; one that brings none waits on its ticket and may
+    /// as well wait for queue room.
     fn submit_impl(
         &self,
         data: Vec<u8>,
         options: SubmitOptions,
-        block: bool,
+        notifier: Option<Notifier>,
     ) -> Result<Ticket, ServeError> {
+        let block = notifier.is_none();
         let shards = self.inner.shards.len();
         let base = route(&data, shards);
         let home = &self.inner.shards[base];
@@ -1143,7 +1254,7 @@ impl ServeHandle {
         let (reply, rx) = mpsc::channel();
         let mut req = Request {
             data,
-            reply,
+            reply: Notifying::new(reply, notifier),
             options: options.options,
             deadline: options.deadline.map(|d| Instant::now() + d),
             degrade: options.degrade,
@@ -1363,15 +1474,15 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// The per-shard consumer: block for the first request, coalesce until the
-/// batch is full or the flush deadline passes, then serve each request of
-/// the group through the full resilience pipeline ([`serve_one`]).
+/// The per-shard consumer: block for the first request, take whatever else
+/// is already queued (natural batching — the worker never waits for
+/// company), then serve each request of the group through the full
+/// resilience pipeline ([`serve_one`]).
 fn shard_worker(
     inner: &Inner,
     shard: usize,
     rx: &crossbeam::channel::Receiver<Request>,
     max_batch: usize,
-    flush_after: Duration,
 ) {
     let state = &inner.shards[shard];
     let mut decoder = Arc::clone(&state.decoder.lock().expect("shard decoder slot"));
@@ -1384,21 +1495,12 @@ fn shard_worker(
             // Intake closed and queue drained: the shard is done.
             Err(_) => return,
         }
-        let mut flush_at = cut_flush(Instant::now() + flush_after, &batch[0]);
         while batch.len() < max_batch {
-            let now = Instant::now();
-            if now >= flush_at {
-                break;
-            }
-            match rx.recv_timeout(flush_at - now) {
-                Ok(r) => {
-                    flush_at = cut_flush(flush_at, &r);
-                    batch.push(r);
-                }
-                Err(RecvTimeoutError::Timeout) => break,
-                // Disconnected mid-coalesce: decode what we have, then the
-                // next outer recv() observes the disconnect and exits.
-                Err(RecvTimeoutError::Disconnected) => break,
+            match rx.try_recv() {
+                Ok(r) => batch.push(r),
+                // Empty, or disconnected with nothing left: serve what we
+                // have; the next outer recv() observes a disconnect.
+                Err(_) => break,
             }
         }
 
@@ -1414,29 +1516,6 @@ fn shard_worker(
         for req in batch.drain(..) {
             serve_one(inner, shard, &mut decoder, &mut pacer, &mut tiles, req);
         }
-    }
-}
-
-/// Cut the coalescing window for a deadline-bearing admission: the flush
-/// fires no later than the member's deadline minus its estimated decode
-/// time, so a request the admission gate already priced as feasible never
-/// burns its remaining slack waiting for batch company. Without the cut, a
-/// `flush_after` longer than the request's slack would hold it until the
-/// late recheck in [`serve_one`] sheds or degrades it — a silent SLO miss
-/// the server itself manufactured.
-fn cut_flush(current: Instant, req: &Request) -> Instant {
-    /// Scheduler-jitter headroom on top of the estimated decode time: a
-    /// `recv_timeout` wakeup a few milliseconds late must not turn a
-    /// feasible request into a late-recheck degrade.
-    const FLUSH_MARGIN: Duration = Duration::from_millis(5);
-    match req.deadline {
-        Some(dl) => {
-            let cut = dl
-                .checked_sub(Duration::from_micros(req.charged_us) + FLUSH_MARGIN)
-                .unwrap_or(dl);
-            current.min(cut)
-        }
-        None => current,
     }
 }
 
@@ -1716,6 +1795,7 @@ fn serve_streaming(
     let state = &inner.shards[shard];
     let counters = &state.counters;
     let (etx, erx) = mpsc::channel::<StreamEvent>();
+    let etx = req.reply.sibling(etx);
     if req
         .reply
         .send(Ok(ServeReply::Stream(ServedStream { rx: erx })))

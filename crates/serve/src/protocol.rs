@@ -133,10 +133,14 @@ pub struct Crc32 {
     state: u32,
 }
 
-const CRC32_TABLE: [u32; 256] = crc32_table();
+/// Slice-by-8 lookup tables. `CRC32_TABLES[0]` is the classic bytewise
+/// table; `CRC32_TABLES[k][b]` is the CRC state that byte `b` leaves behind
+/// after `k` further zero bytes, which is what lets eight input bytes be
+/// folded with eight independent lookups instead of a chain of eight.
+const CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0usize;
     while i < 256 {
         let mut c = i as u32;
@@ -149,10 +153,29 @@ const fn crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1usize;
+    while k < 8 {
+        let mut i = 0usize;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
+}
+
+/// One table walk per byte: the tail of [`Crc32::update`] and the oracle
+/// its tests hold the eight-byte path to.
+fn crc32_bytewise(mut state: u32, bytes: &[u8]) -> u32 {
+    for &b in bytes {
+        state = CRC32_TABLES[0][((state ^ b as u32) & 0xFF) as usize] ^ (state >> 8);
+    }
+    state
 }
 
 impl Crc32 {
@@ -161,11 +184,27 @@ impl Crc32 {
         Crc32 { state: 0xFFFF_FFFF }
     }
 
-    /// Fold `bytes` into the running checksum.
+    /// Fold `bytes` into the running checksum: eight bytes per step
+    /// (slice-by-8), the remaining `< 8` one at a time. The state after
+    /// any prefix equals the bytewise state, so how a stream is split
+    /// across calls cannot matter.
     pub fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.state = CRC32_TABLE[((self.state ^ b as u32) & 0xFF) as usize] ^ (self.state >> 8);
+        let t = &CRC32_TABLES;
+        let mut state = self.state;
+        let mut chunks = bytes.chunks_exact(8);
+        for c in &mut chunks {
+            let lo = u32::from_le_bytes([c[0], c[1], c[2], c[3]]) ^ state;
+            let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+            state = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][(hi & 0xFF) as usize]
+                ^ t[2][((hi >> 8) & 0xFF) as usize]
+                ^ t[1][((hi >> 16) & 0xFF) as usize]
+                ^ t[0][(hi >> 24) as usize];
         }
+        self.state = crc32_bytewise(state, chunks.remainder());
     }
 
     /// The checksum of everything folded in so far (does not consume the
@@ -1082,6 +1121,7 @@ pub fn serve_stdio(handle: &ServeHandle) -> io::Result<u64> {
 mod tests {
     use super::*;
     use crate::fault::FaultPlan;
+    use proptest::prelude::*;
     use std::sync::Arc;
 
     #[test]
@@ -1496,6 +1536,38 @@ mod tests {
         a.update(b"56789");
         assert_eq!(a.finish(), 0xCBF4_3926);
         assert_eq!(Crc32::new().finish(), 0);
+    }
+
+    proptest! {
+        #[test]
+        fn crc32_slice_by_8_equals_the_bytewise_oracle_however_it_is_split(
+            buf in prop::collection::vec(any::<u8>(), 4104..4105),
+            skip in 0usize..8,
+            // Half the cases stay around the eight-byte step and its tail.
+            len in prop_oneof![0usize..24, 0usize..4097],
+            cuts in prop::collection::vec(any::<usize>(), 0..5),
+        ) {
+            // Every start alignment: drop up to seven leading bytes of the
+            // allocation.
+            let data = &buf[skip..skip + len];
+            let oracle = crc32_bytewise(0xFFFF_FFFF, data) ^ 0xFFFF_FFFF;
+
+            let mut whole = Crc32::new();
+            whole.update(data);
+            prop_assert_eq!(whole.finish(), oracle, "unsplit, {} bytes", data.len());
+
+            // One to five `update` calls, cut at arbitrary points (empty
+            // pieces included).
+            let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (data.len() + 1)).collect();
+            cuts.sort_unstable();
+            let mut split = Crc32::new();
+            let mut from = 0;
+            for cut in cuts.iter().copied().chain([data.len()]) {
+                split.update(&data[from..cut]);
+                from = cut;
+            }
+            prop_assert_eq!(split.finish(), oracle, "{} bytes cut at {cuts:?}", data.len());
+        }
     }
 
     #[test]

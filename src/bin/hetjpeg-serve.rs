@@ -15,8 +15,8 @@
 //! frames. A zero-length request closes the connection gracefully.
 //!
 //! On unix, `--addr` serves with the event-driven front end
-//! (`hetjpeg_serve::frontend`): one thread, epoll readiness, zero threads
-//! per idle connection. `--threaded-frontend` selects the legacy
+//! (`hetjpeg_serve::frontend`): one thread, epoll readiness and shard
+//! completions, zero threads and zero loop passes per idle connection. `--threaded-frontend` selects the legacy
 //! thread-per-connection loop; `--max-connections N` sets the admission
 //! cap for either (over-cap clients get a `busy` frame, never a silent
 //! drop).
@@ -51,7 +51,7 @@ use std::time::Duration;
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  hetjpeg-serve (--addr HOST:PORT | --stdio | --smoke | --chaos-smoke)\n\
-         \u{20}              [--shards N] [--queue-depth N] [--max-batch N] [--flush-us N]\n\
+         \u{20}              [--shards N] [--queue-depth N] [--max-batch N]\n\
          \u{20}              [--cache-cap N] [--threads N] [--platform gt430|gtx560|gtx680]\n\
          \u{20}              [--model model.txt] [--max-pixels N] [--tolerant]\n\
          \u{20}              [--max-scans N] [--scan-deadline-us N]\n\
@@ -87,9 +87,6 @@ fn config_from_args(args: &[String]) -> Result<ServeConfig, ExitCode> {
     }
     if let Some(n) = parse_or_usage(args, "--max-batch")? {
         config.max_batch = n;
-    }
-    if let Some(us) = parse_or_usage::<u64>(args, "--flush-us")? {
-        config.flush_after = Duration::from_micros(us);
     }
     if let Some(n) = parse_or_usage(args, "--cache-cap")? {
         config.auto_cache_cap = n;
@@ -290,8 +287,14 @@ fn serve_listener(
             listener,
             max_connections.unwrap_or(DEFAULT_MAX_CONNECTIONS),
         )?;
-        fe.run()?;
-        return Ok(());
+        let served = fe.run();
+        let stats = fe.stats();
+        eprintln!(
+            "front end: {} connections accepted ({} refused over the cap, peak {} open), \
+             {} requests in {} loop wake-ups",
+            stats.accepted, stats.rejected, stats.peak_connections, stats.requests, stats.wakeups,
+        );
+        return served.map(|_| ());
     }
     let _ = threaded;
     protocol::serve_tcp_with(

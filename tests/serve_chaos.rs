@@ -239,6 +239,126 @@ fn shutdown_drains_breaker_open_queue_with_explicit_errors() {
     assert_eq!(stats.shed(), 0, "drained requests are Shutdown, not Busy");
 }
 
+/// Run the event-driven front end on a loopback port for the duration of
+/// `client`: the error exits of the serve path below are only reachable
+/// by its connections through a completion notification — there is no
+/// tick to find an un-notified reply — so a missing one hangs the client's
+/// read (bounded by its read timeout) instead of passing late.
+#[cfg(unix)]
+fn through_front_end(server: &Server, client: impl FnOnce(&mut TcpStream)) {
+    use hetjpeg::serve::frontend::FrontEnd;
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let fe = Arc::new(FrontEnd::new(server.handle(), listener).unwrap());
+    let runner = {
+        let fe = Arc::clone(&fe);
+        std::thread::spawn(move || fe.run())
+    };
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    client(&mut stream);
+    protocol::write_goodbye(&mut stream).unwrap();
+    fe.stop();
+    runner.join().unwrap().unwrap();
+}
+
+#[cfg(unix)]
+#[test]
+fn panic_isolation_holds_through_the_event_front_end() {
+    // The seeded-panic case again, over TCP through `FrontEnd`, with every
+    // other request streamed so the panic (the 3rd decode) is recovered on
+    // the streaming path and its neighbours on the whole-frame one.
+    let plan = Arc::new(FaultPlan::parse("panic=#3:21").unwrap());
+    let server = Server::start(ServeConfig {
+        shards: 2,
+        breaker_threshold: 99,
+        fault_plan: Some(plan.clone()),
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let jpegs: Vec<Vec<u8>> = (0..6).map(jpeg_for).collect();
+    let refs = reference_bytes(&jpegs);
+    through_front_end(&server, |stream| {
+        for (i, j) in jpegs.iter().enumerate() {
+            if i % 2 == 0 {
+                let mut options = hetjpeg::serve::SubmitOptions::default();
+                options.options.streaming = true;
+                protocol::write_request_v2_opts(stream, j, &options).unwrap();
+            } else {
+                protocol::write_request(stream, j).unwrap();
+            }
+            match protocol::read_response(stream).unwrap() {
+                protocol::ServerReply::Ok(frame) => {
+                    assert_ne!(i, 2, "the 3rd request panics");
+                    assert_eq!(frame.rgb, refs[i], "image {i}");
+                }
+                protocol::ServerReply::Error(msg) => {
+                    assert_eq!(i, 2, "unexpected error on image {i}: {msg}");
+                    assert!(msg.contains("injected"), "unexpected payload: {msg}");
+                }
+                other => panic!("image {i}: unexpected reply {other:?}"),
+            }
+        }
+    });
+    let stats = server.shutdown();
+    assert_eq!(stats.requests(), 6);
+    assert_eq!(stats.panics_recovered(), 1);
+    assert_eq!(stats.sessions_rebuilt(), 1);
+    assert_eq!(stats.streamed(), 2, "requests 0 and 4; request 2 panicked");
+    assert_eq!(stats.decode_errors(), 0);
+    assert_eq!(plan.injections_fired(), 1);
+}
+
+#[cfg(unix)]
+#[test]
+fn open_breaker_sheds_through_the_event_front_end() {
+    // Three pipelined requests are all queued while the first one's
+    // injected stall holds the worker. Two whole-frame panics then trip
+    // the breaker, so the third meets it open at the worker's gate and
+    // must come back as an in-band Busy frame with the cooldown as its
+    // hint. (Sent any later it would be shed at submission, before the
+    // worker: `requests == 3` below says it was not.)
+    let server = Server::start(ServeConfig {
+        shards: 1,
+        breaker_threshold: 2,
+        breaker_cooldown: Duration::from_secs(10),
+        fault_plan: Some(Arc::new(
+            FaultPlan::parse("latency=#1x200ms,panic=#1,panic=#2").unwrap(),
+        )),
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let jpeg = jpeg_for(500);
+    through_front_end(&server, |stream| {
+        use std::io::Write;
+        let mut pipelined = Vec::new();
+        protocol::write_request(&mut pipelined, &jpeg).unwrap();
+        protocol::write_request(&mut pipelined, &jpeg).unwrap();
+        // v2: only v2 clients are ever sent a Busy status.
+        protocol::write_request_v2(&mut pipelined, &jpeg, None, false).unwrap();
+        stream.write_all(&pipelined).unwrap();
+        for n in 0..2 {
+            match protocol::read_response(stream).unwrap() {
+                protocol::ServerReply::Error(msg) => assert!(msg.contains("panicked"), "{msg}"),
+                other => panic!("decode {n} should panic, got {other:?}"),
+            }
+        }
+        match protocol::read_response(stream).unwrap() {
+            protocol::ServerReply::Busy { retry_after } => {
+                assert!(retry_after <= Duration::from_secs(10));
+            }
+            other => panic!("expected Busy from the open breaker, got {other:?}"),
+        }
+    });
+    let stats = server.shutdown();
+    assert_eq!(stats.requests(), 3, "all three reached the worker");
+    assert_eq!(stats.panics_recovered(), 2);
+    assert_eq!(stats.breaker_trips(), 1);
+    assert_eq!(stats.shed(), 1);
+}
+
 #[test]
 fn transparent_fault_plan_leaves_results_and_counters_untouched() {
     // The CI suite runs once under HETJPEG_FAULT with a plan like this one:

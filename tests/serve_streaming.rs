@@ -8,7 +8,7 @@
 //! tile count never exceeds the bounded tile pool.
 
 use hetjpeg::serve::protocol::{
-    self, read_response, read_response_streamed, write_goodbye, write_request,
+    self, forced_streaming, read_response, read_response_streamed, write_goodbye, write_request,
     write_request_v2_opts, ServerReply,
 };
 use hetjpeg::serve::{
@@ -470,22 +470,20 @@ fn saturated_listener_sheds_with_busy_not_silence() {
 
 #[test]
 fn feasible_deadline_is_not_degraded_by_a_long_coalesce_window() {
-    // Regression: with flush_after longer than a request's deadline, the
-    // coalescing wait used to hold a feasible request past its deadline
-    // and the late recheck degraded (or shed) it — an SLO miss the server
-    // manufactured. The flush cut bounds the wait by the admitted
-    // deadline's slack.
+    // Regression: a coalescing wait longer than a request's deadline used
+    // to hold a feasible request past it, and the late recheck degraded
+    // (or shed) it — an SLO miss the server manufactured. The worker no
+    // longer waits for batch company at all; the behaviour stays pinned.
     let server = Server::start(ServeConfig {
         shards: 1,
-        flush_after: Duration::from_secs(5),
         ..ServeConfig::default()
     })
     .unwrap();
     let handle = server.handle();
     let j = jpeg(96, 96, 61, Subsampling::S420);
 
-    // Calibrate the shard (batched warm-up without deadlines would wait
-    // out the giant flush window; submit them together so they coalesce).
+    // Calibrate the shard: three deadline-bearing requests teach it its
+    // wall-per-virtual ratio.
     let warm: Vec<_> = (0..3)
         .map(|_| {
             handle
@@ -504,8 +502,8 @@ fn feasible_deadline_is_not_degraded_by_a_long_coalesce_window() {
     }
 
     // The probe: a 1-second deadline against a millisecond decode is
-    // comfortably feasible — it must be served in full, well before the
-    // 5-second flush window, with no degrade and no shed.
+    // comfortably feasible — it must be served in full and promptly, with
+    // no degrade and no shed.
     let started = Instant::now();
     let served = handle
         .decode_with(
@@ -524,7 +522,7 @@ fn feasible_deadline_is_not_degraded_by_a_long_coalesce_window() {
     );
     assert!(
         elapsed < Duration::from_secs(3),
-        "flush window was not cut: took {elapsed:?}"
+        "a lone request was held back: took {elapsed:?}"
     );
 
     let stats = server.shutdown();
@@ -668,6 +666,110 @@ fn event_frontend_sheds_over_cap_connections_in_band() {
     fe.stop();
     runner.join().unwrap().unwrap();
     server.shutdown();
+}
+
+/// A client that stops reading mid-reply must neither spin the loop nor be
+/// forgotten by it: with no tick to retry the flush, write interest is the
+/// only thing that resumes a `WouldBlock`ed connection. One reply of ~9 MiB
+/// — more than a loopback socket pair buffers with nobody reading — is
+/// requested, left unread until the front end has gone quiet, left unread
+/// for 300 ms more while the loop's pass counter is watched, then read to
+/// the end and compared with the direct decode. (Linux only: the fallback
+/// poller cannot block on a source, so its loop ticks by design.)
+#[cfg(target_os = "linux")]
+fn stalled_reader_neither_spins_nor_waits_for_a_clock(streaming: bool) {
+    use hetjpeg::serve::frontend::FrontEnd;
+    use std::io::Read;
+    use std::net::{TcpListener, TcpStream};
+    use std::sync::{Arc, OnceLock};
+
+    let server = Server::start(ServeConfig {
+        shards: 1,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let fe = Arc::new(FrontEnd::new(server.handle(), listener).unwrap());
+    let runner = {
+        let fe = Arc::clone(&fe);
+        std::thread::spawn(move || fe.run())
+    };
+    // Both callers want the same 3 MP image and its direct decode; in a
+    // debug build making them is most of the test, so make them once.
+    static IMAGE: OnceLock<(Vec<u8>, hetjpeg_jpeg::types::RgbImage)> = OnceLock::new();
+    let (j, reference) = IMAGE.get_or_init(|| {
+        let j = jpeg(2048, 1536, 111, Subsampling::S420);
+        let decoder = Decoder::builder().build().unwrap();
+        let reference = decoder.decode(&j, DecodeOptions::default()).unwrap().image;
+        (j, reference)
+    });
+
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(120)))
+        .unwrap();
+    let mut options = SubmitOptions::default();
+    options.options.streaming = streaming;
+    write_request_v2_opts(&mut stream, j, &options).unwrap();
+
+    // The reply has started (its first byte is here, unconsumed)…
+    stream.peek(&mut [0u8; 1]).unwrap();
+    // …and the front end has stopped making passes: every buffer on
+    // the way to this client is full. A loop that polls on a clock
+    // never gets here.
+    let deadline = Instant::now() + Duration::from_secs(120);
+    loop {
+        let before = fe.stats().wakeups;
+        std::thread::sleep(Duration::from_millis(100));
+        if fe.stats().wakeups == before {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the front end never went quiet behind a client that is not reading"
+        );
+    }
+
+    let stalled = fe.stats().wakeups;
+    std::thread::sleep(Duration::from_millis(300));
+    let during_stall = fe.stats().wakeups - stalled;
+    assert!(
+        during_stall <= 2,
+        "{during_stall} loop passes in 300 ms with the writer stalled"
+    );
+
+    // Reading again must resume the writer, on writability alone.
+    let reply = read_response(&mut stream).unwrap();
+    let frame = reply
+        .frame()
+        .unwrap_or_else(|| panic!("stalled reply: {reply:?}"));
+    assert_eq!(
+        (frame.width as usize, frame.height as usize),
+        (reference.width, reference.height)
+    );
+    assert!(frame.rgb == reference.data, "resumed reply differs");
+    write_goodbye(&mut stream).unwrap();
+    let mut rest = Vec::new();
+    stream.read_to_end(&mut rest).unwrap();
+    assert!(rest.is_empty());
+    fe.stop();
+    runner.join().unwrap().unwrap();
+    let stats = server.shutdown();
+    assert_eq!(stats.streamed(), u64::from(streaming || forced_streaming()));
+    assert!(stats.stream_tile_peak() <= TILE_POOL_CAP as u64);
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn stalled_streamed_reply_resumes_on_writability() {
+    stalled_reader_neither_spins_nor_waits_for_a_clock(true);
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn stalled_whole_frame_reply_resumes_on_writability() {
+    stalled_reader_neither_spins_nor_waits_for_a_clock(false);
 }
 
 #[test]
