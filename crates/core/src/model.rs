@@ -189,6 +189,47 @@ impl PerformanceModel {
         }
     }
 
+    /// The first defect that would make this model panic or mis-price a
+    /// decode, or `None` for a usable model. A zero work-group divides by
+    /// zero inside the kernels and a zero chunk height stalls the chunk
+    /// loop. Every number must be finite — [`Self::load_str`] parses `NaN`
+    /// and `inf`, and one poisoned term silently prices a band at nothing
+    /// (`(base + NaN).max(0.0)` is 0) — every input scale positive (the
+    /// forms divide by it), the IDCT discount positive and the speculation
+    /// prefix non-negative.
+    pub(crate) fn defect(&self) -> Option<&'static str> {
+        if self.wg_blocks == 0 {
+            return Some("wg_blocks must be >= 1");
+        }
+        if self.chunk_mcu_rows == 0 {
+            return Some("chunk_mcu_rows must be >= 1");
+        }
+        let poly1s = [&self.thuff_ns_per_px, &self.h2d_s_per_px];
+        let poly2s = [&self.p_cpu, &self.p_gpu, &self.t_disp];
+        let finite_coefs = poly1s.iter().all(|p| p.coefs.iter().all(|c| c.is_finite()))
+            && poly2s
+                .iter()
+                .all(|p| p.coefs.iter().flatten().all(|c| c.is_finite()));
+        if !finite_coefs || !self.h2d_ref_density.is_finite() {
+            return Some("non-finite coefficient");
+        }
+        let positive = |x: f64| x.is_finite() && x > 0.0;
+        let scales_ok = poly1s.iter().all(|p| positive(p.x_scale))
+            && poly2s
+                .iter()
+                .all(|p| positive(p.x_scale) && positive(p.y_scale));
+        if !scales_ok {
+            return Some("input scales must be finite and > 0");
+        }
+        if !positive(self.pcpu_idct_discount) {
+            return Some("pcpu_idct_discount must be finite and > 0");
+        }
+        if !(self.spec_prefix_mcus.is_finite() && self.spec_prefix_mcus >= 0.0) {
+            return Some("spec_prefix_mcus must be finite and >= 0");
+        }
+        None
+    }
+
     /// Serialize to the `key = value` text format.
     pub fn save_str(&self) -> String {
         let mut out = String::new();

@@ -273,28 +273,9 @@ impl DecoderBuilder {
                 platform: platform.name.to_string(),
             });
         }
-        // Defects that would otherwise panic or mis-partition mid-decode:
-        // a zero work-group divides by zero inside the kernels, a zero
-        // chunk height dead-locks the chunk loop's progress assumptions,
-        // and non-finite coefficients poison every Newton solve.
-        if model.wg_blocks == 0 {
-            return Err(BuildError::InvalidModel("wg_blocks must be >= 1"));
-        }
-        if model.chunk_mcu_rows == 0 {
-            return Err(BuildError::InvalidModel("chunk_mcu_rows must be >= 1"));
-        }
-        let finite1 = |p: &crate::regress::Poly1| p.coefs.iter().all(|c| c.is_finite());
-        let finite2 = |p: &crate::regress::Poly2| {
-            p.coefs.iter().flatten().all(|c| c.is_finite())
-                && p.x_scale.is_finite()
-                && p.y_scale.is_finite()
-        };
-        if !finite1(&model.thuff_ns_per_px)
-            || !finite2(&model.p_cpu)
-            || !finite2(&model.p_gpu)
-            || !finite2(&model.t_disp)
-        {
-            return Err(BuildError::InvalidModel("non-finite coefficient"));
+        // Defects that would otherwise panic or mis-price mid-decode.
+        if let Some(what) = model.defect() {
+            return Err(BuildError::InvalidModel(what));
         }
         Ok(Decoder {
             platform,
@@ -1068,10 +1049,59 @@ mod tests {
             Decoder::builder().model(bad).build(),
             Err(BuildError::InvalidModel(_))
         ));
-        let mut nan = Platform::gtx560().untrained_model();
-        nan.p_gpu.coefs[1][1] = f64::NAN;
+        // Every number of the model, doctored one at a time: NaN and ±inf
+        // anywhere, and a zero where the model divides or discounts by it.
+        // `h2d_ref_density = NaN` used to price the GPU band at zero.
+        type Field = fn(&mut crate::model::PerformanceModel) -> &mut f64;
+        let fields: [(&str, Field, bool); 16] = [
+            ("thuff coef", |m| &mut m.thuff_ns_per_px.coefs[0], false),
+            ("thuff x_scale", |m| &mut m.thuff_ns_per_px.x_scale, true),
+            ("h2d coef", |m| &mut m.h2d_s_per_px.coefs[0], false),
+            ("h2d x_scale", |m| &mut m.h2d_s_per_px.x_scale, true),
+            ("h2d_ref_density", |m| &mut m.h2d_ref_density, false),
+            ("pcpu_idct_discount", |m| &mut m.pcpu_idct_discount, true),
+            ("spec_prefix_mcus", |m| &mut m.spec_prefix_mcus, false),
+            ("p_cpu coef", |m| &mut m.p_cpu.coefs[1][1], false),
+            ("p_cpu x_scale", |m| &mut m.p_cpu.x_scale, true),
+            ("p_cpu y_scale", |m| &mut m.p_cpu.y_scale, true),
+            ("p_gpu coef", |m| &mut m.p_gpu.coefs[1][1], false),
+            ("p_gpu x_scale", |m| &mut m.p_gpu.x_scale, true),
+            ("p_gpu y_scale", |m| &mut m.p_gpu.y_scale, true),
+            ("t_disp coef", |m| &mut m.t_disp.coefs[0][0], false),
+            ("t_disp x_scale", |m| &mut m.t_disp.x_scale, true),
+            ("t_disp y_scale", |m| &mut m.t_disp.y_scale, true),
+        ];
+        for (name, field, zero_is_bad) in fields {
+            let zero = zero_is_bad.then_some(0.0);
+            for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY]
+                .into_iter()
+                .chain(zero)
+            {
+                let mut m = Platform::gtx560().untrained_model();
+                *field(&mut m) = v;
+                assert!(
+                    matches!(
+                        Decoder::builder().model(m).build(),
+                        Err(BuildError::InvalidModel(_))
+                    ),
+                    "{name} = {v} must be refused"
+                );
+            }
+        }
+        let mut negative = Platform::gtx560().untrained_model();
+        negative.spec_prefix_mcus = -1.0;
         assert!(matches!(
-            Decoder::builder().model(nan).build(),
+            Decoder::builder().model(negative).build(),
+            Err(BuildError::InvalidModel(_))
+        ));
+        // A saved file carrying NaN loads (`f64::from_str` accepts it) and
+        // is refused at the session boundary.
+        let mut text = Platform::gtx560().untrained_model().save_str();
+        text = text.replace("h2d_ref_density = 0e0", "h2d_ref_density = NaN");
+        let loaded = crate::model::PerformanceModel::load_str(&text).expect("parses");
+        assert!(loaded.h2d_ref_density.is_nan());
+        assert!(matches!(
+            Decoder::builder().model(loaded).build(),
             Err(BuildError::InvalidModel(_))
         ));
         // The happy path still builds.

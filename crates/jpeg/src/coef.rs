@@ -24,6 +24,11 @@ pub struct CoefBuffer {
     data: Vec<i16>,
     /// Per-block EOB upper bound (highest possibly-nonzero zigzag index).
     eob: Vec<u8>,
+    /// Per-block nonzero-history masks of the progressive decoder
+    /// ([`crate::progressive::decode`]). Empty until a progressive fill
+    /// sizes it, so baseline decodes never pay for it; pooled with the
+    /// coefficients so later progressive fills reuse the allocation.
+    history: Vec<u64>,
 }
 
 /// Dense-safe EOB: assume every coefficient may be nonzero.
@@ -35,6 +40,7 @@ impl CoefBuffer {
         CoefBuffer {
             data: vec![0; geom.total_blocks * 64],
             eob: vec![EOB_DENSE; geom.total_blocks],
+            history: Vec::new(),
         }
     }
 
@@ -98,6 +104,16 @@ impl CoefBuffer {
     pub fn set_eob(&mut self, block_index: usize, eob: u8) {
         debug_assert!(eob <= EOB_DENSE);
         self.eob[block_index] = eob;
+    }
+
+    /// Lend the progressive decoder the coefficients, the EOB sidecar and
+    /// one nonzero-history mask per block, the masks zeroed and sized to
+    /// this buffer. The sidecar is left as it is: the decoder writes every
+    /// entry once, when it finishes.
+    pub(crate) fn progressive_parts(&mut self) -> (&mut [i16], &mut [u8], &mut [u64]) {
+        self.history.clear();
+        self.history.resize(self.eob.len(), 0);
+        (&mut self.data, &mut self.eob, &mut self.history)
     }
 
     /// The raw flat storage (e.g. for simulated PCIe transfer sizing).
@@ -176,6 +192,7 @@ impl CoefBuffer {
         CoefBuffer {
             data: self.data.clone(),
             eob: vec![EOB_DENSE; self.eob.len()],
+            history: Vec::new(),
         }
     }
 

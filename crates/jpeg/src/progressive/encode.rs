@@ -17,9 +17,10 @@
 //! same flush thresholds), so their symbol streams are identical by
 //! construction.
 //!
-//! Progressive scans are emitted restart-free: `EncodeParams::
-//! restart_interval` is ignored (the decoder still honours DRI in foreign
-//! streams).
+//! `EncodeParams::restart_interval` is honoured per scan: a restart unit is
+//! an MCU of the interleaved DC scans and a block of every other scan, and
+//! each interval ends with the EOB run (and the correction bits buffered
+//! behind it) flushed, DC predictors reset and an RSTn marker.
 
 use super::decode::non_interleaved_grid;
 use crate::bitio::BitWriter;
@@ -124,8 +125,7 @@ pub fn encode_rgb_progressive(
     let geom = Geometry::new(w, h, params.subsampling)?;
     let planes = build_component_planes(rgb, &geom);
     let (coef, quant_l, quant_c) = transform_and_quantize(&planes, &geom, params.quality)?;
-    let mut frame = frame_info(&geom, params);
-    frame.restart_interval = 0; // progressive scans are emitted restart-free
+    let frame = frame_info(&geom, params);
 
     let mut out = Vec::new();
     markers::write_soi(&mut out);
@@ -133,6 +133,9 @@ pub fn encode_rgb_progressive(
     markers::write_dqt(&mut out, 0, &quant_l);
     markers::write_dqt(&mut out, 1, &quant_c);
     markers::write_sof2(&mut out, &frame);
+    if frame.restart_interval > 0 {
+        markers::write_dri(&mut out, frame.restart_interval as u16);
+    }
     for sspec in preset.scans() {
         encode_scan(&mut out, &coef, &geom, &frame, &sspec)?;
     }
@@ -149,6 +152,8 @@ trait Sink {
     fn symbol(&mut self, slot: usize, sym: u8) -> Result<()>;
     /// Record/emit raw bits (magnitudes, signs, correction bits).
     fn bits(&mut self, v: u32, n: u32);
+    /// Emit restart marker RSTn (padding to a byte first).
+    fn restart(&mut self, n: u8);
 }
 
 /// First pass: frequency statistics only.
@@ -162,6 +167,7 @@ impl Sink for CountSink {
         Ok(())
     }
     fn bits(&mut self, _v: u32, _n: u32) {}
+    fn restart(&mut self, _n: u8) {}
 }
 
 /// Second pass: real bits through the optimal tables.
@@ -177,6 +183,9 @@ impl Sink for EmitSink {
     }
     fn bits(&mut self, v: u32, n: u32) {
         self.w.put_bits(v, n);
+    }
+    fn restart(&mut self, n: u8) {
+        self.w.put_restart_marker(n);
     }
 }
 
@@ -218,42 +227,62 @@ fn flush_eobrun<S: Sink>(sink: &mut S, st: &mut ScanState) -> Result<()> {
 }
 
 /// Run the walker for one scan against a sink, including the end-of-scan
-/// EOBRUN flush.
+/// EOBRUN flush. `interval` is the restart interval (0 = none).
 fn run_scan<S: Sink>(
     coef: &CoefBuffer,
     geom: &Geometry,
     sspec: &ScanSpec,
+    interval: usize,
     sink: &mut S,
 ) -> Result<()> {
     let mut st = ScanState::default();
     if sspec.is_dc() {
-        dc_first_scan(coef, geom, sspec, &mut st, sink)?;
+        dc_first_scan(coef, geom, sspec, interval, &mut st, sink)?;
     } else if sspec.is_refinement() {
-        ac_refine_scan(coef, geom, sspec, &mut st, sink)?;
+        ac_refine_scan(coef, geom, sspec, interval, &mut st, sink)?;
     } else {
-        ac_first_scan(coef, geom, sspec, &mut st, sink)?;
+        ac_first_scan(coef, geom, sspec, interval, &mut st, sink)?;
     }
     flush_eobrun(sink, &mut st)
 }
 
+/// The RSTn index due before restart unit `unit` (counted from 0) of a
+/// scan with restart interval `interval`, if a marker precedes that unit.
+fn restart_before(unit: usize, interval: usize) -> Option<u8> {
+    (interval != 0 && unit != 0 && unit.is_multiple_of(interval))
+        .then(|| ((unit / interval - 1) & 7) as u8)
+}
+
+/// Close a restart interval: flush the EOB run with its buffered
+/// correction bits, reset the DC predictors, emit RSTn.
+fn restart<S: Sink>(sink: &mut S, st: &mut ScanState, n: u8) -> Result<()> {
+    flush_eobrun(sink, st)?;
+    st.dc_pred = [0; 3];
+    sink.restart(n);
+    Ok(())
+}
+
 /// Iterate the blocks a DC scan covers (interleaved MCU order for multiple
 /// components, the unpadded T.81 grid for a single one) yielding block
-/// indices with their component.
+/// indices with their component, plus — on the first block of a restart
+/// unit that a marker precedes — that marker's RSTn index.
 fn for_each_dc_block(
     geom: &Geometry,
     comps: &[usize],
-    mut f: impl FnMut(usize, usize) -> Result<()>,
+    interval: usize,
+    mut f: impl FnMut(usize, usize, Option<u8>) -> Result<()>,
 ) -> Result<()> {
     if comps.len() > 1 {
         for mcu_y in 0..geom.mcus_y {
             for mcu_x in 0..geom.mcus_x {
+                let mut rst = restart_before(mcu_y * geom.mcus_x + mcu_x, interval);
                 for &ci in comps {
                     let comp = &geom.comps[ci];
                     for v in 0..comp.v_samp {
                         for hx in 0..comp.h_samp {
                             let bx = mcu_x * comp.h_samp + hx;
                             let by = mcu_y * comp.v_samp + v;
-                            f(ci, geom.block_index(ci, bx, by))?;
+                            f(ci, geom.block_index(ci, bx, by), rst.take())?;
                         }
                     }
                 }
@@ -264,7 +293,8 @@ fn for_each_dc_block(
         let (bw, bh) = non_interleaved_grid(geom, ci);
         for by in 0..bh {
             for bx in 0..bw {
-                f(ci, geom.block_index(ci, bx, by))?;
+                let rst = restart_before(by * bw + bx, interval);
+                f(ci, geom.block_index(ci, bx, by), rst)?;
             }
         }
     }
@@ -277,11 +307,15 @@ fn dc_first_scan<S: Sink>(
     coef: &CoefBuffer,
     geom: &Geometry,
     sspec: &ScanSpec,
+    interval: usize,
     st: &mut ScanState,
     sink: &mut S,
 ) -> Result<()> {
     let al = sspec.al;
-    for_each_dc_block(geom, &sspec.comps, |ci, idx| {
+    for_each_dc_block(geom, &sspec.comps, interval, |ci, idx, rst| {
+        if let Some(n) = rst {
+            restart(sink, st, n)?;
+        }
         let dc = (coef.block(idx)[0] as i32) >> al;
         let diff = dc - st.dc_pred[ci];
         st.dc_pred[ci] = dc;
@@ -300,9 +334,18 @@ fn dc_first_scan<S: Sink>(
 }
 
 /// DC refinement: one raw bit per block, no entropy tables at all.
-fn dc_refine_scan(coef: &CoefBuffer, geom: &Geometry, sspec: &ScanSpec, w: &mut BitWriter) {
+fn dc_refine_scan(
+    coef: &CoefBuffer,
+    geom: &Geometry,
+    sspec: &ScanSpec,
+    interval: usize,
+    w: &mut BitWriter,
+) {
     let al = sspec.al;
-    for_each_dc_block(geom, &sspec.comps, |_ci, idx| {
+    for_each_dc_block(geom, &sspec.comps, interval, |_ci, idx, rst| {
+        if let Some(n) = rst {
+            w.put_restart_marker(n);
+        }
         let dc = coef.block(idx)[0] as i32;
         w.put_bits(((dc >> al) & 1) as u32, 1);
         Ok(())
@@ -316,6 +359,7 @@ fn ac_first_scan<S: Sink>(
     coef: &CoefBuffer,
     geom: &Geometry,
     sspec: &ScanSpec,
+    interval: usize,
     st: &mut ScanState,
     sink: &mut S,
 ) -> Result<()> {
@@ -323,6 +367,9 @@ fn ac_first_scan<S: Sink>(
     let (bw, bh) = non_interleaved_grid(geom, ci);
     for by in 0..bh {
         for bx in 0..bw {
+            if let Some(n) = restart_before(by * bw + bx, interval) {
+                restart(sink, st, n)?;
+            }
             let block = coef.block(geom.block_index(ci, bx, by));
             let mut r = 0u32;
             for k in sspec.ss..=sspec.se {
@@ -366,6 +413,7 @@ fn ac_refine_scan<S: Sink>(
     coef: &CoefBuffer,
     geom: &Geometry,
     sspec: &ScanSpec,
+    interval: usize,
     st: &mut ScanState,
     sink: &mut S,
 ) -> Result<()> {
@@ -373,6 +421,9 @@ fn ac_refine_scan<S: Sink>(
     let (bw, bh) = non_interleaved_grid(geom, ci);
     for by in 0..bh {
         for bx in 0..bw {
+            if let Some(n) = restart_before(by * bw + bx, interval) {
+                restart(sink, st, n)?;
+            }
             let block = coef.block(geom.block_index(ci, bx, by));
             // Shifted magnitudes and the last newly-nonzero position: runs
             // beyond it fold into the EOB run instead of ZRL symbols.
@@ -441,7 +492,7 @@ fn encode_scan(
         // Raw-bit scan: no Huffman tables, single pass.
         write_scan_header(out, frame, sspec);
         let mut w = BitWriter::new();
-        dc_refine_scan(coef, geom, sspec, &mut w);
+        dc_refine_scan(coef, geom, sspec, frame.restart_interval, &mut w);
         out.extend_from_slice(&w.finish());
         return Ok(());
     }
@@ -450,7 +501,7 @@ fn encode_scan(
     let mut count = CountSink {
         freq: [[0u32; FREQ_SLOTS]; 2],
     };
-    run_scan(coef, geom, sspec, &mut count)?;
+    run_scan(coef, geom, sspec, frame.restart_interval, &mut count)?;
 
     // Optimal tables for the slots the scan used, DHT segments in slot
     // order. DC scans put luma on slot 0 and chroma on slot 1; AC scans
@@ -472,7 +523,7 @@ fn encode_scan(
         w: BitWriter::new(),
         tables,
     };
-    run_scan(coef, geom, sspec, &mut emit)?;
+    run_scan(coef, geom, sspec, frame.restart_interval, &mut emit)?;
     out.extend_from_slice(&emit.w.finish());
     Ok(())
 }
@@ -544,7 +595,13 @@ mod tests {
             (ScanPreset::Standard10, Subsampling::S444, 64, 48),
             (ScanPreset::Spectral4, Subsampling::S422, 40, 24),
         ];
-        for (ci_case, (preset, sub, w, h)) in cases.into_iter().enumerate() {
+        // DRI 3: EOB runs, buffered correction bits and DC predictors all
+        // cross restart boundaries in every scan kind.
+        let runs = cases
+            .into_iter()
+            .enumerate()
+            .flat_map(|c| [(c, 0usize), (c, 3)]);
+        for ((ci_case, (preset, sub, w, h)), restart_interval) in runs {
             let rgb = if ci_case == 1 {
                 gradient_rgb(w, h) // smooth content: long EOB runs
             } else {
@@ -553,13 +610,17 @@ mod tests {
             let params = EncodeParams {
                 quality: 80,
                 subsampling: sub,
-                restart_interval: 0,
+                restart_interval,
             };
             let file = encode_rgb_progressive(&rgb, w as u32, h as u32, &params, preset).unwrap();
             assert!(is_progressive(&file));
             let prog = parse_progressive(&file).unwrap();
             assert!(prog.complete && prog.damage.is_none());
             assert_eq!(prog.scans.len(), preset.scans().len());
+            assert!(prog
+                .scans
+                .iter()
+                .all(|s| s.restart_interval == restart_interval));
 
             let geom = Geometry::new(w, h, sub).unwrap();
             let want = reference_coefficients(&rgb, &geom, 80);

@@ -10,8 +10,9 @@
 //! shared [`crate::coef::CoefBuffer`], and once accumulation finishes the
 //! downstream dequant/IDCT/color stages run unchanged. What changes is
 //! the bookkeeping: per-block EOB classes and per-row work histograms are
-//! meaningless mid-script, so they are re-derived from the accumulated
-//! coefficients after the last decoded scan ([`decode::decode_scans`]),
+//! meaningless mid-script, so they are derived from the accumulated state
+//! — each block's nonzero-history mask — after the last decoded scan
+//! ([`decode::decode_scans`]),
 //! keeping the sparse-IDCT dispatch and the §5.1 cost model honest for
 //! progressive inputs.
 //!
@@ -23,6 +24,8 @@
 pub mod decode;
 pub mod encode;
 pub mod parse;
+#[cfg(test)]
+mod reference;
 
 pub use decode::{decode_scans, ProgressiveOutcome};
 pub use encode::{encode_rgb_progressive, ScanPreset, ScanSpec};

@@ -217,13 +217,21 @@ fn progressive_full_scan_decode_matches_baseline_counterpart() {
     // PR-7 acceptance axis: the same pixels encoded baseline and
     // progressive share identical quantized coefficients, so a full-scan
     // progressive decode must reproduce the baseline decode bit for bit —
-    // under every scan-script preset, render mode and SIMD level.
+    // under every scan-script preset, render mode and SIMD level. Since
+    // PR 25 also with DRI 3 (EOB runs and refinement state reset at every
+    // RSTn), at the degenerate shapes whose padding blocks lie outside the
+    // T.81 non-interleaved grid, and for a dense q95 member.
     use hetjpeg_corpus::generate_rgb;
     use hetjpeg_jpeg::progressive::{encode_rgb_progressive, ScanPreset};
     let decoder = session_for(&Platform::gtx560());
-    for (i, (w, h, pattern)) in [
-        (200usize, 120usize, Pattern::PhotoLike { detail: 0.7 }),
-        (127, 93, Pattern::WhiteNoise { amount: 0.5 }), // odd dims
+    for (i, (w, h, pattern, quality)) in [
+        (200usize, 120usize, Pattern::PhotoLike { detail: 0.7 }, 82u8),
+        (127, 93, Pattern::WhiteNoise { amount: 0.5 }, 82), // odd dims
+        (1, 1, Pattern::PhotoLike { detail: 0.7 }, 82),
+        (1, 300, Pattern::PhotoLike { detail: 0.7 }, 82),
+        (300, 1, Pattern::WhiteNoise { amount: 0.5 }, 82),
+        (17, 17, Pattern::WhiteNoise { amount: 0.5 }, 82),
+        (96, 64, Pattern::WhiteNoise { amount: 0.8 }, 95), // dense
     ]
     .into_iter()
     .enumerate()
@@ -236,31 +244,34 @@ fn progressive_full_scan_decode_matches_baseline_counterpart() {
                 seed: 1200 + i as u64,
             };
             let rgb = generate_rgb(&spec);
-            let params = EncodeParams {
-                quality: 82,
-                subsampling: sub,
-                restart_interval: 0,
-            };
-            let base = encode_rgb(&rgb, w as u32, h as u32, &params).expect("encode baseline");
-            let reference = decode(&base).expect("reference decode").data;
-            for preset in [ScanPreset::Standard10, ScanPreset::Spectral4] {
-                let prog = encode_rgb_progressive(&rgb, w as u32, h as u32, &params, preset)
-                    .expect("encode progressive");
-                for level in SimdLevel::all_available() {
-                    for mode in [Mode::Auto, Mode::Sequential, Mode::Simd] {
-                        let out = decoder
-                            .decode(&prog, DecodeOptions::with_mode(mode).force_simd(level))
-                            .unwrap_or_else(|e| {
-                                panic!("{w}x{h} {} {preset:?} {mode:?}: {e}", sub.notation())
-                            });
-                        assert!(!out.truncated);
-                        assert_eq!(
-                            out.image.data,
-                            reference,
-                            "{w}x{h} {} {preset:?} {mode:?} at {} differs from baseline",
-                            sub.notation(),
-                            level.name()
-                        );
+            for restart_interval in [0usize, 3] {
+                let params = EncodeParams {
+                    quality,
+                    subsampling: sub,
+                    restart_interval,
+                };
+                let base = encode_rgb(&rgb, w as u32, h as u32, &params).expect("encode baseline");
+                let reference = decode(&base).expect("reference decode").data;
+                for preset in [ScanPreset::Standard10, ScanPreset::Spectral4] {
+                    let prog = encode_rgb_progressive(&rgb, w as u32, h as u32, &params, preset)
+                        .expect("encode progressive");
+                    let case = format!(
+                        "{w}x{h} q{quality} {} DRI {restart_interval} {preset:?}",
+                        sub.notation()
+                    );
+                    for level in SimdLevel::all_available() {
+                        for mode in [Mode::Auto, Mode::Sequential, Mode::Simd] {
+                            let out = decoder
+                                .decode(&prog, DecodeOptions::with_mode(mode).force_simd(level))
+                                .unwrap_or_else(|e| panic!("{case} {mode:?}: {e}"));
+                            assert!(!out.truncated);
+                            assert_eq!(
+                                out.image.data,
+                                reference,
+                                "{case} {mode:?} at {} differs from baseline",
+                                level.name()
+                            );
+                        }
                     }
                 }
             }

@@ -120,6 +120,22 @@ fn full_latency_on_one_shard_slows_but_never_corrupts() {
     );
 }
 
+/// Dropped while a failed assertion unwinds, connects to the listener
+/// twice: the scoped accept thread waits for exactly two connections, and
+/// without this a panic before client 2 connects would hang the test
+/// instead of failing it. Extra connections sit unaccepted in the backlog.
+struct UnblockAccepts(std::net::SocketAddr);
+
+impl Drop for UnblockAccepts {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            for _ in 0..2 {
+                let _ = TcpStream::connect(self.0);
+            }
+        }
+    }
+}
+
 #[test]
 fn torn_wire_frames_kill_the_connection_but_not_the_server() {
     // A torn read mid-frame severs that connection; the request already
@@ -139,6 +155,7 @@ fn torn_wire_frames_kill_the_connection_but_not_the_server() {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     std::thread::scope(|s| {
+        let _unblock = UnblockAccepts(addr);
         let accept_handle = handle.clone();
         let plan_srv = plan.clone();
         s.spawn(move || {
@@ -155,19 +172,24 @@ fn torn_wire_frames_kill_the_connection_but_not_the_server() {
             }
         });
 
-        // Client 1: pipeline three requests; the server's read side tears
-        // on its 3rd read call (request 2's length prefix), so exactly one
-        // request is answered before the connection dies.
+        // Client 1: the server's read side tears on its 3rd read call
+        // (request 2's length prefix), so exactly one request is answered
+        // before the connection dies. Reply 1 is read before anything else
+        // is written: bytes the torn server never reads would turn its
+        // close into an RST that can beat reply 1 to the client.
         let mut stream = TcpStream::connect(addr).unwrap();
-        for j in &jpegs {
-            protocol::write_request(&mut stream, j).unwrap();
-        }
-        protocol::write_goodbye(&mut stream).unwrap();
+        protocol::write_request(&mut stream, &jpegs[0]).unwrap();
         let first = protocol::read_response(&mut stream)
             .unwrap()
             .into_frame()
             .expect("request 1 answered before the tear");
         assert_eq!(first.rgb, refs[0]);
+        // The rest goes into a connection that is closed or closing, so
+        // the writes may fail; the read must.
+        for j in &jpegs[1..] {
+            let _ = protocol::write_request(&mut stream, j);
+        }
+        let _ = protocol::write_goodbye(&mut stream);
         assert!(
             protocol::read_response(&mut stream).is_err(),
             "the torn connection must error out, not hang or desync"
