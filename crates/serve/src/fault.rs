@@ -15,8 +15,12 @@
 //! | `panic`     | shard worker, start of a decode | panics **inside the session lock** (via [`hetjpeg_core::Decoder::inject_panic`]), genuinely poisoning the session |
 //! | `latency`   | shard worker, before a decode   | sleeps for the rule's duration argument    |
 //! | `alloc`     | shard worker, request options   | caps `max_pixels` at 1, forcing the real allocation-guard error path |
-//! | `shortread` | protocol reader ([`ChaosReader`]) | truncates reads to one byte and interleaves `EINTR` (`ErrorKind::Interrupted`) errors |
-//! | `torn`      | protocol reader ([`ChaosReader`]) | fails the read with `ConnectionReset` and pins the stream dead — a torn connection mid-frame |
+//! | `shortread` | connection reader ([`ChaosReader`]): the TCP front end's and `serve_stdio`'s | truncates reads to one byte and interleaves `EINTR` (`ErrorKind::Interrupted`) errors |
+//! | `torn`      | connection reader ([`ChaosReader`]): the TCP front end's and `serve_stdio`'s | fails the read with `ConnectionReset` and pins the stream dead — a torn connection mid-frame |
+//!
+//! The read sites count every read of every connection in one sequence
+//! (`torn=#1` tears the first read the server makes, whichever connection
+//! it is on).
 //!
 //! ## Spec grammar (`HETJPEG_FAULT`)
 //!
@@ -367,8 +371,9 @@ fn splitmix64(mut x: u64) -> u64 {
 }
 
 /// A [`Read`] adapter that injects the plan's `shortread` and `torn` sites
-/// into an underlying stream. The protocol layer wraps connection readers
-/// in this when the active plan has read faults; tests wrap `Cursor`s.
+/// into an underlying stream. The TCP front end and `serve_stdio` read
+/// connections through this when the active plan has read faults; tests
+/// wrap `Cursor`s.
 ///
 /// * `shortread` firing: the read is truncated to one byte, and every
 ///   second firing first returns an `ErrorKind::Interrupted` error instead

@@ -1,22 +1,21 @@
-//! Event-driven TCP front end: one thread, completion-driven I/O, no
-//! per-connection threads and no clock.
+//! Event-driven TCP front end — the server's one TCP transport: one
+//! thread, completion-driven I/O, no per-connection threads and no clock.
 //!
-//! The thread-per-connection loop in [`crate::protocol::serve_tcp`] costs
-//! two OS threads per connection, which is why it needs a hard
-//! [`crate::protocol::MAX_CONNECTIONS`] cap at all. This module replaces
-//! it with a single-threaded readiness loop over nonblocking sockets
-//! (epoll on Linux via the offline `polling` shim, a level-triggered
-//! claim-all fallback elsewhere): idle connections cost one registered fd
-//! and a small buffer, **zero threads and zero loop passes**, so the
-//! connection cap becomes a soft admission knob — an over-cap client is
-//! told `Busy` in-band with a retry hint instead of being silently
-//! dropped.
+//! A single-threaded readiness loop over nonblocking sockets (epoll on
+//! Linux via the offline `polling` shim, a level-triggered claim-all
+//! fallback elsewhere) owns every connection: idle connections cost one
+//! registered fd and a small buffer, **zero threads and zero loop
+//! passes**, so the connection cap is a soft admission knob — an over-cap
+//! client is told `Busy` in-band with a retry hint instead of being
+//! silently dropped.
 //!
 //! The loop blocks in the poller with no timeout and wakes for exactly
 //! three reasons, each naming the connections it concerns:
 //!
 //! * a socket is **readable** — read until `WouldBlock` into the input
-//!   buffer, cut complete frames with [`parse_request`] and submit each via
+//!   buffer (through a [`ChaosReader`] when the server's fault plan has
+//!   read faults), cut complete frames with [`parse_request`] and submit
+//!   each via
 //!   [`ServeHandle::submit_nonblocking`] — the frontend thread must never
 //!   sleep on a full shard queue, so queue pressure surfaces as an in-band
 //!   `Busy` frame (same shed the SLO admission path produces);
@@ -43,15 +42,20 @@
 //! stalls its own stream's tile drain (tiles stay pooled in the shard)
 //! rather than ballooning server memory, and resumes on the writable
 //! event.
+//!
+//! File-descriptor exhaustion: the loop holds one spare fd. When `accept`
+//! fails with `EMFILE`/`ENFILE` it closes the spare, accepts the waiting
+//! connection with the freed slot, answers it `Busy`, closes it and
+//! re-reserves the spare. Leaving the connection in the backlog instead
+//! would keep the level-triggered listener readable and spin the loop.
 
+use crate::fault::{ChaosReader, FaultPlan};
 use crate::pool::{Notifier, ServeHandle, ServeReply, ServedStream, StreamEvent, Ticket, TryEvent};
-use crate::protocol::{
-    forced_streaming, parse_request, write_response, write_stream_failure, Crc32, MAX_FRAME,
-    STATUS_STREAM_BEGIN, STATUS_STREAM_CHUNK, STATUS_STREAM_FINAL,
-};
+use crate::protocol::{forced_streaming, parse_request, write_response, StreamEncoder, MAX_FRAME};
 use crate::ServeError;
 use polling::{Event, Interest, Poller, Waker};
 use std::collections::{HashMap, VecDeque};
+use std::fs::File;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
@@ -61,8 +65,8 @@ use std::time::Duration;
 
 /// Soft cap on concurrently open connections (default for
 /// [`FrontEnd::new`]); over-cap accepts are answered with a `Busy` frame
-/// and closed. Unlike the thread-per-connection cap this bounds only fd
-/// and buffer usage — idle connections cost no threads.
+/// and closed. It bounds only fd and buffer usage — idle connections cost
+/// no threads.
 pub const DEFAULT_MAX_CONNECTIONS: usize = 1024;
 
 /// Stop refilling a connection's output buffer while it already holds
@@ -100,7 +104,8 @@ pub struct FrontEndCounters {
 pub struct FrontEndStats {
     /// Connections accepted and served.
     pub accepted: u64,
-    /// Connections refused over the cap (each got a `Busy` frame first).
+    /// Connections refused — over the cap, or with the process out of file
+    /// descriptors — each with a `Busy` frame first.
     pub rejected: u64,
     /// Request frames parsed and submitted.
     pub requests: u64,
@@ -179,11 +184,7 @@ enum Pending {
     /// already answered); resolved by polling the ticket.
     Waiting(Ticket),
     /// A streamed reply mid-drain: tiles are serialized as they arrive.
-    Streaming {
-        stream: ServedStream,
-        begun: bool,
-        crc: Crc32,
-    },
+    Streaming(ServedStream, StreamEncoder),
 }
 
 /// Per-connection state.
@@ -307,6 +308,11 @@ struct Loop<'a> {
     conns: HashMap<u64, Conn>,
     next_token: u64,
     force_streaming: bool,
+    /// The server's fault plan, when it has read faults: every connection
+    /// is then read through a [`ChaosReader`].
+    chaos: Option<Arc<FaultPlan>>,
+    /// The fd spent on a connection the process has no other fd for.
+    spare: Option<File>,
     events: Vec<Event>,
     /// Connections this pass must service, with whether to read them
     /// first.
@@ -324,6 +330,8 @@ impl<'a> Loop<'a> {
             conns: HashMap::new(),
             next_token: 0,
             force_streaming: forced_streaming(),
+            chaos: fe.handle.fault_plan().filter(|p| p.has_read_faults()),
+            spare: reserve_fd(),
             events: Vec::new(),
             work: Vec::new(),
         })
@@ -368,12 +376,9 @@ impl<'a> Loop<'a> {
                 // on one is the poller reporting an error or hang-up:
                 // nobody is left to write the pending replies to.
                 (true, true) => false,
-                (true, false) => Self::fill(
-                    conn,
-                    &self.fe.counters,
-                    &self.fe.handle,
-                    self.force_streaming,
-                ),
+                (true, false) => {
+                    Self::fill(conn, self.fe, self.force_streaming, self.chaos.as_ref())
+                }
             };
             let mut alive = read_ok && Self::service(conn);
             let wanted = conn.wanted_interest();
@@ -398,8 +403,8 @@ impl<'a> Loop<'a> {
     fn accept_ready(&mut self) -> io::Result<()> {
         let counters = &self.fe.counters;
         loop {
-            let (stream, _) = match self.fe.listener.accept() {
-                Ok(pair) => pair,
+            let stream = match self.fe.listener.accept() {
+                Ok((stream, _)) => stream,
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
                 Err(e)
                     if matches!(
@@ -411,19 +416,31 @@ impl<'a> Loop<'a> {
                 {
                     continue
                 }
-                Err(e) if matches!(e.raw_os_error(), Some(23) | Some(24)) => return Ok(()),
+                // ENFILE / EMFILE: spend the spare fd on the waiting
+                // connection (see the module docs). The kernel says EMFILE
+                // before it looks at the backlog, so only the accept made
+                // with the spare's slot tells whether anyone is waiting.
+                // Without a spare, back off instead of spinning on the
+                // still-readable listener.
+                Err(e) if matches!(e.raw_os_error(), Some(23 | 24)) => {
+                    let Some(spare) = self.spare.take() else {
+                        std::thread::sleep(Duration::from_millis(10));
+                        self.spare = reserve_fd();
+                        return Ok(());
+                    };
+                    drop(spare);
+                    let waiting = self.fe.listener.accept();
+                    let shed_one = waiting.map(|(stream, _)| shed(counters, stream));
+                    self.spare = reserve_fd();
+                    match shed_one {
+                        Ok(()) => continue,
+                        Err(_) => return Ok(()),
+                    }
+                }
                 Err(e) => return Err(e),
             };
             if self.conns.len() >= self.fe.max_connections {
-                counters.rejected.fetch_add(1, Ordering::AcqRel);
-                let mut stream = stream;
-                let _ = write_response(
-                    &mut stream,
-                    &Err(ServeError::Busy {
-                        retry_after: Duration::from_millis(10),
-                    }),
-                );
-                let _ = stream.shutdown(Shutdown::Both);
+                shed(counters, stream);
                 continue;
             }
             if self.adopt(stream).is_some() {
@@ -468,29 +485,22 @@ impl<'a> Loop<'a> {
     /// (I/O error or protocol violation).
     fn fill(
         conn: &mut Conn,
-        counters: &FrontEndCounters,
-        handle: &ServeHandle,
+        fe: &FrontEnd,
         force_streaming: bool,
+        chaos: Option<&Arc<FaultPlan>>,
     ) -> bool {
         #[cfg(test)]
-        counters.fills.fetch_add(1, Ordering::Relaxed);
-        let mut chunk = [0u8; 16 * 1024];
-        loop {
-            match conn.stream.read(&mut chunk) {
-                Ok(0) => {
-                    conn.closing = true;
-                    break;
-                }
-                Ok(n) => {
-                    if conn.buf.len() + n > READ_LIMIT {
-                        return false;
-                    }
-                    conn.buf.extend_from_slice(&chunk[..n]);
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => return false,
-            }
+        fe.counters.fills.fetch_add(1, Ordering::Relaxed);
+        let read = match chaos {
+            Some(plan) => read_available(
+                ChaosReader::new(&conn.stream, Arc::clone(plan)),
+                &mut conn.buf,
+            ),
+            None => read_available(&conn.stream, &mut conn.buf),
+        };
+        match read {
+            Ok(eof) => conn.closing |= eof,
+            Err(_) => return false,
         }
         loop {
             match parse_request(&conn.buf) {
@@ -505,11 +515,12 @@ impl<'a> Loop<'a> {
                     if force_streaming && frame.v2 {
                         frame.options.options.streaming = true;
                     }
-                    counters.requests.fetch_add(1, Ordering::AcqRel);
+                    fe.counters.requests.fetch_add(1, Ordering::AcqRel);
                     // A refusal (shed, shutting down) still takes its place in
                     // the reply order; the pump that follows this fill in
                     // the same pass finds it answered.
-                    let ticket = handle
+                    let ticket = fe
+                        .handle
                         .submit_nonblocking(frame.jpeg, frame.options, Arc::clone(&conn.notifier))
                         .unwrap_or_else(Ticket::refused);
                     conn.pending.push_back(Pending::Waiting(ticket));
@@ -550,11 +561,7 @@ impl<'a> Loop<'a> {
                 Pending::Waiting(ticket) => match ticket.try_reply() {
                     None => break,
                     Some(Ok(ServeReply::Stream(stream))) => {
-                        *front = Pending::Streaming {
-                            stream,
-                            begun: false,
-                            crc: Crc32::new(),
-                        };
+                        *front = Pending::Streaming(stream, StreamEncoder::default());
                     }
                     Some(Ok(ServeReply::Whole(served))) => {
                         let _ = write_response(&mut conn.out, &Ok(served));
@@ -565,56 +572,16 @@ impl<'a> Loop<'a> {
                         conn.pending.pop_front();
                     }
                 },
-                Pending::Streaming { stream, begun, crc } => match stream.try_next() {
-                    TryEvent::Pending => break,
-                    TryEvent::Event(StreamEvent::Begin {
-                        width,
-                        height,
-                        degraded,
-                    }) => {
-                        conn.out
-                            .extend_from_slice(&[STATUS_STREAM_BEGIN, u8::from(degraded)]);
-                        conn.out.extend_from_slice(&width.to_be_bytes());
-                        conn.out.extend_from_slice(&height.to_be_bytes());
-                        *begun = true;
-                    }
-                    TryEvent::Event(StreamEvent::Tile(tile)) => {
-                        let bytes = tile.bytes();
-                        crc.update(bytes);
-                        conn.out.extend_from_slice(&[STATUS_STREAM_CHUNK]);
-                        conn.out
-                            .extend_from_slice(&(bytes.len() as u32).to_be_bytes());
-                        conn.out.extend_from_slice(bytes);
-                    }
-                    TryEvent::Event(StreamEvent::End(result)) => {
-                        match result {
-                            Ok(_) if *begun => {
-                                conn.out.extend_from_slice(&[STATUS_STREAM_FINAL, 0u8]);
-                                conn.out.extend_from_slice(&crc.finish().to_be_bytes());
-                            }
-                            // Defensive: End(Ok) without a Begin means the
-                            // decode emitted zero tiles — answer with a
-                            // plain error frame, never a headerless stream
-                            // trailer.
-                            Ok(_) => {
-                                let _ = write_stream_failure(
-                                    &mut conn.out,
-                                    false,
-                                    &ServeError::WorkerGone,
-                                );
-                            }
-                            Err(e) => {
-                                let _ = write_stream_failure(&mut conn.out, *begun, &e);
-                            }
-                        }
+                Pending::Streaming(stream, encoder) => {
+                    let event = match stream.try_next() {
+                        TryEvent::Pending => break,
+                        TryEvent::Event(event) => event,
+                        TryEvent::Gone => StreamEvent::End(Err(ServeError::WorkerGone)),
+                    };
+                    if matches!(encoder.encode(event, &mut conn.out), Ok(true)) {
                         conn.pending.pop_front();
                     }
-                    TryEvent::Gone => {
-                        let _ =
-                            write_stream_failure(&mut conn.out, *begun, &ServeError::WorkerGone);
-                        conn.pending.pop_front();
-                    }
-                },
+                }
             }
             progress = true;
         }
@@ -648,6 +615,44 @@ impl<'a> Loop<'a> {
             conn.out_pos = 0;
         }
         Some(progress)
+    }
+}
+
+/// Answer a connection the loop will not serve with `Busy` and close it.
+fn shed(counters: &FrontEndCounters, mut stream: TcpStream) {
+    counters.rejected.fetch_add(1, Ordering::AcqRel);
+    let _ = write_response(
+        &mut stream,
+        &Err(ServeError::Busy {
+            retry_after: Duration::from_millis(10),
+        }),
+    );
+    let _ = stream.shutdown(Shutdown::Both);
+}
+
+/// The spare fd [`Loop::accept_ready`] spends when the process has run out.
+fn reserve_fd() -> Option<File> {
+    File::open("/dev/null").ok()
+}
+
+/// Read until `WouldBlock` or EOF, appending to `buf`; `Ok(true)` at EOF.
+/// Input beyond [`READ_LIMIT`] is a protocol violation.
+fn read_available(mut r: impl Read, buf: &mut Vec<u8>) -> io::Result<bool> {
+    let mut chunk = [0u8; 16 * 1024];
+    loop {
+        match r.read(&mut chunk) {
+            Ok(0) => return Ok(true),
+            Ok(n) if buf.len() + n > READ_LIMIT => {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "input exceeds one maximal frame",
+                ))
+            }
+            Ok(n) => buf.extend_from_slice(&chunk[..n]),
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        }
     }
 }
 

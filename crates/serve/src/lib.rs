@@ -22,9 +22,11 @@
 //!   re-shaped pooled buffers stay hot — with overflow spill to the next
 //!   shard with queue room, so a single-shape workload still uses every
 //!   shard;
-//! * a **length-prefixed wire protocol** ([`protocol`]) served over TCP or
-//!   stdio by the `hetjpeg-serve` binary, plus the in-process
-//!   [`ServeHandle`] used by tests and benches.
+//! * a **length-prefixed wire protocol** ([`protocol`]) served by the
+//!   `hetjpeg-serve` binary — over TCP by the event-driven front end
+//!   (`frontend`, unix), over stdio by the blocking
+//!   [`protocol::serve_connection`] — plus the in-process [`ServeHandle`]
+//!   used by tests and benches.
 //!
 //! ```
 //! use hetjpeg_serve::{ServeConfig, Server};

@@ -1,4 +1,6 @@
-//! The length-prefixed wire protocol and the TCP/stdio serving loops.
+//! The length-prefixed wire protocol: one request grammar, the response
+//! encoders, and the blocking transport behind `--stdio` and the in-memory
+//! tests.
 //!
 //! Framing is deliberately minimal — the interesting machinery (sharding,
 //! batch admission, SLO shedding) lives behind [`ServeHandle`]; the wire
@@ -48,10 +50,18 @@
 //! requests have no deadline, never shed, cannot opt into degradation or
 //! streaming — so v1 clients never see a status byte they don't know.
 //!
-//! Responses are written in request order. A connection may pipeline:
-//! [`serve_connection`] submits every request as it is read and answers
-//! from a writer thread, so consecutive frames from one client can still
-//! coalesce into one shard batch.
+//! A v1 frame is parsed as the degenerate v2 frame — flags 0, no deadline,
+//! no options, `jpeg_len` = its length — so both versions go through one
+//! prefix step and one payload step, whether the bytes arrive through a
+//! blocking reader ([`read_request`]) or are cut from a buffer
+//! ([`parse_request`]).
+//!
+//! Responses are written in request order. A connection may pipeline. TCP
+//! is served by `frontend::FrontEnd` (unix), one event loop for every
+//! connection; [`serve_connection`] is the blocking transport — it submits
+//! every request as it is read and answers from a writer thread — used by
+//! [`serve_stdio`] and by tests over in-memory streams. Both encode streamed
+//! replies with the same `StreamEncoder`.
 //!
 //! Every read in this module goes through an explicit EINTR-retrying
 //! `read_full` loop rather than the reader's own `read_exact`: a wrapped
@@ -61,13 +71,11 @@
 
 use crate::fault::ChaosReader;
 use crate::pool::{
-    RequestOptions, ServeHandle, ServeReply, Served, ServedStream, StreamEvent, SubmitOptions,
-    Ticket,
+    RequestOptions, ServeHandle, ServeReply, Served, StreamEvent, SubmitOptions, Ticket,
 };
 use crate::ServeError;
 use hetjpeg_core::{OutputFormat, SimdLevel, Strictness};
 use std::io::{self, Read, Write};
-use std::net::TcpListener;
 use std::sync::mpsc;
 use std::time::Duration;
 
@@ -292,13 +300,15 @@ impl ServerReply {
 }
 
 /// Read exactly `buf.len()` bytes, retrying `ErrorKind::Interrupted`
-/// (EINTR) and converting a mid-frame EOF into `UnexpectedEof`. Used for
-/// every framed read instead of the reader's own `read_exact` — see the
+/// (EINTR). `Ok(false)` when the stream ended before the first byte — a
+/// clean end at a frame boundary; an end after it is `UnexpectedEof`. Used
+/// for every framed read instead of the reader's own `read_exact` — see the
 /// module docs.
-fn read_full(r: &mut impl Read, buf: &mut [u8]) -> io::Result<()> {
+fn read_or_eof(r: &mut impl Read, buf: &mut [u8]) -> io::Result<bool> {
     let mut got = 0usize;
     while got < buf.len() {
         match r.read(&mut buf[got..]) {
+            Ok(0) if got == 0 => return Ok(false),
             Ok(0) => {
                 return Err(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
@@ -310,7 +320,19 @@ fn read_full(r: &mut impl Read, buf: &mut [u8]) -> io::Result<()> {
             Err(e) => return Err(e),
         }
     }
-    Ok(())
+    Ok(true)
+}
+
+/// [`read_or_eof`] inside a frame, where the stream must not end.
+fn read_full(r: &mut impl Read, buf: &mut [u8]) -> io::Result<()> {
+    if read_or_eof(r, buf)? {
+        Ok(())
+    } else {
+        Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "stream ended mid-frame",
+        ))
+    }
 }
 
 /// Client side: write one v1 request frame.
@@ -527,30 +549,12 @@ pub fn write_goodbye(w: &mut impl Write) -> io::Result<()> {
     w.flush()
 }
 
-/// Server side: read one request frame (either version). `Ok(None)` on a
-/// clean end of stream (EOF at a frame boundary, or the zero-length
-/// goodbye).
-pub fn read_request(r: &mut impl Read) -> io::Result<Option<RequestFrame>> {
-    let mut len_buf = [0u8; 4];
-    // EOF before the first length byte is a clean close; EINTR anywhere in
-    // the prefix is retried.
-    let mut got = 0usize;
-    while got < 4 {
-        match r.read(&mut len_buf[got..]) {
-            Ok(0) if got == 0 => return Ok(None),
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "stream ended mid-prefix",
-                ))
-            }
-            Ok(n) => got += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
-    }
-    let raw = u32::from_be_bytes(len_buf);
-    let v2 = raw & FRAME_V2_FLAG != 0;
+/// The request grammar's first step: what a length prefix announces.
+/// `None` is the goodbye frame; otherwise whether the frame is v2 and the
+/// length of its payload, bounded by [`MAX_FRAME`] before anything is
+/// allocated.
+fn parse_prefix(prefix: [u8; 4]) -> io::Result<Option<(bool, usize)>> {
+    let raw = u32::from_be_bytes(prefix);
     let len = raw & !FRAME_V2_FLAG;
     if len == 0 {
         return Ok(None);
@@ -561,59 +565,73 @@ pub fn read_request(r: &mut impl Read) -> io::Result<Option<RequestFrame>> {
             "request length exceeds MAX_FRAME",
         ));
     }
-    let mut payload = vec![0u8; len as usize];
-    read_full(r, &mut payload)?;
-    decode_request_payload(v2, payload).map(Some)
+    Ok(Some((raw & FRAME_V2_FLAG != 0, len as usize)))
 }
 
-/// Decode a request frame body (everything after the length prefix) into
-/// a [`RequestFrame`]. Shared by the blocking [`read_request`] and the
-/// frontend's incremental [`parse_request`].
-fn decode_request_payload(v2: bool, mut payload: Vec<u8>) -> io::Result<RequestFrame> {
+/// The grammar's second step: a payload's submission options and the
+/// offset of its JPEG. A v1 payload is the degenerate v2 frame — flags 0,
+/// no deadline, no options, `jpeg_len` = its length — so every check below
+/// is shared by both versions.
+fn parse_payload(v2: bool, payload: &[u8]) -> io::Result<(SubmitOptions, usize)> {
     let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
-    if !v2 {
-        return Ok(RequestFrame {
-            jpeg: payload,
-            options: SubmitOptions::default(),
-            v2: false,
-        });
-    }
-    if payload.len() < V2_HEADER_LEN {
-        return Err(bad("v2 frame shorter than its header".into()));
-    }
-    if payload[0] != 2 {
-        return Err(bad(format!("unknown request version {}", payload[0])));
-    }
-    let flags = payload[1];
-    let deadline_us = u32::from_be_bytes([payload[2], payload[3], payload[4], payload[5]]);
-    let jpeg_len = u32::from_be_bytes([payload[6], payload[7], payload[8], payload[9]]);
+    let (flags, deadline_us, jpeg_len, mut skip) = if v2 {
+        let Some(head) = payload.first_chunk::<V2_HEADER_LEN>() else {
+            return Err(bad("v2 frame shorter than its header".into()));
+        };
+        if head[0] != 2 {
+            return Err(bad(format!("unknown request version {}", head[0])));
+        }
+        let deadline_us = u32::from_be_bytes([head[2], head[3], head[4], head[5]]);
+        let jpeg_len = u32::from_be_bytes([head[6], head[7], head[8], head[9]]);
+        (head[1], deadline_us, jpeg_len as usize, V2_HEADER_LEN)
+    } else {
+        (0, 0, payload.len(), 0)
+    };
     let mut options = RequestOptions::default();
-    let mut skip = V2_HEADER_LEN;
     if flags & FLAG_HAS_OPTIONS != 0 {
-        if payload.len() < V2_HEADER_LEN + 2 {
-            return Err(bad("v2 frame truncates its options-block length".into()));
-        }
-        let opt_len = u16::from_be_bytes([payload[10], payload[11]]) as usize;
+        let opt_len = match payload.get(skip..skip + 2) {
+            Some(&[hi, lo]) => u16::from_be_bytes([hi, lo]) as usize,
+            _ => return Err(bad("v2 frame truncates its options-block length".into())),
+        };
+        let block = payload
+            .get(skip + 2..skip + 2 + opt_len)
+            .ok_or_else(|| bad("v2 options block overruns the frame".into()))?;
+        options = decode_options(block)?;
         skip += 2 + opt_len;
-        if payload.len() < skip {
-            return Err(bad("v2 options block overruns the frame".into()));
-        }
-        options = decode_options(&payload[V2_HEADER_LEN + 2..skip])?;
     }
-    if jpeg_len as usize != payload.len() - skip {
+    if jpeg_len != payload.len() - skip {
         return Err(bad("v2 jpeg_len disagrees with frame length".into()));
     }
     options.streaming = flags & FLAG_STREAM_OK != 0;
+    let submit = SubmitOptions {
+        deadline: (deadline_us > 0).then(|| Duration::from_micros(deadline_us as u64)),
+        degrade: flags & FLAG_DEGRADE_OK != 0,
+        options,
+    };
+    Ok((submit, skip))
+}
+
+/// Server side: read one request frame (either version) — exactly its
+/// prefix, then exactly its payload, so the reader is left at the next
+/// frame. `Ok(None)` on a clean end of stream (EOF at a frame boundary, or
+/// the zero-length goodbye).
+pub fn read_request(r: &mut impl Read) -> io::Result<Option<RequestFrame>> {
+    let mut prefix = [0u8; 4];
+    if !read_or_eof(r, &mut prefix)? {
+        return Ok(None);
+    }
+    let Some((v2, len)) = parse_prefix(prefix)? else {
+        return Ok(None);
+    };
+    let mut payload = vec![0u8; len];
+    read_full(r, &mut payload)?;
+    let (options, skip) = parse_payload(v2, &payload)?;
     payload.drain(..skip);
-    Ok(RequestFrame {
+    Ok(Some(RequestFrame {
         jpeg: payload,
-        options: SubmitOptions {
-            deadline: (deadline_us > 0).then(|| Duration::from_micros(deadline_us as u64)),
-            degrade: flags & FLAG_DEGRADE_OK != 0,
-            options,
-        },
-        v2: true,
-    })
+        options,
+        v2,
+    }))
 }
 
 /// Incremental request parser for the event-driven frontend: examine the
@@ -624,27 +642,22 @@ fn decode_request_payload(v2: bool, mut payload: Vec<u8>) -> io::Result<RequestF
 /// drains `consumed` bytes. A goodbye frame (zero-length) parses as
 /// `Some((None, 4))`.
 pub fn parse_request(buf: &[u8]) -> io::Result<Option<(Option<RequestFrame>, usize)>> {
-    if buf.len() < 4 {
+    let Some(&prefix) = buf.first_chunk::<4>() else {
         return Ok(None);
-    }
-    let raw = u32::from_be_bytes([buf[0], buf[1], buf[2], buf[3]]);
-    let v2 = raw & FRAME_V2_FLAG != 0;
-    let len = raw & !FRAME_V2_FLAG;
-    if len == 0 {
+    };
+    let Some((v2, len)) = parse_prefix(prefix)? else {
         return Ok(Some((None, 4)));
-    }
-    if len > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "request length exceeds MAX_FRAME",
-        ));
-    }
-    let total = 4 + len as usize;
-    if buf.len() < total {
+    };
+    let Some(payload) = buf.get(4..4 + len) else {
         return Ok(None);
-    }
-    let frame = decode_request_payload(v2, buf[4..total].to_vec())?;
-    Ok(Some((Some(frame), total)))
+    };
+    let (options, skip) = parse_payload(v2, payload)?;
+    let frame = RequestFrame {
+        jpeg: payload[skip..].to_vec(),
+        options,
+        v2,
+    };
+    Ok(Some((Some(frame), 4 + len)))
 }
 
 /// Server side: write one response frame from a serve result.
@@ -666,15 +679,23 @@ pub fn write_response(w: &mut impl Write, result: &Result<Served, ServeError>) -
             w.write_all(&s.outcome.image.data)?;
         }
         Ok(_) => write_error(w, "server produced no RGB output (planar options?)")?,
-        Err(ServeError::Busy { retry_after }) => {
-            w.write_all(&[2u8])?;
-            let us = retry_after.as_micros().min(u32::MAX as u128) as u32;
-            w.write_all(&us.to_be_bytes())?;
-        }
-        Err(ServeError::Shutdown) => w.write_all(&[3u8])?,
-        Err(e) => write_error(w, &e.to_string())?,
+        Err(e) => write_failure(w, e)?,
     }
     w.flush()
+}
+
+/// The one encoding of a request that failed outside a stream: status 2
+/// (busy, with its retry hint), 3 (shutdown drain) or 1 (error message).
+fn write_failure(w: &mut impl Write, e: &ServeError) -> io::Result<()> {
+    match e {
+        ServeError::Busy { retry_after } => {
+            let us = retry_after.as_micros().min(u32::MAX as u128) as u32;
+            w.write_all(&[2u8])?;
+            w.write_all(&us.to_be_bytes())
+        }
+        ServeError::Shutdown => w.write_all(&[3u8]),
+        e => write_error(w, &e.to_string()),
+    }
 }
 
 fn write_error(w: &mut impl Write, msg: &str) -> io::Result<()> {
@@ -692,83 +713,68 @@ pub fn forced_streaming() -> bool {
     std::env::var_os("HETJPEG_SERVE_STREAMING").is_some_and(|v| !v.is_empty() && v != "0")
 }
 
-/// Server side: relay a streaming decode ([`ServedStream`]) to the wire as
-/// StreamBegin / StreamChunk* / StreamFinal frames, forwarding each
-/// MCU-row tile as it arrives so peak buffering stays at the tile pool,
-/// not the image.
+/// Serializes a streamed reply one [`StreamEvent`] at a time as
+/// StreamBegin / StreamChunk* / StreamFinal frames — the one encoder of
+/// statuses 5/6/7, shared by [`serve_connection`] and the event front end.
+/// Each MCU-row tile is written as it arrives, so peak buffering stays at
+/// the tile pool, not the image.
 ///
 /// Failure mapping follows the grammar: an error *before* StreamBegin has
-/// been written degrades to an ordinary status-1/2/3 frame (the client
+/// been written goes out as an ordinary status-1/2/3 frame (the client
 /// never learns a stream was attempted); an error *after* is an abort
-/// StreamFinal, because the stream header is already on the wire.
-pub fn write_stream_response(w: &mut impl Write, stream: &ServedStream) -> io::Result<()> {
-    let mut begun = false;
-    let mut crc = Crc32::new();
-    loop {
-        match stream.recv() {
-            Some(StreamEvent::Begin {
+/// StreamFinal, because the stream header is already on the wire. A
+/// successful end with no StreamBegin (a decode that emitted nothing) is
+/// answered with an error frame, never a headerless trailer.
+#[derive(Default)]
+pub(crate) struct StreamEncoder {
+    begun: bool,
+    crc: Crc32,
+}
+
+impl StreamEncoder {
+    /// Encode `event` into `w`; `Ok(true)` when it ended the stream. A
+    /// worker that hung up without an End event is passed in as
+    /// `End(Err(ServeError::WorkerGone))`.
+    pub(crate) fn encode(&mut self, event: StreamEvent, w: &mut impl Write) -> io::Result<bool> {
+        match event {
+            StreamEvent::Begin {
                 width,
                 height,
                 degraded,
-            }) => {
+            } => {
                 w.write_all(&[STATUS_STREAM_BEGIN, u8::from(degraded)])?;
                 w.write_all(&width.to_be_bytes())?;
                 w.write_all(&height.to_be_bytes())?;
-                begun = true;
+                self.begun = true;
             }
-            Some(StreamEvent::Tile(tile)) => {
+            StreamEvent::Tile(tile) => {
                 let bytes = tile.bytes();
-                crc.update(bytes);
+                self.crc.update(bytes);
                 w.write_all(&[STATUS_STREAM_CHUNK])?;
                 w.write_all(&(bytes.len() as u32).to_be_bytes())?;
                 w.write_all(bytes)?;
                 // `tile` drops here, returning its buffer to the shard's
                 // tile pool — the backpressure that bounds peak memory.
             }
-            Some(StreamEvent::End(result)) => {
-                match result {
-                    Ok(_) => {
+            StreamEvent::End(result) => {
+                match (result, self.begun) {
+                    (Ok(_), true) => {
                         w.write_all(&[STATUS_STREAM_FINAL, 0u8])?;
-                        w.write_all(&crc.finish().to_be_bytes())?;
+                        w.write_all(&self.crc.finish().to_be_bytes())?;
                     }
-                    Err(e) => write_stream_failure(w, begun, &e)?,
+                    (Ok(_), false) => write_failure(w, &ServeError::WorkerGone)?,
+                    // The abort trailer is status 7 followed by an error
+                    // frame (`1u8 | u32_be n | message`).
+                    (Err(e), true) => {
+                        w.write_all(&[STATUS_STREAM_FINAL])?;
+                        write_error(w, &e.to_string())?;
+                    }
+                    (Err(e), false) => write_failure(w, &e)?,
                 }
-                return w.flush();
-            }
-            None => {
-                // Worker hung up without an End event (shard died
-                // mid-stream).
-                write_stream_failure(w, begun, &ServeError::WorkerGone)?;
-                return w.flush();
+                return Ok(true);
             }
         }
-    }
-}
-
-/// Encode a stream failure: abort-final when the stream header is already
-/// out, plain error/busy/shutdown frame when it is not. (Also used by the
-/// event-driven frontend, which serializes streams incrementally.)
-pub(crate) fn write_stream_failure(
-    w: &mut impl Write,
-    begun: bool,
-    e: &ServeError,
-) -> io::Result<()> {
-    if begun {
-        let msg = e.to_string();
-        let bytes = msg.as_bytes();
-        w.write_all(&[STATUS_STREAM_FINAL, 1u8])?;
-        w.write_all(&(bytes.len() as u32).to_be_bytes())?;
-        w.write_all(bytes)
-    } else {
-        match e {
-            ServeError::Busy { retry_after } => {
-                w.write_all(&[2u8])?;
-                let us = retry_after.as_micros().min(u32::MAX as u128) as u32;
-                w.write_all(&us.to_be_bytes())
-            }
-            ServeError::Shutdown => w.write_all(&[3u8]),
-            e => write_error(w, &e.to_string()),
-        }
+        Ok(false)
     }
 }
 
@@ -825,24 +831,7 @@ fn read_response_impl(r: &mut impl Read, mut sink: ChunkSink<'_>) -> io::Result<
                 ServerReply::Degraded(frame)
             })
         }
-        1 => {
-            read_full(r, &mut u32_buf)?;
-            let len = u32::from_be_bytes(u32_buf);
-            if len > MAX_FRAME {
-                // A clamped partial read would desync the stream; treat an
-                // absurd error-message length the same as an absurd RGB
-                // length.
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "error-message length exceeds MAX_FRAME",
-                ));
-            }
-            let mut msg = vec![0u8; len as usize];
-            read_full(r, &mut msg)?;
-            Ok(ServerReply::Error(
-                String::from_utf8_lossy(&msg).into_owned(),
-            ))
-        }
+        1 => read_error_message(r),
         2 => {
             read_full(r, &mut u32_buf)?;
             Ok(ServerReply::Busy {
@@ -907,19 +896,7 @@ fn read_response_impl(r: &mut impl Read, mut sink: ChunkSink<'_>) -> io::Result<
                         }
                         // Abort trailer: the stream died mid-flight; the
                         // error message is the reply.
-                        read_full(r, &mut u32_buf)?;
-                        let len = u32::from_be_bytes(u32_buf);
-                        if len > MAX_FRAME {
-                            return Err(io::Error::new(
-                                io::ErrorKind::InvalidData,
-                                "abort-message length exceeds MAX_FRAME",
-                            ));
-                        }
-                        let mut msg = vec![0u8; len as usize];
-                        read_full(r, &mut msg)?;
-                        return Ok(ServerReply::Error(
-                            String::from_utf8_lossy(&msg).into_owned(),
-                        ));
+                        return read_error_message(r);
                     }
                     s => {
                         return Err(io::Error::new(
@@ -937,31 +914,54 @@ fn read_response_impl(r: &mut impl Read, mut sink: ChunkSink<'_>) -> io::Result<
     }
 }
 
+/// The body of an error frame (status 1, or a stream's abort trailer):
+/// `u32_be n | n` bytes of UTF-8 message.
+fn read_error_message(r: &mut impl Read) -> io::Result<ServerReply> {
+    let mut len = [0u8; 4];
+    read_full(r, &mut len)?;
+    let len = u32::from_be_bytes(len);
+    if len > MAX_FRAME {
+        // A clamped partial read would desync the stream; treat an absurd
+        // message length the same as an absurd RGB length.
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "error-message length exceeds MAX_FRAME",
+        ));
+    }
+    let mut msg = vec![0u8; len as usize];
+    read_full(r, &mut msg)?;
+    Ok(ServerReply::Error(
+        String::from_utf8_lossy(&msg).into_owned(),
+    ))
+}
+
 /// Serve one connection: read request frames from `reader`, submit each to
 /// the shard pool as it arrives, and write responses to `writer` in
 /// request order from a companion thread — pipelined clients keep the
 /// admission queues fed, so their frames can coalesce into batches.
-/// Returns the number of requests served.
+/// Returns the number of requests served. This is the blocking transport
+/// behind [`serve_stdio`] and the in-memory tests; TCP connections are
+/// served by the event front end.
 pub fn serve_connection(
     handle: &ServeHandle,
     reader: &mut impl Read,
     writer: &mut (impl Write + Send),
 ) -> io::Result<u64> {
     let force = forced_streaming();
-    let mut served = 0u64;
-    std::thread::scope(|s| -> io::Result<u64> {
+    std::thread::scope(|s| {
         let (tx, rx) = mpsc::channel::<Result<Ticket, ServeError>>();
         let responder = s.spawn(move || -> io::Result<u64> {
             let mut n = 0u64;
             for ticket in rx {
-                match ticket.map(Ticket::wait_reply) {
-                    Ok(Ok(ServeReply::Whole(served))) => {
-                        write_response(writer, &Ok(served))?;
+                match ticket.and_then(Ticket::wait_reply) {
+                    Ok(ServeReply::Whole(served)) => write_response(writer, &Ok(served))?,
+                    Ok(ServeReply::Stream(stream)) => {
+                        let mut encoder = StreamEncoder::default();
+                        let gone = || StreamEvent::End(Err(ServeError::WorkerGone));
+                        while !encoder.encode(stream.recv().unwrap_or_else(gone), writer)? {}
+                        writer.flush()?;
                     }
-                    Ok(Ok(ServeReply::Stream(stream))) => {
-                        write_stream_response(writer, &stream)?;
-                    }
-                    Ok(Err(e)) | Err(e) => write_response(writer, &Err(e))?,
+                    Err(e) => write_response(writer, &Err(e))?,
                 }
                 n += 1;
             }
@@ -981,118 +981,7 @@ pub fn serve_connection(
             }
         }
         drop(tx);
-        served = responder.join().expect("responder thread")?;
-        Ok(served)
-    })?;
-    Ok(served)
-}
-
-/// Default cap on concurrently served TCP connections (see
-/// [`serve_tcp_with`] to pick another). Each thread-per-connection
-/// connection costs two OS threads (reader + responder); beyond the cap
-/// new connections receive a Busy frame with a retry-after hint and are
-/// then closed — an in-band shed, not a silent drop. Decode throughput is
-/// bounded by the shard count, so a few hundred pipelined connections
-/// saturate any pool long before this limit costs a legitimate client
-/// anything.
-pub const MAX_CONNECTIONS: usize = 256;
-
-/// [`serve_tcp`] with the default [`MAX_CONNECTIONS`] cap.
-pub fn serve_tcp(handle: &ServeHandle, listener: TcpListener) -> io::Result<()> {
-    serve_tcp_with(handle, listener, MAX_CONNECTIONS)
-}
-
-/// Accept loop: serve every incoming TCP connection on its own thread
-/// until the listener fails (e.g. is closed externally). Each connection
-/// gets a clone of the handle, so all connections share the shard pool.
-/// At most `max_connections` are served at once; an excess connection is
-/// told so — a status-2 Busy frame with a retry-after hint — before being
-/// closed, so its client can back off instead of diagnosing a mystery
-/// hangup. (For an event-driven front end that holds thousands of idle
-/// connections without threads, see [`crate::frontend`].)
-///
-/// Per-connection accept failures (a client resetting mid-handshake,
-/// transient fd exhaustion) are skipped rather than allowed to take the
-/// whole accept loop — and with it the server — down. A `try_clone`
-/// failure on an accepted connection is answered with an in-band error
-/// frame rather than a silent close. When the active fault plan carries
-/// read faults, every connection reader is wrapped in a [`ChaosReader`];
-/// a torn connection kills only that connection.
-pub fn serve_tcp_with(
-    handle: &ServeHandle,
-    listener: TcpListener,
-    max_connections: usize,
-) -> io::Result<()> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    let active = AtomicUsize::new(0);
-    let active = &active;
-    std::thread::scope(|s| {
-        for stream in listener.incoming() {
-            let mut stream = match stream {
-                Ok(stream) => stream,
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::ConnectionAborted
-                            | io::ErrorKind::ConnectionReset
-                            | io::ErrorKind::Interrupted
-                            | io::ErrorKind::WouldBlock
-                    ) =>
-                {
-                    continue
-                }
-                // EMFILE/ENFILE: the fd table is full because of *other*
-                // connections; back off briefly instead of dying.
-                Err(e) if matches!(e.raw_os_error(), Some(23) | Some(24)) => {
-                    std::thread::sleep(std::time::Duration::from_millis(10));
-                    continue;
-                }
-                Err(e) => return Err(e),
-            };
-            if active.fetch_add(1, Ordering::AcqRel) >= max_connections {
-                active.fetch_sub(1, Ordering::AcqRel);
-                // Tell the client why before closing: Busy with a
-                // retry-after hint, the same shed a full admission queue
-                // produces.
-                let _ = write_response(
-                    &mut stream,
-                    &Err(ServeError::Busy {
-                        retry_after: Duration::from_millis(10),
-                    }),
-                );
-                drop(stream);
-                continue;
-            }
-            let conn_handle = handle.clone();
-            s.spawn(move || {
-                match stream.try_clone() {
-                    Ok(reader) => {
-                        let chaos = conn_handle.fault_plan().filter(|p| p.has_read_faults());
-                        let _ = match chaos {
-                            Some(plan) => {
-                                let mut reader = ChaosReader::new(reader, plan);
-                                serve_connection(&conn_handle, &mut reader, &mut stream)
-                            }
-                            None => {
-                                let mut reader = reader;
-                                serve_connection(&conn_handle, &mut reader, &mut stream)
-                            }
-                        };
-                        let _ = stream.shutdown(std::net::Shutdown::Both);
-                    }
-                    Err(e) => {
-                        // The connection is healthy — only the fd dup
-                        // failed — so say what happened in-band instead of
-                        // hanging up silently.
-                        let _ = write_error(&mut stream, &format!("connection setup failed: {e}"));
-                        let _ = stream.flush();
-                        let _ = stream.shutdown(std::net::Shutdown::Both);
-                    }
-                }
-                active.fetch_sub(1, Ordering::AcqRel);
-            });
-        }
-        Ok(())
+        responder.join().expect("responder thread")
     })
 }
 
@@ -1403,6 +1292,24 @@ mod tests {
         assert!(err.to_string().contains("jpeg_len"));
     }
 
+    /// A hand-built v2 frame: `tlv`, when given, is the options block
+    /// (and sets [`FLAG_HAS_OPTIONS`]).
+    fn v2_frame(flags: u8, deadline_us: u32, tlv: Option<&[u8]>, jpeg: &[u8]) -> Vec<u8> {
+        let block = tlv.map_or(0, |t| 2 + t.len());
+        let total = (V2_HEADER_LEN + block + jpeg.len()) as u32;
+        let flags = flags | if tlv.is_some() { FLAG_HAS_OPTIONS } else { 0 };
+        let mut buf = (total | FRAME_V2_FLAG).to_be_bytes().to_vec();
+        buf.extend_from_slice(&[2u8, flags]);
+        buf.extend_from_slice(&deadline_us.to_be_bytes());
+        buf.extend_from_slice(&(jpeg.len() as u32).to_be_bytes());
+        if let Some(tlv) = tlv {
+            buf.extend_from_slice(&(tlv.len() as u16).to_be_bytes());
+            buf.extend_from_slice(tlv);
+        }
+        buf.extend_from_slice(jpeg);
+        buf
+    }
+
     #[test]
     fn unknown_tlv_tags_are_skipped_for_forward_compat() {
         // Hand-build a v2 frame whose options block mixes an unknown tag
@@ -1413,15 +1320,7 @@ mod tests {
         tlv.extend_from_slice(&[OPT_MAX_SCANS, 4]);
         tlv.extend_from_slice(&5u32.to_be_bytes());
         let jpeg = b"fwd";
-        let total = (V2_HEADER_LEN + 2 + tlv.len() + jpeg.len()) as u32;
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&(total | FRAME_V2_FLAG).to_be_bytes());
-        buf.extend_from_slice(&[2u8, FLAG_HAS_OPTIONS]);
-        buf.extend_from_slice(&0u32.to_be_bytes());
-        buf.extend_from_slice(&(jpeg.len() as u32).to_be_bytes());
-        buf.extend_from_slice(&(tlv.len() as u16).to_be_bytes());
-        buf.extend_from_slice(&tlv);
-        buf.extend_from_slice(jpeg);
+        let buf = v2_frame(0, 0, Some(&tlv), jpeg);
         let frame = read_request(&mut io::Cursor::new(buf)).unwrap().unwrap();
         assert_eq!(frame.jpeg, jpeg);
         assert_eq!(frame.options.options.strictness, Some(Strictness::Tolerant));
@@ -1433,16 +1332,7 @@ mod tests {
     fn truncated_tlv_is_a_protocol_error() {
         // An options block whose last TLV claims more bytes than remain.
         let tlv = [OPT_MAX_PIXELS, 8, 0, 0]; // claims 8, has 2
-        let jpeg = b"t";
-        let total = (V2_HEADER_LEN + 2 + tlv.len() + jpeg.len()) as u32;
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&(total | FRAME_V2_FLAG).to_be_bytes());
-        buf.extend_from_slice(&[2u8, FLAG_HAS_OPTIONS]);
-        buf.extend_from_slice(&0u32.to_be_bytes());
-        buf.extend_from_slice(&(jpeg.len() as u32).to_be_bytes());
-        buf.extend_from_slice(&(tlv.len() as u16).to_be_bytes());
-        buf.extend_from_slice(&tlv);
-        buf.extend_from_slice(jpeg);
+        let buf = v2_frame(0, 0, Some(&tlv), b"t");
         let err = read_request(&mut io::Cursor::new(buf)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
@@ -1522,6 +1412,202 @@ mod tests {
         assert!(!frames[1].v2);
         assert!(goodbye_at.is_some(), "goodbye frame was recognized");
         assert!(fed.is_empty() || !frames.is_empty());
+    }
+
+    /// What a parser made of one frame of a stream, or how the stream
+    /// ended.
+    #[derive(Debug, PartialEq)]
+    enum Parsed {
+        Frame(Vec<u8>, SubmitOptions, bool),
+        End,
+        Error(io::ErrorKind, String),
+    }
+
+    impl Parsed {
+        fn frame(f: RequestFrame) -> Parsed {
+            Parsed::Frame(f.jpeg, f.options, f.v2)
+        }
+
+        fn error(e: io::Error) -> Parsed {
+            Parsed::Error(e.kind(), e.to_string())
+        }
+    }
+
+    /// `wire` fed to [`parse_request`] in the pieces `cuts` make, the way
+    /// the front end's reads deliver it.
+    fn parse_in_pieces(wire: &[u8], cuts: &[usize]) -> Vec<Parsed> {
+        let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (wire.len() + 1)).collect();
+        cuts.sort_unstable();
+        let mut buf = Vec::new();
+        let mut out = Vec::new();
+        let mut from = 0;
+        for cut in cuts.into_iter().chain([wire.len()]) {
+            buf.extend_from_slice(&wire[from..cut]);
+            from = cut;
+            loop {
+                match parse_request(&buf) {
+                    Ok(None) => break,
+                    Ok(Some((None, _))) => {
+                        out.push(Parsed::End);
+                        return out;
+                    }
+                    Ok(Some((Some(frame), consumed))) => {
+                        buf.drain(..consumed);
+                        out.push(Parsed::frame(frame));
+                    }
+                    Err(e) => {
+                        out.push(Parsed::error(e));
+                        return out;
+                    }
+                }
+            }
+        }
+        assert!(buf.is_empty(), "generated streams end at a frame boundary");
+        out.push(Parsed::End);
+        out
+    }
+
+    /// `wire` through [`read_request`] over a reader whose every read is
+    /// one byte or an EINTR.
+    fn read_chaotically(wire: &[u8]) -> Vec<Parsed> {
+        let plan = Arc::new(FaultPlan::parse("shortread=1").unwrap());
+        let mut r = ChaosReader::new(io::Cursor::new(wire), plan);
+        let mut out = Vec::new();
+        loop {
+            match read_request(&mut r) {
+                Ok(Some(frame)) => out.push(Parsed::frame(frame)),
+                Ok(None) => out.push(Parsed::End),
+                Err(e) => out.push(Parsed::error(e)),
+            }
+            if !matches!(out.last(), Some(Parsed::Frame(..))) {
+                return out;
+            }
+        }
+    }
+
+    /// A valid options block drawn from `seed`'s bits: any subset of the
+    /// known tags, plus an unknown one that must be skipped.
+    fn tlv_block(seed: u64) -> Vec<u8> {
+        let mut tlv = Vec::new();
+        if seed & 1 != 0 {
+            tlv.extend_from_slice(&[OPT_FORMAT, 1, (seed >> 8) as u8 & 1]);
+        }
+        if seed & 2 != 0 {
+            tlv.extend_from_slice(&[0xEE, 3, 1, 2, 3]);
+        }
+        if seed & 4 != 0 {
+            tlv.extend_from_slice(&[OPT_STRICTNESS, 1, (seed >> 9) as u8 & 1]);
+        }
+        if seed & 8 != 0 {
+            tlv.extend_from_slice(&[OPT_MAX_PIXELS, 8]);
+            tlv.extend_from_slice(&seed.to_be_bytes());
+        }
+        if seed & 16 != 0 {
+            tlv.extend_from_slice(&[OPT_SIMD_CAP, 1, ((seed >> 10) % 3) as u8]);
+        }
+        if seed & 32 != 0 {
+            tlv.extend_from_slice(&[OPT_MAX_SCANS, 4]);
+            tlv.extend_from_slice(&((seed >> 32) as u32).to_be_bytes());
+        }
+        tlv
+    }
+
+    /// One frame of a mixed request stream: `kind` 0 is v1, 1 a plain v2
+    /// frame, 2 v2 with an options block, 3 v2 with the streaming flag (and
+    /// an options block half the time), 4 the goodbye.
+    fn mixed_frame((kind, len, seed): (u8, usize, u64)) -> Vec<u8> {
+        let jpeg: Vec<u8> = (0..len)
+            .map(|i| (seed >> (i % 8 * 8)) as u8 ^ i as u8)
+            .collect();
+        let flags = (seed >> 40) as u8 & FLAG_DEGRADE_OK;
+        let deadline_us = if seed & 128 != 0 {
+            (seed >> 24) as u32
+        } else {
+            0
+        };
+        let tlv = tlv_block(seed);
+        match kind {
+            0 => {
+                // A zero-length v1 frame is the goodbye: send one byte.
+                let jpeg = if jpeg.is_empty() {
+                    vec![seed as u8]
+                } else {
+                    jpeg
+                };
+                let mut buf = Vec::new();
+                write_request(&mut buf, &jpeg).unwrap();
+                buf
+            }
+            1 => v2_frame(flags, deadline_us, None, &jpeg),
+            2 => v2_frame(flags, deadline_us, Some(&tlv), &jpeg),
+            3 => v2_frame(
+                flags | FLAG_STREAM_OK,
+                deadline_us,
+                (seed & 64 != 0).then_some(&tlv[..]),
+                &jpeg,
+            ),
+            _ => 0u32.to_be_bytes().to_vec(),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn request_parsing_does_not_depend_on_how_the_bytes_are_split(
+            frames in prop::collection::vec((0u8..5, 0usize..48, any::<u64>()), 0..8),
+            cuts in prop::collection::vec(any::<usize>(), 0..12),
+        ) {
+            let wire: Vec<u8> = frames.iter().copied().flat_map(mixed_frame).collect();
+            let read = read_chaotically(&wire);
+            prop_assert_eq!(parse_in_pieces(&wire, &cuts), read);
+        }
+
+        #[test]
+        fn corrupt_headers_fail_alike_however_the_bytes_arrive(
+            before in prop::collection::vec((0u8..4, 0usize..32, any::<u64>()), 0..3),
+            len in 0usize..32,
+            seed in any::<u64>(),
+            field in 0u8..4,
+            value in any::<u32>(),
+            cuts in prop::collection::vec(any::<usize>(), 0..12),
+        ) {
+            // The target: a v2 frame whose options block starts with a
+            // known one-byte record, so its first TLV length is at a fixed
+            // offset.
+            let mut tlv = vec![OPT_STRICTNESS, 1, 0];
+            tlv.extend_from_slice(&tlv_block(seed));
+            let mut target = v2_frame(0, 0, Some(&tlv), &vec![7u8; len]);
+            let changed = match field {
+                0 => std::mem::replace(&mut target[4], value as u8) != value as u8,
+                1 => {
+                    let old = target[10..14].to_vec();
+                    target[10..14].copy_from_slice(&value.to_be_bytes());
+                    old != target[10..14]
+                }
+                2 => {
+                    let old = target[14..16].to_vec();
+                    target[14..16].copy_from_slice(&(value as u16).to_be_bytes());
+                    old != target[14..16]
+                }
+                _ => std::mem::replace(&mut target[17], value as u8) != value as u8,
+            };
+            let mut wire: Vec<u8> = before.iter().copied().flat_map(mixed_frame).collect();
+            wire.extend_from_slice(&target);
+            write_request(&mut wire, b"after").unwrap();
+
+            let read = read_chaotically(&wire);
+            prop_assert_eq!(parse_in_pieces(&wire, &cuts), &read[..]);
+            // Version, jpeg_len and opt_len have one legal value each; a
+            // corrupt TLV length may still describe a parseable block.
+            if changed && field < 3 {
+                let last = read.last().unwrap();
+                prop_assert!(
+                    matches!(last, Parsed::Error(io::ErrorKind::InvalidData, _)),
+                    "field {} = {:#x}: {:?}", field, value, last
+                );
+            }
+        }
     }
 
     #[test]

@@ -14,39 +14,47 @@
 //! `degraded-ok` or streamed (`begin`/`chunk`*/`final` with a CRC-32)
 //! frames. A zero-length request closes the connection gracefully.
 //!
-//! On unix, `--addr` serves with the event-driven front end
+//! `--addr` serves with the event-driven front end
 //! (`hetjpeg_serve::frontend`): one thread, epoll readiness and shard
-//! completions, zero threads and zero loop passes per idle connection. `--threaded-frontend` selects the legacy
-//! thread-per-connection loop; `--max-connections N` sets the admission
-//! cap for either (over-cap clients get a `busy` frame, never a silent
-//! drop).
+//! completions, zero threads and zero loop passes per idle connection.
+//! `--max-connections N` sets its admission cap (over-cap clients get a
+//! `busy` frame, never a silent drop). The front end is unix-only: on other
+//! hosts only `--stdio` serves, and `--addr`, `--smoke` and `--chaos-smoke`
+//! exit with the usage message.
 //!
-//! `--smoke` is the end-to-end proof CI runs: start a TCP server on an
-//! ephemeral loopback port, decode corpus images through the protocol
-//! from several pipelined client connections, compare every payload
-//! against a direct `Decoder::decode`, and shut down checking the drain
-//! accounting.
+//! `--smoke` is the end-to-end proof CI runs: serve through that same
+//! front end on an ephemeral loopback port, decode corpus images from two
+//! pipelined client connections — one speaking v1, one v2 with streamed
+//! replies — compare every payload against a direct `Decoder::decode`,
+//! and shut down checking the front end's and the drain's accounting.
 //!
 //! `--chaos-smoke` is the PR-8 resilience proof: run seeded fault plans
 //! (decode panics, a stalled shard, short/EINTR reads) against real
-//! traffic and assert that non-faulted requests stay bit-identical to
-//! direct decodes, panicked sessions are rebuilt (counter-verified), the
-//! circuit breaker sheds around a dying shard, and deadline-infeasible
-//! requests are shed or degraded — never silently slow.
+//! traffic (the short/EINTR reads through the front end's own reader) and
+//! assert that non-faulted requests stay bit-identical to direct decodes,
+//! panicked sessions are rebuilt (counter-verified), the circuit breaker
+//! sheds around a dying shard, and deadline-infeasible requests are shed
+//! or degraded — never silently slow.
 //!
 //! `--fault SPEC` (or `HETJPEG_FAULT`) arms the deterministic fault
 //! harness on any serving mode; see `hetjpeg_serve::fault` for the
 //! grammar.
 
-use hetjpeg_core::{DecodeOptions, Decoder, Platform};
-use hetjpeg_corpus::{generate_jpeg, ImageSpec, Pattern};
-use hetjpeg_jpeg::types::Subsampling;
-use hetjpeg_serve::fault::{ChaosReader, FaultPlan};
-use hetjpeg_serve::{protocol, ServeConfig, ServeError, Server, SubmitOptions};
-use std::net::{TcpListener, TcpStream};
+use hetjpeg_core::{DecodeOptions, Platform};
+use hetjpeg_serve::fault::FaultPlan;
+use hetjpeg_serve::{protocol, ServeConfig, Server};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
+#[cfg(unix)]
+use {
+    hetjpeg_core::Decoder,
+    hetjpeg_corpus::{generate_jpeg, ImageSpec, Pattern},
+    hetjpeg_jpeg::types::Subsampling,
+    hetjpeg_serve::frontend::{FrontEnd, FrontEndStats, DEFAULT_MAX_CONNECTIONS},
+    hetjpeg_serve::{ServeError, ServeHandle, SubmitOptions},
+    std::net::{SocketAddr, TcpListener, TcpStream},
+};
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -56,7 +64,7 @@ fn usage() -> ExitCode {
          \u{20}              [--model model.txt] [--max-pixels N] [--tolerant]\n\
          \u{20}              [--max-scans N] [--scan-deadline-us N]\n\
          \u{20}              [--fault SPEC[:SEED]] [--breaker-threshold N] [--breaker-cooldown-us N]\n\
-         \u{20}              [--max-connections N] [--threaded-frontend]"
+         \u{20}              [--max-connections N]"
     );
     ExitCode::from(2)
 }
@@ -154,19 +162,24 @@ fn main() -> ExitCode {
         Ok(c) => c,
         Err(code) => return code,
     };
-    if args.iter().any(|a| a == "--smoke") {
-        return smoke(config);
-    }
-    if args.iter().any(|a| a == "--chaos-smoke") {
-        return chaos_smoke(config);
-    }
-    let stdio = args.iter().any(|a| a == "--stdio");
+    let flag = |f: &str| args.iter().any(|a| a == f);
     let addr = arg_value(&args, "--addr");
-    match (stdio, addr) {
-        (true, None) => run_stdio(config),
-        (false, Some(addr)) => run_tcp(config, &addr, &args),
-        _ => usage(),
+    #[cfg(unix)]
+    {
+        if flag("--smoke") {
+            return smoke(config);
+        }
+        if flag("--chaos-smoke") {
+            return chaos_smoke(config);
+        }
+        if let (false, Some(addr)) = (flag("--stdio"), &addr) {
+            return run_tcp(config, addr, &args);
+        }
     }
+    if flag("--stdio") && addr.is_none() {
+        return run_stdio(config);
+    }
+    usage()
 }
 
 fn print_stats(stats: &hetjpeg_serve::ServerStats) {
@@ -211,16 +224,18 @@ fn print_stats(stats: &hetjpeg_serve::ServerStats) {
     }
 }
 
+/// Start the shard pool, or say why it cannot start.
+fn start(config: ServeConfig) -> Option<Server> {
+    Server::start(config)
+        .map_err(|e| eprintln!("cannot start server: {e}"))
+        .ok()
+}
+
 fn run_stdio(config: ServeConfig) -> ExitCode {
-    let server = match Server::start(config) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("cannot start server: {e}");
-            return ExitCode::FAILURE;
-        }
+    let Some(server) = start(config) else {
+        return ExitCode::FAILURE;
     };
-    let handle = server.handle();
-    let result = protocol::serve_stdio(&handle);
+    let result = protocol::serve_stdio(&server.handle());
     let stats = server.shutdown();
     print_stats(&stats);
     match result {
@@ -232,10 +247,10 @@ fn run_stdio(config: ServeConfig) -> ExitCode {
     }
 }
 
+#[cfg(unix)]
 fn run_tcp(config: ServeConfig, addr: &str, args: &[String]) -> ExitCode {
-    let threaded = args.iter().any(|a| a == "--threaded-frontend");
-    let max_connections = match parse_or_usage::<usize>(args, "--max-connections") {
-        Ok(n) => n,
+    let max_connections = match parse_or_usage(args, "--max-connections") {
+        Ok(n) => n.unwrap_or(DEFAULT_MAX_CONNECTIONS),
         Err(code) => return code,
     };
     let listener = match TcpListener::bind(addr) {
@@ -245,24 +260,33 @@ fn run_tcp(config: ServeConfig, addr: &str, args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let server = match Server::start(config) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("cannot start server: {e}");
-            return ExitCode::FAILURE;
-        }
+    let Some(server) = start(config) else {
+        return ExitCode::FAILURE;
     };
     let local = listener.local_addr().map(|a| a.to_string());
     eprintln!(
         "hetjpeg-serve listening on {}",
         local.as_deref().unwrap_or(addr)
     );
-    let handle = server.handle();
-    let result = serve_listener(&handle, listener, threaded, max_connections);
+    let result = FrontEnd::with_max_connections(server.handle(), listener, max_connections)
+        .and_then(|fe| {
+            let served = fe.run();
+            let stats = fe.stats();
+            eprintln!(
+                "front end: {} connections accepted ({} refused, peak {} open), \
+                 {} requests in {} loop wake-ups",
+                stats.accepted,
+                stats.rejected,
+                stats.peak_connections,
+                stats.requests,
+                stats.wakeups,
+            );
+            served
+        });
     let stats = server.shutdown();
     print_stats(&stats);
     match result {
-        Ok(()) => ExitCode::SUCCESS,
+        Ok(_) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("TCP serving failed: {e}");
             ExitCode::FAILURE
@@ -270,42 +294,86 @@ fn run_tcp(config: ServeConfig, addr: &str, args: &[String]) -> ExitCode {
     }
 }
 
-/// Dispatch to the event-driven front end (the default on unix) or the
-/// thread-per-connection loop (`--threaded-frontend`, and the only option
-/// off-unix).
-fn serve_listener(
-    handle: &hetjpeg_serve::ServeHandle,
-    listener: TcpListener,
-    threaded: bool,
-    max_connections: Option<usize>,
-) -> std::io::Result<()> {
-    #[cfg(unix)]
-    if !threaded {
-        use hetjpeg_serve::frontend::{FrontEnd, DEFAULT_MAX_CONNECTIONS};
-        let fe = FrontEnd::with_max_connections(
-            handle.clone(),
-            listener,
-            max_connections.unwrap_or(DEFAULT_MAX_CONNECTIONS),
-        )?;
-        let served = fe.run();
-        let stats = fe.stats();
-        eprintln!(
-            "front end: {} connections accepted ({} refused over the cap, peak {} open), \
-             {} requests in {} loop wake-ups",
-            stats.accepted, stats.rejected, stats.peak_connections, stats.requests, stats.wakeups,
-        );
-        return served.map(|_| ());
-    }
-    let _ = threaded;
-    protocol::serve_tcp_with(
-        handle,
-        listener,
-        max_connections.unwrap_or(protocol::MAX_CONNECTIONS),
-    )
+/// Serve `handle` through a [`FrontEnd`] on an ephemeral loopback port —
+/// the path `--addr` ships — while `clients` runs, then stop it.
+#[cfg(unix)]
+fn through_front_end<T>(
+    handle: &ServeHandle,
+    clients: impl FnOnce(SocketAddr) -> T,
+) -> (T, FrontEndStats) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().expect("local addr");
+    let fe = Arc::new(FrontEnd::new(handle.clone(), listener).expect("front end"));
+    // Not scoped: a panicking client must end the process, not wait on a
+    // loop nobody stops.
+    let runner = {
+        let fe = Arc::clone(&fe);
+        std::thread::spawn(move || fe.run())
+    };
+    let out = clients(addr);
+    fe.stop();
+    runner
+        .join()
+        .expect("front-end thread")
+        .expect("front-end loop");
+    (out, fe.stats())
 }
 
-/// CI self-test: full server lifecycle over the real TCP protocol,
-/// byte-compared against direct session decodes.
+/// Direct session decodes with `config`'s platform, model, threads and
+/// options: the bytes every served reply must equal.
+#[cfg(unix)]
+fn reference(config: &ServeConfig) -> impl Fn(&[u8]) -> Vec<u8> {
+    let model = config.model.clone();
+    let decoder = Decoder::builder()
+        .platform(config.platform.clone())
+        .model(model.unwrap_or_else(|| config.platform.untrained_model()))
+        .threads(config.threads)
+        .build()
+        .expect("reference session");
+    let options = config.options;
+    move |jpeg| {
+        decoder
+            .decode(jpeg, options)
+            .expect("reference decode")
+            .image
+            .data
+    }
+}
+
+/// Pipeline the `(jpeg, want)` cases' requests on one new connection to
+/// `addr` — `write` frames the `i`th, and every request is written before
+/// any reply is read — then say goodbye, and count the replies that are not
+/// a full-fidelity frame of the case's `want` pixels.
+#[cfg(unix)]
+fn pipelined_mismatches<'a>(
+    addr: SocketAddr,
+    cases: impl IntoIterator<Item = (&'a Vec<u8>, &'a Vec<u8>)>,
+    write: impl Fn(&mut TcpStream, usize, &[u8]) -> std::io::Result<()>,
+) -> usize {
+    let cases: Vec<_> = cases.into_iter().collect();
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    for (i, (jpeg, _)) in cases.iter().enumerate() {
+        write(&mut stream, i, jpeg).expect("write request");
+    }
+    protocol::write_goodbye(&mut stream).expect("goodbye");
+    let mut mismatches = 0;
+    for (i, (_, want)) in cases.iter().enumerate() {
+        let reply = protocol::read_response(&mut stream).expect("read response");
+        if !matches!(&reply, protocol::ServerReply::Ok(frame) if &frame.rgb == *want) {
+            let why = reply.into_frame().err();
+            eprintln!(
+                "reply {i}: {}",
+                why.as_deref().unwrap_or("not the reference pixels")
+            );
+            mismatches += 1;
+        }
+    }
+    mismatches
+}
+
+/// CI self-test: full server lifecycle over the real TCP protocol and the
+/// event front end, byte-compared against direct session decodes.
+#[cfg(unix)]
 fn smoke(mut config: ServeConfig) -> ExitCode {
     config.shards = config.shards.max(2);
     let shards = config.shards;
@@ -352,106 +420,48 @@ fn smoke(mut config: ServeConfig) -> ExitCode {
     }
     let corpus = corpus;
 
-    // Reference bytes from a plain session with the same configuration.
-    let reference_decoder = Decoder::builder()
-        .platform(config.platform.clone())
-        .model(
-            config
-                .model
-                .clone()
-                .unwrap_or_else(|| config.platform.untrained_model()),
-        )
-        .threads(config.threads)
-        .build()
-        .expect("reference session");
-    let references: Vec<Vec<u8>> = corpus
-        .iter()
-        .map(|j| {
-            reference_decoder
-                .decode(j, config.options)
-                .expect("reference decode")
-                .image
-                .data
-                .clone()
-        })
-        .collect();
+    let decode = reference(&config);
+    let references: Vec<Vec<u8>> = corpus.iter().map(|j| decode(j)).collect();
 
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let addr = listener.local_addr().expect("local addr");
-    let server = match Server::start(config) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("smoke: cannot start server: {e}");
-            return ExitCode::FAILURE;
-        }
+    let Some(server) = start(config) else {
+        return ExitCode::FAILURE;
     };
-    let handle = server.handle();
 
     let total = corpus.len();
-    let ok = std::thread::scope(|s| {
-        // The accept loop runs for the duration of the scope; it exits
-        // when the listener is dropped after the clients finish... the
-        // listener cannot be "closed" portably, so the accept thread is
-        // left to end with the process in real serving; here the clients
-        // finish first and the scope would block — so serve a bounded
-        // number of connections instead.
-        let accept_handle = handle.clone();
-        s.spawn(move || {
-            for _ in 0..2 {
-                if let Ok((mut stream, _)) = listener.accept() {
-                    let conn_handle = accept_handle.clone();
-                    let mut reader = stream.try_clone().expect("clone stream");
-                    let _ = protocol::serve_connection(&conn_handle, &mut reader, &mut stream);
-                }
-            }
-        });
-
-        // Two pipelined client connections splitting the corpus.
-        let mut mismatches = 0usize;
-        let mut answered = 0usize;
-        for half in 0..2 {
-            let mut stream = TcpStream::connect(addr).expect("connect");
-            let jpegs: Vec<&Vec<u8>> = corpus.iter().skip(half).step_by(2).collect();
-            let refs: Vec<&Vec<u8>> = references.iter().skip(half).step_by(2).collect();
-            // Pipeline: write every request before reading any response.
-            for j in &jpegs {
-                protocol::write_request(&mut stream, j).expect("write request");
-            }
-            protocol::write_goodbye(&mut stream).expect("goodbye");
-            for (i, want) in refs.iter().enumerate() {
-                match protocol::read_response(&mut stream)
-                    .expect("read response")
-                    .into_frame()
-                {
-                    Ok(frame) => {
-                        answered += 1;
-                        if &frame.rgb != *want {
-                            eprintln!("smoke: payload mismatch on image {i} of half {half}");
-                            mismatches += 1;
-                        }
-                    }
-                    Err(msg) => {
-                        eprintln!("smoke: server error on image {i} of half {half}: {msg}");
-                        mismatches += 1;
-                    }
-                }
-            }
-        }
-        mismatches == 0 && answered == total
+    let mut streamed = SubmitOptions::default();
+    streamed.options.streaming = true;
+    let (mismatches, fe_stats) = through_front_end(&server.handle(), |addr| {
+        // Two pipelined client connections splitting the corpus: the first
+        // speaks v1, the second v2 with streamed replies.
+        let v1 = |w: &mut TcpStream, _, j: &[u8]| protocol::write_request(w, j);
+        let v2 = |w: &mut TcpStream, _, j: &[u8]| protocol::write_request_v2_opts(w, j, &streamed);
+        let cases = || corpus.iter().zip(&references);
+        pipelined_mismatches(addr, cases().step_by(2), v1)
+            + pipelined_mismatches(addr, cases().skip(1).step_by(2), v2)
     });
 
     let stats = server.shutdown();
     print_stats(&stats);
-    if !ok {
-        eprintln!("smoke: FAILED");
+    if mismatches != 0 {
+        eprintln!("smoke: FAILED: {mismatches} replies differ from direct decode");
         return ExitCode::FAILURE;
     }
-    if stats.requests() != total as u64 || stats.decode_errors() != 0 {
+    let v2_requests = total as u64 / 2;
+    if stats.requests() != total as u64
+        || stats.decode_errors() != 0
+        || stats.streamed() != v2_requests
+    {
         eprintln!(
-            "smoke: accounting mismatch: {} requests recorded for {total} sent, {} errors",
+            "smoke: accounting mismatch: {} requests recorded for {total} sent, {} errors, \
+             {} streamed for {v2_requests} streaming requests",
             stats.requests(),
-            stats.decode_errors()
+            stats.decode_errors(),
+            stats.streamed(),
         );
+        return ExitCode::FAILURE;
+    }
+    if fe_stats.accepted != 2 || fe_stats.rejected != 0 || fe_stats.requests != total as u64 {
+        eprintln!("smoke: front-end accounting mismatch: {fe_stats:?}");
         return ExitCode::FAILURE;
     }
     // Every shard must have decoded at the host's detected kernel level
@@ -517,8 +527,8 @@ fn smoke(mut config: ServeConfig) -> ExitCode {
         return ExitCode::FAILURE;
     }
     println!(
-        "smoke OK: {total} images through {shards} shards over TCP ({} kernels), all payloads \
-         bit-identical to direct decode",
+        "smoke OK: {total} images through {shards} shards over TCP via the event front end \
+         ({} kernels), v1 and streamed v2, all payloads bit-identical to direct decode",
         expected.name()
     );
     ExitCode::SUCCESS
@@ -528,6 +538,7 @@ fn smoke(mut config: ServeConfig) -> ExitCode {
 /// verify the failure-domain guarantees end to end — panic isolation with
 /// counter-verified session rebuild, circuit-breaker shedding, chaotic
 /// reads that never desync the framing, and SLO shed/degrade behaviour.
+#[cfg(unix)]
 fn chaos_smoke(config: ServeConfig) -> ExitCode {
     macro_rules! check {
         ($cond:expr, $($msg:tt)+) => {
@@ -547,25 +558,7 @@ fn chaos_smoke(config: ServeConfig) -> ExitCode {
         };
         generate_jpeg(&spec, 85, Subsampling::S420).expect("encode chaos image")
     };
-    let reference = Decoder::builder()
-        .platform(config.platform.clone())
-        .model(
-            config
-                .model
-                .clone()
-                .unwrap_or_else(|| config.platform.untrained_model()),
-        )
-        .threads(config.threads)
-        .build()
-        .expect("reference session");
-    let ref_bytes = |jpeg: &[u8]| {
-        reference
-            .decode(jpeg, config.options)
-            .expect("reference decode")
-            .image
-            .data
-            .clone()
-    };
+    let ref_bytes = reference(&config);
 
     // Phase 1 — panic isolation on a stuttering shard. One decode panic
     // (request #2 of the home shard) plus a 3 ms stall on every 2nd
@@ -684,57 +677,28 @@ fn chaos_smoke(config: ServeConfig) -> ExitCode {
     );
 
     // Phase 3 — chaotic connection reads over real TCP: every 2nd read
-    // is interrupted (EINTR) or returns 1 byte, across mixed v1/v2
-    // frames. Framing must never desync; every payload bit-identical.
+    // of the front end's connection reader is interrupted (EINTR) or
+    // returns 1 byte, across mixed v1/v2 frames. Framing must never
+    // desync; every payload bit-identical.
     let plan = Arc::new(FaultPlan::parse("shortread=2:11").expect("phase 3 plan"));
     eprintln!("chaos-smoke phase 3: {}", plan.describe());
     let mut cfg = config.clone();
     cfg.shards = 2;
     cfg.fault_plan = Some(plan.clone());
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let addr = listener.local_addr().expect("local addr");
     let server = Server::start(cfg).expect("phase 3 server");
-    let handle = server.handle();
     let jpegs: Vec<Vec<u8>> = (0..6).map(|i| jpeg_for(300 + i)).collect();
     let wants: Vec<Vec<u8>> = jpegs.iter().map(|j| ref_bytes(j)).collect();
-    let wire_ok = std::thread::scope(|s| {
-        let accept_handle = handle.clone();
-        let plan_srv = plan.clone();
-        s.spawn(move || {
-            if let Ok((mut stream, _)) = listener.accept() {
-                let reader = stream.try_clone().expect("clone stream");
-                let mut chaos = ChaosReader::new(reader, plan_srv);
-                let _ = protocol::serve_connection(&accept_handle, &mut chaos, &mut stream);
-            }
-        });
-        let mut stream = TcpStream::connect(addr).expect("connect");
-        for (i, j) in jpegs.iter().enumerate() {
-            if i < 4 {
-                protocol::write_request(&mut stream, j).expect("v1 request");
-            } else {
-                protocol::write_request_v2(&mut stream, j, Some(Duration::from_secs(5)), true)
-                    .expect("v2 request");
-            }
-        }
-        protocol::write_goodbye(&mut stream).expect("goodbye");
-        let mut good = true;
-        for (i, want) in wants.iter().enumerate() {
-            match protocol::read_response(&mut stream).expect("read response") {
-                protocol::ServerReply::Ok(frame) => {
-                    if &frame.rgb != want {
-                        eprintln!("chaos-smoke: phase 3: payload mismatch on image {i}");
-                        good = false;
-                    }
-                }
-                _ => {
-                    eprintln!("chaos-smoke: phase 3: non-ok reply on image {i}");
-                    good = false;
-                }
-            }
-        }
-        good
+    let (mismatches, _) = through_front_end(&server.handle(), |addr| {
+        let mixed = |w: &mut TcpStream, i, j: &[u8]| match i {
+            0..4 => protocol::write_request(w, j),
+            _ => protocol::write_request_v2(w, j, Some(Duration::from_secs(5)), true),
+        };
+        pipelined_mismatches(addr, jpegs.iter().zip(&wants), mixed)
     });
-    check!(wire_ok, "phase 3: wire roundtrip failed");
+    check!(
+        mismatches == 0,
+        "phase 3: {mismatches} replies differ from direct decode"
+    );
     let stats = server.shutdown();
     check!(
         stats.requests() == 6 && stats.decode_errors() == 0 && stats.shed() == 0,

@@ -5,10 +5,16 @@
 //! shutdown-vs-inflight regression for breaker-open shards.
 
 use hetjpeg::serve::fault::{ChaosReader, FaultPlan};
+#[cfg(unix)]
+use hetjpeg::serve::frontend::FrontEnd;
 use hetjpeg::serve::{protocol, ServeConfig, ServeError, Server};
 use hetjpeg::{DecodeOptions, Decoder};
 use hetjpeg_corpus::{generate_jpeg, ImageSpec, Pattern};
 use hetjpeg_jpeg::types::Subsampling;
+#[cfg(unix)]
+use std::io::{Read, Write};
+#[cfg(unix)]
+use std::net::SocketAddr;
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -261,14 +267,16 @@ fn shutdown_drains_breaker_open_queue_with_explicit_errors() {
     assert_eq!(stats.shed(), 0, "drained requests are Shutdown, not Busy");
 }
 
-/// Run the event-driven front end on a loopback port for the duration of
-/// `client`: the error exits of the serve path below are only reachable
-/// by its connections through a completion notification — there is no
-/// tick to find an un-notified reply — so a missing one hangs the client's
-/// read (bounded by its read timeout) instead of passing late.
+/// The event-driven front end of `server` on a loopback port: the front
+/// end, its loop thread and its address.
 #[cfg(unix)]
-fn through_front_end(server: &Server, client: impl FnOnce(&mut TcpStream)) {
-    use hetjpeg::serve::frontend::FrontEnd;
+fn spawn_front_end(
+    server: &Server,
+) -> (
+    Arc<FrontEnd>,
+    std::thread::JoinHandle<std::io::Result<u64>>,
+    SocketAddr,
+) {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let fe = Arc::new(FrontEnd::new(server.handle(), listener).unwrap());
@@ -276,14 +284,131 @@ fn through_front_end(server: &Server, client: impl FnOnce(&mut TcpStream)) {
         let fe = Arc::clone(&fe);
         std::thread::spawn(move || fe.run())
     };
-    let mut stream = TcpStream::connect(addr).unwrap();
+    (fe, runner, addr)
+}
+
+/// A client connection whose reads give up after 30 s instead of hanging.
+#[cfg(unix)]
+fn connect(addr: SocketAddr) -> TcpStream {
+    let stream = TcpStream::connect(addr).unwrap();
     stream
         .set_read_timeout(Some(Duration::from_secs(30)))
         .unwrap();
+    stream
+}
+
+/// Run the event-driven front end on a loopback port for the duration of
+/// `client`: the error exits of the serve path below are only reachable
+/// by its connections through a completion notification — there is no
+/// tick to find an un-notified reply — so a missing one hangs the client's
+/// read (bounded by its read timeout) instead of passing late.
+#[cfg(unix)]
+fn through_front_end(server: &Server, client: impl FnOnce(&mut TcpStream)) {
+    let (fe, runner, addr) = spawn_front_end(server);
+    let mut stream = connect(addr);
     client(&mut stream);
     protocol::write_goodbye(&mut stream).unwrap();
     fe.stop();
     runner.join().unwrap().unwrap();
+}
+
+#[cfg(unix)]
+#[test]
+fn torn_reads_drop_one_front_end_connection_and_spare_the_next() {
+    // The front end reads through the fault plan's chaos reader: the first
+    // connection read of the process tears, so that connection is dropped
+    // with its request unparsed and unanswered, and the next connection is
+    // served as if nothing happened.
+    let plan = Arc::new(FaultPlan::parse("torn=#1:5").unwrap());
+    let server = Server::start(ServeConfig {
+        shards: 1,
+        fault_plan: Some(plan.clone()),
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let jpeg = jpeg_for(600);
+    let want = reference_bytes(std::slice::from_ref(&jpeg)).remove(0);
+    let (fe, runner, addr) = spawn_front_end(&server);
+
+    let mut torn = connect(addr);
+    protocol::write_request(&mut torn, &jpeg).unwrap();
+    assert!(
+        protocol::read_response(&mut torn).is_err(),
+        "the torn connection is dropped without a reply"
+    );
+    let mut clean = connect(addr);
+    protocol::write_request(&mut clean, &jpeg).unwrap();
+    let frame = protocol::read_response(&mut clean)
+        .unwrap()
+        .into_frame()
+        .expect("the next connection is served");
+    assert_eq!(frame.rgb, want);
+    protocol::write_goodbye(&mut clean).unwrap();
+
+    fe.stop();
+    runner.join().unwrap().unwrap();
+    assert_eq!(fe.stats().accepted, 2);
+    assert_eq!(fe.stats().requests, 1, "the torn request was never parsed");
+    assert_eq!(plan.injections_fired(), 1);
+    let stats = server.shutdown();
+    assert_eq!(stats.requests(), 1);
+}
+
+#[cfg(unix)]
+#[test]
+fn short_front_end_reads_leave_replies_byte_identical() {
+    // Every front-end read is one byte or an EINTR: the reframer must cut
+    // the same frames, so the reply stream is byte for byte what the
+    // blocking transport writes for the same requests.
+    let plan = Arc::new(FaultPlan::parse("shortread=1:8").unwrap());
+    let server = Server::start(ServeConfig {
+        shards: 2,
+        fault_plan: Some(plan.clone()),
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let mut streamed = hetjpeg::serve::SubmitOptions::default();
+    streamed.options.streaming = true;
+    let mut requests = Vec::new();
+    for (i, j) in (700..704).map(jpeg_for).enumerate() {
+        match i % 3 {
+            0 => protocol::write_request(&mut requests, &j).unwrap(),
+            1 => protocol::write_request_v2(&mut requests, &j, None, true).unwrap(),
+            _ => protocol::write_request_v2_opts(&mut requests, &j, &streamed).unwrap(),
+        }
+    }
+    protocol::write_goodbye(&mut requests).unwrap();
+    // The blocking transport over memory reads no socket: the plan leaves
+    // it alone.
+    let mut want = Vec::new();
+    protocol::serve_connection(
+        &server.handle(),
+        &mut std::io::Cursor::new(&requests),
+        &mut want,
+    )
+    .unwrap();
+
+    let (fe, runner, addr) = spawn_front_end(&server);
+    let mut stream = connect(addr);
+    stream.write_all(&requests).unwrap();
+    let mut got = Vec::new();
+    stream.read_to_end(&mut got).unwrap();
+    fe.stop();
+    runner.join().unwrap().unwrap();
+    assert!(
+        got == want,
+        "{} bytes over TCP, {} expected",
+        got.len(),
+        want.len()
+    );
+    assert!(
+        plan.injections_fired() as usize >= requests.len() / 2,
+        "only {} reads were chaotic",
+        plan.injections_fired()
+    );
+    let stats = server.shutdown();
+    assert_eq!(stats.requests(), 8);
+    assert_eq!(stats.decode_errors(), 0);
 }
 
 #[cfg(unix)]
@@ -354,7 +479,6 @@ fn open_breaker_sheds_through_the_event_front_end() {
     .unwrap();
     let jpeg = jpeg_for(500);
     through_front_end(&server, |stream| {
-        use std::io::Write;
         let mut pipelined = Vec::new();
         protocol::write_request(&mut pipelined, &jpeg).unwrap();
         protocol::write_request(&mut pipelined, &jpeg).unwrap();

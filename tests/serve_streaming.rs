@@ -421,54 +421,6 @@ fn v1_clients_never_see_stream_statuses_even_when_forced() {
 }
 
 #[test]
-fn saturated_listener_sheds_with_busy_not_silence() {
-    use std::io::Read;
-    use std::net::{TcpListener, TcpStream};
-
-    let server = Server::start(ServeConfig {
-        shards: 1,
-        ..ServeConfig::default()
-    })
-    .unwrap();
-    let handle = server.handle();
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-
-    // serve_tcp_with blocks until the listener dies, so run it detached;
-    // the test only needs its accept behavior.
-    let accept_handle = handle.clone();
-    std::thread::spawn(move || {
-        let _ = protocol::serve_tcp_with(&accept_handle, listener, 1);
-    });
-
-    // First connection occupies the single slot (prove it works).
-    let mut first = TcpStream::connect(addr).unwrap();
-    let j = jpeg(96, 96, 51, Subsampling::S420);
-    write_request(&mut first, &j).unwrap();
-    let reply = read_response(&mut first).unwrap();
-    assert!(reply.frame().is_some(), "slot-holder is served: {reply:?}");
-
-    // Second connection, while the first is still open: the old code
-    // silently closed it; now it must answer Busy with a retry hint.
-    let mut second = TcpStream::connect(addr).unwrap();
-    second
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    match read_response(&mut second) {
-        Ok(ServerReply::Busy { retry_after }) => assert!(retry_after > Duration::ZERO),
-        other => panic!("expected an in-band Busy shed, got {other:?}"),
-    }
-    // …and the connection is then closed by the server.
-    let mut rest = Vec::new();
-    let n = second.read_to_end(&mut rest).unwrap_or(0);
-    assert_eq!(n, 0, "no bytes after the Busy frame");
-
-    write_goodbye(&mut first).unwrap();
-    drop(first);
-    server.shutdown();
-}
-
-#[test]
 fn feasible_deadline_is_not_degraded_by_a_long_coalesce_window() {
     // Regression: a coalescing wait longer than a request's deadline used
     // to hold a feasible request past it, and the late recheck degraded
@@ -643,9 +595,15 @@ fn event_frontend_sheds_over_cap_connections_in_band() {
         .set_read_timeout(Some(Duration::from_secs(30)))
         .unwrap();
     match read_response(&mut second) {
-        Ok(ServerReply::Busy { .. }) => {}
+        Ok(ServerReply::Busy { retry_after }) => assert!(retry_after > Duration::ZERO),
         other => panic!("expected Busy shed from the frontend, got {other:?}"),
     }
+    // …and the connection is then closed by the server: no bytes after the
+    // Busy frame.
+    let mut rest = Vec::new();
+    use std::io::Read;
+    let n = second.read_to_end(&mut rest).unwrap_or(0);
+    assert_eq!(n, 0, "no bytes after the Busy frame");
 
     write_goodbye(&mut first).unwrap();
     drop(first);
@@ -666,6 +624,106 @@ fn event_frontend_sheds_over_cap_connections_in_band() {
     fe.stop();
     runner.join().unwrap().unwrap();
     server.shutdown();
+}
+
+/// The two transports are one server: the same pipelined request bytes
+/// through `serve_connection` over memory and through `FrontEnd` over
+/// loopback TCP come back as byte-identical response streams — v1 and v2
+/// frames, per-request options, in-band decode errors and, with streaming
+/// on, the 5/6/7 framing and its CRC.
+#[cfg(unix)]
+#[test]
+fn serve_connection_and_the_front_end_answer_byte_identically() {
+    use hetjpeg::serve::frontend::FrontEnd;
+    use std::io::{Read, Write};
+    use std::net::{TcpListener, TcpStream};
+    use std::sync::Arc;
+
+    let server = Server::start(ServeConfig {
+        shards: 2,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let handle = server.handle();
+    let inputs = [
+        jpeg(96, 96, 121, Subsampling::S420),
+        jpeg(128, 64, 122, Subsampling::S422),
+        progressive(128, 96, 123),
+        b"not a jpeg".to_vec(),
+    ];
+    for streaming in [false, true] {
+        let plain = SubmitOptions {
+            options: RequestOptions {
+                streaming,
+                ..RequestOptions::default()
+            },
+            ..SubmitOptions::default()
+        };
+        let tuned = SubmitOptions {
+            options: RequestOptions {
+                strictness: Some(Strictness::Tolerant),
+                max_scans: Some(2),
+                streaming,
+                ..RequestOptions::default()
+            },
+            ..SubmitOptions::default()
+        };
+        let mut requests = Vec::new();
+        for j in &inputs {
+            write_request(&mut requests, j).unwrap();
+            write_request_v2_opts(&mut requests, j, &plain).unwrap();
+            write_request_v2_opts(&mut requests, j, &tuned).unwrap();
+        }
+        write_goodbye(&mut requests).unwrap();
+
+        let mut in_memory = Vec::new();
+        let served =
+            protocol::serve_connection(&handle, &mut Cursor::new(&requests), &mut in_memory)
+                .unwrap();
+        assert_eq!(served, 3 * inputs.len() as u64);
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let fe = Arc::new(FrontEnd::new(handle.clone(), listener).unwrap());
+        let runner = {
+            let fe = Arc::clone(&fe);
+            std::thread::spawn(move || fe.run())
+        };
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(60)))
+            .unwrap();
+        stream.write_all(&requests).unwrap();
+        // The front end closes after flushing the reply to the goodbye.
+        let mut over_tcp = Vec::new();
+        stream.read_to_end(&mut over_tcp).unwrap();
+        fe.stop();
+        runner.join().unwrap().unwrap();
+
+        assert!(
+            over_tcp == in_memory,
+            "streaming={streaming}: {} bytes over TCP, {} in memory",
+            over_tcp.len(),
+            in_memory.len()
+        );
+        // Each input's three replies: pixels for the images, an error for
+        // the garbage.
+        let mut r = Cursor::new(&in_memory);
+        for (i, _) in inputs.iter().enumerate() {
+            for kind in ["v1", "v2", "tuned"] {
+                let reply = read_response(&mut r).unwrap();
+                let is_image = i + 1 < inputs.len();
+                assert_eq!(
+                    reply.frame().is_some(),
+                    is_image,
+                    "input {i} {kind}: {reply:?}"
+                );
+            }
+        }
+        assert_eq!(r.position(), in_memory.len() as u64);
+    }
+    let stats = server.shutdown();
+    assert!(stats.stream_tile_peak() <= TILE_POOL_CAP as u64);
 }
 
 /// A client that stops reading mid-reply must neither spin the loop nor be
