@@ -41,7 +41,9 @@
 //! than [`WRITE_WATERMARK`] unflushed bytes; a slow reader therefore
 //! stalls its own stream's tile drain (tiles stay pooled in the shard)
 //! rather than ballooning server memory, and resumes on the writable
-//! event.
+//! event. A reader that stays stalled past the shard's tile stall limit
+//! (10 s) gets an abort trailer ([`ServeError::Stalled`]) after the rows
+//! it was sent, never a short success.
 //!
 //! File-descriptor exhaustion: the loop holds one spare fd. When `accept`
 //! fails with `EMFILE`/`ENFILE` it closes the spare, accepts the waiting

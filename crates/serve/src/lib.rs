@@ -13,9 +13,8 @@
 //!   pools and `Mode::Auto` caches);
 //! * an **admission queue** per shard — bounded, so a flooded server
 //!   exerts backpressure on submitters instead of growing an unbounded
-//!   backlog — whose consumer takes whatever is already queued (up to
-//!   [`ServeConfig::max_batch`]) and serves it under one hot session; it
-//!   never holds a request back to wait for company;
+//!   backlog — whose consumer serves whatever is already queued under one
+//!   hot session; it never holds a request back to wait for company;
 //! * **shape-keyed routing**: requests are routed to shards by a cheap
 //!   header scan of (width, height, subsampling), so images of one shape
 //!   land on one session and its per-shape `Auto` decision cache and
@@ -43,8 +42,8 @@
 //! assert_eq!(out.image.width, 96);
 //! let ticket = handle.submit(jpeg).unwrap();        // or async: submit…
 //! assert!(ticket.wait().is_ok());                   // …and await the ticket
-//! let stats = server.shutdown();                    // drains in-flight batches
-//! assert_eq!(stats.requests(), 2);
+//! let stats = server.shutdown();                    // drains queued requests
+//! assert_eq!(stats.total().requests, 2);            // summed over shards
 //! ```
 //!
 //! See `docs/ARCHITECTURE.md` for a request's full path through the
@@ -74,12 +73,12 @@ pub struct ServeConfig {
     /// `Decoder`). Defaults to the host's available parallelism, capped
     /// at 8.
     pub shards: usize,
-    /// Per-shard admission-queue depth. A submit against a full queue
-    /// blocks — backpressure, not unbounded buffering.
+    /// Per-shard admission-queue depth — backpressure, not unbounded
+    /// buffering. When every eligible queue is full, a blocking submit
+    /// ([`ServeHandle::submit`]) waits for room on the home shard and a
+    /// non-blocking one ([`ServeHandle::submit_nonblocking`]) is shed with
+    /// [`ServeError::Busy`].
     pub queue_depth: usize,
-    /// Maximum already-queued requests a shard worker takes off its queue
-    /// in one go (it never waits for more to arrive).
-    pub max_batch: usize,
     /// `Mode::Auto` decision-cache cap for each shard's session.
     pub auto_cache_cap: usize,
     /// Target platform shared by every shard.
@@ -125,7 +124,6 @@ impl Default for ServeConfig {
         ServeConfig {
             shards,
             queue_depth: 64,
-            max_batch: 8,
             auto_cache_cap: DEFAULT_AUTO_CACHE_CAP,
             platform: Platform::gtx560(),
             model: None,
@@ -166,6 +164,10 @@ pub enum ServeError {
     /// The request was queued when the server shut down; it was drained
     /// with this explicit error instead of being dropped silently.
     Shutdown,
+    /// A streamed reply was aborted because its consumer returned no tile
+    /// buffer for 10 s (the shard's tile stall limit): the rows already
+    /// delivered are not the whole image.
+    Stalled,
 }
 
 /// Why [`Server::start`] rejected a [`ServeConfig`].
@@ -175,8 +177,6 @@ pub enum ConfigError {
     ZeroShards,
     /// `queue_depth` was zero (every submit would deadlock).
     ZeroQueueDepth,
-    /// `max_batch` was zero (a batch could never form).
-    ZeroMaxBatch,
     /// `breaker_threshold` was zero (the breaker would trip before the
     /// first request).
     ZeroBreakerThreshold,
@@ -205,6 +205,11 @@ impl fmt::Display for ServeError {
             ServeError::Shutdown => {
                 write!(f, "request drained by server shutdown before decode")
             }
+            ServeError::Stalled => write!(
+                f,
+                "stream aborted: the client read no tile for {} s",
+                pool::TILE_STALL_LIMIT.as_secs_f64()
+            ),
         }
     }
 }
@@ -214,7 +219,6 @@ impl fmt::Display for ConfigError {
         match self {
             ConfigError::ZeroShards => write!(f, "shards must be >= 1"),
             ConfigError::ZeroQueueDepth => write!(f, "queue_depth must be >= 1"),
-            ConfigError::ZeroMaxBatch => write!(f, "max_batch must be >= 1"),
             ConfigError::ZeroBreakerThreshold => {
                 write!(f, "breaker_threshold must be >= 1")
             }

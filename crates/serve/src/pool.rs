@@ -26,16 +26,27 @@
 //!
 //! ## Batch admission
 //!
-//! Each worker blocks on its queue; on the first arrival it also takes
-//! whatever else is **already** queued, up to [`ServeConfig::max_batch`],
-//! and serves that group under its session, one request at a time. It
-//! never waits for company: a lone request starts decoding the moment the
-//! worker is free, and under load the group is as large as the backlog —
-//! batching that costs no latency because nothing is held back to form
-//! it. `batches`, `requests` and the `max_batch` high-water mark in
+//! Each worker blocks on its queue; on the first arrival it starts a
+//! *batch* — a busy period — and keeps serving whatever is **already**
+//! queued under its session, one request at a time, until the queue is
+//! empty. It never waits for company: a lone request starts decoding the
+//! moment the worker is free, and under load the batch lasts as long as
+//! the backlog, which the queue depth bounds. `batches` and `requests` in
 //! [`ShardStats`] therefore measure real queueing, not a window. The
-//! queues are bounded: a flooded server blocks submitters (backpressure)
-//! rather than queueing without limit.
+//! queues are bounded: a flooded server blocks submitters, or sheds
+//! non-blocking ones with [`ServeError::Busy`], rather than queueing
+//! without limit.
+//!
+//! ## One worker body, two reply shapes
+//!
+//! A request is answered either whole ([`ServeReply::Whole`], through
+//! [`Decoder::decode`], which carries the GPU modes' timing, partition
+//! and H2D accounting) or as a row-tile stream ([`ServeReply::Stream`],
+//! through the CPU-only [`Decoder::decode_rows`]). Both run through the
+//! same steps — fault sites, breaker gate, late-deadline check, option
+//! assembly, one `catch_unwind`, one outcome match — and differ only in
+//! the call inside it and where the answer goes: the ticket, or the
+//! stream's terminal [`StreamEvent::End`].
 //!
 //! ## Completion notification
 //!
@@ -49,21 +60,24 @@
 //! mid-request leaves its submitter a wake-up to find the hang-up with.
 //! Blocking submitters pass none and pay nothing.
 //!
-//! ## Failure domains (PR 8)
+//! ## Failure domains
 //!
-//! Every decode runs inside `catch_unwind`: a panicking request is
-//! answered with [`ServeError::Panicked`], the shard's poisoned session is
-//! rebuilt (fresh pools, empty `Auto` cache — its *statistics* survive via
-//! a retired-totals accumulator), and the worker keeps serving. A
-//! per-shard **circuit breaker** trips after
+//! Every decode, whole or streamed, runs inside the worker's one
+//! `catch_unwind`: a panicking request is answered with
+//! [`ServeError::Panicked`] (in-stream for a streamed reply), the shard's
+//! poisoned session is rebuilt (fresh pools, empty `Auto` cache — its
+//! *statistics* survive via a retired-totals accumulator), and the worker
+//! keeps serving. A per-shard **circuit breaker** trips after
 //! [`ServeConfig::breaker_threshold`] consecutive panics: an open shard is
 //! routed around at submit time (overflow-spill reuse) and fail-fasts its
 //! own queue with [`ServeError::Busy`] until a backoff probe half-opens
 //! it; a successful probe closes it again. During shutdown an open shard
 //! drains its queue with explicit [`ServeError::Shutdown`] errors instead
-//! of silently dropping tickets.
+//! of silently dropping tickets. A stream consumer that returns no tile
+//! for the tile stall limit (10 s) has its stream aborted with
+//! [`ServeError::Stalled`], so a wedged client cannot pin a worker.
 //!
-//! ## SLO admission (PR 8)
+//! ## SLO admission
 //!
 //! [`ServeHandle::submit_with`] accepts an optional per-request deadline.
 //! At admission the home shard's completion time is estimated as its
@@ -82,7 +96,8 @@ use crate::fault::{FaultPlan, FaultSite};
 use crate::{ConfigError, ServeConfig, ServeError};
 use hetjpeg_core::timeline::{Breakdown, Trace};
 use hetjpeg_core::{
-    DecodeOptions, DecodeOutcome, Decoder, Mode, OutputFormat, SessionStats, SimdLevel, Strictness,
+    DecodeOptions, DecodeOutcome, Decoder, Mode, OutputFormat, RowStreamOutcome, SessionStats,
+    SimdLevel, Strictness,
 };
 use hetjpeg_jpeg::types::RgbImage;
 use std::collections::hash_map::DefaultHasher;
@@ -491,7 +506,6 @@ struct ShardCounters {
     requests: AtomicU64,
     batches: AtomicU64,
     decode_errors: AtomicU64,
-    max_batch: AtomicU64,
     deadline_partials: AtomicU64,
     panics_recovered: AtomicU64,
     sessions_rebuilt: AtomicU64,
@@ -503,17 +517,18 @@ struct ShardCounters {
     stream_tile_peak: AtomicU64,
 }
 
-/// A snapshot of one shard's counters plus its session's statistics.
-#[derive(Debug, Clone, Copy)]
+/// A snapshot of one shard's counters plus its session's statistics — or,
+/// from [`ServerStats::total`], of every shard's summed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardStats {
-    /// Requests decoded by this shard.
+    /// Requests taken off this shard's queue.
     pub requests: u64,
-    /// Coalesced batches served (each covers one admission group).
+    /// Batches served: busy periods, each starting when the worker takes
+    /// a request off an empty queue and ending when the queue is empty
+    /// again.
     pub batches: u64,
     /// Requests whose decode returned an error.
     pub decode_errors: u64,
-    /// Largest batch the admission loop coalesced.
-    pub max_batch: u64,
     /// Progressive requests answered with a deadline-paced prefix render
     /// ([`crate::ServeConfig::scan_deadline`]).
     pub deadline_partials: u64,
@@ -553,29 +568,39 @@ pub struct ServerStats {
 }
 
 impl ServerStats {
-    /// Total requests decoded.
-    pub fn requests(&self) -> u64 {
-        self.shards.iter().map(|s| s.requests).sum()
-    }
-
-    /// Total coalesced batches served.
-    pub fn batches(&self) -> u64 {
-        self.shards.iter().map(|s| s.batches).sum()
-    }
-
-    /// Total requests whose decode errored.
-    pub fn decode_errors(&self) -> u64 {
-        self.shards.iter().map(|s| s.decode_errors).sum()
-    }
-
-    /// Mean images per batch — the admission loop's amortization factor.
-    pub fn mean_batch(&self) -> f64 {
-        let b = self.batches();
-        if b == 0 {
-            0.0
-        } else {
-            self.requests() as f64 / b as f64
-        }
+    /// Every shard's counters and session statistics summed into one
+    /// snapshot; `stream_tile_peak` is the largest shard's. The session's
+    /// `simd_level` is the first shard's — [`ServerStats::simd_level`]
+    /// says whether they all agree.
+    ///
+    /// # Panics
+    ///
+    /// On an empty `shards` list, which no [`Server`] produces.
+    pub fn total(&self) -> ShardStats {
+        let (first, rest) = self
+            .shards
+            .split_first()
+            .expect("a server has at least one shard");
+        rest.iter().fold(*first, |mut t, s| {
+            t.requests += s.requests;
+            t.batches += s.batches;
+            t.decode_errors += s.decode_errors;
+            t.deadline_partials += s.deadline_partials;
+            t.panics_recovered += s.panics_recovered;
+            t.sessions_rebuilt += s.sessions_rebuilt;
+            t.breaker_trips += s.breaker_trips;
+            t.shed += s.shed;
+            t.degraded += s.degraded;
+            t.shutdown_drained += s.shutdown_drained;
+            t.streamed += s.streamed;
+            t.stream_tile_peak = t.stream_tile_peak.max(s.stream_tile_peak);
+            t.session.pool.merge(&s.session.pool);
+            t.session.spec.merge(&s.session.spec);
+            t.session.progressive.merge(&s.session.progressive);
+            t.session.auto_cache_len += s.session.auto_cache_len;
+            t.session.auto_cache_cap += s.session.auto_cache_cap;
+            t
+        })
     }
 
     /// The kernel dispatch level the shard sessions decode at, when every
@@ -589,135 +614,6 @@ impl ServerStats {
             .iter()
             .all(|s| s.session.simd_level == first)
             .then_some(first)
-    }
-
-    /// Total `Mode::Auto` decisions served from the per-shard caches.
-    pub fn auto_cache_hits(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.session.pool.auto_cache_hits)
-            .sum()
-    }
-
-    /// Total `Mode::Auto` decisions priced from the model.
-    pub fn auto_evals(&self) -> u64 {
-        self.shards.iter().map(|s| s.session.pool.auto_evals).sum()
-    }
-
-    /// Total `Mode::Auto` cache evictions (LRU, per-shard caps).
-    pub fn auto_evictions(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.session.pool.auto_evictions)
-            .sum()
-    }
-
-    /// Total host→device transfers issued across all shard sessions. A
-    /// `decode_batch` that coalesces several images' compacted payloads
-    /// counts **one** transfer (PR 9); per-request serving counts one per
-    /// GPU region transfer. Cumulative across session rebuilds, so a
-    /// fault-induced mid-run rebuild never resets or double-counts it.
-    pub fn h2d_transfers(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.session.pool.h2d_transfers)
-            .sum()
-    }
-
-    /// Total bytes shipped host→device across all shard sessions
-    /// (compacted payload + offset table + EOB sidecar under the default
-    /// transfer layout). Cumulative across session rebuilds.
-    pub fn h2d_bytes(&self) -> u64 {
-        self.shards.iter().map(|s| s.session.pool.h2d_bytes).sum()
-    }
-
-    /// Speculation counters merged across shards (ISSUE 6): how often the
-    /// restart-free parallel entropy path ran and what it cost, so the
-    /// serve path can observe the speculative mode in production.
-    pub fn speculation(&self) -> hetjpeg_jpeg::speculate::SpecStats {
-        let mut total = hetjpeg_jpeg::speculate::SpecStats::default();
-        for s in &self.shards {
-            total.merge(&s.session.spec);
-        }
-        total
-    }
-
-    /// Total speculative segments (chunks) launched across shards.
-    pub fn speculative_chunks(&self) -> u64 {
-        self.speculation().chunks
-    }
-
-    /// Total convergence-prefix MCUs wasted by speculation across shards.
-    pub fn speculation_wasted_mcus(&self) -> u64 {
-        self.speculation().wasted_mcus
-    }
-
-    /// Total MCUs the stitch pass re-decoded exactly across shards.
-    pub fn stitch_redecoded_mcus(&self) -> u64 {
-        self.speculation().redecoded_mcus
-    }
-
-    /// Progressive-decode counters merged across shards (PR 7): scans
-    /// decoded, refinement passes, and partial (prefix) renders — so the
-    /// serve path can observe the multi-scan subsystem in production.
-    pub fn progressive(&self) -> hetjpeg_jpeg::progressive::ProgressiveStats {
-        let mut total = hetjpeg_jpeg::progressive::ProgressiveStats::default();
-        for s in &self.shards {
-            total.merge(&s.session.progressive);
-        }
-        total
-    }
-
-    /// Total progressive requests answered with a deadline-paced prefix
-    /// render instead of the full scan sequence.
-    pub fn deadline_partials(&self) -> u64 {
-        self.shards.iter().map(|s| s.deadline_partials).sum()
-    }
-
-    /// Total decode panics confined to their request (PR 8).
-    pub fn panics_recovered(&self) -> u64 {
-        self.shards.iter().map(|s| s.panics_recovered).sum()
-    }
-
-    /// Total shard sessions rebuilt after a panic (PR 8).
-    pub fn sessions_rebuilt(&self) -> u64 {
-        self.shards.iter().map(|s| s.sessions_rebuilt).sum()
-    }
-
-    /// Total circuit-breaker trips (PR 8).
-    pub fn breaker_trips(&self) -> u64 {
-        self.shards.iter().map(|s| s.breaker_trips).sum()
-    }
-
-    /// Total requests shed with [`ServeError::Busy`] (PR 8).
-    pub fn shed(&self) -> u64 {
-        self.shards.iter().map(|s| s.shed).sum()
-    }
-
-    /// Total requests served degraded instead of shed (PR 8).
-    pub fn degraded(&self) -> u64 {
-        self.shards.iter().map(|s| s.degraded).sum()
-    }
-
-    /// Total queued requests drained with [`ServeError::Shutdown`] (PR 8).
-    pub fn shutdown_drained(&self) -> u64 {
-        self.shards.iter().map(|s| s.shutdown_drained).sum()
-    }
-
-    /// Total requests answered as row-tile streams.
-    pub fn streamed(&self) -> u64 {
-        self.shards.iter().map(|s| s.streamed).sum()
-    }
-
-    /// Highest number of stream tiles any shard ever had in flight at
-    /// once — bounded by [`TILE_POOL_CAP`] by construction; the streaming
-    /// tests assert it to prove peak response buffering stays tile-sized.
-    pub fn stream_tile_peak(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.stream_tile_peak)
-            .max()
-            .unwrap_or(0)
     }
 }
 
@@ -810,20 +706,24 @@ impl Breaker {
     }
 }
 
-/// Per-shard load estimate and calibration for SLO admission. The queue
-/// charge is written by submitters and credited back by the worker (hence
-/// signed — the two races harmlessly); the calibration EWMAs are written
-/// only by the shard's own worker.
+/// Per-shard load estimate and calibration for SLO admission and scan
+/// pacing. The queue charge is written by submitters and credited back by
+/// the worker (hence signed — the two race harmlessly); the calibration
+/// averages are written only by the shard's own worker.
 #[derive(Default)]
 struct ShardLoad {
     /// Estimated microseconds of work queued on (or running in) the shard.
     queued_us: AtomicI64,
-    /// EWMA of wall-seconds per §5.1 virtual second (f64 bits; 0 =
-    /// uncalibrated).
-    wall_per_virtual: AtomicU64,
-    /// EWMA of compressed bytes decoded per wall second (f64 bits; 0 =
-    /// uncalibrated). Mirrors the worker's [`Pacer`] for admission use.
-    bytes_per_sec: AtomicU64,
+    /// Wall seconds per §5.1 virtual second: scales `Decoder::predict`'s
+    /// cost of a baseline image into this shard's wall time.
+    wall_per_virtual: Ewma,
+    /// Compressed bytes decoded per wall second: the estimate behind
+    /// [`crate::ServeConfig::scan_deadline`] pacing and progressive
+    /// admission. Whole-request throughput is a deliberately coarse proxy
+    /// (it folds entropy *and* render cost into one rate), but it needs no
+    /// model training and self-corrects as the shard observes its own
+    /// workload.
+    bytes_per_sec: Ewma,
 }
 
 impl ShardLoad {
@@ -838,33 +738,30 @@ impl ShardLoad {
     fn credit(&self, us: u64) {
         self.queued_us.fetch_sub(us as i64, Ordering::AcqRel);
     }
+}
 
-    fn ratio(&self) -> Option<f64> {
-        let v = f64::from_bits(self.wall_per_virtual.load(Ordering::Acquire));
+/// An exponentially weighted moving average readable from any thread (f64
+/// bits; 0 = no sample yet). The first sample is taken as is; each later
+/// one weighs 0.3 against 0.7 for the history. One thread observes.
+#[derive(Default)]
+struct Ewma(AtomicU64);
+
+impl Ewma {
+    fn get(&self) -> Option<f64> {
+        let v = f64::from_bits(self.0.load(Ordering::Acquire));
         (v > 0.0).then_some(v)
     }
 
-    fn rate(&self) -> Option<f64> {
-        let v = f64::from_bits(self.bytes_per_sec.load(Ordering::Acquire));
-        (v > 0.0).then_some(v)
-    }
-
-    fn observe_ratio(&self, obs: f64) {
+    /// Fold in one sample; non-finite and non-positive ones are ignored.
+    fn observe(&self, obs: f64) {
         if !obs.is_finite() || obs <= 0.0 {
             return;
         }
-        let next = match self.ratio() {
+        let next = match self.get() {
             Some(prev) => 0.7 * prev + 0.3 * obs,
             None => obs,
         };
-        self.wall_per_virtual
-            .store(next.to_bits(), Ordering::Release);
-    }
-
-    fn publish_rate(&self, rate: f64) {
-        if rate.is_finite() && rate > 0.0 {
-            self.bytes_per_sec.store(rate.to_bits(), Ordering::Release);
-        }
+        self.0.store(next.to_bits(), Ordering::Release);
     }
 }
 
@@ -999,9 +896,6 @@ impl Server {
         if config.queue_depth == 0 {
             return Err(ServeError::Config(ConfigError::ZeroQueueDepth));
         }
-        if config.max_batch == 0 {
-            return Err(ServeError::Config(ConfigError::ZeroMaxBatch));
-        }
         if config.breaker_threshold == 0 {
             return Err(ServeError::Config(ConfigError::ZeroBreakerThreshold));
         }
@@ -1057,11 +951,10 @@ impl Server {
         let mut workers = Vec::with_capacity(config.shards);
         for (i, rx) in receivers.into_iter().enumerate() {
             let worker_inner = Arc::clone(&inner);
-            let max_batch = config.max_batch;
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("hetjpeg-shard-{i}"))
-                    .spawn(move || shard_worker(&worker_inner, i, &rx, max_batch))
+                    .spawn(move || shard_worker(&worker_inner, i, &rx))
                     .expect("spawn shard worker"),
             );
         }
@@ -1096,7 +989,6 @@ impl Server {
                         requests: s.counters.requests.load(Ordering::Relaxed),
                         batches: s.counters.batches.load(Ordering::Relaxed),
                         decode_errors: s.counters.decode_errors.load(Ordering::Relaxed),
-                        max_batch: s.counters.max_batch.load(Ordering::Relaxed),
                         deadline_partials: s.counters.deadline_partials.load(Ordering::Relaxed),
                         panics_recovered: s.counters.panics_recovered.load(Ordering::Relaxed),
                         sessions_rebuilt: s.counters.sessions_rebuilt.load(Ordering::Relaxed),
@@ -1217,7 +1109,8 @@ impl ServeHandle {
                 // is the estimator (same signal as scan pacing).
                 estimate_us = home
                     .load
-                    .rate()
+                    .bytes_per_sec
+                    .get()
                     .map(|rate| (data.len() as f64 / rate * 1e6) as u64);
             } else {
                 let decoder = Arc::clone(&home.decoder.lock().expect("shard decoder slot"));
@@ -1228,7 +1121,7 @@ impl ServeHandle {
                         .find(|p| p.mode == d.mode)
                         .map(|p| (p.seconds * 1e6) as u64);
                     predicted_virtual_us = virtual_us;
-                    estimate_us = match (virtual_us, home.load.ratio()) {
+                    estimate_us = match (virtual_us, home.load.wall_per_virtual.get()) {
                         (Some(v), Some(r)) => Some((v as f64 * r) as u64),
                         _ => None,
                     };
@@ -1349,10 +1242,14 @@ impl ServeHandle {
 pub const TILE_POOL_CAP: usize = 4;
 
 /// How long the worker waits for a stream consumer to return a tile
-/// buffer before declaring the consumer stalled and aborting the stream.
-/// Keeps a dead-slow (or wedged) client from pinning a shard worker
-/// forever; the consumer sees a terminal error event.
-const TILE_STALL_LIMIT: Duration = Duration::from_secs(10);
+/// buffer before declaring the consumer stalled and aborting the stream
+/// with [`ServeError::Stalled`]. Keeps a dead-slow (or wedged) client from
+/// pinning a shard worker forever.
+#[cfg(not(test))]
+pub(crate) const TILE_STALL_LIMIT: Duration = Duration::from_secs(10);
+/// Shortened so the unit tests can stall a stream in reasonable time.
+#[cfg(test)]
+pub(crate) const TILE_STALL_LIMIT: Duration = Duration::from_secs(1);
 
 /// The per-worker pool of row-tile buffers behind [`StreamTile`]:
 /// at most [`TILE_POOL_CAP`] buffers circulate between the worker and the
@@ -1363,6 +1260,10 @@ struct TilePool {
     rx: mpsc::Receiver<Vec<u8>>,
     free: Vec<Vec<u8>>,
     in_flight: usize,
+    /// Time the worker spent blocked waiting for the consumer since the
+    /// caller last reset it — subtracted from a request's wall time
+    /// before it calibrates the shard.
+    waited: Duration,
 }
 
 impl TilePool {
@@ -1373,6 +1274,7 @@ impl TilePool {
             rx,
             free: Vec::new(),
             in_flight: 0,
+            waited: Duration::ZERO,
         }
     }
 
@@ -1386,46 +1288,19 @@ impl TilePool {
             self.free.push(buf);
         }
         if self.in_flight >= TILE_POOL_CAP {
-            match self.rx.recv_timeout(TILE_STALL_LIMIT) {
-                Ok(buf) => {
-                    self.in_flight -= 1;
-                    self.free.push(buf);
-                }
-                // Disconnect is impossible (the pool holds its own sender);
-                // a timeout means the consumer stalled.
-                Err(_) => return None,
-            }
+            let blocked = Instant::now();
+            let returned = self.rx.recv_timeout(TILE_STALL_LIMIT);
+            self.waited += blocked.elapsed();
+            // Disconnect is impossible (the pool holds its own sender); a
+            // timeout means the consumer stalled.
+            self.free.push(returned.ok()?);
+            self.in_flight -= 1;
         }
         self.in_flight += 1;
         counters
             .stream_tile_peak
             .fetch_max(self.in_flight as u64, Ordering::Relaxed);
         Some(self.free.pop().unwrap_or_default())
-    }
-}
-
-/// Measured decode throughput of one shard, in compressed bytes per
-/// second, smoothed over recent requests. Seeds the prediction behind
-/// [`crate::ServeConfig::scan_deadline`] and the progressive-admission
-/// estimate: whole-request throughput is a deliberately coarse proxy (it
-/// folds entropy *and* render cost into one rate), but it needs no model
-/// training and self-corrects as the shard observes its own workload.
-#[derive(Default)]
-struct Pacer {
-    bytes_per_sec: Option<f64>,
-}
-
-impl Pacer {
-    fn observe(&mut self, bytes: usize, took: std::time::Duration) {
-        let secs = took.as_secs_f64();
-        if secs <= 0.0 {
-            return;
-        }
-        let obs = bytes as f64 / secs;
-        self.bytes_per_sec = Some(match self.bytes_per_sec {
-            Some(prev) => 0.7 * prev + 0.3 * obs,
-            None => obs,
-        });
     }
 }
 
@@ -1474,47 +1349,22 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// The per-shard consumer: block for the first request, take whatever else
-/// is already queued (natural batching — the worker never waits for
-/// company), then serve each request of the group through the full
-/// resilience pipeline ([`serve_one`]).
-fn shard_worker(
-    inner: &Inner,
-    shard: usize,
-    rx: &crossbeam::channel::Receiver<Request>,
-    max_batch: usize,
-) {
+/// The per-shard consumer: block for the first request of a batch, then
+/// serve it and whatever else is already queued (natural batching — the
+/// worker never waits for company) through the full resilience pipeline
+/// ([`serve_one`]) until the queue is empty.
+fn shard_worker(inner: &Inner, shard: usize, rx: &crossbeam::channel::Receiver<Request>) {
     let state = &inner.shards[shard];
     let mut decoder = Arc::clone(&state.decoder.lock().expect("shard decoder slot"));
-    let mut batch: Vec<Request> = Vec::with_capacity(max_batch);
-    let mut pacer = Pacer::default();
     let mut tiles = TilePool::new();
-    loop {
-        match rx.recv() {
-            Ok(first) => batch.push(first),
-            // Intake closed and queue drained: the shard is done.
-            Err(_) => return,
-        }
-        while batch.len() < max_batch {
-            match rx.try_recv() {
-                Ok(r) => batch.push(r),
-                // Empty, or disconnected with nothing left: serve what we
-                // have; the next outer recv() observes a disconnect.
-                Err(_) => break,
-            }
-        }
-
+    // `recv` fails once intake is closed and the queue drained: the shard
+    // is done.
+    while let Ok(first) = rx.recv() {
         state.counters.batches.fetch_add(1, Ordering::Relaxed);
-        state
-            .counters
-            .requests
-            .fetch_add(batch.len() as u64, Ordering::Relaxed);
-        state
-            .counters
-            .max_batch
-            .fetch_max(batch.len() as u64, Ordering::Relaxed);
-        for req in batch.drain(..) {
-            serve_one(inner, shard, &mut decoder, &mut pacer, &mut tiles, req);
+        let queued = std::iter::from_fn(|| rx.try_recv().ok());
+        for req in std::iter::once(first).chain(queued) {
+            state.counters.requests.fetch_add(1, Ordering::Relaxed);
+            serve_one(inner, shard, &mut decoder, &mut tiles, req);
         }
     }
 }
@@ -1544,14 +1394,25 @@ fn apply_request_options(opts: &mut DecodeOptions, ro: &RequestOptions, session_
     }
 }
 
+/// What one decode produced, in the shape of the reply the request asked
+/// for: the whole image for its ticket, or the summary of a stream whose
+/// tiles already went out, with the stream its `End` event goes to.
+// Moved once, from the decode to the answer: boxing `Whole` would buy
+// nothing (as for `ServeReply`).
+#[allow(clippy::large_enum_variant)]
+enum Rendered<'a> {
+    Whole(DecodeOutcome),
+    Rows(RowStreamOutcome, &'a Notifying<StreamEvent>),
+}
+
 /// Serve one request end to end: fault sites, breaker gate, late-deadline
-/// shed/degrade, the `catch_unwind`-isolated decode, panic recovery with
-/// session rebuild, calibration, and the reply.
+/// shed/degrade, option assembly, the `catch_unwind`-isolated decode —
+/// whole, or as a row-tile stream through `tiles` — panic recovery with
+/// session rebuild, calibration, and the answer.
 fn serve_one(
     inner: &Inner,
     shard: usize,
     decoder: &mut Arc<Decoder>,
-    pacer: &mut Pacer,
     tiles: &mut TilePool,
     req: Request,
 ) {
@@ -1606,7 +1467,7 @@ fn serve_one(
     apply_request_options(&mut opts, &req.options, decoder.simd_level());
     let mut scan_limit = inner
         .scan_deadline
-        .and_then(|budget| paced_scan_limit(&req.data, budget, pacer.bytes_per_sec));
+        .and_then(|budget| paced_scan_limit(&req.data, budget, state.load.bytes_per_sec.get()));
     let paced = scan_limit.is_some();
     let mut degraded = false;
     if degrade_now {
@@ -1620,7 +1481,7 @@ fn serve_one(
             let k = if remaining.is_zero() {
                 Some(1)
             } else {
-                paced_scan_limit(&req.data, remaining, pacer.bytes_per_sec)
+                paced_scan_limit(&req.data, remaining, state.load.bytes_per_sec.get())
             };
             if let Some(k) = k {
                 scan_limit = Some(scan_limit.map_or(k, |l| l.min(k)));
@@ -1652,85 +1513,135 @@ fn serve_one(
         .as_ref()
         .is_some_and(|p| p.fires(FaultSite::Panic, Some(shard)));
 
-    // Streaming opt-in with a streamable (RGB) effective format: answer
-    // with a row-tile stream instead of a whole-image buffer.
-    if req.options.streaming && opts.format == OutputFormat::Rgb {
-        serve_streaming(
-            inner,
-            shard,
-            decoder,
-            pacer,
-            tiles,
-            req,
-            opts,
-            degraded,
-            paced,
-            inject_panic,
-        );
-        return;
-    }
+    // Streaming opt-in with a streamable (RGB) effective format: the ticket
+    // is answered with the stream before the decode starts, and the
+    // outcome becomes the stream's `End` event.
+    let stream = if req.options.streaming && opts.format == OutputFormat::Rgb {
+        let (events, rx) = mpsc::channel();
+        if req
+            .reply
+            .send(Ok(ServeReply::Stream(ServedStream { rx })))
+            .is_err()
+        {
+            // Nobody is waiting on the ticket: skip the decode entirely.
+            state.load.credit(req.charged_us);
+            return;
+        }
+        Some(req.reply.sibling(events))
+    } else {
+        None
+    };
 
     let t0 = Instant::now();
+    tiles.waited = Duration::ZERO;
     let result = {
         let _quiet = SuppressPanicReport::new();
         let d = &**decoder;
         let data = &req.data;
+        let stream = stream.as_ref();
+        let tiles = &mut *tiles;
         catch_unwind(AssertUnwindSafe(move || {
             if inject_panic {
                 d.inject_panic("injected decode panic");
             }
-            d.decode(data, opts)
+            let Some(events) = stream else {
+                return d.decode(data, opts).map(Rendered::Whole);
+            };
+            let mut begun = false;
+            d.decode_rows(data, opts, &mut |tile| {
+                if !begun {
+                    begun = true;
+                    let begin = StreamEvent::Begin {
+                        width: tile.width as u32,
+                        height: tile.height as u32,
+                        degraded,
+                    };
+                    if events.send(begin).is_err() {
+                        return false;
+                    }
+                }
+                let Some(mut buf) = tiles.acquire(counters) else {
+                    return false; // consumer stalled past the limit
+                };
+                buf.clear();
+                buf.extend_from_slice(tile.rgb);
+                events
+                    .send(StreamEvent::Tile(StreamTile {
+                        buf,
+                        pool: tiles.tx.clone(),
+                    }))
+                    .is_ok()
+            })
+            .map(|rows| Rendered::Rows(rows, events))
         }))
     };
-    match result {
+    if result.is_ok() {
+        state.breaker.on_success(inner.breaker_base_us);
+    }
+    let answer = match result {
+        Err(payload) => Err(ServeError::Panicked(recover_panic(
+            inner, shard, decoder, payload,
+        ))),
+        // The consumer stopped returning tiles (or hung up): the stream is
+        // short, and its wall time measures the client, not the shard.
+        Ok(Ok(Rendered::Rows(rows, _))) if !rows.completed => Err(ServeError::Stalled),
         Ok(out) => {
-            state.breaker.on_success(inner.breaker_base_us);
-            observe_calibration(state, pacer, &req, t0.elapsed());
-            match out {
-                Ok(outcome) => {
-                    if paced {
-                        counters.deadline_partials.fetch_add(1, Ordering::Relaxed);
-                    }
-                    if degraded {
-                        counters.degraded.fetch_add(1, Ordering::Relaxed);
-                    }
-                    let _ = req
-                        .reply
-                        .send(Ok(ServeReply::Whole(Served { outcome, degraded })));
-                }
-                Err(e) => {
-                    counters.decode_errors.fetch_add(1, Ordering::Relaxed);
-                    let _ = req.reply.send(Err(ServeError::Decode(e)));
-                }
+            // Calibrate on decode time: time blocked on a slow stream
+            // consumer is not the shard's.
+            let wall = t0.elapsed().saturating_sub(tiles.waited);
+            let load = &state.load;
+            load.bytes_per_sec
+                .observe(req.data.len() as f64 / wall.as_secs_f64());
+            if let Some(v_us) = req.predicted_virtual_us {
+                load.wall_per_virtual
+                    .observe(wall.as_micros() as f64 / v_us as f64);
             }
+            out.map_err(|e| {
+                counters.decode_errors.fetch_add(1, Ordering::Relaxed);
+                ServeError::Decode(e)
+            })
         }
-        Err(payload) => {
-            let msg = recover_panic(inner, shard, decoder, payload);
-            let _ = req.reply.send(Err(ServeError::Panicked(msg)));
+    };
+    if answer.is_ok() {
+        if paced {
+            counters.deadline_partials.fetch_add(1, Ordering::Relaxed);
         }
+        if degraded {
+            counters.degraded.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+    match answer {
+        Ok(Rendered::Whole(outcome)) => {
+            let _ = req
+                .reply
+                .send(Ok(ServeReply::Whole(Served { outcome, degraded })));
+        }
+        Ok(Rendered::Rows(rows, events)) => {
+            counters.streamed.fetch_add(1, Ordering::Relaxed);
+            let _ = events.send(StreamEvent::End(Ok(StreamEnd {
+                tiles: rows.tiles as u64,
+                truncated: rows.truncated,
+                mode: rows.mode,
+                width: rows.width as u32,
+                height: rows.height as u32,
+                degraded,
+            })));
+        }
+        Err(e) => match &stream {
+            Some(events) => {
+                let _ = events.send(StreamEvent::End(Err(e)));
+            }
+            None => {
+                let _ = req.reply.send(Err(e));
+            }
+        },
     }
     state.load.credit(req.charged_us);
 }
 
-/// Feed one completed decode's wall time into the shard's pacing and
-/// admission calibration (shared by the whole-image and streaming paths).
-fn observe_calibration(state: &ShardState, pacer: &mut Pacer, req: &Request, wall: Duration) {
-    pacer.observe(req.data.len(), wall);
-    if let Some(rate) = pacer.bytes_per_sec {
-        state.load.publish_rate(rate);
-    }
-    if let Some(v_us) = req.predicted_virtual_us {
-        if v_us > 0 {
-            state
-                .load
-                .observe_ratio(wall.as_micros() as f64 / v_us as f64);
-        }
-    }
-}
-
-/// Panic bookkeeping shared by the whole-image and streaming paths:
-/// count the recovery, rebuild the poisoned session (retiring its
-/// statistics), drive the breaker, and return the panic message.
+/// Panic bookkeeping: count the recovery, rebuild the poisoned session
+/// (retiring its statistics), drive the breaker, and return the panic
+/// message.
 fn recover_panic(
     inner: &Inner,
     shard: usize,
@@ -1769,113 +1680,6 @@ fn recover_panic(
         counters.breaker_trips.fetch_add(1, Ordering::Relaxed);
     }
     msg
-}
-
-/// The streaming tail of [`serve_one`]: hand the submitter a
-/// [`ServedStream`] immediately, then render the image as MCU-row tiles
-/// through [`Decoder::decode_rows`], pushing each tile (in a pooled
-/// buffer) as a [`StreamEvent`]. The tile pool bounds tiles in flight at
-/// [`TILE_POOL_CAP`]; a consumer that stops draining backpressures the
-/// worker and, past [`TILE_STALL_LIMIT`], aborts the stream. Panics are
-/// recovered exactly as on the whole-image path, with the terminal error
-/// delivered in-stream.
-#[allow(clippy::too_many_arguments)]
-fn serve_streaming(
-    inner: &Inner,
-    shard: usize,
-    decoder: &mut Arc<Decoder>,
-    pacer: &mut Pacer,
-    tiles: &mut TilePool,
-    req: Request,
-    opts: DecodeOptions,
-    degraded: bool,
-    paced: bool,
-    inject_panic: bool,
-) {
-    let state = &inner.shards[shard];
-    let counters = &state.counters;
-    let (etx, erx) = mpsc::channel::<StreamEvent>();
-    let etx = req.reply.sibling(etx);
-    if req
-        .reply
-        .send(Ok(ServeReply::Stream(ServedStream { rx: erx })))
-        .is_err()
-    {
-        // Nobody is waiting on the ticket: skip the decode entirely.
-        state.load.credit(req.charged_us);
-        return;
-    }
-    let t0 = Instant::now();
-    let result = {
-        let _quiet = SuppressPanicReport::new();
-        let d = &**decoder;
-        let data = &req.data;
-        let etx = &etx;
-        let pool = &mut *tiles;
-        catch_unwind(AssertUnwindSafe(move || {
-            if inject_panic {
-                d.inject_panic("injected decode panic");
-            }
-            let mut begun = false;
-            d.decode_rows(data, opts, &mut |tile| {
-                if !begun {
-                    begun = true;
-                    let begin = StreamEvent::Begin {
-                        width: tile.width as u32,
-                        height: tile.height as u32,
-                        degraded,
-                    };
-                    if etx.send(begin).is_err() {
-                        return false;
-                    }
-                }
-                let Some(mut buf) = pool.acquire(counters) else {
-                    return false; // consumer stalled past the limit
-                };
-                buf.clear();
-                buf.extend_from_slice(tile.rgb);
-                etx.send(StreamEvent::Tile(StreamTile {
-                    buf,
-                    pool: pool.tx.clone(),
-                }))
-                .is_ok()
-            })
-        }))
-    };
-    match result {
-        Ok(out) => {
-            state.breaker.on_success(inner.breaker_base_us);
-            observe_calibration(state, pacer, &req, t0.elapsed());
-            match out {
-                Ok(rso) => {
-                    if paced {
-                        counters.deadline_partials.fetch_add(1, Ordering::Relaxed);
-                    }
-                    if degraded {
-                        counters.degraded.fetch_add(1, Ordering::Relaxed);
-                    }
-                    counters.streamed.fetch_add(1, Ordering::Relaxed);
-                    let _ = etx.send(StreamEvent::End(Ok(StreamEnd {
-                        tiles: rso.tiles as u64,
-                        truncated: rso.truncated,
-                        mode: rso.mode,
-                        width: rso.width as u32,
-                        height: rso.height as u32,
-                        degraded,
-                    })));
-                }
-                Err(e) => {
-                    counters.decode_errors.fetch_add(1, Ordering::Relaxed);
-                    let _ = etx.send(StreamEvent::End(Err(ServeError::Decode(e))));
-                }
-            }
-        }
-        Err(payload) => {
-            let msg = recover_panic(inner, shard, decoder, payload);
-            let _ = etx.send(StreamEvent::End(Err(ServeError::Panicked(msg))));
-        }
-    }
-    state.load.credit(req.charged_us);
 }
 
 /// Home shard for an image, by its shape fingerprint ([`ServeHandle::submit`]
@@ -2030,10 +1834,6 @@ mod tests {
             ..ServeConfig::default()
         }));
         assert!(bad(ServeConfig {
-            max_batch: 0,
-            ..ServeConfig::default()
-        }));
-        assert!(bad(ServeConfig {
             auto_cache_cap: 0,
             ..ServeConfig::default()
         }));
@@ -2064,16 +1864,10 @@ mod tests {
         .unwrap();
         let handle = server.handle();
         handle.decode(&jpeg(256, 160, 7)).unwrap();
-        let stats = server.shutdown();
-        let spec = stats.speculation();
+        let spec = server.shutdown().total().session.spec;
         assert!(spec.chunks >= 2, "speculative chunks launched: {spec:?}");
         assert!(spec.synced >= 1, "at least one boundary converged");
         assert!(spec.adopted_mcus > 0, "staged MCUs adopted: {spec:?}");
-        assert_eq!(stats.speculative_chunks(), spec.chunks);
-        assert_eq!(
-            stats.speculation_wasted_mcus() + stats.stitch_redecoded_mcus(),
-            spec.wasted_mcus + spec.redecoded_mcus,
-        );
     }
 
     #[test]
@@ -2091,12 +1885,12 @@ mod tests {
         let prog_out = handle.decode(&progressive_jpeg(96, 64, 11)).unwrap();
         assert!(!prog_out.truncated);
         assert_eq!(prog_out.image.data, base_out.image.data);
-        let stats = server.shutdown();
-        let p = stats.progressive();
+        let stats = server.shutdown().total();
+        let p = stats.session.progressive;
         assert_eq!(p.scans_decoded, 10, "Standard10 scan script: {p:?}");
         assert_eq!(p.refine_passes, 5);
         assert_eq!(p.partial_renders, 0);
-        assert_eq!(stats.deadline_partials(), 0);
+        assert_eq!(stats.deadline_partials, 0);
     }
 
     #[test]
@@ -2119,9 +1913,9 @@ mod tests {
         assert!(paced.truncated, "paced decode is a prefix render");
         assert_eq!(paced.image.data.len(), 128 * 96 * 3);
         assert_ne!(paced.image.data, first.image.data);
-        let stats = server.shutdown();
-        assert_eq!(stats.deadline_partials(), 1);
-        let p = stats.progressive();
+        let stats = server.shutdown().total();
+        assert_eq!(stats.deadline_partials, 1);
+        let p = stats.session.progressive;
         assert_eq!(p.partial_renders, 1);
         assert_eq!(p.scans_decoded, 10 + 1, "full script + the DC prefix");
     }
@@ -2179,12 +1973,12 @@ mod tests {
         let after = handle.decode(&j).expect("breaker closed again");
         assert_eq!(after.image.data, probe.image.data);
 
-        let stats = server.shutdown();
-        assert_eq!(stats.panics_recovered(), 2);
-        assert_eq!(stats.sessions_rebuilt(), 2);
-        assert_eq!(stats.breaker_trips(), 1);
-        assert_eq!(stats.shed(), 1);
-        assert_eq!(stats.decode_errors(), 0);
+        let stats = server.shutdown().total();
+        assert_eq!(stats.panics_recovered, 2);
+        assert_eq!(stats.sessions_rebuilt, 2);
+        assert_eq!(stats.breaker_trips, 1);
+        assert_eq!(stats.shed, 1);
+        assert_eq!(stats.decode_errors, 0);
     }
 
     #[test]
@@ -2243,10 +2037,10 @@ mod tests {
         assert!(s.degraded);
         assert_eq!(s.outcome.image.data.len(), 96 * 96 * 3);
 
-        let stats = server.shutdown();
-        assert_eq!(stats.shed(), 1);
-        assert_eq!(stats.degraded(), 1);
-        assert_eq!(stats.requests(), 4, "the shed request never queued");
+        let stats = server.shutdown().total();
+        assert_eq!(stats.shed, 1);
+        assert_eq!(stats.degraded, 1);
+        assert_eq!(stats.requests, 4, "the shed request never queued");
     }
 
     #[test]
@@ -2279,9 +2073,9 @@ mod tests {
         assert_eq!(s.outcome.image.data.len(), 128 * 96 * 3);
         assert_ne!(s.outcome.image.data, full.image.data);
 
-        let stats = server.shutdown();
-        assert_eq!(stats.degraded(), 1);
-        assert_eq!(stats.progressive().partial_renders, 1);
+        let stats = server.shutdown().total();
+        assert_eq!(stats.degraded, 1);
+        assert_eq!(stats.session.progressive.partial_renders, 1);
     }
 
     #[test]
@@ -2303,13 +2097,12 @@ mod tests {
 
         handle.decode(&j).unwrap();
         handle.decode(&j).unwrap();
-        let mid = server.stats();
+        let mid = server.stats().total().session.pool;
         assert_eq!(
-            mid.h2d_transfers(),
-            2,
+            mid.h2d_transfers, 2,
             "whole-image GPU serving ships one transfer per request"
         );
-        assert!(mid.h2d_bytes() > 0);
+        assert!(mid.h2d_bytes > 0);
 
         // Request 3 panics before any transfer; the shard session is
         // rebuilt and its counters retired into the cumulative totals.
@@ -2317,16 +2110,15 @@ mod tests {
         handle.decode(&j).unwrap();
         handle.decode(&j).unwrap();
 
-        let stats = server.shutdown();
-        assert_eq!(stats.sessions_rebuilt(), 1);
+        let stats = server.shutdown().total();
+        assert_eq!(stats.sessions_rebuilt, 1);
         assert_eq!(
-            stats.h2d_transfers(),
-            4,
+            stats.session.pool.h2d_transfers, 4,
             "rebuild must neither reset nor double-count transfers"
         );
         assert_eq!(
-            stats.h2d_bytes(),
-            2 * mid.h2d_bytes(),
+            stats.session.pool.h2d_bytes,
+            2 * mid.h2d_bytes,
             "same image decoded twice more: payload bytes double exactly"
         );
     }
@@ -2374,5 +2166,162 @@ mod tests {
             byte_totals.iter().all(|&b| b == byte_totals[0]),
             "payload bytes must be invariant to sharding: {byte_totals:?}"
         );
+    }
+
+    fn one_shard() -> Server {
+        Server::start(ServeConfig {
+            shards: 1,
+            ..ServeConfig::default()
+        })
+        .unwrap()
+    }
+
+    fn submit_options(deadline: Option<Duration>, streaming: bool) -> SubmitOptions {
+        SubmitOptions {
+            deadline,
+            options: RequestOptions {
+                streaming,
+                ..RequestOptions::default()
+            },
+            ..SubmitOptions::default()
+        }
+    }
+
+    fn into_stream(ticket: Ticket) -> ServedStream {
+        match ticket.wait_reply() {
+            Ok(ServeReply::Stream(stream)) => stream,
+            other => panic!("expected a streamed reply, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_stalled_stream_ends_in_an_abort_not_a_short_success() {
+        // 96 rows of 4:2:0 are six MCU-row tiles: the worker blocks for a
+        // fifth buffer while the consumer holds the first four.
+        let server = one_shard();
+        let ticket = server
+            .handle()
+            .submit_with(jpeg(96, 96, 17), submit_options(None, true))
+            .unwrap();
+        let stream = into_stream(ticket);
+        let mut held = Vec::new();
+        let end = loop {
+            match stream.recv().expect("the worker answers") {
+                StreamEvent::Begin { .. } => {}
+                StreamEvent::Tile(tile) => held.push(tile),
+                StreamEvent::End(end) => break end,
+            }
+        };
+        assert_eq!(held.len(), TILE_POOL_CAP);
+        assert!(matches!(end, Err(ServeError::Stalled)), "{end:?}");
+        drop(held);
+
+        // The short stream is neither a streamed reply nor a calibration
+        // sample.
+        let bytes_per_sec = server.inner.shards[0].load.bytes_per_sec.get();
+        let stats = server.shutdown().total();
+        assert_eq!((stats.requests, stats.streamed), (1, 0));
+        assert_eq!(stats.decode_errors, 0);
+        assert_eq!(bytes_per_sec, None);
+    }
+
+    #[test]
+    fn a_slow_stream_consumer_does_not_teach_the_shard_to_shed() {
+        let server = one_shard();
+        let handle = server.handle();
+        let j = jpeg(96, 96, 31);
+        for _ in 0..3 {
+            let opts = submit_options(Some(Duration::from_secs(10)), false);
+            handle.decode_with(&j, opts).expect("calibrating decode");
+        }
+        // A streamed request whose consumer sits on its tiles for 250 ms —
+        // slow, but well inside the stall limit.
+        let opts = submit_options(Some(Duration::from_secs(60)), true);
+        let stream = into_stream(handle.submit_with(j.clone(), opts).unwrap());
+        let mut held = Vec::new();
+        let end = loop {
+            match stream.recv().expect("the worker answers") {
+                StreamEvent::Begin { .. } => {}
+                StreamEvent::Tile(tile) => {
+                    held.push(tile);
+                    if held.len() == TILE_POOL_CAP {
+                        std::thread::sleep(Duration::from_millis(250));
+                        held.clear();
+                    }
+                }
+                StreamEvent::End(end) => break end,
+            }
+        };
+        assert!(end.is_ok(), "{end:?}");
+        // The shard's estimate is still the decode's, not the client's.
+        let opts = submit_options(Some(Duration::from_millis(25)), false);
+        match handle.decode_with(&j, opts) {
+            Ok(served) => assert!(!served.degraded),
+            Err(e) => panic!("a 25 ms deadline on a small image was refused: {e}"),
+        }
+        assert_eq!(server.shutdown().total().shed, 0);
+    }
+
+    #[test]
+    fn every_worker_exit_counts_alike_whole_or_streamed() {
+        let j = jpeg(96, 64, 41);
+        let j = &j[..];
+        let plain = SubmitOptions::default();
+        let late = submit_options(Some(Duration::ZERO), false);
+        let degrade = SubmitOptions {
+            degrade: true,
+            ..late
+        };
+        // (exit, fault plan and breaker threshold, requests)
+        let cases = [
+            ("success", None, vec![(j, plain)]),
+            ("decode error", None, vec![(&b"not a jpeg"[..], plain)]),
+            ("alloc fault", Some(("alloc=#1", 5)), vec![(j, plain)]),
+            ("panic + rebuild", Some(("panic=#1", 5)), vec![(j, plain)]),
+            ("breaker open", Some(("panic=#1", 1)), vec![(j, plain); 2]),
+            ("late-deadline shed", None, vec![(j, late)]),
+            ("degraded", None, vec![(j, degrade)]),
+        ];
+        for (exit, fault, requests) in cases {
+            // Each shape on a fresh one-shard server (and a fresh fault
+            // schedule): its total is the delta.
+            let run = |streaming: bool| {
+                let (plan, breaker_threshold) = fault.unzip();
+                let server = Server::start(ServeConfig {
+                    shards: 1,
+                    fault_plan: plan.map(|spec| Arc::new(FaultPlan::parse(spec).unwrap())),
+                    breaker_threshold: breaker_threshold.unwrap_or(5),
+                    breaker_cooldown: Duration::from_secs(60),
+                    ..ServeConfig::default()
+                })
+                .unwrap();
+                let handle = server.handle();
+                let mut served = 0;
+                for &(data, mut opts) in &requests {
+                    opts.options.streaming = streaming;
+                    let ticket = handle.submit_with(data.to_vec(), opts).unwrap();
+                    served += u64::from(ticket.wait_served().is_ok());
+                }
+                (server.shutdown().total(), served)
+            };
+            let (whole, served) = run(false);
+            let (streamed, streamed_served) = run(true);
+            assert_eq!(served, streamed_served, "{exit}: replies");
+            assert_eq!((whole.streamed, streamed.streamed), (0, served), "{exit}");
+            // Beyond `streamed`, what the shapes may differ in is the
+            // stream's own buffers (`stream_tile_peak`) and the session
+            // call (`decode_rows` never prices `Auto`), not the worker.
+            let whole = ShardStats {
+                stream_tile_peak: 0,
+                ..whole
+            };
+            let streamed = ShardStats {
+                streamed: 0,
+                stream_tile_peak: 0,
+                session: whole.session,
+                ..streamed
+            };
+            assert_eq!(whole, streamed, "{exit}: counters differ by reply shape");
+        }
     }
 }

@@ -783,7 +783,9 @@ impl StreamEncoder {
 /// shutdown drain) arrive in-band as [`ServerReply`] variants. Streamed
 /// responses (status 5/6/7) are reassembled into one whole-image
 /// [`ResponseFrame`] — bit-identical to a non-streamed reply — with the
-/// running CRC verified against the StreamFinal trailer.
+/// running CRC verified against the StreamFinal trailer and the byte count
+/// against the announced `width × height × 3` (a short stream is
+/// `InvalidData`, never a success).
 pub fn read_response(r: &mut impl Read) -> io::Result<ServerReply> {
     read_response_impl(r, None)
 }
@@ -847,6 +849,7 @@ fn read_response_impl(r: &mut impl Read, mut sink: ChunkSink<'_>) -> io::Result<
             let height = u32::from_be_bytes([head[5], head[6], head[7], head[8]]);
             let mut rgb = Vec::new();
             let mut crc = Crc32::new();
+            let mut received = 0u64;
             loop {
                 read_full(r, &mut status)?;
                 match status[0] {
@@ -862,6 +865,7 @@ fn read_response_impl(r: &mut impl Read, mut sink: ChunkSink<'_>) -> io::Result<
                         let mut chunk = vec![0u8; n as usize];
                         read_full(r, &mut chunk)?;
                         crc.update(&chunk);
+                        received += chunk.len() as u64;
                         match sink.as_deref_mut() {
                             Some(f) => f(&chunk),
                             None => {
@@ -885,6 +889,17 @@ fn read_response_impl(r: &mut impl Read, mut sink: ChunkSink<'_>) -> io::Result<
                                 return Err(io::Error::new(
                                     io::ErrorKind::InvalidData,
                                     "stream CRC mismatch",
+                                ));
+                            }
+                            // A valid CRC over too few rows is still not
+                            // the image the header announced.
+                            let expected = width as u64 * height as u64 * 3;
+                            if received != expected {
+                                return Err(io::Error::new(
+                                    io::ErrorKind::InvalidData,
+                                    format!(
+                                        "stream ended after {received} of {expected} pixel bytes"
+                                    ),
                                 ));
                             }
                             let frame = ResponseFrame { width, height, rgb };
@@ -1695,6 +1710,29 @@ mod tests {
         let err = read_response(&mut io::Cursor::new(bad)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("CRC"));
+    }
+
+    #[test]
+    fn a_short_stream_with_a_valid_crc_is_refused() {
+        // A 4×4 stream that ends after one row, with a good CRC over the
+        // row it sent: not the image its header announced, read either way.
+        let row = [9u8; 4 * 3];
+        let mut crc = Crc32::new();
+        crc.update(&row);
+        let mut wire = vec![STATUS_STREAM_BEGIN, 0u8];
+        wire.extend_from_slice(&4u32.to_be_bytes());
+        wire.extend_from_slice(&4u32.to_be_bytes());
+        wire.push(STATUS_STREAM_CHUNK);
+        wire.extend_from_slice(&(row.len() as u32).to_be_bytes());
+        wire.extend_from_slice(&row);
+        wire.extend_from_slice(&[STATUS_STREAM_FINAL, 0u8]);
+        wire.extend_from_slice(&crc.finish().to_be_bytes());
+
+        let err = read_response(&mut io::Cursor::new(wire.clone())).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("12 of 48"), "{err}");
+        let err = read_response_streamed(&mut io::Cursor::new(wire), &mut |_| {}).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]

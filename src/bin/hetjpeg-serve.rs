@@ -38,7 +38,7 @@
 //!
 //! `--fault SPEC` (or `HETJPEG_FAULT`) arms the deterministic fault
 //! harness on any serving mode; see `hetjpeg_serve::fault` for the
-//! grammar.
+//! grammar. Any other `--` argument is a usage error (exit 2).
 
 use hetjpeg_core::{DecodeOptions, Platform};
 use hetjpeg_serve::fault::FaultPlan;
@@ -59,14 +59,47 @@ use {
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  hetjpeg-serve (--addr HOST:PORT | --stdio | --smoke | --chaos-smoke)\n\
-         \u{20}              [--shards N] [--queue-depth N] [--max-batch N]\n\
-         \u{20}              [--cache-cap N] [--threads N] [--platform gt430|gtx560|gtx680]\n\
-         \u{20}              [--model model.txt] [--max-pixels N] [--tolerant]\n\
-         \u{20}              [--max-scans N] [--scan-deadline-us N]\n\
+         \u{20}              [--shards N] [--queue-depth N] [--cache-cap N] [--threads N]\n\
+         \u{20}              [--platform gt430|gtx560|gtx680] [--model model.txt]\n\
+         \u{20}              [--max-pixels N] [--tolerant] [--max-scans N] [--scan-deadline-us N]\n\
          \u{20}              [--fault SPEC[:SEED]] [--breaker-threshold N] [--breaker-cooldown-us N]\n\
          \u{20}              [--max-connections N]"
     );
     ExitCode::from(2)
+}
+
+/// Flags followed by a value, and flags that stand alone.
+const VALUE_FLAGS: [&str; 14] = [
+    "--addr",
+    "--shards",
+    "--queue-depth",
+    "--cache-cap",
+    "--threads",
+    "--platform",
+    "--model",
+    "--max-pixels",
+    "--max-scans",
+    "--scan-deadline-us",
+    "--fault",
+    "--breaker-threshold",
+    "--breaker-cooldown-us",
+    "--max-connections",
+];
+const SWITCHES: [&str; 4] = ["--stdio", "--smoke", "--chaos-smoke", "--tolerant"];
+
+/// Refuse any `--` argument that is not a known flag: a typo or a retired
+/// flag must not run the server on a default nobody asked for.
+fn check_flags(args: &[String]) -> Result<(), ExitCode> {
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        if VALUE_FLAGS.contains(&arg.as_str()) {
+            args.next();
+        } else if arg.starts_with("--") && !SWITCHES.contains(&arg.as_str()) {
+            eprintln!("unknown flag {arg}");
+            return Err(usage());
+        }
+    }
+    Ok(())
 }
 
 fn arg_value(args: &[String], key: &str) -> Option<String> {
@@ -86,15 +119,13 @@ fn parse_or_usage<T: std::str::FromStr>(args: &[String], key: &str) -> Result<Op
 }
 
 fn config_from_args(args: &[String]) -> Result<ServeConfig, ExitCode> {
+    check_flags(args)?;
     let mut config = ServeConfig::default();
     if let Some(n) = parse_or_usage(args, "--shards")? {
         config.shards = n;
     }
     if let Some(n) = parse_or_usage(args, "--queue-depth")? {
         config.queue_depth = n;
-    }
-    if let Some(n) = parse_or_usage(args, "--max-batch")? {
-        config.max_batch = n;
     }
     if let Some(n) = parse_or_usage(args, "--cache-cap")? {
         config.auto_cache_cap = n;
@@ -183,43 +214,37 @@ fn main() -> ExitCode {
 }
 
 fn print_stats(stats: &hetjpeg_serve::ServerStats) {
+    let t = stats.total();
+    let pool = t.session.pool;
     eprintln!(
         "served {} requests in {} batches (mean batch {:.2}, errors {}); \
          auto cache: {} evals, {} hits, {} evictions",
-        stats.requests(),
-        stats.batches(),
-        stats.mean_batch(),
-        stats.decode_errors(),
-        stats.auto_evals(),
-        stats.auto_cache_hits(),
-        stats.auto_evictions(),
+        t.requests,
+        t.batches,
+        t.requests as f64 / t.batches.max(1) as f64,
+        t.decode_errors,
+        pool.auto_evals,
+        pool.auto_cache_hits,
+        pool.auto_evictions,
     );
-    let prog = stats.progressive();
+    let prog = t.session.progressive;
     if prog.scans_decoded > 0 {
         eprintln!(
             "progressive: {} scans decoded, {} refinement passes, \
              {} partial renders ({} deadline-paced)",
-            prog.scans_decoded,
-            prog.refine_passes,
-            prog.partial_renders,
-            stats.deadline_partials(),
+            prog.scans_decoded, prog.refine_passes, prog.partial_renders, t.deadline_partials,
         );
     }
-    let resilience = stats.panics_recovered()
-        + stats.breaker_trips()
-        + stats.shed()
-        + stats.degraded()
-        + stats.shutdown_drained();
-    if resilience > 0 {
+    if t.panics_recovered + t.breaker_trips + t.shed + t.degraded + t.shutdown_drained > 0 {
         eprintln!(
             "resilience: {} panics recovered, {} sessions rebuilt, {} breaker trips, \
              {} shed, {} degraded, {} drained at shutdown",
-            stats.panics_recovered(),
-            stats.sessions_rebuilt(),
-            stats.breaker_trips(),
-            stats.shed(),
-            stats.degraded(),
-            stats.shutdown_drained(),
+            t.panics_recovered,
+            t.sessions_rebuilt,
+            t.breaker_trips,
+            t.shed,
+            t.degraded,
+            t.shutdown_drained,
         );
     }
 }
@@ -442,21 +467,17 @@ fn smoke(mut config: ServeConfig) -> ExitCode {
 
     let stats = server.shutdown();
     print_stats(&stats);
+    let t = stats.total();
     if mismatches != 0 {
         eprintln!("smoke: FAILED: {mismatches} replies differ from direct decode");
         return ExitCode::FAILURE;
     }
     let v2_requests = total as u64 / 2;
-    if stats.requests() != total as u64
-        || stats.decode_errors() != 0
-        || stats.streamed() != v2_requests
-    {
+    if t.requests != total as u64 || t.decode_errors != 0 || t.streamed != v2_requests {
         eprintln!(
             "smoke: accounting mismatch: {} requests recorded for {total} sent, {} errors, \
              {} streamed for {v2_requests} streaming requests",
-            stats.requests(),
-            stats.decode_errors(),
-            stats.streamed(),
+            t.requests, t.decode_errors, t.streamed,
         );
         return ExitCode::FAILURE;
     }
@@ -480,7 +501,7 @@ fn smoke(mut config: ServeConfig) -> ExitCode {
     }
     // The two progressive requests must have exercised the multi-scan
     // path: 10 scans and 5 refinement passes each, no partial renders.
-    let prog = stats.progressive();
+    let prog = t.session.progressive;
     if prog.scans_decoded != 20 || prog.refine_passes != 10 || prog.partial_renders != 0 {
         eprintln!("smoke: unexpected progressive counters: {prog:?}");
         return ExitCode::FAILURE;
@@ -510,19 +531,19 @@ fn smoke(mut config: ServeConfig) -> ExitCode {
     let paced_handle = paced_server.handle();
     let seeded = paced_handle.decode(&paced_jpeg).expect("seeding decode");
     let paced_out = paced_handle.decode(&paced_jpeg).expect("paced decode");
-    let paced_stats = paced_server.shutdown();
+    let paced_stats = paced_server.shutdown().total();
     if seeded.truncated
         || !paced_out.truncated
-        || paced_stats.deadline_partials() != 1
-        || paced_stats.progressive().partial_renders != 1
+        || paced_stats.deadline_partials != 1
+        || paced_stats.session.progressive.partial_renders != 1
     {
         eprintln!(
             "smoke: deadline pacing misbehaved: seeded.truncated={} paced.truncated={} \
              deadline_partials={} progressive={:?}",
             seeded.truncated,
             paced_out.truncated,
-            paced_stats.deadline_partials(),
-            paced_stats.progressive(),
+            paced_stats.deadline_partials,
+            paced_stats.session.progressive,
         );
         return ExitCode::FAILURE;
     }
@@ -603,20 +624,15 @@ fn chaos_smoke(config: ServeConfig) -> ExitCode {
         ),
         Err(e) => check!(false, "phase 1: post-rebuild decode failed: {e}"),
     }
-    let stats = server.shutdown();
+    let t = server.shutdown().total();
     check!(panicked == 1, "phase 1: saw {panicked} panics, expected 1");
     check!(
-        stats.requests() == 7
-            && stats.panics_recovered() == 1
-            && stats.sessions_rebuilt() == 1
-            && stats.decode_errors() == 0
-            && stats.breaker_trips() == 0,
-        "phase 1 counters: requests={} panics_recovered={} sessions_rebuilt={} errors={} trips={}",
-        stats.requests(),
-        stats.panics_recovered(),
-        stats.sessions_rebuilt(),
-        stats.decode_errors(),
-        stats.breaker_trips(),
+        t.requests == 7
+            && t.panics_recovered == 1
+            && t.sessions_rebuilt == 1
+            && t.decode_errors == 0
+            && t.breaker_trips == 0,
+        "phase 1 counters: {t:?}"
     );
     // Deterministic schedule: 1 panic + 3 latency stalls (reads 2, 4, 6).
     check!(
@@ -661,19 +677,14 @@ fn chaos_smoke(config: ServeConfig) -> ExitCode {
         ),
         Err(e) => check!(false, "phase 2: half-open probe failed: {e}"),
     }
-    let stats = server.shutdown();
+    let t = server.shutdown().total();
     check!(
-        stats.panics_recovered() == 2
-            && stats.sessions_rebuilt() == 2
-            && stats.breaker_trips() == 1
-            && stats.shed() == 1
-            && stats.decode_errors() == 0,
-        "phase 2 counters: panics_recovered={} sessions_rebuilt={} trips={} shed={} errors={}",
-        stats.panics_recovered(),
-        stats.sessions_rebuilt(),
-        stats.breaker_trips(),
-        stats.shed(),
-        stats.decode_errors(),
+        t.panics_recovered == 2
+            && t.sessions_rebuilt == 2
+            && t.breaker_trips == 1
+            && t.shed == 1
+            && t.decode_errors == 0,
+        "phase 2 counters: {t:?}"
     );
 
     // Phase 3 — chaotic connection reads over real TCP: every 2nd read
@@ -699,13 +710,10 @@ fn chaos_smoke(config: ServeConfig) -> ExitCode {
         mismatches == 0,
         "phase 3: {mismatches} replies differ from direct decode"
     );
-    let stats = server.shutdown();
+    let t = server.shutdown().total();
     check!(
-        stats.requests() == 6 && stats.decode_errors() == 0 && stats.shed() == 0,
-        "phase 3 counters: requests={} errors={} shed={}",
-        stats.requests(),
-        stats.decode_errors(),
-        stats.shed(),
+        t.requests == 6 && t.decode_errors == 0 && t.shed == 0,
+        "phase 3 counters: {t:?}"
     );
     check!(
         plan.injections_fired() > 0,
@@ -788,13 +796,10 @@ fn chaos_smoke(config: ServeConfig) -> ExitCode {
         matches!(&prefix, Ok(s) if s.degraded && s.outcome.truncated),
         "phase 4: progressive request did not degrade to a prefix render"
     );
-    let stats = server.shutdown();
+    let t = server.shutdown().total();
     check!(
-        stats.shed() == 1 && stats.degraded() == 2 && stats.decode_errors() == 0,
-        "phase 4 counters: shed={} degraded={} errors={}",
-        stats.shed(),
-        stats.degraded(),
-        stats.decode_errors(),
+        t.shed == 1 && t.degraded == 2 && t.decode_errors == 0,
+        "phase 4 counters: {t:?}"
     );
 
     println!(
@@ -804,4 +809,27 @@ fn chaos_smoke(config: ServeConfig) -> ExitCode {
          decode and zero worker threads lost"
     );
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn unknown_flags_are_a_usage_error() {
+        let ok = "--stdio --shards 2 --tolerant --fault latency=2x1ms --max-connections 9";
+        let config = config_from_args(&args(ok)).expect("known flags parse");
+        assert_eq!(config.shards, 2);
+        for bad in [
+            "--stdio --max-batch 8",
+            "--shard 2 --stdio",
+            "--stdio --smoke-test",
+        ] {
+            assert!(config_from_args(&args(bad)).is_err(), "{bad}");
+        }
+    }
 }

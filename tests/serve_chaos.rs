@@ -67,12 +67,12 @@ fn seeded_panic_plan_isolates_one_request_and_rebuilds_the_session() {
         }
     }
     assert_eq!(panicked, vec![2], "exactly the 3rd request panics");
-    let stats = server.shutdown();
-    assert_eq!(stats.requests(), 8);
-    assert_eq!(stats.panics_recovered(), 1);
-    assert_eq!(stats.sessions_rebuilt(), 1);
-    assert_eq!(stats.decode_errors(), 0);
-    assert_eq!(stats.breaker_trips(), 0);
+    let stats = server.shutdown().total();
+    assert_eq!(stats.requests, 8);
+    assert_eq!(stats.panics_recovered, 1);
+    assert_eq!(stats.sessions_rebuilt, 1);
+    assert_eq!(stats.decode_errors, 0);
+    assert_eq!(stats.breaker_trips, 0);
     assert_eq!(plan.injections_fired(), 1);
 }
 
@@ -115,10 +115,10 @@ fn full_latency_on_one_shard_slows_but_never_corrupts() {
         elapsed >= Duration::from_millis(20),
         "4 requests x 5 ms of injected latency must show up in wall-clock, got {elapsed:?}"
     );
-    let stats = server.shutdown();
-    assert_eq!(stats.requests(), 4);
-    assert_eq!(stats.decode_errors(), 0);
-    assert_eq!(stats.panics_recovered(), 0);
+    let stats = server.shutdown().total();
+    assert_eq!(stats.requests, 4);
+    assert_eq!(stats.decode_errors, 0);
+    assert_eq!(stats.panics_recovered, 0);
     assert_eq!(
         plan.injections_fired(),
         4,
@@ -215,10 +215,10 @@ fn torn_wire_frames_kill_the_connection_but_not_the_server() {
     // And the in-process path never noticed any of it.
     let out = handle.decode(&jpegs[2]).unwrap();
     assert_eq!(out.image.data, refs[2]);
-    let stats = server.shutdown();
-    assert_eq!(stats.requests(), 3);
-    assert_eq!(stats.decode_errors(), 0);
-    assert_eq!(stats.panics_recovered(), 0);
+    let stats = server.shutdown().total();
+    assert_eq!(stats.requests, 3);
+    assert_eq!(stats.decode_errors, 0);
+    assert_eq!(stats.panics_recovered, 0);
     assert!(plan.injections_fired() >= 1, "the tear must have fired");
 }
 
@@ -253,18 +253,18 @@ fn shutdown_drains_breaker_open_queue_with_explicit_errors() {
         .map(|_| handle.submit(jpeg.clone()).unwrap())
         .collect();
     std::thread::sleep(Duration::from_millis(50));
-    let stats = server.shutdown();
+    let stats = server.shutdown().total();
     for (i, t) in tickets.into_iter().enumerate() {
         assert!(
             matches!(t.wait(), Err(ServeError::Shutdown)),
             "queued ticket {i} must surface the shutdown drain explicitly"
         );
     }
-    assert_eq!(stats.shutdown_drained(), 3);
-    assert_eq!(stats.breaker_trips(), 1);
-    assert_eq!(stats.panics_recovered(), 2);
-    assert_eq!(stats.sessions_rebuilt(), 2);
-    assert_eq!(stats.shed(), 0, "drained requests are Shutdown, not Busy");
+    assert_eq!(stats.shutdown_drained, 3);
+    assert_eq!(stats.breaker_trips, 1);
+    assert_eq!(stats.panics_recovered, 2);
+    assert_eq!(stats.sessions_rebuilt, 2);
+    assert_eq!(stats.shed, 0, "drained requests are Shutdown, not Busy");
 }
 
 /// The event-driven front end of `server` on a loopback port: the front
@@ -350,8 +350,8 @@ fn torn_reads_drop_one_front_end_connection_and_spare_the_next() {
     assert_eq!(fe.stats().accepted, 2);
     assert_eq!(fe.stats().requests, 1, "the torn request was never parsed");
     assert_eq!(plan.injections_fired(), 1);
-    let stats = server.shutdown();
-    assert_eq!(stats.requests(), 1);
+    let stats = server.shutdown().total();
+    assert_eq!(stats.requests, 1);
 }
 
 #[cfg(unix)]
@@ -406,9 +406,9 @@ fn short_front_end_reads_leave_replies_byte_identical() {
         "only {} reads were chaotic",
         plan.injections_fired()
     );
-    let stats = server.shutdown();
-    assert_eq!(stats.requests(), 8);
-    assert_eq!(stats.decode_errors(), 0);
+    let stats = server.shutdown().total();
+    assert_eq!(stats.requests, 8);
+    assert_eq!(stats.decode_errors, 0);
 }
 
 #[cfg(unix)]
@@ -449,12 +449,12 @@ fn panic_isolation_holds_through_the_event_front_end() {
             }
         }
     });
-    let stats = server.shutdown();
-    assert_eq!(stats.requests(), 6);
-    assert_eq!(stats.panics_recovered(), 1);
-    assert_eq!(stats.sessions_rebuilt(), 1);
-    assert_eq!(stats.streamed(), 2, "requests 0 and 4; request 2 panicked");
-    assert_eq!(stats.decode_errors(), 0);
+    let stats = server.shutdown().total();
+    assert_eq!(stats.requests, 6);
+    assert_eq!(stats.panics_recovered, 1);
+    assert_eq!(stats.sessions_rebuilt, 1);
+    assert_eq!(stats.streamed, 2, "requests 0 and 4; request 2 panicked");
+    assert_eq!(stats.decode_errors, 0);
     assert_eq!(plan.injections_fired(), 1);
 }
 
@@ -498,11 +498,11 @@ fn open_breaker_sheds_through_the_event_front_end() {
             other => panic!("expected Busy from the open breaker, got {other:?}"),
         }
     });
-    let stats = server.shutdown();
-    assert_eq!(stats.requests(), 3, "all three reached the worker");
-    assert_eq!(stats.panics_recovered(), 2);
-    assert_eq!(stats.breaker_trips(), 1);
-    assert_eq!(stats.shed(), 1);
+    let stats = server.shutdown().total();
+    assert_eq!(stats.requests, 3, "all three reached the worker");
+    assert_eq!(stats.panics_recovered, 2);
+    assert_eq!(stats.breaker_trips, 1);
+    assert_eq!(stats.shed, 1);
 }
 
 #[test]
@@ -527,12 +527,12 @@ fn transparent_fault_plan_leaves_results_and_counters_untouched() {
             .unwrap_or_else(|e| panic!("image {i}: {e}"));
         assert_eq!(out.image.data, refs[i], "image {i}");
     }
-    let stats = server.shutdown();
-    assert_eq!(stats.requests(), 12);
-    assert_eq!(stats.decode_errors(), 0);
-    assert_eq!(stats.panics_recovered(), 0);
-    assert_eq!(stats.shed(), 0);
-    assert_eq!(stats.degraded(), 0);
+    let stats = server.shutdown().total();
+    assert_eq!(stats.requests, 12);
+    assert_eq!(stats.decode_errors, 0);
+    assert_eq!(stats.panics_recovered, 0);
+    assert_eq!(stats.shed, 0);
+    assert_eq!(stats.degraded, 0);
     // 12 one-shape requests on one shard: the every-9th latency rule fired.
     assert!(plan.injections_fired() >= 1);
 }

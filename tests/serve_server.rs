@@ -62,22 +62,21 @@ fn server_output_is_bit_identical_across_shard_counts() {
             let out = t.wait().unwrap_or_else(|e| panic!("image {i}: {e}"));
             assert_eq!(out.image.data, refs[i], "shards={shards}, image {i}");
         }
-        let stats = server.shutdown();
-        assert_eq!(stats.requests(), corpus.len() as u64);
-        assert_eq!(stats.decode_errors(), 0);
+        let stats = server.shutdown().total();
+        assert_eq!(stats.requests, corpus.len() as u64);
+        assert_eq!(stats.decode_errors, 0);
     }
 }
 
 #[test]
 fn server_output_survives_queue_pressure_and_concurrent_submitters() {
-    // Tiny queues force backpressure (blocking submits) and tiny batches;
+    // Depth-1 queues force backpressure (blocking submits) and short batches;
     // four submitter threads hammer two shards concurrently.
     let corpus = mixed_corpus();
     let refs = reference_bytes(&corpus);
     let server = Server::start(ServeConfig {
         shards: 2,
         queue_depth: 1,
-        max_batch: 2,
         ..ServeConfig::default()
     })
     .unwrap();
@@ -101,8 +100,8 @@ fn server_output_survives_queue_pressure_and_concurrent_submitters() {
         }
     });
     let stats = server.shutdown();
-    assert_eq!(stats.requests(), corpus.len() as u64 * 2);
-    assert_eq!(stats.decode_errors(), 0);
+    assert_eq!(stats.total().requests, corpus.len() as u64 * 2);
+    assert_eq!(stats.total().decode_errors, 0);
     // Every shard that saw traffic amortized its pools: reuses dominate
     // allocations under shape-keyed routing.
     for shard in &stats.shards {
@@ -132,7 +131,6 @@ fn homogeneous_workload_spills_across_shards() {
     let server = Server::start(ServeConfig {
         shards: 2,
         queue_depth: 1,
-        max_batch: 1,
         ..ServeConfig::default()
     })
     .unwrap();
@@ -146,7 +144,7 @@ fn homogeneous_workload_spills_across_shards() {
         assert_eq!(out.image.data, refs[i], "image {i}");
     }
     let stats = server.shutdown();
-    assert_eq!(stats.requests(), jpegs.len() as u64);
+    assert_eq!(stats.total().requests, jpegs.len() as u64);
     let busy = stats.shards.iter().filter(|s| s.requests > 0).count();
     assert_eq!(busy, 2, "one-shape traffic must fan out: {stats:?}");
 }
@@ -160,7 +158,6 @@ fn graceful_shutdown_drains_in_flight_batches() {
     let refs = reference_bytes(&corpus);
     let server = Server::start(ServeConfig {
         shards: 2,
-        max_batch: 64,
         ..ServeConfig::default()
     })
     .unwrap();
@@ -170,12 +167,12 @@ fn graceful_shutdown_drains_in_flight_batches() {
         .map(|j| handle.submit(j.clone()).unwrap())
         .collect();
     let t0 = Instant::now();
-    let stats = server.shutdown();
+    let stats = server.shutdown().total();
     assert!(
         t0.elapsed() < Duration::from_secs(4),
         "shutdown must drain promptly"
     );
-    assert_eq!(stats.requests(), corpus.len() as u64, "all drained");
+    assert_eq!(stats.requests, corpus.len() as u64, "all drained");
     for (i, t) in tickets.into_iter().enumerate() {
         let out = t
             .wait()
@@ -207,9 +204,9 @@ fn per_request_errors_do_not_poison_the_batch() {
     assert_eq!(good_a.wait().unwrap().image.data, refs[0]);
     assert!(matches!(bad.wait(), Err(ServeError::Decode(_))));
     assert_eq!(good_b.wait().unwrap().image.data, refs[1]);
-    let stats = server.shutdown();
-    assert_eq!(stats.decode_errors(), 1);
-    assert_eq!(stats.requests(), 3);
+    let stats = server.shutdown().total();
+    assert_eq!(stats.decode_errors, 1);
+    assert_eq!(stats.requests, 3);
 }
 
 #[test]
@@ -310,11 +307,11 @@ fn wire_v2_deadlines_ride_the_same_connection() {
         protocol::ServerReply::Degraded(frame) => assert_eq!(&frame.rgb, &refs[2]),
         other => panic!("expired v2 frame: expected Degraded, got {other:?}"),
     }
-    let stats = server.shutdown();
-    assert_eq!(stats.requests(), 3);
-    assert_eq!(stats.degraded(), 1);
-    assert_eq!(stats.shed(), 0);
-    assert_eq!(stats.decode_errors(), 0);
+    let stats = server.shutdown().total();
+    assert_eq!(stats.requests, 3);
+    assert_eq!(stats.degraded, 1);
+    assert_eq!(stats.shed, 0);
+    assert_eq!(stats.decode_errors, 0);
 }
 
 #[test]
@@ -346,15 +343,15 @@ fn shard_caches_evict_under_shape_churn() {
                 .unwrap_or_else(|e| panic!("round {round} shape {i}: {e}"));
         }
     }
-    let stats = server.shutdown();
+    let stats = server.shutdown().total().session;
     assert!(
-        stats.auto_evictions() > 0,
+        stats.pool.auto_evictions > 0,
         "cap 2 with 6 shapes must evict: {stats:?}"
     );
-    assert_eq!(stats.shards[0].session.auto_cache_cap, 2);
-    assert!(stats.shards[0].session.auto_cache_len <= 2);
+    assert_eq!(stats.auto_cache_cap, 2);
+    assert!(stats.auto_cache_len <= 2);
     // Sequential shape churn thrashes a cap-2 LRU: every decode misses.
-    assert_eq!(stats.auto_evals(), 12);
+    assert_eq!(stats.pool.auto_evals, 12);
 
     // Same traffic with an adequate cap: the second round is all hits.
     let server = Server::start(ServeConfig {
@@ -367,8 +364,8 @@ fn shard_caches_evict_under_shape_churn() {
     for j in shapes.iter().chain(shapes.iter()) {
         handle.decode(j).unwrap();
     }
-    let stats = server.shutdown();
-    assert_eq!(stats.auto_evals(), 6);
-    assert_eq!(stats.auto_cache_hits(), 6);
-    assert_eq!(stats.auto_evictions(), 0);
+    let pool = server.shutdown().total().session.pool;
+    assert_eq!(pool.auto_evals, 6);
+    assert_eq!(pool.auto_cache_hits, 6);
+    assert_eq!(pool.auto_evictions, 0);
 }

@@ -156,15 +156,15 @@ fn streamed_replies_are_bit_identical_across_modes_and_shapes() {
         let whole = handle.decode(j).unwrap();
         assert_eq!(whole.image.data, reference.data);
     }
-    let stats = server.shutdown();
-    assert_eq!(stats.streamed(), cases.len() as u64 * 2);
+    let stats = server.shutdown().total();
+    assert_eq!(stats.streamed, cases.len() as u64 * 2);
     assert!(
-        stats.stream_tile_peak() <= TILE_POOL_CAP as u64,
+        stats.stream_tile_peak <= TILE_POOL_CAP as u64,
         "tile pool leaked: peak {} > cap {}",
-        stats.stream_tile_peak(),
+        stats.stream_tile_peak,
         TILE_POOL_CAP
     );
-    assert!(stats.stream_tile_peak() > 0);
+    assert!(stats.stream_tile_peak > 0);
 }
 
 #[test]
@@ -333,8 +333,8 @@ fn streaming_composes_with_per_request_options() {
     let err = handle.submit_with(big, sub).unwrap().wait_served();
     assert!(matches!(err, Err(ServeError::Decode(_))), "{err:?}");
 
-    let stats = server.shutdown();
-    assert!(stats.stream_tile_peak() <= TILE_POOL_CAP as u64);
+    let stats = server.shutdown().total();
+    assert!(stats.stream_tile_peak <= TILE_POOL_CAP as u64);
 }
 
 #[test]
@@ -393,8 +393,8 @@ fn wire_streaming_roundtrips_and_matches_whole_frames() {
     assert!(reply.frame().is_some());
     assert_eq!(sunk, reference);
 
-    let stats = server.shutdown();
-    assert!(stats.stream_tile_peak() <= TILE_POOL_CAP as u64);
+    let stats = server.shutdown().total();
+    assert!(stats.stream_tile_peak <= TILE_POOL_CAP as u64);
 }
 
 #[test]
@@ -477,9 +477,9 @@ fn feasible_deadline_is_not_degraded_by_a_long_coalesce_window() {
         "a lone request was held back: took {elapsed:?}"
     );
 
-    let stats = server.shutdown();
-    assert_eq!(stats.degraded(), 0);
-    assert_eq!(stats.shed(), 0);
+    let stats = server.shutdown().total();
+    assert_eq!(stats.degraded, 0);
+    assert_eq!(stats.shed, 0);
 }
 
 #[cfg(unix)]
@@ -554,8 +554,8 @@ fn event_frontend_serves_keepalive_pipelined_and_streaming_clients() {
 
     fe.stop();
     runner.join().unwrap().unwrap();
-    let stats = server.shutdown();
-    assert!(stats.stream_tile_peak() <= TILE_POOL_CAP as u64);
+    let stats = server.shutdown().total();
+    assert!(stats.stream_tile_peak <= TILE_POOL_CAP as u64);
 }
 
 #[cfg(unix)]
@@ -722,8 +722,8 @@ fn serve_connection_and_the_front_end_answer_byte_identically() {
         }
         assert_eq!(r.position(), in_memory.len() as u64);
     }
-    let stats = server.shutdown();
-    assert!(stats.stream_tile_peak() <= TILE_POOL_CAP as u64);
+    let stats = server.shutdown().total();
+    assert!(stats.stream_tile_peak <= TILE_POOL_CAP as u64);
 }
 
 /// A client that stops reading mid-reply must neither spin the loop nor be
@@ -813,9 +813,9 @@ fn stalled_reader_neither_spins_nor_waits_for_a_clock(streaming: bool) {
     assert!(rest.is_empty());
     fe.stop();
     runner.join().unwrap().unwrap();
-    let stats = server.shutdown();
-    assert_eq!(stats.streamed(), u64::from(streaming || forced_streaming()));
-    assert!(stats.stream_tile_peak() <= TILE_POOL_CAP as u64);
+    let stats = server.shutdown().total();
+    assert_eq!(stats.streamed, u64::from(streaming || forced_streaming()));
+    assert!(stats.stream_tile_peak <= TILE_POOL_CAP as u64);
 }
 
 #[cfg(target_os = "linux")]
