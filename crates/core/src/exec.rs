@@ -219,6 +219,7 @@ pub fn decode_entropy_parallel_into(
         return decode_entropy_speculative_into(prep, &segments, threads, coef);
     }
 
+    let tables = prep.huffman_tables()?;
     let threads = threads.min(segments.len());
     let next = AtomicUsize::new(0);
     let failed = std::sync::atomic::AtomicBool::new(false);
@@ -245,8 +246,9 @@ pub fn decode_entropy_parallel_into(
                 // worker (the atomic ticket), and segments partition the
                 // MCU sequence, so concurrent writes target disjoint
                 // blocks.
-                let res =
-                    unsafe { decode_mcu_segment_into(&prep.parsed, geom, &segments[i], writer) };
+                let res = unsafe {
+                    decode_mcu_segment_into(&prep.parsed, geom, tables, &segments[i], writer)
+                };
                 match res {
                     Ok(m) => seg_metrics.lock().expect("metrics mutex")[i] = Some(m),
                     Err(e) => {
@@ -293,10 +295,11 @@ pub(crate) fn decode_entropy_speculative_into(
     coef: &mut CoefBuffer,
 ) -> Result<EntropyParallelOutcome> {
     use hetjpeg_jpeg::speculate::{decode_chunk_speculative, plan_chunks, stitch_segment};
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
 
     let geom = &prep.geom;
+    let tables = prep.huffman_tables()?;
     let scan = prep.parsed.scan_data;
     let payload_of = |seg: &hetjpeg_jpeg::entropy::RestartSegment| {
         &scan[seg.offset.min(scan.len())..(seg.offset + seg.len).min(scan.len())]
@@ -314,47 +317,34 @@ pub(crate) fn decode_entropy_speculative_into(
     }
 
     let next = AtomicUsize::new(0);
-    let failed = AtomicBool::new(false);
-    let first_err: Mutex<Option<hetjpeg_jpeg::Error>> = Mutex::new(None);
     let staged: Mutex<Vec<Option<hetjpeg_jpeg::speculate::StagedChunk<'_>>>> =
         Mutex::new((0..jobs.len()).map(|_| None).collect());
     crossbeam::scope(|s| {
         for _ in 0..threads.min(jobs.len()) {
             let next = &next;
-            let failed = &failed;
             let jobs = &jobs;
-            let first_err = &first_err;
             let staged = &staged;
             s.spawn(move |_| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= jobs.len() || failed.load(Ordering::Relaxed) {
+                if i >= jobs.len() {
                     break;
                 }
                 let (si, start, stop) = jobs[i];
                 let seg = &segments[si];
-                let res = decode_chunk_speculative(
-                    &prep.parsed,
+                let ch = decode_chunk_speculative(
                     geom,
+                    tables,
                     payload_of(seg),
                     start,
                     stop,
                     seg.mcu_count,
                 );
-                match res {
-                    Ok(ch) => staged.lock().expect("staging mutex")[i] = Some(ch),
-                    Err(e) => {
-                        first_err.lock().expect("error mutex").get_or_insert(e);
-                        failed.store(true, Ordering::Relaxed);
-                    }
-                }
+                staged.lock().expect("staging mutex")[i] = Some(ch);
             });
         }
     })
     .expect("speculative worker panicked");
 
-    if let Some(e) = first_err.into_inner().expect("error mutex") {
-        return Err(e);
-    }
     let staged: Vec<hetjpeg_jpeg::speculate::StagedChunk<'_>> = staged
         .into_inner()
         .expect("staging mutex")
@@ -372,8 +362,8 @@ pub(crate) fn decode_entropy_speculative_into(
             out.unit_metrics.push(ch.metrics);
         }
         let stitched = stitch_segment(
-            &prep.parsed,
             geom,
+            tables,
             payload_of(seg),
             seg.start_mcu,
             seg.mcu_count,

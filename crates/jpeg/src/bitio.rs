@@ -11,6 +11,14 @@
 //! only windows containing 0xFF take the byte-at-a-time unstuffing slow
 //! path. This keeps the strictly sequential Huffman phase — the paper's
 //! serial bottleneck — as short as possible.
+//!
+//! The Huffman decoder's fast path ([`crate::huffman::decode`]) reads
+//! bits that are already buffered; the only refills it makes are the ones
+//! a `peek_bits`/`get_bits` request would make at the same point. The
+//! reader's state — and with it [`BitReader::bit_checkpoint`], the moment
+//! it turns `u64::MAX`, [`BitReader::marker`] and the restart-marker
+//! checks, which inspect buffered bytes — is therefore the same as if
+//! every bit had been requested.
 
 use crate::error::{Error, Result};
 
@@ -123,7 +131,7 @@ impl<'a> BitReader<'a> {
     /// the stream tail fall back to the byte-at-a-time slow path. Both paths
     /// buffer identical bit sequences, so decode output is bit-exact.
     #[inline]
-    fn refill(&mut self, need: u32) {
+    pub(crate) fn refill(&mut self, need: u32) {
         debug_assert!(need <= 24);
         while self.acc_len < need {
             // 48 fresh bits always fit while acc_len <= 16, and `need` is at
@@ -205,6 +213,42 @@ impl<'a> BitReader<'a> {
         debug_assert!(n > 0 && n <= 24);
         self.refill(n);
         ((self.acc >> (self.acc_len - n)) & ((1u64 << n) - 1)) as u32
+    }
+
+    /// Bits already in the accumulator: what [`Self::peek_buffered`] may
+    /// read and [`Self::skip_bits`] may consume without a refill.
+    #[inline(always)]
+    pub(crate) fn buffered(&self) -> u32 {
+        self.acc_len
+    }
+
+    /// The next `n` buffered bits (`n <= buffered()`), without refilling —
+    /// the Huffman fast path reads only what the request path's refills
+    /// already brought in.
+    #[inline(always)]
+    pub(crate) fn peek_buffered(&self, n: u32) -> u32 {
+        debug_assert!(n > 0 && n <= self.acc_len);
+        ((self.acc >> (self.acc_len - n)) & ((1u64 << n) - 1)) as u32
+    }
+
+    /// Every field that decides future reads, with the accumulator masked
+    /// to its live bits — equal for two readers exactly when they are in
+    /// the same state.
+    #[cfg(test)]
+    pub(crate) fn state(&self) -> (usize, u64, u32, Option<u8>, bool, u64) {
+        let live = if self.acc_len == 0 {
+            0
+        } else {
+            self.acc & (u64::MAX >> (64 - self.acc_len))
+        };
+        (
+            self.pos,
+            live,
+            self.acc_len,
+            self.marker,
+            self.padded,
+            self.bits_consumed,
+        )
     }
 
     /// Consume `n` bits previously seen via [`Self::peek_bits`].

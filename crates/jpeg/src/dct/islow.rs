@@ -8,6 +8,7 @@
 //! cross-mode equivalence tests in `tests/modes_agree.rs`.
 
 use super::{range_limit, PASS1_BITS};
+use std::ops::{Add, Mul, Neg, Shl, Sub};
 
 pub(crate) const CONST_BITS: i32 = 13;
 
@@ -30,18 +31,43 @@ fn descale(x: i64, n: i32) -> i64 {
     (x + (1i64 << (n - 1))) >> n
 }
 
+/// The arithmetic the islow butterfly needs: `i64` for the transform, and a
+/// term-sum bound in the proof of the vector kernel's i32 guard
+/// ([`crate::dct::simd_islow`]).
+pub(crate) trait Lane:
+    Copy
+    + Default
+    + Add<Output = Self>
+    + Sub<Output = Self>
+    + Neg<Output = Self>
+    + Mul<i64, Output = Self>
+    + Shl<i32, Output = Self>
+{
+}
+
+impl<T> Lane for T where
+    T: Copy
+        + Default
+        + Add<Output = T>
+        + Sub<Output = T>
+        + Neg<Output = T>
+        + Mul<i64, Output = T>
+        + Shl<i32, Output = T>
+{
+}
+
 /// One 1-D islow IDCT butterfly over eight values, of which only the first
-/// `K` may be nonzero (`K = 8` is the dense case).
+/// `K` may be nonzero (`K = 8` is the dense case), up to the final
+/// descale: the eight output sums.
 ///
 /// With `K < 8` the compiler constant-folds the zero inputs away, which is
 /// what makes the EOB-dispatched sparse paths in [`crate::dct::sparse`]
 /// cheap — and because dropped terms are exact zeros, the descaled results
-/// are **bit-identical** to the dense butterfly. The caller chooses the
-/// output descale; the even-part DC path is `<< CONST_BITS` before
-/// combination.
+/// are **bit-identical** to the dense butterfly. The even-part DC path is
+/// `<< CONST_BITS` before combination.
 #[inline(always)]
-fn idct_1d_k<const K: usize>(v: [i64; 8], out_descale: i32) -> [i64; 8] {
-    let at = |i: usize| if i < K { v[i] } else { 0 };
+pub(crate) fn butterfly_k<T: Lane, const K: usize>(v: [T; 8]) -> [T; 8] {
+    let at = |i: usize| if i < K { v[i] } else { T::default() };
     // Even part.
     let z2 = at(2);
     let z3 = at(6);
@@ -81,15 +107,21 @@ fn idct_1d_k<const K: usize>(v: [i64; 8], out_descale: i32) -> [i64; 8] {
     let t3 = t3 + z1 + z4;
 
     [
-        descale(tmp10 + t3, out_descale),
-        descale(tmp11 + t2, out_descale),
-        descale(tmp12 + t1, out_descale),
-        descale(tmp13 + t0, out_descale),
-        descale(tmp13 - t0, out_descale),
-        descale(tmp12 - t1, out_descale),
-        descale(tmp11 - t2, out_descale),
-        descale(tmp10 - t3, out_descale),
+        tmp10 + t3,
+        tmp11 + t2,
+        tmp12 + t1,
+        tmp13 + t0,
+        tmp13 - t0,
+        tmp12 - t1,
+        tmp11 - t2,
+        tmp10 - t3,
     ]
+}
+
+/// [`butterfly_k`] on `i64`, each output descaled by `out_descale` bits.
+#[inline(always)]
+fn idct_1d_k<const K: usize>(v: [i64; 8], out_descale: i32) -> [i64; 8] {
+    butterfly_k::<i64, K>(v).map(|x| descale(x, out_descale))
 }
 
 /// Column pass with only the first `K` inputs possibly nonzero; bit-exact

@@ -17,9 +17,10 @@
 //!   2×2 / 4×4 corner butterflies) with fused dequantize+IDCT+store; the
 //!   per-block dispatch the CPU hot paths run, bit-identical to [`islow`],
 //! * [`simd_islow`] — runtime-dispatched SSE2/AVX2 vector kernels for the
-//!   same EOB-dispatched fused pass (column-parallel butterflies on i64
-//!   lanes), bit-identical to [`sparse`] at every level; what the render
-//!   loop runs when the session's `SimdLevel` allows.
+//!   same EOB-dispatched fused pass (column-parallel butterflies: AVX2 on
+//!   i32 lanes behind a per-block range guard, SSE2 on i64 lanes),
+//!   bit-identical to [`sparse`] at every level; what the render loop runs
+//!   when the session's `SimdLevel` allows.
 
 pub mod aan;
 pub mod islow;

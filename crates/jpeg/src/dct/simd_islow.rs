@@ -1,57 +1,117 @@
 //! Runtime-dispatched SSE2/AVX2 islow IDCT kernels with EOB dispatch.
 //!
-//! PR 3 vectorized the upsample and color stages; the islow IDCT stayed
-//! scalar and became the largest CPU band in the cost model. This module
-//! closes that gap: the same EOB-dispatched sparse classes as
-//! [`crate::dct::sparse`] (DC-only flat fill, pruned 2×2 / 4×4 corner
-//! butterflies, dense 8×8), but with the two 1-D passes running **eight
-//! columns per butterfly** on x86 vector units, behind the session's
-//! [`SimdLevel`] choice.
+//! The same EOB-dispatched sparse classes as [`crate::dct::sparse`]
+//! (DC-only flat fill, pruned 2×2 / 4×4 corner butterflies, dense 8×8),
+//! with the two 1-D passes running several columns per butterfly on x86
+//! vector units, behind the session's [`SimdLevel`] choice.
 //!
 //! # Bit-identity
 //!
 //! Every level produces bytes **identical** to the scalar
-//! [`crate::dct::sparse::dequant_idct_to`] (and therefore to the dense
-//! [`crate::dct::islow::idct_block`]). The scalar transform computes in
-//! i64; the vector paths keep i64 lanes for every sum and run the constant
-//! multiplies as exact 32×32→64 widening products, which is equivalent as
-//! long as every multiplicand fits in i32. That is guaranteed by the
-//! decoder's input domain:
+//! [`crate::dct::sparse::dequant_idct_to`] (and so to
+//! [`crate::dct::islow::idct_block`]), which computes in i64: both vector
+//! kernels run the scalar butterfly itself on a lane type, the per-class
+//! pruning drops only exact zeros, and the flat-column shortcut is
+//! arithmetically the full butterfly on a DC-only column
+//! (`descale(dc << 13, 11) = dc << 2`). `tests/idct_simd_props.rs` pins
+//! this per class × level.
 //!
-//! * coefficients come out of entropy decode as `i16` (|c| ≤ 32768 — the
-//!   DC predictor truncates to i16, AC magnitudes are ≤ 15 bits),
-//! * quantization values are 8-bit (`markers.rs` rejects 16-bit DQT), so
-//!   |dq| = |c|·q ≤ 32768·255 < 2²³.
+//! ## AVX2: i32 lanes behind a per-block guard
 //!
-//! From there the pass-1 multiplicands are sums of at most four inputs
-//! (< 2²⁵), pass-1 outputs are < 2²⁹ after the `>> 11` descale, and the
-//! pass-2 multiplicands are sums of two of those (< 2³⁰) — all inside i32.
-//! The per-class pruning drops only exact zeros (same argument as
-//! `idct_1d_k`), and the scalar flat-column shortcut of `idct_pass1_k` is
-//! arithmetically identical to the full butterfly on a DC-only column
-//! (`descale(dc << 13, 11) = dc << 2` exactly), so the vector code can skip
-//! the data-dependent branch without changing a bit. The proptest matrix in
-//! `tests/idct_simd_props.rs` pins all of this per class × level.
+//! Each pass runs once over all eight columns in 8×i32 lanes
+//! (`_mm256_mullo_epi32` products). Wrapping i32 arithmetic equals the
+//! scalar i64 arithmetic when no sum leaves i32, and that is proved per
+//! block, not assumed:
 //!
-//! Callers that construct [`crate::quant::QuantTable`]s programmatically
-//! must stay inside the parser-enforced 8-bit domain (values ≤ 255) for the
-//! identity to hold; larger divisors can push pass-1 multiplicands past
-//! i32.
+//! * **Term-sum bound.** With every input at most `M` in magnitude, bound
+//!   each intermediate by the sum of its terms' magnitudes (`|c|` times the
+//!   operand for a constant product). Every intermediate reaches an output
+//!   through additions and constants ≥ 1, so the outputs carry the largest
+//!   bound: output 1 (`tmp11 + t2`), **178 219 · M** (`BUTTERFLY_GAIN`; a
+//!   unit test recomputes it by running the butterfly on bounds).
+//! * **Pass 1** rounds with 2¹⁰ before `>> 11`: exact when
+//!   178 219 · M + 2¹⁰ < 2³¹, i.e. max|dq| ≤ **12 049** (`PASS1_MAX`).
+//! * **Pass 2** rounds with 2¹⁷ before `>> 18`: exact when the largest
+//!   pass-1 output is ≤ **12 048** (`PASS2_MAX`).
+//!
+//! The kernel checks each bound in-register (abs, max, compare) before its
+//! pass and hands a failing block to the scalar path; [`i32_lanes_exact`]
+//! states the guard on the scalar pass. Pass-1 outputs reach about four
+//! times a column's largest input (the transform is orthogonal up to
+//! scale), so the guard admits max|dq| up to ≈ 3 000. Corpus images at
+//! quality 50–100 — photograph-like, but also white noise and
+//! checkerboards — peak near 2 800 in pass 1 (`tests/idct_i32_guard.rs`
+//! holds every block of the natural ones to the guard); the fallback is
+//! for adversarial streams.
+//!
+//! ## SSE2: i64 lanes
+//!
+//! SSE2 has no 32-bit lane multiply, so it sums in i64 lanes with exact
+//! 32×32→64 widening products, exact while every multiplicand fits i32:
+//! with |dq| ≤ 32768·255 < 2²³, pass-1 multiplicands (sums of ≤ 4 inputs)
+//! are < 2²⁵, pass-1 outputs < 2²⁹, pass-2 multiplicands < 2³⁰.
+//!
+//! ## Input domain
+//!
+//! Both levels dequantize `i16` coefficients with *signed* 16-bit lane
+//! products (`pmaddwd` on AVX2, `mullo`/`mulhi` on SSE2), exact for
+//! quantization values ≤ 32 767 on AVX2 (past that the product is wrong
+//! before the guard sees it) and ≤ 255 on SSE2 — the 8-bit DQT domain
+//! `markers.rs` enforces, which programmatic
+//! [`crate::quant::QuantTable`]s must keep too.
 //!
 //! # Shape
 //!
-//! One block goes: fused dequant (i16×u16 → i32 via `mullo`/`mulhi`
-//! interleave) → column pass on i64 lanes → narrow to an 8×8 i32 tile →
-//! transpose → row pass (same butterfly) → transpose back → `+128`,
-//! saturating pack (exactly [`crate::dct::range_limit`]) → eight 8-byte
-//! stores through the caller's stride. For the 2×2 / 4×4 classes the
-//! upper column half is provably zero and the pass-2 butterflies read only
-//! the live rows, so the pruning wins on the vector paths too. DC-only
-//! blocks keep the scalar flat fill at every level — there is nothing to
-//! vectorize in a `fill`.
+//! AVX2: dequant (one `pmaddwd` per row) → guard → column pass → transpose
+//! of the live columns → guard → row pass, whose outputs are pixel columns
+//! → saturating packs around the `+128` (exactly
+//! [`crate::dct::range_limit`]) → byte shuffle to rows → strided stores.
+//! SSE2 runs the same passes on i64 pairs. DC-only blocks keep the scalar
+//! flat fill.
 
+use super::islow::{idct_pass1, CONST_BITS};
 use super::sparse::{class_for_eob, dequant_idct_to, SparseClass};
+use super::PASS1_BITS;
 use crate::decoder::kernels::SimdLevel;
+
+/// Pass-1 descale (`CONST_BITS - PASS1_BITS`).
+const P1: i32 = CONST_BITS - PASS1_BITS;
+/// Pass-2 descale (`CONST_BITS + PASS1_BITS + 3`).
+const P2: i32 = CONST_BITS + PASS1_BITS + 3;
+
+/// Term-sum gain of one islow 1-D pass: every sum the butterfly forms is at
+/// most `BUTTERFLY_GAIN` times its largest input in magnitude (module docs).
+pub(crate) const BUTTERFLY_GAIN: i64 = 178_219;
+
+/// Largest input magnitude for which a pass descaling by `descale` bits,
+/// rounding constant included, stays inside i32.
+const fn i32_input_limit(descale: i32) -> i32 {
+    ((i32::MAX as i64 - (1 << (descale - 1))) / BUTTERFLY_GAIN) as i32
+}
+
+/// Largest max|dq| the AVX2 kernel's i32 column pass is exact for.
+pub(crate) const PASS1_MAX: i32 = i32_input_limit(P1);
+/// Largest pass-1 output magnitude the AVX2 kernel's i32 row pass is exact
+/// for.
+pub(crate) const PASS2_MAX: i32 = i32_input_limit(P2);
+
+/// The AVX2 kernel's guard, restated on the scalar column pass: whether
+/// its i32 lanes compute this block exactly. True when every dequantized
+/// coefficient of the block's live `K`×`K` corner is at most
+/// `PASS1_MAX` in magnitude and every column-pass output at most
+/// `PASS2_MAX`; blocks it rejects take the scalar i64 path at every
+/// level. Quantization values must be ≤ 32 767 (module docs).
+pub fn i32_lanes_exact(coefs: &[i16; 64], quant: &[u16; 64], eob: u8) -> bool {
+    let k = class_for_eob(eob).live_k();
+    (0..k).all(|col| {
+        let mut v = [0i64; 8];
+        for (r, slot) in v.iter_mut().take(k).enumerate() {
+            *slot = coefs[r * 8 + col] as i64 * quant[r * 8 + col] as i64;
+        }
+        v.iter().all(|d| d.abs() <= PASS1_MAX as i64)
+            && idct_pass1(v).iter().all(|o| o.abs() <= PASS2_MAX as i64)
+    })
+}
 
 /// Fused dequantize + EOB-dispatched IDCT + store of one block, dispatched
 /// on `level`. Same contract as [`dequant_idct_to`] (row `r` of the 8×8
@@ -89,8 +149,7 @@ pub fn dequant_idct_to_level(
             // are dominated by the scalar flat-column shortcut (≈0.8× in
             // corpus context). So SSE2 dispatches the 4×4 kernel and
             // keeps scalar elsewhere; the bypassed kernels stay correct
-            // and unit-tested — AVX2's 4-lane versions of the same code
-            // win across the board.
+            // and unit-tested.
             SparseClass::Corner2 => dequant_idct_to(coefs, quant, eob, dst, base, stride),
             SparseClass::Corner4 => unsafe {
                 x86::dequant_idct_sse2::<4>(coefs, quant, dst, base, stride)
@@ -98,18 +157,23 @@ pub fn dequant_idct_to_level(
             SparseClass::Dense => dequant_idct_to(coefs, quant, eob, dst, base, stride),
         },
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => match class {
-            SparseClass::DcOnly => unreachable!("handled above"),
-            SparseClass::Corner2 => unsafe {
-                x86::dequant_idct_avx2::<2>(coefs, quant, dst, base, stride)
-            },
-            SparseClass::Corner4 => unsafe {
-                x86::dequant_idct_avx2::<4>(coefs, quant, dst, base, stride)
-            },
-            SparseClass::Dense => unsafe {
-                x86::dequant_idct_avx2::<8>(coefs, quant, dst, base, stride)
-            },
-        },
+        SimdLevel::Avx2 => {
+            // SAFETY: `clamp_to_host` returned Avx2, so the host runs AVX2.
+            let exact = unsafe {
+                match class {
+                    SparseClass::Corner2 => {
+                        x86::dequant_idct_i32x8::<2>(coefs, quant, dst, base, stride)
+                    }
+                    SparseClass::Corner4 => {
+                        x86::dequant_idct_i32x8::<4>(coefs, quant, dst, base, stride)
+                    }
+                    _ => x86::dequant_idct_i32x8::<8>(coefs, quant, dst, base, stride),
+                }
+            };
+            if !exact {
+                dequant_idct_to(coefs, quant, eob, dst, base, stride);
+            }
+        }
         #[cfg(not(target_arch = "x86_64"))]
         _ => dequant_idct_to(coefs, quant, eob, dst, base, stride),
     }
@@ -131,257 +195,232 @@ pub fn dequant_idct_block_level(
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     //! The vector implementations. Column-parallel layout: a register row
-    //! holds one input row across columns, so the lane-wise butterfly
-    //! computes all column transforms at once; the row pass is the same
-    //! butterfly after an in-register 8×8 i32 transpose. All sums ride in
-    //! i64 lanes and the constant multiplies are exact 32×32→64 widening
-    //! products (see the module docs for the range proof), so every lane
-    //! computes precisely the scalar `idct_1d_k` arithmetic.
+    //! holds one input row across columns, so the lane-wise butterfly —
+    //! the scalar [`butterfly_k`] on a lane type — computes all column
+    //! transforms at once; the row pass is the same butterfly after an
+    //! in-register transpose.
 
-    use crate::dct::islow::{
-        CONST_BITS, FIX_0_298631336, FIX_0_390180644, FIX_0_541196100, FIX_0_765366865,
-        FIX_0_899976223, FIX_1_175875602, FIX_1_501321110, FIX_1_847759065, FIX_1_961570560,
-        FIX_2_053119869, FIX_2_562915447, FIX_3_072711026,
-    };
+    use super::{P1, P2, PASS1_MAX, PASS2_MAX};
+    use crate::dct::islow::butterfly_k;
     use crate::dct::PASS1_BITS;
     use core::arch::x86_64::*;
+    use core::ops::{Add, Mul, Neg, Shl, Sub};
 
-    /// Pass-1 descale (`CONST_BITS - PASS1_BITS`).
-    const P1: i32 = CONST_BITS - PASS1_BITS;
-    /// Pass-2 descale (`CONST_BITS + PASS1_BITS + 3`).
-    const P2: i32 = CONST_BITS + PASS1_BITS + 3;
+    /// A vector register as a butterfly value. The operations are plain
+    /// trait methods, so the intrinsics in them are `unsafe` to call; every
+    /// value is built and used inside a function with the lane type's
+    /// target feature enabled, into which they inline.
+    macro_rules! lane_type {
+        ($name:ident, $reg:ty, $zero:ident, $add:ident, $sub:ident, $mul:expr, $shl:ident) => {
+            #[derive(Clone, Copy)]
+            struct $name($reg);
+
+            impl Default for $name {
+                #[inline(always)]
+                fn default() -> Self {
+                    // SAFETY: see `lane_type!`.
+                    $name(unsafe { $zero() })
+                }
+            }
+            impl Add for $name {
+                type Output = Self;
+                #[inline(always)]
+                fn add(self, o: Self) -> Self {
+                    // SAFETY: see `lane_type!`.
+                    $name(unsafe { $add(self.0, o.0) })
+                }
+            }
+            impl Sub for $name {
+                type Output = Self;
+                #[inline(always)]
+                fn sub(self, o: Self) -> Self {
+                    // SAFETY: see `lane_type!`.
+                    $name(unsafe { $sub(self.0, o.0) })
+                }
+            }
+            impl Neg for $name {
+                type Output = Self;
+                #[inline(always)]
+                fn neg(self) -> Self {
+                    Self::default() - self
+                }
+            }
+            impl Mul<i64> for $name {
+                type Output = Self;
+                #[inline(always)]
+                fn mul(self, c: i64) -> Self {
+                    // SAFETY: see `lane_type!`.
+                    $name(unsafe { $mul(self.0, c) })
+                }
+            }
+            impl Shl<i32> for $name {
+                type Output = Self;
+                #[inline(always)]
+                fn shl(self, n: i32) -> Self {
+                    // SAFETY: see `lane_type!`.
+                    $name(unsafe { $shl(self.0, _mm_cvtsi32_si128(n)) })
+                }
+            }
+        };
+    }
 
     // ------------------------------- AVX2 -------------------------------
 
-    /// Exact `lane_i64 * c` for lanes whose value fits i32 (the low dwords
-    /// are the sign-complete value, which is all `mul_epi32` reads).
+    /// `lane * c` on eight i32 lanes (low 32 bits of the product).
     #[target_feature(enable = "avx2")]
-    fn mul_c_avx2(a: __m256i, c: i64) -> __m256i {
-        _mm256_mul_epi32(a, _mm256_set1_epi64x(c))
+    fn mul_c_i32x8(a: __m256i, c: i64) -> __m256i {
+        _mm256_mullo_epi32(a, _mm256_set1_epi32(c as i32))
     }
 
-    /// `descale(v, N)` on i64 lanes: round, then an arithmetic 64-bit
-    /// shift emulated as logical-shift low halves blended with
-    /// arithmetically shifted high halves (exact for `N < 32`).
+    lane_type!(
+        I32x8,
+        __m256i,
+        _mm256_setzero_si256,
+        _mm256_add_epi32,
+        _mm256_sub_epi32,
+        mul_c_i32x8,
+        _mm256_sll_epi32
+    );
+
+    /// One 1-D pass on eight i32 lanes (eight independent columns), inputs
+    /// `0..K` live, output descale `N` — exactly the scalar `idct_1d_k`
+    /// when every input is within the pass's guard.
     #[target_feature(enable = "avx2")]
-    fn descale_avx2<const N: i32>(v: __m256i) -> __m256i {
-        let r = _mm256_add_epi64(v, _mm256_set1_epi64x(1i64 << (N - 1)));
-        let lo = _mm256_srli_epi64::<N>(r);
-        let hi = _mm256_srai_epi32::<N>(r);
-        _mm256_blend_epi32::<0b1010_1010>(lo, hi)
+    fn idct_1d_i32x8<const K: usize, const N: i32>(v: &[__m256i; 8]) -> [__m256i; 8] {
+        let round = _mm256_set1_epi32(1 << (N - 1));
+        butterfly_k::<I32x8, K>(v.map(I32x8))
+            .map(|x| _mm256_srai_epi32::<N>(_mm256_add_epi32(x.0, round)))
     }
 
-    /// The 1-D islow butterfly on four i64 lanes (four independent
-    /// columns), inputs `0..K` live, output descale `N` — the vector twin
-    /// of `idct_1d_k::<K>`.
+    /// The guard: whether every lane of rows `0..K` is at most `limit` in
+    /// magnitude. (`abs` cannot overflow: |dq| ≤ 2¹⁵·2¹⁵, and admitted
+    /// pass-1 outputs are far smaller still.)
     #[target_feature(enable = "avx2")]
-    fn idct_1d_avx2<const K: usize, const N: i32>(v: &[__m256i; 8]) -> [__m256i; 8] {
-        let zero = _mm256_setzero_si256();
-        let at = |i: usize| if i < K { v[i] } else { zero };
-        // Even part.
-        let z2 = at(2);
-        let z3 = at(6);
-        let z1 = mul_c_avx2(_mm256_add_epi64(z2, z3), FIX_0_541196100);
-        let tmp2 = _mm256_sub_epi64(z1, mul_c_avx2(z3, FIX_1_847759065));
-        let tmp3 = _mm256_add_epi64(z1, mul_c_avx2(z2, FIX_0_765366865));
-        let z2 = at(0);
-        let z3 = at(4);
-        let tmp0 = _mm256_slli_epi64::<{ CONST_BITS }>(_mm256_add_epi64(z2, z3));
-        let tmp1 = _mm256_slli_epi64::<{ CONST_BITS }>(_mm256_sub_epi64(z2, z3));
-        let tmp10 = _mm256_add_epi64(tmp0, tmp3);
-        let tmp13 = _mm256_sub_epi64(tmp0, tmp3);
-        let tmp11 = _mm256_add_epi64(tmp1, tmp2);
-        let tmp12 = _mm256_sub_epi64(tmp1, tmp2);
-
-        // Odd part.
-        let t0 = at(7);
-        let t1 = at(5);
-        let t2 = at(3);
-        let t3 = at(1);
-        let z1 = _mm256_add_epi64(t0, t3);
-        let z2 = _mm256_add_epi64(t1, t2);
-        let z3 = _mm256_add_epi64(t0, t2);
-        let z4 = _mm256_add_epi64(t1, t3);
-        let z5 = mul_c_avx2(_mm256_add_epi64(z3, z4), FIX_1_175875602);
-        let t0 = mul_c_avx2(t0, FIX_0_298631336);
-        let t1 = mul_c_avx2(t1, FIX_2_053119869);
-        let t2 = mul_c_avx2(t2, FIX_3_072711026);
-        let t3 = mul_c_avx2(t3, FIX_1_501321110);
-        let z1 = _mm256_sub_epi64(zero, mul_c_avx2(z1, FIX_0_899976223));
-        let z2 = _mm256_sub_epi64(zero, mul_c_avx2(z2, FIX_2_562915447));
-        let z3 = _mm256_sub_epi64(z5, mul_c_avx2(z3, FIX_1_961570560));
-        let z4 = _mm256_sub_epi64(z5, mul_c_avx2(z4, FIX_0_390180644));
-        let t0 = _mm256_add_epi64(_mm256_add_epi64(t0, z1), z3);
-        let t1 = _mm256_add_epi64(_mm256_add_epi64(t1, z2), z4);
-        let t2 = _mm256_add_epi64(_mm256_add_epi64(t2, z2), z3);
-        let t3 = _mm256_add_epi64(_mm256_add_epi64(t3, z1), z4);
-
-        [
-            descale_avx2::<N>(_mm256_add_epi64(tmp10, t3)),
-            descale_avx2::<N>(_mm256_add_epi64(tmp11, t2)),
-            descale_avx2::<N>(_mm256_add_epi64(tmp12, t1)),
-            descale_avx2::<N>(_mm256_add_epi64(tmp13, t0)),
-            descale_avx2::<N>(_mm256_sub_epi64(tmp13, t0)),
-            descale_avx2::<N>(_mm256_sub_epi64(tmp12, t1)),
-            descale_avx2::<N>(_mm256_sub_epi64(tmp11, t2)),
-            descale_avx2::<N>(_mm256_sub_epi64(tmp10, t3)),
-        ]
+    pub(super) fn within_i32x8<const K: usize>(v: &[__m256i; 8], limit: i32) -> bool {
+        let max = (v[1..K].iter()).fold(_mm256_abs_epi32(v[0]), |m, r| {
+            _mm256_max_epi32(m, _mm256_abs_epi32(*r))
+        });
+        _mm256_movemask_epi8(_mm256_cmpgt_epi32(max, _mm256_set1_epi32(limit))) == 0
     }
 
-    /// Column pass on one i64×4 half with the scalar path's flat-column
-    /// shortcut lifted to the half: when all four columns' ACs are zero
-    /// the butterfly reduces to `dc << PASS1_BITS` lane-wise (bit-exact —
-    /// module docs), which real "dense"-class photographic blocks hit
-    /// constantly on their high-frequency columns. This is what keeps the
-    /// vector path ahead of the (column-adaptive) scalar code on mixed
-    /// blocks, not just on fully populated ones.
+    /// Columns `0..K` of `w` as registers, one row of `w` per lane: the
+    /// row pass's inputs. Rows `r` and `r + 4` share a register (low and
+    /// high 128-bit half), then a 4×4 transpose inside each half turns four
+    /// such registers into four columns. Columns `>= K` are zero in `w`, so
+    /// for `K <= 4` only the low halves are transposed.
     #[target_feature(enable = "avx2")]
-    fn pass1_half_avx2<const K: usize>(v: &[__m256i; 8]) -> [__m256i; 8] {
-        let mut acc = _mm256_setzero_si256();
-        for r in v.iter().take(K).skip(1) {
-            acc = _mm256_or_si256(acc, *r);
+    fn live_columns<const K: usize>(w: &[__m256i; 8]) -> [__m256i; 8] {
+        let mut out = [_mm256_setzero_si256(); 8];
+        for (half, cols) in out.chunks_exact_mut(4).take(K.div_ceil(4)).enumerate() {
+            let pair = |r: usize| match half {
+                0 => _mm256_permute2x128_si256::<0x20>(w[r], w[r + 4]),
+                _ => _mm256_permute2x128_si256::<0x31>(w[r], w[r + 4]),
+            };
+            let t0 = _mm256_unpacklo_epi32(pair(0), pair(1));
+            let t1 = _mm256_unpackhi_epi32(pair(0), pair(1));
+            let t2 = _mm256_unpacklo_epi32(pair(2), pair(3));
+            let t3 = _mm256_unpackhi_epi32(pair(2), pair(3));
+            cols[0] = _mm256_unpacklo_epi64(t0, t2);
+            cols[1] = _mm256_unpackhi_epi64(t0, t2);
+            cols[2] = _mm256_unpacklo_epi64(t1, t3);
+            cols[3] = _mm256_unpackhi_epi64(t1, t3);
         }
-        if _mm256_testz_si256(acc, acc) != 0 {
-            return [_mm256_slli_epi64::<{ PASS1_BITS }>(v[0]); 8];
-        }
-        idct_1d_avx2::<K, P1>(v)
+        out
     }
 
-    /// Take the (sign-complete) low dwords of two i64×4 vectors into one
-    /// i32×8 row.
-    #[target_feature(enable = "avx2")]
-    fn narrow_pair_avx2(lo: __m256i, hi: __m256i) -> __m256i {
-        let idx = _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6);
-        let a = _mm256_permutevar8x32_epi32(lo, idx);
-        let b = _mm256_permutevar8x32_epi32(hi, idx);
-        _mm256_inserti128_si256::<1>(a, _mm256_castsi256_si128(b))
-    }
-
-    /// Sign-extend an i32×8 row into (low-columns, high-columns) i64×4
-    /// halves.
-    #[target_feature(enable = "avx2")]
-    fn widen_row_avx2(v: __m256i) -> (__m256i, __m256i) {
-        (
-            _mm256_cvtepi32_epi64(_mm256_castsi256_si128(v)),
-            _mm256_cvtepi32_epi64(_mm256_extracti128_si256::<1>(v)),
-        )
-    }
-
-    /// In-register 8×8 i32 transpose.
-    #[target_feature(enable = "avx2")]
-    fn transpose8_avx2(r: &[__m256i; 8]) -> [__m256i; 8] {
-        let t0 = _mm256_unpacklo_epi32(r[0], r[1]);
-        let t1 = _mm256_unpackhi_epi32(r[0], r[1]);
-        let t2 = _mm256_unpacklo_epi32(r[2], r[3]);
-        let t3 = _mm256_unpackhi_epi32(r[2], r[3]);
-        let t4 = _mm256_unpacklo_epi32(r[4], r[5]);
-        let t5 = _mm256_unpackhi_epi32(r[4], r[5]);
-        let t6 = _mm256_unpacklo_epi32(r[6], r[7]);
-        let t7 = _mm256_unpackhi_epi32(r[6], r[7]);
-        let u0 = _mm256_unpacklo_epi64(t0, t2);
-        let u1 = _mm256_unpackhi_epi64(t0, t2);
-        let u2 = _mm256_unpacklo_epi64(t1, t3);
-        let u3 = _mm256_unpackhi_epi64(t1, t3);
-        let u4 = _mm256_unpacklo_epi64(t4, t6);
-        let u5 = _mm256_unpackhi_epi64(t4, t6);
-        let u6 = _mm256_unpacklo_epi64(t5, t7);
-        let u7 = _mm256_unpackhi_epi64(t5, t7);
-        [
-            _mm256_permute2x128_si256::<0x20>(u0, u4),
-            _mm256_permute2x128_si256::<0x20>(u1, u5),
-            _mm256_permute2x128_si256::<0x20>(u2, u6),
-            _mm256_permute2x128_si256::<0x20>(u3, u7),
-            _mm256_permute2x128_si256::<0x31>(u0, u4),
-            _mm256_permute2x128_si256::<0x31>(u1, u5),
-            _mm256_permute2x128_si256::<0x31>(u2, u6),
-            _mm256_permute2x128_si256::<0x31>(u3, u7),
-        ]
-    }
-
-    /// Dequantize row `r` of the block into an i32×8 row, zeroing columns
-    /// `>= K` exactly as the scalar `dequant_corner` does.
+    /// Dequantize row `r` of the block into an i32×8 row, columns `>= K`
+    /// zeroed as the scalar `dequant_corner` leaves them: coefficients
+    /// sign-extended, quantization values zero-extended, and `pmaddwd`
+    /// forming each i16 × i16 product exactly (the zero upper half of the
+    /// quantization lane cancels the coefficient's sign word).
     #[target_feature(enable = "avx2")]
     fn dequant_row_avx2<const K: usize>(coefs: &[i16; 64], quant: &[u16; 64], r: usize) -> __m256i {
-        let c16 = unsafe { _mm_loadu_si128(coefs[r * 8..].as_ptr() as *const __m128i) };
-        let q16 = unsafe { _mm_loadu_si128(quant[r * 8..].as_ptr() as *const __m128i) };
-        // Exact signed i16 × (positive ≤ 255) product via mullo/mulhi
-        // interleave.
-        let plo = _mm_mullo_epi16(c16, q16);
-        let phi = _mm_mulhi_epi16(c16, q16);
-        let p0 = _mm_unpacklo_epi16(plo, phi);
-        let p1 = _mm_unpackhi_epi16(plo, phi);
-        let dq = _mm256_inserti128_si256::<1>(_mm256_castsi128_si256(p0), p1);
-        match K {
-            2 => _mm256_and_si256(dq, _mm256_setr_epi32(-1, -1, 0, 0, 0, 0, 0, 0)),
-            4 => _mm256_and_si256(dq, _mm256_setr_epi32(-1, -1, -1, -1, 0, 0, 0, 0)),
-            _ => dq,
+        // SAFETY: each load reads the eight 16-bit values of row `r`.
+        let (c, q) = unsafe {
+            (
+                _mm_loadu_si128(coefs[r * 8..][..8].as_ptr().cast()),
+                _mm_loadu_si128(quant[r * 8..][..8].as_ptr().cast()),
+            )
+        };
+        let dq = _mm256_madd_epi16(_mm256_cvtepi16_epi32(c), _mm256_cvtepu16_epi32(q));
+        let col = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        _mm256_and_si256(dq, _mm256_cmpgt_epi32(_mm256_set1_epi32(K as i32), col))
+    }
+
+    /// Pack the row pass's output — `o[c]` is pixel column `c`, one row per
+    /// lane — to samples and store them row by row. `range_limit` (+128,
+    /// clamp to 0..=255) is a saturating i32→i16 pack, a saturating +128 and
+    /// a saturating i16→u8 pack; a byte shuffle then turns each 128-bit
+    /// half's 4×4 column-major bytes row-major.
+    #[target_feature(enable = "avx2")]
+    fn store_columns(o: &[__m256i; 8], dst: &mut [u8], base: usize, stride: usize) {
+        let off = _mm256_set1_epi16(128);
+        let pack = |a: __m256i, b: __m256i| _mm256_adds_epi16(_mm256_packs_epi32(a, b), off);
+        // Per half: columns 0..4 (b0) / 4..8 (b1), four rows each.
+        let b0 = _mm256_packus_epi16(pack(o[0], o[1]), pack(o[2], o[3]));
+        let b1 = _mm256_packus_epi16(pack(o[4], o[5]), pack(o[6], o[7]));
+        let to_rows = _mm256_setr_epi8(
+            0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15, //
+            0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15,
+        );
+        let t0 = _mm256_shuffle_epi8(b0, to_rows);
+        let t1 = _mm256_shuffle_epi8(b1, to_rows);
+        // Rows (0, 1 | 4, 5) and (2, 3 | 6, 7), eight bytes each.
+        let lo = _mm256_unpacklo_epi32(t0, t1);
+        let hi = _mm256_unpackhi_epi32(t0, t1);
+        let halves = |v: __m256i| [_mm256_castsi256_si128(v), _mm256_extracti128_si256::<1>(v)];
+        let ([r0, r4], [r2, r6]) = (halves(lo), halves(hi));
+        for (r, v) in [(0, r0), (2, r2), (4, r4), (6, r6)] {
+            let (o, p) = (base + r * stride, base + (r + 1) * stride);
+            // SAFETY: each store writes the eight bytes of one output row,
+            // bounds-checked by the slice.
+            unsafe {
+                _mm_storel_epi64(dst[o..o + 8].as_mut_ptr().cast(), v);
+                _mm_storeh_pd(dst[p..p + 8].as_mut_ptr().cast(), _mm_castsi128_pd(v));
+            }
         }
     }
 
-    /// Fused dequant + pruned 2-D islow IDCT + strided store, AVX2. Only
-    /// the top-left `K`×`K` of the block may be nonzero (`K = 8` dense).
+    /// Fused dequant + pruned 2-D islow IDCT + strided store on 8×i32
+    /// lanes, AVX2. Only the top-left `K`×`K` of the block may be nonzero
+    /// (`K = 8` dense). Returns `false`, having written nothing, when the
+    /// block fails the guard of either pass — the caller then decodes it
+    /// on the scalar i64 path.
     #[target_feature(enable = "avx2")]
-    pub(super) fn dequant_idct_avx2<const K: usize>(
+    pub(super) fn dequant_idct_i32x8<const K: usize>(
         coefs: &[i16; 64],
         quant: &[u16; 64],
         dst: &mut [u8],
         base: usize,
         stride: usize,
-    ) {
+    ) -> bool {
+        // Column pass: live input rows are 0..K, columns >= K are zero and
+        // stay zero (descale(0, n) == 0). When every column's ACs are zero
+        // the butterfly reduces to `dc << PASS1_BITS` lane-wise (bit-exact
+        // — module docs).
         let zero = _mm256_setzero_si256();
-
-        // Column pass: live input rows are 0..K; columns >= K are zero, so
-        // for K <= 4 the whole high half of the butterfly is zeros in,
-        // zeros out (descale(0, n) == 0) and is skipped.
-        let mut vlo = [zero; 8];
-        let mut vhi = [zero; 8];
-        for r in 0..K {
-            let dq = dequant_row_avx2::<K>(coefs, quant, r);
-            let (l, h) = widen_row_avx2(dq);
-            vlo[r] = l;
-            vhi[r] = h;
+        let mut v = [zero; 8];
+        for (r, row) in v.iter_mut().enumerate().take(K) {
+            *row = dequant_row_avx2::<K>(coefs, quant, r);
         }
-        let wlo = pass1_half_avx2::<K>(&vlo);
-        let whi = if K <= 4 {
-            [zero; 8]
+        if !within_i32x8::<K>(&v, PASS1_MAX) {
+            return false;
+        }
+        let ac = (v[1..K].iter()).fold(zero, |a, r| _mm256_or_si256(a, *r));
+        let w = if _mm256_testz_si256(ac, ac) != 0 {
+            [_mm256_slli_epi32::<{ PASS1_BITS }>(v[0]); 8]
         } else {
-            pass1_half_avx2::<K>(&vhi)
+            idct_1d_i32x8::<K, P1>(&v)
         };
-        let mut w = [zero; 8];
-        for r in 0..8 {
-            w[r] = narrow_pair_avx2(wlo[r], whi[r]);
-        }
 
-        // Row pass = the same column-parallel butterfly on the transpose;
-        // it reads only rows 0..K of the transpose (columns >= K of the
-        // workspace are zero by construction).
-        let wt = transpose8_avx2(&w);
-        let mut tlo = [zero; 8];
-        let mut thi = [zero; 8];
-        for r in 0..K {
-            let (l, h) = widen_row_avx2(wt[r]);
-            tlo[r] = l;
-            thi[r] = h;
+        // Row pass = the same butterfly across the live columns, one
+        // pixel row per lane; its outputs are pixel columns.
+        let wt = live_columns::<K>(&w);
+        if !within_i32x8::<K>(&wt, PASS2_MAX) {
+            return false;
         }
-        let olo = idct_1d_avx2::<K, P2>(&tlo);
-        let ohi = idct_1d_avx2::<K, P2>(&thi);
-        let mut ot = [zero; 8];
-        for r in 0..8 {
-            ot[r] = narrow_pair_avx2(olo[r], ohi[r]);
-        }
-        let rows = transpose8_avx2(&ot);
-
-        // range_limit = +128 then clamp(0, 255): saturating i32→i16→u8
-        // packs realize the clamp exactly.
-        let off = _mm256_set1_epi32(128);
-        for (r, row) in rows.iter().enumerate() {
-            let v = _mm256_add_epi32(*row, off);
-            let p16 = _mm256_packs_epi32(v, v);
-            let p16 = _mm256_permute4x64_epi64::<0b00_00_10_00>(p16);
-            let p8 = _mm_packus_epi16(_mm256_castsi256_si128(p16), _mm256_castsi256_si128(p16));
-            let o = base + r * stride;
-            unsafe { _mm_storel_epi64(dst[o..o + 8].as_mut_ptr() as *mut __m128i, p8) };
-        }
+        store_columns(&idct_1d_i32x8::<K, P2>(&wt), dst, base, stride);
+        true
     }
 
     // ------------------------------- SSE2 -------------------------------
@@ -400,81 +439,39 @@ mod x86 {
         _mm_sub_epi64(prod, corr)
     }
 
-    /// `descale(v, N)` on two i64 lanes (see `descale_avx2`).
-    #[target_feature(enable = "sse2")]
-    fn descale_sse2<const N: i32>(v: __m128i) -> __m128i {
-        let r = _mm_add_epi64(v, _mm_set1_epi64x(1i64 << (N - 1)));
-        let lo = _mm_srli_epi64::<N>(r);
-        let hi = _mm_srai_epi32::<N>(r);
-        let low_mask = _mm_set1_epi64x(0xFFFF_FFFF);
-        _mm_or_si128(_mm_and_si128(lo, low_mask), _mm_andnot_si128(low_mask, hi))
-    }
+    lane_type!(
+        I64x2,
+        __m128i,
+        _mm_setzero_si128,
+        _mm_add_epi64,
+        _mm_sub_epi64,
+        mul_c_sse2,
+        _mm_sll_epi64
+    );
 
-    /// The 1-D islow butterfly on two i64 lanes — same structure as
-    /// `idct_1d_avx2`.
+    /// One 1-D pass on two i64 lanes, inputs `0..K` live, output descale
+    /// `N`. The arithmetic 64-bit shift is emulated from a logical shift of
+    /// the low halves and an arithmetic shift of the high halves (exact for
+    /// `N < 32`).
     #[target_feature(enable = "sse2")]
     fn idct_1d_sse2<const K: usize, const N: i32>(v: &[__m128i; 8]) -> [__m128i; 8] {
-        let zero = _mm_setzero_si128();
-        let at = |i: usize| if i < K { v[i] } else { zero };
-        // Even part.
-        let z2 = at(2);
-        let z3 = at(6);
-        let z1 = mul_c_sse2(_mm_add_epi64(z2, z3), FIX_0_541196100);
-        let tmp2 = _mm_sub_epi64(z1, mul_c_sse2(z3, FIX_1_847759065));
-        let tmp3 = _mm_add_epi64(z1, mul_c_sse2(z2, FIX_0_765366865));
-        let z2 = at(0);
-        let z3 = at(4);
-        let tmp0 = _mm_slli_epi64::<{ CONST_BITS }>(_mm_add_epi64(z2, z3));
-        let tmp1 = _mm_slli_epi64::<{ CONST_BITS }>(_mm_sub_epi64(z2, z3));
-        let tmp10 = _mm_add_epi64(tmp0, tmp3);
-        let tmp13 = _mm_sub_epi64(tmp0, tmp3);
-        let tmp11 = _mm_add_epi64(tmp1, tmp2);
-        let tmp12 = _mm_sub_epi64(tmp1, tmp2);
-
-        // Odd part.
-        let t0 = at(7);
-        let t1 = at(5);
-        let t2 = at(3);
-        let t3 = at(1);
-        let z1 = _mm_add_epi64(t0, t3);
-        let z2 = _mm_add_epi64(t1, t2);
-        let z3 = _mm_add_epi64(t0, t2);
-        let z4 = _mm_add_epi64(t1, t3);
-        let z5 = mul_c_sse2(_mm_add_epi64(z3, z4), FIX_1_175875602);
-        let t0 = mul_c_sse2(t0, FIX_0_298631336);
-        let t1 = mul_c_sse2(t1, FIX_2_053119869);
-        let t2 = mul_c_sse2(t2, FIX_3_072711026);
-        let t3 = mul_c_sse2(t3, FIX_1_501321110);
-        let z1 = _mm_sub_epi64(zero, mul_c_sse2(z1, FIX_0_899976223));
-        let z2 = _mm_sub_epi64(zero, mul_c_sse2(z2, FIX_2_562915447));
-        let z3 = _mm_sub_epi64(z5, mul_c_sse2(z3, FIX_1_961570560));
-        let z4 = _mm_sub_epi64(z5, mul_c_sse2(z4, FIX_0_390180644));
-        let t0 = _mm_add_epi64(_mm_add_epi64(t0, z1), z3);
-        let t1 = _mm_add_epi64(_mm_add_epi64(t1, z2), z4);
-        let t2 = _mm_add_epi64(_mm_add_epi64(t2, z2), z3);
-        let t3 = _mm_add_epi64(_mm_add_epi64(t3, z1), z4);
-
-        [
-            descale_sse2::<N>(_mm_add_epi64(tmp10, t3)),
-            descale_sse2::<N>(_mm_add_epi64(tmp11, t2)),
-            descale_sse2::<N>(_mm_add_epi64(tmp12, t1)),
-            descale_sse2::<N>(_mm_add_epi64(tmp13, t0)),
-            descale_sse2::<N>(_mm_sub_epi64(tmp13, t0)),
-            descale_sse2::<N>(_mm_sub_epi64(tmp12, t1)),
-            descale_sse2::<N>(_mm_sub_epi64(tmp11, t2)),
-            descale_sse2::<N>(_mm_sub_epi64(tmp10, t3)),
-        ]
+        let round = _mm_set1_epi64x(1i64 << (N - 1));
+        let low_mask = _mm_set1_epi64x(0xFFFF_FFFF);
+        butterfly_k::<I64x2, K>(v.map(I64x2)).map(|x| {
+            let r = _mm_add_epi64(x.0, round);
+            let (lo, hi) = (_mm_srli_epi64::<N>(r), _mm_srai_epi32::<N>(r));
+            _mm_or_si128(_mm_and_si128(lo, low_mask), _mm_andnot_si128(low_mask, hi))
+        })
     }
 
-    /// Column pass on one i64×2 quarter with the flat-column shortcut
-    /// lifted to the pair (see `pass1_half_avx2`).
+    /// Column pass on one i64×2 quarter with the scalar path's flat-column
+    /// shortcut lifted to the pair: when both columns' ACs are zero the
+    /// butterfly reduces to `dc << PASS1_BITS` lane-wise (bit-exact — module
+    /// docs).
     #[target_feature(enable = "sse2")]
     fn pass1_quarter_sse2<const K: usize>(v: &[__m128i; 8]) -> [__m128i; 8] {
         let zero = _mm_setzero_si128();
-        let mut acc = zero;
-        for r in v.iter().take(K).skip(1) {
-            acc = _mm_or_si128(acc, *r);
-        }
+        let acc = (v[1..K].iter()).fold(zero, |a, r| _mm_or_si128(a, *r));
         if _mm_movemask_epi8(_mm_cmpeq_epi32(acc, zero)) == 0xFFFF {
             return [_mm_slli_epi64::<{ PASS1_BITS }>(v[0]); 8];
         }
@@ -630,8 +627,11 @@ mod x86 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dct::islow::butterfly_k;
     use crate::dct::sparse::idct_block_sparse;
     use crate::testutil::{coef_block_for_eob, quant_8bit};
+    use std::cell::Cell;
+    use std::ops::{Add, Mul, Neg, Shl, Sub};
 
     fn coef_block(seed: u64, eob: usize) -> [i16; 64] {
         coef_block_for_eob(seed, eob, 1024)
@@ -767,5 +767,269 @@ mod tests {
                 assert_eq!(got, want, "{} bound {eob}", level.name());
             }
         }
+    }
+
+    thread_local! {
+        /// The largest bound any [`TermSum`] operation has produced.
+        static LARGEST: Cell<i64> = const { Cell::new(0) };
+    }
+
+    /// A butterfly value replaced by the sum of the magnitudes of its
+    /// terms; every operation records its result in [`LARGEST`].
+    #[derive(Debug, Clone, Copy, Default, PartialEq)]
+    struct TermSum(i64);
+
+    impl TermSum {
+        fn seen(v: i64) -> Self {
+            LARGEST.with(|m| m.set(m.get().max(v)));
+            TermSum(v)
+        }
+    }
+    impl Add for TermSum {
+        type Output = Self;
+        fn add(self, o: Self) -> Self {
+            Self::seen(self.0 + o.0)
+        }
+    }
+    impl Sub for TermSum {
+        type Output = Self;
+        // The bound of a difference is the sum of the operands' bounds.
+        #[allow(clippy::suspicious_arithmetic_impl)]
+        fn sub(self, o: Self) -> Self {
+            Self::seen(self.0 + o.0)
+        }
+    }
+    impl Neg for TermSum {
+        type Output = Self;
+        fn neg(self) -> Self {
+            self
+        }
+    }
+    impl Mul<i64> for TermSum {
+        type Output = Self;
+        fn mul(self, c: i64) -> Self {
+            Self::seen(self.0 * c.abs())
+        }
+    }
+    impl Shl<i32> for TermSum {
+        type Output = Self;
+        fn shl(self, n: i32) -> Self {
+            Self::seen(self.0 << n)
+        }
+    }
+
+    /// Largest output bound and largest intermediate bound of the
+    /// `K`-input butterfly on unit inputs.
+    fn gain<const K: usize>() -> (i64, i64) {
+        LARGEST.with(|m| m.set(0));
+        let out = butterfly_k::<TermSum, K>([TermSum(1); 8]);
+        (
+            out.iter().map(|t| t.0).max().unwrap(),
+            LARGEST.with(Cell::get),
+        )
+    }
+
+    /// The guard constants follow from the butterfly itself: run on
+    /// term-sum bounds it yields 178 219 for the dense pass, the outputs
+    /// carry the largest bound of any intermediate, the pruned passes stay
+    /// below it, and each limit is the largest input that keeps the sum plus
+    /// its rounding constant inside i32.
+    #[test]
+    fn guard_constants_follow_from_the_butterfly() {
+        let (out, any) = gain::<8>();
+        assert_eq!(out, BUTTERFLY_GAIN);
+        assert_eq!(any, BUTTERFLY_GAIN, "an intermediate exceeds every output");
+        assert_eq!(
+            butterfly_k::<TermSum, 8>([TermSum(1); 8])[1].0,
+            BUTTERFLY_GAIN,
+            "output 1 (tmp11 + t2) is the largest"
+        );
+        for (k, g) in [(1, gain::<1>()), (2, gain::<2>()), (4, gain::<4>())] {
+            assert!(
+                g.0 <= BUTTERFLY_GAIN && g.1 <= BUTTERFLY_GAIN,
+                "K = {k}: {g:?}"
+            );
+        }
+        assert_eq!((PASS1_MAX, PASS2_MAX), (12_049, 12_048));
+        for (limit, descale) in [(PASS1_MAX, P1), (PASS2_MAX, P2)] {
+            let round = 1i64 << (descale - 1);
+            assert!(BUTTERFLY_GAIN * limit as i64 + round <= i32::MAX as i64);
+            assert!(BUTTERFLY_GAIN * (limit as i64 + 1) + round > i32::MAX as i64);
+        }
+    }
+
+    /// Quant 1 makes a block's coefficients its dequantized values.
+    const UNIT_QUANT: [u16; 64] = [1; 64];
+
+    /// The AVX2 kernel's verdict on a block (`None` without AVX2), after
+    /// checking that whatever it wrote matches the scalar path.
+    fn avx2_admits(coefs: &[i16; 64], quant: &[u16; 64], eob: u8) -> Option<bool> {
+        #[cfg(target_arch = "x86_64")]
+        if SimdLevel::Avx2.is_available() {
+            let want = dequant_idct_block_level(SimdLevel::Scalar, coefs, quant, eob);
+            let mut got = [0u8; 64];
+            // SAFETY: AVX2 is available.
+            let admitted = unsafe {
+                match class_for_eob(eob) {
+                    SparseClass::DcOnly => return None,
+                    SparseClass::Corner2 => {
+                        x86::dequant_idct_i32x8::<2>(coefs, quant, &mut got, 0, 8)
+                    }
+                    SparseClass::Corner4 => {
+                        x86::dequant_idct_i32x8::<4>(coefs, quant, &mut got, 0, 8)
+                    }
+                    SparseClass::Dense => {
+                        x86::dequant_idct_i32x8::<8>(coefs, quant, &mut got, 0, 8)
+                    }
+                }
+            };
+            if admitted {
+                assert_eq!(got, want, "admitted block decodes exactly");
+            } else {
+                assert_eq!(got, [0u8; 64], "a rejected block writes nothing");
+            }
+            return Some(admitted);
+        }
+        None
+    }
+
+    /// Both sides of the column-pass bound: the in-register guard admits
+    /// max|dq| = 12 049 and rejects 12 050, whichever row and sign holds
+    /// it; blocks at either value decode bit-identically at every level.
+    #[test]
+    fn pass1_bound_both_sides() {
+        #[cfg(target_arch = "x86_64")]
+        if SimdLevel::Avx2.is_available() {
+            use core::arch::x86_64::*;
+            for (m, ok) in [(PASS1_MAX, true), (PASS1_MAX + 1, false)] {
+                for row in 0..8 {
+                    for sign in [1, -1] {
+                        // SAFETY: AVX2 is available.
+                        let admits = unsafe {
+                            let mut v = [_mm256_set1_epi32(7); 8];
+                            v[row] = _mm256_setr_epi32(0, 1, -2, sign * m, 3, 0, -5, 9);
+                            x86::within_i32x8::<8>(&v, PASS1_MAX)
+                        };
+                        assert_eq!(admits, ok, "max {m} in row {row} sign {sign}");
+                    }
+                }
+            }
+        }
+        for m in [PASS1_MAX, PASS1_MAX + 1] {
+            for (eob, pattern) in [(2u8, 0u64), (9, 1), (63, 2), (63, 3)] {
+                let mut coefs = coef_block_for_eob(pattern * 31 + 5, eob as usize, 3000);
+                let at = crate::zigzag::ZIGZAG[eob as usize];
+                coefs[at] = if pattern % 2 == 0 {
+                    m as i16
+                } else {
+                    -(m as i16)
+                };
+                assert!(
+                    !i32_lanes_exact(&coefs, &UNIT_QUANT, eob),
+                    "pass-1 outputs exceed pass 2's bound"
+                );
+                assert!(!avx2_admits(&coefs, &UNIT_QUANT, eob).unwrap_or(false));
+                let want = dequant_idct_block_level(SimdLevel::Scalar, &coefs, &UNIT_QUANT, eob);
+                for level in SimdLevel::all_available() {
+                    let got = dequant_idct_block_level(level, &coefs, &UNIT_QUANT, eob);
+                    assert_eq!(got, want, "{} max {m} eob {eob}", level.name());
+                }
+            }
+        }
+        // Why pass 1 needs a guard of its own: dq = 2¹⁸ at rows 0 and 4 of
+        // a column makes its even-part sum (2·2¹⁸) << 13 ≡ 0 mod 2³², so
+        // unguarded i32 lanes would hand pass 2 an all-zero workspace that
+        // passes its bound, and print a flat mid-grey block where half the
+        // rows saturate.
+        let (mut coefs, mut quant) = ([0i16; 64], [1u16; 64]);
+        for at in [0, 32] {
+            coefs[at] = 16;
+            quant[at] = 16_384;
+        }
+        assert!(!avx2_admits(&coefs, &quant, 10).unwrap_or(false));
+        let want = dequant_idct_block_level(SimdLevel::Scalar, &coefs, &quant, 10);
+        assert_eq!(want.iter().filter(|&&p| p == 255).count(), 32);
+        for level in SimdLevel::all_available() {
+            assert_eq!(dequant_idct_block_level(level, &coefs, &quant, 10), want);
+        }
+    }
+
+    /// Both sides of the row-pass bound: blocks whose largest column-pass
+    /// output is exactly 12 048 are admitted, 12 049 rejected, and both
+    /// decode bit-identically at every level. Each block carries one
+    /// two-coefficient column (`dq` at rows 0 and 1), found by search.
+    #[test]
+    fn pass2_bound_both_sides() {
+        let largest = |a: i64, b: i64| {
+            let mut v = [0i64; 8];
+            v[0] = a;
+            v[1] = b;
+            idct_pass1(v).iter().map(|o| o.abs()).max().unwrap()
+        };
+        for (target, ok) in [(PASS2_MAX as i64, true), (PASS2_MAX as i64 + 1, false)] {
+            let (a, b) = (2800..3013i64)
+                .flat_map(|a| (1..80i64).map(move |b| (a, b)))
+                .find(|&(a, b)| largest(a, b) == target)
+                .expect("a column hitting the target exists");
+            // Column 0 (a 2×2-class block) and column 5 (dense).
+            for (col, eob) in [(0usize, 2u8), (5, 63)] {
+                let mut coefs = [0i16; 64];
+                coefs[col] = a as i16;
+                coefs[8 + col] = -b as i16;
+                coefs[if col == 0 { 1 } else { 17 }] = 1; // a small neighbour column
+                let (v0, v1) = (coefs[col] as i64, coefs[8 + col] as i64);
+                assert_eq!(largest(v0, v1), target, "column {col}");
+                assert_eq!(
+                    i32_lanes_exact(&coefs, &UNIT_QUANT, eob),
+                    ok,
+                    "{target} col {col}"
+                );
+                if let Some(admitted) = avx2_admits(&coefs, &UNIT_QUANT, eob) {
+                    assert_eq!(admitted, ok, "kernel verdict at {target}, column {col}");
+                }
+                let want = dequant_idct_block_level(SimdLevel::Scalar, &coefs, &UNIT_QUANT, eob);
+                for level in SimdLevel::all_available() {
+                    let got = dequant_idct_block_level(level, &coefs, &UNIT_QUANT, eob);
+                    assert_eq!(got, want, "{} target {target} column {col}", level.name());
+                }
+            }
+        }
+    }
+
+    /// The in-register guard and [`i32_lanes_exact`] agree on random
+    /// blocks spanning both bounds — small and large coefficients, 8-bit
+    /// and 15-bit quantization values, every class — and every block
+    /// decodes bit-identically at every level either way.
+    #[test]
+    fn kernel_admits_exactly_what_the_guard_states() {
+        let (mut admitted, mut rejected) = (0, 0);
+        for seed in 0..840u64 {
+            let eob = [1u8, 2, 5, 9, 20, 63][seed as usize % 6];
+            let magnitude = [2, 10, 40, 700, 3000, 12_050, 32_767][seed as usize / 6 % 7];
+            let coefs = coef_block_for_eob(seed, eob as usize, magnitude);
+            let quant = match seed / 42 % 3 {
+                0 => UNIT_QUANT,
+                1 => quant_8bit(seed),
+                _ => quant_8bit(seed).map(|q| q * 128),
+            };
+            let exact = i32_lanes_exact(&coefs, &quant, eob);
+            if let Some(verdict) = avx2_admits(&coefs, &quant, eob) {
+                assert_eq!(verdict, exact, "seed {seed}");
+            }
+            let want = dequant_idct_block_level(SimdLevel::Scalar, &coefs, &quant, eob);
+            for level in SimdLevel::all_available() {
+                if level == SimdLevel::Sse2 && quant.iter().any(|&q| q > 255) {
+                    continue; // SSE2's domain is the 8-bit DQT (module docs)
+                }
+                let got = dequant_idct_block_level(level, &coefs, &quant, eob);
+                assert_eq!(got, want, "{} seed {seed}", level.name());
+            }
+            if exact {
+                admitted += 1;
+            } else {
+                rejected += 1;
+            }
+        }
+        assert!(admitted > 100 && rejected > 100, "{admitted} / {rejected}");
     }
 }

@@ -21,16 +21,18 @@ pub mod stages;
 
 use crate::coef::CoefBuffer;
 use crate::color::YccTables;
-use crate::entropy::EntropyDecoder;
+use crate::entropy::{EntropyDecoder, HuffmanTables};
 use crate::error::{Error, Result};
 use crate::geometry::Geometry;
 use crate::markers::{parse_jpeg, ParsedJpeg};
 use crate::metrics::EntropyMetrics;
 use crate::quant::QuantTable;
 use crate::types::RgbImage;
+use std::sync::OnceLock;
 
 /// A parsed image plus everything resolved for decoding: geometry,
-/// per-component quantization tables and color LUTs.
+/// per-component quantization tables, color LUTs and — on first use — the
+/// Huffman decode tables.
 pub struct Prepared<'a> {
     /// Parsed marker structure.
     pub parsed: ParsedJpeg<'a>,
@@ -40,6 +42,9 @@ pub struct Prepared<'a> {
     pub quant: [QuantTable; 3],
     /// Color conversion lookup tables.
     pub ycc: YccTables,
+    /// Huffman decode tables, built by the first [`Self::huffman_tables`]
+    /// call so header-only callers never pay for them.
+    huffman: OnceLock<Result<HuffmanTables>>,
 }
 
 impl<'a> Prepared<'a> {
@@ -74,6 +79,7 @@ impl<'a> Prepared<'a> {
             geom,
             quant,
             ycc: YccTables::new(),
+            huffman: OnceLock::new(),
         })
     }
 
@@ -108,12 +114,28 @@ impl<'a> Prepared<'a> {
             geom,
             quant,
             ycc: YccTables::new(),
+            huffman: OnceLock::new(),
         })
     }
 
-    /// Create the sequential entropy decoder for this image.
-    pub fn entropy_decoder(&self) -> Result<EntropyDecoder<'a>> {
-        EntropyDecoder::new(&self.parsed, &self.geom)
+    /// The image's Huffman decode tables, built once and lent to every
+    /// entropy loop that decodes it (sequential, restart-segment parallel,
+    /// speculative). Fails if the scan references a missing table.
+    pub fn huffman_tables(&self) -> Result<&HuffmanTables> {
+        self.huffman
+            .get_or_init(|| HuffmanTables::new(&self.parsed))
+            .as_ref()
+            .map_err(Clone::clone)
+    }
+
+    /// Create the sequential entropy decoder for this image. Fails if the
+    /// scan references a missing Huffman table.
+    pub fn entropy_decoder(&self) -> Result<EntropyDecoder<'_>> {
+        Ok(EntropyDecoder::new(
+            &self.parsed,
+            &self.geom,
+            self.huffman_tables()?,
+        ))
     }
 
     /// Entropy-decode the whole image into a fresh coefficient buffer.
@@ -262,6 +284,41 @@ mod tests {
             let b = decode_simd(&jpeg).unwrap();
             assert_eq!(a.data, b.data, "mismatch for {}", sub.notation());
         }
+    }
+
+    /// The Huffman tables are built on first use, so header-only callers
+    /// never build them and a missing table still surfaces where it always
+    /// did: when the entropy decoder is created.
+    #[test]
+    fn missing_huffman_table_fails_at_entropy_decoder_creation() {
+        let jpeg = encode_rgb(
+            &checker_rgb(16, 16),
+            16,
+            16,
+            &EncodeParams {
+                quality: 50,
+                subsampling: Subsampling::S444,
+                restart_interval: 0,
+            },
+        )
+        .unwrap();
+        let mut prep = Prepared::new(&jpeg).unwrap();
+        prep.parsed.dc_specs = [None, None, None, None];
+        assert_eq!(
+            prep.entropy_decoder().err(),
+            Some(Error::Malformed("missing DC Huffman table"))
+        );
+        assert_eq!(
+            prep.huffman_tables().err(),
+            Some(Error::Malformed("missing DC Huffman table"))
+        );
+        let prep = Prepared::new(&jpeg).unwrap();
+        let tables = prep.huffman_tables().unwrap() as *const HuffmanTables;
+        prep.entropy_decode_all().unwrap();
+        assert!(
+            std::ptr::eq(tables, prep.huffman_tables().unwrap()),
+            "built once"
+        );
     }
 
     #[test]

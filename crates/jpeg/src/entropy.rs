@@ -15,23 +15,68 @@ use crate::geometry::Geometry;
 use crate::huffman::{DecodeTable, HuffDecoder};
 use crate::markers::ParsedJpeg;
 use crate::metrics::{EntropyMetrics, RowMetrics};
+use crate::types::ComponentSpec;
 
-/// Per-component entropy state.
-#[derive(Debug, Clone, Copy)]
-struct CompState {
-    dc_table: usize,
-    ac_table: usize,
-    h_samp: usize,
-    v_samp: usize,
+/// The Huffman decode tables of a baseline scan and the components that
+/// use them, built once per image and lent to every MCU loop that decodes
+/// it: the sequential [`EntropyDecoder`], each restart segment and each
+/// speculative attempt ([`crate::speculate::McuDecoder`]).
+#[derive(Debug)]
+pub struct HuffmanTables {
+    dc: [Option<DecodeTable>; 4],
+    ac: [Option<DecodeTable>; 4],
+    comps: Vec<ComponentSpec>,
+}
+
+impl HuffmanTables {
+    /// Build the DC and AC tables the frame's components reference. Fails
+    /// if one of them is missing from the parsed headers.
+    pub fn new(parsed: &ParsedJpeg<'_>) -> Result<Self> {
+        let mut dc: [Option<DecodeTable>; 4] = [None, None, None, None];
+        let mut ac: [Option<DecodeTable>; 4] = [None, None, None, None];
+        for c in &parsed.frame.components {
+            if dc[c.dc_tbl].is_none() {
+                let spec = parsed.dc_specs[c.dc_tbl]
+                    .as_ref()
+                    .ok_or(Error::Malformed("missing DC Huffman table"))?;
+                dc[c.dc_tbl] = Some(DecodeTable::build(spec)?);
+            }
+            if ac[c.ac_tbl].is_none() {
+                let spec = parsed.ac_specs[c.ac_tbl]
+                    .as_ref()
+                    .ok_or(Error::Malformed("missing AC Huffman table"))?;
+                ac[c.ac_tbl] = Some(DecodeTable::build(spec)?);
+            }
+        }
+        Ok(HuffmanTables {
+            dc,
+            ac,
+            comps: parsed.frame.components.clone(),
+        })
+    }
+
+    /// The scan's components in MCU order.
+    #[inline]
+    pub(crate) fn components(&self) -> &[ComponentSpec] {
+        &self.comps
+    }
+
+    /// The `(DC, AC)` tables of a component. Panics if they were not built,
+    /// i.e. if the component is not from the frame these tables came from.
+    #[inline]
+    pub(crate) fn of(&self, comp: &ComponentSpec) -> (&DecodeTable, &DecodeTable) {
+        (
+            self.dc[comp.dc_tbl].as_ref().expect("dc table"),
+            self.ac[comp.ac_tbl].as_ref().expect("ac table"),
+        )
+    }
 }
 
 /// Incremental scan decoder: one call per MCU row.
 pub struct EntropyDecoder<'a> {
     reader: BitReader<'a>,
     geom: Geometry,
-    comps: Vec<CompState>,
-    dc_tables: [Option<DecodeTable>; 4],
-    ac_tables: [Option<DecodeTable>; 4],
+    tables: &'a HuffmanTables,
     dc_pred: [i32; 4],
     restart_interval: usize,
     mcus_until_restart: usize,
@@ -40,45 +85,20 @@ pub struct EntropyDecoder<'a> {
 }
 
 impl<'a> EntropyDecoder<'a> {
-    /// Prepare a decoder from parsed headers. Fails if a referenced Huffman
-    /// table is missing.
-    pub fn new(parsed: &ParsedJpeg<'a>, geom: &Geometry) -> Result<Self> {
-        let mut dc_tables: [Option<DecodeTable>; 4] = [None, None, None, None];
-        let mut ac_tables: [Option<DecodeTable>; 4] = [None, None, None, None];
-        let mut comps = Vec::with_capacity(parsed.frame.components.len());
-        for c in &parsed.frame.components {
-            if dc_tables[c.dc_tbl].is_none() {
-                let spec = parsed.dc_specs[c.dc_tbl]
-                    .as_ref()
-                    .ok_or(Error::Malformed("missing DC Huffman table"))?;
-                dc_tables[c.dc_tbl] = Some(DecodeTable::build(spec)?);
-            }
-            if ac_tables[c.ac_tbl].is_none() {
-                let spec = parsed.ac_specs[c.ac_tbl]
-                    .as_ref()
-                    .ok_or(Error::Malformed("missing AC Huffman table"))?;
-                ac_tables[c.ac_tbl] = Some(DecodeTable::build(spec)?);
-            }
-            comps.push(CompState {
-                dc_table: c.dc_tbl,
-                ac_table: c.ac_tbl,
-                h_samp: c.h_samp,
-                v_samp: c.v_samp,
-            });
-        }
+    /// Prepare a decoder from parsed headers and the image's Huffman tables
+    /// ([`HuffmanTables::new`] over the same headers).
+    pub fn new(parsed: &ParsedJpeg<'a>, geom: &Geometry, tables: &'a HuffmanTables) -> Self {
         let restart_interval = parsed.frame.restart_interval;
-        Ok(EntropyDecoder {
+        EntropyDecoder {
             reader: BitReader::new(parsed.scan_data),
             geom: geom.clone(),
-            comps,
-            dc_tables,
-            ac_tables,
+            tables,
             dc_pred: [0; 4],
             restart_interval,
             mcus_until_restart: restart_interval,
             next_restart: 0,
             next_row: 0,
-        })
+        }
     }
 
     /// MCU rows decoded so far.
@@ -117,9 +137,8 @@ impl<'a> EntropyDecoder<'a> {
                 self.dc_pred = [0; 4];
             }
 
-            for (ci, comp) in self.comps.iter().enumerate() {
-                let dc = self.dc_tables[comp.dc_table].as_ref().expect("dc table");
-                let ac = self.ac_tables[comp.ac_table].as_ref().expect("ac table");
+            for (ci, comp) in self.tables.components().iter().enumerate() {
+                let (dc, ac) = self.tables.of(comp);
                 for v in 0..comp.v_samp {
                     for h in 0..comp.h_samp {
                         let bx = mcu_x * comp.h_samp + h;
@@ -237,6 +256,7 @@ pub fn split_restart_segments(parsed: &ParsedJpeg<'_>, geom: &Geometry) -> Vec<R
 fn decode_segment_with(
     parsed: &ParsedJpeg<'_>,
     geom: &Geometry,
+    tables: &HuffmanTables,
     segment: &RestartSegment,
     mut emit: impl FnMut(usize, &[i16; 64], u8),
 ) -> Result<RowMetrics> {
@@ -246,24 +266,6 @@ fn decode_segment_with(
         .ok_or(Error::UnexpectedEof)?;
     let mut reader = BitReader::new(data);
 
-    // Build tables (cheap relative to a segment's work).
-    let mut dc_tables: [Option<DecodeTable>; 4] = [None, None, None, None];
-    let mut ac_tables: [Option<DecodeTable>; 4] = [None, None, None, None];
-    for c in &parsed.frame.components {
-        if dc_tables[c.dc_tbl].is_none() {
-            let spec = parsed.dc_specs[c.dc_tbl]
-                .as_ref()
-                .ok_or(Error::Malformed("missing DC Huffman table"))?;
-            dc_tables[c.dc_tbl] = Some(DecodeTable::build(spec)?);
-        }
-        if ac_tables[c.ac_tbl].is_none() {
-            let spec = parsed.ac_specs[c.ac_tbl]
-                .as_ref()
-                .ok_or(Error::Malformed("missing AC Huffman table"))?;
-            ac_tables[c.ac_tbl] = Some(DecodeTable::build(spec)?);
-        }
-    }
-
     let mut metrics = RowMetrics::default();
     let mut dc_pred = [0i32; 4];
     let mut block;
@@ -271,9 +273,8 @@ fn decode_segment_with(
         let mcu = segment.start_mcu + k;
         let mcu_x = mcu % geom.mcus_x;
         let row = mcu / geom.mcus_x;
-        for (ci, comp) in parsed.frame.components.iter().enumerate() {
-            let dc = dc_tables[comp.dc_tbl].as_ref().expect("dc table");
-            let ac = ac_tables[comp.ac_tbl].as_ref().expect("ac table");
+        for (ci, comp) in tables.components().iter().enumerate() {
+            let (dc, ac) = tables.of(comp);
             for v in 0..comp.v_samp {
                 for h in 0..comp.h_samp {
                     let bx = mcu_x * comp.h_samp + h;
@@ -310,10 +311,11 @@ pub type SegmentBlocks = Vec<(usize, [i16; 64])>;
 pub fn decode_mcu_segment(
     parsed: &ParsedJpeg<'_>,
     geom: &Geometry,
+    tables: &HuffmanTables,
     segment: &RestartSegment,
 ) -> Result<(SegmentBlocks, RowMetrics)> {
     let mut out = Vec::with_capacity(segment.mcu_count * geom.blocks_per_mcu());
-    let metrics = decode_segment_with(parsed, geom, segment, |idx, block, _eob| {
+    let metrics = decode_segment_with(parsed, geom, tables, segment, |idx, block, _eob| {
         out.push((idx, *block))
     })?;
     Ok((out, metrics))
@@ -331,10 +333,11 @@ pub fn decode_mcu_segment(
 pub unsafe fn decode_mcu_segment_into(
     parsed: &ParsedJpeg<'_>,
     geom: &Geometry,
+    tables: &HuffmanTables,
     segment: &RestartSegment,
     out: &crate::coef::CoefWriter<'_>,
 ) -> Result<RowMetrics> {
-    decode_segment_with(parsed, geom, segment, |idx, block, eob| {
+    decode_segment_with(parsed, geom, tables, segment, |idx, block, eob| {
         // SAFETY: forwarded from this function's contract — disjoint
         // segments yield disjoint block indices.
         unsafe { out.write_block(idx, block, eob) }
@@ -382,12 +385,13 @@ mod tests {
         )
         .unwrap();
 
-        let mut dec1 = EntropyDecoder::new(&parsed, &geom).unwrap();
+        let tables = HuffmanTables::new(&parsed).unwrap();
+        let mut dec1 = EntropyDecoder::new(&parsed, &geom, &tables);
         let mut coef1 = CoefBuffer::new(&geom);
         let all = dec1.decode_remaining(&mut coef1).unwrap();
         assert_eq!(all.per_row.len(), geom.mcus_y);
 
-        let mut dec2 = EntropyDecoder::new(&parsed, &geom).unwrap();
+        let mut dec2 = EntropyDecoder::new(&parsed, &geom, &tables);
         let mut coef2 = CoefBuffer::new(&geom);
         let mut rows = 0;
         while !dec2.is_finished() {
@@ -414,7 +418,8 @@ mod tests {
         .unwrap();
         let parsed = parse_jpeg(&jpeg).unwrap();
         let geom = Geometry::new(w, h, Subsampling::S444).unwrap();
-        let mut dec = EntropyDecoder::new(&parsed, &geom).unwrap();
+        let tables = HuffmanTables::new(&parsed).unwrap();
+        let mut dec = EntropyDecoder::new(&parsed, &geom, &tables);
         let mut coef = CoefBuffer::new(&geom);
         let m = dec.decode_remaining(&mut coef).unwrap();
         assert_eq!(m.total().blocks as usize, geom.total_blocks);
@@ -454,7 +459,8 @@ mod tests {
         let decode_coefs = |data: &[u8]| {
             let parsed = parse_jpeg(data).unwrap();
             let geom = Geometry::new(w, h, Subsampling::S422).unwrap();
-            let mut dec = EntropyDecoder::new(&parsed, &geom).unwrap();
+            let tables = HuffmanTables::new(&parsed).unwrap();
+            let mut dec = EntropyDecoder::new(&parsed, &geom, &tables);
             let mut coef = CoefBuffer::new(&geom);
             dec.decode_remaining(&mut coef).unwrap();
             coef.as_slice().to_vec()
@@ -489,13 +495,14 @@ mod tests {
             .all(|w| w[0].start_mcu + w[0].mcu_count == w[1].start_mcu));
 
         // Segment-wise decode must equal the sequential decode.
-        let mut seq = EntropyDecoder::new(&parsed, &geom).unwrap();
+        let tables = HuffmanTables::new(&parsed).unwrap();
+        let mut seq = EntropyDecoder::new(&parsed, &geom, &tables);
         let mut want = CoefBuffer::new(&geom);
         seq.decode_remaining(&mut want).unwrap();
 
         let mut got = CoefBuffer::new(&geom);
         for seg in &segments {
-            let (blocks, m) = decode_mcu_segment(&parsed, &geom, seg).unwrap();
+            let (blocks, m) = decode_mcu_segment(&parsed, &geom, &tables, seg).unwrap();
             assert!(m.blocks > 0);
             for (idx, block) in blocks {
                 *got.block_mut(idx) = block;
@@ -541,7 +548,14 @@ mod tests {
         .unwrap();
         let mut parsed = parse_jpeg(&jpeg).unwrap();
         parsed.ac_specs = [None, None, None, None];
-        let geom = Geometry::new(w, h, Subsampling::S444).unwrap();
-        assert!(EntropyDecoder::new(&parsed, &geom).is_err());
+        assert_eq!(
+            HuffmanTables::new(&parsed).err(),
+            Some(Error::Malformed("missing AC Huffman table"))
+        );
+        parsed.dc_specs = [None, None, None, None];
+        assert_eq!(
+            HuffmanTables::new(&parsed).err(),
+            Some(Error::Malformed("missing DC Huffman table"))
+        );
     }
 }

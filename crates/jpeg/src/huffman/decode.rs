@@ -1,30 +1,63 @@
 //! Huffman symbol decoding over a bit reader.
+//!
+//! Two paths decode a symbol, and both leave the reader in the same state.
+//! The **request path** ([`HuffDecoder::decode_symbol`]) asks the reader for
+//! bits: `peek_bits(8)` (refilling when fewer than eight are buffered),
+//! the symbol table at `peek8 << 1` for codes of at most eight bits, then
+//! one `get_bits(1)` per bit of a longer code. The **buffered fast path**
+//! of [`HuffDecoder::decode_ac_block`] and [`HuffDecoder::decode_dc_diff`]
+//! first tops the buffer up exactly as that `peek_bits(8)` would, then, if
+//! nine bits are buffered, resolves codes of up to nine bits — for AC, run,
+//! code length and the sign-extended coefficient — in one lookup. Nine
+//! buffered bits cover the peek and a nine-bit code's one-bit extension,
+//! so the request path would not have refilled for them either; magnitude
+//! bits outside the nine go through the same `get_bits(s)`. The reader
+//! therefore passes through the same states — accumulator, byte position,
+//! marker, padding flag, `bits_consumed` — as with the request path alone,
+//! at every symbol boundary and at every error. That keeps
+//! [`crate::bitio::BitReader::bit_checkpoint`] (and with it the
+//! speculative decoder's restart points) and the restart-marker checks,
+//! which look at buffered bytes, unchanged.
 
 use super::extend;
-use super::table::{DecodeTable, LOOKAHEAD_BITS};
+use super::table::{AcEntry, DecodeTable, SymbolEntry, LOOKAHEAD_BITS};
 use crate::bitio::BitReader;
 use crate::error::{Error, Result};
 use crate::zigzag::ZIGZAG;
+
+/// Bits the request path peeks before its symbol-table lookup.
+const PEEK_BITS: u32 = 8;
 
 /// Stateless decoder operations bundled for convenience; DC prediction state
 /// lives in the caller ([`crate::entropy::EntropyDecoder`]).
 pub struct HuffDecoder;
 
+/// Top the buffer up as the request path's `peek_bits(8)` would, then
+/// return the index of the next [`LOOKAHEAD_BITS`] bits if that many are
+/// buffered. `None` sends the symbol down the request path.
+#[inline(always)]
+fn buffered_index(reader: &mut BitReader<'_>) -> Option<usize> {
+    if reader.buffered() < PEEK_BITS {
+        reader.refill(PEEK_BITS);
+    }
+    (reader.buffered() >= LOOKAHEAD_BITS).then(|| reader.peek_buffered(LOOKAHEAD_BITS) as usize)
+}
+
 impl HuffDecoder {
-    /// Decode one Huffman symbol: LUT fast path, canonical slow path beyond
-    /// [`LOOKAHEAD_BITS`] bits.
+    /// Decode one Huffman symbol on the request path: 8-bit peek into the
+    /// symbol table, canonical bit-by-bit search for longer codes.
     #[inline]
     pub fn decode_symbol(reader: &mut BitReader<'_>, table: &DecodeTable) -> Result<u8> {
-        let peek = reader.peek_bits(LOOKAHEAD_BITS);
-        let la = table.lookahead[peek as usize];
-        if la.nbits != 0 {
-            reader.skip_bits(la.nbits as u32);
-            return Ok(la.value);
+        let peek = reader.peek_bits(PEEK_BITS);
+        let SymbolEntry { len, symbol } = table.symbols[(peek as usize) << 1];
+        if len != 0 && len as u32 <= PEEK_BITS {
+            reader.skip_bits(len as u32);
+            return Ok(symbol);
         }
-        // Slow path: extend bit by bit past the lookahead width.
+        // Slow path: extend bit by bit past the peeked width.
         let mut code = peek as i32;
-        reader.skip_bits(LOOKAHEAD_BITS);
-        let mut l = LOOKAHEAD_BITS;
+        reader.skip_bits(PEEK_BITS);
+        let mut l = PEEK_BITS;
         while code > table.maxcode[l as usize] {
             if l >= 16 {
                 return Err(Error::BadHuffmanCode);
@@ -44,7 +77,13 @@ impl HuffDecoder {
     /// magnitude bits (T.81 F.2.2.1).
     #[inline]
     pub fn decode_dc_diff(reader: &mut BitReader<'_>, table: &DecodeTable) -> Result<i32> {
-        let s = Self::decode_symbol(reader, table)? as u32;
+        let e = buffered_index(reader).map_or(SymbolEntry::default(), |i| table.symbols[i]);
+        let s = if e.len != 0 {
+            reader.skip_bits(e.len as u32);
+            e.symbol
+        } else {
+            Self::decode_symbol(reader, table)?
+        } as u32;
         if s > 11 {
             return Err(Error::Malformed("DC category > 11"));
         }
@@ -71,7 +110,13 @@ impl HuffDecoder {
         let mut symbols = 0u32;
         let mut eob = 0usize;
         while k < 64 {
-            let rs = Self::decode_symbol(reader, table)?;
+            let e = buffered_index(reader).map_or(AcEntry::default(), |i| table.ac[i]);
+            let (rs, inline) = if e.code_len != 0 {
+                reader.skip_bits(e.code_len as u32);
+                (e.rs, e.value)
+            } else {
+                (Self::decode_symbol(reader, table)?, 0)
+            };
             symbols += 1;
             let r = (rs >> 4) as usize;
             let s = (rs & 0x0F) as u32;
@@ -86,8 +131,13 @@ impl HuffDecoder {
             if k >= 64 {
                 return Err(Error::Malformed("AC run past block end"));
             }
-            let raw = reader.get_bits(s);
-            block[ZIGZAG[k]] = extend(raw, s) as i16;
+            block[ZIGZAG[k]] = if inline != 0 {
+                // The magnitude bits were part of the lookup index.
+                reader.skip_bits(s);
+                inline
+            } else {
+                extend(reader.get_bits(s), s) as i16
+            };
             nonzero += 1;
             eob = k;
             k += 1;

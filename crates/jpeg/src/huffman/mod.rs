@@ -4,12 +4,18 @@
 //! (paper §1): codewords have variable length and the start of a codeword is
 //! known only once the previous one has been decoded. The scheduler therefore
 //! always runs this stage on the CPU; everything here is written for a single
-//! thread, with a libjpeg-style 8-bit lookahead LUT for speed.
+//! thread. Each decode table resolves codes of up to nine bits in one
+//! lookup; the AC table also yields the run and, when it fits in those nine
+//! bits, the sign-extended coefficient. The lookups read only bits the
+//! reader has already buffered, and only when the libjpeg-style request
+//! path (8-bit peek, then bit-by-bit long codes) would not have refilled, so
+//! the reader passes through exactly the states the request path gives it.
 //!
 //! * [`spec`] — the ITU-T T.81 Annex K standard tables,
 //! * [`table`] — canonical code construction ([`HuffSpec`] → decode/encode
 //!   tables),
-//! * [`decode`] — symbol decoding over a [`crate::bitio::BitReader`],
+//! * [`decode`] — symbol decoding over a [`crate::bitio::BitReader`]: the
+//!   buffered fast path and the request path,
 //! * [`encode`] — symbol encoding over a [`crate::bitio::BitWriter`],
 //! * [`optimize`] — optimal table generation from symbol frequencies (the
 //!   progressive encoder's two-pass statistics).
@@ -17,6 +23,8 @@
 pub mod decode;
 pub mod encode;
 pub mod optimize;
+#[cfg(test)]
+mod reference;
 pub mod spec;
 pub mod table;
 

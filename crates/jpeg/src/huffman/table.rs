@@ -1,11 +1,13 @@
 //! Canonical Huffman code construction (T.81 Annex C) and derived
 //! decode/encode tables.
 
+use super::extend;
 use crate::error::{Error, Result};
 
-/// Number of bits resolved by the fast decode lookahead (libjpeg's
-/// `HUFF_LOOKAHEAD`).
-pub const LOOKAHEAD_BITS: u32 = 8;
+/// Number of bits the decode tables resolve in one lookup. The request
+/// path peeks 8 of them (libjpeg's `HUFF_LOOKAHEAD`) and indexes the tables
+/// at `peek8 << 1`; the buffered fast path reads all nine.
+pub const LOOKAHEAD_BITS: u32 = 9;
 
 /// A Huffman table specification as transmitted in a DHT segment:
 /// `bits[l]` = number of codes of length `l` (1..=16), `values` = the symbols
@@ -61,20 +63,40 @@ impl HuffSpec {
     }
 }
 
-/// One lookahead entry: how many bits the code spans and the decoded symbol.
+/// One entry of the 9-bit symbol table: the code that prefixes the index
+/// and the symbol it decodes to.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Lookahead {
-    /// Code length in bits; 0 means the LUT cannot resolve this prefix.
-    pub nbits: u8,
-    /// The decoded symbol when `nbits != 0`.
-    pub value: u8,
+pub(crate) struct SymbolEntry {
+    /// Code length in bits (1..=9); 0 means no code of at most
+    /// [`LOOKAHEAD_BITS`] bits prefixes this index.
+    pub(crate) len: u8,
+    /// The decoded symbol when `len != 0`.
+    pub(crate) symbol: u8,
 }
 
-/// Decoding table: 8-bit lookahead LUT plus the canonical slow path arrays.
+/// One entry of the fused AC table: the symbol `RS` (run in the high
+/// nibble, magnitude size in the low one) and, when its magnitude bits fit
+/// inside the same nine peeked bits, the sign-extended coefficient.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct AcEntry {
+    /// Code length in bits (1..=9); 0 means no code of at most
+    /// [`LOOKAHEAD_BITS`] bits prefixes this index.
+    pub(crate) code_len: u8,
+    /// The decoded `RS` symbol when `code_len != 0`.
+    pub(crate) rs: u8,
+    /// The EXTENDed coefficient when the code and its magnitude bits fit in
+    /// [`LOOKAHEAD_BITS`]; 0 otherwise (a decoded coefficient is never 0).
+    pub(crate) value: i16,
+}
+
+/// Decoding table: 9-bit symbol and fused-AC lookup tables plus the
+/// canonical slow-path arrays for longer codes.
 #[derive(Debug, Clone)]
 pub struct DecodeTable {
-    /// Fast path: indexed by the next [`LOOKAHEAD_BITS`] bits.
-    pub lookahead: Box<[Lookahead; 256]>,
+    /// Indexed by the next [`LOOKAHEAD_BITS`] bits.
+    pub(crate) symbols: Box<[SymbolEntry; 1 << LOOKAHEAD_BITS]>,
+    /// Indexed by the next [`LOOKAHEAD_BITS`] bits; read as an AC table.
+    pub(crate) ac: Box<[AcEntry; 1 << LOOKAHEAD_BITS]>,
     /// `maxcode[l]` = largest code of length `l` (or -1 if none); index 17
     /// is a sentinel that terminates the scan.
     pub maxcode: [i32; 18],
@@ -107,22 +129,39 @@ impl DecodeTable {
         debug_assert_eq!(index, spec.values.len());
         maxcode[17] = i32::MAX; // sentinel
 
-        let mut lookahead = Box::new([Lookahead::default(); 256]);
-        for (sym_idx, &(size, code)) in list.iter().enumerate() {
-            if (size as u32) <= LOOKAHEAD_BITS {
-                let shift = LOOKAHEAD_BITS - size as u32;
-                let base = (code as usize) << shift;
-                for entry in lookahead.iter_mut().skip(base).take(1 << shift) {
-                    *entry = Lookahead {
-                        nbits: size,
-                        value: spec.values[sym_idx],
-                    };
-                }
+        let mut symbols = Box::new([SymbolEntry::default(); 1 << LOOKAHEAD_BITS]);
+        let mut ac = Box::new([AcEntry::default(); 1 << LOOKAHEAD_BITS]);
+        for (&(len, code), &symbol) in list.iter().zip(&spec.values) {
+            let len = len as u32;
+            if len > LOOKAHEAD_BITS {
+                break; // the list is ordered by length
+            }
+            let shift = LOOKAHEAD_BITS - len;
+            let span = (code as usize) << shift..((code as usize) + 1) << shift;
+            symbols[span.clone()].fill(SymbolEntry {
+                len: len as u8,
+                symbol,
+            });
+            let entry = AcEntry {
+                code_len: len as u8,
+                rs: symbol,
+                value: 0,
+            };
+            let size = (symbol & 0x0F) as u32;
+            if size == 0 || size > shift {
+                ac[span].fill(entry);
+                continue;
+            }
+            // The magnitude bits follow the code inside the index.
+            for (i, slot) in ac[span].iter_mut().enumerate() {
+                let value = extend((i >> (shift - size)) as u32, size) as i16;
+                *slot = AcEntry { value, ..entry };
             }
         }
 
         Ok(DecodeTable {
-            lookahead,
+            symbols,
+            ac,
             maxcode,
             valoff,
             values: spec.values.clone(),
@@ -203,18 +242,37 @@ mod tests {
         let s = spec::ac_luma();
         let t = DecodeTable::build(&s).unwrap();
         let enc = EncodeTable::build(&s).unwrap();
-        // For every symbol with a short code, feeding the code through the
-        // LUT must return the symbol.
+        // Every index a short code prefixes resolves to that code's symbol
+        // in both tables; the fused entry's inline value is the EXTENDed
+        // magnitude bits that follow the code in the index.
+        let mut covered = 0;
         for sym in 0..256usize {
-            let size = enc.size[sym];
-            if size == 0 || size as u32 > LOOKAHEAD_BITS {
+            let len = enc.size[sym] as u32;
+            if len == 0 || len > LOOKAHEAD_BITS {
                 continue;
             }
-            let idx = (enc.code[sym] as usize) << (LOOKAHEAD_BITS - size as u32);
-            let la = t.lookahead[idx];
-            assert_eq!(la.nbits, size);
-            assert_eq!(la.value as usize, sym);
+            let shift = LOOKAHEAD_BITS - len;
+            let size = sym as u32 & 0x0F;
+            for idx in (enc.code[sym] as usize) << shift..((enc.code[sym] as usize) + 1) << shift {
+                let e = t.symbols[idx];
+                assert_eq!((e.len as u32, e.symbol as usize), (len, sym));
+                let a = t.ac[idx];
+                assert_eq!((a.code_len as u32, a.rs as usize), (len, sym));
+                if size != 0 && len + size <= LOOKAHEAD_BITS {
+                    let raw = (idx as u32 >> (shift - size)) & ((1 << size) - 1);
+                    assert_eq!(a.value as i32, crate::huffman::extend(raw, size));
+                    assert_ne!(a.value, 0);
+                } else {
+                    assert_eq!(a.value, 0, "symbol {sym:#x} has no inline value");
+                }
+                covered += 1;
+            }
         }
+        // K.5's luminance AC table is complete, but its longest codes exceed
+        // nine bits: those indices (and only those) stay unresolved.
+        let unresolved = t.symbols.iter().filter(|e| e.len == 0).count();
+        assert_eq!(covered + unresolved, 1 << LOOKAHEAD_BITS);
+        assert!(unresolved > 0);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!
 //! * [`bitio`] — bit-level readers/writers with JPEG 0xFF byte stuffing,
 //! * [`markers`] — JFIF segment parsing and writing,
-//! * [`huffman`] — canonical Huffman coding (Annex K tables, lookahead LUT),
+//! * [`huffman`] — canonical Huffman coding (Annex K tables, fused 9-bit lookup tables),
 //! * [`quant`] — quantization tables and IJG quality scaling,
 //! * [`zigzag`] — zigzag ↔ natural coefficient order,
 //! * [`dct`] — forward DCT and three IDCT variants (reference f64,

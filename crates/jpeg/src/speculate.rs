@@ -31,10 +31,10 @@
 
 use crate::bitio::BitReader;
 use crate::coef::CoefBuffer;
-use crate::error::{Error, Result};
+use crate::entropy::HuffmanTables;
+use crate::error::Result;
 use crate::geometry::Geometry;
-use crate::huffman::{DecodeTable, HuffDecoder};
-use crate::markers::ParsedJpeg;
+use crate::huffman::HuffDecoder;
 use crate::metrics::RowMetrics;
 
 /// Minimum payload bytes per speculative chunk. Convergence prefixes are a
@@ -93,63 +93,27 @@ pub struct McuMetrics {
     pub nonzero: u32,
 }
 
-/// Per-component scan state, mirroring the sequential decoder.
-#[derive(Debug, Clone, Copy)]
-struct CompSpec {
-    dc_tbl: usize,
-    ac_tbl: usize,
-    h_samp: usize,
-    v_samp: usize,
-}
-
 /// MCU-granular Huffman decoder resumable from an arbitrary byte offset of a
 /// marker-free payload. Used both by the speculative chunk workers (starting
 /// mid-stream with zeroed predictors) and by the stitch pass's exact
 /// reconciling decoder (starting at offset 0).
 pub struct McuDecoder<'a> {
     reader: BitReader<'a>,
-    comps: Vec<CompSpec>,
-    dc_tables: [Option<DecodeTable>; 4],
-    ac_tables: [Option<DecodeTable>; 4],
+    tables: &'a HuffmanTables,
     /// Running DC predictors — worker-local (relative) when started
     /// mid-stream, absolute for the exact decoder.
     pub dc_pred: [i32; 4],
 }
 
 impl<'a> McuDecoder<'a> {
-    /// Build a decoder over `payload` starting at `start_byte`. Fails if a
-    /// referenced Huffman table is missing.
-    pub fn new_at(parsed: &ParsedJpeg<'_>, payload: &'a [u8], start_byte: usize) -> Result<Self> {
-        let mut dc_tables: [Option<DecodeTable>; 4] = [None, None, None, None];
-        let mut ac_tables: [Option<DecodeTable>; 4] = [None, None, None, None];
-        let mut comps = Vec::with_capacity(parsed.frame.components.len());
-        for c in &parsed.frame.components {
-            if dc_tables[c.dc_tbl].is_none() {
-                let spec = parsed.dc_specs[c.dc_tbl]
-                    .as_ref()
-                    .ok_or(Error::Malformed("missing DC Huffman table"))?;
-                dc_tables[c.dc_tbl] = Some(DecodeTable::build(spec)?);
-            }
-            if ac_tables[c.ac_tbl].is_none() {
-                let spec = parsed.ac_specs[c.ac_tbl]
-                    .as_ref()
-                    .ok_or(Error::Malformed("missing AC Huffman table"))?;
-                ac_tables[c.ac_tbl] = Some(DecodeTable::build(spec)?);
-            }
-            comps.push(CompSpec {
-                dc_tbl: c.dc_tbl,
-                ac_tbl: c.ac_tbl,
-                h_samp: c.h_samp,
-                v_samp: c.v_samp,
-            });
-        }
-        Ok(McuDecoder {
+    /// Build a decoder over `payload` starting at `start_byte`, borrowing
+    /// the image's Huffman tables.
+    pub fn new_at(tables: &'a HuffmanTables, payload: &'a [u8], start_byte: usize) -> Self {
+        McuDecoder {
             reader: BitReader::new_at(payload, start_byte),
-            comps,
-            dc_tables,
-            ac_tables,
+            tables,
             dc_pred: [0; 4],
-        })
+        }
     }
 
     /// Canonical raw-bit position of the next codeword (see
@@ -174,10 +138,8 @@ impl<'a> McuDecoder<'a> {
     ) -> Result<McuMetrics> {
         let bits_before = self.reader.bits_consumed();
         let mut m = McuMetrics::default();
-        for ci in 0..self.comps.len() {
-            let comp = self.comps[ci];
-            let dc = self.dc_tables[comp.dc_tbl].as_ref().expect("dc table");
-            let ac = self.ac_tables[comp.ac_tbl].as_ref().expect("ac table");
+        for (ci, comp) in self.tables.components().iter().enumerate() {
+            let (dc, ac) = self.tables.of(comp);
             for v in 0..comp.v_samp {
                 for h in 0..comp.h_samp {
                     let mut block = [0i16; 64];
@@ -281,13 +243,13 @@ pub fn plan_chunks(payload: &[u8], want: usize) -> Vec<(usize, usize)> {
 /// therefore never staged; on corrupt data they surface from the stitch
 /// pass's exact reconciler with the sequential decoder's exact error.
 pub fn decode_chunk_speculative<'a>(
-    parsed: &ParsedJpeg<'_>,
     geom: &Geometry,
+    tables: &'a HuffmanTables,
     payload: &'a [u8],
     start_byte: usize,
     stop_byte: usize,
     max_mcus: usize,
-) -> Result<StagedChunk<'a>> {
+) -> StagedChunk<'a> {
     let bpm = geom.blocks_per_mcu();
     let stop_bits = 8 * stop_byte as u64;
     let mut chunk = StagedChunk {
@@ -312,7 +274,7 @@ pub fn decode_chunk_speculative<'a>(
         {
             attempt_start += 1;
         }
-        let mut dec = McuDecoder::new_at(parsed, payload, attempt_start)?;
+        let mut dec = McuDecoder::new_at(tables, payload, attempt_start);
         loop {
             let cp = dec.checkpoint();
             if cp == u64::MAX || cp >= stop_bits || chunk.staged() >= max_mcus {
@@ -354,7 +316,7 @@ pub fn decode_chunk_speculative<'a>(
             }
         }
     }
-    Ok(chunk)
+    chunk
 }
 
 /// Outcome of stitching one segment's staged chunks.
@@ -375,8 +337,8 @@ pub struct StitchOutcome {
 /// result — coefficients, EOBs, and any returned error — is bit-identical
 /// to a sequential decode of `payload`.
 pub fn stitch_segment<'a>(
-    parsed: &ParsedJpeg<'_>,
     geom: &Geometry,
+    tables: &'a HuffmanTables,
     payload: &'a [u8],
     start_mcu: usize,
     mcu_count: usize,
@@ -391,13 +353,12 @@ pub fn stitch_segment<'a>(
         ..StitchOutcome::default()
     };
     let bpm = geom.blocks_per_mcu();
-    let comps: Vec<(usize, usize)> = parsed
-        .frame
-        .components
+    let comps: Vec<(usize, usize)> = tables
+        .components()
         .iter()
         .map(|c| (c.h_samp, c.v_samp))
         .collect();
-    let mut dec = McuDecoder::new_at(parsed, payload, 0)?;
+    let mut dec = McuDecoder::new_at(tables, payload, 0);
     let mut mcu = 0usize;
 
     // Decode one MCU exactly, writing blocks straight to their slots and
@@ -553,8 +514,9 @@ mod tests {
         )
         .unwrap();
         let total = geom.mcus_x * geom.mcus_y;
+        let tables = HuffmanTables::new(&parsed).unwrap();
 
-        let mut seq = EntropyDecoder::new(&parsed, &geom).unwrap();
+        let mut seq = EntropyDecoder::new(&parsed, &geom, &tables);
         let mut want = CoefBuffer::new(&geom);
         seq.decode_remaining(&mut want).unwrap();
 
@@ -562,10 +524,10 @@ mod tests {
         let ranges = plan_chunks(payload, want_chunks);
         let chunks: Vec<_> = ranges
             .iter()
-            .map(|&(s, e)| decode_chunk_speculative(&parsed, &geom, payload, s, e, total).unwrap())
+            .map(|&(s, e)| decode_chunk_speculative(&geom, &tables, payload, s, e, total))
             .collect();
         let mut got = CoefBuffer::new(&geom);
-        let out = stitch_segment(&parsed, &geom, payload, 0, total, &chunks, &mut got).unwrap();
+        let out = stitch_segment(&geom, &tables, payload, 0, total, &chunks, &mut got).unwrap();
         (got, want, out)
     }
 
@@ -576,8 +538,8 @@ mod tests {
         let geom = Geometry::new(160, 96, Subsampling::S420).unwrap();
         let total = geom.mcus_x * geom.mcus_y;
         let payload = parsed.scan_data;
-        let ch =
-            decode_chunk_speculative(&parsed, &geom, payload, 0, payload.len(), total).unwrap();
+        let tables = HuffmanTables::new(&parsed).unwrap();
+        let ch = decode_chunk_speculative(&geom, &tables, payload, 0, payload.len(), total);
         assert!(ch.staged() > 0);
         assert!(ch.checkpoints.windows(2).all(|w| w[0] < w[1]));
         assert_eq!(ch.discarded_mcus, 0, "chunk 0 starts exact: no restarts");
@@ -616,7 +578,8 @@ mod tests {
         let jpeg = jpeg_of(200, 144, 82, Subsampling::S422);
         let parsed = parse_jpeg(&jpeg).unwrap();
         let geom = Geometry::new(200, 144, Subsampling::S422).unwrap();
-        let mut seq = EntropyDecoder::new(&parsed, &geom).unwrap();
+        let tables = HuffmanTables::new(&parsed).unwrap();
+        let mut seq = EntropyDecoder::new(&parsed, &geom, &tables);
         let mut coef = CoefBuffer::new(&geom);
         let seq_total = seq.decode_remaining(&mut coef).unwrap().total();
 
@@ -651,17 +614,18 @@ mod tests {
         let total = geom.mcus_x * geom.mcus_y;
         let cut = parsed.scan_data.len() / 3;
         let payload = &parsed.scan_data[..cut];
+        let tables = HuffmanTables::new(&parsed).unwrap();
 
-        let mut seq = McuDecoder::new_at(&parsed, payload, 0).unwrap();
+        let mut seq = McuDecoder::new_at(&tables, payload, 0);
         let seq_err = (0..total).find_map(|_| seq.decode_next_mcu(&mut |_, _, _, _, _| {}).err());
 
         let ranges = plan_chunks(payload, 4);
         let chunks: Vec<_> = ranges
             .iter()
-            .map(|&(s, e)| decode_chunk_speculative(&parsed, &geom, payload, s, e, total).unwrap())
+            .map(|&(s, e)| decode_chunk_speculative(&geom, &tables, payload, s, e, total))
             .collect();
         let mut coef = CoefBuffer::new(&geom);
-        let spec_err = stitch_segment(&parsed, &geom, payload, 0, total, &chunks, &mut coef).err();
+        let spec_err = stitch_segment(&geom, &tables, payload, 0, total, &chunks, &mut coef).err();
         assert_eq!(spec_err, seq_err, "speculative error must match sequential");
     }
 }
