@@ -51,7 +51,6 @@ pub(crate) fn decode_pps_threaded_impl(
     data: &[u8],
     platform: &Platform,
     model: &PerformanceModel,
-    transfer: TransferMode,
 ) -> Result<ThreadedOutcome> {
     let prep = Prepared::new(data)?;
     let geom = &prep.geom;
@@ -78,7 +77,7 @@ pub(crate) fn decode_pps_threaded_impl(
         // plus the EOB sidecar the kernels dispatch on), returning each
         // chunk buffer pair to the pool once decoded.
         let worker = s.spawn(move |_| -> Result<()> {
-            let mut gpu = GpuContext::new(platform, transfer);
+            let mut gpu = GpuContext::new(platform, TransferMode::default());
             for (row0, row1, packed, eobs) in rx.iter() {
                 let (p0, p1) = prep_ref.geom.mcu_rows_to_pixel_rows(row0, row1);
                 gpu.decode_packed_region(
@@ -412,8 +411,7 @@ mod tests {
         let platform = Platform::gtx560();
         let model = platform.untrained_model();
         let want = decode(&jpeg).unwrap();
-        let got =
-            decode_pps_threaded_impl(&jpeg, &platform, &model, TransferMode::default()).unwrap();
+        let got = decode_pps_threaded_impl(&jpeg, &platform, &model).unwrap();
         assert_eq!(got.image.data, want.data);
         assert!(got.wall.as_nanos() > 0);
     }
@@ -561,14 +559,12 @@ mod tests {
         let platform = Platform::gtx680();
         let mut all_gpu = platform.untrained_model();
         all_gpu.p_cpu.coefs[1][1] *= 1e3; // CPU looks terrible => all GPU
-        let out =
-            decode_pps_threaded_impl(&jpeg, &platform, &all_gpu, TransferMode::default()).unwrap();
+        let out = decode_pps_threaded_impl(&jpeg, &platform, &all_gpu).unwrap();
         assert_eq!(out.image.data, decode(&jpeg).unwrap().data);
 
         let mut all_cpu = platform.untrained_model();
         all_cpu.p_gpu.coefs[1][1] *= 1e3; // GPU looks terrible => all CPU
-        let out =
-            decode_pps_threaded_impl(&jpeg, &platform, &all_cpu, TransferMode::default()).unwrap();
+        let out = decode_pps_threaded_impl(&jpeg, &platform, &all_cpu).unwrap();
         assert_eq!(out.image.data, decode(&jpeg).unwrap().data);
     }
 }

@@ -42,20 +42,6 @@ pub enum TransferMode {
     Compacted,
 }
 
-impl TransferMode {
-    /// Resolve the mode from `HETJPEG_GPU_TRANSFER`
-    /// (`dense` | `sidecar` | `compacted`); unset or unrecognized values
-    /// fall back to the compacted default. Read once per session, when its
-    /// [`crate::workspace::Workspace`] is created — never per region.
-    pub fn from_env() -> Self {
-        match std::env::var("HETJPEG_GPU_TRANSFER").as_deref() {
-            Ok("dense") => TransferMode::Dense,
-            Ok("sidecar") => TransferMode::Sidecar,
-            _ => TransferMode::Compacted,
-        }
-    }
-}
-
 /// Simulated timings of one GPU region decode.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GpuRegionResult {
@@ -448,9 +434,9 @@ impl Device {
     }
 }
 
-/// One-shot [`GpuContext::decode_region`] on a fresh context (transfer
-/// layout from the environment), returning the region's RGB — for
-/// benches, examples and tests that decode a single region.
+/// One-shot [`GpuContext::decode_region`] on a fresh context shipping the
+/// default transfer layout, returning the region's RGB — for benches,
+/// examples and tests that decode a single region.
 pub fn decode_region_gpu(
     prep: &Prepared<'_>,
     coefbuf: &CoefBuffer,
@@ -461,7 +447,7 @@ pub fn decode_region_gpu(
     plan: KernelPlan,
 ) -> Result<(Vec<u8>, GpuRegionResult)> {
     let mut rgb = vec![0u8; prep.geom.rgb_bytes_in_mcu_rows(row0, row1)];
-    let mut ctx = GpuContext::new(platform, TransferMode::from_env());
+    let mut ctx = GpuContext::new(platform, TransferMode::default());
     let res = ctx.decode_region(prep, coefbuf, row0, row1, wg_blocks, plan, &mut rgb)?;
     Ok((rgb, res))
 }

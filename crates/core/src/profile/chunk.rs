@@ -10,7 +10,8 @@
 
 use crate::model::PerformanceModel;
 use crate::platform::Platform;
-use crate::schedule::single::decode_pipelined_gpu_in;
+use crate::schedule::split::{self, Plan};
+use crate::schedule::Mode;
 use crate::workspace::Workspace;
 use hetjpeg_jpeg::decoder::Prepared;
 
@@ -44,8 +45,8 @@ pub fn tune_chunk_rows(
         for c in candidate_chunk_rows(prep.geom.mcus_y) {
             let mut trial = proto_model.clone();
             trial.chunk_mcu_rows = c;
-            let out =
-                decode_pipelined_gpu_in(&prep, platform, &trial, ws).expect("pipelined decode");
+            let plan = Plan::of(Mode::PipelinedGpu, &prep, &trial);
+            let out = split::decode(&prep, platform, &trial, &plan, ws).expect("pipelined decode");
             if out.times.total < best.0 {
                 best = (out.times.total, c);
             }
@@ -98,7 +99,8 @@ mod tests {
         let time_with = |c: usize| {
             let mut m = model.clone();
             m.chunk_mcu_rows = c;
-            decode_pipelined_gpu_in(&prep, &platform, &m, &mut Workspace::default())
+            let plan = Plan::of(Mode::PipelinedGpu, &prep, &m);
+            split::decode(&prep, &platform, &m, &plan, &mut Workspace::default())
                 .unwrap()
                 .times
                 .total

@@ -10,7 +10,7 @@ use crate::model::PerformanceModel;
 use crate::platform::Platform;
 use crate::profile::{tune_chunk_rows, tune_wg_blocks};
 use crate::regress::{fit_poly1_aic, fit_poly2_aic};
-use crate::workspace::Workspace;
+use crate::workspace::{gpu_on, Workspace};
 use hetjpeg_jpeg::decoder::Prepared;
 use hetjpeg_jpeg::metrics::ParallelWork;
 use hetjpeg_jpeg::Subsampling;
@@ -64,7 +64,7 @@ pub fn train(
     let mut rgb = Vec::new();
     let wg_blocks = opts
         .wg_blocks
-        .unwrap_or_else(|| tune_wg_blocks(ws.gpu.on(platform), largest.as_ref()));
+        .unwrap_or_else(|| tune_wg_blocks(gpu_on(&mut ws.gpu, platform), largest.as_ref()));
 
     let mut density_samples = Vec::with_capacity(images.len());
     let mut huff_rate_samples = Vec::with_capacity(images.len());
@@ -106,9 +106,7 @@ pub fn train(
 
         // Parallel phase on the GPU: transfers + kernels (Eq. 7).
         rgb.resize(geom.rgb_bytes_in_mcu_rows(0, geom.mcus_y), 0);
-        let res = ws
-            .gpu
-            .on(platform)
+        let res = gpu_on(&mut ws.gpu, platform)
             .decode_region(
                 &prep,
                 &coef,

@@ -48,15 +48,7 @@ pub fn select_mode(
     model: &PerformanceModel,
     threads: usize,
 ) -> AutoDecision {
-    let predictions = predict_all(prep, platform, model, threads);
-    let best = predictions
-        .iter()
-        .min_by(|a, b| a.seconds.total_cmp(&b.seconds))
-        .expect("non-empty mode list");
-    AutoDecision {
-        mode: best.mode,
-        predictions: predictions.clone(),
-    }
+    cheapest(predict_all(prep, platform, model, threads))
 }
 
 /// [`select_mode`] restricted to CPU-only modes — what planar output
@@ -67,17 +59,20 @@ pub fn select_cpu_mode(
     model: &PerformanceModel,
     threads: usize,
 ) -> AutoDecision {
-    let predictions: Vec<Prediction> = predict_all(prep, platform, model, threads)
-        .into_iter()
-        .filter(|p| p.mode.is_cpu_only())
-        .collect();
+    let mut predictions = predict_all(prep, platform, model, threads);
+    predictions.retain(|p| p.mode.is_cpu_only());
+    cheapest(predictions)
+}
+
+/// The decision for the cheapest of `predictions`, carrying them all.
+fn cheapest(predictions: Vec<Prediction>) -> AutoDecision {
     let best = predictions
         .iter()
         .min_by(|a, b| a.seconds.total_cmp(&b.seconds))
-        .expect("cpu-only mode list is non-empty");
+        .expect("the candidate list is never empty");
     AutoDecision {
         mode: best.mode,
-        predictions: predictions.clone(),
+        predictions,
     }
 }
 
@@ -203,7 +198,6 @@ pub fn restart_segment_count(prep: &Prepared<'_>) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workspace::Workspace;
     use hetjpeg_jpeg::encoder::{encode_rgb, EncodeParams};
     use hetjpeg_jpeg::types::Subsampling;
 
@@ -358,31 +352,18 @@ mod tests {
     #[test]
     fn auto_outcome_is_bit_identical_to_its_selection() {
         let jpeg = jpeg_of(200, 144, 3);
-        let prep = Prepared::new(&jpeg).unwrap();
-        let platform = Platform::gtx680();
-        let model = platform.untrained_model();
-        let mut ws = Workspace::default();
-        let auto_out = crate::schedule::dispatch(
-            &prep,
-            Mode::Auto,
-            crate::OutputFormat::Rgb,
-            &platform,
-            &model,
-            4,
-            &mut ws,
-        )
-        .unwrap();
+        let decoder = crate::Decoder::builder()
+            .platform(Platform::gtx680())
+            .threads(4)
+            .build()
+            .unwrap();
+        let auto_out = decoder
+            .decode(&jpeg, crate::DecodeOptions::default())
+            .unwrap();
         assert_ne!(auto_out.mode, Mode::Auto, "outcome reports the selection");
-        let direct = crate::schedule::dispatch(
-            &prep,
-            auto_out.mode,
-            crate::OutputFormat::Rgb,
-            &platform,
-            &model,
-            4,
-            &mut ws,
-        )
-        .unwrap();
+        let direct = decoder
+            .decode(&jpeg, crate::DecodeOptions::with_mode(auto_out.mode))
+            .unwrap();
         assert_eq!(auto_out.image.data, direct.image.data);
         assert_eq!(auto_out.total(), direct.total());
     }

@@ -39,17 +39,15 @@ pub const SEGMENT_OVERHEAD_S: f64 = 2e-6;
 /// List-schedule measured per-segment Huffman work onto `threads` virtual
 /// workers in ticket order — each segment goes to the worker that frees up
 /// first, matching the real driver's atomic work-stealing ticket. Pushes
-/// one trace span per segment and returns the Huffman wall-time plus the
-/// accumulated EOB-class histogram.
+/// one trace span per segment and returns the Huffman wall-time.
 pub(crate) fn schedule_segments(
     platform: &Platform,
     seg_metrics: &[hetjpeg_jpeg::metrics::RowMetrics],
     threads: usize,
     trace: &mut Trace,
-) -> (f64, [u64; 4]) {
+) -> f64 {
     let workers = threads.clamp(1, seg_metrics.len().max(1));
     let mut free_at = vec![0.0f64; workers];
-    let mut classes = [0u64; 4];
     for m in seg_metrics {
         let w = free_at
             .iter()
@@ -61,12 +59,8 @@ pub(crate) fn schedule_segments(
         let t = platform.cpu.huff_time(m) + SEGMENT_OVERHEAD_S;
         trace.push("huffman", Resource::Cpu, start, start + t);
         free_at[w] = start + t;
-        for (a, b) in classes.iter_mut().zip(m.eob_classes) {
-            *a += b;
-        }
     }
-    let wall = free_at.iter().fold(0.0f64, |a, &b| a.max(b));
-    (wall, classes)
+    free_at.iter().fold(0.0f64, |a, &b| a.max(b))
 }
 
 /// Virtual-time schedule of a full parallel entropy phase: the per-unit
@@ -81,7 +75,7 @@ pub(crate) fn schedule_entropy(
     threads: usize,
     trace: &mut Trace,
 ) -> (f64, [u64; 4]) {
-    let (mut wall, _) = schedule_segments(platform, &out.unit_metrics, threads, trace);
+    let mut wall = schedule_segments(platform, &out.unit_metrics, threads, trace);
     if out.spec.chunks > 0 {
         // The stitch reconciler runs serially after the workers join.
         let t = platform.cpu.huff_time(&out.stitch_metrics);
@@ -127,7 +121,7 @@ pub(crate) fn decode_parallel_entropy_in(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::single;
+    use crate::schedule::decode_cpu_in;
     use hetjpeg_jpeg::encoder::{encode_rgb, EncodeParams};
     use hetjpeg_jpeg::types::Subsampling;
 
@@ -158,8 +152,7 @@ mod tests {
         let prep = Prepared::new(&jpeg).unwrap();
         let mut ws = Workspace::default();
         let simd_out =
-            single::decode_cpu_in(&prep, &platform, Mode::Simd, OutputFormat::Rgb, &mut ws)
-                .unwrap();
+            decode_cpu_in(&prep, &platform, Mode::Simd, OutputFormat::Rgb, &mut ws).unwrap();
         let par =
             decode_parallel_entropy_in(&prep, &platform, 4, OutputFormat::Rgb, &mut ws).unwrap();
         assert_eq!(par.image.data, simd_out.image.data);
@@ -184,8 +177,7 @@ mod tests {
         let prep = Prepared::new(&jpeg).unwrap();
         let mut ws = Workspace::default();
         let simd_out =
-            single::decode_cpu_in(&prep, &platform, Mode::Simd, OutputFormat::Rgb, &mut ws)
-                .unwrap();
+            decode_cpu_in(&prep, &platform, Mode::Simd, OutputFormat::Rgb, &mut ws).unwrap();
         let par =
             decode_parallel_entropy_in(&prep, &platform, 4, OutputFormat::Rgb, &mut ws).unwrap();
         assert_eq!(par.image.data, simd_out.image.data);
@@ -207,8 +199,7 @@ mod tests {
         let prep = Prepared::new(&jpeg).unwrap();
         let mut ws = Workspace::default();
         let simd_out =
-            single::decode_cpu_in(&prep, &platform, Mode::Simd, OutputFormat::Rgb, &mut ws)
-                .unwrap();
+            decode_cpu_in(&prep, &platform, Mode::Simd, OutputFormat::Rgb, &mut ws).unwrap();
         let par =
             decode_parallel_entropy_in(&prep, &platform, 1, OutputFormat::Rgb, &mut ws).unwrap();
         assert_eq!(par.image.data, simd_out.image.data);

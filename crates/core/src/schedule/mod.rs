@@ -7,16 +7,24 @@
 //! simultaneously builds the virtual-time execution trace from which the
 //! paper's figures are regenerated.
 //!
+//! A decode is made of three steps, each written once and each advancing
+//! one virtual timeline: the entropy step and the CPU band (here) and the
+//! GPU chunk (`split`). A CPU-only mode fills the coefficient buffer
+//! (`Filled`) and renders it as one CPU band (`render_cpu`). The four
+//! GPU-involving modes are plans over one split scheduler (`split`): the
+//! GPU takes the image's initial MCU rows and the CPU the rest, and the
+//! modes differ only in where that split sits and whether Huffman decoding
+//! is chunked so that it overlaps device work.
+//!
 //! The entry point is the session API ([`crate::session::Decoder`]), which
 //! owns the platform, the trained model and the pooled scratch. (The
-//! pre-session free functions — `decode_with_mode` and the
-//! `single`/`hetero` wrappers — were removed in PR 4 after one release of
-//! deprecation; see docs/API.md for the migration table.)
+//! pre-session free functions — `decode_with_mode` and the per-mode
+//! wrappers — were removed in PR 4 after one release of deprecation; see
+//! docs/API.md for the migration table.)
 
 pub mod auto;
 pub mod entropy_par;
-pub(crate) mod hetero;
-pub(crate) mod single;
+pub(crate) mod split;
 
 use crate::model::PerformanceModel;
 use crate::partition::Partition;
@@ -24,9 +32,13 @@ use crate::platform::Platform;
 use crate::session::OutputFormat;
 use crate::timeline::{Breakdown, Resource, Trace};
 use crate::workspace::{Workspace, WsParts};
+use hetjpeg_gpusim::CommandQueue;
 use hetjpeg_jpeg::coef::CoefBuffer;
 use hetjpeg_jpeg::decoder::{simd, Prepared};
+use hetjpeg_jpeg::entropy::EntropyDecoder;
 use hetjpeg_jpeg::error::{Error, Result};
+use hetjpeg_jpeg::geometry::Geometry;
+use hetjpeg_jpeg::metrics::RowMetrics;
 use hetjpeg_jpeg::types::{RgbImage, YccImage};
 
 /// Default worker count for [`Mode::ParallelEntropy`]; the session API
@@ -159,10 +171,10 @@ impl DecodeOutcome {
     }
 }
 
-/// Route one prepared image through the requested mode, resolving
-/// [`Mode::Auto`] via the performance model first. All decode paths share
-/// the caller's pooled [`Workspace`]. Planar output comes from the CPU
-/// render only (the simulated GPU kernels produce RGB).
+/// Route one prepared image through a concrete mode; the session resolves
+/// [`Mode::Auto`] (through its decision cache) before it gets here. All
+/// decode paths share the caller's pooled [`Workspace`]. Planar output
+/// comes from the CPU render only (the simulated GPU kernels produce RGB).
 pub(crate) fn dispatch(
     prep: &Prepared<'_>,
     mode: Mode,
@@ -172,45 +184,167 @@ pub(crate) fn dispatch(
     threads: usize,
     ws: &mut Workspace,
 ) -> Result<DecodeOutcome> {
-    let mode = match mode {
-        Mode::Auto => auto::select_mode(prep, platform, model, threads).mode,
-        m => m,
-    };
     match mode {
-        Mode::Sequential | Mode::Simd => single::decode_cpu_in(prep, platform, mode, format, ws),
+        Mode::Sequential | Mode::Simd => decode_cpu_in(prep, platform, mode, format, ws),
         Mode::ParallelEntropy => {
             entropy_par::decode_parallel_entropy_in(prep, platform, threads, format, ws)
         }
+        Mode::Auto => unreachable!("the session resolves Auto before dispatch"),
         _ if format != OutputFormat::Rgb => Err(Error::Unsupported(
             "planar output requires a CPU mode (sequential, SIMD or par-entropy)",
         )),
-        Mode::Gpu => single::decode_gpu_in(prep, platform, model, ws),
-        Mode::PipelinedGpu => single::decode_pipelined_gpu_in(prep, platform, model, ws),
-        Mode::Sps => hetero::decode_sps_in(prep, platform, model, ws),
-        Mode::Pps => hetero::decode_pps_in(prep, platform, model, true, ws),
-        Mode::Auto => unreachable!("Auto resolved above"),
+        _ => {
+            let plan = split::Plan::of(mode, prep, model);
+            split::decode(prep, platform, model, &plan, ws)
+        }
     }
 }
 
-/// Entropy-decode every MCU row into `coef`, returning the per-row work
-/// metrics and the total Huffman time under the platform cost model. The
-/// per-row metrics carry the EOB-class histograms the sparse-aware band
-/// pricing consumes ([`crate::cost::CpuCostModel::parallel_time_sparse`]);
-/// [`eob_classes_in`] sums them over a band.
-pub(crate) fn entropy_into(
+/// CPU-only decoding ([`Mode::Sequential`] or [`Mode::Simd`]) on pooled
+/// scratch: sequential entropy, then the CPU render.
+pub(crate) fn decode_cpu_in(
     prep: &Prepared<'_>,
     platform: &Platform,
-    coef: &mut CoefBuffer,
-) -> Result<(Vec<hetjpeg_jpeg::metrics::RowMetrics>, f64)> {
-    let mut dec = prep.entropy_decoder()?;
-    let mut rows = Vec::with_capacity(prep.geom.mcus_y);
-    let mut total = 0.0;
-    while !dec.is_finished() {
-        let m = dec.decode_mcu_row(coef)?;
-        total += platform.cpu.huff_time(&m);
-        rows.push(m);
+    mode: Mode,
+    format: OutputFormat,
+    ws: &mut Workspace,
+) -> Result<DecodeOutcome> {
+    ws.ensure(prep);
+    let filled = Filled::sequential(prep, platform, ws.parts().coef)?;
+    render_cpu(prep, platform, ws.parts(), filled, mode, format)
+}
+
+/// The virtual timeline one decode builds as it runs (Figs. 5/8): the
+/// CPU's clock, the GPU's in-order command queue, the per-stage totals and
+/// the trace. The steps of the decode advance it — [`Entropy::until`], the
+/// GPU chunk (`split`) and [`Self::cpu_band`] — and [`Self::outcome`]
+/// closes it.
+#[derive(Default)]
+struct Timeline {
+    /// When the CPU is next free.
+    cpu_now: f64,
+    q: CommandQueue,
+    b: Breakdown,
+    trace: Trace,
+}
+
+/// Where a CPU band's pixels go.
+enum BandOut<'a> {
+    /// MCU rows from the given one to the last, into their interleaved RGB
+    /// rows of the image.
+    Rgb(&'a mut RgbImage, usize),
+    /// The whole image, into planes.
+    Planar(&'a mut YccImage),
+}
+
+impl Timeline {
+    /// The CPU band: the MCU rows `out` names through the render loop on
+    /// the workspace's pinned kernel level, priced by the sparse cost model
+    /// from the band's EOB `classes` — at the SIMD costs, or at the scalar
+    /// ones without `use_simd` — once the CPU is free.
+    fn cpu_band(
+        &mut self,
+        prep: &Prepared<'_>,
+        platform: &Platform,
+        p: &mut WsParts<'_>,
+        out: BandOut<'_>,
+        classes: &[u64; 4],
+        use_simd: bool,
+    ) -> Result<()> {
+        let (cpu, end) = (&platform.cpu, prep.geom.mcus_y);
+        let t_band = match out {
+            BandOut::Rgb(image, row0) => {
+                let band = rgb_rows(image, &prep.geom, row0, end);
+                let mut sink = simd::RgbBand::new(prep, row0, end, band)?;
+                let (work, _) = simd::render_rows(prep, p.coef, row0, end, p.scratch, &mut sink);
+                cpu.parallel_time_sparse(&work, classes, use_simd)
+            }
+            BandOut::Planar(planes) => {
+                let mut sink = simd::Planar::new(prep, planes)?;
+                let (work, _) = simd::render_rows(prep, p.coef, 0, end, p.scratch, &mut sink);
+                cpu.parallel_time_planar_sparse(&work, classes, use_simd)
+            }
+        };
+        let label = if use_simd { "cpu-simd" } else { "cpu-scalar" };
+        let now = self.cpu_now;
+        self.trace.push(label, Resource::Cpu, now, now + t_band);
+        self.cpu_now += t_band;
+        self.b.cpu_parallel = t_band;
+        Ok(())
     }
-    Ok((rows, total))
+
+    /// Close the timeline: the decode ends when the CPU and the GPU queue
+    /// are both done.
+    fn outcome(
+        mut self,
+        image: RgbImage,
+        ycc: Option<YccImage>,
+        mode: Mode,
+        partition: Option<Partition>,
+        truncated: bool,
+    ) -> DecodeOutcome {
+        self.b.total = self.cpu_now.max(self.q.drain_time());
+        DecodeOutcome {
+            image,
+            ycc,
+            times: self.b,
+            trace: self.trace,
+            partition,
+            mode,
+            truncated,
+        }
+    }
+}
+
+/// The entropy step's state for one image: the sequential Huffman decoder,
+/// the work metrics of every MCU row decoded so far (their EOB-class
+/// histograms price CPU bands) and those rows' Huffman time, summed in row
+/// order.
+struct Entropy<'a> {
+    dec: EntropyDecoder<'a>,
+    rows: Vec<RowMetrics>,
+    spent: f64,
+}
+
+impl<'a> Entropy<'a> {
+    fn new(prep: &'a Prepared<'_>) -> Result<Self> {
+        Ok(Entropy {
+            dec: prep.entropy_decoder()?,
+            rows: Vec::with_capacity(prep.geom.mcus_y),
+            spent: 0.0,
+        })
+    }
+
+    /// The entropy step: decode the MCU rows up to `end` into `coef` as one
+    /// Huffman span on `tl`'s CPU — nothing when they are decoded already.
+    fn until(
+        &mut self,
+        end: usize,
+        coef: &mut CoefBuffer,
+        platform: &Platform,
+        tl: &mut Timeline,
+    ) -> Result<()> {
+        if self.rows.len() >= end {
+            return Ok(());
+        }
+        let start = tl.cpu_now;
+        while self.rows.len() < end {
+            let m = self.dec.decode_mcu_row(coef)?;
+            let t = platform.cpu.huff_time(&m);
+            tl.cpu_now += t;
+            self.spent += t;
+            self.rows.push(m);
+        }
+        tl.b.huffman += tl.cpu_now - start;
+        tl.trace.push("huffman", Resource::Cpu, start, tl.cpu_now);
+        Ok(())
+    }
+}
+
+/// The interleaved RGB bytes of MCU rows `[r0, r1)` of `image`.
+fn rgb_rows<'a>(image: &'a mut RgbImage, geom: &Geometry, r0: usize, r1: usize) -> &'a mut [u8] {
+    let (p0, p1) = geom.mcu_rows_to_pixel_rows(r0, r1);
+    &mut image.data[p0 * geom.width * 3..p1 * geom.width * 3]
 }
 
 /// The account of a filled coefficient buffer — the first of the two steps
@@ -251,86 +385,69 @@ impl Filled {
         platform: &Platform,
         coef: &mut CoefBuffer,
     ) -> Result<Filled> {
-        let (rows, t_huff) = entropy_into(prep, platform, coef)?;
-        let classes = eob_classes_in(&rows, 0, rows.len());
-        Ok(Filled::serial(t_huff, classes, false))
+        let mut ent = Entropy::new(prep)?;
+        ent.until(prep.geom.mcus_y, coef, platform, &mut Timeline::default())?;
+        let classes = eob_classes_in(&ent.rows, 0, ent.rows.len());
+        Ok(Filled::serial(ent.spent, classes, false))
     }
 }
 
-/// The second step of every CPU-only decode: the whole image through the
-/// render loop on the workspace's pinned kernel level, into the sink
-/// `format` asks for. `mode` prices the band (`Sequential` at the scalar
-/// costs, anything else at the SIMD costs) and labels the outcome; it does
-/// not choose code.
+/// The second step of every CPU-only decode: the whole image as one CPU
+/// band on the workspace's pinned kernel level, into the sink `format`
+/// asks for. `mode` prices the band (`Sequential` at the scalar costs,
+/// anything else at the SIMD costs) and labels the outcome; it does not
+/// choose code.
 pub(crate) fn render_cpu(
     prep: &Prepared<'_>,
     platform: &Platform,
-    p: WsParts<'_>,
+    mut p: WsParts<'_>,
     filled: Filled,
     mode: Mode,
     format: OutputFormat,
 ) -> Result<DecodeOutcome> {
     let geom = &prep.geom;
-    let use_simd = mode != Mode::Sequential;
     let Filled {
-        mut trace,
+        trace,
         t_huff,
         classes,
         truncated,
     } = filled;
-    let (data, ycc, t_band) = match format {
-        OutputFormat::Rgb => {
-            let mut data = vec![0u8; geom.width * geom.height * 3];
-            let mut sink = simd::RgbBand::new(prep, 0, geom.mcus_y, &mut data)?;
-            let (work, _) = simd::render_rows(prep, p.coef, 0, geom.mcus_y, p.scratch, &mut sink);
-            let t = platform.cpu.parallel_time_sparse(&work, &classes, use_simd);
-            (data, None, t)
-        }
-        OutputFormat::PlanarYcc => {
-            let mut planes = YccImage::new(geom.width, geom.height);
-            let mut sink = simd::Planar::new(prep, &mut planes)?;
-            let (work, _) = simd::render_rows(prep, p.coef, 0, geom.mcus_y, p.scratch, &mut sink);
-            let t = platform
-                .cpu
-                .parallel_time_planar_sparse(&work, &classes, use_simd);
-            // Planar outcomes leave `image.data` empty; `ycc` carries the
-            // pixels.
-            (Vec::new(), Some(planes), t)
-        }
-    };
-    trace.push(
-        if use_simd { "cpu-simd" } else { "cpu-scalar" },
-        Resource::Cpu,
-        t_huff,
-        t_huff + t_band,
-    );
-    Ok(DecodeOutcome {
-        image: RgbImage {
-            width: geom.width,
-            height: geom.height,
-            data,
-        },
-        ycc,
-        times: Breakdown {
+    let mut tl = Timeline {
+        cpu_now: t_huff,
+        b: Breakdown {
             huffman: t_huff,
-            cpu_parallel: t_band,
-            total: t_huff + t_band,
             ..Default::default()
         },
         trace,
-        partition: None,
-        mode,
-        truncated,
-    })
+        ..Default::default()
+    };
+    let use_simd = mode != Mode::Sequential;
+    // Planar outcomes leave `image.data` empty; `ycc` carries the pixels.
+    let mut image = RgbImage {
+        width: geom.width,
+        height: geom.height,
+        data: Vec::new(),
+    };
+    let ycc = match format {
+        OutputFormat::Rgb => {
+            image.data = vec![0u8; geom.width * geom.height * 3];
+            let band = BandOut::Rgb(&mut image, 0);
+            tl.cpu_band(prep, platform, &mut p, band, &classes, use_simd)?;
+            None
+        }
+        OutputFormat::PlanarYcc => {
+            let mut planes = YccImage::new(geom.width, geom.height);
+            let band = BandOut::Planar(&mut planes);
+            tl.cpu_band(prep, platform, &mut p, band, &classes, use_simd)?;
+            Some(planes)
+        }
+    };
+    Ok(tl.outcome(image, ycc, mode, None, truncated))
 }
 
 /// EOB-class histogram of MCU rows `[start, end)` — the sparse-pricing
 /// input for a band of the parallel phase.
-pub(crate) fn eob_classes_in(
-    rows: &[hetjpeg_jpeg::metrics::RowMetrics],
-    start: usize,
-    end: usize,
-) -> [u64; 4] {
+pub(crate) fn eob_classes_in(rows: &[RowMetrics], start: usize, end: usize) -> [u64; 4] {
     let mut classes = [0u64; 4];
     for m in &rows[start.min(rows.len())..end.min(rows.len())] {
         for (a, b) in classes.iter_mut().zip(m.eob_classes) {
@@ -338,6 +455,20 @@ pub(crate) fn eob_classes_in(
         }
     }
     classes
+}
+
+#[cfg(test)]
+mod reference;
+
+// Mode-level tests: the CPU-only decode and the single-device GPU plans
+// (`single`), and the CPU/GPU splits (`hetero`).
+#[cfg(test)]
+mod single {
+    mod tests;
+}
+#[cfg(test)]
+mod hetero {
+    mod tests;
 }
 
 #[cfg(test)]

@@ -1,0 +1,602 @@
+//! The split scheduler: `Gpu`, `PipelinedGpu`, `Sps` and `Pps` as plans
+//! over one loop.
+//!
+//! The paper's GPU decoder, pipelined decoder, SPS and PPS are one
+//! two-phase schedule (Fig. 5a/5b, §4.5, §5.2.1–5.2.2): the GPU takes the
+//! image's initial MCU rows and the CPU the rest. They differ in two things
+//! only — where the split row sits, and whether Huffman decoding is chunked
+//! so that it overlaps device work — and a [`Plan`] holds just those:
+//!
+//! | mode | GPU rows | Huffman chunk | re-partition |
+//! |---|---|---|---|
+//! | `Gpu` | all | none: every row first | no |
+//! | `PipelinedGpu` | all | `chunk_mcu_rows` | no |
+//! | `Sps` | Eq. 10 | none | no |
+//! | `Pps` | Eq. 15 | `chunk_mcu_rows` | before the last chunk (Eq. 16/17) |
+//!
+//! [`decode`] runs a plan through the three steps of every decode: the
+//! entropy step (a chunk's rows, or every row first), the GPU chunk — its
+//! CPU side ships the rows (dispatch, device decode, bytes counted), its
+//! device side places them (H2D, kernels, D2H on the one in-order queue) —
+//! and the CPU band for the rows the GPU does not take. A batched `Gpu`
+//! member ([`GpuBatchMember`]) ships when it is staged and is placed once
+//! the batch's one coalesced transfer is priced.
+
+use super::{eob_classes_in, rgb_rows, BandOut, DecodeOutcome, Entropy, Mode, Timeline};
+use crate::gpu_decode::{GpuRegionResult, KernelPlan};
+use crate::model::PerformanceModel;
+use crate::partition::{pps, sps, Partition};
+use crate::platform::Platform;
+use crate::timeline::Resource;
+use crate::workspace::{gpu_on, Workspace, WsParts};
+use hetjpeg_jpeg::decoder::Prepared;
+use hetjpeg_jpeg::error::Result;
+use hetjpeg_jpeg::metrics::ParallelWork;
+use hetjpeg_jpeg::types::RgbImage;
+use std::ops::Range;
+
+/// What tells one GPU-involving mode from another.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Plan {
+    /// The mode the outcome reports.
+    pub(crate) mode: Mode,
+    /// The GPU takes MCU rows `[0, gpu_rows)`, the CPU the rest.
+    pub(crate) gpu_rows: usize,
+    /// Huffman chunk height in MCU rows; `None` Huffman-decodes every row
+    /// first and ships the GPU share as one region.
+    pub(crate) chunk: Option<usize>,
+    /// Move the split once, before the last GPU chunk, from the measured
+    /// Huffman progress (Eq. 16/17).
+    pub(crate) repartition: bool,
+    /// The split to report; its row counts become the final ones.
+    pub(crate) partition: Option<Partition>,
+}
+
+impl Plan {
+    /// The plan of the GPU-involving `mode` for `prep`'s image.
+    pub(crate) fn of(mode: Mode, prep: &Prepared<'_>, model: &PerformanceModel) -> Plan {
+        let geom = &prep.geom;
+        let chunk = model.chunk_mcu_rows.max(1);
+        let whole = Plan {
+            mode,
+            gpu_rows: geom.mcus_y,
+            chunk: None,
+            repartition: false,
+            partition: None,
+        };
+        match mode {
+            Mode::Gpu => whole,
+            Mode::PipelinedGpu => Plan {
+                chunk: Some(chunk),
+                ..whole
+            },
+            Mode::Sps => {
+                let part = sps::partition(model, geom); // Eq. 10
+                Plan {
+                    gpu_rows: part.gpu_mcu_rows,
+                    partition: Some(part),
+                    ..whole
+                }
+            }
+            Mode::Pps => {
+                let d = prep.parsed.entropy_density(); // Eq. (3)
+                let chunk_px = (chunk * geom.mcu_h) as f64;
+                let part = pps::initial_partition(model, geom, d, chunk_px); // Eq. 15
+                Plan {
+                    gpu_rows: part.gpu_mcu_rows,
+                    chunk: Some(chunk),
+                    repartition: true,
+                    partition: Some(part),
+                    ..whole
+                }
+            }
+            _ => unreachable!("{mode:?} runs on the CPU only"),
+        }
+    }
+}
+
+/// Decode `prep` under `plan` on the workspace's pools and device.
+pub(crate) fn decode(
+    prep: &Prepared<'_>,
+    platform: &Platform,
+    model: &PerformanceModel,
+    plan: &Plan,
+    ws: &mut Workspace,
+) -> Result<DecodeOutcome> {
+    let geom = &prep.geom;
+    ws.ensure(prep);
+    let mut p = ws.parts();
+    let mut tl = Timeline::default();
+    let mut ent = Entropy::new(prep)?;
+    let mut image = RgbImage::new(geom.width, geom.height);
+    let chunk = match plan.chunk {
+        Some(rows) => rows,
+        None => {
+            ent.until(geom.mcus_y, p.coef, platform, &mut tl)?;
+            geom.mcus_y
+        }
+    };
+    // The GPU share, chunk by chunk: Huffman, then an asynchronous
+    // dispatch after which the CPU resumes at once.
+    let mut gpu_end = plan.gpu_rows;
+    let mut repartition = plan.repartition;
+    let mut row = 0;
+    while row < gpu_end {
+        if repartition && row > 0 && row + chunk >= gpu_end {
+            repartition = false;
+            gpu_end = repartitioned_end(prep, platform, model, &ent, &tl, row);
+            if row >= gpu_end {
+                break;
+            }
+        }
+        let end = (row + chunk).min(gpu_end);
+        ent.until(end, p.coef, platform, &mut tl)?;
+        let res = tl.ship(prep, platform, model, &mut p, row..end, &mut image)?;
+        p.stats.h2d_transfers += 1;
+        tl.place(res.h2d_time, &res);
+        row = end;
+    }
+    // The CPU share: its Huffman, then the SIMD band, sparse-priced from
+    // the band's own EOB histograms.
+    if gpu_end < geom.mcus_y {
+        ent.until(geom.mcus_y, p.coef, platform, &mut tl)?;
+        let classes = eob_classes_in(&ent.rows, gpu_end, geom.mcus_y);
+        let band = BandOut::Rgb(&mut image, gpu_end);
+        tl.cpu_band(prep, platform, &mut p, band, &classes, true)?;
+    }
+    let partition = plan.partition.map(|part| Partition {
+        gpu_mcu_rows: gpu_end,
+        cpu_mcu_rows: geom.mcus_y - gpu_end,
+        ..part
+    });
+    Ok(tl.outcome(image, None, plan.mode, partition, false))
+}
+
+/// Re-partition before the last GPU chunk (Eq. 16), once the GPU's `row`
+/// rows are decoded and shipped and nothing after them is: from the
+/// corrected density (Eq. 17), the GPU's current backlog, and — since the
+/// PR-3 sparse retrain — the tail's expected IDCT sparsity: the prefix's
+/// measured EOB discount, scaled by the density correction (denser entropy
+/// ⇒ denser blocks), against the corpus-average discount `PCPU` was fit
+/// at. Returns the GPU's new end row.
+fn repartitioned_end(
+    prep: &Prepared<'_>,
+    platform: &Platform,
+    model: &PerformanceModel,
+    ent: &Entropy<'_>,
+    tl: &Timeline,
+    row: usize,
+) -> usize {
+    debug_assert_eq!(ent.rows.len(), row, "only the GPU's rows are decoded");
+    let geom = &prep.geom;
+    let w = geom.width as f64;
+    let h = geom.height as f64;
+    let d = prep.parsed.entropy_density(); // Eq. (3)
+    let est_total_huff = model.huff_time(w * h, d);
+    let prefix_classes = eob_classes_in(&ent.rows, 0, row);
+    let prefix_bits: u64 = ent.rows[..row].iter().map(|m| m.bits).sum();
+    let rows_done_px = (row * geom.mcu_h) as f64;
+    let h_left = h - rows_done_px;
+    let d_new = pps::corrected_density(d, est_total_huff, ent.spent, h_left, h);
+    let backlog = (tl.q.drain_time() - tl.cpu_now).max(0.0);
+    let prefix_discount = crate::cost::CpuCostModel::idct_discount(&prefix_classes);
+    // Extrapolate the prefix's measured discount to the tail by the
+    // tail-over-*prefix* density ratio (the prefix discount was observed
+    // at the prefix's density, not the whole-image average);
+    // `band_scale_for_discount` clamps the result.
+    let d_prefix = prefix_bits as f64 / 8.0 / (w * rows_done_px).max(1.0);
+    let tail_discount = if d_prefix > 0.0 {
+        prefix_discount * d_new / d_prefix
+    } else {
+        prefix_discount
+    };
+    let tail_work = ParallelWork::for_mcu_rows(geom, row, geom.mcus_y);
+    let fit_at = model.pcpu_idct_discount;
+    let cpu_scale = platform
+        .cpu
+        .band_scale_for_discount(&tail_work, tail_discount, fit_at);
+    let re = pps::repartition(model, geom, h_left, d_new, backlog, cpu_scale);
+    // New boundary: the GPU keeps `re.gpu_mcu_rows` of the remaining rows.
+    (row + re.gpu_mcu_rows).min(geom.mcus_y)
+}
+
+impl Timeline {
+    /// The GPU chunk's CPU side: dispatch MCU rows `rows` asynchronously —
+    /// the CPU resumes right after — and decode them on the workspace's
+    /// device into their rows of `image`, counting the bytes shipped.
+    /// Returns the region's device times for [`Self::place`].
+    fn ship(
+        &mut self,
+        prep: &Prepared<'_>,
+        platform: &Platform,
+        model: &PerformanceModel,
+        p: &mut WsParts<'_>,
+        rows: Range<usize>,
+        image: &mut RgbImage,
+    ) -> Result<GpuRegionResult> {
+        let t_disp = platform.cpu.dispatch_time(&prep.geom, rows.start, rows.end);
+        let now = self.cpu_now;
+        self.trace
+            .push("dispatch", Resource::Cpu, now, now + t_disp);
+        self.cpu_now += t_disp;
+        self.b.dispatch += t_disp;
+        let res = gpu_on(p.gpu, platform).decode_region(
+            prep,
+            p.coef,
+            rows.start,
+            rows.end,
+            model.wg_blocks,
+            KernelPlan::Merged,
+            rgb_rows(image, &prep.geom, rows.start, rows.end),
+        )?;
+        p.stats.h2d_bytes += res.h2d_bytes as u64;
+        Ok(res)
+    }
+
+    /// The GPU chunk's device side, in order on the one device queue: the
+    /// H2D once the dispatch has returned, taking `h2d` seconds (the
+    /// region's own transfer, or a batch member's share of one coalesced
+    /// transfer), then the kernels, then the D2H.
+    fn place(&mut self, h2d: f64, res: &GpuRegionResult) {
+        let ev = self.q.enqueue("h2d", self.cpu_now, h2d);
+        self.trace.push("h2d", Resource::Gpu, ev.start, ev.end);
+        self.b.h2d += h2d;
+        for &(_, t) in &res.kernel_times {
+            let ev = self.q.enqueue("kernel", self.q.drain_time(), t);
+            self.trace.push("kernel", Resource::Gpu, ev.start, ev.end);
+            self.b.kernels += t;
+        }
+        let ev = self.q.enqueue("d2h", self.q.drain_time(), res.d2h_time);
+        self.trace.push("d2h", Resource::Gpu, ev.start, ev.end);
+        self.b.d2h += res.d2h_time;
+    }
+}
+
+/// One image of a batched whole-image GPU decode (PR 9), staged: the `Gpu`
+/// plan up to the device placement, which waits until the batch's one
+/// coalesced host→device transfer is priced.
+pub(crate) struct GpuBatchMember {
+    image: RgbImage,
+    tl: Timeline,
+    res: GpuRegionResult,
+}
+
+impl GpuBatchMember {
+    /// Stage one image: the entropy step, then the GPU chunk's CPU side
+    /// over the whole image. The payload still crosses the bus, so its
+    /// bytes count; the transfer does not, and nothing is placed yet. The
+    /// caller prices ONE coalesced PCIe transfer over all members
+    /// ([`hetjpeg_gpusim::PcieModel::batched_transfer_time`]) and counts it.
+    pub(crate) fn stage(
+        prep: &Prepared<'_>,
+        platform: &Platform,
+        model: &PerformanceModel,
+        ws: &mut Workspace,
+    ) -> Result<GpuBatchMember> {
+        let geom = &prep.geom;
+        ws.ensure(prep);
+        let mut p = ws.parts();
+        let mut tl = Timeline::default();
+        Entropy::new(prep)?.until(geom.mcus_y, p.coef, platform, &mut tl)?;
+        let mut image = RgbImage::new(geom.width, geom.height);
+        let res = tl.ship(prep, platform, model, &mut p, 0..geom.mcus_y, &mut image)?;
+        Ok(GpuBatchMember { image, tl, res })
+    }
+
+    /// Bytes this image adds to the coalesced transfer.
+    pub(crate) fn h2d_bytes(&self) -> usize {
+        self.res.h2d_bytes
+    }
+
+    /// Place the member with `h2d_share`, its byte-proportional slice of
+    /// the batch's single H2D time.
+    pub(crate) fn finish(mut self, h2d_share: f64) -> DecodeOutcome {
+        self.tl.place(h2d_share, &self.res);
+        self.tl.outcome(self.image, None, Mode::Gpu, None, false)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::schedule::reference;
+    use crate::session::{DecodeOptions, Decoder};
+    use crate::timeline::Breakdown;
+    use hetjpeg_corpus::{generate_jpeg, generate_rgb, ImageSpec, Pattern};
+    use hetjpeg_jpeg::encoder::{encode_rgb, EncodeParams};
+    use hetjpeg_jpeg::types::Subsampling;
+
+    /// What an outcome says besides its pixels, every number as its bits.
+    #[derive(Debug, PartialEq)]
+    struct Exact {
+        times: [u64; 7],
+        spans: Vec<(&'static str, Resource, u64, u64)>,
+        partition: Option<(usize, usize, u64, usize, u64, u64)>,
+        mode: Mode,
+        truncated: bool,
+    }
+
+    fn exact(out: &DecodeOutcome) -> Exact {
+        let Breakdown {
+            huffman,
+            h2d,
+            kernels,
+            d2h,
+            cpu_parallel,
+            dispatch,
+            total,
+        } = out.times;
+        Exact {
+            times: [huffman, h2d, kernels, d2h, cpu_parallel, dispatch, total].map(f64::to_bits),
+            spans: (out.trace.spans.iter())
+                .map(|s| (s.label, s.resource, s.start.to_bits(), s.end.to_bits()))
+                .collect(),
+            partition: out.partition.map(|p| {
+                (
+                    p.gpu_mcu_rows,
+                    p.cpu_mcu_rows,
+                    p.x_pixel_rows.to_bits(),
+                    p.iterations,
+                    p.predicted_cpu.to_bits(),
+                    p.predicted_gpu.to_bits(),
+                )
+            }),
+            mode: out.mode,
+            truncated: out.truncated,
+        }
+    }
+
+    /// `f`'s result on `ws`, with the H2D transfers and bytes it counted.
+    fn counted(
+        ws: &mut Workspace,
+        f: impl FnOnce(&mut Workspace) -> Result<DecodeOutcome>,
+    ) -> (Result<DecodeOutcome>, (u64, u64)) {
+        let before = ws.stats();
+        let out = f(ws);
+        let after = ws.stats();
+        let transfers = after.h2d_transfers - before.h2d_transfers;
+        (out, (transfers, after.h2d_bytes - before.h2d_bytes))
+    }
+
+    /// Runs `plan` on the shared `ws` and the parent's body for it on a
+    /// fresh workspace, and asserts the same pixels, every number to the
+    /// bit and the same H2D counter deltas — or the same error and the same
+    /// deltas. Returns the split scheduler's outcome (`None` on the error)
+    /// and transfer count.
+    fn assert_parent_equal(
+        prep: &Prepared<'_>,
+        platform: &Platform,
+        model: &PerformanceModel,
+        plan: &Plan,
+        ws: &mut Workspace,
+        ctx: &str,
+    ) -> (Option<DecodeOutcome>, u64) {
+        let (want, want_counts) = counted(&mut Workspace::default(), |ws| match plan.mode {
+            Mode::Gpu => reference::gpu(prep, platform, model, ws),
+            Mode::PipelinedGpu => reference::pipelined_gpu(prep, platform, model, ws),
+            Mode::Sps => reference::sps(prep, platform, model, ws),
+            _ => reference::pps(prep, platform, model, plan.repartition, ws),
+        });
+        let (got, counts) = counted(ws, |ws| decode(prep, platform, model, plan, ws));
+        assert_eq!(counts, want_counts, "{ctx}: H2D transfers and bytes");
+        match (&got, want) {
+            (Ok(out), Ok(want)) => {
+                assert!(out.image.data == want.image.data, "{ctx}: pixels");
+                assert_eq!(exact(out), exact(&want), "{ctx}");
+            }
+            (got, want) => assert_eq!(got.as_ref().err(), want.err().as_ref(), "{ctx}"),
+        }
+        (got.ok(), counts.0)
+    }
+
+    /// The models of the matrix: the platform's seed, and two doctored so
+    /// that the SPS and PPS splits put every row on the GPU, and none.
+    fn models(platform: &Platform) -> [PerformanceModel; 3] {
+        let seed = platform.untrained_model();
+        let mut all_gpu = seed.clone();
+        all_gpu.p_cpu.coefs[0][0] += 10.0; // the CPU band looks hopeless
+        let mut all_cpu = seed.clone();
+        all_cpu.p_gpu.coefs[0][0] += 10.0; // the GPU share looks hopeless
+        [seed, all_gpu, all_cpu]
+    }
+
+    /// Every plan of the matrix on one image, all on the shared `ws`:
+    /// `PipelinedGpu` and PPS (re-partitioning on and off) at chunk
+    /// heights of the default, 1 and past the image; `Sps` and PPS under
+    /// each model; `Gpu` once.
+    fn assert_image(prep: &Prepared<'_>, platform: &Platform, ws: &mut Workspace, ctx: &str) {
+        let mcus_y = prep.geom.mcus_y;
+        for (m, model) in models(platform).into_iter().enumerate() {
+            if m > 0 {
+                let want = if m == 1 { mcus_y } else { 0 };
+                for mode in [Mode::Sps, Mode::Pps] {
+                    let got = Plan::of(mode, prep, &model).gpu_rows;
+                    assert_eq!(
+                        got, want,
+                        "{ctx}: model {m} must put {mode:?}'s split at an end"
+                    );
+                }
+            }
+            for (c, chunk) in [model.chunk_mcu_rows, 1, mcus_y + 1]
+                .into_iter()
+                .enumerate()
+            {
+                let model = PerformanceModel {
+                    chunk_mcu_rows: chunk,
+                    ..model.clone()
+                };
+                for mode in [Mode::Gpu, Mode::PipelinedGpu, Mode::Sps, Mode::Pps] {
+                    let reads_split = matches!(mode, Mode::Sps | Mode::Pps);
+                    let reads_chunk = matches!(mode, Mode::PipelinedGpu | Mode::Pps);
+                    if (m > 0 && !reads_split) || (c > 0 && !reads_chunk) {
+                        continue;
+                    }
+                    let plan = Plan::of(mode, prep, &model);
+                    let ctx = format!("{ctx}, model {m}, chunk {chunk}, {mode:?}");
+                    assert_parent_equal(prep, platform, &model, &plan, ws, &ctx);
+                    if plan.repartition {
+                        let fixed = Plan {
+                            repartition: false,
+                            ..plan
+                        };
+                        let ctx = format!("{ctx} without re-partitioning");
+                        assert_parent_equal(prep, platform, &model, &fixed, ws, &ctx);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn split_scheduler_equals_the_parent_bodies_bit_for_bit() {
+        let mut ws = Workspace::default();
+        for platform in Platform::all() {
+            for sub in [Subsampling::S444, Subsampling::S422, Subsampling::S420] {
+                let mcu_h = if sub == Subsampling::S420 { 16 } else { 8 };
+                // One MCU row; exactly one default chunk; odd; tall, with a
+                // short last chunk and a clipped last MCU row. Each clipped
+                // row is more than half there, so the doctored models'
+                // splits round to the image's ends.
+                for (w, h) in [
+                    (48, mcu_h),
+                    (48, 16 * mcu_h),
+                    (97, 61),
+                    (40, 51 * mcu_h - 3),
+                ] {
+                    let spec = ImageSpec {
+                        width: w,
+                        height: h,
+                        pattern: Pattern::PhotoLike { detail: 0.6 },
+                        seed: (w * h) as u64,
+                    };
+                    let jpeg = generate_jpeg(&spec, 85, sub).expect("encode");
+                    let prep = Prepared::new(&jpeg).expect("parse");
+                    let ctx = format!("{} {} {w}x{h}", platform.name, sub.notation());
+                    assert_image(&prep, &platform, &mut ws, &ctx);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn repartitioning_on_skewed_entropy_equals_the_parent_bit_for_bit() {
+        // Detail ramps make Eq. 16/17 move the boundary, so the
+        // re-partitioned path runs for real.
+        let mut ws = Workspace::default();
+        for (top, bottom) in [(0.05, 0.95), (0.95, 0.05)] {
+            let spec = ImageSpec {
+                width: 384,
+                height: 512,
+                pattern: Pattern::DetailRamp { top, bottom },
+                seed: 11,
+            };
+            let jpeg = generate_jpeg(&spec, 85, Subsampling::S422).expect("encode");
+            let prep = Prepared::new(&jpeg).expect("parse");
+            for platform in Platform::all() {
+                let model = platform.untrained_model();
+                let plan = Plan::of(Mode::Pps, &prep, &model);
+                let ctx = format!("{} ramp {top}->{bottom}", platform.name);
+                let (out, _) = assert_parent_equal(&prep, &platform, &model, &plan, &mut ws, &ctx);
+                let moved = out.expect("decode").partition.expect("split").gpu_mcu_rows;
+                assert_ne!(moved, plan.gpu_rows, "{ctx}: the boundary must move");
+                let fixed = Plan {
+                    repartition: false,
+                    ..plan
+                };
+                assert_parent_equal(&prep, &platform, &model, &fixed, &mut ws, &ctx);
+            }
+        }
+    }
+
+    #[test]
+    fn batched_gpu_members_equal_the_parent_batch_bit_for_bit() {
+        for n in [2usize, 8] {
+            let images: Vec<Vec<u8>> = (0..n)
+                .map(|i| {
+                    let spec = ImageSpec {
+                        width: 48 + 16 * i,
+                        height: 40 + 8 * (i % 3),
+                        pattern: Pattern::PhotoLike { detail: 0.5 },
+                        seed: i as u64,
+                    };
+                    generate_jpeg(&spec, 80, Subsampling::S420).expect("encode")
+                })
+                .collect();
+            let decoder = Decoder::builder()
+                .platform(Platform::gtx680())
+                .build()
+                .expect("session");
+            let got = decoder.decode_batch(&images, DecodeOptions::with_mode(Mode::Gpu));
+            let counts = decoder.pool_stats();
+            // The parent's batch: stage every member, price one coalesced
+            // transfer, finish each member with its byte-proportional share.
+            let (platform, model) = (decoder.platform(), decoder.model());
+            let mut ws = Workspace::default();
+            let staged: Vec<_> = (images.iter())
+                .map(|j| {
+                    let prep = Prepared::new(j).expect("parse");
+                    reference::gpu_batch_stage(&prep, platform, model, &mut ws).expect("stage")
+                })
+                .collect();
+            let sizes: Vec<usize> = staged.iter().map(|m| m.h2d_bytes).collect();
+            let total: usize = sizes.iter().sum();
+            let batch_time = platform.pcie.batched_transfer_time(&sizes, true);
+            for (i, (got, m)) in got.iter().zip(staged).enumerate() {
+                let share = batch_time * m.h2d_bytes as f64 / total as f64;
+                let want = reference::gpu_batch_finish(m, share);
+                let got = got.as_ref().expect("decode");
+                assert!(
+                    got.image.data == want.image.data,
+                    "{n} members, #{i}: pixels"
+                );
+                assert_eq!(exact(got), exact(&want), "{n} members, #{i}");
+            }
+            let want_counts = (1, ws.stats().h2d_bytes);
+            assert_eq!(
+                (counts.h2d_transfers, counts.h2d_bytes),
+                want_counts,
+                "{n} members"
+            );
+        }
+    }
+
+    #[test]
+    fn a_stream_cut_inside_the_gpu_share_fails_as_the_parent_did() {
+        // Restart markers make the cut an error — the next RSTn never
+        // comes — instead of zero padding. Every plan must return the
+        // parent's error under strict handling, and the chunks shipped
+        // before it must count as they did.
+        let spec = ImageSpec {
+            width: 64,
+            height: 256,
+            pattern: Pattern::PhotoLike { detail: 0.6 },
+            seed: 5,
+        };
+        let params = EncodeParams {
+            quality: 85,
+            subsampling: Subsampling::S422,
+            restart_interval: 4,
+        };
+        let mut jpeg = encode_rgb(&generate_rgb(&spec), 64, 256, &params).expect("encode");
+        jpeg.truncate(jpeg.len() * 2 / 5);
+        let prep = Prepared::new(&jpeg).expect("headers survive the cut");
+        let platform = Platform::gtx680();
+        let mut ws = Workspace::default();
+        for chunk in [1, 4] {
+            let model = PerformanceModel {
+                chunk_mcu_rows: chunk,
+                ..platform.untrained_model()
+            };
+            for mode in [Mode::Gpu, Mode::PipelinedGpu, Mode::Sps, Mode::Pps] {
+                let plan = Plan::of(mode, &prep, &model);
+                let ctx = format!("chunk {chunk}, {mode:?}");
+                let (out, transfers) =
+                    assert_parent_equal(&prep, &platform, &model, &plan, &mut ws, &ctx);
+                assert!(out.is_none(), "{ctx}: the cut must fail a strict decode");
+                if plan.chunk.is_some() {
+                    assert!(transfers > 0, "{ctx}: chunks ship before the cut");
+                }
+            }
+        }
+    }
+}

@@ -27,6 +27,7 @@
 use crate::exec::{decode_pps_threaded_impl, ThreadedOutcome};
 use crate::model::PerformanceModel;
 use crate::platform::Platform;
+use crate::schedule::split::GpuBatchMember;
 use crate::schedule::{auto, dispatch, eob_classes_in, render_cpu, DecodeOutcome, Filled, Mode};
 use crate::workspace::{PoolStats, Workspace};
 use hetjpeg_jpeg::decoder::kernels::SimdLevel;
@@ -382,7 +383,7 @@ struct SessionState {
 enum BatchPlan {
     /// Whole-image GPU mode: staged for the batch's single coalesced H2D
     /// transfer (or the staging error).
-    Stage(Result<crate::schedule::single::GpuBatchMember>),
+    Stage(Result<Box<GpuBatchMember>>),
     /// A concrete non-GPU mode, already resolved (possibly from the `Auto`
     /// cache) — decode per-image without re-resolving.
     Resolved(Mode),
@@ -591,7 +592,7 @@ impl Decoder {
                 .collect();
         }
         let mut results: Vec<Option<Result<DecodeOutcome>>> = images.iter().map(|_| None).collect();
-        let mut staged: Vec<(usize, crate::schedule::single::GpuBatchMember)> = Vec::new();
+        let mut staged: Vec<(usize, Box<GpuBatchMember>)> = Vec::new();
         for (i, data) in images.iter().enumerate() {
             let data = data.as_ref();
             match self.plan_batch_member(&mut state, data, &opts) {
@@ -622,19 +623,17 @@ impl Decoder {
             }
         }
         if !staged.is_empty() {
-            let sizes: Vec<usize> = staged.iter().map(|(_, m)| m.h2d_bytes).collect();
+            let sizes: Vec<usize> = staged.iter().map(|(_, m)| m.h2d_bytes()).collect();
             let total_bytes: usize = sizes.iter().sum();
             let batch_time = self.platform.pcie.batched_transfer_time(&sizes, true);
             state.ws.stats.h2d_transfers += 1;
             for (i, m) in staged {
                 let share = if total_bytes > 0 {
-                    batch_time * m.h2d_bytes as f64 / total_bytes as f64
+                    batch_time * m.h2d_bytes() as f64 / total_bytes as f64
                 } else {
                     batch_time / sizes.len() as f64
                 };
-                results[i] = Some(Ok(crate::schedule::single::finish_gpu_batch_member(
-                    m, share,
-                )));
+                results[i] = Some(Ok(m.finish(share)));
             }
         }
         results
@@ -748,22 +747,14 @@ impl Decoder {
             return BatchPlan::Resolved(mode);
         }
         self.pin_level(&mut state.ws, opts, mode);
-        BatchPlan::Stage(crate::schedule::single::decode_gpu_batch_stage(
-            &prep,
-            &self.platform,
-            &self.model,
-            &mut state.ws,
-        ))
+        let staged = GpuBatchMember::stage(&prep, &self.platform, &self.model, &mut state.ws);
+        BatchPlan::Stage(staged.map(Box::new))
     }
 
     /// Decode with the real two-thread PPS pipeline (wall-clock, not
     /// virtual time) — the host demonstration of §3/§4.5.
     pub fn decode_threaded(&self, data: &[u8]) -> Result<ThreadedOutcome> {
-        let transfer = {
-            let state = self.state.lock().expect("decoder state lock");
-            state.ws.gpu.transfer()
-        };
-        decode_pps_threaded_impl(data, &self.platform, &self.model, transfer)
+        decode_pps_threaded_impl(data, &self.platform, &self.model)
     }
 
     /// Predict every concrete mode's total for an image without decoding

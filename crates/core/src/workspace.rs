@@ -84,38 +84,18 @@ impl GeomKey {
     }
 }
 
-/// The session's simulated GPU: the transfer layout, read from
-/// `HETJPEG_GPU_TRANSFER` once when the slot (and so the workspace) is
-/// created, and the device context, made on the first GPU region and kept
-/// for every later one.
-pub(crate) struct GpuSlot {
-    transfer: TransferMode,
-    ctx: Option<GpuContext>,
-}
-
-impl Default for GpuSlot {
-    fn default() -> Self {
-        GpuSlot {
-            transfer: TransferMode::from_env(),
-            ctx: None,
-        }
+/// The device context in a workspace's GPU slot for `platform`: made on the
+/// first GPU region, shipping the default transfer layout, and kept for
+/// every later one (a session has one platform; a bare workspace handed a
+/// different one gets a new device).
+pub(crate) fn gpu_on<'a>(
+    slot: &'a mut Option<GpuContext>,
+    platform: &Platform,
+) -> &'a mut GpuContext {
+    if !slot.as_ref().is_some_and(|c| c.serves(platform)) {
+        *slot = Some(GpuContext::new(platform, TransferMode::default()));
     }
-}
-
-impl GpuSlot {
-    /// The layout every GPU decode of this session ships.
-    pub(crate) fn transfer(&self) -> TransferMode {
-        self.transfer
-    }
-
-    /// The device context for `platform` (a session has one platform; a
-    /// bare workspace handed a different one gets a new device).
-    pub(crate) fn on(&mut self, platform: &Platform) -> &mut GpuContext {
-        if !self.ctx.as_ref().is_some_and(|c| c.serves(platform)) {
-            self.ctx = Some(GpuContext::new(platform, self.transfer));
-        }
-        self.ctx.as_mut().expect("context made above")
-    }
+    slot.as_mut().expect("context made above")
 }
 
 /// Pooled scratch for one decode session. `Default` yields an empty pool;
@@ -132,7 +112,8 @@ pub struct Workspace {
     /// the scratch's own choice (host detection) in place; the session
     /// decoder resolves it once per call.
     simd_level: Option<SimdLevel>,
-    pub(crate) gpu: GpuSlot,
+    /// The simulated GPU, made on the first GPU region ([`gpu_on`]).
+    pub(crate) gpu: Option<GpuContext>,
     pub(crate) stats: PoolStats,
     /// Cumulative speculative-entropy counters (ISSUE 6): chunk workers
     /// launched, convergence waste, stitch re-decodes. Merged in by every
@@ -152,7 +133,7 @@ pub(crate) struct WsParts<'a> {
     pub coef: &'a mut CoefBuffer,
     pub scratch: &'a mut simd::SimdScratch,
     pub tile: &'a mut Vec<u8>,
-    pub gpu: &'a mut GpuSlot,
+    pub gpu: &'a mut Option<GpuContext>,
     pub stats: &'a mut PoolStats,
 }
 
