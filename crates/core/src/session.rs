@@ -33,6 +33,7 @@ use crate::workspace::{PoolStats, Workspace};
 use hetjpeg_jpeg::decoder::kernels::SimdLevel;
 use hetjpeg_jpeg::decoder::{simd, Prepared};
 use hetjpeg_jpeg::error::{Error, Result};
+use hetjpeg_jpeg::markers::{self, Parsed};
 use hetjpeg_jpeg::metrics::{ParallelWork, RowMetrics};
 use hetjpeg_jpeg::progressive::{self, ProgressiveParsed};
 use hetjpeg_jpeg::types::Subsampling;
@@ -733,10 +734,10 @@ impl Decoder {
         data: &[u8],
         opts: &DecodeOptions,
     ) -> BatchPlan {
-        if opts.format != OutputFormat::Rgb || progressive::is_progressive(data) {
+        if opts.format != OutputFormat::Rgb {
             return BatchPlan::Solo;
         }
-        let Ok((prep, _)) = open(data, opts) else {
+        let Ok((prep, None)) = open(data, opts) else {
             return BatchPlan::Solo;
         };
         let mode = match opts.mode {
@@ -959,19 +960,15 @@ fn open<'a>(
     data: &'a [u8],
     opts: &DecodeOptions,
 ) -> Result<(Prepared<'a>, Option<ProgressiveParsed<'a>>)> {
-    let (prep, scans) = if progressive::is_progressive(data) {
-        let parsed = progressive::parse_progressive(data)?;
-        if opts.strictness == Strictness::Strict {
-            if let Some(damage) = &parsed.damage {
+    let (prep, scans) = match markers::parse(data)? {
+        Parsed::Baseline(parsed) => (Prepared::from_parsed(parsed)?, None),
+        Parsed::Progressive(parsed) => {
+            // A scan script is incomplete exactly when it is damaged.
+            if let (Strictness::Strict, Some(damage)) = (opts.strictness, &parsed.damage) {
                 return Err(damage.clone());
             }
-            if !parsed.complete {
-                return Err(Error::UnexpectedEof);
-            }
+            (Prepared::from_progressive(&parsed)?, Some(parsed))
         }
-        (Prepared::from_progressive(&parsed)?, Some(parsed))
-    } else {
-        (Prepared::new(data)?, None)
     };
     if opts.max_pixels.is_some_and(|max| prep.geom.pixels() > max) {
         return Err(Error::Unsupported("image exceeds the max_pixels guard"));
@@ -1378,6 +1375,38 @@ mod tests {
             rgb.extend_from_slice(&[(s >> 8) as u8, (s >> 16) as u8, (s >> 24) as u8]);
         }
         rgb
+    }
+
+    /// SOI, a three-component SOF2, then a DRI segment whose payload is
+    /// missing: the header reader used to index past the end, and the
+    /// panic poisoned the session.
+    #[test]
+    fn a_dri_cut_short_is_an_error_and_leaves_the_session_usable() {
+        use hetjpeg_jpeg::markers::{m, write_dri, write_sof, write_soi};
+        use hetjpeg_jpeg::progressive::{encode_rgb_progressive, ScanPreset};
+        let params = EncodeParams {
+            quality: 80,
+            subsampling: Subsampling::S420,
+            restart_interval: 0,
+        };
+        let good =
+            encode_rgb_progressive(&rgb_of(32, 24, 5), 32, 24, &params, ScanPreset::Spectral4)
+                .unwrap();
+        let mut bad = Vec::new();
+        write_soi(&mut bad);
+        let frame = progressive::parse_progressive(&good).unwrap().frame;
+        write_sof(&mut bad, m::SOF2, &frame);
+        write_dri(&mut bad, 3);
+        bad.truncate(bad.len() - 2);
+        let dec = Decoder::builder().build().unwrap();
+        for opts in [
+            DecodeOptions::default(),
+            DecodeOptions::default().tolerant(),
+        ] {
+            assert_eq!(dec.decode(&bad, opts).err(), Some(Error::UnexpectedEof));
+            assert!(!dec.is_poisoned());
+        }
+        dec.decode(&good, DecodeOptions::default()).unwrap();
     }
 
     #[test]

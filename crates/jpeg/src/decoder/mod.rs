@@ -50,37 +50,7 @@ pub struct Prepared<'a> {
 impl<'a> Prepared<'a> {
     /// Parse headers and resolve tables.
     pub fn new(data: &'a [u8]) -> Result<Self> {
-        let parsed = parse_jpeg(data)?;
-        let geom = Geometry::new(
-            parsed.frame.width,
-            parsed.frame.height,
-            parsed.frame.subsampling,
-        )?;
-        let resolve = |ci: usize| -> Result<QuantTable> {
-            let slot = parsed
-                .frame
-                .components
-                .get(ci)
-                .map(|c| c.quant_idx)
-                .unwrap_or(0);
-            parsed
-                .quant
-                .get(slot)
-                .and_then(|q| q.clone())
-                .ok_or(Error::Malformed("missing quantization table"))
-        };
-        let quant = [
-            resolve(0)?,
-            resolve(1.min(parsed.frame.components.len() - 1))?,
-            resolve(2.min(parsed.frame.components.len() - 1))?,
-        ];
-        Ok(Prepared {
-            parsed,
-            geom,
-            quant,
-            ycc: YccTables::new(),
-            huffman: OnceLock::new(),
-        })
+        Self::from_parsed(parse_jpeg(data)?)
     }
 
     /// Resolve geometry and tables for a parsed *progressive* stream. The
@@ -90,25 +60,36 @@ impl<'a> Prepared<'a> {
     /// tables and density estimate are consumed downstream — calling
     /// [`Self::entropy_decoder`] on this value would decode nothing.
     pub fn from_progressive(prog: &crate::progressive::ProgressiveParsed<'a>) -> Result<Self> {
-        let frame = prog.frame.clone();
-        let geom = Geometry::new(frame.width, frame.height, frame.subsampling)?;
-        let resolve = |ci: usize| -> Result<QuantTable> {
-            let slot = frame.components.get(ci).map(|c| c.quant_idx).unwrap_or(0);
-            prog.quant
-                .get(slot)
-                .and_then(|q| q.clone())
-                .ok_or(Error::Malformed("missing quantization table"))
-        };
-        let n = frame.components.len();
-        let quant = [resolve(0)?, resolve(1.min(n - 1))?, resolve(2.min(n - 1))?];
-        let parsed = ParsedJpeg {
-            frame,
+        Self::from_parsed(ParsedJpeg {
+            frame: prog.frame.clone(),
             quant: prog.quant.clone(),
             dc_specs: [None, None, None, None],
             ac_specs: [None, None, None, None],
             scan_data: &[],
             file_size: prog.file_size,
+        })
+    }
+
+    /// Resolve geometry and tables for a parsed baseline stream; each
+    /// component's quantization table comes from its DQT slot (a
+    /// one-component frame repeats its table).
+    pub fn from_parsed(parsed: ParsedJpeg<'a>) -> Result<Self> {
+        let frame = &parsed.frame;
+        let geom = Geometry::new(frame.width, frame.height, frame.subsampling)?;
+        let last = frame.components.len().saturating_sub(1);
+        let quant_of = |ci: usize| -> Result<QuantTable> {
+            let slot = frame
+                .components
+                .get(ci.min(last))
+                .map_or(0, |c| c.quant_idx);
+            parsed
+                .quant
+                .get(slot)
+                .cloned()
+                .flatten()
+                .ok_or(Error::Malformed("missing quantization table"))
         };
+        let quant = [quant_of(0)?, quant_of(1)?, quant_of(2)?];
         Ok(Prepared {
             parsed,
             geom,

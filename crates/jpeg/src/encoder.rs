@@ -245,7 +245,7 @@ fn assemble_file(
     markers::write_app0_jfif(&mut out);
     markers::write_dqt(&mut out, 0, quant_l);
     markers::write_dqt(&mut out, 1, quant_c);
-    markers::write_sof0(&mut out, frame);
+    markers::write_sof(&mut out, markers::m::SOF0, frame);
     markers::write_dht(&mut out, 0, 0, &spec::dc_luma());
     markers::write_dht(&mut out, 1, 0, &spec::ac_luma());
     markers::write_dht(&mut out, 0, 1, &spec::dc_chroma());

@@ -63,6 +63,8 @@ pub mod encoder;
 pub mod entropy;
 pub mod error;
 pub mod geometry;
+#[cfg(test)]
+mod header_oracle;
 pub mod huffman;
 pub mod markers;
 pub mod metrics;

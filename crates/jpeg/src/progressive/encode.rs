@@ -132,7 +132,7 @@ pub fn encode_rgb_progressive(
     markers::write_app0_jfif(&mut out);
     markers::write_dqt(&mut out, 0, &quant_l);
     markers::write_dqt(&mut out, 1, &quant_c);
-    markers::write_sof2(&mut out, &frame);
+    markers::write_sof(&mut out, markers::m::SOF2, &frame);
     if frame.restart_interval > 0 {
         markers::write_dri(&mut out, frame.restart_interval as u16);
     }

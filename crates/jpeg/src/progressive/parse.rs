@@ -1,12 +1,14 @@
-//! Multi-scan marker parsing for progressive (SOF2) streams.
+//! Multi-scan parsing for progressive (SOF2) streams.
 //!
-//! Unlike the baseline parser — which stops at the single SOS and hands the
-//! rest of the file to the entropy decoder — a progressive file interleaves
-//! marker segments *between* entropy-coded scans: DHT (and, rarely, DQT/DRI)
-//! segments may redefine tables mid-file, so each [`Scan`] snapshots the
-//! table state in force when its SOS was read. The parser also validates the
-//! scan script against the T.81 §G progression rules up front, so the decode
-//! stage never has to reason about illegal coefficient histories.
+//! The walk is the one every header reader shares ([`crate::markers`]):
+//! the same segment walker, table state and SOS parser as the baseline
+//! reader. What is progressive is what happens after the frame: the file
+//! interleaves marker segments *between* entropy-coded scans — DHT (and,
+//! rarely, DQT/DRI) may redefine tables mid-file — so each [`Scan`]
+//! snapshots the table state in force when its SOS was read. The scan
+//! script is validated against the T.81 §G progression rules up front, so
+//! the decode stage never has to reason about illegal coefficient
+//! histories.
 //!
 //! Structural truncation is *recoverable by design*: every scan completed
 //! before the damage is kept, and [`ProgressiveParsed::complete`] /
@@ -16,50 +18,10 @@
 
 use crate::error::{Error, Result};
 use crate::huffman::HuffSpec;
-use crate::markers::{self, m};
+use crate::markers::{self, m, Segment, Segments, Tables};
+pub use crate::markers::{is_progressive, ScanComp, ScanHeader};
 use crate::quant::QuantTable;
 use crate::types::FrameInfo;
-
-/// One component's participation in a scan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScanComp {
-    /// Index into `frame.components`.
-    pub comp: usize,
-    /// DC Huffman table selector for this scan.
-    pub dc_tbl: usize,
-    /// AC Huffman table selector for this scan.
-    pub ac_tbl: usize,
-}
-
-/// The SOS parameters of one scan: component list, spectral window and
-/// successive-approximation bit positions.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScanHeader {
-    /// Components in scan order.
-    pub comps: Vec<ScanComp>,
-    /// Spectral selection start (0 for DC scans).
-    pub ss: usize,
-    /// Spectral selection end (0 for DC scans, up to 63 for AC).
-    pub se: usize,
-    /// Successive approximation high bit (0 on a coefficient's first pass).
-    pub ah: u32,
-    /// Successive approximation low bit: coefficients arrive scaled by 2^al.
-    pub al: u32,
-}
-
-impl ScanHeader {
-    /// True for DC scans (spectral selection starts at coefficient 0).
-    #[inline]
-    pub fn is_dc(&self) -> bool {
-        self.ss == 0
-    }
-
-    /// True for refinement passes (successive approximation high bit set).
-    #[inline]
-    pub fn is_refinement(&self) -> bool {
-        self.ah != 0
-    }
-}
 
 /// One parsed scan: header, entropy data, and the table state snapshot the
 /// scan decodes under.
@@ -118,281 +80,85 @@ impl ProgressiveParsed<'_> {
     }
 }
 
-/// Cheap sniff: does this byte stream carry a progressive (SOF2) frame?
-/// Walks the marker structure up to the first SOFn / SOS and never errors —
-/// anything unparseable is simply "not progressive" and left to the
-/// baseline path's error reporting.
-pub fn is_progressive(data: &[u8]) -> bool {
-    if data.len() < 4 || data[0] != 0xFF || data[1] != m::SOI {
-        return false;
-    }
-    let mut pos = 2usize;
-    loop {
-        if pos + 1 >= data.len() || data[pos] != 0xFF {
-            return false;
-        }
-        let mut marker = data[pos + 1];
-        pos += 2;
-        while marker == 0xFF {
-            match data.get(pos) {
-                Some(&b) => marker = b,
-                None => return false,
-            }
-            pos += 1;
-        }
-        match marker {
-            m::SOF2 => return true,
-            // Any other SOF candidate, or reaching a scan, settles it.
-            0xC0 | 0xC1 | 0xC3 | 0xC5..=0xC7 | 0xC9..=0xCB | 0xCD..=0xCF | m::SOS | m::EOI => {
-                return false;
-            }
-            m::SOI | 0xD0..=0xD7 => return false, // stray markers: not a clean header
-            _ => {
-                let Some(len) = read_len(data, pos) else {
-                    return false;
-                };
-                pos += len;
-            }
-        }
-    }
-}
-
-fn read_len(data: &[u8], pos: usize) -> Option<usize> {
-    if pos + 1 >= data.len() {
-        return None;
-    }
-    let len = u16::from_be_bytes([data[pos], data[pos + 1]]) as usize;
-    if len < 2 {
-        return None;
-    }
-    Some(len)
-}
-
-/// Find the end of an entropy-coded segment starting at `start`: the offset
-/// of the first `FF xx` where `xx` is neither a stuffed 0x00 nor a restart
-/// marker. Returns `data.len()` when the stream ends inside the scan.
-fn scan_data_end(data: &[u8], start: usize) -> usize {
-    let mut i = start;
-    while i + 1 < data.len() {
-        if data[i] == 0xFF {
-            let next = data[i + 1];
-            if next != 0x00 && !(m::RST0..=m::RST7).contains(&next) {
-                return i;
-            }
-            i += 2;
-        } else {
-            i += 1;
-        }
-    }
-    data.len()
-}
-
 /// Parse a complete progressive JPEG byte stream. Errors before the first
 /// complete scan are fatal; later structural damage is recorded in
 /// [`ProgressiveParsed::damage`] with the scan prefix preserved.
 pub fn parse_progressive(data: &[u8]) -> Result<ProgressiveParsed<'_>> {
-    if data.len() < 4 || data[0] != 0xFF || data[1] != m::SOI {
-        return Err(Error::Malformed("missing SOI"));
+    let (segs, tables, sof) = markers::frame_start(data, true)?;
+    if sof.marker != m::SOF2 {
+        return Err(markers::reject_frame(sof.marker, true));
     }
-    let mut st = ParseState {
-        frame: None,
-        quant: [None, None, None, None],
-        dc_specs: [None, None, None, None],
-        ac_specs: [None, None, None, None],
-        restart_interval: 0,
-        scans: Vec::new(),
-        coef_bits: [[-1i8; 64]; 4],
-        complete: false,
-    };
-    let damage = match run_parse(data, &mut st) {
-        Ok(()) => None,
-        Err(e) if st.scans.is_empty() => return Err(e),
-        Err(e) => Some(e),
-    };
-    let frame = match st.frame {
-        Some(f) => f,
-        None => return Err(Error::Malformed("missing SOF2")),
-    };
-    if st.scans.is_empty() && damage.is_none() {
-        return Err(Error::Malformed("progressive stream has no scans"));
+    scans_after(data, segs, tables, &sof)
+}
+
+/// The rest of a progressive stream after its SOF2 segment `sof`.
+pub(crate) fn scans_after<'a>(
+    data: &'a [u8],
+    mut segs: Segments<'a>,
+    mut tables: Tables,
+    sof: &Segment<'a>,
+) -> Result<ProgressiveParsed<'a>> {
+    let frame = markers::parse_sof(sof.body()?)?;
+    if frame.components.len() > 3 {
+        return Err(Error::Unsupported("more than three components"));
+    }
+    let mut scans = Vec::new();
+    let damage = walk_scans(&mut segs, &mut tables, &frame, &mut scans).err();
+    if let (Some(e), true) = (&damage, scans.is_empty()) {
+        return Err(e.clone());
     }
     Ok(ProgressiveParsed {
         frame,
-        quant: st.quant,
-        scans: st.scans,
+        quant: tables.quant,
+        scans,
         file_size: data.len(),
-        complete: st.complete,
+        complete: damage.is_none(),
         damage,
     })
 }
 
-struct ParseState<'a> {
-    frame: Option<FrameInfo>,
-    quant: [Option<QuantTable>; 4],
-    dc_specs: [Option<HuffSpec>; 4],
-    ac_specs: [Option<HuffSpec>; 4],
-    restart_interval: usize,
-    scans: Vec<Scan<'a>>,
-    /// Progression tracker: `coef_bits[comp][k]` is the Al after the last
-    /// scan that coded coefficient `k` of component `comp`, or -1 before
-    /// any scan has (T.81 §G.1.1.1.1 scan-script rules).
-    coef_bits: [[i8; 64]; 4],
-    complete: bool,
-}
-
-fn run_parse<'a>(data: &'a [u8], st: &mut ParseState<'a>) -> Result<()> {
-    let mut pos = 2usize;
+/// Read scans up to EOI, each with the table state in force at its SOS.
+/// A stream that ends inside a scan keeps that scan and fails with
+/// `UnexpectedEof`.
+fn walk_scans<'a>(
+    segs: &mut Segments<'a>,
+    tables: &mut Tables,
+    frame: &FrameInfo,
+    scans: &mut Vec<Scan<'a>>,
+) -> Result<()> {
+    // Progression tracker: `coef_bits[comp][k]` is the Al after the last
+    // scan that coded coefficient `k` of component `comp`, or -1 before
+    // any scan has (T.81 §G.1.1.1.1 scan-script rules).
+    let mut coef_bits = [[-1i8; 64]; 4];
     loop {
-        if pos + 1 >= data.len() {
-            return Err(Error::UnexpectedEof);
-        }
-        if data[pos] != 0xFF {
-            return Err(Error::Malformed("expected marker"));
-        }
-        let mut marker = data[pos + 1];
-        pos += 2;
-        while marker == 0xFF {
-            marker = *data.get(pos).ok_or(Error::UnexpectedEof)?;
-            pos += 1;
-        }
-        match marker {
-            m::SOF2 => {
-                if st.frame.is_some() {
-                    return Err(Error::Malformed("duplicate SOF"));
-                }
-                let len = read_len(data, pos).ok_or(Error::UnexpectedEof)?;
-                let seg = data.get(pos + 2..pos + len).ok_or(Error::UnexpectedEof)?;
-                let frame = markers::parse_sof(seg)?;
-                if frame.components.len() > 3 {
-                    return Err(Error::Unsupported("more than three components"));
-                }
-                st.frame = Some(frame);
-                pos += len;
-            }
-            m::SOF0 | m::SOF1 | 0xC3 | 0xC5..=0xC7 | 0xCB | 0xCD..=0xCF => {
-                return Err(Error::Unsupported("expected progressive SOF2"));
-            }
-            m::SOF9 | m::SOF10 => return Err(Error::ArithmeticCoding),
-            m::DHP => return Err(Error::Hierarchical),
-            m::DQT => {
-                let len = read_len(data, pos).ok_or(Error::UnexpectedEof)?;
-                let seg = data.get(pos + 2..pos + len).ok_or(Error::UnexpectedEof)?;
-                markers::parse_dqt(seg, &mut st.quant)?;
-                pos += len;
-            }
-            m::DHT => {
-                let len = read_len(data, pos).ok_or(Error::UnexpectedEof)?;
-                let seg = data.get(pos + 2..pos + len).ok_or(Error::UnexpectedEof)?;
-                markers::parse_dht(seg, &mut st.dc_specs, &mut st.ac_specs)?;
-                pos += len;
-            }
-            m::DRI => {
-                let len = read_len(data, pos).ok_or(Error::UnexpectedEof)?;
-                if len != 4 {
-                    return Err(Error::Malformed("DRI length"));
-                }
-                st.restart_interval = u16::from_be_bytes([data[pos + 2], data[pos + 3]]) as usize;
-                pos += len;
-            }
+        let seg = segs.next_structural(tables)?;
+        match seg.marker {
             m::SOS => {
-                let len = read_len(data, pos).ok_or(Error::UnexpectedEof)?;
-                let seg = data.get(pos + 2..pos + len).ok_or(Error::UnexpectedEof)?;
-                let frame = st
-                    .frame
-                    .as_ref()
-                    .ok_or(Error::Malformed("SOS before SOF"))?;
-                let header = parse_progressive_sos(seg, frame)?;
-                validate_scan(&header, frame, &mut st.coef_bits)?;
-                let start = pos + len;
-                if start > data.len() {
-                    return Err(Error::UnexpectedEof);
-                }
-                let end = scan_data_end(data, start);
-                st.scans.push(Scan {
+                let header = markers::parse_sos(seg.body()?, frame)?;
+                validate_scan(&header, &mut coef_bits)?;
+                scans.push(Scan {
                     header,
-                    data: &data[start..end],
-                    data_offset: start,
-                    dc_specs: st.dc_specs.clone(),
-                    ac_specs: st.ac_specs.clone(),
-                    restart_interval: st.restart_interval,
+                    data_offset: segs.offset(),
+                    data: segs.entropy_coded(),
+                    dc_specs: tables.dc_specs.clone(),
+                    ac_specs: tables.ac_specs.clone(),
+                    restart_interval: tables.restart_interval,
                 });
-                if end >= data.len() {
-                    // Stream ended inside the scan: recoverable truncation.
+                if segs.at_end() {
                     return Err(Error::UnexpectedEof);
                 }
-                pos = end;
             }
-            m::EOI => {
-                if st.scans.is_empty() {
-                    return Err(Error::Malformed("EOI before any scan"));
-                }
-                st.complete = true;
-                return Ok(());
-            }
-            0xE0..=0xEF | m::COM | m::TEM => {
-                let len = read_len(data, pos).ok_or(Error::UnexpectedEof)?;
-                pos += len;
-            }
-            _ => {
-                let len = read_len(data, pos).ok_or(Error::Malformed("segment length"))?;
-                pos += len;
-            }
+            m::EOI if scans.is_empty() => return Err(Error::Malformed("EOI before any scan")),
+            m::EOI => return Ok(()),
+            m::SOF2 => return Err(Error::Malformed("duplicate SOF")),
+            marker => return Err(markers::reject_frame(marker, true)),
         }
     }
-}
-
-/// Parse a progressive SOS segment against the frame's component list.
-fn parse_progressive_sos(seg: &[u8], frame: &FrameInfo) -> Result<ScanHeader> {
-    if seg.is_empty() {
-        return Err(Error::Malformed("SOS empty"));
-    }
-    let ns = seg[0] as usize;
-    if ns == 0 || ns > frame.components.len() {
-        return Err(Error::Malformed("SOS component count"));
-    }
-    if seg.len() < 1 + 2 * ns + 3 {
-        return Err(Error::Malformed("SOS too short"));
-    }
-    let mut comps = Vec::with_capacity(ns);
-    for i in 0..ns {
-        let cs = seg[1 + 2 * i];
-        let tables = seg[2 + 2 * i];
-        let comp = frame
-            .components
-            .iter()
-            .position(|c| c.id == cs)
-            .ok_or(Error::Malformed("SOS references unknown component"))?;
-        if comps.iter().any(|c: &ScanComp| c.comp == comp) {
-            return Err(Error::Malformed("SOS repeats a component"));
-        }
-        let dc_tbl = (tables >> 4) as usize;
-        let ac_tbl = (tables & 0x0F) as usize;
-        if dc_tbl > 3 || ac_tbl > 3 {
-            return Err(Error::Malformed("SOS table selector"));
-        }
-        comps.push(ScanComp {
-            comp,
-            dc_tbl,
-            ac_tbl,
-        });
-    }
-    let tail = &seg[1 + 2 * ns..];
-    Ok(ScanHeader {
-        comps,
-        ss: tail[0] as usize,
-        se: tail[1] as usize,
-        ah: (tail[2] >> 4) as u32,
-        al: (tail[2] & 0x0F) as u32,
-    })
 }
 
 /// Enforce the T.81 §G.1.1.1.1 scan-script rules and track per-coefficient
 /// successive-approximation state across scans.
-fn validate_scan(
-    header: &ScanHeader,
-    frame: &FrameInfo,
-    coef_bits: &mut [[i8; 64]; 4],
-) -> Result<()> {
+fn validate_scan(header: &ScanHeader, coef_bits: &mut [[i8; 64]; 4]) -> Result<()> {
     let (ss, se, ah, al) = (header.ss, header.se, header.ah, header.al);
     if ss == 0 {
         if se != 0 {
@@ -413,7 +179,6 @@ fn validate_scan(
     if ah != 0 && ah != al + 1 {
         return Err(Error::Malformed("successive approximation transition"));
     }
-    let _ = frame;
     for sc in &header.comps {
         let bits = &mut coef_bits[sc.comp];
         if ss > 0 && bits[0] < 0 {
@@ -439,7 +204,7 @@ fn validate_scan(
 mod tests {
     use super::*;
     use crate::huffman::spec;
-    use crate::markers::{write_dht, write_dqt, write_eoi, write_sof2, write_soi, write_sos_scan};
+    use crate::markers::{write_dht, write_dqt, write_eoi, write_sof, write_soi, write_sos_scan};
     use crate::types::ComponentSpec;
 
     fn frame_3() -> FrameInfo {
@@ -486,7 +251,7 @@ mod tests {
         write_soi(&mut out);
         write_dqt(&mut out, 0, &ql);
         write_dqt(&mut out, 1, &ql);
-        write_sof2(&mut out, &frame);
+        write_sof(&mut out, m::SOF2, &frame);
         write_dht(&mut out, 0, 0, &spec::dc_luma());
         write_dht(&mut out, 0, 1, &spec::dc_chroma());
         write_sos_scan(&mut out, &[(1, 0, 0), (2, 1, 0), (3, 1, 0)], 0, 0, 0, 1);
@@ -560,7 +325,7 @@ mod tests {
             let mut out = Vec::new();
             write_soi(&mut out);
             write_dqt(&mut out, 0, &ql);
-            write_sof2(&mut out, &frame);
+            write_sof(&mut out, m::SOF2, &frame);
             write_dht(&mut out, 0, 0, &spec::dc_luma());
             write_dht(&mut out, 1, 0, &spec::ac_luma());
             for &(comps, ss, se, ah, al) in scans {

@@ -527,7 +527,7 @@ mod tests {
         let mut out = Vec::new();
         markers::write_soi(&mut out);
         markers::write_dqt(&mut out, 0, &QuantTable::luma_for_quality(80).unwrap());
-        markers::write_sof2(&mut out, &frame);
+        markers::write_sof(&mut out, markers::m::SOF2, &frame);
         // (class, symbol, scan comps, ss, se, ah, al, raw bits after it)
         type ScanCase<'a> = (u8, u8, &'a [(u8, u8, u8)], u8, u8, u8, u8, (u32, u32));
         let scans: [ScanCase; 3] = [

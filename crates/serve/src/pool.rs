@@ -99,6 +99,7 @@ use hetjpeg_core::{
     DecodeOptions, DecodeOutcome, Decoder, Mode, OutputFormat, RowStreamOutcome, SessionStats,
     SimdLevel, Strictness,
 };
+use hetjpeg_jpeg::markers::sniff_frame;
 use hetjpeg_jpeg::types::RgbImage;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -1304,37 +1305,35 @@ impl TilePool {
     }
 }
 
+/// Entropy bytes per scan of a progressive source, in script order; `None`
+/// for a baseline or unparseable one. Pacing and degradation both read it.
+fn scan_bytes(data: &[u8]) -> Option<Vec<usize>> {
+    let parsed = hetjpeg_jpeg::progressive::parse_progressive(data).ok()?;
+    Some(parsed.scans.iter().map(|s| s.data.len()).collect())
+}
+
 /// Decide whether a progressive request must be paced: `Some(k)` means
 /// "decode only the first `k` scans" — the largest prefix whose predicted
 /// time (scan bytes over the shard's measured throughput) fits the budget,
 /// never fewer than the first scan (a DC render is the floor the server
-/// promises). `None` means the full scan script fits (or the request is
-/// not progressive, or no throughput has been measured yet).
+/// promises). `None` means the full scan script fits (or no throughput has
+/// been measured yet).
 fn paced_scan_limit(
-    data: &[u8],
+    scans: &[usize],
     budget: std::time::Duration,
     bytes_per_sec: Option<f64>,
 ) -> Option<usize> {
-    let rate = bytes_per_sec?;
-    if !hetjpeg_jpeg::progressive::is_progressive(data) {
-        return None;
-    }
-    let parsed = hetjpeg_jpeg::progressive::parse_progressive(data).ok()?;
-    let total: usize = parsed.scans.iter().map(|s| s.data.len()).sum();
-    let budget_bytes = rate * budget.as_secs_f64();
-    if total as f64 <= budget_bytes {
+    let budget_bytes = bytes_per_sec? * budget.as_secs_f64();
+    if scans.iter().sum::<usize>() as f64 <= budget_bytes {
         return None;
     }
     let mut cum = 0usize;
-    let mut k = 0usize;
-    for scan in &parsed.scans {
-        cum += scan.data.len();
-        if cum as f64 <= budget_bytes {
-            k += 1;
-        } else {
-            break;
-        }
-    }
+    let k = (scans.iter())
+        .take_while(|&&b| {
+            cum += b;
+            cum as f64 <= budget_bytes
+        })
+        .count();
     Some(k.max(1))
 }
 
@@ -1465,13 +1464,18 @@ fn serve_one(
     // fault. Overrides come first so the ladder min-composes onto them.
     let mut opts = inner.opts;
     apply_request_options(&mut opts, &req.options, decoder.simd_level());
-    let mut scan_limit = inner
-        .scan_deadline
-        .and_then(|budget| paced_scan_limit(&req.data, budget, state.load.bytes_per_sec.get()));
+    let rate = state.load.bytes_per_sec.get();
+    let scans = (inner.scan_deadline.is_some() || degrade_now)
+        .then(|| scan_bytes(&req.data))
+        .flatten();
+    let mut scan_limit = match (&scans, inner.scan_deadline) {
+        (Some(scans), Some(budget)) => paced_scan_limit(scans, budget, rate),
+        _ => None,
+    };
     let paced = scan_limit.is_some();
     let mut degraded = false;
     if degrade_now {
-        if hetjpeg_jpeg::progressive::is_progressive(&req.data) {
+        if let Some(scans) = &scans {
             // Degrade to the largest scan prefix the remaining budget can
             // absorb; a missed deadline floors at the DC-only render.
             let remaining = req
@@ -1481,7 +1485,7 @@ fn serve_one(
             let k = if remaining.is_zero() {
                 Some(1)
             } else {
-                paced_scan_limit(&req.data, remaining, state.load.bytes_per_sec.get())
+                paced_scan_limit(scans, remaining, rate)
             };
             if let Some(k) = k {
                 scan_limit = Some(scan_limit.map_or(k, |l| l.min(k)));
@@ -1682,73 +1686,23 @@ fn recover_panic(
     msg
 }
 
-/// Home shard for an image, by its shape fingerprint ([`ServeHandle::submit`]
-/// spills to other shards when the home queue is full). Unparseable data
-/// goes to shard 0, where the decode will produce the error that is then
-/// reported through the request's own reply slot.
+/// Home shard for an image, by its frame header ([`sniff_frame`]: width,
+/// height, component count, luma sampling factors — no entropy decoding,
+/// no table parsing, no allocation). [`ServeHandle::submit`] spills to
+/// other shards when the home queue is full. Progressive (SOF2) images
+/// share the key space with baseline ones, so a progressive image lands
+/// on the shard whose pooled buffers are hot for its shape. Unparseable
+/// data goes to shard 0, where the decode will produce the error that is
+/// then reported through the request's own reply slot.
 fn route(data: &[u8], shards: usize) -> usize {
-    match shape_key(data) {
-        Some(key) => {
+    match sniff_frame(data) {
+        Some(f) => {
             let mut h = DefaultHasher::new();
-            key.hash(&mut h);
+            (f.width, f.height, f.components, f.luma_sampling).hash(&mut h);
             (h.finish() % shards as u64) as usize
         }
         None => 0,
     }
-}
-
-/// Cheap shape fingerprint (width, height, component count, luma sampling
-/// factors) read by scanning the marker stream for SOF0/SOF1/SOF2 — no
-/// entropy decoding, no table parsing, no allocation. Progressive (SOF2)
-/// images share the fingerprint space with baseline ones: a progressive
-/// image routes to the same shard as its baseline counterpart of the same
-/// shape, where the pooled buffers for that shape already live. `None`
-/// when the bytes carry no recognized frame header.
-fn shape_key(data: &[u8]) -> Option<(u16, u16, u8, u8)> {
-    use hetjpeg_jpeg::markers::m;
-    if data.len() < 4 || data[0] != 0xFF || data[1] != m::SOI {
-        return None;
-    }
-    let mut pos = 2usize;
-    while pos + 3 < data.len() {
-        if data[pos] != 0xFF {
-            return None;
-        }
-        let marker = data[pos + 1];
-        match marker {
-            // Padding / RSTn / TEM: no length field.
-            0xFF => {
-                pos += 1;
-                continue;
-            }
-            m::TEM | m::RST0..=m::RST7 => {
-                pos += 2;
-                continue;
-            }
-            // SOS or EOI before any SOF: give up.
-            m::SOS | m::EOI => return None,
-            _ => {}
-        }
-        let len = u16::from_be_bytes([data[pos + 2], data[pos + 3]]) as usize;
-        if len < 2 || pos + 2 + len > data.len() {
-            return None;
-        }
-        if marker == m::SOF0 || marker == m::SOF1 || marker == m::SOF2 {
-            // SOF segment: precision(1) height(2) width(2) ncomp(1), then
-            // per component (id, sampling, tq).
-            let seg = &data[pos + 4..pos + 2 + len];
-            if seg.len() < 6 {
-                return None;
-            }
-            let height = u16::from_be_bytes([seg[1], seg[2]]);
-            let width = u16::from_be_bytes([seg[3], seg[4]]);
-            let ncomp = seg[5];
-            let sampling = if seg.len() >= 9 { seg[7] } else { 0 };
-            return Some((width, height, ncomp, sampling));
-        }
-        pos += 2 + len;
-    }
-    None
 }
 
 #[cfg(test)]
@@ -1781,6 +1735,77 @@ mod tests {
             hetjpeg_jpeg::progressive::ScanPreset::Standard10,
         )
         .unwrap()
+    }
+
+    /// SOI, the three-component SOF2 of a real progressive image, then a
+    /// DRI segment whose two-byte payload is missing: 25 bytes.
+    fn dri_cut_short() -> Vec<u8> {
+        use hetjpeg_jpeg::markers::{m, write_dri, write_sof, write_soi};
+        let prog = progressive_jpeg(64, 48, 4);
+        let frame = hetjpeg_jpeg::progressive::parse_progressive(&prog)
+            .unwrap()
+            .frame;
+        let mut f = Vec::new();
+        write_soi(&mut f);
+        write_sof(&mut f, m::SOF2, &frame);
+        write_dri(&mut f, 3);
+        f.truncate(f.len() - 2);
+        assert_eq!(f.len(), 25);
+        f
+    }
+
+    fn is_eof(r: Result<DecodeOutcome, ServeError>) -> bool {
+        matches!(
+            r,
+            Err(ServeError::Decode(hetjpeg_jpeg::Error::UnexpectedEof))
+        )
+    }
+
+    /// Scan pacing parses the request outside the panic guard: a header
+    /// reader that panicked there took the shard worker down for good.
+    #[test]
+    fn a_dri_cut_short_is_a_decode_error_under_scan_pacing() {
+        let server = Server::start(ServeConfig {
+            shards: 1,
+            scan_deadline: Some(Duration::from_secs(1)),
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let handle = server.handle();
+        let good = progressive_jpeg(64, 48, 4);
+        handle.decode(&good).expect("seeds the shard's throughput");
+        assert!(is_eof(handle.decode(&dri_cut_short())));
+        handle.decode(&good).expect("the shard still serves");
+        let stats = server.shutdown().total();
+        assert_eq!(stats.panics_recovered, 0);
+    }
+
+    /// Without pacing the frame used to cost a panic and a session
+    /// rebuild each, and five in a row tripped the breaker.
+    #[test]
+    fn dri_cut_short_frames_cost_no_panic_rebuild_or_breaker_trip() {
+        let server = one_shard();
+        let handle = server.handle();
+        for _ in 0..5 {
+            assert!(is_eof(handle.decode(&dri_cut_short())));
+        }
+        handle
+            .decode(&jpeg(64, 48, 4))
+            .expect("the shard still serves");
+        let stats = server.shutdown().total();
+        assert_eq!(
+            (
+                stats.panics_recovered,
+                stats.sessions_rebuilt,
+                stats.breaker_trips
+            ),
+            (0, 0, 0)
+        );
+    }
+
+    /// The routing key [`route`] hashes.
+    fn shape_key(data: &[u8]) -> Option<(u16, u16, u8, u8)> {
+        sniff_frame(data).map(|f| (f.width, f.height, f.components, f.luma_sampling))
     }
 
     #[test]

@@ -16,7 +16,9 @@ use hetjpeg_core::platform::Platform;
 use hetjpeg_core::schedule::Mode;
 use hetjpeg_core::{DecodeOptions, Decoder, OutputFormat};
 use hetjpeg_jpeg::encoder::{encode_rgb, EncodeParams};
-use hetjpeg_jpeg::markers::parse_jpeg;
+use hetjpeg_jpeg::markers::{self, Parsed, ParsedJpeg};
+use hetjpeg_jpeg::progressive::ProgressiveParsed;
+use hetjpeg_jpeg::types::FrameInfo;
 use hetjpeg_jpeg::types::Subsampling;
 use std::process::ExitCode;
 
@@ -343,28 +345,36 @@ fn cmd_info(input: &str) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if hetjpeg_jpeg::progressive::is_progressive(&data) {
-        return cmd_info_progressive(input, &data);
-    }
-    let parsed = match parse_jpeg(&data) {
-        Ok(p) => p,
+    match markers::parse(&data) {
+        Ok(Parsed::Baseline(parsed)) => info_baseline(input, &parsed),
+        Ok(Parsed::Progressive(parsed)) => info_progressive(input, &parsed),
         Err(e) => {
-            eprintln!("not a decodable baseline JPEG: {e}");
+            eprintln!("not a decodable JPEG: {e}");
             return ExitCode::FAILURE;
         }
-    };
-    println!("{input}:");
+    }
+    ExitCode::SUCCESS
+}
+
+/// The frame, file size and entropy density (paper Eq. 3) lines both
+/// frame kinds print.
+fn print_frame(input: &str, kind: &str, frame: &FrameInfo, file_size: usize) {
+    println!("{input}:{kind}");
     println!(
         "  {}x{} {}",
-        parsed.frame.width,
-        parsed.frame.height,
-        parsed.frame.subsampling.notation()
+        frame.width,
+        frame.height,
+        frame.subsampling.notation()
     );
-    println!("  file size      {} bytes", parsed.file_size);
+    println!("  file size      {file_size} bytes");
     println!(
         "  entropy density {:.4} bytes/pixel (Eq. 3)",
-        parsed.entropy_density()
+        file_size as f64 / (frame.width as f64 * frame.height as f64)
     );
+}
+
+fn info_baseline(input: &str, parsed: &ParsedJpeg<'_>) {
+    print_frame(input, "", &parsed.frame, parsed.file_size);
     println!("  restart interval {}", parsed.frame.restart_interval);
     if let Ok(geom) = hetjpeg_jpeg::geometry::Geometry::new(
         parsed.frame.width,
@@ -375,34 +385,20 @@ fn cmd_info(input: &str) -> ExitCode {
             "  {} x {} MCUs ({} blocks)",
             geom.mcus_x, geom.mcus_y, geom.total_blocks
         );
-        let segs = hetjpeg_jpeg::entropy::split_restart_segments(&parsed, &geom);
+        let segs = hetjpeg_jpeg::entropy::split_restart_segments(parsed, &geom);
         println!(
             "  {} independently decodable entropy segment(s)",
             segs.len()
         );
     }
-    ExitCode::SUCCESS
 }
 
-fn cmd_info_progressive(input: &str, data: &[u8]) -> ExitCode {
-    let parsed = match hetjpeg_jpeg::progressive::parse_progressive(data) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("not a decodable progressive JPEG: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    println!("{input}: progressive (SOF2)");
-    println!(
-        "  {}x{} {}",
-        parsed.frame.width,
-        parsed.frame.height,
-        parsed.frame.subsampling.notation()
-    );
-    println!("  file size      {} bytes", parsed.file_size);
-    println!(
-        "  entropy density {:.4} bytes/pixel (Eq. 3)",
-        parsed.entropy_density()
+fn info_progressive(input: &str, parsed: &ProgressiveParsed<'_>) {
+    print_frame(
+        input,
+        " progressive (SOF2)",
+        &parsed.frame,
+        parsed.file_size,
     );
     println!(
         "  {} scan(s), {} refinement pass(es){}",
@@ -430,7 +426,6 @@ fn cmd_info_progressive(input: &str, data: &[u8]) -> ExitCode {
     if let Some(d) = &parsed.damage {
         println!("  structural damage after last recovered scan: {d}");
     }
-    ExitCode::SUCCESS
 }
 
 fn write_pgm(path: &str, w: usize, h: usize, plane: &[u8]) -> std::io::Result<()> {

@@ -264,10 +264,12 @@ fn pristine_streams_are_unaffected_by_the_harness() {
 fn progressive_corpus() -> Vec<(String, Vec<u8>)> {
     use hetjpeg_jpeg::progressive::{encode_rgb_progressive, ScanPreset};
     let mut out = Vec::new();
-    for (sub, q, preset) in [
-        (Subsampling::S420, 85u8, ScanPreset::Standard10),
-        (Subsampling::S444, 90, ScanPreset::Spectral4),
-        (Subsampling::S422, 78, ScanPreset::Standard10),
+    for (sub, q, preset, interval) in [
+        (Subsampling::S420, 85u8, ScanPreset::Standard10, 0usize),
+        (Subsampling::S444, 90, ScanPreset::Spectral4, 0),
+        (Subsampling::S422, 78, ScanPreset::Standard10, 0),
+        (Subsampling::S420, 85, ScanPreset::Standard10, 3),
+        (Subsampling::S444, 90, ScanPreset::Spectral4, 3),
     ] {
         let (w, h) = (97usize, 61usize); // odd dims: ragged MCU edges
         let rgb = hetjpeg_jpeg::testutil::noise_rgb(w * h, 0x5EED_0007);
@@ -278,12 +280,13 @@ fn progressive_corpus() -> Vec<(String, Vec<u8>)> {
             &EncodeParams {
                 quality: q,
                 subsampling: sub,
-                restart_interval: 0,
+                restart_interval: interval,
             },
             preset,
         )
         .expect("encode progressive");
-        out.push((format!("prog-{}-q{}-{:?}", sub.notation(), q, preset), jpeg));
+        let name = format!("prog-{}-q{}-{:?}-dri{interval}", sub.notation(), q, preset);
+        out.push((name, jpeg));
     }
     out
 }
@@ -364,9 +367,10 @@ fn corrupt_progressive_streams_never_panic_and_levels_agree() {
     let dec = decoder();
     let mut rng = Rng(0x5CA7_7E12);
     let mut decided = 0usize;
-    for (name, base) in progressive_corpus() {
+    let corpus = progressive_corpus();
+    for (name, base) in &corpus {
         for case in 0..48 {
-            let data = mutate(&base, &mut rng);
+            let data = mutate(base, &mut rng);
             let scalar = outcome(&dec, &data, Mode::Auto, SimdLevel::Scalar);
             let vector = outcome(&dec, &data, Mode::Auto, native);
             match (&scalar, &vector) {
@@ -385,7 +389,11 @@ fn corrupt_progressive_streams_never_panic_and_levels_agree() {
             }
         }
     }
-    assert_eq!(decided, 3 * 48, "every case must resolve consistently");
+    assert_eq!(
+        decided,
+        corpus.len() * 48,
+        "every case must resolve consistently"
+    );
 }
 
 /// Pristine progressive streams through the fuzz harness: tolerant
@@ -407,5 +415,33 @@ fn pristine_progressive_streams_are_unaffected_by_the_harness() {
         assert_eq!(tolerant.2, strict.image.data, "{name}: tolerant != strict");
         let scalar = outcome(&dec, &base, Mode::Simd, SimdLevel::Scalar).expect("scalar ok");
         assert_eq!(scalar.2, strict.image.data, "{name}: scalar != native");
+    }
+}
+
+/// Every cut point through the first SOS header plus 64 entropy bytes, of
+/// both frame kinds with and without DRI, decoded strict and tolerant:
+/// nothing may panic and the session must never be poisoned. The header
+/// readers once indexed a DRI payload past the end of a cut SOF2 stream.
+#[test]
+fn header_cut_points_never_panic_or_poison() {
+    let dec = decoder();
+    let mut corpus = base_corpus();
+    corpus.extend(progressive_corpus());
+    for (name, base) in &corpus {
+        let mut segs = hetjpeg_jpeg::markers::Segments::new(base).expect("SOI");
+        while segs.next_segment().expect("header").marker != hetjpeg_jpeg::markers::m::SOS {}
+        let end = (segs.offset() + 64).min(base.len());
+        for cut in 0..=end {
+            for opts in [
+                DecodeOptions::default(),
+                DecodeOptions::default().tolerant(),
+            ] {
+                let decoded = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    dec.decode(&base[..cut], opts.max_pixels(1 << 22)).is_ok()
+                }));
+                assert!(decoded.is_ok(), "{name} cut {cut}: decode panicked");
+                assert!(!dec.is_poisoned(), "{name} cut {cut}: session poisoned");
+            }
+        }
     }
 }
