@@ -32,10 +32,9 @@ use hetjpeg_jpeg::types::Subsampling;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TransferMode {
     /// Dense blocks plus a synthesized all-dense sidecar: the pre-PR-5
-    /// baseline, kept as an ablation (the kernels see no sparsity).
+    /// baseline, kept as the reference the compacted layout is tested
+    /// against (the kernels see no sparsity).
     Dense,
-    /// Dense blocks plus the real per-block EOB sidecar (PR 5–8 layout).
-    Sidecar,
     /// Compacted class-corner payload + `u32` offset table + sidecar — the
     /// production layout: only each block's ≤EOB prefix crosses the bus.
     #[default]
@@ -202,28 +201,6 @@ impl GpuContext {
             out,
         )
     }
-
-    /// Like [`Self::decode_region`] but takes an already-packed coefficient
-    /// chunk and its EOB sidecar — the form the real-thread pipelined
-    /// executor sends through its channel (so the entropy thread and the
-    /// GPU thread never alias the coefficient buffer). `eob_sidecar` holds
-    /// one byte per block in the packed block order
-    /// (`CoefBuffer::pack_eobs_mcu_rows_into`).
-    #[allow(clippy::too_many_arguments)]
-    pub fn decode_packed_region(
-        &mut self,
-        prep: &Prepared<'_>,
-        packed: &[i16],
-        eob_sidecar: &[u8],
-        row0: usize,
-        row1: usize,
-        wg_blocks: usize,
-        plan: KernelPlan,
-        out: &mut [u8],
-    ) -> Result<GpuRegionResult> {
-        self.device
-            .decode_packed(prep, packed, eob_sidecar, row0, row1, wg_blocks, plan, out)
-    }
 }
 
 impl Device {
@@ -272,7 +249,7 @@ impl Device {
         let bytes = &mut xfer.bytes;
         bytes.clear();
         let (access, payload_sidecar_bytes) = match mode {
-            TransferMode::Dense | TransferMode::Sidecar => {
+            TransferMode::Dense => {
                 bytes.resize(packed.len() * 2, 0);
                 for (dst, v) in bytes.chunks_exact_mut(2).zip(packed.iter()) {
                     dst.copy_from_slice(&v.to_le_bytes());
@@ -539,11 +516,7 @@ mod tests {
     #[test]
     fn reused_parallel_device_matches_fresh_serial_device_across_matrix() {
         let platform = Platform::gtx680();
-        let modes = [
-            TransferMode::Dense,
-            TransferMode::Sidecar,
-            TransferMode::Compacted,
-        ];
+        let modes = [TransferMode::Dense, TransferMode::Compacted];
         let mut reused = modes.map(|mode| GpuContext::new(&platform, mode));
         for sub in [Subsampling::S444, Subsampling::S422, Subsampling::S420] {
             for (w, h) in [(131usize, 77usize), (35, 19), (61, 113)] {
@@ -595,8 +568,8 @@ mod tests {
         }
     }
 
-    /// All three transfer layouts must produce bit-identical RGB, with the
-    /// compacted payload strictly smaller than either dense layout on real
+    /// Both transfer layouts must produce bit-identical RGB, with the
+    /// compacted payload strictly smaller than the dense one on real
     /// (quantized) content.
     #[test]
     fn transfer_modes_agree_and_compacted_ships_less() {
@@ -641,21 +614,16 @@ mod tests {
                 (rgb, res)
             };
             let (dense_rgb, dense) = run(TransferMode::Dense);
-            let (sidecar_rgb, sidecar) = run(TransferMode::Sidecar);
             let (compacted_rgb, compacted) = run(TransferMode::Compacted);
-            assert_eq!(dense_rgb, sidecar_rgb, "{}", sub.notation());
-            assert_eq!(sidecar_rgb, compacted_rgb, "{}", sub.notation());
+            assert_eq!(dense_rgb, compacted_rgb, "{}", sub.notation());
             assert!(
-                compacted.h2d_bytes < sidecar.h2d_bytes,
-                "{}: compacted {} vs sidecar {}",
+                compacted.h2d_bytes < dense.h2d_bytes,
+                "{}: compacted {} vs dense {}",
                 sub.notation(),
                 compacted.h2d_bytes,
-                sidecar.h2d_bytes
+                dense.h2d_bytes
             );
-            assert!(compacted.h2d_time < sidecar.h2d_time);
-            // Dense ships the coefficients plus the synthesized sidecar —
-            // same bytes as the sidecar layout, more than compacted.
-            assert_eq!(dense.h2d_bytes, sidecar.h2d_bytes);
+            assert!(compacted.h2d_time < dense.h2d_time);
         }
     }
 

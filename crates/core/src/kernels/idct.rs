@@ -182,8 +182,9 @@ impl Kernel for IdctKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::testutil::{stage_region, StagedLayout};
-    use hetjpeg_gpusim::{DeviceSpec, GpuSim};
+    use crate::gpu_decode::TransferMode;
+    use crate::kernels::testutil::stage_region;
+    use hetjpeg_gpusim::{DeviceSpec, GpuSim, LaunchStats};
     use hetjpeg_jpeg::decoder::{stages, Prepared};
     use hetjpeg_jpeg::encoder::{encode_rgb, EncodeParams};
     use hetjpeg_jpeg::planes::SamplePlanes;
@@ -219,7 +220,7 @@ mod tests {
     #[test]
     fn idct_kernel_matches_cpu_stage_bitexact() {
         for sub in [Subsampling::S444, Subsampling::S422] {
-            for variant in [StagedLayout::Sidecar, StagedLayout::Compacted] {
+            for mode in [TransferMode::Dense, TransferMode::Compacted] {
                 let jpeg = make_image(48, 32, sub);
                 let prep = Prepared::new(&jpeg).unwrap();
                 let (coefbuf, _) = prep.entropy_decode_all().unwrap();
@@ -228,7 +229,7 @@ mod tests {
 
                 let mut sim = GpuSim::new(DeviceSpec::gtx560ti());
                 let planes = sim.create_buffer(layout.planes_len);
-                let staged = stage_region(&mut sim, &layout, &coefbuf, geom, variant);
+                let staged = stage_region(&mut sim, &layout, &coefbuf, geom, mode);
 
                 for c in 0..3 {
                     let k = IdctKernel {
@@ -258,12 +259,7 @@ mod tests {
                         let got = &out[layout.plane_base[c] + row * stride
                             ..layout.plane_base[c] + row * stride + stride];
                         let want = ref_planes.row(c, row);
-                        assert_eq!(
-                            got,
-                            want,
-                            "{} {variant:?} comp {c} row {row}",
-                            sub.notation()
-                        );
+                        assert_eq!(got, want, "{} {mode:?} comp {c} row {row}", sub.notation());
                     }
                 }
             }
@@ -282,7 +278,7 @@ mod tests {
 
         let mut sim = GpuSim::new(DeviceSpec::gt430());
         let planes = sim.create_buffer(layout.planes_len);
-        let staged = stage_region(&mut sim, &layout, &coefbuf, geom, StagedLayout::Sidecar);
+        let staged = stage_region(&mut sim, &layout, &coefbuf, geom, TransferMode::Compacted);
 
         // 6 blocks with groups of 4 -> second group is half empty.
         let k = IdctKernel {
@@ -302,52 +298,45 @@ mod tests {
         assert!(stats.divergent_branches > 0);
     }
 
-    /// The EOB dispatch must shrink the kernel's work on sparse content:
-    /// fewer compute ops and less global traffic than the dense-EOB
-    /// baseline, bit-identical output, and real divergence on mixed-class
-    /// warps.
-    #[test]
-    fn eob_dispatch_cuts_work_on_sparse_content() {
+    /// The chroma IDCT of a 64×64 4:2:2 image (plenty of sparse blocks at
+    /// q82) staged in `mode`: launch statistics, H2D bytes and planes.
+    fn sparse_chroma_idct(mode: TransferMode) -> (LaunchStats, usize, Vec<u8>) {
         let jpeg = make_image(64, 64, Subsampling::S422);
         let prep = Prepared::new(&jpeg).unwrap();
         let geom = &prep.geom;
         let (coefbuf, _) = prep.entropy_decode_all().unwrap();
         let layout = RegionLayout::new(geom, 0, geom.mcus_y);
-
-        let run = |variant: StagedLayout| {
-            let mut sim = GpuSim::new(DeviceSpec::gtx560ti());
-            let planes = sim.create_buffer(layout.planes_len);
-            let staged = stage_region(&mut sim, &layout, &coefbuf, geom, variant);
-            let k = IdctKernel {
-                coef: staged.coef,
-                eobs: staged.eobs,
-                planes,
-                layout: layout.clone(),
-                comp: 1, // chroma: plenty of sparse blocks at q82
-                quant: prep.quant[1].values,
-                blocks_per_group: 4,
-                pad_lmem: true,
-                access: staged.access,
-            };
-            let stats = sim.launch(&k, k.num_groups());
-            (stats, sim.read_buffer(planes).to_vec())
+        let mut sim = GpuSim::new(DeviceSpec::gtx560ti());
+        let planes = sim.create_buffer(layout.planes_len);
+        let staged = stage_region(&mut sim, &layout, &coefbuf, geom, mode);
+        let k = IdctKernel {
+            coef: staged.coef,
+            eobs: staged.eobs,
+            planes,
+            layout: layout.clone(),
+            comp: 1,
+            quant: prep.quant[1].values,
+            blocks_per_group: 4,
+            pad_lmem: true,
+            access: staged.access,
         };
+        let stats = sim.launch(&k, k.num_groups());
+        (stats, staged.h2d_bytes, sim.read_buffer(planes).to_vec())
+    }
 
-        let (dense_stats, dense_out) = run(StagedLayout::DenseEobs);
-        let (sparse_stats, sparse_out) = run(StagedLayout::Sidecar);
+    /// The EOB dispatch must shrink the kernel's work on sparse content:
+    /// fewer compute ops than the all-dense-EOB baseline, bit-identical
+    /// output, and real divergence on mixed-class warps.
+    #[test]
+    fn eob_dispatch_cuts_work_on_sparse_content() {
+        let (dense_stats, _, dense_out) = sparse_chroma_idct(TransferMode::Dense);
+        let (sparse_stats, _, sparse_out) = sparse_chroma_idct(TransferMode::Compacted);
         assert_eq!(sparse_out, dense_out, "EOB dispatch must not change bytes");
         assert!(
             sparse_stats.compute_ops < dense_stats.compute_ops,
             "sparse {} vs dense {} ops",
             sparse_stats.compute_ops,
             dense_stats.compute_ops
-        );
-        // The memory pattern is deliberately uniform (coalescing — module
-        // docs): traffic must not change with the class mix.
-        assert_eq!(
-            sparse_stats.bus_bytes(),
-            dense_stats.bus_bytes(),
-            "uniform access pattern regardless of classes"
         );
         // The class branch is data-dependent: mixed warps diverge (the
         // all-dense sidecar is uniform, so the baseline has none).
@@ -360,33 +349,8 @@ mod tests {
     /// skipped dense zeros.
     #[test]
     fn compacted_access_is_bitexact_and_cuts_traffic() {
-        let jpeg = make_image(64, 64, Subsampling::S422);
-        let prep = Prepared::new(&jpeg).unwrap();
-        let geom = &prep.geom;
-        let (coefbuf, _) = prep.entropy_decode_all().unwrap();
-        let layout = RegionLayout::new(geom, 0, geom.mcus_y);
-
-        let run = |variant: StagedLayout| {
-            let mut sim = GpuSim::new(DeviceSpec::gtx560ti());
-            let planes = sim.create_buffer(layout.planes_len);
-            let staged = stage_region(&mut sim, &layout, &coefbuf, geom, variant);
-            let k = IdctKernel {
-                coef: staged.coef,
-                eobs: staged.eobs,
-                planes,
-                layout: layout.clone(),
-                comp: 1, // chroma: plenty of sparse blocks at q82
-                quant: prep.quant[1].values,
-                blocks_per_group: 4,
-                pad_lmem: true,
-                access: staged.access,
-            };
-            let stats = sim.launch(&k, k.num_groups());
-            (stats, staged.h2d_bytes, sim.read_buffer(planes).to_vec())
-        };
-
-        let (dense_stats, dense_h2d, dense_out) = run(StagedLayout::Sidecar);
-        let (comp_stats, comp_h2d, comp_out) = run(StagedLayout::Compacted);
+        let (dense_stats, dense_h2d, dense_out) = sparse_chroma_idct(TransferMode::Dense);
+        let (comp_stats, comp_h2d, comp_out) = sparse_chroma_idct(TransferMode::Compacted);
         assert_eq!(comp_out, dense_out, "compacted reads must not change bytes");
         assert!(
             comp_h2d < dense_h2d,
@@ -420,7 +384,7 @@ mod tests {
         let run = |pad: bool| {
             let mut sim = GpuSim::new(DeviceSpec::gtx560ti());
             let planes = sim.create_buffer(layout.planes_len);
-            let staged = stage_region(&mut sim, &layout, &coefbuf, geom, StagedLayout::Sidecar);
+            let staged = stage_region(&mut sim, &layout, &coefbuf, geom, TransferMode::Compacted);
             let k = IdctKernel {
                 coef: staged.coef,
                 eobs: staged.eobs,

@@ -319,8 +319,9 @@ impl Kernel for UpsampleColorKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gpu_decode::TransferMode;
     use crate::kernels::idct::IdctKernel;
-    use crate::kernels::testutil::{stage_region, StagedLayout};
+    use crate::kernels::testutil::stage_region;
     use hetjpeg_gpusim::{DeviceSpec, GpuSim};
     use hetjpeg_jpeg::decoder::{stages, Prepared};
     use hetjpeg_jpeg::encoder::{encode_rgb, EncodeParams};
@@ -353,7 +354,7 @@ mod tests {
     #[test]
     fn merged_444_matches_cpu_region_bitexact() {
         for (w, h) in [(32usize, 32usize), (52, 37)] {
-            for variant in [StagedLayout::Sidecar, StagedLayout::Compacted] {
+            for mode in [TransferMode::Dense, TransferMode::Compacted] {
                 let jpeg = make_jpeg(w, h, Subsampling::S444);
                 let prep = Prepared::new(&jpeg).unwrap();
                 let geom = &prep.geom;
@@ -362,7 +363,7 @@ mod tests {
 
                 let mut sim = GpuSim::new(DeviceSpec::gtx680());
                 let rgb = sim.create_buffer(layout.rgb_len);
-                let staged = stage_region(&mut sim, &layout, &coefbuf, geom, variant);
+                let staged = stage_region(&mut sim, &layout, &coefbuf, geom, mode);
 
                 let k = IdctColorKernel444 {
                     coef: staged.coef,
@@ -381,7 +382,7 @@ mod tests {
 
                 let mut want = vec![0u8; layout.rgb_len];
                 stages::decode_region_rgb(&prep, &coefbuf, 0, geom.mcus_y, &mut want).unwrap();
-                assert_eq!(sim.read_buffer(rgb), &want[..], "{w}x{h} {variant:?}");
+                assert_eq!(sim.read_buffer(rgb), &want[..], "{w}x{h} {mode:?}");
             }
         }
     }
@@ -401,7 +402,7 @@ mod tests {
         let mut sim = GpuSim::new(DeviceSpec::gtx560ti());
         let planes = sim.create_buffer(layout.planes_len);
         let rgb = sim.create_buffer(layout.rgb_len);
-        let staged = stage_region(&mut sim, &layout, &coefbuf, geom, StagedLayout::Sidecar);
+        let staged = stage_region(&mut sim, &layout, &coefbuf, geom, TransferMode::Compacted);
 
         for c in 0..3 {
             let k = IdctKernel {

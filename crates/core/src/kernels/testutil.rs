@@ -1,32 +1,17 @@
-//! Shared device staging for kernel tests, benches and examples.
+//! Shared device staging for kernel tests and examples.
 //!
-//! PR 5 left near-identical "pack, serialize, upload coefficients, upload
-//! sidecar" staging blocks in the kernel unit tests, the bench ablations
-//! and the inspect example — each with its own copy of the dense-EOB
-//! ablation (`CoefBuffer::clone_with_dense_eobs`). Now that there are
-//! *three* transfer layouts (dense, sidecar, compacted) that duplication
-//! would triple, so the staging lives here once, keyed by [`StagedLayout`].
-//! The production path uses `crate::gpu_decode::GpuStaging` instead (pooled
-//! buffers, no per-launch allocation); this module trades that for
+//! "Pack, serialize, upload coefficients, upload sidecar" for either
+//! [`TransferMode`] lives here once, so the kernel unit tests and the
+//! inspect example launch single kernels on exactly the buffers a region
+//! decode would ship. The production path (`crate::gpu_decode::GpuContext`)
+//! reuses pooled device buffers instead; this module trades that for
 //! simplicity, which is fine off the hot path.
 
 use super::{CoefAccess, RegionLayout};
+use crate::gpu_decode::TransferMode;
 use hetjpeg_gpusim::{BufId, GpuSim};
 use hetjpeg_jpeg::coef::{CoefBuffer, EOB_DENSE};
 use hetjpeg_jpeg::geometry::Geometry;
-
-/// Which transfer-layout variant to stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StagedLayout {
-    /// Dense coefficients + an all-dense sidecar: the pre-PR-5 baseline
-    /// ablation, where the kernels see no sparsity at all.
-    DenseEobs,
-    /// Dense coefficients + the real per-block EOB sidecar (PR 5).
-    Sidecar,
-    /// Compacted class-corner payload + `u32` offset table + sidecar
-    /// (PR 9).
-    Compacted,
-}
 
 /// Device buffers of one staged region upload.
 pub struct StagedRegion {
@@ -48,20 +33,20 @@ pub fn stage_region(
     layout: &RegionLayout,
     coefbuf: &CoefBuffer,
     geom: &Geometry,
-    variant: StagedLayout,
+    mode: TransferMode,
 ) -> StagedRegion {
     let nblocks = layout.eob_bytes();
     let mut sidecar = Vec::new();
     coefbuf.pack_eobs_mcu_rows_into(geom, layout.row0, layout.row1, &mut sidecar);
     debug_assert_eq!(sidecar.len(), nblocks);
-    if variant == StagedLayout::DenseEobs {
+    if mode == TransferMode::Dense {
         sidecar.fill(EOB_DENSE);
     }
     let eobs = sim.create_buffer(nblocks);
     sim.write_buffer(eobs, 0, &sidecar);
 
-    match variant {
-        StagedLayout::DenseEobs | StagedLayout::Sidecar => {
+    match mode {
+        TransferMode::Dense => {
             let packed = coefbuf.pack_mcu_rows(geom, layout.row0, layout.row1);
             let bytes: Vec<u8> = packed.iter().flat_map(|v| v.to_le_bytes()).collect();
             debug_assert_eq!(bytes.len(), layout.coef_bytes);
@@ -74,7 +59,7 @@ pub fn stage_region(
                 h2d_bytes: bytes.len() + nblocks,
             }
         }
-        StagedLayout::Compacted => {
+        TransferMode::Compacted => {
             let (mut payload, mut table) = (Vec::new(), Vec::new());
             coefbuf.pack_compacted_into(geom, layout.row0, layout.row1, &mut payload, &mut table);
             let pbytes: Vec<u8> = payload.iter().flat_map(|v| v.to_le_bytes()).collect();

@@ -21,7 +21,6 @@
 //! | [`partition`] | §5.2 SPS / PPS load balancing, Newton's method, Eq. 16–17 re-partitioning |
 //! | [`schedule`] | §6 decode modes (the paper's six + restart-parallel entropy + `Auto`) |
 //! | [`session`] | the `Decoder` session API: builder, pooled scratch, batch decode |
-//! | [`exec`] | real-thread pipelined execution (host demonstration) |
 //! | [`report`] | §6.2 Amdahl bound (Eq. 18–19) and speedup statistics |
 //! | [`timeline`] | Fig. 5 / Fig. 8 execution timelines |
 //!
@@ -64,7 +63,6 @@
 #![warn(missing_docs)]
 
 pub mod cost;
-pub mod exec;
 pub mod gpu_decode;
 pub mod kernels;
 pub mod model;

@@ -133,7 +133,7 @@ pub fn train(
         // `CpuCostModel::speculative_entropy_time`.
         let segments = hetjpeg_jpeg::entropy::split_restart_segments(&prep.parsed, geom);
         let mut scratch = hetjpeg_jpeg::coef::CoefBuffer::new(geom);
-        if let Ok(out) = crate::exec::decode_entropy_speculative_into(
+        if let Ok(out) = crate::schedule::entropy_par::decode_entropy_speculative_into(
             &prep,
             &segments,
             crate::schedule::DEFAULT_ENTROPY_THREADS,

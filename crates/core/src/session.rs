@@ -24,7 +24,6 @@
 //! assert_eq!(out.image.width, 96);
 //! ```
 
-use crate::exec::{decode_pps_threaded_impl, ThreadedOutcome};
 use crate::model::PerformanceModel;
 use crate::platform::Platform;
 use crate::schedule::split::GpuBatchMember;
@@ -752,12 +751,6 @@ impl Decoder {
         BatchPlan::Stage(staged.map(Box::new))
     }
 
-    /// Decode with the real two-thread PPS pipeline (wall-clock, not
-    /// virtual time) — the host demonstration of §3/§4.5.
-    pub fn decode_threaded(&self, data: &[u8]) -> Result<ThreadedOutcome> {
-        decode_pps_threaded_impl(data, &self.platform, &self.model)
-    }
-
     /// Predict every concrete mode's total for an image without decoding
     /// it — the ranking `Mode::Auto` decides on.
     pub fn predict(&self, data: &[u8]) -> Result<auto::AutoDecision> {
@@ -1356,15 +1349,6 @@ mod tests {
             Err(BuildError::InvalidAutoCacheCap)
         ));
         assert!(Decoder::builder().auto_cache_cap(1).build().is_ok());
-    }
-
-    #[test]
-    fn threaded_session_decode_matches_reference() {
-        let jpeg = jpeg_of(160, 128, 0);
-        let dec = Decoder::builder().build().unwrap();
-        let out = dec.decode_threaded(&jpeg).unwrap();
-        let want = hetjpeg_jpeg::decoder::decode(&jpeg).unwrap();
-        assert_eq!(out.image.data, want.data);
     }
 
     fn rgb_of(w: usize, h: usize, seed: u32) -> Vec<u8> {

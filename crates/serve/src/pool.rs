@@ -812,7 +812,7 @@ struct ShardState {
 struct Inner {
     /// Intake side of every shard queue. `None` once shutdown began —
     /// taking the senders is what lets the workers drain and exit.
-    senders: Mutex<Option<Vec<crossbeam::channel::Sender<Request>>>>,
+    senders: Mutex<Option<Vec<mpsc::SyncSender<Request>>>>,
     shards: Vec<ShardState>,
     /// Set before intake closes; workers draining a breaker-open queue
     /// answer [`ServeError::Shutdown`] instead of `Busy` once this is set.
@@ -924,7 +924,7 @@ impl Server {
                 spec.build()
                     .map_err(|e| ServeError::Config(ConfigError::Session(e)))?,
             );
-            let (tx, rx) = crossbeam::channel::bounded::<Request>(config.queue_depth);
+            let (tx, rx) = mpsc::sync_channel::<Request>(config.queue_depth);
             senders.push(tx);
             receivers.push(rx);
             shards.push(ShardState {
@@ -1195,11 +1195,11 @@ impl ServeHandle {
                         self.inner.shards[idx].load.charge(charged_us);
                         return Ok(Ticket { rx });
                     }
-                    Err(crossbeam::channel::TrySendError::Full(r)) => {
+                    Err(mpsc::TrySendError::Full(r)) => {
                         req = r;
                         offset += 1;
                     }
-                    Err(crossbeam::channel::TrySendError::Disconnected(_)) => {
+                    Err(mpsc::TrySendError::Disconnected(_)) => {
                         return Err(ServeError::ShuttingDown)
                     }
                 }
@@ -1352,7 +1352,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// serve it and whatever else is already queued (natural batching — the
 /// worker never waits for company) through the full resilience pipeline
 /// ([`serve_one`]) until the queue is empty.
-fn shard_worker(inner: &Inner, shard: usize, rx: &crossbeam::channel::Receiver<Request>) {
+fn shard_worker(inner: &Inner, shard: usize, rx: &mpsc::Receiver<Request>) {
     let state = &inner.shards[shard];
     let mut decoder = Arc::clone(&state.decoder.lock().expect("shard decoder slot"));
     let mut tiles = TilePool::new();
@@ -2004,6 +2004,45 @@ mod tests {
         assert_eq!(stats.breaker_trips, 1);
         assert_eq!(stats.shed, 1);
         assert_eq!(stats.decode_errors, 0);
+    }
+
+    /// A non-blocking submitter that finds every queue full is shed with
+    /// `Busy` (`try_send` → `Full` → next shard → none left), and the
+    /// request already queued is untouched by it.
+    #[test]
+    fn full_queue_sheds_a_nonblocking_submit_with_busy() {
+        let server = Server::start(ServeConfig {
+            shards: 1,
+            queue_depth: 1,
+            // Keeps the worker busy on the first request while the queue
+            // fills behind it.
+            fault_plan: Some(Arc::new(FaultPlan::parse("latency=#1x300ms").unwrap())),
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let handle = server.handle();
+        let notifier: Notifier = Arc::new(|| {});
+        let (first, queued) = (jpeg(64, 48, 1), jpeg(64, 48, 2));
+
+        let busy = handle.submit(first.clone()).unwrap();
+        // Wait until the worker has taken the first request off the queue.
+        while server.stats().total().requests == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let waiting = handle
+            .submit_nonblocking(queued.clone(), SubmitOptions::default(), notifier.clone())
+            .expect("the one queue slot is free");
+        let shed = handle.submit_nonblocking(jpeg(64, 48, 3), SubmitOptions::default(), notifier);
+        match shed.err() {
+            Some(ServeError::Busy { retry_after }) => assert!(retry_after > Duration::ZERO),
+            other => panic!("expected Busy from a full queue, got {other:?}"),
+        }
+
+        let reference = |j: &[u8]| hetjpeg_jpeg::decoder::decode(j).unwrap().data;
+        assert_eq!(busy.wait().unwrap().image.data, reference(&first));
+        assert_eq!(waiting.wait().unwrap().image.data, reference(&queued));
+        let stats = server.shutdown().total();
+        assert_eq!((stats.shed, stats.requests), (1, 2));
     }
 
     #[test]

@@ -7,10 +7,10 @@
 //! cargo run --release --example gpu_kernel_inspect
 //! ```
 
-use hetjpeg_core::gpu_decode::{decode_region_gpu, KernelPlan};
+use hetjpeg_core::gpu_decode::{decode_region_gpu, KernelPlan, TransferMode};
 use hetjpeg_core::kernels::idct::IdctKernel;
 use hetjpeg_core::kernels::merged::UpsampleColorKernel;
-use hetjpeg_core::kernels::testutil::{stage_region, StagedLayout};
+use hetjpeg_core::kernels::testutil::stage_region;
 use hetjpeg_core::kernels::RegionLayout;
 use hetjpeg_core::platform::Platform;
 use hetjpeg_corpus::{generate_jpeg, ImageSpec, Pattern};
@@ -43,7 +43,7 @@ fn main() {
         &layout,
         &coefbuf,
         &prep.geom,
-        StagedLayout::Sidecar,
+        TransferMode::Compacted,
     );
 
     println!(

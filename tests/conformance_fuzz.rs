@@ -8,8 +8,8 @@
 //!   damaged SOF dimensions);
 //! * forced-scalar and native SIMD dispatch must agree **exactly** on the
 //!   outcome — same `Ok`/`Err`, same dimensions, same bytes. With PR 5 the
-//!   IDCT itself is dispatched, so this extends the PR-3
-//!   `force_scalar_simd` hook's guarantee to the full decode path (bit
+//!   IDCT itself is dispatched, so this extends the guarantee of the
+//!   `DecodeOptions::force_simd` hook to the full decode path (bit
 //!   flips produce exactly the extreme coefficients the vector kernels'
 //!   i32-multiplicand range proof must hold for).
 //!

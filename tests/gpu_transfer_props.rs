@@ -1,13 +1,13 @@
 //! PR-9 transfer-layer differential & property harness.
 //!
-//! The GPU H2D path ships coefficients in one of three layouts — `Dense`
-//! (64 i16 per block, sparsity-blind kernels), `Sidecar` (dense payload +
-//! 1-byte EOB per block) and `Compacted` (only each block's ≤EOB class
-//! corner plus a u32 offset-table word per block). This suite proves the
-//! layouts are *interchangeable representations of the same decode*:
+//! The GPU H2D path ships coefficients in one of two layouts — `Dense`
+//! (64 i16 per block, sparsity-blind kernels) and `Compacted` (only each
+//! block's ≤EOB class corner plus a u32 offset-table word and a 1-byte EOB
+//! per block). This suite proves the layouts are *interchangeable
+//! representations of the same decode*:
 //!
 //! * a differential matrix (subsampling × quality × odd dims × restart ×
-//!   progressive-prefix) asserting bit-identical pixels across all three
+//!   progressive-prefix) asserting bit-identical pixels across both
 //!   layouts and both kernel plans, with H2D byte counts matching the
 //!   EOB-class histogram-scan prediction **exactly**;
 //! * session-level agreement across every decode mode and SIMD level on
@@ -34,11 +34,7 @@ use hetjpeg_jpeg::progressive::{self, ScanPreset};
 use hetjpeg_jpeg::types::Subsampling;
 use proptest::prelude::*;
 
-const ALL_TRANSFERS: [TransferMode; 3] = [
-    TransferMode::Dense,
-    TransferMode::Sidecar,
-    TransferMode::Compacted,
-];
+const ALL_TRANSFERS: [TransferMode; 2] = [TransferMode::Dense, TransferMode::Compacted];
 
 /// Deterministic splitmix64 for in-test value generation.
 struct Rng(u64);
@@ -86,7 +82,7 @@ fn assert_offsets_are_exclusive_scan(payload_len: usize, offsets: &[u32], eobs: 
 
 /// The differential matrix core: subsampling × quality × (odd dims,
 /// restart) × transfer layout × kernel plan, every cell bit-identical to
-/// the scalar reference, with dense/sidecar/compacted byte counts matching
+/// the scalar reference, with dense and compacted byte counts matching
 /// the histogram-scan prediction exactly.
 #[test]
 fn transfer_layouts_decode_bit_identically_across_matrix() {
@@ -131,13 +127,11 @@ fn transfer_layouts_decode_bit_identically_across_matrix() {
                     }
                 }
 
-                // Byte accounting: dense and sidecar ship the full 128 B
-                // per block (+ the 1 B sidecar each — Dense synthesizes an
-                // all-dense one); compacted ships exactly the histogram-
-                // scanned corner count plus 4 B offset word and 1 B EOB
-                // per block.
-                let (dense, sidecar, compacted) = (h2d[0], h2d[1], h2d[2]);
-                assert_eq!(dense, sidecar, "{label}");
+                // Byte accounting: dense ships the full 128 B per block
+                // (+ the 1 B all-dense EOB it synthesizes); compacted ships
+                // exactly the histogram-scanned corner count plus 4 B
+                // offset word and 1 B EOB per block.
+                let (dense, compacted) = (h2d[0], h2d[1]);
                 assert_eq!(dense, blocks * 128 + blocks, "{label}");
                 let predicted = compacted_coefs(&metrics.eob_class_totals()) as usize;
                 assert_eq!(compacted, predicted * 2 + blocks * 4 + blocks, "{label}");
@@ -148,7 +142,7 @@ fn transfer_layouts_decode_bit_identically_across_matrix() {
 
 /// Progressive column of the matrix: a prefix render's coefficient state
 /// (unusual EOB mixes — DC-only after the first scan, refined bands later)
-/// must decode identically under all three layouts, and its compacted pack
+/// must decode identically under both layouts, and its compacted pack
 /// must roundtrip and match the per-row histogram scan.
 #[test]
 fn progressive_prefix_transfers_agree_and_roundtrip() {
@@ -181,8 +175,7 @@ fn progressive_prefix_transfers_agree_and_roundtrip() {
                     rgb
                 })
                 .collect();
-            assert_eq!(renders[0], renders[1], "{label} dense vs sidecar");
-            assert_eq!(renders[0], renders[2], "{label} dense vs compacted");
+            assert_eq!(renders[0], renders[1], "{label} dense vs compacted");
 
             let (mut payload, mut offsets) = (Vec::new(), Vec::new());
             coef.pack_compacted_into(&prep.geom, 0, prep.geom.mcus_y, &mut payload, &mut offsets);

@@ -282,36 +282,50 @@ fn progressive_full_scan_decode_matches_baseline_counterpart() {
 #[test]
 fn doctored_models_cannot_break_correctness() {
     // Whatever nonsense the performance model predicts, partitioning only
-    // moves the boundary — the pixels must stay right.
-    let spec = ImageSpec {
-        width: 160,
-        height: 160,
-        pattern: Pattern::PhotoLike { detail: 0.5 },
-        seed: 3,
-    };
-    let jpeg = generate_jpeg(&spec, 85, Subsampling::S422).expect("encode");
-    let reference = decode(&jpeg).expect("reference").data;
-    let platform = Platform::gtx560();
+    // moves the boundary — the pixels must stay right. The 4:2:0 inputs at
+    // both ends of the quality axis, with one-row chunks, drive many small
+    // GPU chunks through the split loop.
+    let inputs = [
+        (Platform::gtx560(), 160, 3, 85u8, Subsampling::S422),
+        (Platform::gtx680(), 200, 11, 30, Subsampling::S420),
+        (Platform::gtx680(), 200, 11, 95, Subsampling::S420),
+    ];
+    for (platform, height, seed, quality, sub) in inputs {
+        let spec = ImageSpec {
+            width: 160,
+            height,
+            pattern: Pattern::PhotoLike { detail: 0.5 },
+            seed,
+        };
+        let jpeg = generate_jpeg(&spec, quality, sub).expect("encode");
+        let reference = decode(&jpeg).expect("reference").data;
 
-    let mut skew_gpu = platform.untrained_model();
-    skew_gpu.p_gpu.coefs[0][0] += 10.0; // GPU looks 10s slower: all-CPU split
-    let mut skew_cpu = platform.untrained_model();
-    skew_cpu.p_cpu.coefs[0][0] += 10.0; // CPU looks awful: all-GPU split
-    let mut tiny_chunks = platform.untrained_model();
-    tiny_chunks.chunk_mcu_rows = 1;
+        let mut skew_gpu = platform.untrained_model();
+        skew_gpu.p_gpu.coefs[0][0] += 10.0; // GPU looks 10s slower: all-CPU split
+        let mut skew_cpu = platform.untrained_model();
+        skew_cpu.p_cpu.coefs[0][0] += 10.0; // CPU looks awful: all-GPU split
+        let mut tiny_chunks = platform.untrained_model();
+        tiny_chunks.chunk_mcu_rows = 1;
 
-    for model in [skew_gpu, skew_cpu, tiny_chunks] {
-        let decoder = Decoder::builder()
-            .platform(platform.clone())
-            .model(model)
-            .build()
-            .expect("valid configuration");
-        // Auto must also stay correct whatever the skew makes it pick.
-        for mode in [Mode::Sps, Mode::Pps, Mode::PipelinedGpu, Mode::Auto] {
-            let out = decoder
-                .decode(&jpeg, DecodeOptions::with_mode(mode))
-                .expect("decode");
-            assert_eq!(out.image.data, reference, "{mode:?}");
+        for model in [skew_gpu, skew_cpu, tiny_chunks] {
+            let decoder = Decoder::builder()
+                .platform(platform.clone())
+                .model(model)
+                .build()
+                .expect("valid configuration");
+            // Auto must also stay correct whatever the skew makes it pick.
+            for mode in [Mode::Sps, Mode::Pps, Mode::PipelinedGpu, Mode::Auto] {
+                let out = decoder
+                    .decode(&jpeg, DecodeOptions::with_mode(mode))
+                    .expect("decode");
+                assert_eq!(
+                    out.image.data,
+                    reference,
+                    "{} q{quality} {} {mode:?}",
+                    platform.gpu.name,
+                    sub.notation()
+                );
+            }
         }
     }
 }
@@ -352,35 +366,6 @@ fn sparse_dispatch_agrees_across_modes() {
                 );
             }
         }
-    }
-}
-
-#[test]
-fn threaded_pooled_pipeline_agrees() {
-    // The real-thread executor exercises the bounded channel + pooled chunk
-    // buffers; tiny chunks force many pool round-trips.
-    let spec = ImageSpec {
-        width: 160,
-        height: 200,
-        pattern: Pattern::PhotoLike { detail: 0.5 },
-        seed: 11,
-    };
-    for quality in [30u8, 80, 95] {
-        let jpeg = generate_jpeg(&spec, quality, Subsampling::S420).expect("encode");
-        let reference = decode(&jpeg).expect("reference").data;
-        let platform = Platform::gtx680();
-        let mut model = platform.untrained_model();
-        model.chunk_mcu_rows = 1;
-        let decoder = Decoder::builder()
-            .platform(platform)
-            .model(model)
-            .build()
-            .expect("valid configuration");
-        let out = decoder.decode_threaded(&jpeg).expect("threaded decode");
-        assert_eq!(
-            out.image.data, reference,
-            "q{quality} threaded decode differs"
-        );
     }
 }
 
