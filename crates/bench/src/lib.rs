@@ -106,25 +106,45 @@ pub fn results_dir() -> PathBuf {
     p
 }
 
-fn model_path(platform: &Platform, sub: Subsampling) -> PathBuf {
+/// Where the model for (platform, subsampling) trained at `scale` is
+/// cached: each scale trains on its own corpus and degree, so each has its
+/// own file.
+fn model_path(platform: &Platform, sub: Subsampling, scale: Scale) -> PathBuf {
     let sub_tag = sub.notation().replace(':', "");
     results_dir().join(format!(
-        "model-{}-{}.txt",
+        "model-{}-{}-{}.txt",
         platform.name.replace(' ', ""),
-        sub_tag
+        sub_tag,
+        format!("{scale:?}").to_lowercase()
     ))
 }
 
-/// Load a previously trained model for (platform, subsampling), or train
-/// one on the standard training corpus and cache it.
+/// The model a cache file holds, if it is one for `sub` carrying every key
+/// [`PerformanceModel::save_str`] writes. A file from an older build that
+/// lacks a key would load with that key's legacy default and price
+/// differently from a fresh training, so it is a miss.
+fn cached_model(text: &str, sub: Subsampling) -> Option<PerformanceModel> {
+    let model = PerformanceModel::load_str(text).filter(|m| m.subsampling == sub)?;
+    let keys: Vec<&str> = text
+        .lines()
+        .filter_map(|l| l.split_once('='))
+        .map(|(k, _)| k.trim())
+        .collect();
+    let complete = (model.save_str().lines())
+        .filter_map(|l| l.split_once('='))
+        .all(|(k, _)| keys.contains(&k.trim()));
+    complete.then_some(model)
+}
+
+/// Load a previously trained model for (platform, subsampling, scale), or
+/// train one on the standard training corpus and cache it.
 pub fn ensure_model(platform: &Platform, sub: Subsampling, scale: Scale) -> PerformanceModel {
-    let path = model_path(platform, sub);
-    if let Ok(text) = fs::read_to_string(&path) {
-        if let Some(m) = PerformanceModel::load_str(&text) {
-            if m.subsampling == sub {
-                return m;
-            }
-        }
+    let path = model_path(platform, sub, scale);
+    if let Some(m) = fs::read_to_string(&path)
+        .ok()
+        .and_then(|text| cached_model(&text, sub))
+    {
+        return m;
     }
     eprintln!(
         "[profile] training model for {} / {} (cache miss at {})",
@@ -366,6 +386,33 @@ mod tests {
         let f = Scale::Full.train_params(Subsampling::S422);
         assert!(q.max_dim < f.max_dim);
         assert!(Scale::Quick.large_dim() < Scale::Full.large_dim());
+    }
+
+    #[test]
+    fn each_scale_caches_its_own_model() {
+        let p = Platform::gtx560();
+        let sub = Subsampling::S422;
+        let paths = [Scale::Quick, Scale::Default, Scale::Full].map(|s| model_path(&p, sub, s));
+        assert_ne!(paths[0], paths[1]);
+        assert_ne!(paths[1], paths[2]);
+        assert_ne!(paths[0], paths[2]);
+    }
+
+    #[test]
+    fn a_cache_file_missing_a_key_is_a_miss() {
+        let model = Platform::gtx560().untrained_model();
+        let text = model.save_str();
+        assert_eq!(cached_model(&text, model.subsampling), Some(model.clone()));
+        // Another subsampling's model is not this one.
+        assert_eq!(cached_model(&text, Subsampling::S444), None);
+        // A file written before the `PCPU` density factor existed still
+        // parses, with the identity factor, but is not served from cache.
+        let old: String = (text.lines())
+            .filter(|l| !l.starts_with("pcpu_density."))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        assert!(PerformanceModel::load_str(&old).is_some());
+        assert_eq!(cached_model(&old, model.subsampling), None);
     }
 
     #[test]

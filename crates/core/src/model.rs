@@ -7,7 +7,10 @@
 //! * `THuffPerPixel(d)` — Huffman ns/pixel as a polynomial of the entropy
 //!   density `d = file_size / (w·h)` (Eq. 3); whole-image Huffman time is
 //!   `THuff(w,h,d) = THuffPerPixel(d) · w · h` (Eq. 4);
-//! * `PCPU(w, h)` — SIMD parallel-phase seconds for an h-row band;
+//! * `PCPU(w, h)` — SIMD parallel-phase seconds for an h-row band, scaled
+//!   by a degree ≤ 1 entropy-density factor (`pcpu_density`): the
+//!   band's IDCT sparsity follows `d`, and the (w, h) form alone averages
+//!   it away;
 //! * `PGPU(w, h)` — GPU transfers + kernels for an h-row band (Eq. 7);
 //! * `Tdisp(w, h)` — host-side dispatch overhead.
 //!
@@ -70,6 +73,12 @@ pub struct PerformanceModel {
     /// Entropy density (bytes/pixel) the training corpus averaged — the
     /// point `PGPU` already embeds, where the density correction is zero.
     pub h2d_ref_density: f64,
+    /// Factor on `PCPU` as a function of entropy density, degree ≤ 1: the
+    /// training samples over `PCPU(w, h)`, fitted against `d`. Denser
+    /// entropy means denser IDCT blocks, which the `(w, h)` form cannot
+    /// see. `[1.0]` (the seed and legacy default) makes it vanish bit for
+    /// bit.
+    pub pcpu_density: Poly1,
 }
 
 impl PerformanceModel {
@@ -86,6 +95,18 @@ impl PerformanceModel {
         } else {
             self.p_cpu.eval(width, rows).max(0.0)
         }
+    }
+
+    /// [`Self::p_cpu`] for a band at entropy density `d`: scaled by the
+    /// trained `pcpu_density` factor. With the identity factor `[1.0]`
+    /// this is exactly [`Self::p_cpu`].
+    pub fn p_cpu_at_density(&self, width: f64, rows: f64, d: f64) -> f64 {
+        self.p_cpu(width, rows) * self.pcpu_density_factor(d)
+    }
+
+    /// The `pcpu_density` factor at density `d`, never negative.
+    pub fn pcpu_density_factor(&self, d: f64) -> f64 {
+        self.pcpu_density.eval(d).max(0.0)
     }
 
     /// GPU estimate (transfers + kernels) for a `width × rows` band.
@@ -106,10 +127,14 @@ impl PerformanceModel {
         if base <= 0.0 {
             return base;
         }
-        let corr = (self.h2d_s_per_px.eval(d) - self.h2d_s_per_px.eval(self.h2d_ref_density))
-            * width
-            * rows;
-        (base + corr).max(0.0)
+        (base + self.h2d_correction(d) * width * rows).max(0.0)
+    }
+
+    /// Per-pixel H2D seconds the compacted payload at density `d` adds to
+    /// (or, below the reference density, takes from) the fitted `PGPU`
+    /// form. Zero for an untrained `h2d_s_per_px`.
+    pub fn h2d_correction(&self, d: f64) -> f64 {
+        self.h2d_s_per_px.eval(d) - self.h2d_s_per_px.eval(self.h2d_ref_density)
     }
 
     /// Dispatch-overhead estimate for a `width × rows` band.
@@ -186,6 +211,7 @@ impl PerformanceModel {
             spec_prefix_mcus: SEED_SPEC_PREFIX_MCUS,
             h2d_s_per_px: Poly1::new(vec![0.0]),
             h2d_ref_density: 0.0,
+            pcpu_density: Poly1::new(vec![1.0]),
         }
     }
 
@@ -204,7 +230,11 @@ impl PerformanceModel {
         if self.chunk_mcu_rows == 0 {
             return Some("chunk_mcu_rows must be >= 1");
         }
-        let poly1s = [&self.thuff_ns_per_px, &self.h2d_s_per_px];
+        let poly1s = [
+            &self.thuff_ns_per_px,
+            &self.h2d_s_per_px,
+            &self.pcpu_density,
+        ];
         let poly2s = [&self.p_cpu, &self.p_gpu, &self.t_disp];
         let finite_coefs = poly1s.iter().all(|p| p.coefs.iter().all(|c| c.is_finite()))
             && poly2s
@@ -262,6 +292,7 @@ impl PerformanceModel {
         };
         p1("thuff", &self.thuff_ns_per_px, &mut out);
         p1("h2d", &self.h2d_s_per_px, &mut out);
+        p1("pcpu_density", &self.pcpu_density, &mut out);
         p2("p_cpu", &self.p_cpu, &mut out);
         p2("p_gpu", &self.p_gpu, &mut out);
         p2("t_disp", &self.t_disp, &mut out);
@@ -332,6 +363,9 @@ impl PerformanceModel {
             h2d_ref_density: get("h2d_ref_density")
                 .and_then(|s| s.parse().ok())
                 .unwrap_or(0.0),
+            // Absent in files written before the density factor existed:
+            // the identity factor, so those models price exactly as they did.
+            pcpu_density: p1("pcpu_density").unwrap_or_else(|| Poly1::new(vec![1.0])),
         })
     }
 }
@@ -372,6 +406,76 @@ mod tests {
         let text = m.save_str();
         let back = PerformanceModel::load_str(&text).expect("parse");
         assert_eq!(m, back);
+    }
+
+    /// A model trained on a small corpus: every key carries a fitted value.
+    fn trained() -> PerformanceModel {
+        let params = hetjpeg_corpus::CorpusParams {
+            min_dim: 64,
+            max_dim: 192,
+            steps: 2,
+            subsampling: Subsampling::S422,
+            quality: 85,
+            restart_interval: 0,
+        };
+        let jpegs: Vec<Vec<u8>> = (hetjpeg_corpus::training_set(&params).into_iter())
+            .map(|c| c.jpeg)
+            .collect();
+        let opts = crate::profile::TrainOptions {
+            max_degree: 2,
+            wg_blocks: Some(8),
+            chunk_mcu_rows: Some(4),
+        };
+        crate::profile::train(&Platform::gtx560(), &jpegs, opts)
+    }
+
+    #[test]
+    fn trained_model_roundtrips_with_its_density_factor() {
+        let m = trained();
+        assert_ne!(
+            m.pcpu_density,
+            Poly1::new(vec![1.0]),
+            "the factor is fitted"
+        );
+        let back = PerformanceModel::load_str(&m.save_str()).expect("parse");
+        assert_eq!(m, back);
+    }
+
+    #[test]
+    fn a_file_without_the_density_factor_prices_with_the_identity() {
+        use crate::schedule::auto::predict_all;
+        let m = trained();
+        let legacy: String = (m.save_str().lines())
+            .filter(|l| !l.starts_with("pcpu_density."))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        let loaded = PerformanceModel::load_str(&legacy).expect("parse");
+        assert_eq!(loaded.pcpu_density, Poly1::new(vec![1.0]));
+        let identity = PerformanceModel {
+            pcpu_density: Poly1::new(vec![1.0]),
+            ..m
+        };
+        assert_eq!(loaded, identity);
+        let spec = hetjpeg_corpus::ImageSpec {
+            width: 200,
+            height: 136,
+            pattern: hetjpeg_corpus::Pattern::PhotoLike { detail: 0.7 },
+            seed: 3,
+        };
+        let jpeg = hetjpeg_corpus::generate_jpeg(&spec, 85, Subsampling::S422).expect("encode");
+        let prep = hetjpeg_jpeg::decoder::Prepared::new(&jpeg).expect("parse");
+        let platform = Platform::gtx560();
+        let bits = |model: &PerformanceModel| -> Vec<u64> {
+            (predict_all(&prep, &platform, model, 4).iter())
+                .map(|p| p.seconds.to_bits())
+                .collect()
+        };
+        assert_eq!(bits(&loaded), bits(&identity));
+        // The identity factor leaves `PCPU` exactly as fitted.
+        let (w, h) = (prep.geom.width as f64, prep.geom.height as f64);
+        let d = prep.parsed.entropy_density();
+        let simd = predict_all(&prep, &platform, &loaded, 4)[1].seconds;
+        assert_eq!(simd, loaded.huff_time(w * h, d) + loaded.p_cpu(w, h));
     }
 
     #[test]

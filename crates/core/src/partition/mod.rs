@@ -30,9 +30,10 @@ pub struct Partition {
     pub x_pixel_rows: f64,
     /// Newton iterations used.
     pub iterations: usize,
-    /// Predicted CPU-side time at the solution (seconds).
+    /// Predicted CPU-side time (seconds): at the Newton solution for SPS,
+    /// at the returned MCU-row split for PPS.
     pub predicted_cpu: f64,
-    /// Predicted GPU-side time at the solution (seconds).
+    /// Predicted GPU-side time (seconds), at the same point.
     pub predicted_gpu: f64,
 }
 

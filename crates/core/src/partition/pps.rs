@@ -1,21 +1,192 @@
 //! Pipelined Partitioning Scheme (paper §5.2.2).
 //!
 //! PPS overlaps the GPU's share with Huffman decoding: the GPU's rows are
-//! entropy-decoded chunk by chunk and dispatched asynchronously, so the CPU
-//! balance equation includes the whole Huffman time (Eq. 15):
+//! entropy-decoded chunk by chunk and dispatched asynchronously, and the
+//! CPU then decodes its own rows and renders them. At `x` CPU pixel rows
+//! the GPU takes `g = h − x`, fed in `n = ⌈g/c⌉` chunks of `c` rows, and
+//! Eq. 15 balances the two sides of that overlap:
 //!
 //! ```text
-//! f(x) = THuff(w, h−c, d) + PCPU(w, x) + Tdisp(w, h−x) − PGPU(w, h−x)
+//! CPU(x) = THuff(w, h, d) + PCPU(w, x)·k(d) + n·Tdisp(w, c)
+//! GPU(x) = max(THuff(w, c, d) + Tdisp(w, c) + PGPU(w, g),    device-bound
+//!              THuff(w, g, d) + n·Tdisp(w, c) + PGPU(w, c))  feed-bound
 //! ```
 //!
-//! and, because "the density of entropy data is unlikely to be evenly
+//! The CPU pays all of the Huffman decoding and every dispatch. The device
+//! starts once the first chunk is decoded and dispatched, and it cannot
+//! finish before the last chunk is fed at Huffman rate and decoded. `k(d)`
+//! is the model's `pcpu_density` factor. The last chunk may be shorter
+//! than `c`; the forms price it at its own height. The split is placed on
+//! the fitted `PGPU`: `Mode::Auto` adds the compacted payload's density
+//! correction only when it prices the result, because inside the balance
+//! it made the splits worse.
+//!
+//! Because "the density of entropy data is unlikely to be evenly
 //! distributed in practice", the split is **re-computed before the last GPU
-//! chunk** (Eq. 16) with a corrected density (Eq. 17).
+//! chunk** (Eq. 16) on the same two sides, over the rows still to decode,
+//! with a corrected density (Eq. 17), the device's backlog, and `PCPU`
+//! scaled by the tail's measured sparsity instead of `k(d)`.
 
 use super::newton::newton_solve;
 use super::Partition;
 use crate::model::PerformanceModel;
+use crate::regress::{Poly1, Poly2};
 use hetjpeg_jpeg::geometry::Geometry;
+use std::cell::Cell;
+
+/// One `(w, rows)` form of the model at a fixed image width, as a
+/// polynomial in the rows alone, with its slope: Newton only moves the
+/// rows, so the width's powers are reduced once per solve.
+#[derive(Debug, Clone)]
+struct AtWidth {
+    value: Poly1,
+    slope: Poly1,
+}
+
+impl AtWidth {
+    fn new(form: &Poly2, w: f64) -> Self {
+        let value = form.at_x(w);
+        AtWidth {
+            slope: value.derivative(),
+            value,
+        }
+    }
+
+    /// The form for a band of `rows` — zero for an empty band, never
+    /// negative, as the model's accessors price it — and its slope.
+    fn at(&self, rows: f64) -> (f64, f64) {
+        let value = if rows <= 0.0 {
+            0.0
+        } else {
+            self.value.eval(rows).max(0.0)
+        };
+        (value, self.slope.eval(rows))
+    }
+}
+
+/// The pipelined overlap of Eq. 15/16 for one image: what its two sides
+/// are priced from. The GPU takes rows in chunks of `chunk` pixel rows,
+/// all decoded at density `d`.
+#[derive(Debug, Clone)]
+pub(crate) struct Overlap {
+    w: f64,
+    chunk: f64,
+    backlog: f64,
+    chunked: bool,
+    h2d: f64,
+    t_disp: AtWidth,
+    p_gpu: AtWidth,
+    /// Huffman seconds per pixel row: `THuff` is linear in the rows.
+    huff_row: f64,
+    /// `Tdisp` and `PGPU` of one full chunk.
+    chunk_disp: f64,
+    chunk_dev: f64,
+}
+
+/// The overlap's prices for one GPU share, each with its slope in the
+/// share's rows.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Sides {
+    /// Every dispatch of the share: the CPU pays them between its Huffman
+    /// spans.
+    pub(crate) dispatches: (f64, f64),
+    /// When the device finishes: the later of the device-bound and the
+    /// feed-bound finish.
+    pub(crate) gpu: (f64, f64),
+}
+
+impl Overlap {
+    /// The overlap of an image `w` pixels wide at entropy density `d`, fed
+    /// in chunks of `chunk` (at least one) pixel rows once the device has
+    /// drained `backlog` seconds of queued work. With `chunked` the device
+    /// work is priced chunk by chunk, each chunk paying the fixed terms of
+    /// `PGPU` (latency, launches); without, as one band. `h2d` is added to
+    /// every `PGPU` band per pixel ([`PerformanceModel::h2d_correction`]).
+    pub(crate) fn new(
+        model: &PerformanceModel,
+        w: f64,
+        d: f64,
+        chunk: f64,
+        backlog: f64,
+        chunked: bool,
+        h2d: f64,
+    ) -> Self {
+        let chunk = chunk.max(1.0);
+        let mut overlap = Overlap {
+            w,
+            chunk,
+            backlog,
+            chunked,
+            h2d,
+            t_disp: AtWidth::new(&model.t_disp, w),
+            p_gpu: AtWidth::new(&model.p_gpu, w),
+            huff_row: model.huff_time(w, d),
+            chunk_disp: 0.0,
+            chunk_dev: 0.0,
+        };
+        overlap.chunk_disp = overlap.t_disp.at(chunk).0;
+        overlap.chunk_dev = overlap.device(chunk).0;
+        overlap
+    }
+
+    /// `PGPU` of a band of `rows` plus the H2D correction, and its slope,
+    /// as [`PerformanceModel::p_gpu_at_density`] prices it.
+    fn device(&self, rows: f64) -> (f64, f64) {
+        let (base, slope) = self.p_gpu.at(rows);
+        let slope = slope + self.h2d * self.w;
+        if base <= 0.0 {
+            return (base, slope);
+        }
+        ((base + self.h2d * self.w * rows).max(0.0), slope)
+    }
+
+    /// The prices of a GPU share of `g` pixel rows. With no rows there is
+    /// nothing to dispatch and the device finishes its backlog.
+    pub(crate) fn at(&self, g: f64) -> Sides {
+        if g <= 0.0 {
+            return Sides {
+                dispatches: (0.0, 0.0),
+                gpu: (self.backlog, 0.0),
+            };
+        }
+        // ⌈g/c⌉ chunks, the last one `last` rows high.
+        let n = (g / self.chunk).ceil().max(1.0);
+        let last = g - (n - 1.0) * self.chunk;
+        let last_disp = self.t_disp.at(last);
+        let last_dev = self.device(last);
+        let disp = ((n - 1.0) * self.chunk_disp + last_disp.0, last_disp.1);
+        // Device-bound: the first chunk decoded and dispatched (or the
+        // backlog drained), then all of the device work.
+        let fed_first = if n > 1.0 {
+            (self.huff_row * self.chunk + self.chunk_disp, 0.0)
+        } else {
+            (self.huff_row * g + last_disp.0, self.huff_row + last_disp.1)
+        };
+        let start = if fed_first.0 >= self.backlog {
+            fed_first
+        } else {
+            (self.backlog, 0.0)
+        };
+        let work = if self.chunked {
+            ((n - 1.0) * self.chunk_dev + last_dev.0, last_dev.1)
+        } else if n > 1.0 {
+            self.device(g)
+        } else {
+            last_dev
+        };
+        let device = (start.0 + work.0, start.1 + work.1);
+        // Feed-bound: every GPU row decoded and dispatched, then the last
+        // chunk's device time.
+        let feed = (
+            self.huff_row * g + disp.0 + last_dev.0,
+            self.huff_row + disp.1 + last_dev.1,
+        );
+        Sides {
+            dispatches: disp,
+            gpu: if device.0 >= feed.0 { device } else { feed },
+        }
+    }
+}
 
 /// Initial PPS split for an image with density `d`, given the tuned chunk
 /// height in pixel rows (`c` in Eq. 15).
@@ -27,18 +198,10 @@ pub fn initial_partition(
 ) -> Partition {
     let w = geom.width as f64;
     let h = geom.height as f64;
-    let c = chunk_pixel_rows.min(h);
-    // THuff of all rows after the first chunk: the CPU keeps Huffman-decoding
-    // while the GPU works, so only the first chunk's latency is exposed.
-    let huff_rest = model.huff_time(w * (h - c), d);
-    let f = |x: f64| huff_rest + model.p_cpu(w, x) + model.t_disp(w, h - x) - model.p_gpu(w, h - x);
-    let df = |x: f64| {
-        model.p_cpu.eval_dy(w, x) - model.t_disp.eval_dy(w, h - x) + model.p_gpu.eval_dy(w, h - x)
-    };
-    let r = newton_solve(f, df, h / 2.0, 0.0, h, 0.5, 30);
-    let cpu = huff_rest + model.p_cpu(w, r.x) + model.t_disp(w, h - r.x);
-    let gpu = model.p_gpu(w, h - r.x);
-    Partition::from_x(geom, r.x, r.iterations, cpu, gpu)
+    let overlap = Overlap::new(model, w, d, chunk_pixel_rows.min(h), 0.0, false, 0.0);
+    let k = model.pcpu_density_factor(d);
+    let huff = model.huff_time(w * h, d);
+    balance(model, &overlap, h, geom.mcus_y, geom.mcu_h, huff, k)
 }
 
 /// Density correction (Eq. 17): scale the global density by how much
@@ -64,10 +227,11 @@ pub fn corrected_density(
 
 /// Re-partition before the last GPU chunk (Eq. 16): `h_left` pixel rows are
 /// still unprocessed, the GPU still owes `prev_gpu_backlog` seconds of
-/// queued work, and the density estimate has been corrected to `d_new`.
-/// `cpu_scale` corrects the `PCPU` closed form for the tail's measured
-/// IDCT sparsity relative to the corpus average the model was fit at
-/// (1.0 = no correction; see
+/// queued work, the density estimate has been corrected to `d_new`, and the
+/// GPU's rows keep coming in chunks of `chunk_pixel_rows`. `cpu_scale`
+/// corrects the `PCPU` closed form for the tail's measured IDCT sparsity
+/// relative to the corpus average the model was fit at (1.0 = no
+/// correction; see
 /// [`crate::cost::CpuCostModel::band_scale_for_discount`]).
 ///
 /// Returns the new split of the *remaining* rows (CPU gets the final
@@ -79,32 +243,74 @@ pub fn repartition(
     d_new: f64,
     prev_gpu_backlog: f64,
     cpu_scale: f64,
+    chunk_pixel_rows: f64,
 ) -> Partition {
     let w = geom.width as f64;
+    let chunk = chunk_pixel_rows.min(h_left);
+    let overlap = Overlap::new(model, w, d_new, chunk, prev_gpu_backlog, false, 0.0);
+    let huff = model.huff_time(w * h_left, d_new);
+    // Rows are counted against the full-image geometry (MCU height).
+    let rows = geom.round_rows_to_mcu(h_left);
+    balance(model, &overlap, h_left, rows, geom.mcu_h, huff, cpu_scale)
+}
+
+/// Solve `CPU(x) = GPU(h − x)` over `h` pixel rows (`rows` MCU rows of
+/// `mcu_h`, the CPU taking the final ones) by Newton's method, where the
+/// CPU side is `huff` plus `PCPU(w, x)·cpu_scale` plus the GPU share's
+/// dispatches. Of the two MCU-row splits around the root, the one with the
+/// smaller predicted makespan wins; the predictions are its sides.
+fn balance(
+    model: &PerformanceModel,
+    overlap: &Overlap,
+    h: f64,
+    rows: usize,
+    mcu_h: usize,
+    huff: f64,
+    cpu_scale: f64,
+) -> Partition {
+    let p_cpu = AtWidth::new(&model.p_cpu, overlap.w);
+    // (CPU, GPU) at `x` CPU rows, each with its slope in x. Newton asks
+    // for f and f' at the same point: price it once.
+    let last = Cell::new((f64::NAN, [0.0; 4]));
+    let sides = |x: f64| {
+        let (at, v) = last.get();
+        if at == x {
+            return v;
+        }
+        let Sides { dispatches, gpu } = overlap.at(h - x);
+        let (band, band_dx) = p_cpu.at(x);
+        let cpu = huff + band * cpu_scale + dispatches.0;
+        let cpu_dx = band_dx * cpu_scale - dispatches.1;
+        let v = [cpu, cpu_dx, gpu.0, -gpu.1];
+        last.set((x, v));
+        v
+    };
     let f = |x: f64| {
-        model.huff_time(w * h_left, d_new)
-            + model.p_cpu(w, x) * cpu_scale
-            + model.t_disp(w, h_left - x)
-            - model.p_gpu(w, h_left - x)
-            - prev_gpu_backlog
+        let [cpu, _, gpu, _] = sides(x);
+        cpu - gpu
     };
     let df = |x: f64| {
-        model.p_cpu.eval_dy(w, x) * cpu_scale - model.t_disp.eval_dy(w, h_left - x)
-            + model.p_gpu.eval_dy(w, h_left - x)
+        let [_, cpu_dx, _, gpu_dx] = sides(x);
+        cpu_dx - gpu_dx
     };
-    let r = newton_solve(f, df, h_left / 2.0, 0.0, h_left, 0.5, 30);
-    let cpu = model.huff_time(w * h_left, d_new) + model.p_cpu(w, r.x) * cpu_scale;
-    let gpu = prev_gpu_backlog + model.p_gpu(w, h_left - r.x);
-    // Note: rounding is done against the full-image geometry (MCU height).
-    let cpu_mcu_rows = geom.round_rows_to_mcu(r.x);
-    let left_mcu_rows = geom.round_rows_to_mcu(h_left);
+    let r = newton_solve(f, df, h / 2.0, 0.0, h, 0.5, 30);
+    // The CPU's pixel rows when it takes the final `k` MCU rows.
+    let x_of = |k: usize| (h - ((rows - k) * mcu_h) as f64).clamp(0.0, h);
+    let span = |k: usize| {
+        let [cpu, _, gpu, _] = sides(x_of(k));
+        cpu.max(gpu)
+    };
+    let lo = rows.saturating_sub(((h - r.x) / mcu_h as f64).ceil() as usize);
+    let hi = (lo + 1).min(rows);
+    let cpu_mcu_rows = if span(hi) < span(lo) { hi } else { lo };
+    let [predicted_cpu, _, predicted_gpu, _] = sides(x_of(cpu_mcu_rows));
     Partition {
-        gpu_mcu_rows: left_mcu_rows.saturating_sub(cpu_mcu_rows),
-        cpu_mcu_rows: cpu_mcu_rows.min(left_mcu_rows),
+        gpu_mcu_rows: rows - cpu_mcu_rows,
+        cpu_mcu_rows,
         x_pixel_rows: r.x,
         iterations: r.iterations,
-        predicted_cpu: cpu,
-        predicted_gpu: gpu,
+        predicted_cpu,
+        predicted_gpu,
     }
 }
 
@@ -124,7 +330,7 @@ mod tests {
         // GPU's share must grow relative to SPS (compare Eq. 10 vs Eq. 15).
         let model = PerformanceModel::analytic_seed(&Platform::gtx560());
         let g = geom(2048, 2048);
-        let sps = crate::partition::sps::partition(&model, &g);
+        let sps = crate::partition::sps::partition(&model, &g, 0.2);
         let pps = initial_partition(&model, &g, 0.2, 128.0);
         assert!(
             pps.gpu_mcu_rows >= sps.gpu_mcu_rows,
@@ -165,8 +371,8 @@ mod tests {
     fn backlog_shifts_work_to_cpu() {
         let model = PerformanceModel::analytic_seed(&Platform::gtx560());
         let g = geom(1024, 1024);
-        let no_backlog = repartition(&model, &g, 512.0, 0.2, 0.0, 1.0);
-        let backlog = repartition(&model, &g, 512.0, 0.2, 0.05, 1.0);
+        let no_backlog = repartition(&model, &g, 512.0, 0.2, 0.0, 1.0, 64.0);
+        let backlog = repartition(&model, &g, 512.0, 0.2, 0.05, 1.0, 64.0);
         assert!(
             backlog.cpu_mcu_rows >= no_backlog.cpu_mcu_rows,
             "backlogged GPU should shed rows: {} vs {}",
@@ -181,8 +387,8 @@ mod tests {
         // at) makes the CPU band pricier, so the CPU must keep fewer rows.
         let model = PerformanceModel::analytic_seed(&Platform::gt430());
         let g = geom(1024, 1024);
-        let neutral = repartition(&model, &g, 512.0, 0.25, 0.01, 1.0);
-        let dense_tail = repartition(&model, &g, 512.0, 0.25, 0.01, 1.6);
+        let neutral = repartition(&model, &g, 512.0, 0.25, 0.01, 1.0, 64.0);
+        let dense_tail = repartition(&model, &g, 512.0, 0.25, 0.01, 1.6, 64.0);
         assert!(
             dense_tail.cpu_mcu_rows <= neutral.cpu_mcu_rows,
             "denser tail should shed CPU rows: {} vs {}",
@@ -198,7 +404,7 @@ mod tests {
         for h_left in [48.0, 160.0, 480.0] {
             for backlog in [0.0, 0.001, 0.1] {
                 for cpu_scale in [0.6, 1.0, 1.8] {
-                    let p = repartition(&model, &g, h_left, 0.3, backlog, cpu_scale);
+                    let p = repartition(&model, &g, h_left, 0.3, backlog, cpu_scale, 64.0);
                     assert!(p.cpu_mcu_rows + p.gpu_mcu_rows <= g.mcus_y);
                     assert!(p.x_pixel_rows >= 0.0 && p.x_pixel_rows <= h_left);
                 }

@@ -9,7 +9,7 @@ use crate::gpu_decode::KernelPlan;
 use crate::model::PerformanceModel;
 use crate::platform::Platform;
 use crate::profile::{tune_chunk_rows, tune_wg_blocks};
-use crate::regress::{fit_poly1_aic, fit_poly2_aic};
+use crate::regress::{fit_poly1_aic, fit_poly2_aic, Poly1};
 use crate::workspace::{gpu_on, Workspace};
 use hetjpeg_jpeg::decoder::Prepared;
 use hetjpeg_jpeg::metrics::ParallelWork;
@@ -164,6 +164,21 @@ pub fn train(
     let (thuff, _) = fit_poly1_aic(&density_samples, &huff_rate_samples, opts.max_degree);
     let (h2d, _) = fit_poly1_aic(&density_samples, &h2d_rate_samples, opts.max_degree);
     let (p_cpu, _) = fit_poly2_aic(&size_samples, &pcpu_samples, deg2);
+    // What the (w, h) form leaves over, against density: each sample over
+    // its `PCPU` prediction, fitted at degree 1 (the ratio is close to
+    // linear in d). A sample the form prices at nothing has no ratio.
+    let (ratio_d, ratios): (Vec<f64>, Vec<f64>) = (0..pcpu_samples.len())
+        .filter_map(|i| {
+            let (w, h) = size_samples[i];
+            let fitted = p_cpu.eval(w, h);
+            (fitted > 0.0).then(|| (density_samples[i], pcpu_samples[i] / fitted))
+        })
+        .unzip();
+    let pcpu_density = if ratio_d.len() >= 2 {
+        fit_poly1_aic(&ratio_d, &ratios, 1).0
+    } else {
+        Poly1::new(vec![1.0])
+    };
     let (p_gpu, _) = fit_poly2_aic(&size_samples, &pgpu_samples, deg2);
     let (t_disp, _) = fit_poly2_aic(&size_samples, &tdisp_samples, deg2.min(2));
 
@@ -184,6 +199,7 @@ pub fn train(
         },
         h2d_s_per_px: h2d,
         h2d_ref_density: density_samples.iter().sum::<f64>() / density_samples.len() as f64,
+        pcpu_density,
     };
 
     if opts.chunk_mcu_rows.is_none() {
@@ -248,6 +264,11 @@ mod tests {
         // sparsity spread, so the tolerance is wider than a pure-geometry
         // fit would need.
         assert!(rel < 0.35, "PCPU rel error {rel:.3}");
+
+        // Denser entropy means denser IDCT blocks: the `PCPU` density
+        // factor rises with d.
+        let (k_lo, k_hi) = (model.pcpu_density.eval(0.05), model.pcpu_density.eval(0.4));
+        assert!(k_hi > k_lo, "density factor {k_lo:.3} .. {k_hi:.3}");
 
         // Huffman model returns positive, density-increasing rates.
         let r_lo = model.thuff_ns_per_px.eval(0.05);

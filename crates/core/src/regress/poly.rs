@@ -163,6 +163,27 @@ impl Poly2 {
         total
     }
 
+    /// The polynomial in `y` alone at a fixed `x`: each power of `y` gets
+    /// its coefficient Horner-reduced once, so a solver that moves only
+    /// `y` (the partition height) evaluates a univariate Horner form.
+    /// `at_x(x).eval(y)` equals `eval(x, y)` bit for bit.
+    pub fn at_x(&self, x: f64) -> Poly1 {
+        let xs = x / self.x_scale;
+        let coefs = (0..=self.degree)
+            .map(|j| {
+                let mut cj = 0.0;
+                for i in (0..=self.degree - j).rev() {
+                    cj = cj * xs + self.coefs[i][j];
+                }
+                cj
+            })
+            .collect();
+        Poly1 {
+            coefs,
+            x_scale: self.y_scale,
+        }
+    }
+
     /// Partial derivative with respect to the *unscaled* second argument —
     /// the `f'(x)` Newton's method needs when `y` is the partition height.
     pub fn eval_dy(&self, x: f64, y: f64) -> f64 {
@@ -251,6 +272,22 @@ mod tests {
         p.coefs[0][1] = 3.0;
         p.coefs[1][1] = 4.0;
         assert!((p.eval(2.0, 3.0) - (1.0 + 4.0 + 9.0 + 24.0)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn poly2_at_x_is_eval_bit_for_bit() {
+        let mons = Poly2::monomials(3);
+        let flat: Vec<f64> = (0..mons.len())
+            .map(|i| ((i * 5 % 7) as f64 - 3.0) * 0.37)
+            .collect();
+        let p = Poly2::from_flat(3, &flat, 1024.0, 768.0);
+        for &x in &[16.0, 333.0, 1024.0] {
+            let q = p.at_x(x);
+            for &y in &[0.5, 8.0, 100.0, 767.0] {
+                assert_eq!(q.eval(y).to_bits(), p.eval(x, y).to_bits(), "({x}, {y})");
+                assert!((q.derivative().eval(y) - p.eval_dy(x, y)).abs() < 1e-12);
+            }
+        }
     }
 
     #[test]

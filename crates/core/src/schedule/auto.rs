@@ -88,25 +88,20 @@ pub fn predict_all(
     let h = geom.height as f64;
     let d = prep.parsed.entropy_density(); // Eq. (3)
     let thuff = model.huff_time(w * h, d); // Eq. (4)
-    let pcpu = model.p_cpu(w, h);
+    let pcpu = model.p_cpu_at_density(w, h, d);
     // The scalar band costs the SIMD band times the work-mix-weighted
     // blend of the retrained per-stage factors (the vector kernels win
     // more where there is more chroma work to vectorize), evaluated at
-    // the IDCT discount the trained `PCPU` form was fit at so the two
-    // predictions stay consistent.
+    // the IDCT discount the density-scaled `PCPU` implies for this image
+    // so the two predictions stay consistent.
     let whole = hetjpeg_jpeg::metrics::ParallelWork::for_mcu_rows(geom, 0, geom.mcus_y);
-    let scalar_ratio = platform
-        .cpu
-        .scalar_over_simd_at_discount(&whole, model.pcpu_idct_discount);
-    let chunk_rows = model.chunk_mcu_rows.max(1);
-    let chunk_px = ((chunk_rows * geom.mcu_h) as f64).min(h);
-    let n_chunks = (h / chunk_px).ceil().max(1.0);
-    let huff_chunk = thuff * chunk_px / h;
+    let discount = implied_discount(platform, model, &whole, d);
+    let scalar_ratio = platform.cpu.scalar_over_simd_at_discount(&whole, discount);
+    let chunk_px = ((model.chunk_mcu_rows.max(1) * geom.mcu_h) as f64).min(h);
     // PR 9: the compacted H2D payload tracks content density, so every
     // GPU-involving mode's transfer cost departs from the fitted `PGPU`
     // form by this per-pixel delta (zero for untrained/legacy models).
-    let h2d_corr_per_px =
-        model.h2d_s_per_px.eval(d) - model.h2d_s_per_px.eval(model.h2d_ref_density);
+    let h2d = model.h2d_correction(d);
 
     let seconds_for = |mode: Mode| -> f64 {
         match mode {
@@ -119,29 +114,31 @@ pub fn predict_all(
             // compacted H2D payload of a dense image is larger than the
             // corpus reference the form was fit at, and vice versa.
             Mode::Gpu => thuff + model.t_disp(w, h) + model.p_gpu_at_density(w, h, d),
-            // Fig. 5b: kernels hide behind Huffman after the first chunk's
-            // latency; the CPU side pays every dispatch.
+            // Fig. 5b: Eq. 15's overlap with every row on the GPU. The CPU
+            // side pays the Huffman and every dispatch; the GPU side is
+            // device- or feed-bound, its device work priced chunk by chunk
+            // (each chunk pays the transfer latency and the launches).
             Mode::PipelinedGpu => {
-                let cpu_side = thuff + n_chunks * model.t_disp(w, chunk_px);
-                let gpu_side =
-                    huff_chunk + model.t_disp(w, chunk_px) + model.p_gpu_at_density(w, h, d);
-                cpu_side.max(gpu_side)
+                let overlap = pps::Overlap::new(model, w, d, chunk_px, 0.0, true, h2d);
+                let pps::Sides { dispatches, gpu } = overlap.at(h);
+                (thuff + dispatches.0).max(gpu.0)
             }
             // Eq. 10: Huffman first, then the balanced split. The GPU
             // share's transfer is density-corrected over its own rows.
             Mode::Sps => {
-                let part = sps::partition(model, geom);
+                let part = sps::partition(model, geom, d);
                 let g_px = (part.gpu_mcu_rows * geom.mcu_h) as f64;
-                let gpu = (part.predicted_gpu + h2d_corr_per_px * w * g_px).max(0.0);
+                let gpu = (part.predicted_gpu + h2d * w * g_px).max(0.0);
                 thuff + part.predicted_cpu.max(gpu)
             }
-            // Eq. 15: the split already prices the overlapped Huffman; only
-            // the first chunk's latency is exposed on the GPU side.
+            // Eq. 15: both sides already price the overlapped Huffman; the
+            // GPU side is re-priced at the split with the density-corrected
+            // transfer.
             Mode::Pps => {
                 let part = pps::initial_partition(model, geom, d, chunk_px);
-                let g_px = (part.gpu_mcu_rows * geom.mcu_h) as f64;
-                let gpu = (part.predicted_gpu + h2d_corr_per_px * w * g_px).max(0.0);
-                part.predicted_cpu.max(huff_chunk + gpu)
+                let overlap = pps::Overlap::new(model, w, d, chunk_px, 0.0, false, h2d);
+                let g_px = h.min((part.gpu_mcu_rows * geom.mcu_h) as f64);
+                part.predicted_cpu.max(overlap.at(g_px).gpu.0)
             }
             // Entropy decode spread over the worker pool, then the SIMD
             // band. Restart markers give exact segment boundaries; without
@@ -183,6 +180,40 @@ pub fn predict_all(
             seconds: seconds_for(mode),
         })
         .collect()
+}
+
+/// The IDCT discount at which a SIMD band of `work` costs the
+/// `pcpu_density` factor at `d` times what it costs at the discount the
+/// `PCPU` form was fit at: the image's expected sparsity, read off its
+/// entropy density. Without a density factor it is the fitted discount.
+fn implied_discount(
+    platform: &Platform,
+    model: &PerformanceModel,
+    work: &hetjpeg_jpeg::metrics::ParallelWork,
+    d: f64,
+) -> f64 {
+    let k = model.pcpu_density_factor(d);
+    let fit_at = model.pcpu_idct_discount;
+    if k == 1.0 {
+        return fit_at;
+    }
+    // The band's price rises with its discount, smoothly between the
+    // EOB-class anchors: find the anchors around the factor and
+    // interpolate.
+    let scale = |discount: f64| platform.cpu.band_scale_for_discount(work, discount, fit_at);
+    let anchors = crate::cost::CpuCostModel::SPARSE_CLASS_FACTORS;
+    let (mut lo, mut lo_scale) = (anchors[0], scale(anchors[0]));
+    if k <= lo_scale {
+        return lo;
+    }
+    for &hi in &anchors[1..] {
+        let hi_scale = scale(hi);
+        if k <= hi_scale {
+            return lo + (hi - lo) * (k - lo_scale) / (hi_scale - lo_scale);
+        }
+        (lo, lo_scale) = (hi, hi_scale);
+    }
+    lo
 }
 
 /// Number of independently decodable restart segments (1 when no DRI).

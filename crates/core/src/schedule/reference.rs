@@ -254,7 +254,7 @@ pub(crate) fn sps(
     ws.ensure(prep);
     let p = ws.parts();
     let (rows, t_huff) = entropy_into(prep, platform, p.coef)?;
-    let part = sps::partition(model, geom);
+    let part = sps::partition(model, geom, prep.parsed.entropy_density());
     let g_rows = part.gpu_mcu_rows;
 
     let mut trace = Trace::default();
@@ -418,7 +418,7 @@ pub(crate) fn pps(
                 tail_discount,
                 model.pcpu_idct_discount,
             );
-            let re = pps::repartition(model, geom, h_left, d_new, backlog, cpu_scale);
+            let re = pps::repartition(model, geom, h_left, d_new, backlog, cpu_scale, chunk_px);
             gpu_end = (row + re.gpu_mcu_rows).min(geom.mcus_y);
         }
         if row >= gpu_end {

@@ -71,7 +71,8 @@ impl Plan {
                 ..whole
             },
             Mode::Sps => {
-                let part = sps::partition(model, geom); // Eq. 10
+                let d = prep.parsed.entropy_density(); // Eq. (3)
+                let part = sps::partition(model, geom, d); // Eq. 10
                 Plan {
                     gpu_rows: part.gpu_mcu_rows,
                     partition: Some(part),
@@ -195,7 +196,8 @@ fn repartitioned_end(
     let cpu_scale = platform
         .cpu
         .band_scale_for_discount(&tail_work, tail_discount, fit_at);
-    let re = pps::repartition(model, geom, h_left, d_new, backlog, cpu_scale);
+    let chunk_px = (model.chunk_mcu_rows.max(1) * geom.mcu_h) as f64;
+    let re = pps::repartition(model, geom, h_left, d_new, backlog, cpu_scale, chunk_px);
     // New boundary: the GPU keeps `re.gpu_mcu_rows` of the remaining rows.
     (row + re.gpu_mcu_rows).min(geom.mcus_y)
 }

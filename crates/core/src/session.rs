@@ -1034,11 +1034,17 @@ mod tests {
         // anywhere, and a zero where the model divides or discounts by it.
         // `h2d_ref_density = NaN` used to price the GPU band at zero.
         type Field = fn(&mut crate::model::PerformanceModel) -> &mut f64;
-        let fields: [(&str, Field, bool); 16] = [
+        let fields: [(&str, Field, bool); 18] = [
             ("thuff coef", |m| &mut m.thuff_ns_per_px.coefs[0], false),
             ("thuff x_scale", |m| &mut m.thuff_ns_per_px.x_scale, true),
             ("h2d coef", |m| &mut m.h2d_s_per_px.coefs[0], false),
             ("h2d x_scale", |m| &mut m.h2d_s_per_px.x_scale, true),
+            ("pcpu_density coef", |m| &mut m.pcpu_density.coefs[0], false),
+            (
+                "pcpu_density x_scale",
+                |m| &mut m.pcpu_density.x_scale,
+                true,
+            ),
             ("h2d_ref_density", |m| &mut m.h2d_ref_density, false),
             ("pcpu_idct_discount", |m| &mut m.pcpu_idct_discount, true),
             ("spec_prefix_mcus", |m| &mut m.spec_prefix_mcus, false),
@@ -1053,10 +1059,10 @@ mod tests {
             ("t_disp y_scale", |m| &mut m.t_disp.y_scale, true),
         ];
         for (name, field, zero_is_bad) in fields {
-            let zero = zero_is_bad.then_some(0.0);
-            for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY]
-                .into_iter()
-                .chain(zero)
+            let non_positive = if zero_is_bad { &[0.0, -1.0][..] } else { &[] };
+            for &v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY]
+                .iter()
+                .chain(non_positive)
             {
                 let mut m = Platform::gtx560().untrained_model();
                 *field(&mut m) = v;

@@ -47,8 +47,9 @@ fn main() {
     );
     for d in [0.05, 0.15, 0.30, 0.45] {
         println!(
-            "  THuffPerPixel({d:.2}) = {:.2} ns/px",
-            model.thuff_ns_per_px.eval(d)
+            "  THuffPerPixel({d:.2}) = {:.2} ns/px, PCPU density factor {:.2}",
+            model.thuff_ns_per_px.eval(d),
+            model.pcpu_density_factor(d)
         );
     }
 
@@ -72,7 +73,7 @@ fn main() {
         let jpeg = generate_jpeg(&spec, 88, Subsampling::S422).expect("encode");
         let prep = Prepared::new(&jpeg).expect("parse");
         let d = prep.parsed.entropy_density();
-        let s = sps::partition(&model, &prep.geom);
+        let s = sps::partition(&model, &prep.geom, d);
         let p = pps::initial_partition(
             &model,
             &prep.geom,

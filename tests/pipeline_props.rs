@@ -1,14 +1,18 @@
 //! Property-based tests across the whole stack.
 
+use hetjpeg_core::model::PerformanceModel;
 use hetjpeg_core::partition::{pps, sps};
 use hetjpeg_core::platform::Platform;
+use hetjpeg_core::profile::{train, TrainOptions};
+use hetjpeg_core::schedule::auto::predict_all;
 use hetjpeg_core::schedule::Mode;
 use hetjpeg_core::{DecodeOptions, Decoder};
-use hetjpeg_corpus::{generate_jpeg, ImageSpec, Pattern};
-use hetjpeg_jpeg::decoder::decode;
+use hetjpeg_corpus::{generate_jpeg, training_set, CorpusParams, ImageSpec, Pattern};
+use hetjpeg_jpeg::decoder::{decode, Prepared};
 use hetjpeg_jpeg::geometry::Geometry;
 use hetjpeg_jpeg::types::Subsampling;
 use proptest::prelude::*;
+use std::sync::OnceLock;
 
 fn subsampling_strategy() -> impl Strategy<Value = Subsampling> {
     prop_oneof![
@@ -28,6 +32,28 @@ fn pattern_strategy() -> impl Strategy<Value = Pattern> {
         (0.1f64..1.0).prop_map(|a| Pattern::WhiteNoise { amount: a }),
         (0.2f64..0.9).prop_map(|d| Pattern::PhotoLike { detail: d }),
     ]
+}
+
+/// A small trained GTX 560 model, fitted once for the whole binary.
+fn trained() -> &'static PerformanceModel {
+    static MODEL: OnceLock<PerformanceModel> = OnceLock::new();
+    MODEL.get_or_init(|| {
+        let params = CorpusParams {
+            min_dim: 64,
+            max_dim: 256,
+            steps: 3,
+            subsampling: Subsampling::S422,
+            quality: 85,
+            restart_interval: 0,
+        };
+        let jpegs: Vec<Vec<u8>> = training_set(&params).into_iter().map(|c| c.jpeg).collect();
+        let opts = TrainOptions {
+            max_degree: 3,
+            wg_blocks: Some(8),
+            chunk_mcu_rows: None,
+        };
+        train(&Platform::gtx560(), &jpegs, opts)
+    })
 }
 
 proptest! {
@@ -70,10 +96,64 @@ proptest! {
         let geom = Geometry::new(w, h, sub).expect("geometry");
         let platform = &Platform::all()[platform_idx];
         let model = platform.untrained_model();
-        let p = sps::partition(&model, &geom);
+        let p = sps::partition(&model, &geom, 0.2);
         prop_assert_eq!(p.cpu_mcu_rows + p.gpu_mcu_rows, geom.mcus_y);
         let q = pps::initial_partition(&model, &geom, 0.2, (geom.mcu_h * 8) as f64);
         prop_assert_eq!(q.cpu_mcu_rows + q.gpu_mcu_rows, geom.mcus_y);
+    }
+
+    /// Eq. 15 charges the CPU all of the image's Huffman decoding, and the
+    /// GPU cannot finish before its own rows are Huffman-decoded: at the
+    /// split it returns, the CPU side is at least `THuff(w·h, d)` and the
+    /// GPU side at least `THuff` of the GPU's rows — for the seed and a
+    /// trained model, at any chunk height.
+    #[test]
+    fn eq15_sides_cover_their_huffman(
+        w in 16usize..2048,
+        h in 16usize..2048,
+        d in 0.01f64..1.0,
+        chunk_mcu_rows in 1usize..40,
+        sub in subsampling_strategy(),
+        trained_model in any::<bool>(),
+    ) {
+        let geom = Geometry::new(w, h, sub).expect("geometry");
+        let model = if trained_model { trained().clone() } else { Platform::gtx560().untrained_model() };
+        let chunk_px = (chunk_mcu_rows * geom.mcu_h) as f64;
+        let part = pps::initial_partition(&model, &geom, d, chunk_px);
+        let huff = model.huff_time((w * h) as f64, d);
+        prop_assert!(part.predicted_cpu >= huff, "CPU side {} < THuff {}", part.predicted_cpu, huff);
+        let gpu_px = h.min(part.gpu_mcu_rows * geom.mcu_h);
+        let gpu_huff = model.huff_time((w * gpu_px) as f64, d);
+        prop_assert!(
+            part.predicted_gpu >= gpu_huff,
+            "GPU side {} < THuff of its {} rows {}", part.predicted_gpu, gpu_px, gpu_huff
+        );
+    }
+
+    /// `Auto`'s prices of the two overlapped modes never undercut the
+    /// Huffman decoding they overlap with.
+    #[test]
+    fn overlapped_predictions_cover_their_huffman(
+        w in 16usize..400,
+        h in 16usize..400,
+        detail in 0.05f64..1.0,
+        chunk_mcu_rows in 1usize..40,
+        seed in any::<u64>(),
+        trained_model in any::<bool>(),
+    ) {
+        let spec = ImageSpec { width: w, height: h, pattern: Pattern::PhotoLike { detail }, seed };
+        let jpeg = generate_jpeg(&spec, 85, Subsampling::S422).expect("encode");
+        let prep = Prepared::new(&jpeg).expect("parse");
+        let platform = Platform::gtx560();
+        let base = if trained_model { trained().clone() } else { platform.untrained_model() };
+        let model = PerformanceModel { chunk_mcu_rows, ..base };
+        let d = prep.parsed.entropy_density();
+        let huff = model.huff_time((w * h) as f64, d);
+        for p in predict_all(&prep, &platform, &model, 4) {
+            if matches!(p.mode, Mode::Pps | Mode::PipelinedGpu) {
+                prop_assert!(p.seconds >= huff, "{:?} {} < THuff {}", p.mode, p.seconds, huff);
+            }
+        }
     }
 
     /// The density correction (Eq. 17) is monotone in the remaining-time
