@@ -11,7 +11,8 @@
 use crate::model::PerformanceModel;
 use crate::platform::Platform;
 use crate::schedule::split::{self, Plan};
-use crate::schedule::Mode;
+use crate::schedule::{Mode, Target};
+use crate::session::OutputFormat;
 use crate::workspace::Workspace;
 use hetjpeg_jpeg::decoder::Prepared;
 
@@ -42,11 +43,13 @@ pub fn tune_chunk_rows(
     for jpeg in profiling_jpegs {
         let prep = Prepared::new(jpeg.as_ref()).expect("profiling image parses");
         let mut best = (f64::INFINITY, 1usize);
+        let mut image = Target::whole(OutputFormat::Rgb);
         for c in candidate_chunk_rows(prep.geom.mcus_y) {
             let mut trial = proto_model.clone();
             trial.chunk_mcu_rows = c;
             let plan = Plan::of(Mode::PipelinedGpu, &prep, &trial);
-            let out = split::decode(&prep, platform, &trial, &plan, ws).expect("pipelined decode");
+            let out = split::decode(&prep, platform, &trial, &plan, ws, &mut image)
+                .expect("pipelined decode");
             if out.times.total < best.0 {
                 best = (out.times.total, c);
             }
@@ -100,7 +103,9 @@ mod tests {
             let mut m = model.clone();
             m.chunk_mcu_rows = c;
             let plan = Plan::of(Mode::PipelinedGpu, &prep, &m);
-            split::decode(&prep, &platform, &m, &plan, &mut Workspace::default())
+            let mut image = Target::whole(OutputFormat::Rgb);
+            let mut ws = Workspace::default();
+            (split::decode(&prep, &platform, &m, &plan, &mut ws, &mut image))
                 .unwrap()
                 .times
                 .total

@@ -31,9 +31,8 @@
 //! With one thread the mode degenerates to sequential entropy + SIMD band,
 //! still byte-identical.
 
-use super::{render_cpu, DecodeOutcome, Filled, Mode};
+use super::{render_cpu, DecodeOutcome, Filled, Mode, Target};
 use crate::platform::Platform;
-use crate::session::OutputFormat;
 use crate::timeline::{Resource, Trace};
 use crate::workspace::Workspace;
 use hetjpeg_jpeg::coef::CoefBuffer;
@@ -107,8 +106,8 @@ pub(crate) fn decode_parallel_entropy_in(
     prep: &Prepared<'_>,
     platform: &Platform,
     threads: usize,
-    format: OutputFormat,
     ws: &mut Workspace,
+    out: &mut Target<'_>,
 ) -> Result<DecodeOutcome> {
     ws.ensure(prep);
     // Functional decode on real threads, with per-unit work metrics.
@@ -123,14 +122,8 @@ pub(crate) fn decode_parallel_entropy_in(
         classes,
         truncated: false,
     };
-    render_cpu(
-        prep,
-        platform,
-        ws.parts(),
-        filled,
-        Mode::ParallelEntropy,
-        format,
-    )
+    let mode = Mode::ParallelEntropy;
+    render_cpu(prep, platform, ws.parts(), filled, mode, out)
 }
 
 /// Aggregated result of the parallel entropy phase — what the virtual-time
@@ -333,9 +326,24 @@ pub(crate) fn decode_entropy_speculative_into(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::decode_cpu_in;
+    use crate::schedule::dispatch;
+    use crate::schedule::tests::to_rgb;
     use hetjpeg_jpeg::encoder::{encode_rgb, EncodeParams};
     use hetjpeg_jpeg::types::Subsampling;
+
+    fn simd(prep: &Prepared<'_>, platform: &Platform, ws: &mut Workspace) -> DecodeOutcome {
+        let model = platform.untrained_model();
+        to_rgb(|out| dispatch(prep, Mode::Simd, platform, &model, 1, ws, out)).unwrap()
+    }
+
+    fn par(
+        prep: &Prepared<'_>,
+        platform: &Platform,
+        n: usize,
+        ws: &mut Workspace,
+    ) -> DecodeOutcome {
+        to_rgb(|out| decode_parallel_entropy_in(prep, platform, n, ws, out)).unwrap()
+    }
 
     fn jpeg_with_restarts(w: usize, h: usize, interval: usize) -> Vec<u8> {
         let mut rgb = Vec::with_capacity(w * h * 3);
@@ -363,10 +371,8 @@ mod tests {
         let platform = Platform::gtx560();
         let prep = Prepared::new(&jpeg).unwrap();
         let mut ws = Workspace::default();
-        let simd_out =
-            decode_cpu_in(&prep, &platform, Mode::Simd, OutputFormat::Rgb, &mut ws).unwrap();
-        let par =
-            decode_parallel_entropy_in(&prep, &platform, 4, OutputFormat::Rgb, &mut ws).unwrap();
+        let simd_out = simd(&prep, &platform, &mut ws);
+        let par = par(&prep, &platform, 4, &mut ws);
         assert_eq!(par.image.data, simd_out.image.data);
         // Four workers over many segments shrink the Huffman wall-time well
         // below the sequential stage.
@@ -388,10 +394,8 @@ mod tests {
         let platform = Platform::gt430();
         let prep = Prepared::new(&jpeg).unwrap();
         let mut ws = Workspace::default();
-        let simd_out =
-            decode_cpu_in(&prep, &platform, Mode::Simd, OutputFormat::Rgb, &mut ws).unwrap();
-        let par =
-            decode_parallel_entropy_in(&prep, &platform, 4, OutputFormat::Rgb, &mut ws).unwrap();
+        let simd_out = simd(&prep, &platform, &mut ws);
+        let par = par(&prep, &platform, 4, &mut ws);
         assert_eq!(par.image.data, simd_out.image.data);
         assert!(
             par.times.huffman < simd_out.times.huffman,
@@ -410,10 +414,8 @@ mod tests {
         let platform = Platform::gt430();
         let prep = Prepared::new(&jpeg).unwrap();
         let mut ws = Workspace::default();
-        let simd_out =
-            decode_cpu_in(&prep, &platform, Mode::Simd, OutputFormat::Rgb, &mut ws).unwrap();
-        let par =
-            decode_parallel_entropy_in(&prep, &platform, 1, OutputFormat::Rgb, &mut ws).unwrap();
+        let simd_out = simd(&prep, &platform, &mut ws);
+        let par = par(&prep, &platform, 1, &mut ws);
         assert_eq!(par.image.data, simd_out.image.data);
         // One worker: the Huffman wall-time is the sequential time plus
         // the fixed per-unit overhead.
@@ -429,9 +431,7 @@ mod tests {
         let mut ws = Workspace::default();
         let mut last = f64::INFINITY;
         for threads in [1usize, 2, 4, 8] {
-            let out =
-                decode_parallel_entropy_in(&prep, &platform, threads, OutputFormat::Rgb, &mut ws)
-                    .unwrap();
+            let out = par(&prep, &platform, threads, &mut ws);
             assert!(
                 out.times.huffman <= last * 1.0001,
                 "{threads} threads: {} vs {}",

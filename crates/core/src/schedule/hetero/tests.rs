@@ -3,8 +3,8 @@
 use crate::model::PerformanceModel;
 use crate::platform::Platform;
 use crate::schedule::split::{self, Plan};
-use crate::schedule::{decode_cpu_in, DecodeOutcome, Mode};
-use crate::session::OutputFormat;
+use crate::schedule::tests::to_rgb;
+use crate::schedule::{dispatch, DecodeOutcome, Mode};
 use crate::workspace::Workspace;
 use hetjpeg_jpeg::decoder::Prepared;
 use hetjpeg_jpeg::encoder::{encode_rgb, EncodeParams};
@@ -33,7 +33,8 @@ fn jpeg_of(w: usize, h: usize, detail: u32) -> Vec<u8> {
 }
 
 fn simd(prep: &Prepared<'_>, platform: &Platform, ws: &mut Workspace) -> DecodeOutcome {
-    decode_cpu_in(prep, platform, Mode::Simd, OutputFormat::Rgb, ws).unwrap()
+    let model = platform.untrained_model();
+    to_rgb(|out| dispatch(prep, Mode::Simd, platform, &model, 1, ws, out)).unwrap()
 }
 
 /// `prep` decoded in the GPU-involving `mode`.
@@ -44,7 +45,8 @@ fn run(
     model: &PerformanceModel,
     ws: &mut Workspace,
 ) -> DecodeOutcome {
-    split::decode(prep, platform, model, &Plan::of(mode, prep, model), ws).unwrap()
+    let plan = Plan::of(mode, prep, model);
+    to_rgb(|out| split::decode(prep, platform, model, &plan, ws, out)).unwrap()
 }
 
 /// PPS with the Eq. 16/17 re-partitioning on or off — the §5.2.2
@@ -62,7 +64,7 @@ fn pps(
         repartition,
         ..Plan::of(Mode::Pps, prep, model)
     };
-    split::decode(prep, platform, model, &plan, ws).unwrap()
+    to_rgb(|out| split::decode(prep, platform, model, &plan, ws, out)).unwrap()
 }
 
 #[test]

@@ -14,13 +14,13 @@
 //! GPU-involving modes are plans over one split scheduler (`split`): the
 //! GPU takes the image's initial MCU rows and the CPU the rest, and the
 //! modes differ only in where that split sits and whether Huffman decoding
-//! is chunked so that it overlaps device work.
+//! is chunked so that it overlaps device work. Every step writes into one
+//! output `Target` — a whole RGB image, planes, or MCU-row tiles handed
+//! to a sink in row order — so whole and streamed output are the same
+//! decode.
 //!
 //! The entry point is the session API ([`crate::session::Decoder`]), which
-//! owns the platform, the trained model and the pooled scratch. (The
-//! pre-session free functions — `decode_with_mode` and the per-mode
-//! wrappers — were removed in PR 4 after one release of deprecation; see
-//! docs/API.md for the migration table.)
+//! owns the platform, the trained model and the pooled scratch.
 
 pub mod auto;
 pub mod entropy_par;
@@ -29,7 +29,7 @@ pub(crate) mod split;
 use crate::model::PerformanceModel;
 use crate::partition::Partition;
 use crate::platform::Platform;
-use crate::session::OutputFormat;
+use crate::session::{OutputFormat, RowStreamOutcome, RowTile};
 use crate::timeline::{Breakdown, Resource, Trace};
 use crate::workspace::{Workspace, WsParts};
 use hetjpeg_gpusim::CommandQueue;
@@ -38,8 +38,9 @@ use hetjpeg_jpeg::decoder::{simd, Prepared};
 use hetjpeg_jpeg::entropy::EntropyDecoder;
 use hetjpeg_jpeg::error::{Error, Result};
 use hetjpeg_jpeg::geometry::Geometry;
-use hetjpeg_jpeg::metrics::RowMetrics;
+use hetjpeg_jpeg::metrics::{ParallelWork, RowMetrics};
 use hetjpeg_jpeg::types::{RgbImage, YccImage};
+use std::ops::Range;
 
 /// Default worker count for [`Mode::ParallelEntropy`]; the session API
 /// makes it configurable (`Decoder::builder().threads(n)`).
@@ -171,47 +172,119 @@ impl DecodeOutcome {
     }
 }
 
-/// Route one prepared image through a concrete mode; the session resolves
-/// [`Mode::Auto`] (through its decision cache) before it gets here. All
-/// decode paths share the caller's pooled [`Workspace`]. Planar output
-/// comes from the CPU render only (the simulated GPU kernels produce RGB).
+/// Route one prepared image through a concrete mode into `out`; the
+/// session resolves [`Mode::Auto`] (through its decision cache) before it
+/// gets here. All decode paths share the caller's pooled [`Workspace`].
+/// Planar output comes from the CPU render only (the simulated GPU kernels
+/// produce RGB).
 pub(crate) fn dispatch(
     prep: &Prepared<'_>,
     mode: Mode,
-    format: OutputFormat,
     platform: &Platform,
     model: &PerformanceModel,
     threads: usize,
     ws: &mut Workspace,
+    out: &mut Target<'_>,
 ) -> Result<DecodeOutcome> {
     match mode {
-        Mode::Sequential | Mode::Simd => decode_cpu_in(prep, platform, mode, format, ws),
+        Mode::Sequential | Mode::Simd => {
+            ws.ensure(prep);
+            let filled = Filled::sequential(prep, platform, ws.parts().coef, false)?;
+            render_cpu(prep, platform, ws.parts(), filled, mode, out)
+        }
         Mode::ParallelEntropy => {
-            entropy_par::decode_parallel_entropy_in(prep, platform, threads, format, ws)
+            entropy_par::decode_parallel_entropy_in(prep, platform, threads, ws, out)
         }
         Mode::Auto => unreachable!("the session resolves Auto before dispatch"),
-        _ if format != OutputFormat::Rgb => Err(Error::Unsupported(
+        _ if matches!(out, Target::Planar(_)) => Err(Error::Unsupported(
             "planar output requires a CPU mode (sequential, SIMD or par-entropy)",
         )),
         _ => {
             let plan = split::Plan::of(mode, prep, model);
-            split::decode(prep, platform, model, &plan, ws)
+            split::decode(prep, platform, model, &plan, ws, out)
         }
     }
 }
 
-/// CPU-only decoding ([`Mode::Sequential`] or [`Mode::Simd`]) on pooled
-/// scratch: sequential entropy, then the CPU render.
-pub(crate) fn decode_cpu_in(
-    prep: &Prepared<'_>,
-    platform: &Platform,
-    mode: Mode,
-    format: OutputFormat,
-    ws: &mut Workspace,
-) -> Result<DecodeOutcome> {
-    ws.ensure(prep);
-    let filled = Filled::sequential(prep, platform, ws.parts().coef)?;
-    render_cpu(prep, platform, ws.parts(), filled, mode, format)
+/// Where a decode's pixels go — the one output target every decode body
+/// renders into, whichever steps the mode runs. A whole-frame decode
+/// passes an image, a planar decode planes, a streamed decode a tile sink.
+pub(crate) enum Target<'a> {
+    /// Interleaved RGB into a whole image, allocated at its first write.
+    Rgb(Option<RgbImage>),
+    /// Full-resolution planar YCbCr into a whole image, allocated at its
+    /// first write; CPU bands only.
+    Planar(Option<YccImage>),
+    /// Interleaved RGB one MCU row at a time, top to bottom, to a sink:
+    /// CPU bands render through the workspace's pooled tile buffer and GPU
+    /// chunks are staged there, so no whole-image buffer exists.
+    Tiles(Tiles<'a>),
+}
+
+/// A tile sink and how far its stream got: MCU rows `[0, tiles)` are out,
+/// in order, and once the sink declines a tile (`completed` is false)
+/// nothing more renders or ships.
+pub(crate) struct Tiles<'a> {
+    sink: &'a mut dyn FnMut(RowTile<'_>) -> bool,
+    sent: RowStreamOutcome,
+}
+
+impl<'a> Target<'a> {
+    /// A whole image in `format`, its pixels allocated at their first write,
+    /// after the pooled buffers are shaped (allocating them up front raised
+    /// the peak resident set of a 3 MP decode loop by two images).
+    pub(crate) fn whole(format: OutputFormat) -> Target<'a> {
+        match format {
+            OutputFormat::Rgb => Target::Rgb(None),
+            OutputFormat::PlanarYcc => Target::Planar(None),
+        }
+    }
+
+    /// A tile stream into `sink`.
+    pub(crate) fn tiles(sink: &'a mut dyn FnMut(RowTile<'_>) -> bool) -> Target<'a> {
+        let sent = RowStreamOutcome::WHOLE;
+        Target::Tiles(Tiles { sink, sent })
+    }
+
+    /// False once a tile sink stopped the stream.
+    fn open(&self) -> bool {
+        !matches!(self, Target::Tiles(t) if !t.sent.completed)
+    }
+
+    /// `out` with this target's pixels in it, and the stream's account (a
+    /// whole image sends no tiles and is always complete).
+    pub(crate) fn finish(self, mut out: DecodeOutcome) -> (DecodeOutcome, RowStreamOutcome) {
+        match self {
+            Target::Rgb(image) => out.image = image.unwrap_or(out.image),
+            Target::Planar(planes) => out.ycc = planes,
+            Target::Tiles(t) => return (out, t.sent),
+        }
+        (out, RowStreamOutcome::WHOLE)
+    }
+}
+
+impl Tiles<'_> {
+    /// Send `rgb`, the interleaved RGB of MCU rows `rows`, one tile per MCU
+    /// row until the sink declines one; true when it took them all.
+    fn send(&mut self, geom: &Geometry, rows: Range<usize>, rgb: &[u8]) -> bool {
+        let (top, row_bytes) = (rows.start * geom.mcu_h, geom.width * 3);
+        for r in rows {
+            if !self.sent.completed {
+                break;
+            }
+            let (y0, y1) = geom.mcu_rows_to_pixel_rows(r, r + 1);
+            let rgb = &rgb[(y0 - top) * row_bytes..(y1 - top) * row_bytes];
+            self.sent.tiles += 1;
+            self.sent.completed = (self.sink)(RowTile {
+                y0,
+                rows: y1 - y0,
+                width: geom.width,
+                height: geom.height,
+                rgb,
+            });
+        }
+        self.sent.completed
+    }
 }
 
 /// The virtual timeline one decode builds as it runs (Figs. 5/8): the
@@ -228,42 +301,48 @@ struct Timeline {
     trace: Trace,
 }
 
-/// Where a CPU band's pixels go.
-enum BandOut<'a> {
-    /// MCU rows from the given one to the last, into their interleaved RGB
-    /// rows of the image.
-    Rgb(&'a mut RgbImage, usize),
-    /// The whole image, into planes.
-    Planar(&'a mut YccImage),
-}
-
 impl Timeline {
-    /// The CPU band: the MCU rows `out` names through the render loop on
-    /// the workspace's pinned kernel level, priced by the sparse cost model
-    /// from the band's EOB `classes` — at the SIMD costs, or at the scalar
-    /// ones without `use_simd` — once the CPU is free.
+    /// The CPU band: MCU rows `row0` to the last into `out` through the
+    /// render loop on the workspace's pinned kernel level, priced by the
+    /// sparse cost model from the band's EOB `classes` — at the SIMD costs,
+    /// or at the scalar ones without `use_simd` — once the CPU is free. A
+    /// tile stream resumes past the tiles it already sent.
+    #[allow(clippy::too_many_arguments)]
     fn cpu_band(
         &mut self,
         prep: &Prepared<'_>,
         platform: &Platform,
         p: &mut WsParts<'_>,
-        out: BandOut<'_>,
+        out: &mut Target<'_>,
+        row0: usize,
         classes: &[u64; 4],
         use_simd: bool,
     ) -> Result<()> {
-        let (cpu, end) = (&platform.cpu, prep.geom.mcus_y);
-        let t_band = match out {
-            BandOut::Rgb(image, row0) => {
-                let band = rgb_rows(image, &prep.geom, row0, end);
+        let (geom, end) = (&prep.geom, prep.geom.mcus_y);
+        match out {
+            Target::Rgb(image) => {
+                let band = rgb_rows(image, geom, row0, end);
                 let mut sink = simd::RgbBand::new(prep, row0, end, band)?;
-                let (work, _) = simd::render_rows(prep, p.coef, row0, end, p.scratch, &mut sink);
-                cpu.parallel_time_sparse(&work, classes, use_simd)
+                simd::render_rows(prep, p.coef, row0, end, p.scratch, &mut sink);
             }
-            BandOut::Planar(planes) => {
+            Target::Planar(planes) => {
+                let planes = planes.get_or_insert_with(|| YccImage::new(geom.width, geom.height));
                 let mut sink = simd::Planar::new(prep, planes)?;
-                let (work, _) = simd::render_rows(prep, p.coef, 0, end, p.scratch, &mut sink);
-                cpu.parallel_time_planar_sparse(&work, classes, use_simd)
+                simd::render_rows(prep, p.coef, row0, end, p.scratch, &mut sink);
             }
+            Target::Tiles(tiles) => {
+                let from = row0.max(tiles.sent.tiles);
+                let mut sink = simd::RgbTiles::new(prep, from, p.tile, |y0, _, rgb: &[u8]| {
+                    let r = y0 / geom.mcu_h;
+                    tiles.send(geom, r..r + 1, rgb)
+                });
+                simd::render_rows(prep, p.coef, from, end, p.scratch, &mut sink);
+            }
+        }
+        let (cpu, work) = (&platform.cpu, ParallelWork::for_mcu_rows(geom, row0, end));
+        let t_band = match out {
+            Target::Planar(_) => cpu.parallel_time_planar_sparse(&work, classes, use_simd),
+            _ => cpu.parallel_time_sparse(&work, classes, use_simd),
         };
         let label = if use_simd { "cpu-simd" } else { "cpu-scalar" };
         let now = self.cpu_now;
@@ -274,19 +353,22 @@ impl Timeline {
     }
 
     /// Close the timeline: the decode ends when the CPU and the GPU queue
-    /// are both done.
+    /// are both done. The pixels are the target's ([`Target::finish`]).
     fn outcome(
         mut self,
-        image: RgbImage,
-        ycc: Option<YccImage>,
+        geom: &Geometry,
         mode: Mode,
         partition: Option<Partition>,
         truncated: bool,
     ) -> DecodeOutcome {
         self.b.total = self.cpu_now.max(self.q.drain_time());
         DecodeOutcome {
-            image,
-            ycc,
+            image: RgbImage {
+                width: geom.width,
+                height: geom.height,
+                data: Vec::new(),
+            },
+            ycc: None,
             times: self.b,
             trace: self.trace,
             partition,
@@ -341,8 +423,15 @@ impl<'a> Entropy<'a> {
     }
 }
 
-/// The interleaved RGB bytes of MCU rows `[r0, r1)` of `image`.
-fn rgb_rows<'a>(image: &'a mut RgbImage, geom: &Geometry, r0: usize, r1: usize) -> &'a mut [u8] {
+/// The interleaved RGB bytes of MCU rows `[r0, r1)` of a whole image,
+/// allocated at its first write.
+fn rgb_rows<'a>(
+    image: &'a mut Option<RgbImage>,
+    geom: &Geometry,
+    r0: usize,
+    r1: usize,
+) -> &'a mut [u8] {
+    let image = image.get_or_insert_with(|| RgbImage::new(geom.width, geom.height));
     let (p0, p1) = geom.mcu_rows_to_pixel_rows(r0, r1);
     &mut image.data[p0 * geom.width * 3..p1 * geom.width * 3]
 }
@@ -379,33 +468,40 @@ impl Filled {
         }
     }
 
-    /// Fill `coef` with the sequential baseline entropy decode.
+    /// Fill `coef` with the sequential baseline entropy decode. A `salvage`
+    /// fill (into a zeroed buffer) stops at the damage instead of failing:
+    /// the damaged tail stays zero coefficients, which render neutral gray,
+    /// and is absent from the histogram, so it prices as dense —
+    /// conservative for such a region.
     pub(crate) fn sequential(
         prep: &Prepared<'_>,
         platform: &Platform,
         coef: &mut CoefBuffer,
+        salvage: bool,
     ) -> Result<Filled> {
         let mut ent = Entropy::new(prep)?;
-        ent.until(prep.geom.mcus_y, coef, platform, &mut Timeline::default())?;
+        let res = ent.until(prep.geom.mcus_y, coef, platform, &mut Timeline::default());
+        let truncated = salvage && res.is_err();
+        if !truncated {
+            res?;
+        }
         let classes = eob_classes_in(&ent.rows, 0, ent.rows.len());
-        Ok(Filled::serial(ent.spent, classes, false))
+        Ok(Filled::serial(ent.spent, classes, truncated))
     }
 }
 
 /// The second step of every CPU-only decode: the whole image as one CPU
-/// band on the workspace's pinned kernel level, into the sink `format`
-/// asks for. `mode` prices the band (`Sequential` at the scalar costs,
-/// anything else at the SIMD costs) and labels the outcome; it does not
-/// choose code.
+/// band on the workspace's pinned kernel level, into `out`. `mode` prices
+/// the band (`Sequential` at the scalar costs, anything else at the SIMD
+/// costs) and labels the outcome; it does not choose code.
 pub(crate) fn render_cpu(
     prep: &Prepared<'_>,
     platform: &Platform,
     mut p: WsParts<'_>,
     filled: Filled,
     mode: Mode,
-    format: OutputFormat,
+    out: &mut Target<'_>,
 ) -> Result<DecodeOutcome> {
-    let geom = &prep.geom;
     let Filled {
         trace,
         t_huff,
@@ -422,27 +518,8 @@ pub(crate) fn render_cpu(
         ..Default::default()
     };
     let use_simd = mode != Mode::Sequential;
-    // Planar outcomes leave `image.data` empty; `ycc` carries the pixels.
-    let mut image = RgbImage {
-        width: geom.width,
-        height: geom.height,
-        data: Vec::new(),
-    };
-    let ycc = match format {
-        OutputFormat::Rgb => {
-            image.data = vec![0u8; geom.width * geom.height * 3];
-            let band = BandOut::Rgb(&mut image, 0);
-            tl.cpu_band(prep, platform, &mut p, band, &classes, use_simd)?;
-            None
-        }
-        OutputFormat::PlanarYcc => {
-            let mut planes = YccImage::new(geom.width, geom.height);
-            let band = BandOut::Planar(&mut planes);
-            tl.cpu_band(prep, platform, &mut p, band, &classes, use_simd)?;
-            Some(planes)
-        }
-    };
-    Ok(tl.outcome(image, ycc, mode, None, truncated))
+    tl.cpu_band(prep, platform, &mut p, out, 0, &classes, use_simd)?;
+    Ok(tl.outcome(&prep.geom, mode, None, truncated))
 }
 
 /// EOB-class histogram of MCU rows `[start, end)` — the sparse-pricing
@@ -474,6 +551,15 @@ mod hetero {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `decode` into a whole RGB image, with the pixels in its outcome.
+    pub(crate) fn to_rgb(
+        decode: impl FnOnce(&mut Target<'_>) -> Result<DecodeOutcome>,
+    ) -> Result<DecodeOutcome> {
+        let mut out = Target::whole(OutputFormat::Rgb);
+        let outcome = decode(&mut out)?;
+        Ok(out.finish(outcome).0)
+    }
 
     #[test]
     fn mode_names_and_order() {

@@ -3,8 +3,8 @@
 
 use crate::platform::Platform;
 use crate::schedule::split::{self, Plan};
-use crate::schedule::{decode_cpu_in, DecodeOutcome, Mode};
-use crate::session::OutputFormat;
+use crate::schedule::tests::to_rgb;
+use crate::schedule::{dispatch, DecodeOutcome, Mode};
 use crate::workspace::Workspace;
 use hetjpeg_jpeg::decoder::Prepared;
 use hetjpeg_jpeg::encoder::{encode_rgb, EncodeParams};
@@ -30,13 +30,15 @@ fn jpeg_of(w: usize, h: usize) -> Vec<u8> {
 
 /// `prep` decoded on the CPU only, in `mode`.
 fn cpu(mode: Mode, prep: &Prepared<'_>, platform: &Platform, ws: &mut Workspace) -> DecodeOutcome {
-    decode_cpu_in(prep, platform, mode, OutputFormat::Rgb, ws).unwrap()
+    let model = platform.untrained_model();
+    to_rgb(|out| dispatch(prep, mode, platform, &model, 1, ws, out)).unwrap()
 }
 
 /// `prep` decoded in the GPU-involving `mode` on the platform's seed model.
 fn run(mode: Mode, prep: &Prepared<'_>, platform: &Platform, ws: &mut Workspace) -> DecodeOutcome {
     let model = platform.untrained_model();
-    split::decode(prep, platform, &model, &Plan::of(mode, prep, &model), ws).unwrap()
+    let plan = Plan::of(mode, prep, &model);
+    to_rgb(|out| split::decode(prep, platform, &model, &plan, ws, out)).unwrap()
 }
 
 #[test]

@@ -22,7 +22,7 @@
 //! member ([`GpuBatchMember`]) ships when it is staged and is placed once
 //! the batch's one coalesced transfer is priced.
 
-use super::{eob_classes_in, rgb_rows, BandOut, DecodeOutcome, Entropy, Mode, Timeline};
+use super::{eob_classes_in, rgb_rows, DecodeOutcome, Entropy, Mode, Target, Timeline};
 use crate::gpu_decode::{GpuRegionResult, KernelPlan};
 use crate::model::PerformanceModel;
 use crate::partition::{pps, sps, Partition};
@@ -31,8 +31,8 @@ use crate::timeline::Resource;
 use crate::workspace::{gpu_on, Workspace, WsParts};
 use hetjpeg_jpeg::decoder::Prepared;
 use hetjpeg_jpeg::error::Result;
+use hetjpeg_jpeg::geometry::Geometry;
 use hetjpeg_jpeg::metrics::ParallelWork;
-use hetjpeg_jpeg::types::RgbImage;
 use std::ops::Range;
 
 /// What tells one GPU-involving mode from another.
@@ -96,20 +96,23 @@ impl Plan {
     }
 }
 
-/// Decode `prep` under `plan` on the workspace's pools and device.
+/// Decode `prep` under `plan` into `out` on the workspace's pools and
+/// device. The GPU's rows go out chunk by chunk, then the CPU band, so a
+/// tile stream stays in row order; once its sink declines a tile, no
+/// further chunk ships and no band renders.
 pub(crate) fn decode(
     prep: &Prepared<'_>,
     platform: &Platform,
     model: &PerformanceModel,
     plan: &Plan,
     ws: &mut Workspace,
+    out: &mut Target<'_>,
 ) -> Result<DecodeOutcome> {
     let geom = &prep.geom;
     ws.ensure(prep);
     let mut p = ws.parts();
     let mut tl = Timeline::default();
     let mut ent = Entropy::new(prep)?;
-    let mut image = RgbImage::new(geom.width, geom.height);
     let chunk = match plan.chunk {
         Some(rows) => rows,
         None => {
@@ -122,7 +125,7 @@ pub(crate) fn decode(
     let mut gpu_end = plan.gpu_rows;
     let mut repartition = plan.repartition;
     let mut row = 0;
-    while row < gpu_end {
+    while row < gpu_end && out.open() {
         if repartition && row > 0 && row + chunk >= gpu_end {
             repartition = false;
             gpu_end = repartitioned_end(prep, platform, model, &ent, &tl, row);
@@ -132,25 +135,24 @@ pub(crate) fn decode(
         }
         let end = (row + chunk).min(gpu_end);
         ent.until(end, p.coef, platform, &mut tl)?;
-        let res = tl.ship(prep, platform, model, &mut p, row..end, &mut image)?;
+        let res = tl.ship(prep, platform, model, &mut p, row..end, out)?;
         p.stats.h2d_transfers += 1;
         tl.place(res.h2d_time, &res);
         row = end;
     }
     // The CPU share: its Huffman, then the SIMD band, sparse-priced from
     // the band's own EOB histograms.
-    if gpu_end < geom.mcus_y {
+    if gpu_end < geom.mcus_y && out.open() {
         ent.until(geom.mcus_y, p.coef, platform, &mut tl)?;
         let classes = eob_classes_in(&ent.rows, gpu_end, geom.mcus_y);
-        let band = BandOut::Rgb(&mut image, gpu_end);
-        tl.cpu_band(prep, platform, &mut p, band, &classes, true)?;
+        tl.cpu_band(prep, platform, &mut p, out, gpu_end, &classes, true)?;
     }
     let partition = plan.partition.map(|part| Partition {
         gpu_mcu_rows: gpu_end,
         cpu_mcu_rows: geom.mcus_y - gpu_end,
         ..part
     });
-    Ok(tl.outcome(image, None, plan.mode, partition, false))
+    Ok(tl.outcome(geom, plan.mode, partition, false))
 }
 
 /// Re-partition before the last GPU chunk (Eq. 16), once the GPU's `row`
@@ -205,8 +207,9 @@ fn repartitioned_end(
 impl Timeline {
     /// The GPU chunk's CPU side: dispatch MCU rows `rows` asynchronously —
     /// the CPU resumes right after — and decode them on the workspace's
-    /// device into their rows of `image`, counting the bytes shipped.
-    /// Returns the region's device times for [`Self::place`].
+    /// device into `out`, counting the bytes shipped. A tile stream stages
+    /// the region alone in the pooled tile buffer and sends it one MCU row
+    /// per tile. Returns the region's device times for [`Self::place`].
     fn ship(
         &mut self,
         prep: &Prepared<'_>,
@@ -214,7 +217,7 @@ impl Timeline {
         model: &PerformanceModel,
         p: &mut WsParts<'_>,
         rows: Range<usize>,
-        image: &mut RgbImage,
+        out: &mut Target<'_>,
     ) -> Result<GpuRegionResult> {
         let t_disp = platform.cpu.dispatch_time(&prep.geom, rows.start, rows.end);
         let now = self.cpu_now;
@@ -222,15 +225,24 @@ impl Timeline {
             .push("dispatch", Resource::Cpu, now, now + t_disp);
         self.cpu_now += t_disp;
         self.b.dispatch += t_disp;
-        let res = gpu_on(p.gpu, platform).decode_region(
-            prep,
-            p.coef,
-            rows.start,
-            rows.end,
-            model.wg_blocks,
-            KernelPlan::Merged,
-            rgb_rows(image, &prep.geom, rows.start, rows.end),
-        )?;
+        let (geom, gpu, coef) = (&prep.geom, gpu_on(p.gpu, platform), &*p.coef);
+        let (r0, r1) = (rows.start, rows.end);
+        let mut decode = |dst: &mut [u8]| {
+            gpu.decode_region(prep, coef, r0, r1, model.wg_blocks, KernelPlan::Merged, dst)
+        };
+        let res = match out {
+            Target::Rgb(image) => decode(rgb_rows(image, geom, r0, r1))?,
+            Target::Tiles(tiles) => {
+                let len = geom.rgb_bytes_in_mcu_rows(r0, r1);
+                if p.tile.len() < len {
+                    p.tile.resize(len, 0);
+                }
+                let res = decode(&mut p.tile[..len])?;
+                tiles.send(geom, rows, &p.tile[..len]);
+                res
+            }
+            Target::Planar(_) => unreachable!("dispatch refuses planar output on the GPU"),
+        };
         p.stats.h2d_bytes += res.h2d_bytes as u64;
         Ok(res)
     }
@@ -258,9 +270,10 @@ impl Timeline {
 /// plan up to the device placement, which waits until the batch's one
 /// coalesced host→device transfer is priced.
 pub(crate) struct GpuBatchMember {
-    image: RgbImage,
+    image: Target<'static>,
     tl: Timeline,
     res: GpuRegionResult,
+    geom: Geometry,
 }
 
 impl GpuBatchMember {
@@ -280,9 +293,14 @@ impl GpuBatchMember {
         let mut p = ws.parts();
         let mut tl = Timeline::default();
         Entropy::new(prep)?.until(geom.mcus_y, p.coef, platform, &mut tl)?;
-        let mut image = RgbImage::new(geom.width, geom.height);
+        let mut image = Target::Rgb(None);
         let res = tl.ship(prep, platform, model, &mut p, 0..geom.mcus_y, &mut image)?;
-        Ok(GpuBatchMember { image, tl, res })
+        Ok(GpuBatchMember {
+            image,
+            tl,
+            res,
+            geom: geom.clone(),
+        })
     }
 
     /// Bytes this image adds to the coalesced transfer.
@@ -294,7 +312,8 @@ impl GpuBatchMember {
     /// the batch's single H2D time.
     pub(crate) fn finish(mut self, h2d_share: f64) -> DecodeOutcome {
         self.tl.place(h2d_share, &self.res);
-        self.tl.outcome(self.image, None, Mode::Gpu, None, false)
+        let out = self.tl.outcome(&self.geom, Mode::Gpu, None, false);
+        self.image.finish(out).0
     }
 }
 
@@ -302,6 +321,7 @@ impl GpuBatchMember {
 mod tests {
     use super::*;
     use crate::schedule::reference;
+    use crate::schedule::tests::to_rgb;
     use crate::session::{DecodeOptions, Decoder};
     use crate::timeline::Breakdown;
     use hetjpeg_corpus::{generate_jpeg, generate_rgb, ImageSpec, Pattern};
@@ -346,6 +366,17 @@ mod tests {
             mode: out.mode,
             truncated: out.truncated,
         }
+    }
+
+    /// `plan` into a whole RGB image.
+    fn decode(
+        prep: &Prepared<'_>,
+        platform: &Platform,
+        model: &PerformanceModel,
+        plan: &Plan,
+        ws: &mut Workspace,
+    ) -> Result<DecodeOutcome> {
+        to_rgb(|out| super::decode(prep, platform, model, plan, ws, out))
     }
 
     /// `f`'s result on `ws`, with the H2D transfers and bytes it counted.

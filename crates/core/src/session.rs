@@ -27,10 +27,12 @@
 use crate::model::PerformanceModel;
 use crate::platform::Platform;
 use crate::schedule::split::GpuBatchMember;
-use crate::schedule::{auto, dispatch, eob_classes_in, render_cpu, DecodeOutcome, Filled, Mode};
+use crate::schedule::{
+    auto, dispatch, eob_classes_in, render_cpu, DecodeOutcome, Filled, Mode, Target,
+};
 use crate::workspace::{PoolStats, Workspace};
 use hetjpeg_jpeg::decoder::kernels::SimdLevel;
-use hetjpeg_jpeg::decoder::{simd, Prepared};
+use hetjpeg_jpeg::decoder::Prepared;
 use hetjpeg_jpeg::error::{Error, Result};
 use hetjpeg_jpeg::markers::{self, Parsed};
 use hetjpeg_jpeg::metrics::{ParallelWork, RowMetrics};
@@ -441,27 +443,23 @@ pub struct RowTile<'a> {
     pub rgb: &'a [u8],
 }
 
-/// Summary returned by [`Decoder::decode_rows`] after the tile stream
-/// ends (normally or by sink abort).
+/// The stream-only facts of a decode, returned beside its
+/// [`DecodeOutcome`] by [`Decoder::decode_rows`] and [`Decoder::decode_to`]
+/// (a whole-image decode sends no tiles and is always complete).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RowStreamOutcome {
-    /// Image width in pixels.
-    pub width: usize,
-    /// Image height in pixels.
-    pub height: usize,
-    /// Total MCU rows in the image (the tile count of a complete stream).
-    pub mcu_rows: usize,
-    /// Tiles actually delivered to the sink.
+    /// Tiles delivered to the sink, MCU rows `[0, tiles)` in order.
     pub tiles: usize,
-    /// True when the pixels are a salvage/prefix render (tolerant salvage
-    /// of a damaged stream, or a `max_scans` progressive prefix) — the
-    /// same meaning as [`DecodeOutcome::truncated`].
-    pub truncated: bool,
     /// False when the sink aborted the stream before the last tile.
     pub completed: bool,
-    /// The render path used: [`Mode::Sequential`] for the scalar kernels,
-    /// [`Mode::Simd`] otherwise. Output bytes are identical either way.
-    pub mode: Mode,
+}
+
+impl RowStreamOutcome {
+    /// The account of a whole-image decode: no tiles, complete.
+    pub(crate) const WHOLE: RowStreamOutcome = RowStreamOutcome {
+        tiles: 0,
+        completed: true,
+    };
 }
 
 /// A decode session: platform + model + thread budget + pooled scratch.
@@ -563,8 +561,21 @@ impl Decoder {
 
     /// Decode one image.
     pub fn decode(&self, data: &[u8], opts: DecodeOptions) -> Result<DecodeOutcome> {
+        self.decode_to(data, opts, None).map(|(out, _)| out)
+    }
+
+    /// Decode one image whole, in `opts.format` (`tiles` is `None`), or as
+    /// a stream of MCU-row tiles into `tiles` — the one call behind
+    /// [`Self::decode`] and [`Self::decode_rows`], for callers that serve
+    /// both shapes. The outcome's pixels are empty for a stream.
+    pub fn decode_to(
+        &self,
+        data: &[u8],
+        opts: DecodeOptions,
+        tiles: Option<&mut dyn FnMut(RowTile<'_>) -> bool>,
+    ) -> Result<(DecodeOutcome, RowStreamOutcome)> {
         let mut state = self.state.lock().expect("decoder state lock");
-        self.decode_locked(&mut state, data, &opts)
+        self.decode_locked(&mut state, data, &opts, tiles)
     }
 
     /// Decode a batch of images under one workspace lock: pooled buffers,
@@ -585,19 +596,23 @@ impl Decoder {
         opts: DecodeOptions,
     ) -> Vec<Result<DecodeOutcome>> {
         let mut state = self.state.lock().expect("decoder state lock");
+        let solo = |state: &mut SessionState, data: &[u8], opts: &DecodeOptions| {
+            (self.decode_locked(state, data, opts, None)).map(|(out, _)| out)
+        };
         if images.len() < 2 {
             return images
                 .iter()
-                .map(|data| self.decode_locked(&mut state, data.as_ref(), &opts))
+                .map(|data| solo(&mut state, data.as_ref(), &opts))
                 .collect();
         }
         let mut results: Vec<Option<Result<DecodeOutcome>>> = images.iter().map(|_| None).collect();
         let mut staged: Vec<(usize, Box<GpuBatchMember>)> = Vec::new();
         for (i, data) in images.iter().enumerate() {
             let data = data.as_ref();
-            match self.plan_batch_member(&mut state, data, &opts) {
+            let mode = match self.plan_batch_member(&mut state, data, &opts) {
                 BatchPlan::Stage(Ok(m)) => {
                     staged.push((i, m));
+                    continue;
                 }
                 // A staging failure under strict handling is the same error
                 // a solo decode would return; tolerant handling re-routes
@@ -605,22 +620,13 @@ impl Decoder {
                 // (so the `Auto` cache is not consulted twice per image).
                 BatchPlan::Stage(Err(e)) if opts.strictness == Strictness::Strict => {
                     results[i] = Some(Err(e));
+                    continue;
                 }
-                BatchPlan::Stage(Err(_)) => {
-                    let forced = DecodeOptions {
-                        mode: Mode::Gpu,
-                        ..opts
-                    };
-                    results[i] = Some(self.decode_locked(&mut state, data, &forced));
-                }
-                BatchPlan::Resolved(mode) => {
-                    let forced = DecodeOptions { mode, ..opts };
-                    results[i] = Some(self.decode_locked(&mut state, data, &forced));
-                }
-                BatchPlan::Solo => {
-                    results[i] = Some(self.decode_locked(&mut state, data, &opts));
-                }
-            }
+                BatchPlan::Stage(Err(_)) => Mode::Gpu,
+                BatchPlan::Resolved(mode) => mode,
+                BatchPlan::Solo => opts.mode,
+            };
+            results[i] = Some(solo(&mut state, data, &DecodeOptions { mode, ..opts }));
         }
         if !staged.is_empty() {
             let sizes: Vec<usize> = staged.iter().map(|(_, m)| m.h2d_bytes()).collect();
@@ -642,82 +648,23 @@ impl Decoder {
             .collect()
     }
 
-    /// Decode one image as a stream of MCU-row tiles instead of a
-    /// whole-image buffer: the entropy phase runs to completion (it is
-    /// inherently sequential), then each MCU row is rendered by the CPU
-    /// render loop into the session's pooled tile buffer and handed to
-    /// `sink` while cache-hot. Peak pixel memory is **one tile**
-    /// (`width * mcu_h * 3` bytes) no matter how tall the image — the
-    /// serving layer's bounded streaming responses are built on this.
-    ///
-    /// Tile bytes are bit-identical to the corresponding rows of
-    /// [`Decoder::decode`] in *any* mode (the cross-mode bit-identity
-    /// invariant), so a streamed response reassembles exactly to the
-    /// whole-image frame. `opts.mode == Sequential` renders on the scalar
-    /// kernels; every other mode (GPU modes included — their pixels are
-    /// identical) renders on the session's kernel level. Progressive
-    /// sources honor `max_scans`; `Strictness::Tolerant` salvages damaged
-    /// streams exactly as `decode` would. Only RGB output streams —
-    /// planar requests are rejected.
+    /// Decode one image as a stream of MCU-row tiles, top to bottom, out of
+    /// the session's pooled tile buffer: the mode runs as in
+    /// [`Decoder::decode`], whose pixels the tiles are and whose outcome
+    /// (pixels empty) this returns, bit for bit. Peak pixel memory is one
+    /// tile (`width * mcu_h * 3` bytes) on CPU bands and one shipped region
+    /// on GPU rows. A tolerant salvage sends no row twice. RGB only.
     ///
     /// `sink` returning `false` aborts the stream after the current tile
-    /// ([`RowStreamOutcome::completed`] reports `false`).
+    /// ([`RowStreamOutcome::completed`] reports `false`); no further GPU
+    /// chunk ships.
     pub fn decode_rows(
         &self,
         data: &[u8],
         opts: DecodeOptions,
         sink: &mut dyn FnMut(RowTile<'_>) -> bool,
-    ) -> Result<RowStreamOutcome> {
-        if opts.format != OutputFormat::Rgb {
-            return Err(Error::Unsupported(
-                "row streaming produces interleaved RGB only",
-            ));
-        }
-        let mut guard = self.state.lock().expect("decoder state lock");
-        let ws = &mut guard.ws;
-        let (prep, scans) = open(data, &opts)?;
-        let mode = match opts.mode {
-            Mode::Sequential => Mode::Sequential,
-            _ => Mode::Simd,
-        };
-        self.pin_level(ws, &opts, mode);
-        let filled = match scans {
-            Some(parsed) => self.fill_progressive(ws, &parsed, &prep, &opts)?,
-            None => {
-                ws.ensure(&prep);
-                match Filled::sequential(&prep, &self.platform, ws.parts().coef) {
-                    Err(e) if opts.strictness == Strictness::Tolerant && is_stream_error(&e) => {
-                        self.fill_salvage(ws, &prep)?
-                    }
-                    other => other?,
-                }
-            }
-        };
-
-        let geom = &prep.geom;
-        let p = ws.parts();
-        let mut tiles = 0usize;
-        let mut tile_sink = simd::RgbTiles::new(&prep, 0, p.tile, |y0, rows, rgb: &[u8]| {
-            tiles += 1;
-            sink(RowTile {
-                y0,
-                rows,
-                width: geom.width,
-                height: geom.height,
-                rgb,
-            })
-        });
-        let (_, completed) =
-            simd::render_rows(&prep, p.coef, 0, geom.mcus_y, p.scratch, &mut tile_sink);
-        Ok(RowStreamOutcome {
-            width: geom.width,
-            height: geom.height,
-            mcu_rows: geom.mcus_y,
-            tiles,
-            truncated: filled.truncated,
-            completed,
-            mode,
-        })
+    ) -> Result<(DecodeOutcome, RowStreamOutcome)> {
+        self.decode_to(data, opts, Some(sink))
     }
 
     /// Batched-transfer pre-pass for one image: stage it for the coalesced
@@ -775,65 +722,68 @@ impl Decoder {
         });
     }
 
+    /// The one decode body: open the image, resolve the mode, dispatch
+    /// into the target — a whole image in `opts.format`, or `tiles` — and,
+    /// for a tolerant call whose stream is damaged, salvage once.
     fn decode_locked(
         &self,
         state: &mut SessionState,
         data: &[u8],
         opts: &DecodeOptions,
-    ) -> Result<DecodeOutcome> {
-        let (prep, scans) = open(data, opts)?;
-        if let Some(parsed) = scans {
-            return self.decode_progressive(&mut state.ws, &parsed, &prep, opts);
+        tiles: Option<&mut dyn FnMut(RowTile<'_>) -> bool>,
+    ) -> Result<(DecodeOutcome, RowStreamOutcome)> {
+        if tiles.is_some() && opts.format != OutputFormat::Rgb {
+            return Err(Error::Unsupported(
+                "row streaming produces interleaved RGB only",
+            ));
         }
-        let tolerant = opts.strictness == Strictness::Tolerant;
-        // Planar output comes from the CPU render only: `Auto` is
-        // restricted to the modes that have one (cached under its own
-        // selection-space key), a tolerant call falls back to SIMD, and a
-        // strict call with a GPU mode is refused by `dispatch`.
-        let planar = opts.format == OutputFormat::PlanarYcc;
-        let mode = match opts.mode {
-            Mode::Auto => self.auto_mode(state, &prep, planar),
-            m if planar && tolerant && !m.is_cpu_only() => Mode::Simd,
-            m => m,
+        let (prep, scans) = open(data, opts)?;
+        let mut out = match tiles {
+            Some(sink) => Target::tiles(sink),
+            None => Target::whole(opts.format),
         };
+        // A scan script fills first: its `Auto` prices the fill's classes.
+        let filled = match &scans {
+            Some(parsed) => Some(self.fill_progressive(&mut state.ws, parsed, &prep, opts)?),
+            None => None,
+        };
+        let mode = self.resolve(state, &prep, filled.as_ref(), opts);
         let ws = &mut state.ws;
         self.pin_level(ws, opts, mode);
-        let res = dispatch(
-            &prep,
-            mode,
-            opts.format,
-            &self.platform,
-            &self.model,
-            self.threads,
-            ws,
-        );
-        match res {
-            Err(e) if tolerant && is_stream_error(&e) => {
-                let filled = self.fill_salvage(ws, &prep)?;
+        let (platform, model, threads) = (&self.platform, &self.model, self.threads);
+        let res = match filled {
+            Some(filled) => render_cpu(&prep, platform, ws.parts(), filled, mode, &mut out),
+            None => dispatch(&prep, mode, platform, model, threads, ws, &mut out),
+        };
+        let outcome = match res {
+            Err(e) if opts.strictness == Strictness::Tolerant && is_stream_error(&e) => {
+                ws.ensure_zeroed(&prep);
+                let filled = Filled::sequential(&prep, platform, ws.parts().coef, true)?;
                 let mode = if mode.is_cpu_only() { mode } else { Mode::Simd };
-                render_cpu(&prep, &self.platform, ws.parts(), filled, mode, opts.format)
+                render_cpu(&prep, platform, ws.parts(), filled, mode, &mut out)
             }
             other => other,
-        }
+        }?;
+        Ok(out.finish(outcome))
     }
 
-    /// The progressive (SOF2) decode: fill from the scan script, then the
-    /// CPU render. The accumulated coefficients live in host memory and
-    /// every scan is strictly sequential, so no GPU mode applies: `Auto`
-    /// prices the scalar vs SIMD band with the per-class sparse costs (an
-    /// early prefix is dramatically sparse and prices accordingly), forced
-    /// `Sequential` stays sequential, and every other forced mode renders
-    /// as SIMD.
-    fn decode_progressive(
+    /// The concrete mode of one call. `Auto` goes through the cache (for
+    /// planar output among the CPU modes). A progressive fill renders on the
+    /// CPU: `Auto` takes the cheaper band priced per EOB class (an early
+    /// prefix is very sparse), `Sequential` stays, anything else is SIMD. A
+    /// tolerant planar call falls back from a GPU mode to SIMD.
+    fn resolve(
         &self,
-        ws: &mut Workspace,
-        parsed: &ProgressiveParsed<'_>,
+        state: &mut SessionState,
         prep: &Prepared<'_>,
+        filled: Option<&Filled>,
         opts: &DecodeOptions,
-    ) -> Result<DecodeOutcome> {
-        let filled = self.fill_progressive(ws, parsed, prep, opts)?;
-        let mode = match opts.mode {
-            Mode::Auto => {
+    ) -> Mode {
+        let planar = opts.format == OutputFormat::PlanarYcc;
+        let cpu_fallback = planar && opts.strictness == Strictness::Tolerant;
+        match (opts.mode, filled) {
+            (Mode::Auto, None) => self.auto_mode(state, prep, planar),
+            (Mode::Auto, Some(filled)) => {
                 let cpu = &self.platform.cpu;
                 let work = ParallelWork::for_mcu_rows(&prep.geom, 0, prep.geom.mcus_y);
                 let scalar = cpu.parallel_time_sparse(&work, &filled.classes, false);
@@ -844,11 +794,11 @@ impl Decoder {
                     Mode::Sequential
                 }
             }
-            Mode::Sequential => Mode::Sequential,
-            _ => Mode::Simd,
-        };
-        self.pin_level(ws, opts, mode);
-        render_cpu(prep, &self.platform, ws.parts(), filled, mode, opts.format)
+            (Mode::Sequential, _) => Mode::Sequential,
+            (_, Some(_)) => Mode::Simd,
+            (m, None) if cpu_fallback && !m.is_cpu_only() => Mode::Simd,
+            (m, None) => m,
+        }
     }
 
     /// Fill from a progressive scan script: decode every scan (or the
@@ -891,30 +841,6 @@ impl Decoder {
             .progressive_huff_time(&total, outcome.block_visits);
         let classes = eob_classes_in(&outcome.rows, 0, outcome.rows.len());
         Ok(Filled::serial(t_huff, classes, partial))
-    }
-
-    /// Tolerant salvage fill: sequentially entropy-decode as far as the
-    /// stream allows and leave the damaged tail as zero coefficients,
-    /// which render neutral gray. The tail rows are absent from the
-    /// histogram and price as dense — conservative for such a region.
-    fn fill_salvage(&self, ws: &mut Workspace, prep: &Prepared<'_>) -> Result<Filled> {
-        ws.ensure_zeroed(prep);
-        let coef = ws.parts().coef;
-        let mut dec = prep.entropy_decoder()?;
-        let mut t_huff = 0.0;
-        let mut rows_ok = 0usize;
-        let mut classes = [0u64; 4];
-        while !dec.is_finished() {
-            let Ok(m) = dec.decode_mcu_row(coef) else {
-                break;
-            };
-            t_huff += self.platform.cpu.huff_time(&m);
-            rows_ok += 1;
-            for (a, b) in classes.iter_mut().zip(m.eob_classes) {
-                *a += b;
-            }
-        }
-        Ok(Filled::serial(t_huff, classes, rows_ok < prep.geom.mcus_y))
     }
 
     /// `Mode::Auto` with the per-shape session cache. `cpu_only` restricts
@@ -1112,6 +1038,57 @@ mod tests {
             .is_ok());
     }
 
+    /// A restart-interval-4 stream cut to 2/5 of its bytes, and sessions
+    /// (GTX 680, one-MCU-row chunks) whose `Pps` and `PipelinedGpu` plans
+    /// ship GPU chunks before the cut.
+    fn dri_cut_on_the_gpu() -> (Vec<u8>, Vec<(Mode, Decoder)>) {
+        let spec = hetjpeg_corpus::ImageSpec {
+            width: 64,
+            height: 256,
+            pattern: hetjpeg_corpus::Pattern::PhotoLike { detail: 0.6 },
+            seed: 5,
+        };
+        let params = EncodeParams {
+            quality: 85,
+            subsampling: Subsampling::S422,
+            restart_interval: 4,
+        };
+        let rgb = hetjpeg_corpus::generate_rgb(&spec);
+        let mut jpeg = encode_rgb(&rgb, 64, 256, &params).unwrap();
+        jpeg.truncate(jpeg.len() * 2 / 5);
+        let platform = Platform::gtx680();
+        let model = PerformanceModel {
+            chunk_mcu_rows: 1,
+            ..platform.untrained_model()
+        };
+        let sessions = [Mode::Pps, Mode::PipelinedGpu].map(|mode| {
+            let dec = Decoder::builder()
+                .platform(platform.clone())
+                .model(model.clone())
+                .build()
+                .unwrap();
+            (mode, dec)
+        });
+        (jpeg, sessions.into())
+    }
+
+    /// `dec.decode_rows` with its tiles joined, each checked to be the next
+    /// rows of the image: no row is sent twice or skipped.
+    fn streamed(dec: &Decoder, jpeg: &[u8], opts: DecodeOptions) -> (DecodeOutcome, Vec<u8>) {
+        let (mut rgb, mut next) = (Vec::new(), 0);
+        let (out, stream) = dec
+            .decode_rows(jpeg, opts, &mut |t| {
+                assert_eq!(t.y0, next, "tiles are contiguous and sent once");
+                next += t.rows;
+                rgb.extend_from_slice(t.rgb);
+                true
+            })
+            .unwrap();
+        assert!(stream.completed);
+        assert_eq!(next, out.image.height, "every row is sent");
+        (out, rgb)
+    }
+
     #[test]
     fn tolerant_salvage_of_truncated_stream() {
         // Restart markers make truncation detectable: the reader pads
@@ -1134,6 +1111,48 @@ mod tests {
         // The damaged tail is neutral gray (zero coefficients).
         let last_px = &out.image.data[96 * 95 * 3..96 * 95 * 3 + 3];
         assert_eq!(last_px, &[128, 128, 128]);
+
+        // After GPU chunks shipped: the stream resumes at the first row it
+        // has not sent, and equals the whole salvage to the bit.
+        let (jpeg, sessions) = dri_cut_on_the_gpu();
+        for (mode, dec) in sessions {
+            let opts = DecodeOptions::with_mode(mode);
+            assert!(dec.decode(&jpeg, opts).is_err(), "{mode:?}: strict fails");
+            let before = dec.pool_stats().h2d_transfers;
+            let whole = dec.decode(&jpeg, opts.tolerant()).unwrap();
+            assert!(
+                dec.pool_stats().h2d_transfers > before,
+                "{mode:?}: chunks ship"
+            );
+            let (rows, rgb) = streamed(&dec, &jpeg, opts.tolerant());
+            assert!(whole.truncated && rows.truncated, "{mode:?}");
+            assert!(rgb == whole.image.data, "{mode:?}: streamed bytes");
+            assert_eq!(rows.mode, whole.mode, "{mode:?}");
+            assert_eq!(rows.times, whole.times, "{mode:?}");
+            assert_eq!(rows.trace.spans, whole.trace.spans, "{mode:?}");
+            assert_eq!(rows.partition, whole.partition, "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn a_declined_tile_stops_the_plan() {
+        // The sink takes one tile: no second chunk ships, no band renders.
+        let (jpeg, sessions) = dri_cut_on_the_gpu();
+        for (mode, dec) in sessions {
+            let mut calls = 0;
+            let (_, stream) = dec
+                .decode_rows(
+                    &jpeg,
+                    DecodeOptions::with_mode(mode).tolerant(),
+                    &mut |_| {
+                        calls += 1;
+                        false
+                    },
+                )
+                .unwrap();
+            assert_eq!((calls, stream.tiles, stream.completed), (1, 1, false));
+            assert_eq!(dec.pool_stats().h2d_transfers, 1, "{mode:?}: one chunk");
+        }
     }
 
     #[test]
@@ -1194,6 +1213,22 @@ mod tests {
         // must not double-count the same decode.
         assert_eq!(stats.coef_allocs + stats.coef_reuses, 1);
         assert_eq!(stats.scratch_allocs + stats.scratch_reuses, 1);
+
+        // The same after GPU chunks shipped, whole or streamed.
+        let (jpeg, sessions) = dri_cut_on_the_gpu();
+        for (mode, dec) in sessions {
+            let opts = DecodeOptions::with_mode(mode).tolerant();
+            let uses = |s: PoolStats| {
+                (
+                    s.coef_allocs + s.coef_reuses,
+                    s.scratch_allocs + s.scratch_reuses,
+                )
+            };
+            assert!(dec.decode(&jpeg, opts).unwrap().truncated);
+            assert_eq!(uses(dec.pool_stats()), (1, 1), "{mode:?} whole");
+            assert!(streamed(&dec, &jpeg, opts).0.truncated);
+            assert_eq!(uses(dec.pool_stats()), (2, 2), "{mode:?} streamed");
+        }
     }
 
     #[test]

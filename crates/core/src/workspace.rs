@@ -105,8 +105,9 @@ pub struct Workspace {
     coef: Option<CoefBuffer>,
     scratch: Option<simd::SimdScratch>,
     scratch_key: Option<GeomKey>,
-    /// The one-MCU-row RGB buffer streamed tiles are rendered into and
-    /// lent out of; grows to the widest image streamed, never shrinks.
+    /// The RGB buffer a stream's tiles are lent out of: one MCU row that a
+    /// CPU band renders, or a GPU chunk's whole region staged for its
+    /// tiles. Grows to the largest of these, never shrinks.
     tile: Vec<u8>,
     /// Kernel level the render scratch should dispatch to. `None` leaves
     /// the scratch's own choice (host detection) in place; the session

@@ -253,6 +253,57 @@ mod tests {
     }
 
     #[test]
+    fn extreme_sizes_match_a_wide_oracle() {
+        // Arithmetic only: the largest frames are never allocated. The
+        // oracle recomputes every quantity in u128 from the sampling table,
+        // so an overflow or a clipping slip in the usize code shows.
+        for (w, h) in [
+            (1, 1),
+            (1, 65535),
+            (65535, 1),
+            (65535, 65535),
+            (65535, 65521),
+        ] {
+            for (sub, hs, vs) in [
+                (Subsampling::S444, 1u128, 1u128),
+                (Subsampling::S422, 2, 1),
+                (Subsampling::S420, 2, 2),
+            ] {
+                let ctx = format!("{w}x{h} {}", sub.notation());
+                let g = Geometry::new(w, h, sub).unwrap();
+                let (w, h) = (w as u128, h as u128);
+                let (mcu_w, mcu_h) = (8 * hs, 8 * vs);
+                let (mx, my) = (w.div_ceil(mcu_w), h.div_ceil(mcu_h));
+                assert_eq!((g.mcus_x as u128, g.mcus_y as u128), (mx, my), "{ctx}");
+                // (width, height) in blocks of Y, Cb, Cr.
+                let dims = [(mx * hs, my * vs), (mx, my), (mx, my)];
+                let total: u128 = dims.iter().map(|(bw, bh)| bw * bh).sum();
+                assert_eq!(g.total_blocks as u128, total, "{ctx}");
+                let mut offset = 0u128;
+                for (c, (bw, bh)) in dims.into_iter().enumerate() {
+                    let last = g.block_index(c, bw as usize - 1, bh as usize - 1);
+                    assert_eq!(last as u128, offset + bw * bh - 1, "{ctx} comp {c}");
+                    offset += bw * bh;
+                }
+                let per_row = mx * hs * vs + 2 * mx;
+                let my = my as usize;
+                for (a, b) in [(0, my), (0, 1), (my - 1, my), (my / 2, my), (my, my)] {
+                    let ctx = format!("{ctx} rows {a}..{b}");
+                    let blocks = (b - a) as u128 * per_row;
+                    assert_eq!(g.blocks_in_mcu_rows(a, b) as u128, blocks, "{ctx}");
+                    let coef = g.coef_bytes_in_mcu_rows(a, b) as u128;
+                    assert_eq!(coef, blocks * 128, "{ctx}");
+                    let (p0, p1) = ((a as u128 * mcu_h).min(h), (b as u128 * mcu_h).min(h));
+                    let (g0, g1) = g.mcu_rows_to_pixel_rows(a, b);
+                    assert_eq!((g0 as u128, g1 as u128), (p0, p1), "{ctx}");
+                    let rgb = g.rgb_bytes_in_mcu_rows(a, b) as u128;
+                    assert_eq!(rgb, (p1 - p0) * w * 3, "{ctx}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn zero_and_oversized_dimensions_rejected() {
         assert!(Geometry::new(0, 10, Subsampling::S444).is_err());
         assert!(Geometry::new(10, 0, Subsampling::S444).is_err());

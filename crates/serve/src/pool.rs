@@ -39,14 +39,14 @@
 //!
 //! ## One worker body, two reply shapes
 //!
-//! A request is answered either whole ([`ServeReply::Whole`], through
-//! [`Decoder::decode`], which carries the GPU modes' timing, partition
-//! and H2D accounting) or as a row-tile stream ([`ServeReply::Stream`],
-//! through the CPU-only [`Decoder::decode_rows`]). Both run through the
-//! same steps — fault sites, breaker gate, late-deadline check, option
-//! assembly, one `catch_unwind`, one outcome match — and differ only in
-//! the call inside it and where the answer goes: the ticket, or the
-//! stream's terminal [`StreamEvent::End`].
+//! A request is answered either whole ([`ServeReply::Whole`]) or as a
+//! row-tile stream ([`ServeReply::Stream`]). Both make the same session
+//! call, [`Decoder::decode_to`] — with a tile sink for a stream — so both
+//! run the requested mode and carry its timing, partition and H2D
+//! accounting. Both run through the same steps — fault sites, breaker
+//! gate, late-deadline check, option assembly, one `catch_unwind`, one
+//! outcome match — and differ only in where the answer goes: the ticket,
+//! or the stream's terminal [`StreamEvent::End`].
 //!
 //! ## Completion notification
 //!
@@ -94,10 +94,11 @@
 
 use crate::fault::{FaultPlan, FaultSite};
 use crate::{ConfigError, ServeConfig, ServeError};
+use hetjpeg_core::partition::Partition;
 use hetjpeg_core::timeline::{Breakdown, Trace};
 use hetjpeg_core::{
-    DecodeOptions, DecodeOutcome, Decoder, Mode, OutputFormat, RowStreamOutcome, SessionStats,
-    SimdLevel, Strictness,
+    DecodeOptions, DecodeOutcome, Decoder, Mode, OutputFormat, RowTile, SessionStats, SimdLevel,
+    Strictness,
 };
 use hetjpeg_jpeg::markers::sniff_frame;
 use hetjpeg_jpeg::types::RgbImage;
@@ -292,8 +293,12 @@ pub struct StreamEnd {
     /// The pixels are a salvage/prefix render, same meaning as
     /// [`DecodeOutcome::truncated`].
     pub truncated: bool,
-    /// Render path used (output bytes are mode-invariant).
+    /// The concrete mode, as [`DecodeOutcome::mode`].
     pub mode: Mode,
+    /// Per-stage virtual times, as [`DecodeOutcome::times`].
+    pub times: Breakdown,
+    /// The CPU/GPU split, as [`DecodeOutcome::partition`].
+    pub partition: Option<Partition>,
     /// Image width in pixels (repeated from `Begin` so `End`-only
     /// consumers need no cross-event state).
     pub width: u32,
@@ -353,7 +358,8 @@ impl Ticket {
     /// response, including the degradation flag. Streamed replies are
     /// reassembled into a whole image first (tile bytes are bit-identical
     /// to the whole-image decode, so the result is indistinguishable from
-    /// a non-streamed response except for the zeroed timing breakdown).
+    /// a non-streamed response except for the span trace, which a stream
+    /// does not carry).
     pub fn wait_served(self) -> Result<Served, ServeError> {
         match self.wait_reply()? {
             ServeReply::Whole(s) => Ok(s),
@@ -415,39 +421,29 @@ impl Ticket {
 /// Reassemble a streamed reply into a whole [`Served`] response
 /// ([`Ticket::wait_served`]'s compatibility path).
 fn assemble_stream(stream: &ServedStream) -> Result<Served, ServeError> {
-    let mut dims = (0usize, 0usize);
-    let mut degraded = false;
     let mut data = Vec::new();
     loop {
         match stream.recv() {
-            Some(StreamEvent::Begin {
-                width,
-                height,
-                degraded: d,
-            }) => {
-                dims = (width as usize, height as usize);
-                degraded = d;
-                data.reserve(dims.0 * dims.1 * 3);
+            Some(StreamEvent::Begin { width, height, .. }) => {
+                data.reserve(width as usize * height as usize * 3);
             }
             Some(StreamEvent::Tile(t)) => data.extend_from_slice(t.bytes()),
             Some(StreamEvent::End(Ok(end))) => {
                 return Ok(Served {
                     outcome: DecodeOutcome {
                         image: RgbImage {
-                            width: dims.0,
-                            height: dims.1,
+                            width: end.width as usize,
+                            height: end.height as usize,
                             data,
                         },
                         ycc: None,
-                        // A streamed decode reports no per-stage timing;
-                        // the tile pipeline is not instrumented per stage.
-                        times: Breakdown::default(),
+                        times: end.times,
                         trace: Trace::default(),
-                        partition: None,
+                        partition: end.partition,
                         mode: end.mode,
                         truncated: end.truncated,
                     },
-                    degraded: degraded || end.degraded,
+                    degraded: end.degraded,
                 });
             }
             Some(StreamEvent::End(Err(e))) => return Err(e),
@@ -1393,17 +1389,6 @@ fn apply_request_options(opts: &mut DecodeOptions, ro: &RequestOptions, session_
     }
 }
 
-/// What one decode produced, in the shape of the reply the request asked
-/// for: the whole image for its ticket, or the summary of a stream whose
-/// tiles already went out, with the stream its `End` event goes to.
-// Moved once, from the decode to the answer: boxing `Whole` would buy
-// nothing (as for `ServeReply`).
-#[allow(clippy::large_enum_variant)]
-enum Rendered<'a> {
-    Whole(DecodeOutcome),
-    Rows(RowStreamOutcome, &'a Notifying<StreamEvent>),
-}
-
 /// Serve one request end to end: fault sites, breaker gate, late-deadline
 /// shed/degrade, option assembly, the `catch_unwind`-isolated decode —
 /// whole, or as a row-tile stream through `tiles` — panic recovery with
@@ -1548,35 +1533,34 @@ fn serve_one(
             if inject_panic {
                 d.inject_panic("injected decode panic");
             }
-            let Some(events) = stream else {
-                return d.decode(data, opts).map(Rendered::Whole);
-            };
-            let mut begun = false;
-            d.decode_rows(data, opts, &mut |tile| {
-                if !begun {
-                    begun = true;
-                    let begin = StreamEvent::Begin {
-                        width: tile.width as u32,
-                        height: tile.height as u32,
-                        degraded,
-                    };
-                    if events.send(begin).is_err() {
-                        return false;
+            let mut forward = stream.map(|events| {
+                let mut begun = false;
+                move |tile: RowTile<'_>| {
+                    if !begun {
+                        begun = true;
+                        let begin = StreamEvent::Begin {
+                            width: tile.width as u32,
+                            height: tile.height as u32,
+                            degraded,
+                        };
+                        if events.send(begin).is_err() {
+                            return false;
+                        }
                     }
+                    let Some(mut buf) = tiles.acquire(counters) else {
+                        return false; // consumer stalled past the limit
+                    };
+                    buf.clear();
+                    buf.extend_from_slice(tile.rgb);
+                    events
+                        .send(StreamEvent::Tile(StreamTile {
+                            buf,
+                            pool: tiles.tx.clone(),
+                        }))
+                        .is_ok()
                 }
-                let Some(mut buf) = tiles.acquire(counters) else {
-                    return false; // consumer stalled past the limit
-                };
-                buf.clear();
-                buf.extend_from_slice(tile.rgb);
-                events
-                    .send(StreamEvent::Tile(StreamTile {
-                        buf,
-                        pool: tiles.tx.clone(),
-                    }))
-                    .is_ok()
-            })
-            .map(|rows| Rendered::Rows(rows, events))
+            });
+            d.decode_to(data, opts, forward.as_mut().map(|f| f as _))
         }))
     };
     if result.is_ok() {
@@ -1588,7 +1572,7 @@ fn serve_one(
         ))),
         // The consumer stopped returning tiles (or hung up): the stream is
         // short, and its wall time measures the client, not the shard.
-        Ok(Ok(Rendered::Rows(rows, _))) if !rows.completed => Err(ServeError::Stalled),
+        Ok(Ok((_, rows))) if !rows.completed => Err(ServeError::Stalled),
         Ok(out) => {
             // Calibrate on decode time: time blocked on a slow stream
             // consumer is not the shard's.
@@ -1614,31 +1598,31 @@ fn serve_one(
             counters.degraded.fetch_add(1, Ordering::Relaxed);
         }
     }
-    match answer {
-        Ok(Rendered::Whole(outcome)) => {
+    match (answer, &stream) {
+        (Ok((outcome, _)), None) => {
             let _ = req
                 .reply
                 .send(Ok(ServeReply::Whole(Served { outcome, degraded })));
         }
-        Ok(Rendered::Rows(rows, events)) => {
+        (Ok((out, rows)), Some(events)) => {
             counters.streamed.fetch_add(1, Ordering::Relaxed);
             let _ = events.send(StreamEvent::End(Ok(StreamEnd {
                 tiles: rows.tiles as u64,
-                truncated: rows.truncated,
-                mode: rows.mode,
-                width: rows.width as u32,
-                height: rows.height as u32,
+                truncated: out.truncated,
+                mode: out.mode,
+                times: out.times,
+                partition: out.partition,
+                width: out.image.width as u32,
+                height: out.image.height as u32,
                 degraded,
             })));
         }
-        Err(e) => match &stream {
-            Some(events) => {
-                let _ = events.send(StreamEvent::End(Err(e)));
-            }
-            None => {
-                let _ = req.reply.send(Err(e));
-            }
-        },
+        (Err(e), Some(events)) => {
+            let _ = events.send(StreamEvent::End(Err(e)));
+        }
+        (Err(e), None) => {
+            let _ = req.reply.send(Err(e));
+        }
     }
     state.load.credit(req.charged_us);
 }
@@ -2373,8 +2357,8 @@ mod tests {
             assert_eq!(served, streamed_served, "{exit}: replies");
             assert_eq!((whole.streamed, streamed.streamed), (0, served), "{exit}");
             // Beyond `streamed`, what the shapes may differ in is the
-            // stream's own buffers (`stream_tile_peak`) and the session
-            // call (`decode_rows` never prices `Auto`), not the worker.
+            // stream's own buffers (`stream_tile_peak`), not the worker or
+            // the session.
             let whole = ShardStats {
                 stream_tile_peak: 0,
                 ..whole
@@ -2382,7 +2366,6 @@ mod tests {
             let streamed = ShardStats {
                 streamed: 0,
                 stream_tile_peak: 0,
-                session: whole.session,
                 ..streamed
             };
             assert_eq!(whole, streamed, "{exit}: counters differ by reply shape");

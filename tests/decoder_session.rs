@@ -180,6 +180,19 @@ fn one_session_across_shapes_matches_a_fresh_session_per_image() {
                 alone.coef_allocs,
                 "{label}"
             );
+
+            // Streamed on the shared session: every GPU region of every
+            // shape is staged in the one pooled tile buffer.
+            let mut rgb = Vec::new();
+            let (streamed, rows) = shared
+                .decode_rows(jpeg, DecodeOptions::with_mode(mode), &mut |t| {
+                    rgb.extend_from_slice(t.rgb);
+                    true
+                })
+                .expect("streamed decode");
+            assert!(rows.completed, "{label}");
+            assert_eq!(rgb, want.image.data, "{label}: streamed bytes");
+            assert_eq!(streamed.times, want.times, "{label}: streamed times");
         }
         assert_eq!(shared.stats().pool.coef_allocs, 1, "{mode:?}");
         assert_eq!(shared.stats().pool.scratch_allocs, 1, "{mode:?}");
@@ -315,7 +328,7 @@ fn session_dispatch_choice_is_honored_and_force_scalar_matches() {
                     .expect(entry),
             ),
             _ => {
-                let streamed = decoder
+                let (_, streamed) = decoder
                     .decode_rows(&jpeg, opts, &mut |_| true)
                     .expect(entry);
                 assert!(streamed.completed);

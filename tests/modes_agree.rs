@@ -10,7 +10,8 @@
 
 use hetjpeg_core::platform::Platform;
 use hetjpeg_core::schedule::Mode;
-use hetjpeg_core::{DecodeOptions, Decoder, SimdLevel};
+use hetjpeg_core::timeline::Resource;
+use hetjpeg_core::{DecodeOptions, DecodeOutcome, Decoder, SimdLevel};
 use hetjpeg_corpus::{generate_jpeg, ImageSpec, Pattern};
 use hetjpeg_jpeg::decoder::decode;
 use hetjpeg_jpeg::encoder::{encode_rgb, EncodeParams};
@@ -56,21 +57,89 @@ fn gallery() -> Vec<(String, Vec<u8>)> {
     out
 }
 
+/// What an outcome says besides its pixels, every number as its bits.
+type Account = (
+    [u64; 7],
+    Vec<(&'static str, Resource, u64, u64)>,
+    Option<(usize, usize, u64, usize, u64, u64)>,
+    Mode,
+    bool,
+);
+
+fn account(out: &DecodeOutcome) -> Account {
+    let t = &out.times;
+    let times = [
+        t.huffman,
+        t.h2d,
+        t.kernels,
+        t.d2h,
+        t.cpu_parallel,
+        t.dispatch,
+        t.total,
+    ];
+    let spans = (out.trace.spans.iter())
+        .map(|s| (s.label, s.resource, s.start.to_bits(), s.end.to_bits()))
+        .collect();
+    let partition = out.partition.map(|p| {
+        let (x, cpu, gpu) = (p.x_pixel_rows, p.predicted_cpu, p.predicted_gpu);
+        let rows = (p.gpu_mcu_rows, p.cpu_mcu_rows, p.iterations);
+        (
+            rows.0,
+            rows.1,
+            x.to_bits(),
+            rows.2,
+            cpu.to_bits(),
+            gpu.to_bits(),
+        )
+    });
+    (
+        times.map(f64::to_bits),
+        spans,
+        partition,
+        out.mode,
+        out.truncated,
+    )
+}
+
+/// `decoder.decode_rows` with its tiles joined, each checked to be the
+/// next rows of the image: tiles are contiguous, none is sent twice, and
+/// every row is sent.
+fn streamed(decoder: &Decoder, jpeg: &[u8], opts: DecodeOptions) -> (DecodeOutcome, Vec<u8>) {
+    let (mut rgb, mut next) = (Vec::new(), 0);
+    let (out, stream) = decoder
+        .decode_rows(jpeg, opts, &mut |t| {
+            assert_eq!(t.y0, next, "tiles are contiguous and sent once");
+            assert_eq!(t.rgb.len(), t.rows * t.width * 3);
+            next += t.rows;
+            rgb.extend_from_slice(t.rgb);
+            true
+        })
+        .expect("stream");
+    assert!(stream.completed);
+    assert_eq!(next, out.image.height, "every row is sent");
+    assert!(
+        out.image.data.is_empty(),
+        "a stream's outcome holds no pixels"
+    );
+    (out, rgb)
+}
+
 #[test]
 fn all_modes_all_platforms_bit_identical() {
     for (name, jpeg) in gallery() {
         let reference = decode(&jpeg).expect("reference decode").data;
         for platform in Platform::all() {
             let decoder = session_for(&platform);
-            for mode in Mode::all() {
-                let out = decoder
-                    .decode(&jpeg, DecodeOptions::with_mode(mode))
-                    .unwrap_or_else(|e| panic!("{name} {mode:?} on {}: {e}", platform.name));
-                assert_eq!(
-                    out.image.data, reference,
-                    "{name}: {} under {:?} differs from reference",
-                    platform.name, mode
-                );
+            for mode in Mode::all().into_iter().chain([Mode::Auto]) {
+                let ctx = format!("{name}: {} under {mode:?}", platform.name);
+                let opts = DecodeOptions::with_mode(mode);
+                let out = (decoder.decode(&jpeg, opts)).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                assert!(out.image.data == reference, "{ctx} differs from reference");
+                // The same decode as a row stream: the same pixels, and the
+                // same account of how they were made.
+                let (rows, rgb) = streamed(&decoder, &jpeg, opts);
+                assert!(rgb == reference, "{ctx}: streamed bytes differ");
+                assert_eq!(account(&rows), account(&out), "{ctx}: streamed outcome");
             }
         }
     }

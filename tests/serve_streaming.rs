@@ -152,9 +152,14 @@ fn streamed_replies_are_bit_identical_across_modes_and_shapes() {
         assert_eq!(served.outcome.image.data, reference.data);
         assert!(!served.degraded);
 
-        // And a non-streaming submit of the same bytes.
+        // And a non-streaming submit of the same bytes, which the stream
+        // must account for alike: the same mode, timing and split.
         let whole = handle.decode(j).unwrap();
         assert_eq!(whole.image.data, reference.data);
+        let got = &served.outcome;
+        assert_eq!(got.mode, whole.mode, "case {i}: mode");
+        assert_eq!(got.times, whole.times, "case {i}: times");
+        assert_eq!(got.partition, whole.partition, "case {i}: partition");
     }
     let stats = server.shutdown().total();
     assert_eq!(stats.streamed, cases.len() as u64 * 2);
@@ -278,8 +283,11 @@ fn per_request_options_override_server_defaults() {
 
 #[test]
 fn streaming_composes_with_per_request_options() {
+    // A Sequential server: a stream runs the server's mode, and `Auto`
+    // pads truncated entropy instead of salvaging.
     let server = Server::start(ServeConfig {
         shards: 1,
+        options: DecodeOptions::with_mode(hetjpeg::core::Mode::Sequential),
         ..ServeConfig::default()
     })
     .unwrap();
@@ -287,8 +295,7 @@ fn streaming_composes_with_per_request_options() {
     let dec = Decoder::builder().build().unwrap();
 
     // Tolerant salvage of a truncated image, streamed: identical to the
-    // direct tolerant decode, End flagged truncated. (Sequential-mode
-    // reference: `Auto` pads truncated entropy instead of salvaging.)
+    // direct tolerant decode, End flagged truncated.
     let mut cut = restart_noise_jpeg(160, 120, 21);
     cut.truncate(cut.len() * 6 / 10);
     let reference = dec
