@@ -364,33 +364,6 @@ impl CpuCostModel {
         cycles_at(observed.clamp(Self::SPARSE_CLASS_FACTORS[0], 1.0)) / denom
     }
 
-    /// Entropy-phase time of the speculative restart-free path (ISSUE 6):
-    /// `thuff` split over `chunks` workers, plus the **speculation-waste
-    /// term** — the expected convergence prefix (`prefix_mcus`, fitted by
-    /// `profile::train` into
-    /// [`crate::model::PerformanceModel::spec_prefix_mcus`]) re-decoded
-    /// once per chunk boundary, half in parallel inside the workers
-    /// (wasted staged MCUs) and half serially in the stitch reconciler —
-    /// priced conservatively as if all of it were serial — plus the fixed
-    /// per-chunk overhead. With one chunk this degenerates to the
-    /// sequential time plus one overhead, so `Mode::Auto` can never prefer
-    /// speculation when it doesn't pay.
-    pub fn speculative_entropy_time(
-        thuff: f64,
-        total_mcus: f64,
-        prefix_mcus: f64,
-        chunks: usize,
-        overhead_s: f64,
-    ) -> f64 {
-        let n = chunks.max(1) as f64;
-        let t_mcu = if total_mcus > 0.0 {
-            thuff / total_mcus
-        } else {
-            0.0
-        };
-        thuff / n + prefix_mcus.max(0.0) * t_mcu * (n - 1.0) + n * overhead_s
-    }
-
     /// Host-side OpenCL dispatch time (`Tdisp` in Eq. 9a) for commands
     /// covering MCU rows `[start, end)`.
     pub fn dispatch_time(&self, geom: &Geometry, start: usize, end: usize) -> f64 {
@@ -601,25 +574,6 @@ mod tests {
         assert!((cpu.parallel_time(&work, true) - planar - color).abs() < 1e-12);
         let planar_sparse = cpu.parallel_time_planar_sparse(&work, &[blocks, 0, 0, 0], true);
         assert!((sparse - planar_sparse - color).abs() < 1e-12);
-    }
-
-    #[test]
-    fn speculative_entropy_time_prices_waste_honestly() {
-        // A 1-megapixel no-restart scan: thuff ≈ 3 ms, ~8k MCUs.
-        let (thuff, mcus) = (3e-3, 8000.0);
-        let o = 2e-6;
-        // One chunk degenerates to sequential + one overhead.
-        let t1 = CpuCostModel::speculative_entropy_time(thuff, mcus, 6.0, 1, o);
-        assert!((t1 - (thuff + o)).abs() < 1e-15);
-        // Four chunks with a short prefix beat sequential comfortably.
-        let t4 = CpuCostModel::speculative_entropy_time(thuff, mcus, 6.0, 4, o);
-        assert!(t4 < thuff / 1.8, "4-chunk prediction {t4:.6}s");
-        // The waste term is monotone in the fitted prefix, and a prefix
-        // comparable to the whole stream makes speculation price *worse*
-        // than sequential — Auto must never pick it then.
-        let t4_long = CpuCostModel::speculative_entropy_time(thuff, mcus, mcus / 2.0, 4, o);
-        assert!(t4_long > t4);
-        assert!(t4_long > thuff + o);
     }
 
     #[test]

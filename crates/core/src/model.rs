@@ -59,9 +59,8 @@ pub struct PerformanceModel {
     pub pcpu_idct_discount: f64,
     /// Mean convergence prefix of a speculative entropy chunk (MCUs wasted
     /// plus re-decoded, per chunk boundary) measured over the training
-    /// corpus — the speculation-waste term `Mode::Auto` prices the
-    /// restart-free parallel entropy path with
-    /// ([`crate::cost::CpuCostModel::speculative_entropy_time`]).
+    /// corpus — the speculation-waste term of the fed entropy step's
+    /// release curve ([`crate::partition::pps::Release`]).
     pub spec_prefix_mcus: f64,
     /// Per-pixel H2D seconds of the *compacted* coefficient payload as a
     /// function of entropy density (PR 9). The compacted transfer ships

@@ -26,11 +26,29 @@
 //! chunk** (Eq. 16) on the same two sides, over the rows still to decode,
 //! with a corrected density (Eq. 17), the device's backlog, and `PCPU`
 //! scaled by the tail's measured sparsity instead of `k(d)`.
+//!
+//! With more than one session thread the Huffman decoding is not the CPU
+//! side's: the entropy workers release rows on a [`Release`] curve `R(r)`
+//! (waves of `threads` feed chunks, the first at the sequential rate), and
+//! Eq. 15/16 walk the loop chunk by chunk (`Overlap::fed`):
+//!
+//! ```text
+//! dispatch_j = max(dispatch_{j−1}, R(end_j)) + Tdisp(w, c_j)
+//! device_j   = max(device_{j−1}, dispatch_j) + PGPU(w, c_j)
+//! CPU(x)     = max(dispatch_n, R(h)) + PCPU(w, x)·k(d)
+//! GPU(x)     = device_n
+//! ```
+//!
+//! A fed split is device-bound, so its device work is always priced chunk
+//! by chunk. Eq. 16 evaluates the same walk over the rows still to come,
+//! on the plan's curve, from the loop's current time. At one thread every
+//! form is the sequential one above, bit for bit.
 
 use super::newton::newton_solve;
 use super::Partition;
 use crate::model::PerformanceModel;
 use crate::regress::{Poly1, Poly2};
+use crate::schedule::entropy_par::SEGMENT_OVERHEAD_S;
 use hetjpeg_jpeg::geometry::Geometry;
 use std::cell::Cell;
 
@@ -188,20 +206,173 @@ impl Overlap {
     }
 }
 
+impl Overlap {
+    /// The fed loop over a GPU share of `g` pixel rows that starts `from`
+    /// rows into an image of `h`, on a loop that is free `start` seconds
+    /// into the decode: each chunk waits for its rows' [`Release`], is
+    /// dispatched, and is placed on the device once the dispatch returned
+    /// and the device is free (`start` plus the backlog); its device work
+    /// is priced chunk by chunk. Returns, relative to `start`, when the
+    /// loop can render its band — every GPU chunk dispatched and every row
+    /// final — and when the device finishes.
+    pub(crate) fn fed(
+        &self,
+        release: &Release,
+        from: f64,
+        g: f64,
+        h: f64,
+        start: f64,
+    ) -> (f64, f64) {
+        let (mut cpu, mut dev) = (start, start + self.backlog);
+        let mut done = 0.0;
+        while done < g {
+            let rows = self.chunk.min(g - done);
+            done += rows;
+            cpu = cpu.max(release.at(from + done)) + self.t_disp.at(rows).0;
+            dev = dev.max(cpu) + self.device(rows).0;
+        }
+        (cpu.max(release.at(h)) - start, dev - start)
+    }
+
+    /// The device's mean seconds per pixel row over a full chunk — the
+    /// slope Newton steers the fed balance by.
+    fn device_rate(&self) -> f64 {
+        self.chunk_dev / self.chunk
+    }
+}
+
+/// When a fed entropy step makes an image's rows final on the loop's
+/// thread, priced from the model: `THuff(w·h, d)` split evenly over the
+/// feed's chunks, each worker's chunk costing its share plus the per-chunk
+/// overhead, list-scheduled onto the workers in row order; a speculative
+/// chunk boundary pays the trained convergence prefix twice, half as the
+/// worker's garbage and half as the stitch's exact re-decode on the loop.
+/// So rows release in waves of `threads` chunks, the first wave's first
+/// chunk at the sequential rate.
+#[derive(Debug, Clone)]
+pub struct Release {
+    /// Pixel rows per feed chunk.
+    chunk_rows: f64,
+    /// Sequential Huffman seconds per pixel row.
+    huff_row: f64,
+    /// When each chunk, in row order, is final.
+    final_at: Vec<f64>,
+    /// Per chunk `j`: the earliest the loop can decode row 0 onwards at
+    /// the sequential rate, having waited from the start or for a chunk
+    /// `i ≤ j` — min over `i` of (chunk `i − 1` final) − (rows before chunk
+    /// `i`)·`huff_row`.
+    ramp: Vec<f64>,
+}
+
+impl Release {
+    /// The release curve of a `w × h` image at density `d` with `mcus`
+    /// MCUs, decoded on `threads` workers in `chunks` feed chunks;
+    /// `speculative` when the chunks start mid-segment (no restart marker
+    /// at their boundaries).
+    #[allow(clippy::too_many_arguments)]
+    pub fn new(
+        model: &PerformanceModel,
+        w: f64,
+        h: f64,
+        d: f64,
+        mcus: f64,
+        threads: usize,
+        chunks: usize,
+        speculative: bool,
+    ) -> Release {
+        let n = chunks.max(1);
+        let thuff = model.huff_time(w * h, d);
+        let share = thuff / n as f64 + SEGMENT_OVERHEAD_S;
+        let prefix = match speculative {
+            true => 0.5 * model.spec_prefix_mcus.max(0.0) * thuff / mcus.max(1.0),
+            false => 0.0,
+        };
+        let mut free_at = vec![0.0f64; threads.clamp(1, n)];
+        let mut stitched = 0.0f64;
+        let final_at: Vec<f64> = (0..n)
+            .map(|j| {
+                let waste = if j == 0 { 0.0 } else { prefix };
+                let worker = (0..free_at.len())
+                    .min_by(|&a, &b| free_at[a].total_cmp(&free_at[b]))
+                    .expect("at least one worker");
+                free_at[worker] += share + waste;
+                stitched = stitched.max(free_at[worker]) + waste;
+                stitched
+            })
+            .collect();
+        let (chunk_rows, huff_row) = (h / n as f64, thuff / h);
+        let mut lowest = f64::INFINITY;
+        let ramp = (0..n)
+            .map(|i| {
+                let since = if i == 0 { 0.0 } else { final_at[i - 1] };
+                lowest = lowest.min(since - i as f64 * chunk_rows * huff_row);
+                lowest
+            })
+            .collect();
+        Release {
+            chunk_rows,
+            huff_row,
+            final_at,
+            ramp,
+        }
+    }
+
+    /// When the first `rows` pixel rows are final: when the chunk holding
+    /// the last of them is stitched, or earlier if the loop, waiting since
+    /// an earlier chunk was stitched, decodes the rest itself at the
+    /// sequential rate.
+    pub fn at(&self, rows: f64) -> f64 {
+        if rows <= 0.0 {
+            return 0.0;
+        }
+        let n = self.final_at.len();
+        let j = ((rows / self.chunk_rows).ceil() as usize).clamp(1, n) - 1;
+        self.final_at[j].min(self.ramp[j] + rows * self.huff_row)
+    }
+}
+
+/// Where the balanced overlap's Huffman comes from.
+#[derive(Clone, Copy)]
+enum Feed<'r> {
+    /// Decoded on the CPU side's own thread: `huff` seconds of it.
+    Sequential { huff: f64 },
+    /// Released by the entropy workers; the share starts `from` rows into
+    /// an image of `h` on a loop free `start` seconds into the decode.
+    Fed {
+        release: &'r Release,
+        from: f64,
+        h: f64,
+        start: f64,
+    },
+}
+
 /// Initial PPS split for an image with density `d`, given the tuned chunk
-/// height in pixel rows (`c` in Eq. 15).
+/// height in pixel rows (`c` in Eq. 15). With a `release` curve the
+/// entropy step is fed and the device work is priced chunk by chunk.
 pub fn initial_partition(
     model: &PerformanceModel,
     geom: &Geometry,
     d: f64,
     chunk_pixel_rows: f64,
+    release: Option<&Release>,
 ) -> Partition {
     let w = geom.width as f64;
     let h = geom.height as f64;
-    let overlap = Overlap::new(model, w, d, chunk_pixel_rows.min(h), 0.0, false, 0.0);
     let k = model.pcpu_density_factor(d);
-    let huff = model.huff_time(w * h, d);
-    balance(model, &overlap, h, geom.mcus_y, geom.mcu_h, huff, k)
+    let chunked = release.is_some();
+    let overlap = Overlap::new(model, w, d, chunk_pixel_rows.min(h), 0.0, chunked, 0.0);
+    let feed = match release {
+        Some(release) => Feed::Fed {
+            release,
+            from: 0.0,
+            h,
+            start: 0.0,
+        },
+        None => Feed::Sequential {
+            huff: model.huff_time(w * h, d),
+        },
+    };
+    balance(model, &overlap, h, geom.mcus_y, geom.mcu_h, feed, k)
 }
 
 /// Density correction (Eq. 17): scale the global density by how much
@@ -236,6 +407,11 @@ pub fn corrected_density(
 ///
 /// Returns the new split of the *remaining* rows (CPU gets the final
 /// `cpu_mcu_rows` of those).
+///
+/// Fed, the rows still to come are released on the plan's `release`
+/// curve — the workers started with the image — and the loop is at `now`
+/// seconds into the decode.
+#[allow(clippy::too_many_arguments)]
 pub fn repartition(
     model: &PerformanceModel,
     geom: &Geometry,
@@ -244,28 +420,42 @@ pub fn repartition(
     prev_gpu_backlog: f64,
     cpu_scale: f64,
     chunk_pixel_rows: f64,
+    fed: Option<(&Release, f64)>,
 ) -> Partition {
     let w = geom.width as f64;
+    let h = geom.height as f64;
     let chunk = chunk_pixel_rows.min(h_left);
-    let overlap = Overlap::new(model, w, d_new, chunk, prev_gpu_backlog, false, 0.0);
-    let huff = model.huff_time(w * h_left, d_new);
+    let overlap = Overlap::new(model, w, d_new, chunk, prev_gpu_backlog, fed.is_some(), 0.0);
+    let feed = match fed {
+        Some((release, now)) => Feed::Fed {
+            release,
+            from: h - h_left,
+            h,
+            start: now,
+        },
+        None => Feed::Sequential {
+            huff: model.huff_time(w * h_left, d_new),
+        },
+    };
     // Rows are counted against the full-image geometry (MCU height).
     let rows = geom.round_rows_to_mcu(h_left);
-    balance(model, &overlap, h_left, rows, geom.mcu_h, huff, cpu_scale)
+    balance(model, &overlap, h_left, rows, geom.mcu_h, feed, cpu_scale)
 }
 
 /// Solve `CPU(x) = GPU(h − x)` over `h` pixel rows (`rows` MCU rows of
 /// `mcu_h`, the CPU taking the final ones) by Newton's method, where the
-/// CPU side is `huff` plus `PCPU(w, x)·cpu_scale` plus the GPU share's
-/// dispatches. Of the two MCU-row splits around the root, the one with the
-/// smaller predicted makespan wins; the predictions are its sides.
+/// CPU side is `PCPU(w, x)·cpu_scale` after the entropy step: fed, once the
+/// loop has dispatched the GPU share and every row is released;
+/// sequentially, its Huffman plus the GPU share's dispatches. Of the two
+/// MCU-row splits around the root, the one with the smaller predicted
+/// makespan wins; the predictions are its sides.
 fn balance(
     model: &PerformanceModel,
     overlap: &Overlap,
     h: f64,
     rows: usize,
     mcu_h: usize,
-    huff: f64,
+    feed: Feed<'_>,
     cpu_scale: f64,
 ) -> Partition {
     let p_cpu = AtWidth::new(&model.p_cpu, overlap.w);
@@ -277,11 +467,25 @@ fn balance(
         if at == x {
             return v;
         }
-        let Sides { dispatches, gpu } = overlap.at(h - x);
         let (band, band_dx) = p_cpu.at(x);
-        let cpu = huff + band * cpu_scale + dispatches.0;
-        let cpu_dx = band_dx * cpu_scale - dispatches.1;
-        let v = [cpu, cpu_dx, gpu.0, -gpu.1];
+        let v = match feed {
+            Feed::Sequential { huff } => {
+                let Sides { dispatches, gpu } = overlap.at(h - x);
+                let cpu = huff + band * cpu_scale + dispatches.0;
+                let cpu_dx = band_dx * cpu_scale - dispatches.1;
+                [cpu, cpu_dx, gpu.0, -gpu.1]
+            }
+            Feed::Fed {
+                release,
+                from,
+                h: image,
+                start,
+            } => {
+                let (ready, gpu) = overlap.fed(release, from, h - x, image, start);
+                let cpu = ready + band * cpu_scale;
+                [cpu, band_dx * cpu_scale, gpu, -overlap.device_rate()]
+            }
+        };
         last.set((x, v));
         v
     };
@@ -325,13 +529,48 @@ mod tests {
     }
 
     #[test]
+    fn release_prices_speculation_waste_honestly() {
+        // A 1-megapixel restart-free scan, ~8k MCUs, on four workers.
+        let model = PerformanceModel::analytic_seed(&Platform::gtx560());
+        let (w, h, d, mcus) = (1024.0, 1024.0, 0.2, 8192.0);
+        let thuff = model.huff_time(w * h, d);
+        let release = |chunks, prefix| {
+            let model = PerformanceModel {
+                spec_prefix_mcus: prefix,
+                ..model.clone()
+            };
+            Release::new(&model, w, h, d, mcus, 4, chunks, chunks > 1).at(h)
+        };
+        // One chunk is the sequential decode: the loop decodes it itself
+        // sooner than the worker hands it over.
+        let one = release(1, 6.0);
+        assert!((one - thuff).abs() <= thuff * 1e-12, "{one} vs {thuff}");
+        // Four chunks with a short prefix beat sequential comfortably.
+        assert!(
+            release(4, 6.0) < thuff / 1.8,
+            "4-chunk release {}",
+            release(4, 6.0)
+        );
+        // The waste is monotone in the fitted prefix, and a prefix
+        // comparable to the whole stream prices the workers out: the loop
+        // decodes on itself, no faster than sequential.
+        assert!(release(4, mcus / 8.0) > release(4, 6.0));
+        assert!(release(4, mcus / 2.0) >= thuff * (1.0 - 1e-12));
+        // Sixteen chunks release in four waves: the first rows long before
+        // the last, and the first at the sequential rate.
+        let r = Release::new(&model, w, h, d, mcus, 4, 16, true);
+        assert!(r.at(h / 16.0) < r.at(h) / 3.0);
+        assert_eq!(r.at(1.0), (thuff / h).min(r.at(h / 16.0)));
+    }
+
+    #[test]
     fn pps_gives_gpu_more_than_sps() {
         // Because Huffman time sits on the CPU side of the PPS balance, the
         // GPU's share must grow relative to SPS (compare Eq. 10 vs Eq. 15).
         let model = PerformanceModel::analytic_seed(&Platform::gtx560());
         let g = geom(2048, 2048);
         let sps = crate::partition::sps::partition(&model, &g, 0.2);
-        let pps = initial_partition(&model, &g, 0.2, 128.0);
+        let pps = initial_partition(&model, &g, 0.2, 128.0, None);
         assert!(
             pps.gpu_mcu_rows >= sps.gpu_mcu_rows,
             "pps gpu {} vs sps gpu {}",
@@ -346,8 +585,8 @@ mod tests {
         // should receive at least as many rows.
         let model = PerformanceModel::analytic_seed(&Platform::gtx560());
         let g = geom(1024, 1024);
-        let sparse = initial_partition(&model, &g, 0.05, 64.0);
-        let dense = initial_partition(&model, &g, 0.45, 64.0);
+        let sparse = initial_partition(&model, &g, 0.05, 64.0, None);
+        let dense = initial_partition(&model, &g, 0.45, 64.0, None);
         assert!(dense.gpu_mcu_rows >= sparse.gpu_mcu_rows);
     }
 
@@ -371,8 +610,8 @@ mod tests {
     fn backlog_shifts_work_to_cpu() {
         let model = PerformanceModel::analytic_seed(&Platform::gtx560());
         let g = geom(1024, 1024);
-        let no_backlog = repartition(&model, &g, 512.0, 0.2, 0.0, 1.0, 64.0);
-        let backlog = repartition(&model, &g, 512.0, 0.2, 0.05, 1.0, 64.0);
+        let no_backlog = repartition(&model, &g, 512.0, 0.2, 0.0, 1.0, 64.0, None);
+        let backlog = repartition(&model, &g, 512.0, 0.2, 0.05, 1.0, 64.0, None);
         assert!(
             backlog.cpu_mcu_rows >= no_backlog.cpu_mcu_rows,
             "backlogged GPU should shed rows: {} vs {}",
@@ -387,8 +626,8 @@ mod tests {
         // at) makes the CPU band pricier, so the CPU must keep fewer rows.
         let model = PerformanceModel::analytic_seed(&Platform::gt430());
         let g = geom(1024, 1024);
-        let neutral = repartition(&model, &g, 512.0, 0.25, 0.01, 1.0, 64.0);
-        let dense_tail = repartition(&model, &g, 512.0, 0.25, 0.01, 1.6, 64.0);
+        let neutral = repartition(&model, &g, 512.0, 0.25, 0.01, 1.0, 64.0, None);
+        let dense_tail = repartition(&model, &g, 512.0, 0.25, 0.01, 1.6, 64.0, None);
         assert!(
             dense_tail.cpu_mcu_rows <= neutral.cpu_mcu_rows,
             "denser tail should shed CPU rows: {} vs {}",
@@ -404,7 +643,7 @@ mod tests {
         for h_left in [48.0, 160.0, 480.0] {
             for backlog in [0.0, 0.001, 0.1] {
                 for cpu_scale in [0.6, 1.0, 1.8] {
-                    let p = repartition(&model, &g, h_left, 0.3, backlog, cpu_scale, 64.0);
+                    let p = repartition(&model, &g, h_left, 0.3, backlog, cpu_scale, 64.0, None);
                     assert!(p.cpu_mcu_rows + p.gpu_mcu_rows <= g.mcus_y);
                     assert!(p.x_pixel_rows >= 0.0 && p.x_pixel_rows <= h_left);
                 }

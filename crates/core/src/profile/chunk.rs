@@ -47,7 +47,7 @@ pub fn tune_chunk_rows(
         for c in candidate_chunk_rows(prep.geom.mcus_y) {
             let mut trial = proto_model.clone();
             trial.chunk_mcu_rows = c;
-            let plan = Plan::of(Mode::PipelinedGpu, &prep, &trial);
+            let plan = Plan::of(Mode::PipelinedGpu, &prep, &trial, 1);
             let out = split::decode(&prep, platform, &trial, &plan, ws, &mut image)
                 .expect("pipelined decode");
             if out.times.total < best.0 {
@@ -102,7 +102,7 @@ mod tests {
         let time_with = |c: usize| {
             let mut m = model.clone();
             m.chunk_mcu_rows = c;
-            let plan = Plan::of(Mode::PipelinedGpu, &prep, &m);
+            let plan = Plan::of(Mode::PipelinedGpu, &prep, &m, 1);
             let mut image = Target::whole(OutputFormat::Rgb);
             let mut ws = Workspace::default();
             (split::decode(&prep, &platform, &m, &plan, &mut ws, &mut image))

@@ -127,20 +127,19 @@ pub fn train(
         // Dispatch overhead.
         tdisp_samples.push(platform.cpu.dispatch_time(geom, 0, geom.mcus_y));
 
-        // Speculation-waste term (ISSUE 6): run the speculative entropy
-        // path over the image and record the measured convergence prefix
-        // per chunk boundary — the input to
-        // `CpuCostModel::speculative_entropy_time`.
+        // Speculation-waste term: run the speculative entropy path over
+        // the image and record the measured convergence prefix per chunk
+        // boundary — the input to the release curve (`pps::Release`).
         let segments = hetjpeg_jpeg::entropy::split_restart_segments(&prep.parsed, geom);
         let mut scratch = hetjpeg_jpeg::coef::CoefBuffer::new(geom);
-        if let Ok(out) = crate::schedule::entropy_par::decode_entropy_speculative_into(
+        if let Some(spec) = crate::schedule::entropy_par::speculation_stats(
             &prep,
-            &segments,
+            platform,
             crate::schedule::DEFAULT_ENTROPY_THREADS,
             &mut scratch,
         ) {
-            if out.spec.chunks > segments.len() as u64 {
-                prefix_samples.push(out.spec.prefix_mcus_per_boundary());
+            if spec.chunks > segments.len() as u64 {
+                prefix_samples.push(spec.prefix_mcus_per_boundary());
             }
         }
     }

@@ -10,17 +10,19 @@
 //! (Rodríguez-Sánchez & Quintana-Ortí, PAPERS.md).
 //!
 //! Everything here is *prediction*: no entropy decoding happens before the
-//! choice, so selection cost is a handful of Horner evaluations (plus one
-//! linear scan of the entropy data to count restart segments when DRI is
-//! present). The session decoder caches decisions per image shape.
+//! choice, so selection cost is a handful of Horner evaluations (and, with
+//! more than one thread, a walk over the feed's release curve per GPU
+//! plan). The session decoder caches decisions per image shape and
+//! density bucket, priced at the bucket's centre, so that a cached decision
+//! does not depend on which image of the bucket came first.
 
-use super::entropy_par::SEGMENT_OVERHEAD_S;
+use super::entropy_par::{self, SEGMENT_OVERHEAD_S};
+use super::split::{self, Density};
 use super::Mode;
 use crate::model::PerformanceModel;
 use crate::partition::{pps, sps};
 use crate::platform::Platform;
 use hetjpeg_jpeg::decoder::Prepared;
-use hetjpeg_jpeg::entropy::split_restart_segments;
 
 /// One mode's predicted end-to-end time.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -48,7 +50,7 @@ pub fn select_mode(
     model: &PerformanceModel,
     threads: usize,
 ) -> AutoDecision {
-    cheapest(predict_all(prep, platform, model, threads))
+    select_at(prep, Density::of(prep), platform, model, threads, false)
 }
 
 /// [`select_mode`] restricted to CPU-only modes — what planar output
@@ -59,16 +61,35 @@ pub fn select_cpu_mode(
     model: &PerformanceModel,
     threads: usize,
 ) -> AutoDecision {
-    let mut predictions = predict_all(prep, platform, model, threads);
-    predictions.retain(|p| p.mode.is_cpu_only());
+    select_at(prep, Density::of(prep), platform, model, threads, true)
+}
+
+/// [`select_mode`], or with `cpu_only` [`select_cpu_mode`], priced as if
+/// `prep`'s scan had `density`.
+pub(crate) fn select_at(
+    prep: &Prepared<'_>,
+    density: Density,
+    platform: &Platform,
+    model: &PerformanceModel,
+    threads: usize,
+    cpu_only: bool,
+) -> AutoDecision {
+    let mut predictions = predict_at(prep, density, platform, model, threads);
+    predictions.retain(|p| !cpu_only || p.mode.is_cpu_only());
     cheapest(predictions)
 }
 
-/// The decision for the cheapest of `predictions`, carrying them all.
+/// The decision for the cheapest of `predictions`, carrying them all. Of
+/// prices equal but for rounding, the first CPU-only mode wins: a split
+/// that leaves the GPU idle runs the parallel-entropy schedule, and a feed
+/// whose workers cannot pay leaves the loop decoding sequentially.
 fn cheapest(predictions: Vec<Prediction>) -> AutoDecision {
-    let best = predictions
-        .iter()
-        .min_by(|a, b| a.seconds.total_cmp(&b.seconds))
+    let fastest = (predictions.iter())
+        .map(|p| p.seconds)
+        .fold(f64::INFINITY, f64::min);
+    let tied = |p: &&Prediction| p.seconds <= fastest * (1.0 + 1e-9);
+    let best = (predictions.iter().filter(tied))
+        .min_by_key(|p| !p.mode.is_cpu_only())
         .expect("the candidate list is never empty");
     AutoDecision {
         mode: best.mode,
@@ -83,10 +104,21 @@ pub fn predict_all(
     model: &PerformanceModel,
     threads: usize,
 ) -> Vec<Prediction> {
+    predict_at(prep, Density::of(prep), platform, model, threads)
+}
+
+/// [`predict_all`] as if `prep`'s scan had `density`.
+fn predict_at(
+    prep: &Prepared<'_>,
+    density: Density,
+    platform: &Platform,
+    model: &PerformanceModel,
+    threads: usize,
+) -> Vec<Prediction> {
     let geom = &prep.geom;
     let w = geom.width as f64;
     let h = geom.height as f64;
-    let d = prep.parsed.entropy_density(); // Eq. (3)
+    let d = density.per_px; // Eq. (3)
     let thuff = model.huff_time(w * h, d); // Eq. (4)
     let pcpu = model.p_cpu_at_density(w, h, d);
     // The scalar band costs the SIMD band times the work-mix-weighted
@@ -103,73 +135,93 @@ pub fn predict_all(
     // form by this per-pixel delta (zero for untrained/legacy models).
     let h2d = model.h2d_correction(d);
 
+    // With more than one thread every plan's entropy step is fed: its
+    // rows are final on the model's release curve instead of at the
+    // sequential Huffman rate.
+    let threads = entropy_par::threads_for(prep, threads);
+    let plan = |mode| split::Plan::priced_at(mode, prep, density, model, threads);
+    // When a fed plan's last row is final.
+    let release_all = |plan: &split::Plan| plan.release(prep, model).expect("fed").at(h);
     let seconds_for = |mode: Mode| -> f64 {
-        match mode {
+        match (mode, threads > 1) {
             // The scalar path pays the SIMD band times the calibrated
             // per-stage speedup blend.
-            Mode::Sequential => thuff + pcpu * scalar_ratio,
-            Mode::Simd => thuff + pcpu,
+            (Mode::Sequential, _) => thuff + pcpu * scalar_ratio,
+            (Mode::Simd, _) => thuff + pcpu,
             // Fig. 5a: everything serial — Huffman, one dispatch, the whole
             // device phase. The GPU form is density-corrected (PR 9): the
             // compacted H2D payload of a dense image is larger than the
             // corpus reference the form was fit at, and vice versa.
-            Mode::Gpu => thuff + model.t_disp(w, h) + model.p_gpu_at_density(w, h, d),
+            (Mode::Gpu, fed) => {
+                let huff = match fed {
+                    true => release_all(&plan(mode)),
+                    false => thuff,
+                };
+                huff + model.t_disp(w, h) + model.p_gpu_at_density(w, h, d)
+            }
             // Fig. 5b: Eq. 15's overlap with every row on the GPU. The CPU
             // side pays the Huffman and every dispatch; the GPU side is
             // device- or feed-bound, its device work priced chunk by chunk
             // (each chunk pays the transfer latency and the launches).
-            Mode::PipelinedGpu => {
+            (Mode::PipelinedGpu, false) => {
                 let overlap = pps::Overlap::new(model, w, d, chunk_px, 0.0, true, h2d);
                 let pps::Sides { dispatches, gpu } = overlap.at(h);
                 (thuff + dispatches.0).max(gpu.0)
             }
+            // Fed, each chunk is dispatched once its rows are released, and
+            // the plan is device-bound: its chunks are priced on the fitted
+            // `PGPU` alone. The H2D correction is a whole-image fit that
+            // folds the transfer latency into a per-pixel rate, and each
+            // chunk already pays its own latency in `PGPU(w, c)`.
+            (Mode::PipelinedGpu, true) => {
+                let release = plan(mode).release(prep, model).expect("fed");
+                let overlap = pps::Overlap::new(model, w, d, chunk_px, 0.0, true, 0.0);
+                let (cpu, gpu) = overlap.fed(&release, 0.0, h, h, 0.0);
+                cpu.max(gpu)
+            }
             // Eq. 10: Huffman first, then the balanced split. The GPU
             // share's transfer is density-corrected over its own rows.
-            Mode::Sps => {
+            (Mode::Sps, fed) => {
                 let part = sps::partition(model, geom, d);
                 let g_px = (part.gpu_mcu_rows * geom.mcu_h) as f64;
                 let gpu = (part.predicted_gpu + h2d * w * g_px).max(0.0);
-                thuff + part.predicted_cpu.max(gpu)
+                let huff = match fed {
+                    true => release_all(&plan(mode)),
+                    false => thuff,
+                };
+                huff + part.predicted_cpu.max(gpu)
             }
             // Eq. 15: both sides already price the overlapped Huffman; the
             // GPU side is re-priced at the split with the density-corrected
             // transfer.
-            Mode::Pps => {
-                let part = pps::initial_partition(model, geom, d, chunk_px);
+            (Mode::Pps, false) => {
+                let part = pps::initial_partition(model, geom, d, chunk_px, None);
                 let overlap = pps::Overlap::new(model, w, d, chunk_px, 0.0, false, h2d);
                 let g_px = h.min((part.gpu_mcu_rows * geom.mcu_h) as f64);
                 part.predicted_cpu.max(overlap.at(g_px).gpu.0)
             }
-            // Entropy decode spread over the worker pool, then the SIMD
-            // band. Restart markers give exact segment boundaries; without
-            // them the speculative path pays a convergence prefix per chunk
-            // boundary (the trained `spec_prefix_mcus` term) plus the
-            // stitch overhead.
-            Mode::ParallelEntropy => {
-                let segments = restart_segment_count(prep);
-                if threads <= 1 {
-                    // One worker decodes sequentially either way; the mode
-                    // only adds overhead, so Auto never picks it.
-                    thuff + SEGMENT_OVERHEAD_S + pcpu
-                } else if segments > 1 {
-                    let workers = threads.min(segments) as f64;
-                    thuff / workers + segments as f64 * SEGMENT_OVERHEAD_S / workers + pcpu
-                } else {
-                    let chunks = threads.min(
-                        (prep.parsed.scan_data.len() / hetjpeg_jpeg::speculate::MIN_CHUNK_BYTES)
-                            .max(1),
-                    );
-                    let total_mcus = (geom.mcus_x * geom.mcus_y) as f64;
-                    crate::cost::CpuCostModel::speculative_entropy_time(
-                        thuff,
-                        total_mcus,
-                        model.spec_prefix_mcus,
-                        chunks,
-                        SEGMENT_OVERHEAD_S,
-                    ) + pcpu
+            // Fed, Eq. 15 balances the release curve's loop against the
+            // device chunk by chunk, as the fed pipeline is priced.
+            (Mode::Pps, true) => {
+                let plan = plan(mode);
+                let (part, release) = (plan.partition.expect("a split"), plan.release(prep, model));
+                if part.gpu_mcu_rows == 0 {
+                    // No GPU rows: the parallel-entropy schedule exactly.
+                    return release_all(&plan) + pcpu;
                 }
+                let overlap = pps::Overlap::new(model, w, d, chunk_px, 0.0, true, 0.0);
+                let g_px = h.min((part.gpu_mcu_rows * geom.mcu_h) as f64);
+                let (_, gpu) = overlap.fed(&release.expect("fed"), 0.0, g_px, h, 0.0);
+                part.predicted_cpu.max(gpu)
             }
-            Mode::Auto => unreachable!("Auto is not a concrete mode"),
+            // One thread runs the SIMD schedule; priced one chunk's
+            // overhead above it, so Auto picks SIMD.
+            (Mode::ParallelEntropy, false) => thuff + SEGMENT_OVERHEAD_S + pcpu,
+            // Entropy decode spread over the workers (restart segments, or
+            // speculative chunks paying the trained convergence prefix),
+            // then the SIMD band.
+            (Mode::ParallelEntropy, true) => release_all(&plan(mode)) + pcpu,
+            (Mode::Auto, _) => unreachable!("Auto is not a concrete mode"),
         }
     };
 
@@ -214,16 +266,6 @@ fn implied_discount(
         (lo, lo_scale) = (hi, hi_scale);
     }
     lo
-}
-
-/// Number of independently decodable restart segments (1 when no DRI).
-/// One linear scan of the entropy bytes; header-only otherwise.
-pub fn restart_segment_count(prep: &Prepared<'_>) -> usize {
-    if prep.parsed.frame.restart_interval == 0 {
-        1
-    } else {
-        split_restart_segments(&prep.parsed, &prep.geom).len()
-    }
 }
 
 #[cfg(test)]
@@ -326,7 +368,12 @@ mod tests {
             .find(|p| p.mode == Mode::ParallelEntropy)
             .unwrap();
         let simd = preds.iter().find(|p| p.mode == Mode::Simd).unwrap();
-        assert!(pe.seconds > simd.seconds, "waste term must price honestly");
+        // The waste prices the workers out; the loop then decodes on
+        // itself, so the feed is never cheaper than sequential Huffman.
+        assert!(
+            pe.seconds >= simd.seconds * (1.0 - 1e-9),
+            "waste term must price honestly"
+        );
 
         // One thread never speculates.
         model.spec_prefix_mcus = 0.0;

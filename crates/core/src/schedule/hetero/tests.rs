@@ -45,7 +45,7 @@ fn run(
     model: &PerformanceModel,
     ws: &mut Workspace,
 ) -> DecodeOutcome {
-    let plan = Plan::of(mode, prep, model);
+    let plan = Plan::of(mode, prep, model, 1);
     to_rgb(|out| split::decode(prep, platform, model, &plan, ws, out)).unwrap()
 }
 
@@ -62,7 +62,7 @@ fn pps(
 ) -> DecodeOutcome {
     let plan = Plan {
         repartition,
-        ..Plan::of(Mode::Pps, prep, model)
+        ..Plan::of(Mode::Pps, prep, model, 1)
     };
     to_rgb(|out| split::decode(prep, platform, model, &plan, ws, out)).unwrap()
 }

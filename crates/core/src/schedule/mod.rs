@@ -9,12 +9,15 @@
 //!
 //! A decode is made of three steps, each written once and each advancing
 //! one virtual timeline: the entropy step and the CPU band (here) and the
-//! GPU chunk (`split`). A CPU-only mode fills the coefficient buffer
-//! (`Filled`) and renders it as one CPU band (`render_cpu`). The four
-//! GPU-involving modes are plans over one split scheduler (`split`): the
-//! GPU takes the image's initial MCU rows and the CPU the rest, and the
-//! modes differ only in where that split sits and whether Huffman decoding
-//! is chunked so that it overlaps device work. Every step writes into one
+//! GPU chunk (`split`). `Sequential` and `Simd` fill the coefficient
+//! buffer (`Filled`) and render it as one CPU band (`render_cpu`). The
+//! four GPU-involving modes and `ParallelEntropy` are plans over one split
+//! scheduler (`split`): the GPU takes the image's initial MCU rows (none,
+//! for `ParallelEntropy`) and the CPU the rest, and the modes differ only
+//! in where that split sits and whether Huffman decoding is chunked so
+//! that it overlaps device work. With more than one session thread their
+//! entropy step is fed by the session's entropy workers
+//! (`entropy_par`). Every step writes into one
 //! output `Target` — a whole RGB image, planes, or MCU-row tiles handed
 //! to a sink in row order — so whole and streamed output are the same
 //! decode.
@@ -35,10 +38,11 @@ use crate::workspace::{Workspace, WsParts};
 use hetjpeg_gpusim::CommandQueue;
 use hetjpeg_jpeg::coef::CoefBuffer;
 use hetjpeg_jpeg::decoder::{simd, Prepared};
-use hetjpeg_jpeg::entropy::EntropyDecoder;
+use hetjpeg_jpeg::entropy::{EntropyDecoder, RestartSegment};
 use hetjpeg_jpeg::error::{Error, Result};
 use hetjpeg_jpeg::geometry::Geometry;
 use hetjpeg_jpeg::metrics::{ParallelWork, RowMetrics};
+use hetjpeg_jpeg::speculate::SpecStats;
 use hetjpeg_jpeg::types::{RgbImage, YccImage};
 use std::ops::Range;
 
@@ -192,15 +196,13 @@ pub(crate) fn dispatch(
             let filled = Filled::sequential(prep, platform, ws.parts().coef, false)?;
             render_cpu(prep, platform, ws.parts(), filled, mode, out)
         }
-        Mode::ParallelEntropy => {
-            entropy_par::decode_parallel_entropy_in(prep, platform, threads, ws, out)
-        }
         Mode::Auto => unreachable!("the session resolves Auto before dispatch"),
-        _ if matches!(out, Target::Planar(_)) => Err(Error::Unsupported(
+        _ if !mode.is_cpu_only() && matches!(out, Target::Planar(_)) => Err(Error::Unsupported(
             "planar output requires a CPU mode (sequential, SIMD or par-entropy)",
         )),
         _ => {
-            let plan = split::Plan::of(mode, prep, model);
+            let threads = entropy_par::threads_for(prep, threads);
+            let plan = split::Plan::of(mode, prep, model, threads);
             split::decode(prep, platform, model, &plan, ws, out)
         }
     }
@@ -378,27 +380,43 @@ impl Timeline {
     }
 }
 
-/// The entropy step's state for one image: the sequential Huffman decoder,
-/// the work metrics of every MCU row decoded so far (their EOB-class
-/// histograms price CPU bands) and those rows' Huffman time, summed in row
-/// order.
+/// The entropy step's state for one image: where its rows come from — the
+/// session's entropy workers when there is a feed, else the paper's
+/// sequential Huffman decoder on the loop's own thread — the work metrics
+/// of every MCU row final so far (their EOB-class histograms price CPU
+/// bands) and those rows' sequential Huffman time, summed in row order.
 struct Entropy<'a> {
     dec: EntropyDecoder<'a>,
+    feed: Option<Box<entropy_par::Feed<'a>>>,
     rows: Vec<RowMetrics>,
     spent: f64,
 }
 
 impl<'a> Entropy<'a> {
-    fn new(prep: &'a Prepared<'_>) -> Result<Self> {
+    /// The entropy step of `prep`: sequential with one thread, else fed
+    /// by `threads` workers in chunks of at most `feed_rows` MCU rows.
+    fn new(
+        prep: &'a Prepared<'a>,
+        platform: &Platform,
+        threads: usize,
+        feed_rows: usize,
+    ) -> Result<Self> {
+        let dec = prep.entropy_decoder()?;
+        let feed_mcus = feed_rows.max(1) * prep.geom.mcus_x;
+        let chunks = |seg: &RestartSegment| seg.mcu_count.div_ceil(feed_mcus);
+        let feed = entropy_par::Feed::new(prep, platform, threads, chunks).map(Box::new);
         Ok(Entropy {
-            dec: prep.entropy_decoder()?,
+            dec,
+            feed,
             rows: Vec::with_capacity(prep.geom.mcus_y),
             spent: 0.0,
         })
     }
 
-    /// The entropy step: decode the MCU rows up to `end` into `coef` as one
-    /// Huffman span on `tl`'s CPU — nothing when they are decoded already.
+    /// The entropy step: make the MCU rows up to `end` final in `coef` as
+    /// one Huffman span on `tl`'s CPU — nothing when they are final
+    /// already. Decoding sequentially, the span is the decode; fed, it is
+    /// the wait for the rows' release and the stitch.
     fn until(
         &mut self,
         end: usize,
@@ -411,15 +429,50 @@ impl<'a> Entropy<'a> {
         }
         let start = tl.cpu_now;
         while self.rows.len() < end {
-            let m = self.dec.decode_mcu_row(coef)?;
-            let t = platform.cpu.huff_time(&m);
-            tl.cpu_now += t;
-            self.spent += t;
+            let m = match &mut self.feed {
+                None => {
+                    let m = self.dec.decode_mcu_row(coef)?;
+                    tl.cpu_now += platform.cpu.huff_time(&m);
+                    m
+                }
+                Some(feed) if feed.released() > self.rows.len() => feed.row(self.rows.len()),
+                Some(feed) => {
+                    if feed.advance(coef, platform, &mut tl.cpu_now, end).is_err() {
+                        self.hand_over(coef)?;
+                    }
+                    continue;
+                }
+            };
+            self.spent += platform.cpu.huff_time(&m);
             self.rows.push(m);
         }
         tl.b.huffman += tl.cpu_now - start;
         tl.trace.push("huffman", Resource::Cpu, start, tl.cpu_now);
         Ok(())
+    }
+
+    /// The feed met damage it cannot vouch for: the sequential decoder
+    /// re-decodes the rows already final — the same values — and takes
+    /// over, so what follows, an error included, is exactly its.
+    fn hand_over(&mut self, coef: &mut CoefBuffer) -> Result<()> {
+        // The decoder has not moved while the feed was the source.
+        self.feed = None;
+        for _ in 0..self.rows.len() {
+            self.dec.decode_mcu_row(coef)?;
+        }
+        Ok(())
+    }
+
+    /// True while the entropy workers are the source.
+    fn is_fed(&self) -> bool {
+        self.feed.is_some()
+    }
+
+    /// Speculation counters of the feed's stitched segments.
+    fn spec(&self) -> SpecStats {
+        self.feed
+            .as_ref()
+            .map_or_else(SpecStats::default, |f| f.spec)
     }
 }
 
@@ -479,7 +532,7 @@ impl Filled {
         coef: &mut CoefBuffer,
         salvage: bool,
     ) -> Result<Filled> {
-        let mut ent = Entropy::new(prep)?;
+        let mut ent = Entropy::new(prep, platform, 1, prep.geom.mcus_y)?;
         let res = ent.until(prep.geom.mcus_y, coef, platform, &mut Timeline::default());
         let truncated = salvage && res.is_err();
         if !truncated {

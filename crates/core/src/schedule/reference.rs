@@ -302,7 +302,8 @@ pub(crate) fn sps(
         let (p0, p1) = geom.mcu_rows_to_pixel_rows(g_rows, geom.mcus_y);
         let out = &mut image.data[p0 * geom.width * 3..p1 * geom.width * 3];
         let mut sink = simd::RgbBand::new(prep, g_rows, geom.mcus_y, out)?;
-        let (work, _) = simd::render_rows(prep, p.coef, g_rows, geom.mcus_y, p.scratch, &mut sink);
+        simd::render_rows(prep, p.coef, g_rows, geom.mcus_y, p.scratch, &mut sink);
+        let work = ParallelWork::for_mcu_rows(geom, g_rows, geom.mcus_y);
         let classes = eob_classes_in(&rows, g_rows, geom.mcus_y);
         let t_band = platform.cpu.parallel_time_sparse(&work, &classes, true);
         trace.push("cpu-simd", Resource::Cpu, cpu_now, cpu_now + t_band);
@@ -336,7 +337,7 @@ pub(crate) fn pps(
     let chunk_rows = model.chunk_mcu_rows.max(1);
     let chunk_px = (chunk_rows * geom.mcu_h) as f64;
 
-    let init = pps::initial_partition(model, geom, d, chunk_px);
+    let init = pps::initial_partition(model, geom, d, chunk_px, None);
     let mut gpu_end = init.gpu_mcu_rows;
     let est_total_huff = model.huff_time(w * h, d);
 
@@ -418,7 +419,9 @@ pub(crate) fn pps(
                 tail_discount,
                 model.pcpu_idct_discount,
             );
-            let re = pps::repartition(model, geom, h_left, d_new, backlog, cpu_scale, chunk_px);
+            let re = pps::repartition(
+                model, geom, h_left, d_new, backlog, cpu_scale, chunk_px, None,
+            );
             gpu_end = (row + re.gpu_mcu_rows).min(geom.mcus_y);
         }
         if row >= gpu_end {
@@ -471,8 +474,8 @@ pub(crate) fn pps(
         let (p0, p1) = geom.mcu_rows_to_pixel_rows(cpu_rows0, geom.mcus_y);
         let out = &mut image.data[p0 * geom.width * 3..p1 * geom.width * 3];
         let mut sink = simd::RgbBand::new(prep, cpu_rows0, geom.mcus_y, out)?;
-        let (work, _) =
-            simd::render_rows(prep, p.coef, cpu_rows0, geom.mcus_y, p.scratch, &mut sink);
+        simd::render_rows(prep, p.coef, cpu_rows0, geom.mcus_y, p.scratch, &mut sink);
+        let work = ParallelWork::for_mcu_rows(geom, cpu_rows0, geom.mcus_y);
         let t_band = platform.cpu.parallel_time_sparse(&work, &classes, true);
         trace.push("cpu-simd", Resource::Cpu, cpu_now, cpu_now + t_band);
         cpu_now += t_band;

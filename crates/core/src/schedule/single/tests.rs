@@ -37,7 +37,7 @@ fn cpu(mode: Mode, prep: &Prepared<'_>, platform: &Platform, ws: &mut Workspace)
 /// `prep` decoded in the GPU-involving `mode` on the platform's seed model.
 fn run(mode: Mode, prep: &Prepared<'_>, platform: &Platform, ws: &mut Workspace) -> DecodeOutcome {
     let model = platform.untrained_model();
-    let plan = Plan::of(mode, prep, &model);
+    let plan = Plan::of(mode, prep, &model, 1);
     to_rgb(|out| split::decode(prep, platform, &model, &plan, ws, out)).unwrap()
 }
 

@@ -1,5 +1,5 @@
-//! The split scheduler: `Gpu`, `PipelinedGpu`, `Sps` and `Pps` as plans
-//! over one loop.
+//! The split scheduler: `Gpu`, `PipelinedGpu`, `Sps`, `Pps` and
+//! `ParallelEntropy` as plans over one loop.
 //!
 //! The paper's GPU decoder, pipelined decoder, SPS and PPS are one
 //! two-phase schedule (Fig. 5a/5b, §4.5, §5.2.1–5.2.2): the GPU takes the
@@ -13,6 +13,12 @@
 //! | `PipelinedGpu` | all | `chunk_mcu_rows` | no |
 //! | `Sps` | Eq. 10 | none | no |
 //! | `Pps` | Eq. 15 | `chunk_mcu_rows` | before the last chunk (Eq. 16/17) |
+//! | `ParallelEntropy` | none | none | no |
+//!
+//! The entropy step's source is the plan's thread count: one is the
+//! paper's sequential Huffman on the loop's thread; more feed the loop
+//! from the session's entropy workers ([`super::entropy_par`]), and the
+//! plan with no GPU rows is the parallel-entropy decode.
 //!
 //! [`decode`] runs a plan through the three steps of every decode: the
 //! entropy step (a chunk's rows, or every row first), the GPU chunk — its
@@ -22,7 +28,9 @@
 //! member ([`GpuBatchMember`]) ships when it is staged and is placed once
 //! the batch's one coalesced transfer is priced.
 
-use super::{eob_classes_in, rgb_rows, DecodeOutcome, Entropy, Mode, Target, Timeline};
+use super::{
+    entropy_par, eob_classes_in, rgb_rows, DecodeOutcome, Entropy, Mode, Target, Timeline,
+};
 use crate::gpu_decode::{GpuRegionResult, KernelPlan};
 use crate::model::PerformanceModel;
 use crate::partition::{pps, sps, Partition};
@@ -33,9 +41,10 @@ use hetjpeg_jpeg::decoder::Prepared;
 use hetjpeg_jpeg::error::Result;
 use hetjpeg_jpeg::geometry::Geometry;
 use hetjpeg_jpeg::metrics::ParallelWork;
+use hetjpeg_jpeg::speculate::MIN_CHUNK_BYTES;
 use std::ops::Range;
 
-/// What tells one GPU-involving mode from another.
+/// What tells one split-loop mode from another.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Plan {
     /// The mode the outcome reports.
@@ -50,12 +59,60 @@ pub(crate) struct Plan {
     pub(crate) repartition: bool,
     /// The split to report; its row counts become the final ones.
     pub(crate) partition: Option<Partition>,
+    /// Entropy threads: one decodes sequentially on the loop's thread,
+    /// more feed the loop from that many workers.
+    pub(crate) threads: usize,
+    /// The height of a feed chunk in MCU rows: a `threads`-th of the image,
+    /// and no more than a Huffman chunk, so that even a short image spreads
+    /// over every worker.
+    pub(crate) feed_rows: usize,
+    /// The scan the plan is priced for.
+    pub(crate) density: Density,
+}
+
+/// What a plan is priced from besides the geometry: Eq. 3's entropy
+/// density and the scan's bytes, which cap the feed's speculative chunks.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Density {
+    /// File bytes per pixel (Eq. 3).
+    pub(crate) per_px: f64,
+    /// Bytes from the scan's first entropy-coded byte to the end of the
+    /// file.
+    pub(crate) scan_bytes: usize,
+}
+
+impl Density {
+    /// `prep`'s own.
+    pub(crate) fn of(prep: &Prepared<'_>) -> Density {
+        Density {
+            per_px: prep.parsed.entropy_density(),
+            scan_bytes: prep.parsed.scan_data.len(),
+        }
+    }
 }
 
 impl Plan {
-    /// The plan of the GPU-involving `mode` for `prep`'s image.
-    pub(crate) fn of(mode: Mode, prep: &Prepared<'_>, model: &PerformanceModel) -> Plan {
+    /// The plan of `mode` for `prep`'s image, its entropy step fed by
+    /// `threads` workers (see [`entropy_par::threads_for`]).
+    pub(crate) fn of(
+        mode: Mode,
+        prep: &Prepared<'_>,
+        model: &PerformanceModel,
+        threads: usize,
+    ) -> Plan {
+        Plan::priced_at(mode, prep, Density::of(prep), model, threads)
+    }
+
+    /// [`Plan::of`] priced as if `prep`'s scan had `density`.
+    pub(crate) fn priced_at(
+        mode: Mode,
+        prep: &Prepared<'_>,
+        density: Density,
+        model: &PerformanceModel,
+        threads: usize,
+    ) -> Plan {
         let geom = &prep.geom;
+        let d = density.per_px; // Eq. (3)
         let chunk = model.chunk_mcu_rows.max(1);
         let whole = Plan {
             mode,
@@ -63,15 +120,21 @@ impl Plan {
             chunk: None,
             repartition: false,
             partition: None,
+            threads,
+            feed_rows: chunk.min(geom.mcus_y.div_ceil(threads.max(1))).max(1),
+            density,
         };
         match mode {
             Mode::Gpu => whole,
+            Mode::ParallelEntropy => Plan {
+                gpu_rows: 0,
+                ..whole
+            },
             Mode::PipelinedGpu => Plan {
                 chunk: Some(chunk),
                 ..whole
             },
             Mode::Sps => {
-                let d = prep.parsed.entropy_density(); // Eq. (3)
                 let part = sps::partition(model, geom, d); // Eq. 10
                 Plan {
                     gpu_rows: part.gpu_mcu_rows,
@@ -80,19 +143,57 @@ impl Plan {
                 }
             }
             Mode::Pps => {
-                let d = prep.parsed.entropy_density(); // Eq. (3)
                 let chunk_px = (chunk * geom.mcu_h) as f64;
-                let part = pps::initial_partition(model, geom, d, chunk_px); // Eq. 15
-                Plan {
-                    gpu_rows: part.gpu_mcu_rows,
+                let plan = Plan {
                     chunk: Some(chunk),
                     repartition: true,
-                    partition: Some(part),
                     ..whole
+                };
+                let release = plan.release(prep, model);
+                let part = pps::initial_partition(model, geom, d, chunk_px, release.as_ref()); // Eq. 15
+                Plan {
+                    gpu_rows: part.gpu_mcu_rows,
+                    partition: Some(part),
+                    ..plan
                 }
             }
-            _ => unreachable!("{mode:?} runs on the CPU only"),
+            _ => unreachable!("{mode:?} renders from a filled buffer"),
         }
+    }
+
+    /// The model's release curve of this plan's entropy step on `prep`:
+    /// `None` when it decodes sequentially. The chunks are the feed's: per
+    /// restart interval (or the whole scan), as many as it takes to keep
+    /// each within a feed chunk, no more than its bytes allow.
+    pub(crate) fn release(
+        &self,
+        prep: &Prepared<'_>,
+        model: &PerformanceModel,
+    ) -> Option<pps::Release> {
+        if self.threads <= 1 {
+            return None;
+        }
+        let geom = &prep.geom;
+        let mcus = geom.mcus_x * geom.mcus_y;
+        let feed_mcus = self.feed_rows * geom.mcus_x;
+        let interval = match prep.parsed.frame.restart_interval {
+            0 => mcus,
+            i => i.min(mcus),
+        };
+        let segments = mcus.div_ceil(interval);
+        let bytes = self.density.scan_bytes / segments;
+        let per_segment = (interval.div_ceil(feed_mcus)).min((bytes / MIN_CHUNK_BYTES).max(1));
+        let (w, h) = (geom.width as f64, geom.height as f64);
+        Some(pps::Release::new(
+            model,
+            w,
+            h,
+            self.density.per_px,
+            mcus as f64,
+            self.threads,
+            segments * per_segment,
+            per_segment > 1,
+        ))
     }
 }
 
@@ -112,7 +213,7 @@ pub(crate) fn decode(
     ws.ensure(prep);
     let mut p = ws.parts();
     let mut tl = Timeline::default();
-    let mut ent = Entropy::new(prep)?;
+    let mut ent = Entropy::new(prep, platform, plan.threads, plan.feed_rows)?;
     let chunk = match plan.chunk {
         Some(rows) => rows,
         None => {
@@ -128,7 +229,8 @@ pub(crate) fn decode(
     while row < gpu_end && out.open() {
         if repartition && row > 0 && row + chunk >= gpu_end {
             repartition = false;
-            gpu_end = repartitioned_end(prep, platform, model, &ent, &tl, row);
+            let release = plan.release(prep, model).filter(|_| ent.is_fed());
+            gpu_end = repartitioned_end(prep, platform, model, &ent, &tl, row, release.as_ref());
             if row >= gpu_end {
                 break;
             }
@@ -152,12 +254,15 @@ pub(crate) fn decode(
         cpu_mcu_rows: geom.mcus_y - gpu_end,
         ..part
     });
+    p.spec.merge(&ent.spec());
     Ok(tl.outcome(geom, plan.mode, partition, false))
 }
 
 /// Re-partition before the last GPU chunk (Eq. 16), once the GPU's `row`
-/// rows are decoded and shipped and nothing after them is: from the
-/// corrected density (Eq. 17), the GPU's current backlog, and — since the
+/// rows are decoded and shipped (a fed step may have released more; the
+/// correction reads these rows only): from the corrected density (Eq. 17),
+/// the GPU's current backlog, the plan's `release` curve when fed, and —
+/// since the
 /// PR-3 sparse retrain — the tail's expected IDCT sparsity: the prefix's
 /// measured EOB discount, scaled by the density correction (denser entropy
 /// ⇒ denser blocks), against the corpus-average discount `PCPU` was fit
@@ -169,8 +274,9 @@ fn repartitioned_end(
     ent: &Entropy<'_>,
     tl: &Timeline,
     row: usize,
+    release: Option<&pps::Release>,
 ) -> usize {
-    debug_assert_eq!(ent.rows.len(), row, "only the GPU's rows are decoded");
+    debug_assert!(ent.rows.len() >= row, "the GPU's rows are decoded");
     let geom = &prep.geom;
     let w = geom.width as f64;
     let h = geom.height as f64;
@@ -180,7 +286,8 @@ fn repartitioned_end(
     let prefix_bits: u64 = ent.rows[..row].iter().map(|m| m.bits).sum();
     let rows_done_px = (row * geom.mcu_h) as f64;
     let h_left = h - rows_done_px;
-    let d_new = pps::corrected_density(d, est_total_huff, ent.spent, h_left, h);
+    let huff_so_far = (ent.rows[..row].iter()).fold(0.0, |t, m| t + platform.cpu.huff_time(m));
+    let d_new = pps::corrected_density(d, est_total_huff, huff_so_far, h_left, h);
     let backlog = (tl.q.drain_time() - tl.cpu_now).max(0.0);
     let prefix_discount = crate::cost::CpuCostModel::idct_discount(&prefix_classes);
     // Extrapolate the prefix's measured discount to the tail by the
@@ -199,7 +306,10 @@ fn repartitioned_end(
         .cpu
         .band_scale_for_discount(&tail_work, tail_discount, fit_at);
     let chunk_px = (model.chunk_mcu_rows.max(1) * geom.mcu_h) as f64;
-    let re = pps::repartition(model, geom, h_left, d_new, backlog, cpu_scale, chunk_px);
+    let fed = release.map(|r| (r, tl.cpu_now));
+    let re = pps::repartition(
+        model, geom, h_left, d_new, backlog, cpu_scale, chunk_px, fed,
+    );
     // New boundary: the GPU keeps `re.gpu_mcu_rows` of the remaining rows.
     (row + re.gpu_mcu_rows).min(geom.mcus_y)
 }
@@ -286,13 +396,18 @@ impl GpuBatchMember {
         prep: &Prepared<'_>,
         platform: &Platform,
         model: &PerformanceModel,
+        threads: usize,
         ws: &mut Workspace,
     ) -> Result<GpuBatchMember> {
         let geom = &prep.geom;
         ws.ensure(prep);
         let mut p = ws.parts();
         let mut tl = Timeline::default();
-        Entropy::new(prep)?.until(geom.mcus_y, p.coef, platform, &mut tl)?;
+        let threads = entropy_par::threads_for(prep, threads);
+        let plan = Plan::of(Mode::Gpu, prep, model, threads);
+        let mut ent = Entropy::new(prep, platform, plan.threads, plan.feed_rows)?;
+        ent.until(geom.mcus_y, p.coef, platform, &mut tl)?;
+        p.spec.merge(&ent.spec());
         let mut image = Target::Rgb(None);
         let res = tl.ship(prep, platform, model, &mut p, 0..geom.mcus_y, &mut image)?;
         Ok(GpuBatchMember {
@@ -443,7 +558,7 @@ mod tests {
             if m > 0 {
                 let want = if m == 1 { mcus_y } else { 0 };
                 for mode in [Mode::Sps, Mode::Pps] {
-                    let got = Plan::of(mode, prep, &model).gpu_rows;
+                    let got = Plan::of(mode, prep, &model, 1).gpu_rows;
                     assert_eq!(
                         got, want,
                         "{ctx}: model {m} must put {mode:?}'s split at an end"
@@ -464,7 +579,7 @@ mod tests {
                     if (m > 0 && !reads_split) || (c > 0 && !reads_chunk) {
                         continue;
                     }
-                    let plan = Plan::of(mode, prep, &model);
+                    let plan = Plan::of(mode, prep, &model, 1);
                     let ctx = format!("{ctx}, model {m}, chunk {chunk}, {mode:?}");
                     assert_parent_equal(prep, platform, &model, &plan, ws, &ctx);
                     if plan.repartition {
@@ -527,7 +642,7 @@ mod tests {
             let prep = Prepared::new(&jpeg).expect("parse");
             for platform in Platform::all() {
                 let model = platform.untrained_model();
-                let plan = Plan::of(Mode::Pps, &prep, &model);
+                let plan = Plan::of(Mode::Pps, &prep, &model, 1);
                 let ctx = format!("{} ramp {top}->{bottom}", platform.name);
                 let (out, _) = assert_parent_equal(&prep, &platform, &model, &plan, &mut ws, &ctx);
                 let moved = out.expect("decode").partition.expect("split").gpu_mcu_rows;
@@ -557,6 +672,7 @@ mod tests {
                 .collect();
             let decoder = Decoder::builder()
                 .platform(Platform::gtx680())
+                .threads(1)
                 .build()
                 .expect("session");
             let got = decoder.decode_batch(&images, DecodeOptions::with_mode(Mode::Gpu));
@@ -621,7 +737,7 @@ mod tests {
                 ..platform.untrained_model()
             };
             for mode in [Mode::Gpu, Mode::PipelinedGpu, Mode::Sps, Mode::Pps] {
-                let plan = Plan::of(mode, &prep, &model);
+                let plan = Plan::of(mode, &prep, &model, 1);
                 let ctx = format!("chunk {chunk}, {mode:?}");
                 let (out, transfers) =
                     assert_parent_equal(&prep, &platform, &model, &plan, &mut ws, &ctx);
@@ -629,7 +745,88 @@ mod tests {
                 if plan.chunk.is_some() {
                     assert!(transfers > 0, "{ctx}: chunks ship before the cut");
                 }
+                assert_fed_fail_alike(&prep, &platform, &model, &plan, &ctx);
             }
         }
+    }
+
+    /// `plan` fed by two and four entropy workers fails as it fails with
+    /// its Huffman decoded sequentially: the same error, after the same
+    /// H2D transfers and bytes.
+    fn assert_fed_fail_alike(
+        prep: &Prepared<'_>,
+        platform: &Platform,
+        model: &PerformanceModel,
+        plan: &Plan,
+        ctx: &str,
+    ) {
+        let run = |threads| {
+            let plan = Plan { threads, ..*plan };
+            counted(&mut Workspace::default(), |ws| {
+                decode(prep, platform, model, &plan, ws)
+            })
+        };
+        let (want, want_counts) = run(1);
+        let want = want
+            .err()
+            .unwrap_or_else(|| panic!("{ctx}: the damage must fail"));
+        for threads in [2, 4] {
+            let (got, counts) = run(threads);
+            assert_eq!(got.err().as_ref(), Some(&want), "{ctx}, {threads} threads");
+            assert_eq!(counts, want_counts, "{ctx}, {threads} threads: H2D");
+        }
+    }
+
+    #[test]
+    fn a_damaged_stream_fails_alike_fed_or_sequential() {
+        // Bytes flipped inside the scan, with and without restart markers:
+        // the feed's stitch meets the damage and hands over to the
+        // sequential decoder, which reports it where it always did.
+        let spec = ImageSpec {
+            width: 64,
+            height: 256,
+            pattern: Pattern::PhotoLike { detail: 0.6 },
+            seed: 5,
+        };
+        let platform = Platform::gtx680();
+        let model = PerformanceModel {
+            chunk_mcu_rows: 2,
+            ..platform.untrained_model()
+        };
+        let mut failed = 0;
+        for interval in [0, 4] {
+            let params = EncodeParams {
+                quality: 85,
+                subsampling: Subsampling::S422,
+                restart_interval: interval,
+            };
+            let jpeg = encode_rgb(&generate_rgb(&spec), 64, 256, &params).expect("encode");
+            for at in (30..80).step_by(2) {
+                let mut bad = jpeg.clone();
+                let i = bad.len() * at / 100;
+                bad[i] ^= 0x5A;
+                let prep = Prepared::new(&bad).expect("headers survive");
+                let strict = Plan::of(Mode::Gpu, &prep, &model, 1);
+                let sequential = counted(&mut Workspace::default(), |ws| {
+                    decode(&prep, &platform, &model, &strict, ws)
+                });
+                if sequential.0.is_ok() {
+                    continue; // the flip decoded into other valid codes
+                }
+                failed += 1;
+                for mode in [Mode::Gpu, Mode::PipelinedGpu, Mode::Sps, Mode::Pps] {
+                    // The Eq. 16 re-partition prices the feed it runs on,
+                    // so it moves PPS's boundary differently: hold the
+                    // split still to compare what ships.
+                    let plan = Plan {
+                        repartition: false,
+                        ..Plan::of(mode, &prep, &model, 1)
+                    };
+                    let ctx = format!("DRI {interval}, flip at {at}%, {mode:?}");
+                    assert_fed_fail_alike(&prep, &platform, &model, &plan, &ctx);
+                }
+            }
+        }
+        assert!(failed >= 4, "only {failed} flips failed a strict decode");
     }
 }

@@ -26,9 +26,9 @@
 
 use crate::model::PerformanceModel;
 use crate::platform::Platform;
-use crate::schedule::split::GpuBatchMember;
+use crate::schedule::split::{Density, GpuBatchMember};
 use crate::schedule::{
-    auto, dispatch, eob_classes_in, render_cpu, DecodeOutcome, Filled, Mode, Target,
+    auto, dispatch, entropy_par, eob_classes_in, render_cpu, DecodeOutcome, Filled, Mode, Target,
 };
 use crate::workspace::{PoolStats, Workspace};
 use hetjpeg_jpeg::decoder::kernels::SimdLevel;
@@ -231,8 +231,10 @@ impl DecoderBuilder {
         self
     }
 
-    /// Entropy worker threads for `Mode::ParallelEntropy` (and its `Auto`
-    /// pricing).
+    /// Entropy worker threads. With more than one, the workers feed every
+    /// decode plan's entropy step — `ParallelEntropy` and the four GPU
+    /// plans alike — and `Auto` prices each plan on their release curve;
+    /// one keeps the paper's sequential Huffman on the decoding thread.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads);
         self
@@ -299,23 +301,57 @@ fn entropy_par_default_threads() -> usize {
 
 /// Key under which `Mode::Auto` decisions are cached: every model input
 /// that can change the prediction, plus the selection space (planar output
-/// restricts the candidates to CPU-only modes).
+/// restricts the candidates to CPU-only modes). `Auto` prices the key, not
+/// the image — the density at its bucket's centre — so a cached decision
+/// is the one every image under the key gets, whichever came first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct AutoKey {
     width: usize,
     height: usize,
     subsampling: Subsampling,
-    /// Entropy density quantized to 1/16 B/px. The bucket must be coarse
-    /// enough that a batch of same-shaped, same-corpus images shares one
-    /// decision: the original 1/4096 quantization put every image of a
-    /// six-image q85 4:2:2 batch in its own bucket (`auto_evals: 6,
-    /// auto_cache_hits: 0`), defeating the cache. Mode-choice boundaries
-    /// move slowly in `d` (Fig. 7 is a gentle line), so 1/16 B/px is still
-    /// far finer than any decision flip observed across the corpora.
-    density_q: u64,
+    /// The entropy density's bucket: its log2 in 1/16 octaves, so a bucket
+    /// is 4.4 % wide and its centre prices every density in it within
+    /// 2.2 %. The bucket must be coarse enough that a batch of same-shaped,
+    /// same-corpus images shares one decision: a 1/4096 B/px quantization
+    /// put every image of a six-image q85 4:2:2 batch in its own bucket
+    /// (`auto_evals: 6, auto_cache_hits: 0`), defeating the cache.
+    density_q: i64,
+    /// The bytes before the scan: with the bucket's density they give the
+    /// scan bytes that cap the feed's speculative chunks.
+    header_bytes: usize,
     restart_interval: usize,
+    /// The entropy threads the plans are priced at: one when the restart
+    /// structure is damaged ([`entropy_par::threads_for`]).
+    entropy_threads: usize,
     /// True when the decision was restricted to CPU-only modes.
     cpu_only: bool,
+}
+
+impl AutoKey {
+    /// `prep`'s key on a session of `threads`, and the density `Auto`
+    /// prices every image under it at.
+    fn of(prep: &Prepared<'_>, threads: usize, cpu_only: bool) -> (AutoKey, Density) {
+        let parsed = &prep.parsed;
+        let density_q = (parsed.entropy_density().log2() * 16.0).round() as i64;
+        let header_bytes = parsed.file_size - parsed.scan_data.len();
+        let per_px = (density_q as f64 / 16.0).exp2();
+        let file_bytes = (per_px * prep.geom.pixels() as f64).round() as usize;
+        let key = AutoKey {
+            width: prep.geom.width,
+            height: prep.geom.height,
+            subsampling: prep.geom.subsampling,
+            density_q,
+            header_bytes,
+            restart_interval: parsed.frame.restart_interval,
+            entropy_threads: entropy_par::threads_for(prep, threads),
+            cpu_only,
+        };
+        let density = Density {
+            per_px,
+            scan_bytes: file_bytes.saturating_sub(header_bytes),
+        };
+        (key, density)
+    }
 }
 
 /// The `Mode::Auto` decision cache with LRU eviction.
@@ -694,12 +730,21 @@ impl Decoder {
             return BatchPlan::Resolved(mode);
         }
         self.pin_level(&mut state.ws, opts, mode);
-        let staged = GpuBatchMember::stage(&prep, &self.platform, &self.model, &mut state.ws);
+        let staged = GpuBatchMember::stage(
+            &prep,
+            &self.platform,
+            &self.model,
+            self.threads,
+            &mut state.ws,
+        );
         BatchPlan::Stage(staged.map(Box::new))
     }
 
     /// Predict every concrete mode's total for an image without decoding
-    /// it — the ranking `Mode::Auto` decides on.
+    /// it, at its own entropy density. `Mode::Auto` decides on the same
+    /// ranking at the centre of the image's decision-cache bucket, within
+    /// 2.2 % of its density, so near a decision boundary its pick can be
+    /// the runner-up here.
     pub fn predict(&self, data: &[u8]) -> Result<auto::AutoDecision> {
         let prep = Prepared::new(data)?;
         Ok(auto::select_mode(
@@ -846,23 +891,20 @@ impl Decoder {
     /// `Mode::Auto` with the per-shape session cache. `cpu_only` restricts
     /// the selection space (planar output) and is part of the cache key.
     fn auto_mode(&self, state: &mut SessionState, prep: &Prepared<'_>, cpu_only: bool) -> Mode {
-        let key = AutoKey {
-            width: prep.geom.width,
-            height: prep.geom.height,
-            subsampling: prep.geom.subsampling,
-            density_q: (prep.parsed.entropy_density() * 16.0).round() as u64,
-            restart_interval: prep.parsed.frame.restart_interval,
-            cpu_only,
-        };
+        let (key, density) = AutoKey::of(prep, self.threads, cpu_only);
         if let Some(mode) = state.auto_cache.get(&key) {
             state.ws.stats.auto_cache_hits += 1;
             return mode;
         }
-        let mode = if cpu_only {
-            auto::select_cpu_mode(prep, &self.platform, &self.model, self.threads).mode
-        } else {
-            auto::select_mode(prep, &self.platform, &self.model, self.threads).mode
-        };
+        let mode = auto::select_at(
+            prep,
+            density,
+            &self.platform,
+            &self.model,
+            self.threads,
+            cpu_only,
+        )
+        .mode;
         state.ws.stats.auto_evals += 1;
         if state.auto_cache.insert(key, mode) {
             state.ws.stats.auto_evictions += 1;
@@ -1041,7 +1083,10 @@ mod tests {
     /// A restart-interval-4 stream cut to 2/5 of its bytes, and sessions
     /// (GTX 680, one-MCU-row chunks) whose `Pps` and `PipelinedGpu` plans
     /// ship GPU chunks before the cut.
-    fn dri_cut_on_the_gpu() -> (Vec<u8>, Vec<(Mode, Decoder)>) {
+    /// A restart-marked image cut inside the GPU share, and sessions that
+    /// ship chunks before the cut: PPS and the pipeline, each with its
+    /// Huffman decoded sequentially and fed by two and four workers.
+    fn dri_cut_on_the_gpu() -> (Vec<u8>, Vec<(Mode, usize, Decoder)>) {
         let spec = hetjpeg_corpus::ImageSpec {
             width: 64,
             height: 256,
@@ -1061,15 +1106,19 @@ mod tests {
             chunk_mcu_rows: 1,
             ..platform.untrained_model()
         };
-        let sessions = [Mode::Pps, Mode::PipelinedGpu].map(|mode| {
-            let dec = Decoder::builder()
-                .platform(platform.clone())
-                .model(model.clone())
-                .build()
-                .unwrap();
-            (mode, dec)
-        });
-        (jpeg, sessions.into())
+        let mut sessions = Vec::new();
+        for mode in [Mode::Pps, Mode::PipelinedGpu] {
+            for threads in [1, 2, 4] {
+                let dec = Decoder::builder()
+                    .platform(platform.clone())
+                    .model(model.clone())
+                    .threads(threads)
+                    .build()
+                    .unwrap();
+                sessions.push((mode, threads, dec));
+            }
+        }
+        (jpeg, sessions)
     }
 
     /// `dec.decode_rows` with its tiles joined, each checked to be the next
@@ -1115,9 +1164,18 @@ mod tests {
         // After GPU chunks shipped: the stream resumes at the first row it
         // has not sent, and equals the whole salvage to the bit.
         let (jpeg, sessions) = dri_cut_on_the_gpu();
-        for (mode, dec) in sessions {
+        let mut sequential = Vec::new();
+        for (mode, threads, dec) in sessions {
             let opts = DecodeOptions::with_mode(mode);
-            assert!(dec.decode(&jpeg, opts).is_err(), "{mode:?}: strict fails");
+            // Strict fails as the sequential Huffman does, after the same
+            // chunks shipped.
+            let err = dec.decode(&jpeg, opts).expect_err("strict fails");
+            let shipped = dec.pool_stats();
+            let strict = (err, shipped.h2d_transfers, shipped.h2d_bytes);
+            match sequential.iter().find(|(m, _)| *m == mode) {
+                None => sequential.push((mode, strict)),
+                Some((_, want)) => assert_eq!(&strict, want, "{mode:?}, {threads} threads"),
+            }
             let before = dec.pool_stats().h2d_transfers;
             let whole = dec.decode(&jpeg, opts.tolerant()).unwrap();
             assert!(
@@ -1138,7 +1196,7 @@ mod tests {
     fn a_declined_tile_stops_the_plan() {
         // The sink takes one tile: no second chunk ships, no band renders.
         let (jpeg, sessions) = dri_cut_on_the_gpu();
-        for (mode, dec) in sessions {
+        for (mode, _, dec) in sessions {
             let mut calls = 0;
             let (_, stream) = dec
                 .decode_rows(
@@ -1216,7 +1274,7 @@ mod tests {
 
         // The same after GPU chunks shipped, whole or streamed.
         let (jpeg, sessions) = dri_cut_on_the_gpu();
-        for (mode, dec) in sessions {
+        for (mode, _, dec) in sessions {
             let opts = DecodeOptions::with_mode(mode).tolerant();
             let uses = |s: PoolStats| {
                 (
@@ -1277,6 +1335,48 @@ mod tests {
         // later image served from the cache.
         assert_eq!(stats.auto_evals, 1);
         assert_eq!(stats.auto_cache_hits, images.len() as u64 - 1);
+    }
+
+    #[test]
+    fn a_cached_auto_decision_does_not_depend_on_which_image_came_first() {
+        // Two 128×128 images of one density bucket on either side of the
+        // par-entropy / PPS boundary: priced at their own densities they
+        // rank differently, so a cache holding the first image's pick would
+        // hand it to the second, and the order would decide both.
+        let jpeg = |amount| {
+            let spec = hetjpeg_corpus::ImageSpec {
+                width: 128,
+                height: 128,
+                pattern: hetjpeg_corpus::Pattern::WhiteNoise { amount },
+                seed: 3,
+            };
+            let rgb = hetjpeg_corpus::generate_rgb(&spec);
+            let params = EncodeParams {
+                quality: 85,
+                subsampling: Subsampling::S422,
+                restart_interval: 0,
+            };
+            encode_rgb(&rgb, 128, 128, &params).unwrap()
+        };
+        let (a, b) = (jpeg(0.53), jpeg(0.55));
+        let session = || {
+            Decoder::builder()
+                .platform(Platform::gtx560())
+                .threads(2)
+                .build()
+                .unwrap()
+        };
+        let auto = |dec: &Decoder, j: &[u8]| dec.decode(j, DecodeOptions::default()).unwrap().mode;
+        let own = |j: &[u8]| session().predict(j).unwrap().mode;
+        assert_ne!(own(&a), own(&b), "the images straddle a decision boundary");
+
+        let forward = session();
+        let (fa, fb) = (auto(&forward, &a), auto(&forward, &b));
+        assert_eq!(forward.pool_stats().auto_evals, 1, "one bucket");
+        let reverse = session();
+        let (rb, ra) = (auto(&reverse, &b), auto(&reverse, &a));
+        assert_eq!((fa, fb), (ra, rb));
+        assert_eq!(fa, fb);
     }
 
     #[test]

@@ -136,6 +136,7 @@ pub(crate) struct WsParts<'a> {
     pub tile: &'a mut Vec<u8>,
     pub gpu: &'a mut Option<GpuContext>,
     pub stats: &'a mut PoolStats,
+    pub spec: &'a mut hetjpeg_jpeg::speculate::SpecStats,
 }
 
 impl Workspace {
@@ -226,6 +227,7 @@ impl Workspace {
             tile: &mut self.tile,
             gpu: &mut self.gpu,
             stats: &mut self.stats,
+            spec: &mut self.spec,
         }
     }
 

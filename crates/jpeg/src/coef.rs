@@ -251,18 +251,6 @@ impl CoefBuffer {
         }
         debug_assert_eq!(payload.len(), acc);
     }
-
-    /// Create a shared handle for concurrent block writes from multiple
-    /// threads (the parallel restart-segment entropy decoder). The handle
-    /// borrows the buffer exclusively, so no other access can overlap it.
-    pub fn writer(&mut self) -> CoefWriter<'_> {
-        CoefWriter {
-            data: self.data.as_mut_ptr(),
-            eob: self.eob.as_mut_ptr(),
-            blocks: self.eob.len(),
-            _marker: std::marker::PhantomData,
-        }
-    }
 }
 
 /// The packed block-index ranges of MCU rows `[start, end)`, in exactly
@@ -344,47 +332,6 @@ pub fn unpack_compacted_blocks(payload: &[i16], offsets: &[u32], eobs: &[u8]) ->
     out
 }
 
-/// Shared-write handle over a [`CoefBuffer`], allowing worker threads to
-/// store decoded blocks directly into their disjoint regions instead of
-/// accumulating `(index, block)` pairs and copying after a join.
-///
-/// Block granularity is the unit of disjointness: writes to *different*
-/// block indices never alias (each block owns its 64 coefficients and its
-/// EOB slot), so threads decoding disjoint MCU ranges — e.g. distinct
-/// restart segments — can write concurrently without synchronization.
-pub struct CoefWriter<'a> {
-    data: *mut i16,
-    eob: *mut u8,
-    blocks: usize,
-    _marker: std::marker::PhantomData<&'a mut CoefBuffer>,
-}
-
-// SAFETY: the writer only exposes `write_block`, whose contract (below)
-// requires callers to keep concurrently written block indices disjoint;
-// under that contract all pointer accesses are race-free.
-unsafe impl Send for CoefWriter<'_> {}
-unsafe impl Sync for CoefWriter<'_> {}
-
-impl CoefWriter<'_> {
-    /// Store one block's coefficients and EOB.
-    ///
-    /// # Safety
-    ///
-    /// No two threads may call this concurrently with the same
-    /// `block_index`. Callers decoding restart segments satisfy this by
-    /// construction: segments partition the MCU sequence, and every block
-    /// index belongs to exactly one MCU.
-    #[inline]
-    pub unsafe fn write_block(&self, block_index: usize, block: &[i16; 64], eob: u8) {
-        assert!(block_index < self.blocks, "block index out of range");
-        // SAFETY: in-bounds per the assert; disjointness per the contract.
-        unsafe {
-            std::ptr::copy_nonoverlapping(block.as_ptr(), self.data.add(block_index * 64), 64);
-            *self.eob.add(block_index) = eob;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -422,27 +369,6 @@ mod tests {
         buf.set_eob(1, 9);
         let _ = buf.as_mut_slice();
         assert_eq!(buf.eob(1), EOB_DENSE);
-    }
-
-    #[test]
-    fn writer_stores_blocks_and_eobs() {
-        let g = Geometry::new(32, 32, Subsampling::S444).unwrap();
-        let mut buf = CoefBuffer::new(&g);
-        let mut block = [0i16; 64];
-        block[0] = 7;
-        block[9] = -3;
-        {
-            let w = buf.writer();
-            // SAFETY: single thread, distinct indices.
-            unsafe {
-                w.write_block(2, &block, 9);
-                w.write_block(5, &block, 9);
-            }
-        }
-        assert_eq!(buf.block(2)[0], 7);
-        assert_eq!(buf.block(5)[9], -3);
-        assert_eq!(buf.eob(2), 9);
-        assert_eq!(buf.block(3)[0], 0);
     }
 
     #[test]

@@ -30,7 +30,6 @@ use crate::decoder::kernels::{self, SimdLevel};
 use crate::decoder::Prepared;
 use crate::error::{Error, Result};
 use crate::geometry::Geometry;
-use crate::metrics::ParallelWork;
 use crate::types::{Subsampling, YccImage};
 
 /// Where the rows [`render_rows`] produces go.
@@ -319,9 +318,7 @@ impl SimdScratch {
 /// coefficient buffer: every pixel row of the band goes to `sink`, on the
 /// kernel level `scratch` carries.
 ///
-/// Returns the work metrics the cost model charges for the MCU rows
-/// actually rendered, and whether the band completed (`false` when the
-/// sink stopped it).
+/// Returns whether the band completed (`false` when the sink stopped it).
 pub fn render_rows<S: RowSink>(
     prep: &Prepared<'_>,
     coef: &CoefBuffer,
@@ -329,7 +326,7 @@ pub fn render_rows<S: RowSink>(
     end: usize,
     scratch: &mut SimdScratch,
     sink: &mut S,
-) -> (ParallelWork, bool) {
+) -> bool {
     let geom = &prep.geom;
     let level = scratch.level;
     for mcu_row in start..end {
@@ -340,10 +337,10 @@ pub fn render_rows<S: RowSink>(
             sink.row(level, y, luma, cb, cr);
         }
         if !sink.mcu_row_done(py0, py1 - py0) {
-            return (ParallelWork::for_mcu_rows(geom, start, mcu_row + 1), false);
+            return false;
         }
     }
-    (ParallelWork::for_mcu_rows(geom, start, end), true)
+    true
 }
 
 #[cfg(test)]
@@ -351,6 +348,7 @@ mod tests {
     use super::*;
     use crate::decoder::stages;
     use crate::encoder::{encode_rgb, EncodeParams};
+    use crate::metrics::ParallelWork;
     use crate::planes::SamplePlanes;
 
     fn textured_rgb(w: usize, h: usize) -> Vec<u8> {
@@ -381,12 +379,11 @@ mod tests {
         a: usize,
         b: usize,
         scratch: &mut SimdScratch,
-    ) -> (Vec<u8>, ParallelWork) {
+    ) -> Vec<u8> {
         let mut out = vec![0u8; prep.geom.rgb_bytes_in_mcu_rows(a, b)];
         let mut sink = RgbBand::new(prep, a, b, &mut out).unwrap();
-        let (work, completed) = render_rows(prep, coef, a, b, scratch, &mut sink);
-        assert!(completed);
-        (out, work)
+        assert!(render_rows(prep, coef, a, b, scratch, &mut sink));
+        out
     }
 
     #[test]
@@ -400,7 +397,7 @@ mod tests {
                 for (a, b) in [(0usize, 1usize), (1, 3), (0, prep.geom.mcus_y)] {
                     let mut want = vec![0u8; prep.geom.rgb_bytes_in_mcu_rows(a, b)];
                     stages::decode_region_rgb(&prep, &coef, a, b, &mut want).unwrap();
-                    let (got, _) = render_rgb(&prep, &coef, a, b, &mut scratch);
+                    let got = render_rgb(&prep, &coef, a, b, &mut scratch);
                     assert_eq!(
                         want,
                         got,
@@ -452,8 +449,8 @@ mod tests {
         let (coef, _) = prep.entropy_decode_all().unwrap();
         let mut a = vec![0u8; prep.geom.rgb_bytes_in_mcu_rows(0, 2)];
         let wa = stages::decode_region_rgb(&prep, &coef, 0, 2, &mut a).unwrap();
-        let (_, wb) = render_rgb(&prep, &coef, 0, 2, &mut SimdScratch::new(&prep));
-        assert_eq!(wa, wb);
+        render_rgb(&prep, &coef, 0, 2, &mut SimdScratch::new(&prep));
+        assert_eq!(wa, ParallelWork::for_mcu_rows(&prep.geom, 0, 2));
     }
 
     #[test]
@@ -469,8 +466,8 @@ mod tests {
         scratch.reset_for(&prep);
         assert_eq!(scratch.level(), SimdLevel::Scalar, "reset keeps the choice");
         let mcus = prep.geom.mcus_y;
-        let (fresh, _) = render_rgb(&prep, &coef, 0, mcus, &mut SimdScratch::new(&prep));
-        let (reused, _) = render_rgb(&prep, &coef, 0, mcus, &mut scratch);
+        let fresh = render_rgb(&prep, &coef, 0, mcus, &mut SimdScratch::new(&prep));
+        let reused = render_rgb(&prep, &coef, 0, mcus, &mut scratch);
         assert_eq!(fresh, reused);
     }
 

@@ -19,8 +19,8 @@ use crate::types::ComponentSpec;
 
 /// The Huffman decode tables of a baseline scan and the components that
 /// use them, built once per image and lent to every MCU loop that decodes
-/// it: the sequential [`EntropyDecoder`], each restart segment and each
-/// speculative attempt ([`crate::speculate::McuDecoder`]).
+/// it: the sequential [`EntropyDecoder`] and every speculative chunk and
+/// stitch ([`crate::speculate::McuDecoder`]).
 #[derive(Debug)]
 pub struct HuffmanTables {
     dc: [Option<DecodeTable>; 4],
@@ -251,104 +251,12 @@ pub fn split_restart_segments(parsed: &ParsedJpeg<'_>, geom: &Geometry) -> Vec<R
     segments
 }
 
-/// Core of the segment decoders: decode every block of `segment`, handing
-/// `(block_index, coefficients, eob)` to `emit` as each block completes.
-fn decode_segment_with(
-    parsed: &ParsedJpeg<'_>,
-    geom: &Geometry,
-    tables: &HuffmanTables,
-    segment: &RestartSegment,
-    mut emit: impl FnMut(usize, &[i16; 64], u8),
-) -> Result<RowMetrics> {
-    let data = parsed
-        .scan_data
-        .get(segment.offset..segment.offset + segment.len)
-        .ok_or(Error::UnexpectedEof)?;
-    let mut reader = BitReader::new(data);
-
-    let mut metrics = RowMetrics::default();
-    let mut dc_pred = [0i32; 4];
-    let mut block;
-    for k in 0..segment.mcu_count {
-        let mcu = segment.start_mcu + k;
-        let mcu_x = mcu % geom.mcus_x;
-        let row = mcu / geom.mcus_x;
-        for (ci, comp) in tables.components().iter().enumerate() {
-            let (dc, ac) = tables.of(comp);
-            for v in 0..comp.v_samp {
-                for h in 0..comp.h_samp {
-                    let bx = mcu_x * comp.h_samp + h;
-                    let by = row * comp.v_samp + v;
-                    let idx = geom.block_index(ci, bx, by);
-                    block = [0i16; 64];
-                    let diff = HuffDecoder::decode_dc_diff(&mut reader, dc)?;
-                    dc_pred[ci] += diff;
-                    block[0] = dc_pred[ci] as i16;
-                    let (symbols, nonzero, eob) =
-                        HuffDecoder::decode_ac_block(&mut reader, ac, &mut block)?;
-                    metrics.symbols += symbols as u64 + 1;
-                    metrics.nonzero_coefs += nonzero as u64 + (diff != 0) as u64;
-                    metrics.blocks += 1;
-                    metrics.record_eob(eob);
-                    emit(idx, &block, eob);
-                }
-            }
-        }
-    }
-    metrics.bits = reader.bits_consumed();
-    Ok(metrics)
-}
-
-/// `(block_index, coefficients)` pairs of a decoded segment.
-pub type SegmentBlocks = Vec<(usize, [i16; 64])>;
-
-/// Decode one restart segment into `(block_index, coefficients)` pairs.
-///
-/// The segment's bitstream is self-contained: byte-aligned start, reset DC
-/// predictors, no interior restart markers. Prefer
-/// [`decode_mcu_segment_into`] in parallel drivers — it skips this
-/// function's per-segment accumulation vector and the copy after the join.
-pub fn decode_mcu_segment(
-    parsed: &ParsedJpeg<'_>,
-    geom: &Geometry,
-    tables: &HuffmanTables,
-    segment: &RestartSegment,
-) -> Result<(SegmentBlocks, RowMetrics)> {
-    let mut out = Vec::with_capacity(segment.mcu_count * geom.blocks_per_mcu());
-    let metrics = decode_segment_with(parsed, geom, tables, segment, |idx, block, _eob| {
-        out.push((idx, *block))
-    })?;
-    Ok((out, metrics))
-}
-
-/// Decode one restart segment, storing each block (coefficients + EOB)
-/// directly into its slot of the shared coefficient buffer.
-///
-/// # Safety
-///
-/// Concurrent calls must target disjoint segments (no shared block
-/// indices). Segments produced by [`split_restart_segments`], each passed to
-/// exactly one call, satisfy this by construction: they partition the MCU
-/// sequence.
-pub unsafe fn decode_mcu_segment_into(
-    parsed: &ParsedJpeg<'_>,
-    geom: &Geometry,
-    tables: &HuffmanTables,
-    segment: &RestartSegment,
-    out: &crate::coef::CoefWriter<'_>,
-) -> Result<RowMetrics> {
-    decode_segment_with(parsed, geom, tables, segment, |idx, block, eob| {
-        // SAFETY: forwarded from this function's contract — disjoint
-        // segments yield disjoint block indices.
-        unsafe { out.write_block(idx, block, eob) }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::encoder::{encode_rgb, EncodeParams};
     use crate::markers::parse_jpeg;
+    use crate::speculate::{decode_chunk_speculative, stitch_segment};
     use crate::types::Subsampling;
 
     fn gradient_rgb(w: usize, h: usize) -> Vec<u8> {
@@ -494,7 +402,8 @@ mod tests {
             .windows(2)
             .all(|w| w[0].start_mcu + w[0].mcu_count == w[1].start_mcu));
 
-        // Segment-wise decode must equal the sequential decode.
+        // Segment-wise decode must equal the sequential decode: each
+        // segment is independently decodable from its first byte.
         let tables = HuffmanTables::new(&parsed).unwrap();
         let mut seq = EntropyDecoder::new(&parsed, &geom, &tables);
         let mut want = CoefBuffer::new(&geom);
@@ -502,11 +411,11 @@ mod tests {
 
         let mut got = CoefBuffer::new(&geom);
         for seg in &segments {
-            let (blocks, m) = decode_mcu_segment(&parsed, &geom, &tables, seg).unwrap();
-            assert!(m.blocks > 0);
-            for (idx, block) in blocks {
-                *got.block_mut(idx) = block;
-            }
+            let payload = &parsed.scan_data[seg.offset..seg.offset + seg.len];
+            let (start, n) = (seg.start_mcu, seg.mcu_count);
+            let chunk = decode_chunk_speculative(&geom, &tables, payload, 0, seg.len, n);
+            let out = stitch_segment(&geom, &tables, payload, start, n, &[chunk], &mut got);
+            assert!(out.unwrap().written.blocks > 0);
         }
         assert_eq!(got.as_slice(), want.as_slice());
     }

@@ -15,8 +15,9 @@
 //!    into a staging area, recording at every MCU boundary the canonical
 //!    raw-bit position ([`crate::bitio::BitReader::bit_checkpoint`]) and the
 //!    worker-local DC predictors. Chunk workers are embarrassingly parallel.
-//! 3. [`stitch_segment`] replays the stream exactly: a single reconciling
-//!    decoder walks the chunks in order, re-decodes each chunk's short
+//! 3. [`Stitch`] replays the stream exactly, resumable chunk by chunk
+//!    ([`stitch_segment`] in one go): a single reconciling decoder walks
+//!    the chunks in order, re-decodes each chunk's short
 //!    unconverged prefix, and — the moment its canonical position equals a
 //!    staged checkpoint — **adopts** the remaining staged MCUs wholesale,
 //!    fixing up DC coefficients by the per-component predictor delta and
@@ -252,13 +253,17 @@ pub fn decode_chunk_speculative<'a>(
 ) -> StagedChunk<'a> {
     let bpm = geom.blocks_per_mcu();
     let stop_bits = 8 * stop_byte as u64;
+    // The chunk's share of the payload's MCUs, with some slack: staging
+    // grows past it only on unevenly dense data.
+    let span = stop_byte.saturating_sub(start_byte).min(payload.len());
+    let expect = (max_mcus * span / payload.len().max(1)) * 9 / 8 + 4;
     let mut chunk = StagedChunk {
         start_byte,
-        checkpoints: Vec::new(),
-        pred_before: Vec::new(),
-        blocks: Vec::new(),
-        eobs: Vec::new(),
-        mcu_metrics: Vec::new(),
+        checkpoints: Vec::with_capacity(expect),
+        pred_before: Vec::with_capacity(expect),
+        blocks: Vec::with_capacity(expect * bpm * 64),
+        eobs: Vec::with_capacity(expect * bpm),
+        mcu_metrics: Vec::with_capacity(expect),
         exit: None,
         discarded_mcus: 0,
         metrics: RowMetrics::default(),
@@ -331,100 +336,192 @@ pub struct StitchOutcome {
     pub stats: SpecStats,
 }
 
-/// Reconcile staged chunks into the coefficient buffer, re-decoding
-/// convergence gaps exactly. `start_mcu`/`mcu_count` locate the segment in
-/// the global MCU sequence (the whole image for a no-restart scan). The
-/// result — coefficients, EOBs, and any returned error — is bit-identical
-/// to a sequential decode of `payload`.
-pub fn stitch_segment<'a>(
-    geom: &Geometry,
-    tables: &'a HuffmanTables,
-    payload: &'a [u8],
+/// One MCU a [`Stitch`] made final: its decode work, and whether the
+/// reconciler decoded it itself rather than adopting it from a staging.
+#[derive(Debug, Clone, Copy)]
+pub struct Written {
+    /// The MCU's Huffman work.
+    pub metrics: McuMetrics,
+    /// Decoded by the reconciler (a convergence gap or the tail).
+    pub exact: bool,
+}
+
+/// The exact reconciler of one segment, resumable chunk by chunk: each
+/// [`Self::push`] takes the segment's next staged chunk in order and
+/// leaves every MCU up to the end of that chunk's coverage final in the
+/// coefficient buffer; [`Self::finish`] decodes whatever is left. The MCUs
+/// final so far ([`Self::done_mcus`]) only ever grow, and the written
+/// blocks' metrics are added, MCU by MCU, to the row of the image they
+/// belong to, so a caller can hand rows on as soon as they are final.
+///
+/// Everything written — coefficients, EOBs, per-row metrics and any error —
+/// is what a sequential decode of the payload produces, whichever way the
+/// chunks were cut.
+pub struct Stitch<'a> {
+    geom: Geometry,
+    comps: Vec<(usize, usize)>,
+    dec: McuDecoder<'a>,
     start_mcu: usize,
     mcu_count: usize,
-    chunks: &[StagedChunk<'a>],
-    coef: &mut CoefBuffer,
-) -> Result<StitchOutcome> {
-    let mut out = StitchOutcome {
-        stats: SpecStats {
-            chunks: chunks.len() as u64,
-            ..SpecStats::default()
-        },
-        ..StitchOutcome::default()
-    };
-    let bpm = geom.blocks_per_mcu();
-    let comps: Vec<(usize, usize)> = tables
-        .components()
-        .iter()
-        .map(|c| (c.h_samp, c.v_samp))
-        .collect();
-    let mut dec = McuDecoder::new_at(tables, payload, 0);
-    let mut mcu = 0usize;
+    /// MCUs of the segment final so far.
+    mcu: usize,
+    /// False once the reconciler's reader no longer sits where a
+    /// sequential decoder's would after the final MCUs (staged MCUs were
+    /// adopted past the segment's end without an exit state).
+    exact_reader: bool,
+    /// Set once a push found the segment complete.
+    ended: bool,
+    out: StitchOutcome,
+    /// The MCUs made final since the last [`Self::drain_written`], in order.
+    written: Vec<Written>,
+}
 
-    // Decode one MCU exactly, writing blocks straight to their slots and
-    // recording their EOB classes into `written` (adopted staged blocks
-    // record theirs at adoption time).
-    let decode_exact = |dec: &mut McuDecoder<'_>,
-                        mcu: usize,
-                        coef: &mut CoefBuffer,
-                        written: &mut RowMetrics|
-     -> Result<McuMetrics> {
-        let g = start_mcu + mcu;
-        let (mcu_x, row) = (g % geom.mcus_x, g / geom.mcus_x);
-        dec.decode_next_mcu(&mut |ci, v, h, block, eob| {
+impl<'a> Stitch<'a> {
+    /// A reconciler for the segment of `mcu_count` MCUs from global MCU
+    /// `start_mcu` whose entropy bytes start `payload`. The payload may run
+    /// on past the segment (its restart marker, say): a reader stops at a
+    /// marker either way.
+    pub fn new(
+        geom: &Geometry,
+        tables: &'a HuffmanTables,
+        payload: &'a [u8],
+        start_mcu: usize,
+        mcu_count: usize,
+    ) -> Self {
+        let comps = (tables.components().iter())
+            .map(|c| (c.h_samp, c.v_samp))
+            .collect();
+        Stitch {
+            geom: geom.clone(),
+            comps,
+            dec: McuDecoder::new_at(tables, payload, 0),
+            start_mcu,
+            mcu_count,
+            mcu: 0,
+            exact_reader: true,
+            ended: false,
+            out: StitchOutcome::default(),
+            written: Vec::new(),
+        }
+    }
+
+    /// Global index one past the last final MCU.
+    pub fn done_mcus(&self) -> usize {
+        self.start_mcu + self.mcu
+    }
+
+    /// True once every MCU of the segment is final.
+    pub fn is_done(&self) -> bool {
+        self.mcu >= self.mcu_count
+    }
+
+    /// What the reconciler has done so far.
+    pub fn outcome(&self) -> &StitchOutcome {
+        &self.out
+    }
+
+    /// The MCUs made final since the last call, in order.
+    pub fn drain_written(&mut self) -> std::vec::Drain<'_, Written> {
+        self.written.drain(..)
+    }
+
+    /// After the segment's last MCU, read the restart marker that must
+    /// follow it, exactly as a sequential decoder does before the next
+    /// interval: its number, or the error the sequential decoder reports.
+    /// `None` when the reconciler cannot vouch for its reader position.
+    pub fn restart_marker(&mut self) -> Option<Result<u8>> {
+        debug_assert!(self.is_done());
+        self.exact_reader
+            .then(|| self.dec.reader.read_restart_marker())
+    }
+
+    /// Decode the segment's next MCU exactly into `coef`.
+    fn step(&mut self, coef: &mut CoefBuffer, rows: &mut [RowMetrics]) -> Result<()> {
+        let g = self.start_mcu + self.mcu;
+        let (mcu_x, row) = (g % self.geom.mcus_x, g / self.geom.mcus_x);
+        let (geom, comps) = (&self.geom, &self.comps);
+        let mut classes = RowMetrics::default();
+        let m = self.dec.decode_next_mcu(&mut |ci, v, h, block, eob| {
             let (h_samp, v_samp) = comps[ci];
             let idx = geom.block_index(ci, mcu_x * h_samp + h, row * v_samp + v);
             *coef.block_mut(idx) = *block;
             coef.set_eob(idx, eob);
-            written.record_eob(eob);
-        })
-    };
+            classes.record_eob(eob);
+        })?;
+        let bpm = self.geom.blocks_per_mcu();
+        add_mcu(&mut classes, &m, bpm);
+        add_mcu(&mut self.out.stitch_metrics, &m, bpm);
+        self.out.written.add(&classes);
+        rows[row].add(&classes);
+        self.mcu += 1;
+        self.out.stats.redecoded_mcus += 1;
+        self.written.push(Written {
+            metrics: m,
+            exact: true,
+        });
+        Ok(())
+    }
 
-    'chunks: for ch in chunks {
+    /// Reconcile the segment's next staged chunk into `coef`: re-decode
+    /// exactly until the reconciler lands on one of the chunk's
+    /// checkpoints, adopt the staged MCUs from there (DC fixed up by the
+    /// predictor delta) and resume from the worker's exit state. A chunk
+    /// that never converges is waste; the reconciler then stops at the
+    /// first MCU past the chunk's coverage.
+    pub fn push(
+        &mut self,
+        ch: &StagedChunk<'a>,
+        coef: &mut CoefBuffer,
+        rows: &mut [RowMetrics],
+    ) -> Result<()> {
+        self.out.stats.chunks += 1;
+        // Chunks pushed once the segment is complete count as launched and
+        // nothing else (the counters the trainer fits are the one-shot
+        // stitch's).
+        if self.ended {
+            return Ok(());
+        }
         // MCUs staged by discarded mis-phased attempts are pure waste.
-        out.stats.wasted_mcus += ch.discarded_mcus;
-        if mcu >= mcu_count {
-            break;
+        self.out.stats.wasted_mcus += ch.discarded_mcus;
+        if self.is_done() {
+            self.ended = true;
+            return Ok(());
         }
         let Some(&last_cp) = ch.checkpoints.last() else {
-            continue; // every attempt was discarded: nothing to adopt
+            return Ok(()); // every attempt was discarded: nothing to adopt
         };
         // Advance exactly until we land on one of this chunk's checkpoints
         // or overshoot its coverage.
-        let sync = loop {
-            if mcu >= mcu_count {
-                break 'chunks;
+        let j = loop {
+            if self.is_done() {
+                self.ended = true;
+                return Ok(());
             }
-            let cp = dec.checkpoint();
+            let cp = self.dec.checkpoint();
             if cp > last_cp {
-                break None;
+                // Never converged (corrupt data): all of this chunk's
+                // staged work is waste; the reconciler decodes on exactly.
+                self.out.stats.wasted_mcus += ch.staged() as u64;
+                return Ok(());
             }
             if let Ok(j) = ch.checkpoints.binary_search(&cp) {
-                break Some(j);
+                break j;
             }
-            let m = decode_exact(&mut dec, mcu, coef, &mut out.written)?;
-            add_mcu(&mut out.stitch_metrics, &m, bpm);
-            add_mcu(&mut out.written, &m, bpm);
-            mcu += 1;
-            out.stats.redecoded_mcus += 1;
+            self.step(coef, rows)?;
         };
-        let Some(j) = sync else {
-            // Never converged (corrupt data): all of this chunk's staged
-            // work is waste; the reconciler keeps decoding exactly.
-            out.stats.wasted_mcus += ch.staged() as u64;
-            continue;
-        };
-        out.stats.synced += 1;
-        out.stats.wasted_mcus += j as u64;
+        self.out.stats.synced += 1;
+        self.out.stats.wasted_mcus += j as u64;
         // Adopt staged MCUs j.. with the DC predictor delta folded in.
         let delta: [i32; 4] =
-            std::array::from_fn(|c| dec.dc_pred[c].wrapping_sub(ch.pred_before[j][c]));
-        let take = (ch.staged() - j).min(mcu_count - mcu);
+            std::array::from_fn(|c| self.dec.dc_pred[c].wrapping_sub(ch.pred_before[j][c]));
+        let take = (ch.staged() - j).min(self.mcu_count - self.mcu);
+        let (geom, bpm) = (&self.geom, self.geom.blocks_per_mcu());
         for k in j..j + take {
-            let g = start_mcu + mcu;
+            let g = self.start_mcu + self.mcu;
             let (mcu_x, row) = (g % geom.mcus_x, g / geom.mcus_x);
+            let mut written = RowMetrics::default();
             let mut slot = k * bpm;
-            for (ci, &(h_samp, v_samp)) in comps.iter().enumerate() {
+            for (ci, &(h_samp, v_samp)) in self.comps.iter().enumerate() {
                 for v in 0..v_samp {
                     for h in 0..h_samp {
                         let idx = geom.block_index(ci, mcu_x * h_samp + h, row * v_samp + v);
@@ -434,45 +531,72 @@ pub fn stitch_segment<'a>(
                         dst[0] = dst[0].wrapping_add(delta[ci] as i16);
                         let eob = ch.eobs[slot];
                         coef.set_eob(idx, eob);
-                        out.written.record_eob(eob);
+                        written.record_eob(eob);
                         slot += 1;
                     }
                 }
             }
-            let m = ch.mcu_metrics[k];
-            out.written.bits += m.bits as u64;
-            out.written.symbols += m.symbols as u64;
-            out.written.nonzero_coefs += m.nonzero as u64;
-            out.written.blocks += bpm as u64;
-            mcu += 1;
-            out.stats.adopted_mcus += 1;
+            add_mcu(&mut written, &ch.mcu_metrics[k], bpm);
+            self.out.written.add(&written);
+            rows[row].add(&written);
+            self.mcu += 1;
+            self.out.stats.adopted_mcus += 1;
+            self.written.push(Written {
+                metrics: ch.mcu_metrics[k],
+                exact: false,
+            });
         }
-        // Wasted staged MCUs include any tail beyond the image (take capped
-        // by mcu_count).
-        out.stats.wasted_mcus += (ch.staged() - j - take) as u64;
-        if mcu >= mcu_count {
-            break;
-        }
+        // Wasted staged MCUs include any tail beyond the segment (take
+        // capped by its MCU count).
+        self.out.stats.wasted_mcus += (ch.staged() - j - take) as u64;
         if j + take == ch.staged() {
-            // Coverage exhausted mid-image: resume from the worker's exit
-            // state (a kept attempt always records one) with the predictor
-            // delta folded in.
+            // Coverage exhausted: resume from the worker's exit state (a
+            // kept attempt always records one) with the predictor delta
+            // folded in.
             let (reader, exit_pred) = ch.exit.clone().expect("kept attempt has exit state");
-            dec.restore(
+            self.dec.restore(
                 reader,
                 std::array::from_fn(|c| exit_pred[c].wrapping_add(delta[c])),
             );
+        } else {
+            self.exact_reader = false;
         }
+        self.ended = self.is_done();
+        Ok(())
     }
-    // Tail (and full fallback when nothing converged): exact decode.
-    while mcu < mcu_count {
-        let m = decode_exact(&mut dec, mcu, coef, &mut out.written)?;
-        add_mcu(&mut out.stitch_metrics, &m, bpm);
-        add_mcu(&mut out.written, &m, bpm);
-        mcu += 1;
-        out.stats.redecoded_mcus += 1;
+
+    /// Decode the rest of the segment exactly: the tail past the last
+    /// chunk's coverage, or all of it when nothing converged.
+    pub fn finish(&mut self, coef: &mut CoefBuffer, rows: &mut [RowMetrics]) -> Result<()> {
+        while !self.is_done() {
+            self.step(coef, rows)?;
+        }
+        Ok(())
     }
-    Ok(out)
+}
+
+/// Reconcile staged chunks into the coefficient buffer in one go,
+/// re-decoding convergence gaps exactly: [`Stitch`] over every chunk, then
+/// the tail. `start_mcu`/`mcu_count` locate the segment in the global MCU
+/// sequence (the whole image for a no-restart scan). The result —
+/// coefficients, EOBs, and any returned error — is bit-identical to a
+/// sequential decode of `payload`.
+pub fn stitch_segment<'a>(
+    geom: &Geometry,
+    tables: &'a HuffmanTables,
+    payload: &'a [u8],
+    start_mcu: usize,
+    mcu_count: usize,
+    chunks: &[StagedChunk<'a>],
+    coef: &mut CoefBuffer,
+) -> Result<StitchOutcome> {
+    let mut rows = vec![RowMetrics::default(); geom.mcus_y];
+    let mut stitch = Stitch::new(geom, tables, payload, start_mcu, mcu_count);
+    for ch in chunks {
+        stitch.push(ch, coef, &mut rows)?;
+    }
+    stitch.finish(coef, &mut rows)?;
+    Ok(stitch.out)
 }
 
 fn add_mcu(into: &mut RowMetrics, m: &McuMetrics, blocks: usize) {
@@ -604,6 +728,118 @@ mod tests {
             out.stats
         );
         assert!(out.stats.adopted_mcus > out.stats.redecoded_mcus);
+    }
+
+    /// Block indices of MCU rows `[0, rows)`, in scan order.
+    fn blocks_of_rows(geom: &Geometry, tables: &HuffmanTables, rows: usize) -> Vec<usize> {
+        let mut out = Vec::new();
+        for row in 0..rows {
+            for mcu_x in 0..geom.mcus_x {
+                for (ci, c) in tables.components().iter().enumerate() {
+                    for v in 0..c.v_samp {
+                        for h in 0..c.h_samp {
+                            let (bx, by) = (mcu_x * c.h_samp + h, row * c.v_samp + v);
+                            out.push(geom.block_index(ci, bx, by));
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn chunk_by_chunk_stitch_agrees_with_one_shot_and_sequential() {
+        // Random images × chunk counts × pristine, truncated and bit-flipped
+        // payloads: the resumable stitch, the one-shot stitch and the
+        // sequential decoder write the same coefficients and EOBs, report
+        // the same per-row metrics and the same error at the same row, and
+        // the rows a push leaves final never go back.
+        let mut state = 0x2545_F491u32;
+        let mut rand = |n: usize| {
+            state = state.wrapping_mul(1664525).wrapping_add(1013904223);
+            (state >> 8) as usize % n.max(1)
+        };
+        let mut errors = 0;
+        for (w, h, q, sub) in [
+            (96, 64, 80, Subsampling::S420),
+            (72, 40, 92, Subsampling::S444),
+            (120, 48, 50, Subsampling::S422),
+        ] {
+            let jpeg = jpeg_of(w, h, q, sub);
+            let parsed = parse_jpeg(&jpeg).unwrap();
+            let geom = Geometry::new(w, h, sub).unwrap();
+            let tables = HuffmanTables::new(&parsed).unwrap();
+            let total = geom.mcus_x * geom.mcus_y;
+            for case in 0..12 {
+                let mut payload = parsed.scan_data.to_vec();
+                match case % 3 {
+                    0 => {}
+                    1 => payload.truncate(rand(payload.len())),
+                    _ => {
+                        let i = rand(payload.len());
+                        payload[i] ^= 1 << rand(8);
+                    }
+                }
+                let mut damaged = parsed.clone();
+                damaged.scan_data = &payload;
+                let mut seq = EntropyDecoder::new(&damaged, &geom, &tables);
+                let mut want = CoefBuffer::new(&geom);
+                let (mut want_rows, mut want_err) = (Vec::new(), None);
+                while !seq.is_finished() {
+                    match seq.decode_mcu_row(&mut want) {
+                        Ok(m) => want_rows.push(m),
+                        Err(e) => {
+                            want_err = Some(e);
+                            break;
+                        }
+                    }
+                }
+                errors += usize::from(want_err.is_some());
+                let final_rows = want_rows.len();
+                for n in [1, 2, 3, 5, 8] {
+                    let ctx = format!("{w}x{h} q{q} case {case}, {n} chunks");
+                    let chunks: Vec<_> = (plan_chunks(&payload, n).iter())
+                        .map(|&(a, b)| {
+                            decode_chunk_speculative(&geom, &tables, &payload, a, b, total)
+                        })
+                        .collect();
+                    let mut one = CoefBuffer::new(&geom);
+                    let one_res =
+                        stitch_segment(&geom, &tables, &payload, 0, total, &chunks, &mut one);
+                    let mut got = CoefBuffer::new(&geom);
+                    let mut rows = vec![RowMetrics::default(); geom.mcus_y];
+                    let mut stitch = Stitch::new(&geom, &tables, &payload, 0, total);
+                    let (mut released, mut res) = (0, Ok(()));
+                    for ch in &chunks {
+                        res = stitch.push(ch, &mut got, &mut rows);
+                        let now = stitch.done_mcus() / geom.mcus_x;
+                        assert!(now >= released, "{ctx}: released rows went back");
+                        released = now;
+                        if res.is_err() {
+                            break;
+                        }
+                    }
+                    if res.is_ok() {
+                        res = stitch.finish(&mut got, &mut rows);
+                    }
+                    assert_eq!(res.as_ref().err(), want_err.as_ref(), "{ctx}: error");
+                    assert_eq!(one_res.as_ref().err(), want_err.as_ref(), "{ctx}: one shot");
+                    let surfaced = stitch.done_mcus() / geom.mcus_x;
+                    assert_eq!(surfaced, final_rows.min(geom.mcus_y), "{ctx}: error row");
+                    assert_eq!(&rows[..final_rows], &want_rows[..], "{ctx}: row metrics");
+                    for b in blocks_of_rows(&geom, &tables, final_rows) {
+                        assert_eq!(got.block(b), want.block(b), "{ctx}: block {b}");
+                        assert_eq!(got.eob(b), want.eob(b), "{ctx}: EOB {b}");
+                    }
+                    assert_eq!(got.as_slice(), one.as_slice(), "{ctx}: one-shot blocks");
+                    if let Ok(out) = one_res {
+                        assert_eq!(out.stats, stitch.outcome().stats, "{ctx}: counters");
+                    }
+                }
+            }
+        }
+        assert!(errors > 0, "some damage must surface as an error");
     }
 
     #[test]

@@ -6,7 +6,6 @@
 use hetjpeg_jpeg::coef::CoefBuffer;
 use hetjpeg_jpeg::decoder::kernels::SimdLevel;
 use hetjpeg_jpeg::decoder::{simd, stages, Prepared};
-use hetjpeg_jpeg::metrics::ParallelWork;
 use hetjpeg_jpeg::planes::SamplePlanes;
 use hetjpeg_jpeg::types::YccImage;
 
@@ -65,13 +64,12 @@ pub fn assert_every_sink_matches(
         let mut ycc = YccImage::new(w, geom.height);
         let mut tile = Vec::new();
         for (a, b) in bands(mcus, ways) {
-            let full = ParallelWork::for_mcu_rows(geom, a, b);
             let (r0, r1) = geom.mcu_rows_to_pixel_rows(a, b);
 
             let mut sink =
                 simd::RgbBand::new(prep, a, b, &mut rgb[r0 * w * 3..r1 * w * 3]).expect("band");
             let done = simd::render_rows(prep, coef, a, b, &mut scratch, &mut sink);
-            assert_eq!(done, (full, true), "{label}: band {a}..{b}");
+            assert!(done, "{label}: band {a}..{b}");
 
             let mut next_row = r0;
             let mut sink = simd::RgbTiles::new(prep, a, &mut tile, |y0, rows, px: &[u8]| {
@@ -82,12 +80,12 @@ pub fn assert_every_sink_matches(
                 true
             });
             let done = simd::render_rows(prep, coef, a, b, &mut scratch, &mut sink);
-            assert_eq!(done, (full, true), "{label}: tiles {a}..{b}");
+            assert!(done, "{label}: tiles {a}..{b}");
             assert_eq!(next_row, r1, "{label}: tiles cover band {a}..{b}");
 
             let mut sink = simd::Planar::new(prep, &mut ycc).expect("planar");
             let done = simd::render_rows(prep, coef, a, b, &mut scratch, &mut sink);
-            assert_eq!(done, (full, true), "{label}: planar {a}..{b}");
+            assert!(done, "{label}: planar {a}..{b}");
         }
         assert_eq!(rgb, want.rgb, "{label}: {ways}-way RGB bands");
         assert_eq!(tiled, want.rgb, "{label}: {ways}-way tiles");
@@ -103,8 +101,7 @@ pub fn assert_every_sink_matches(
             delivered <= k
         });
         let done = simd::render_rows(prep, coef, 0, mcus, &mut scratch, &mut sink);
-        let charged = ParallelWork::for_mcu_rows(geom, 0, k + 1);
-        assert_eq!(done, (charged, false), "{label}: stop at tile {k}");
+        assert!(!done, "{label}: stop at tile {k}");
         assert_eq!(delivered, k + 1, "{label}: stop at tile {k}");
     }
 }

@@ -10,10 +10,13 @@ use hetjpeg_core::{DecodeOptions, Decoder};
 use hetjpeg_corpus::{generate_jpeg, training_set, CorpusParams, ImageSpec, Pattern};
 use hetjpeg_jpeg::types::Subsampling;
 
+/// A session on the paper's schedule: Huffman decoded on one thread, as
+/// the Tables 2–3 orderings and the Eq. 18/19 Amdahl bound assume.
 fn trained_session(platform: &Platform) -> Decoder {
     Decoder::builder()
         .platform(platform.clone())
         .model(trained(platform))
+        .threads(1)
         .build()
         .expect("valid configuration")
 }

@@ -18,9 +18,13 @@ use hetjpeg_jpeg::encoder::{encode_rgb, EncodeParams};
 use hetjpeg_jpeg::types::Subsampling;
 
 fn session_for(platform: &Platform) -> Decoder {
+    session_with(platform, 4)
+}
+
+fn session_with(platform: &Platform, threads: usize) -> Decoder {
     Decoder::builder()
         .platform(platform.clone())
-        .threads(4)
+        .threads(threads)
         .build()
         .expect("valid configuration")
 }
@@ -126,20 +130,34 @@ fn streamed(decoder: &Decoder, jpeg: &[u8], opts: DecodeOptions) -> (DecodeOutco
 
 #[test]
 fn all_modes_all_platforms_bit_identical() {
+    // Every mode at the default four entropy threads, and the four GPU
+    // plans also with their Huffman decoded sequentially (one thread, the
+    // paper's schedule) and fed by two workers.
+    let gpu_plans = [Mode::Gpu, Mode::PipelinedGpu, Mode::Sps, Mode::Pps];
     for (name, jpeg) in gallery() {
         let reference = decode(&jpeg).expect("reference decode").data;
         for platform in Platform::all() {
-            let decoder = session_for(&platform);
-            for mode in Mode::all().into_iter().chain([Mode::Auto]) {
-                let ctx = format!("{name}: {} under {mode:?}", platform.name);
-                let opts = DecodeOptions::with_mode(mode);
-                let out = (decoder.decode(&jpeg, opts)).unwrap_or_else(|e| panic!("{ctx}: {e}"));
-                assert!(out.image.data == reference, "{ctx} differs from reference");
-                // The same decode as a row stream: the same pixels, and the
-                // same account of how they were made.
-                let (rows, rgb) = streamed(&decoder, &jpeg, opts);
-                assert!(rgb == reference, "{ctx}: streamed bytes differ");
-                assert_eq!(account(&rows), account(&out), "{ctx}: streamed outcome");
+            for threads in [1, 2, 4] {
+                let decoder = session_with(&platform, threads);
+                let modes: Vec<Mode> = match threads {
+                    4 => Mode::all().into_iter().chain([Mode::Auto]).collect(),
+                    _ => gpu_plans.to_vec(),
+                };
+                for mode in modes {
+                    let ctx = format!(
+                        "{name}: {} under {mode:?}, {threads} threads",
+                        platform.name
+                    );
+                    let opts = DecodeOptions::with_mode(mode);
+                    let out =
+                        (decoder.decode(&jpeg, opts)).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                    assert!(out.image.data == reference, "{ctx} differs from reference");
+                    // The same decode as a row stream: the same pixels, and
+                    // the same account of how they were made.
+                    let (rows, rgb) = streamed(&decoder, &jpeg, opts);
+                    assert!(rgb == reference, "{ctx}: streamed bytes differ");
+                    assert_eq!(account(&rows), account(&out), "{ctx}: streamed outcome");
+                }
             }
         }
     }

@@ -98,7 +98,7 @@ proptest! {
         let model = platform.untrained_model();
         let p = sps::partition(&model, &geom, 0.2);
         prop_assert_eq!(p.cpu_mcu_rows + p.gpu_mcu_rows, geom.mcus_y);
-        let q = pps::initial_partition(&model, &geom, 0.2, (geom.mcu_h * 8) as f64);
+        let q = pps::initial_partition(&model, &geom, 0.2, (geom.mcu_h * 8) as f64, None);
         prop_assert_eq!(q.cpu_mcu_rows + q.gpu_mcu_rows, geom.mcus_y);
     }
 
@@ -119,7 +119,7 @@ proptest! {
         let geom = Geometry::new(w, h, sub).expect("geometry");
         let model = if trained_model { trained().clone() } else { Platform::gtx560().untrained_model() };
         let chunk_px = (chunk_mcu_rows * geom.mcu_h) as f64;
-        let part = pps::initial_partition(&model, &geom, d, chunk_px);
+        let part = pps::initial_partition(&model, &geom, d, chunk_px, None);
         let huff = model.huff_time((w * h) as f64, d);
         prop_assert!(part.predicted_cpu >= huff, "CPU side {} < THuff {}", part.predicted_cpu, huff);
         let gpu_px = h.min(part.gpu_mcu_rows * geom.mcu_h);
@@ -127,6 +127,43 @@ proptest! {
         prop_assert!(
             part.predicted_gpu >= gpu_huff,
             "GPU side {} < THuff of its {} rows {}", part.predicted_gpu, gpu_px, gpu_huff
+        );
+    }
+
+    /// Fed by entropy workers, Eq. 15's floors are the feed's release of
+    /// the rows each side needs — every row for the CPU's band, the GPU's
+    /// own rows for the device — and a release is never faster than
+    /// `THuff / threads`.
+    #[test]
+    fn fed_eq15_sides_cover_their_release(
+        w in 16usize..2048,
+        h in 16usize..2048,
+        d in 0.01f64..1.0,
+        chunk_mcu_rows in 1usize..40,
+        chunks in 1usize..64,
+        threads in 2usize..8,
+        speculative in any::<bool>(),
+        sub in subsampling_strategy(),
+        trained_model in any::<bool>(),
+    ) {
+        let geom = Geometry::new(w, h, sub).expect("geometry");
+        let model = if trained_model { trained().clone() } else { Platform::gtx560().untrained_model() };
+        let chunk_px = (chunk_mcu_rows * geom.mcu_h) as f64;
+        let mcus = (geom.mcus_x * geom.mcus_y) as f64;
+        let release = pps::Release::new(
+            &model, w as f64, h as f64, d, mcus, threads, chunks, speculative);
+        let part = pps::initial_partition(&model, &geom, d, chunk_px, Some(&release));
+        let all = release.at(h as f64);
+        let huff = model.huff_time((w * h) as f64, d);
+        prop_assert!(all >= huff / threads as f64, "release {} < THuff/{} of {}", all, threads, huff);
+        prop_assert!(part.predicted_cpu >= all, "CPU side {} < release {}", part.predicted_cpu, all);
+        let gpu_px = h.min(part.gpu_mcu_rows * geom.mcu_h);
+        let fed = release.at(gpu_px as f64);
+        let gpu_huff = model.huff_time((w * gpu_px) as f64, d);
+        prop_assert!(fed >= gpu_huff / threads as f64, "release {} of {} rows", fed, gpu_px);
+        prop_assert!(
+            part.predicted_gpu >= fed,
+            "GPU side {} < release of its {} rows {}", part.predicted_gpu, gpu_px, fed
         );
     }
 
@@ -149,9 +186,17 @@ proptest! {
         let model = PerformanceModel { chunk_mcu_rows, ..base };
         let d = prep.parsed.entropy_density();
         let huff = model.huff_time((w * h) as f64, d);
-        for p in predict_all(&prep, &platform, &model, 4) {
-            if matches!(p.mode, Mode::Pps | Mode::PipelinedGpu) {
-                prop_assert!(p.seconds >= huff, "{:?} {} < THuff {}", p.mode, p.seconds, huff);
+        // One thread decodes Huffman on the loop's own thread; four feed
+        // it, and no release is faster than `THuff / threads`.
+        for threads in [1, 4] {
+            let floor = huff / threads as f64;
+            for p in predict_all(&prep, &platform, &model, threads) {
+                if matches!(p.mode, Mode::Pps | Mode::PipelinedGpu) {
+                    prop_assert!(
+                        p.seconds >= floor,
+                        "{:?} at {} threads: {} < THuff/{} {}", p.mode, threads, p.seconds, threads, floor
+                    );
+                }
             }
         }
     }
