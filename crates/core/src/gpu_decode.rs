@@ -510,16 +510,18 @@ mod tests {
     /// Launch-level differential: one long-lived context per transfer
     /// layout, its workers and buffers reused over every subsampling ×
     /// work-group size × odd shape (big and small regions alternating, so
-    /// each decode runs on what a different one left behind), must report
-    /// exactly what a fresh single-threaded device reports per region —
-    /// statistics, kernel times, byte counts and pixels.
+    /// each decode runs on what a different one left behind) at 1, 2 and 3
+    /// host threads, must report exactly what a fresh single-threaded
+    /// device reports per region — statistics, kernel times, byte counts
+    /// and pixels. The largest shape's launches are wide enough to bring
+    /// in helper workers.
     #[test]
     fn reused_parallel_device_matches_fresh_serial_device_across_matrix() {
         let platform = Platform::gtx680();
         let modes = [TransferMode::Dense, TransferMode::Compacted];
         let mut reused = modes.map(|mode| GpuContext::new(&platform, mode));
         for sub in [Subsampling::S444, Subsampling::S422, Subsampling::S420] {
-            for (w, h) in [(131usize, 77usize), (35, 19), (61, 113)] {
+            for (w, h) in [(131usize, 77usize), (35, 19), (61, 113), (199, 161)] {
                 let jpeg = jpeg_of(w, h, sub);
                 let prep = Prepared::new(&jpeg).unwrap();
                 let (coef, _) = prep.entropy_decode_all().unwrap();
@@ -547,20 +549,23 @@ mod tests {
                                     &mut want_rgb,
                                 )
                                 .unwrap();
-                            got_rgb.fill(0xA5);
-                            let got = ctx
-                                .decode_region(
-                                    &prep,
-                                    &coef,
-                                    r0,
-                                    r1,
-                                    wg,
-                                    KernelPlan::Merged,
-                                    &mut got_rgb,
-                                )
-                                .unwrap();
-                            assert_eq!(got, want, "{label}");
-                            assert_eq!(got_rgb, want_rgb, "{label}");
+                            for threads in 1..=3 {
+                                ctx.set_host_threads(threads);
+                                got_rgb.fill(0xA5);
+                                let got = ctx
+                                    .decode_region(
+                                        &prep,
+                                        &coef,
+                                        r0,
+                                        r1,
+                                        wg,
+                                        KernelPlan::Merged,
+                                        &mut got_rgb,
+                                    )
+                                    .unwrap();
+                                assert_eq!(got, want, "{label} at {threads} host threads");
+                                assert_eq!(got_rgb, want_rgb, "{label} at {threads} host threads");
+                            }
                         }
                     }
                 }

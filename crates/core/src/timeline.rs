@@ -10,7 +10,10 @@
 pub enum Resource {
     /// The (single-threaded) host CPU.
     Cpu,
-    /// The GPU engine (transfers + kernels; in-order, single engine).
+    /// The GPU's one in-order command queue: transfers and kernels run one
+    /// after another. That is the paper's single-queue schedule, a
+    /// modelling choice — a GTX 560 Ti's copy engine could overlap a kernel
+    /// with a transfer in one direction.
     Gpu,
 }
 

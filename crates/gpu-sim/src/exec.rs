@@ -1,4 +1,9 @@
 //! The device executor: buffers + parallel work-group dispatch.
+//!
+//! A launch runs its groups on the calling thread and on scoped helper
+//! threads spawned for that launch alone, one per 4096 work-items beyond
+//! the calling thread's share: a spawn and join cost more than a small
+//! launch's groups, so small launches stay on the calling thread.
 
 use crate::device::DeviceSpec;
 use crate::kernel::{GroupCtx, GroupState, Kernel};
@@ -7,6 +12,11 @@ use crate::memory::Buffer;
 use crate::stats::LaunchStats;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+/// Work-items a launch must hold per host worker beyond the calling
+/// thread before it spawns that worker: a spawn and join cost 130–170 µs
+/// on a shared 2-vCPU host, about what a few thousand metered items take.
+const ITEMS_PER_HELPER: usize = 4096;
+
 /// Handle to a device buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BufId(pub usize);
@@ -14,15 +24,17 @@ pub struct BufId(pub usize);
 /// A simulated GPU: a device spec plus its global-memory buffers.
 ///
 /// Work-groups of a launch are handed out by an atomic counter to the
-/// calling thread and to scoped helper threads, one worker per host thread
-/// (never more than there are groups); the **simulated** time is computed
-/// from the merged [`LaunchStats`] by [`crate::TimingModel`], so host
-/// parallelism affects only wall-clock, never results.
+/// calling thread and to scoped helper threads (see [`Self::host_threads`]);
+/// the **simulated** time is computed from the merged [`LaunchStats`] by
+/// [`crate::TimingModel`], so host parallelism affects only wall-clock,
+/// never results.
 pub struct GpuSim {
     /// The simulated device.
     pub device: DeviceSpec,
     buffers: Vec<Buffer>,
-    /// Most host workers a launch may use, the calling thread included.
+    /// Most host workers a launch may use, the calling thread included. A
+    /// launch uses one worker more than it has whole multiples of 4096
+    /// work-items, up to this cap and never more than it has groups.
     pub host_threads: usize,
     /// The workers' bookkeeping, kept between launches so its tables are
     /// grown once per device rather than once per work-group.
@@ -89,7 +101,14 @@ impl GpuSim {
     /// launch retires. Taking `&mut self` keeps host-side buffer views from
     /// overlapping a launch.
     pub fn launch(&mut self, kernel: &dyn Kernel, num_groups: usize) -> LaunchStats {
-        let threads = self.host_threads.min(num_groups).max(1);
+        // A helper thread is spawned for this launch alone, so each must
+        // have enough work-items to pay for its spawn and join.
+        let affordable = num_groups.saturating_mul(kernel.items_per_group()) / ITEMS_PER_HELPER;
+        let threads = self
+            .host_threads
+            .min(affordable.saturating_add(1))
+            .min(num_groups)
+            .max(1);
         let mut states = std::mem::take(&mut self.workers);
         states.resize_with(states.len().max(threads), GroupState::default);
         let idle = states.split_off(threads);
@@ -166,10 +185,12 @@ mod tests {
 
     #[test]
     fn parallel_and_serial_execution_agree() {
-        let groups = 37usize;
+        // Enough work-items for three workers.
+        let groups = 203usize;
         let len = groups * 64;
 
         let mut par = GpuSim::new(DeviceSpec::gtx680());
+        par.host_threads = 3;
         let dst = par.create_buffer(len);
         let stats_par = par.launch(&FillKernel { dst }, groups);
 

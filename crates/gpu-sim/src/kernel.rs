@@ -9,6 +9,8 @@
 //!
 //! All global/local accesses and arithmetic go through [`ItemCtx`] so the
 //! executor can meter coalescing, bank conflicts, divergence and compute.
+//! A phase runs its items warp by warp; each warp's accounting is folded
+//! when its last lane retires, so the trackers only ever hold one warp.
 
 use crate::memory::{Buffer, GmemTracker, LocalMem};
 use crate::stats::LaunchStats;
@@ -33,27 +35,47 @@ pub trait Kernel: Sync {
     fn run_group(&self, ctx: &mut GroupCtx<'_>);
 }
 
-/// Divergence bits of one (issue slot, warp): has any lane taken / not
-/// taken the branch?
+/// Divergence bits of one issue slot of the running warp: has any lane
+/// taken / not taken the branch?
 const TAKEN: u8 = 1;
 const NOT_TAKEN: u8 = 2;
 
 /// The host-side bookkeeping of one executor worker: local memory, the
 /// coalescing / conflict / divergence trackers and the counters they fold
 /// into. It outlives launches — the device keeps one per worker — so its
-/// tables grow to the largest kernel seen and are then only reset.
+/// tables grow to the largest warp seen and are then only reset.
+///
+/// The trackers hold one warp at a time: a phase runs its items warp by
+/// warp, and each warp's entries are folded into the counters when its
+/// last lane retires.
 #[derive(Debug, Default)]
 pub(crate) struct GroupState {
     local: LocalMem,
     gmem: GmemTracker,
-    warps: usize,
-    /// `[seq][warp]` divergence bits of the current phase.
+    /// Divergence bits of the running warp, by issue slot.
     branch_slots: Vec<u8>,
-    /// `branch_slots[..branch_seqs * warps]` may be non-zero.
+    /// `branch_slots[..branch_seqs]` may be non-zero.
     branch_seqs: usize,
     stats: LaunchStats,
     /// Byte ranges the current group touched (recorded in debug builds).
     log: crate::memory::audit::GroupLog,
+}
+
+impl GroupState {
+    /// Fold the running warp's trackers into the counters and empty them.
+    fn retire_warp(&mut self) {
+        let (r, w) = self.gmem.retire_warp();
+        self.stats.gmem_read_transactions += r;
+        self.stats.gmem_write_transactions += w;
+        for s in self.branch_slots[..self.branch_seqs].iter_mut() {
+            if *s == TAKEN | NOT_TAKEN {
+                self.stats.divergent_branches += 1;
+            }
+            *s = 0;
+        }
+        self.branch_seqs = 0;
+        self.local.retire_warp();
+    }
 }
 
 /// Per-group execution context. One is built per worker per launch and
@@ -75,15 +97,12 @@ impl<'a> GroupCtx<'a> {
         warp_size: usize,
         buffers: &'a [Buffer],
     ) -> Self {
-        let items = kernel.items_per_group();
-        let warps = items.div_ceil(warp_size).max(1);
-        st.warps = warps;
-        st.local.configure(kernel.local_bytes(), warps, warp_size);
-        st.gmem.configure(warps, warp_size);
+        st.local.configure(kernel.local_bytes(), warp_size);
+        st.gmem.configure(warp_size);
         st.stats = LaunchStats::default();
         GroupCtx {
             group_id: 0,
-            items,
+            items: kernel.items_per_group(),
             warp_size,
             buffers,
             st,
@@ -91,7 +110,7 @@ impl<'a> GroupCtx<'a> {
     }
 
     /// Start work-group `group_id`: local memory reads as zero again, the
-    /// trackers are empty (every phase ends drained), and the counters keep
+    /// trackers are empty (every warp ends drained), and the counters keep
     /// summing over the groups this worker runs.
     pub(crate) fn reset(&mut self, group_id: usize) {
         self.group_id = group_id;
@@ -101,44 +120,51 @@ impl<'a> GroupCtx<'a> {
     }
 
     /// Number of work-items in this group.
-    #[inline]
+    #[inline(always)]
     pub fn items(&self) -> usize {
         self.items
     }
 
-    /// Run one lockstep phase over all work-items, then retire the phase's
-    /// coalescing / conflict / divergence accounting (the implicit barrier).
+    /// Run one lockstep phase over all work-items, warp by warp, retiring
+    /// each warp's coalescing / conflict / divergence accounting when its
+    /// last lane is done; the phase's end is the implicit barrier.
     pub fn phase<F: FnMut(&mut ItemCtx<'_, 'a>)>(&mut self, mut f: F) {
         let mut ops = 0u64;
-        for item in 0..self.items {
-            let warp = item / self.warp_size;
-            let mut ictx = ItemCtx {
-                grp: self,
-                item,
-                warp,
-                seq: 0,
-                ops: 0,
-            };
-            f(&mut ictx);
-            ops += ictx.ops;
+        let mut first = 0;
+        while first < self.items {
+            let end = (first + self.warp_size).min(self.items);
+            for item in first..end {
+                let (lpos, wpos) = (self.st.local.logged(), self.st.gmem.logged());
+                let mut ictx = ItemCtx {
+                    grp: self,
+                    item,
+                    seq: 0,
+                    ops: 0,
+                    lpos,
+                    wpos,
+                    branch_seqs: 0,
+                };
+                f(&mut ictx);
+                let ItemCtx {
+                    seq,
+                    ops: charged,
+                    lpos,
+                    wpos,
+                    branch_seqs,
+                    ..
+                } = ictx;
+                // Every issued operation costs one op on top of the charges.
+                ops += charged + seq as u64;
+                // The trackers keep slots as `u32`.
+                assert!(seq <= u32::MAX as usize + 1, "too many operations");
+                self.st.local.end_lane(lpos);
+                self.st.gmem.end_lane(wpos);
+                self.st.branch_seqs = self.st.branch_seqs.max(branch_seqs);
+            }
+            self.st.retire_warp();
+            first = end;
         }
         self.st.stats.compute_ops += ops;
-        self.finish_phase();
-    }
-
-    fn finish_phase(&mut self) {
-        let st = &mut self.st;
-        let (r, w) = st.gmem.finish_phase();
-        st.stats.gmem_read_transactions += r;
-        st.stats.gmem_write_transactions += w;
-        for s in st.branch_slots[..st.branch_seqs * st.warps].iter_mut() {
-            if *s == TAKEN | NOT_TAKEN {
-                st.stats.divergent_branches += 1;
-            }
-            *s = 0;
-        }
-        st.branch_seqs = 0;
-        st.local.finish_phase();
     }
 
     /// The statistics of every group run since [`Self::new`], and the
@@ -162,81 +188,93 @@ impl<'a> GroupCtx<'a> {
 pub struct ItemCtx<'g, 'a> {
     grp: &'g mut GroupCtx<'a>,
     item: usize,
-    /// `item / warp_size`, computed once per item.
-    warp: usize,
+    /// Operations issued so far: the next one's lockstep slot.
     seq: usize,
+    /// Scalar ops charged through [`Self::charge`].
     ops: u64,
+    /// The lane's write cursors into the local-memory and store logs.
+    lpos: usize,
+    wpos: usize,
+    /// One past the slot of the lane's latest branch.
+    branch_seqs: usize,
 }
 
 impl<'g, 'a> ItemCtx<'g, 'a> {
     /// Local work-item id within the group.
-    #[inline]
+    #[inline(always)]
     pub fn id(&self) -> usize {
         self.item
     }
 
     /// Group id in the NDRange.
-    #[inline]
+    #[inline(always)]
     pub fn group_id(&self) -> usize {
         self.grp.group_id
     }
 
     /// Global work-item id.
-    #[inline]
+    #[inline(always)]
     pub fn global_id(&self) -> usize {
         self.grp.group_id * self.grp.items + self.item
     }
 
     /// Charge `n` scalar compute operations.
-    #[inline]
+    #[inline(always)]
     pub fn charge(&mut self, n: u64) {
         self.ops += n;
     }
 
     /// Issue the item's next operation: its lockstep slot.
-    #[inline]
+    #[inline(always)]
     fn issue(&mut self) -> usize {
         let seq = self.seq;
         self.seq += 1;
-        self.ops += 1;
         seq
+    }
+
+    /// [`Self::issue`] as the trackers store slots.
+    #[inline(always)]
+    fn issue_slot(&mut self) -> u32 {
+        self.issue() as u32
     }
 
     /// Record a potentially divergent branch; returns `taken` unchanged so
     /// it can wrap a condition inline.
-    #[inline]
+    #[inline(always)]
     pub fn branch(&mut self, taken: bool) -> bool {
         let seq = self.issue();
-        let st = &mut self.grp.st;
-        if seq >= st.branch_seqs {
-            st.branch_seqs = seq + 1;
-            if st.branch_slots.len() < st.branch_seqs * st.warps {
-                st.branch_slots.resize(st.branch_seqs * st.warps, 0);
-            }
+        let slots = &mut self.grp.st.branch_slots;
+        if seq >= slots.len() {
+            slots.resize(seq + 1, 0);
         }
-        st.branch_slots[seq * st.warps + self.warp] |= if taken { TAKEN } else { NOT_TAKEN };
+        slots[seq] |= if taken { TAKEN } else { NOT_TAKEN };
+        self.branch_seqs = seq + 1;
         taken
     }
 
-    #[inline]
+    #[inline(always)]
     fn record_gmem(&mut self, buf: usize, addr: usize, len: usize, write: bool) {
-        let seq = self.issue();
+        let seq = self.issue_slot();
         let st = &mut self.grp.st;
-        st.gmem.record(self.warp, seq, buf, addr, len, write);
+        if write {
+            st.gmem.write(&mut self.wpos, seq, buf, addr, len);
+        } else {
+            st.gmem.read(buf, addr, len);
+        }
         if cfg!(debug_assertions) {
             st.log.record(buf, addr, len, write);
         }
     }
 
     /// Global load: one `i16` at byte address `addr`.
-    #[inline]
+    #[inline(always)]
     pub fn gload_i16(&mut self, buf: crate::BufId, addr: usize) -> i16 {
         self.record_gmem(buf.0, addr, 2, false);
         i16::from_le_bytes(self.grp.buffers[buf.0].load::<2>(addr))
     }
 
     /// Global load: one byte.
-    #[inline]
+    #[inline(always)]
     pub fn gload_u8(&mut self, buf: crate::BufId, addr: usize) -> u8 {
         self.record_gmem(buf.0, addr, 1, false);
         self.grp.buffers[buf.0].load::<1>(addr)[0]
@@ -245,7 +283,7 @@ impl<'g, 'a> ItemCtx<'g, 'a> {
     /// Global load: one little-endian `u32` word — the offset-table reads
     /// of the compacted coefficient layout (one per block, broadcast across
     /// the block's items, so warps coalesce them like any other word load).
-    #[inline]
+    #[inline(always)]
     pub fn gload_u32(&mut self, buf: crate::BufId, addr: usize) -> u32 {
         self.record_gmem(buf.0, addr, 4, false);
         u32::from_le_bytes(self.grp.buffers[buf.0].load::<4>(addr))
@@ -253,14 +291,14 @@ impl<'g, 'a> ItemCtx<'g, 'a> {
 
     /// Global vectorized load of 8 bytes (`uchar8`) — the wide loads the
     /// paper's kernels use for row segments.
-    #[inline]
+    #[inline(always)]
     pub fn gload_vec8(&mut self, buf: crate::BufId, addr: usize) -> [u8; 8] {
         self.record_gmem(buf.0, addr, 8, false);
         self.grp.buffers[buf.0].load::<8>(addr)
     }
 
     /// Global store of `N` bytes.
-    #[inline]
+    #[inline(always)]
     fn gstore<const N: usize>(&mut self, buf: crate::BufId, addr: usize, v: [u8; N]) {
         self.record_gmem(buf.0, addr, N, true);
         // SAFETY: the kernel discipline (see [`Kernel`]) keeps every other
@@ -270,62 +308,62 @@ impl<'g, 'a> ItemCtx<'g, 'a> {
     }
 
     /// Global store: one byte (uncoalesced-friendly scalar store).
-    #[inline]
+    #[inline(always)]
     pub fn gstore_u8(&mut self, buf: crate::BufId, addr: usize, v: u8) {
         self.gstore(buf, addr, [v]);
     }
 
     /// Global vectorized store of 4 bytes (`uchar4` in OpenCL terms) — the
     /// paper's Fig. 4 vectorization unit.
-    #[inline]
+    #[inline(always)]
     pub fn gstore_vec4(&mut self, buf: crate::BufId, addr: usize, v: [u8; 4]) {
         self.gstore(buf, addr, v);
     }
 
     /// Global vectorized store of 8 bytes (`uchar8`).
-    #[inline]
+    #[inline(always)]
     pub fn gstore_vec8(&mut self, buf: crate::BufId, addr: usize, v: [u8; 8]) {
         self.gstore(buf, addr, v);
     }
 
     /// Global vectorized store of 16 bytes (`uchar16`).
-    #[inline]
+    #[inline(always)]
     pub fn gstore_vec16(&mut self, buf: crate::BufId, addr: usize, v: [u8; 16]) {
         self.gstore(buf, addr, v);
     }
 
     /// Global store of one `i16`.
-    #[inline]
+    #[inline(always)]
     pub fn gstore_i16(&mut self, buf: crate::BufId, addr: usize, v: i16) {
         self.gstore(buf, addr, v.to_le_bytes());
     }
 
     /// Local-memory load of an `i64` word (byte address).
-    #[inline]
+    #[inline(always)]
     pub fn lload_i64(&mut self, addr: usize) -> i64 {
-        let seq = self.issue();
-        self.grp.st.local.load_i64(self.warp, seq, addr)
+        let seq = self.issue_slot();
+        self.grp.st.local.load_i64(&mut self.lpos, seq, addr)
     }
 
     /// Local-memory store of an `i64` word.
-    #[inline]
+    #[inline(always)]
     pub fn lstore_i64(&mut self, addr: usize, v: i64) {
-        let seq = self.issue();
-        self.grp.st.local.store_i64(self.warp, seq, addr, v);
+        let seq = self.issue_slot();
+        self.grp.st.local.store_i64(&mut self.lpos, seq, addr, v);
     }
 
     /// Local-memory load of an `i32` word.
-    #[inline]
+    #[inline(always)]
     pub fn lload_i32(&mut self, addr: usize) -> i32 {
-        let seq = self.issue();
-        self.grp.st.local.load_i32(self.warp, seq, addr)
+        let seq = self.issue_slot();
+        self.grp.st.local.load_i32(&mut self.lpos, seq, addr)
     }
 
     /// Local-memory store of an `i32` word.
-    #[inline]
+    #[inline(always)]
     pub fn lstore_i32(&mut self, addr: usize, v: i32) {
-        let seq = self.issue();
-        self.grp.st.local.store_i32(self.warp, seq, addr, v);
+        let seq = self.issue_slot();
+        self.grp.st.local.store_i32(&mut self.lpos, seq, addr, v);
     }
 }
 

@@ -3,10 +3,14 @@
 //! "All OpenCL commands are executed asynchronously. Hence, the CPU can
 //! resume Huffman decoding immediately for the second chunk" (paper §4.5).
 //! The scheduler enqueues work with a *host-side ready time*; the queue
-//! serializes commands on the device timeline (in-order queue, single
-//! engine — Fermi-class GPUs had one copy engine, so transfers and kernels
-//! serialize) and reports per-command [`Event`] timestamps, the equivalent
-//! of the OpenCL event profiler the paper uses for measurements (§5.1).
+//! serializes commands on the device timeline and reports per-command
+//! [`Event`] timestamps, the equivalent of the OpenCL event profiler the
+//! paper uses for measurements (§5.1).
+//!
+//! Serializing transfers with kernels is the paper's schedule — one
+//! in-order queue — and a modelling choice, not a limit of the hardware: a
+//! consumer Fermi such as the GTX 560 Ti (GF114) has one copy engine, which
+//! can overlap a running kernel with a transfer in one direction at a time.
 
 /// Timestamped execution record of one enqueued command.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -1,8 +1,9 @@
-//! The allocation-heavy accounting the fixed-shape trackers replaced, kept
-//! as the oracle for them: the per-warp `WarpTracker`, the per-slot
-//! `LocalMem` bank fold and the group bookkeeping exactly as they stood
-//! before, plus a property test that drives both implementations with the
-//! same seeded random access traces and demands equal [`LaunchStats`].
+//! The allocation-heavy accounting the trackers replaced, kept as the
+//! oracle for them and for their memos: the per-warp `WarpTracker`, the
+//! per-slot `LocalMem` bank fold and the group bookkeeping exactly as they
+//! stood before, plus property tests that drive both implementations with
+//! the same seeded random and kernel-shaped access traces and demand equal
+//! [`LaunchStats`].
 
 use crate::device::DeviceSpec;
 use crate::kernel::{GroupCtx, ItemCtx, Kernel};
@@ -353,21 +354,119 @@ fn random_trace(rng: &mut Rng, groups: usize, items: usize) -> Trace {
         .collect()
 }
 
+/// Local bytes and per-group store bytes of [`shaped_trace`].
+const SHAPED_LOCAL_BYTES: usize = 12 * 1024;
+const SHAPED_GROUP_BYTES: usize = 2304;
+
+/// A trace shaped like the IDCT-family kernels, over `groups` groups of
+/// `items` items in blocks of eight lanes. Phase 1: each block draws a
+/// class `k` (1, 2, 4 or 8); its lanes below column `k` issue `k` loads
+/// before their eight local stores, so lanes' sequence numbers drift apart
+/// by class, and blocks past `live` (in the last group) stop after their
+/// first branch; the local row stride is drawn per launch. Phase 2:
+/// lockstep local loads of a row, then either one 8-byte row store or six
+/// 4-byte stores along a 200-byte "image row", with odd rows sometimes
+/// issuing an extra branch first. Every group runs
+/// the same pattern translated: its local words by a group offset, its
+/// stores by a group base at a group-drawn alignment within 128 bytes.
+fn shaped_trace(rng: &mut Rng, groups: usize, items: usize) -> Trace {
+    let blocks = items.div_ceil(8);
+    let six_stores = rng.below(2) == 0;
+    let drift_stores = rng.below(2) == 0;
+    // The local row stride: drifting lanes mix rows in one slot, so it
+    // changes the conflicts while every lane's offset from lane 0 stays.
+    let row_words = rng.pick(&[16usize, 18, 34]);
+    (0..groups)
+        .map(|g| {
+            let ks: Vec<usize> = (0..blocks).map(|_| rng.pick(&[1usize, 2, 4, 8])).collect();
+            let live = if g + 1 == groups {
+                1 + rng.below(blocks)
+            } else {
+                blocks
+            };
+            // Even, so the 8-byte local accesses stay aligned.
+            let lbase = 2 * rng.below(32);
+            let store_base = SHARED_BYTES + g * SHAPED_GROUP_BYTES + rng.below(128);
+            let word = |lb: usize, r: usize, c: usize| lbase + lb * 130 + r * row_words + c * 2;
+            let column = (0..items)
+                .map(|i| {
+                    let (lb, col) = (i / 8, i % 8);
+                    let mut ops = vec![Op::Branch(lb < live)];
+                    if lb >= live {
+                        return ops;
+                    }
+                    let k = ks[lb];
+                    ops.push(Op::Branch(col < k));
+                    if col < k {
+                        for r in 0..k {
+                            ops.push(Op::GLoad(0, (lb * 64 + r * k + col) * 2 % SHARED_BYTES, 2));
+                        }
+                    }
+                    ops.push(Op::Charge(3));
+                    for r in 0..8 {
+                        ops.push(Op::Local(word(lb, r, col) * 4, 8, true));
+                    }
+                    ops
+                })
+                .collect();
+            let row = (0..items)
+                .map(|i| {
+                    let (lb, row) = (i / 8, i % 8);
+                    let mut ops = vec![Op::Branch(lb < live)];
+                    if lb >= live {
+                        return ops;
+                    }
+                    ops.push(Op::GLoad(1, lb, 1));
+                    for c in 0..8 {
+                        ops.push(Op::Local(word(lb, row, c) * 4, 8, false));
+                    }
+                    if drift_stores && row % 2 == 1 {
+                        ops.push(Op::Branch(ks[lb] > 2));
+                    }
+                    if six_stores {
+                        let at = store_base + row * 200 + lb * 24;
+                        ops.extend((0..6).map(|v| Op::GStore(2, at + 4 * v, 4)));
+                    } else {
+                        ops.push(Op::GStore(2, store_base + (lb * 8 + row) * 8, 8));
+                    }
+                    ops
+                })
+                .collect();
+            vec![column, row]
+        })
+        .collect()
+}
+
+/// A simulator with the three trace buffers, each `own` bytes per group
+/// after the shared prefix.
+fn trace_device(groups: usize, own: usize, host_threads: usize) -> GpuSim {
+    let mut sim = GpuSim::new(DeviceSpec::gtx560ti());
+    for _ in 0..BUFFERS {
+        sim.create_buffer(SHARED_BYTES + groups * own);
+    }
+    sim.host_threads = host_threads;
+    sim
+}
+
 #[test]
 fn fixed_shape_trackers_match_the_reference_on_random_traces() {
     let mut rng = Rng(0x5EED_2014);
-    // Full warps, a partial last warp, a group smaller than a warp, and
-    // one launch wide enough to run on several host workers.
-    for (case, &(groups, items)) in [(5usize, 64usize), (7, 40), (3, 24), (4, 96), (400, 96)]
-        .iter()
-        .enumerate()
-    {
+    // Full warps, partial last warps of groups of one to five warps, a
+    // group smaller than a warp, and one launch wide enough to run on
+    // several host workers.
+    let cases = [
+        (5usize, 64usize),
+        (7, 40),
+        (3, 24),
+        (4, 96),
+        (2, 130),
+        (6, 150),
+        (400, 96),
+    ];
+    for (case, &(groups, items)) in cases.iter().enumerate() {
         for round in 0..if groups > 100 { 1 } else { 12 } {
             let trace = random_trace(&mut rng, groups, items);
-            let mut sim = GpuSim::new(DeviceSpec::gtx560ti());
-            for _ in 0..BUFFERS {
-                sim.create_buffer(SHARED_BYTES + groups * GROUP_BYTES);
-            }
+            let mut sim = trace_device(groups, GROUP_BYTES, 3);
             let kernel = TraceKernel {
                 trace: &trace,
                 items,
@@ -380,6 +479,39 @@ fn fixed_shape_trackers_match_the_reference_on_random_traces() {
             // the count cannot depend on how many workers shared it.
             sim.host_threads = 1;
             assert_eq!(sim.launch(&kernel, groups), want, "case {case} relaunch");
+        }
+    }
+}
+
+/// Kernel-shaped traces — drifting and lockstep lanes, one pattern
+/// translated across groups and alignments — over launches of 1 to 9 and
+/// 37 groups of one to five warps, each at 1, 2 and 3 host threads on one
+/// reused device: the memoised folds must agree with the reference.
+#[test]
+fn memoised_folds_match_the_reference_on_kernel_shaped_traces() {
+    let mut rng = Rng(0x5EED_0035);
+    let widths = [8usize, 32, 40, 64, 96, 120, 150, 160];
+    let mut sims: Vec<GpuSim> = (1..=3)
+        .map(|t| trace_device(37, SHAPED_GROUP_BYTES, t))
+        .collect();
+    for (n, groups) in (1..=9).chain([37]).enumerate() {
+        for round in 0..3 {
+            let items = widths[(n + round) % widths.len()];
+            let trace = shaped_trace(&mut rng, groups, items);
+            let kernel = TraceKernel {
+                trace: &trace,
+                items,
+                local_bytes: SHAPED_LOCAL_BYTES,
+            };
+            let want = reference_stats(&trace, items, 32);
+            for sim in &mut sims {
+                let got = sim.launch(&kernel, groups);
+                let threads = sim.host_threads;
+                assert_eq!(
+                    got, want,
+                    "{groups} groups of {items}, {threads} host threads"
+                );
+            }
         }
     }
 }
