@@ -11,16 +11,16 @@
 //! Huffman ns/pixel comes out linear in entropy density (Fig. 7) because
 //! denser images really do consume proportionally more bits.
 //!
-//! Calibration anchors (see EXPERIMENTS.md and `docs/PERF.md`):
+//! Calibration anchors (see `docs/PERF.md`):
 //! * Huffman ≈ 1.5–6 ns/pixel over d ∈ [0.05, 0.45] B/px (Fig. 7 on i7),
-//! * the SIMD path's per-stage speedups are **re-anchored to the PR-3
-//!   vectorized kernels** (docs/PERF.md, PR 3): the upsample and color
-//!   stages run real AVX2/SSE2 kernels (measured ≈8× and ≈4.2× over
-//!   scalar respectively), while the EOB-dispatched sparse IDCT is shared
-//!   by both paths and gains only the row-tile fusion (a few percent).
-//!   The paper's blanket "SIMD ≈ 3× on the parallel phase" assumed a
-//!   vectorized IDCT (libjpeg-turbo); our pins reflect the decoder this
-//!   repository actually ships.
+//! * the SIMD path's per-stage speedups: ≈8× on upsampling and ≈4.2× on
+//!   colour conversion over scalar, and per EOB class on dequant+IDCT
+//!   ([`CpuCostModel::simd_idct_class_speedup`]: DC-only blocks share the
+//!   scalar flat fill, the corner and dense classes run vector kernels).
+//!   These pins model the paper's machines (Table 1) as they were first
+//!   anchored, and are not re-pinned as the host's kernels get faster
+//!   (the i32-lane AVX2 IDCT is one such change): re-pinning would move
+//!   every virtual figure the reproduction reports.
 //! * On sparse corpora (q80 4:2:0) the combination of EOB dispatch and the
 //!   vector kernels lands the overall SIMD-vs-sequential speedup back at
 //!   the §1 "about 2×" (PR 3 measured ≈2.2×); on dense corpora it is

@@ -178,24 +178,6 @@ impl RegionLayout {
         self.coef_base[c] / 64
     }
 
-    /// Pack `coefbuf`'s per-block EOB sidecar for this region and upload
-    /// it into a fresh device buffer — the staging shared by the kernel
-    /// tests, benches and the inspect example (the production path reuses
-    /// `crate::gpu_decode::GpuStaging` instead of allocating per launch).
-    pub fn upload_eob_sidecar(
-        &self,
-        sim: &mut hetjpeg_gpusim::GpuSim,
-        coefbuf: &hetjpeg_jpeg::coef::CoefBuffer,
-        geom: &Geometry,
-    ) -> hetjpeg_gpusim::BufId {
-        let mut eobs = Vec::new();
-        coefbuf.pack_eobs_mcu_rows_into(geom, self.row0, self.row1, &mut eobs);
-        debug_assert_eq!(eobs.len(), self.eob_bytes());
-        let buf = sim.create_buffer(eobs.len());
-        sim.write_buffer(buf, 0, &eobs);
-        buf
-    }
-
     /// Total blocks in the region — the EOB sidecar's byte length.
     #[inline]
     pub fn eob_bytes(&self) -> usize {

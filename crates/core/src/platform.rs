@@ -2,7 +2,8 @@
 //!
 //! A [`Platform`] bundles a CPU cost model, a simulated GPU and a PCIe
 //! model. The three presets correspond to the paper's three machines; the
-//! calibration anchors are listed in `EXPERIMENTS.md`.
+//! calibration anchors are listed in the [`crate::cost`] module docs and
+//! `docs/PERF.md`.
 
 use crate::cost::CpuCostModel;
 use crate::model::PerformanceModel;

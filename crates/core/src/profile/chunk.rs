@@ -48,7 +48,7 @@ pub fn tune_chunk_rows(
             let mut trial = proto_model.clone();
             trial.chunk_mcu_rows = c;
             let plan = Plan::of(Mode::PipelinedGpu, &prep, &trial, 1);
-            let out = split::decode(&prep, platform, &trial, &plan, ws, &mut image)
+            let out = split::decode(&prep, platform, &trial, &plan, None, ws, &mut image)
                 .expect("pipelined decode");
             if out.times.total < best.0 {
                 best = (out.times.total, c);
@@ -105,7 +105,7 @@ mod tests {
             let plan = Plan::of(Mode::PipelinedGpu, &prep, &m, 1);
             let mut image = Target::whole(OutputFormat::Rgb);
             let mut ws = Workspace::default();
-            (split::decode(&prep, &platform, &m, &plan, &mut ws, &mut image))
+            (split::decode(&prep, &platform, &m, &plan, None, &mut ws, &mut image))
                 .unwrap()
                 .times
                 .total

@@ -53,19 +53,8 @@ pub fn select_mode(
     select_at(prep, Density::of(prep), platform, model, threads, false)
 }
 
-/// [`select_mode`] restricted to CPU-only modes — what planar output
-/// (which the GPU kernels cannot produce) selects among.
-pub fn select_cpu_mode(
-    prep: &Prepared<'_>,
-    platform: &Platform,
-    model: &PerformanceModel,
-    threads: usize,
-) -> AutoDecision {
-    select_at(prep, Density::of(prep), platform, model, threads, true)
-}
-
-/// [`select_mode`], or with `cpu_only` [`select_cpu_mode`], priced as if
-/// `prep`'s scan had `density`.
+/// [`select_mode`], restricted to CPU-only modes with `cpu_only` (what
+/// planar output selects among), priced as if `prep`'s scan had `density`.
 pub(crate) fn select_at(
     prep: &Prepared<'_>,
     density: Density,

@@ -398,7 +398,7 @@ mod tests {
         ws: &mut Workspace,
     ) -> DecodeOutcome {
         let model = platform.untrained_model();
-        to_rgb(|out| dispatch(prep, mode, platform, &model, threads, ws, out)).unwrap()
+        to_rgb(|out| dispatch(prep, mode, platform, &model, threads, None, ws, out)).unwrap()
     }
 
     fn simd(prep: &Prepared<'_>, platform: &Platform, ws: &mut Workspace) -> DecodeOutcome {
@@ -603,7 +603,8 @@ mod tests {
         let before = ws.spec;
         for mode in [Mode::PipelinedGpu, Mode::Pps, Mode::ParallelEntropy] {
             let plan = split::Plan::of(mode, &prep, &model, 4);
-            let got = to_rgb(|out| split::decode(&prep, &platform, &model, &plan, &mut ws, out));
+            let got =
+                to_rgb(|out| split::decode(&prep, &platform, &model, &plan, None, &mut ws, out));
             assert_eq!(got.unwrap().image.data, want.image.data, "{mode:?}");
         }
         let chunks = ws.spec.chunks - before.chunks;
@@ -632,6 +633,7 @@ mod tests {
                 &platform,
                 &model,
                 4,
+                None,
                 &mut ws,
                 out,
             )

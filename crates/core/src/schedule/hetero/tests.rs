@@ -4,7 +4,7 @@ use crate::model::PerformanceModel;
 use crate::platform::Platform;
 use crate::schedule::split::{self, Plan};
 use crate::schedule::tests::to_rgb;
-use crate::schedule::{dispatch, DecodeOutcome, Mode};
+use crate::schedule::{DecodeOutcome, Mode};
 use crate::workspace::Workspace;
 use hetjpeg_jpeg::decoder::Prepared;
 use hetjpeg_jpeg::encoder::{encode_rgb, EncodeParams};
@@ -32,12 +32,7 @@ fn jpeg_of(w: usize, h: usize, detail: u32) -> Vec<u8> {
     .unwrap()
 }
 
-fn simd(prep: &Prepared<'_>, platform: &Platform, ws: &mut Workspace) -> DecodeOutcome {
-    let model = platform.untrained_model();
-    to_rgb(|out| dispatch(prep, Mode::Simd, platform, &model, 1, ws, out)).unwrap()
-}
-
-/// `prep` decoded in the GPU-involving `mode`.
+/// `prep` decoded in `mode`.
 fn run(
     mode: Mode,
     prep: &Prepared<'_>,
@@ -46,7 +41,7 @@ fn run(
     ws: &mut Workspace,
 ) -> DecodeOutcome {
     let plan = Plan::of(mode, prep, model, 1);
-    to_rgb(|out| split::decode(prep, platform, model, &plan, ws, out)).unwrap()
+    to_rgb(|out| split::decode(prep, platform, model, &plan, None, ws, out)).unwrap()
 }
 
 /// PPS with the Eq. 16/17 re-partitioning on or off — the §5.2.2
@@ -64,7 +59,7 @@ fn pps(
         repartition,
         ..Plan::of(Mode::Pps, prep, model, 1)
     };
-    to_rgb(|out| split::decode(prep, platform, model, &plan, ws, out)).unwrap()
+    to_rgb(|out| split::decode(prep, platform, model, &plan, None, ws, out)).unwrap()
 }
 
 #[test]
@@ -74,7 +69,7 @@ fn sps_output_matches_simd_bytes() {
         let model = platform.untrained_model();
         let prep = Prepared::new(&jpeg).unwrap();
         let mut ws = Workspace::default();
-        let simd_out = simd(&prep, &platform, &mut ws);
+        let simd_out = run(Mode::Simd, &prep, &platform, &model, &mut ws);
         let sps_out = run(Mode::Sps, &prep, &platform, &model, &mut ws);
         assert_eq!(simd_out.image.data, sps_out.image.data, "{}", platform.name);
         let part = sps_out.partition.unwrap();
@@ -89,7 +84,7 @@ fn pps_output_matches_simd_bytes() {
         let model = platform.untrained_model();
         let prep = Prepared::new(&jpeg).unwrap();
         let mut ws = Workspace::default();
-        let simd_out = simd(&prep, &platform, &mut ws);
+        let simd_out = run(Mode::Simd, &prep, &platform, &model, &mut ws);
         let pps_out = pps(&prep, &platform, &model, true, &mut ws);
         assert_eq!(simd_out.image.data, pps_out.image.data, "{}", platform.name);
     }
@@ -136,7 +131,7 @@ fn hetero_beats_simd_even_on_weak_gpu() {
     let jpeg = jpeg_of(512, 512, 5);
     let prep = Prepared::new(&jpeg).unwrap();
     let mut ws = Workspace::default();
-    let simd_out = simd(&prep, &platform, &mut ws);
+    let simd_out = run(Mode::Simd, &prep, &platform, &model, &mut ws);
     let sps_out = run(Mode::Sps, &prep, &platform, &model, &mut ws);
     assert!(
         sps_out.total() < simd_out.total(),
@@ -215,7 +210,10 @@ fn pps_is_best_mode_on_fast_gpus() {
     let prep = Prepared::new(&jpeg).unwrap();
     let mut ws = Workspace::default();
     let totals: Vec<(Mode, f64)> = vec![
-        (Mode::Simd, simd(&prep, &platform, &mut ws).total()),
+        (
+            Mode::Simd,
+            run(Mode::Simd, &prep, &platform, &model, &mut ws).total(),
+        ),
         (
             Mode::Gpu,
             run(Mode::Gpu, &prep, &platform, &model, &mut ws).total(),
@@ -280,7 +278,7 @@ fn sps_with_no_row_on_the_gpu_is_the_simd_mode() {
             "{}",
             platform.name
         );
-        let simd_out = simd(&prep, &platform, &mut ws);
+        let simd_out = run(Mode::Simd, &prep, &platform, &model, &mut ws);
         assert_eq!(sps_out.image.data, simd_out.image.data, "{}", platform.name);
         assert_eq!(sps_out.times, simd_out.times, "{}", platform.name);
         assert_eq!(

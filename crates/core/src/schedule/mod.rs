@@ -9,18 +9,13 @@
 //!
 //! A decode is made of three steps, each written once and each advancing
 //! one virtual timeline: the entropy step and the CPU band (here) and the
-//! GPU chunk (`split`). `Sequential` and `Simd` fill the coefficient
-//! buffer (`Filled`) and render it as one CPU band (`render_cpu`). The
-//! four GPU-involving modes and `ParallelEntropy` are plans over one split
-//! scheduler (`split`): the GPU takes the image's initial MCU rows (none,
-//! for `ParallelEntropy`) and the CPU the rest, and the modes differ only
-//! in where that split sits and whether Huffman decoding is chunked so
-//! that it overlaps device work. With more than one session thread their
-//! entropy step is fed by the session's entropy workers
-//! (`entropy_par`). Every step writes into one
-//! output `Target` — a whole RGB image, planes, or MCU-row tiles handed
-//! to a sink in row order — so whole and streamed output are the same
-//! decode.
+//! GPU chunk (`split`). Every concrete mode is a plan over the one split
+//! loop (`split`), whose entropy step takes its rows from the sequential
+//! decoder, the session's entropy workers (`entropy_par`) or a buffer
+//! filled before the loop (`Fill`: a progressive scan script, a tolerant
+//! salvage). Every step writes into one output `Target` — a whole RGB
+//! image, planes, or MCU-row tiles handed to a sink in row order — so
+//! whole and streamed output are the same decode.
 //!
 //! The entry point is the session API ([`crate::session::Decoder`]), which
 //! owns the platform, the trained model and the pooled scratch.
@@ -32,7 +27,7 @@ pub(crate) mod split;
 use crate::model::PerformanceModel;
 use crate::partition::Partition;
 use crate::platform::Platform;
-use crate::session::{OutputFormat, RowStreamOutcome, RowTile};
+use crate::session::{DecodeOptions, OutputFormat, RowStreamOutcome, RowTile, Strictness};
 use crate::timeline::{Breakdown, Resource, Trace};
 use crate::workspace::{Workspace, WsParts};
 use hetjpeg_gpusim::CommandQueue;
@@ -42,6 +37,7 @@ use hetjpeg_jpeg::entropy::{EntropyDecoder, RestartSegment};
 use hetjpeg_jpeg::error::{Error, Result};
 use hetjpeg_jpeg::geometry::Geometry;
 use hetjpeg_jpeg::metrics::{ParallelWork, RowMetrics};
+use hetjpeg_jpeg::progressive::{self, ProgressiveParsed};
 use hetjpeg_jpeg::speculate::SpecStats;
 use hetjpeg_jpeg::types::{RgbImage, YccImage};
 use std::ops::Range;
@@ -178,32 +174,34 @@ impl DecodeOutcome {
 
 /// Route one prepared image through a concrete mode into `out`; the
 /// session resolves [`Mode::Auto`] (through its decision cache) before it
-/// gets here. All decode paths share the caller's pooled [`Workspace`].
-/// Planar output comes from the CPU render only (the simulated GPU kernels
-/// produce RGB).
+/// gets here. Every mode is a [`split::Plan`] over the one split loop, on
+/// the caller's pooled [`Workspace`]; a `fill` already in the workspace's
+/// coefficient buffer is the entropy source instead of the scan, and its
+/// plan is priced at one entropy thread. Planar output comes from the CPU
+/// band only (the simulated GPU kernels produce RGB).
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn dispatch(
     prep: &Prepared<'_>,
     mode: Mode,
     platform: &Platform,
     model: &PerformanceModel,
     threads: usize,
+    fill: Option<Fill>,
     ws: &mut Workspace,
     out: &mut Target<'_>,
 ) -> Result<DecodeOutcome> {
     match mode {
-        Mode::Sequential | Mode::Simd => {
-            ws.ensure(prep);
-            let filled = Filled::sequential(prep, platform, ws.parts().coef, false)?;
-            render_cpu(prep, platform, ws.parts(), filled, mode, out)
-        }
         Mode::Auto => unreachable!("the session resolves Auto before dispatch"),
         _ if !mode.is_cpu_only() && matches!(out, Target::Planar(_)) => Err(Error::Unsupported(
             "planar output requires a CPU mode (sequential, SIMD or par-entropy)",
         )),
         _ => {
-            let threads = entropy_par::threads_for(prep, threads);
+            let threads = match fill {
+                Some(_) => 1,
+                None => entropy_par::threads_for(prep, threads),
+            };
             let plan = split::Plan::of(mode, prep, model, threads);
-            split::decode(prep, platform, model, &plan, ws, out)
+            split::decode(prep, platform, model, &plan, fill, ws, out)
         }
     }
 }
@@ -380,43 +378,56 @@ impl Timeline {
     }
 }
 
-/// The entropy step's state for one image: where its rows come from — the
-/// session's entropy workers when there is a feed, else the paper's
-/// sequential Huffman decoder on the loop's own thread — the work metrics
-/// of every MCU row final so far (their EOB-class histograms price CPU
-/// bands) and those rows' sequential Huffman time, summed in row order.
+/// The entropy step's state for one image: where its rows come from, and
+/// the work metrics of every MCU row final so far (their EOB-class
+/// histograms price CPU bands).
 struct Entropy<'a> {
-    dec: EntropyDecoder<'a>,
-    feed: Option<Box<entropy_par::Feed<'a>>>,
+    source: Source<'a>,
     rows: Vec<RowMetrics>,
-    spent: f64,
+}
+
+/// Where the entropy step's rows come from.
+enum Source<'a> {
+    /// The scan: the paper's sequential Huffman decoder on the loop's own
+    /// thread, or, while there is a feed, the session's entropy workers,
+    /// which hand over to the decoder at damage they cannot vouch for.
+    Scan(Box<EntropyDecoder<'a>>, Option<Box<entropy_par::Feed<'a>>>),
+    /// A buffer filled before the loop: no decoder, one span.
+    Fill(Fill),
 }
 
 impl<'a> Entropy<'a> {
-    /// The entropy step of `prep`: sequential with one thread, else fed
-    /// by `threads` workers in chunks of at most `feed_rows` MCU rows.
+    /// The entropy step of `prep`'s scan: sequential with one thread, else
+    /// fed by `threads` workers in chunks of at most `feed_rows` MCU rows.
     fn new(
         prep: &'a Prepared<'a>,
         platform: &Platform,
         threads: usize,
         feed_rows: usize,
     ) -> Result<Self> {
-        let dec = prep.entropy_decoder()?;
+        let dec = Box::new(prep.entropy_decoder()?);
         let feed_mcus = feed_rows.max(1) * prep.geom.mcus_x;
         let chunks = |seg: &RestartSegment| seg.mcu_count.div_ceil(feed_mcus);
         let feed = entropy_par::Feed::new(prep, platform, threads, chunks).map(Box::new);
         Ok(Entropy {
-            dec,
-            feed,
+            source: Source::Scan(dec, feed),
             rows: Vec::with_capacity(prep.geom.mcus_y),
-            spent: 0.0,
         })
+    }
+
+    /// The entropy step over a filled buffer.
+    fn filled(fill: Fill) -> Self {
+        Entropy {
+            source: Source::Fill(fill),
+            rows: Vec::new(),
+        }
     }
 
     /// The entropy step: make the MCU rows up to `end` final in `coef` as
     /// one Huffman span on `tl`'s CPU — nothing when they are final
     /// already. Decoding sequentially, the span is the decode; fed, it is
-    /// the wait for the rows' release and the stitch.
+    /// the wait for the rows' release and the stitch; over a fill, it is
+    /// the fill's, and every row is final after it.
     fn until(
         &mut self,
         end: usize,
@@ -429,21 +440,27 @@ impl<'a> Entropy<'a> {
         }
         let start = tl.cpu_now;
         while self.rows.len() < end {
-            let m = match &mut self.feed {
-                None => {
-                    let m = self.dec.decode_mcu_row(coef)?;
+            let m = match &mut self.source {
+                Source::Scan(dec, None) => {
+                    let m = dec.decode_mcu_row(coef)?;
                     tl.cpu_now += platform.cpu.huff_time(&m);
                     m
                 }
-                Some(feed) if feed.released() > self.rows.len() => feed.row(self.rows.len()),
-                Some(feed) => {
+                Source::Scan(_, Some(feed)) if feed.released() > self.rows.len() => {
+                    feed.row(self.rows.len())
+                }
+                Source::Scan(_, Some(feed)) => {
                     if feed.advance(coef, platform, &mut tl.cpu_now, end).is_err() {
                         self.hand_over(coef)?;
                     }
                     continue;
                 }
+                Source::Fill(fill) => {
+                    tl.cpu_now += fill.span;
+                    self.rows.append(&mut fill.rows);
+                    break;
+                }
             };
-            self.spent += platform.cpu.huff_time(&m);
             self.rows.push(m);
         }
         tl.b.huffman += tl.cpu_now - start;
@@ -455,24 +472,111 @@ impl<'a> Entropy<'a> {
     /// re-decodes the rows already final — the same values — and takes
     /// over, so what follows, an error included, is exactly its.
     fn hand_over(&mut self, coef: &mut CoefBuffer) -> Result<()> {
+        let Source::Scan(dec, feed) = &mut self.source else {
+            unreachable!("only a feed hands over");
+        };
         // The decoder has not moved while the feed was the source.
-        self.feed = None;
+        *feed = None;
         for _ in 0..self.rows.len() {
-            self.dec.decode_mcu_row(coef)?;
+            dec.decode_mcu_row(coef)?;
         }
         Ok(())
     }
 
     /// True while the entropy workers are the source.
     fn is_fed(&self) -> bool {
-        self.feed.is_some()
+        matches!(self.source, Source::Scan(_, Some(_)))
     }
 
     /// Speculation counters of the feed's stitched segments.
     fn spec(&self) -> SpecStats {
-        self.feed
-            .as_ref()
-            .map_or_else(SpecStats::default, |f| f.spec)
+        match &self.source {
+            Source::Scan(_, Some(feed)) => feed.spec,
+            _ => SpecStats::default(),
+        }
+    }
+}
+
+/// A filled coefficient buffer, the entropy step's third source: every MCU
+/// row made final before the loop runs — by a progressive scan script or a
+/// tolerant salvage — with the rows' work metrics and the one serial
+/// Huffman span that filled them. A row it has no metrics for (a salvage's
+/// damaged tail, zero coefficients) is absent from the EOB histograms, so
+/// it prices as dense.
+pub(crate) struct Fill {
+    rows: Vec<RowMetrics>,
+    span: f64,
+    /// True when the buffer holds less than the whole image (salvaged rows,
+    /// a scan prefix).
+    truncated: bool,
+}
+
+impl Fill {
+    /// `rows`, the metrics of the first MCU rows of `geom`'s image, filled
+    /// in `span` seconds of serial Huffman.
+    fn new(geom: &Geometry, mut rows: Vec<RowMetrics>, span: f64, truncated: bool) -> Fill {
+        rows.resize(geom.mcus_y, RowMetrics::default());
+        Fill {
+            rows,
+            span,
+            truncated,
+        }
+    }
+
+    /// Decode `parsed`'s scan script — every scan, or the `max_scans`
+    /// prefix, stopping at damage under tolerant handling — into the
+    /// workspace's buffer, zeroed first: scans accumulate into prior
+    /// state, and a prefix leaves later bands untouched. The buffer
+    /// re-derives the EOB classes from the accumulated state. A prefix or
+    /// a tolerated truncation is partial.
+    pub(crate) fn progressive(
+        parsed: &ProgressiveParsed<'_>,
+        prep: &Prepared<'_>,
+        platform: &Platform,
+        opts: &DecodeOptions,
+        ws: &mut Workspace,
+    ) -> Result<Fill> {
+        let (max_scans, tolerant) = (opts.max_scans, opts.strictness == Strictness::Tolerant);
+        ws.ensure(prep);
+        let coef = ws.parts().coef;
+        coef.reset_for(&prep.geom);
+        let out = progressive::decode_scans(parsed, &prep.geom, coef, max_scans, tolerant)?;
+        let partial = out.truncated || max_scans.is_some_and(|m| m < parsed.scans.len());
+        ws.progressive.scans_decoded += out.scans_decoded as u64;
+        ws.progressive.refine_passes += out.refine_passes;
+        ws.progressive.partial_renders += u64::from(partial);
+        let mut total = RowMetrics::default();
+        for r in &out.rows {
+            total.add(r);
+        }
+        let span = platform.cpu.progressive_huff_time(&total, out.block_visits);
+        Ok(Fill::new(&prep.geom, out.rows, span, partial))
+    }
+
+    /// Salvage: the sequential baseline decode into `coef`, zeroed, stopped
+    /// at the damage instead of failing there. The damaged tail stays zero
+    /// coefficients, which render neutral gray.
+    pub(crate) fn salvage(
+        prep: &Prepared<'_>,
+        platform: &Platform,
+        coef: &mut CoefBuffer,
+    ) -> Result<Fill> {
+        let mut dec = prep.entropy_decoder()?;
+        let mut rows = Vec::with_capacity(prep.geom.mcus_y);
+        while rows.len() < prep.geom.mcus_y {
+            let Ok(m) = dec.decode_mcu_row(coef) else {
+                break;
+            };
+            rows.push(m);
+        }
+        let span = (rows.iter()).fold(0.0, |t, m| t + platform.cpu.huff_time(m));
+        let truncated = rows.len() < prep.geom.mcus_y;
+        Ok(Fill::new(&prep.geom, rows, span, truncated))
+    }
+
+    /// The EOB-class histogram of the whole buffer.
+    pub(crate) fn classes(&self) -> [u64; 4] {
+        eob_classes_in(&self.rows, 0, self.rows.len())
     }
 }
 
@@ -487,92 +591,6 @@ fn rgb_rows<'a>(
     let image = image.get_or_insert_with(|| RgbImage::new(geom.width, geom.height));
     let (p0, p1) = geom.mcu_rows_to_pixel_rows(r0, r1);
     &mut image.data[p0 * geom.width * 3..p1 * geom.width * 3]
-}
-
-/// The account of a filled coefficient buffer — the first of the two steps
-/// every CPU-only decode is composed of: what the entropy phase cost under
-/// the platform model, and what [`render_cpu`] prices its band from.
-/// However the buffer was filled (baseline sequential, parallel entropy,
-/// progressive scans, tolerant salvage), the render that follows is the
-/// same.
-pub(crate) struct Filled {
-    /// The entropy phase's spans; the render span is appended to them.
-    pub trace: Trace,
-    /// Virtual time at which the entropy phase ends and the render starts.
-    pub t_huff: f64,
-    /// EOB-class histogram of the blocks written — the sparse-pricing
-    /// input. Blocks missing from it price as dense.
-    pub classes: [u64; 4],
-    /// True when the buffer holds less than the whole image (salvaged
-    /// rows, a scan prefix).
-    pub truncated: bool,
-}
-
-impl Filled {
-    /// An entropy phase that ran as one serial span from time zero.
-    pub(crate) fn serial(t_huff: f64, classes: [u64; 4], truncated: bool) -> Filled {
-        let mut trace = Trace::default();
-        trace.push("huffman", Resource::Cpu, 0.0, t_huff);
-        Filled {
-            trace,
-            t_huff,
-            classes,
-            truncated,
-        }
-    }
-
-    /// Fill `coef` with the sequential baseline entropy decode. A `salvage`
-    /// fill (into a zeroed buffer) stops at the damage instead of failing:
-    /// the damaged tail stays zero coefficients, which render neutral gray,
-    /// and is absent from the histogram, so it prices as dense —
-    /// conservative for such a region.
-    pub(crate) fn sequential(
-        prep: &Prepared<'_>,
-        platform: &Platform,
-        coef: &mut CoefBuffer,
-        salvage: bool,
-    ) -> Result<Filled> {
-        let mut ent = Entropy::new(prep, platform, 1, prep.geom.mcus_y)?;
-        let res = ent.until(prep.geom.mcus_y, coef, platform, &mut Timeline::default());
-        let truncated = salvage && res.is_err();
-        if !truncated {
-            res?;
-        }
-        let classes = eob_classes_in(&ent.rows, 0, ent.rows.len());
-        Ok(Filled::serial(ent.spent, classes, truncated))
-    }
-}
-
-/// The second step of every CPU-only decode: the whole image as one CPU
-/// band on the workspace's pinned kernel level, into `out`. `mode` prices
-/// the band (`Sequential` at the scalar costs, anything else at the SIMD
-/// costs) and labels the outcome; it does not choose code.
-pub(crate) fn render_cpu(
-    prep: &Prepared<'_>,
-    platform: &Platform,
-    mut p: WsParts<'_>,
-    filled: Filled,
-    mode: Mode,
-    out: &mut Target<'_>,
-) -> Result<DecodeOutcome> {
-    let Filled {
-        trace,
-        t_huff,
-        classes,
-        truncated,
-    } = filled;
-    let mut tl = Timeline {
-        cpu_now: t_huff,
-        b: Breakdown {
-            huffman: t_huff,
-            ..Default::default()
-        },
-        trace,
-        ..Default::default()
-    };
-    let use_simd = mode != Mode::Sequential;
-    tl.cpu_band(prep, platform, &mut p, out, 0, &classes, use_simd)?;
-    Ok(tl.outcome(&prep.geom, mode, None, truncated))
 }
 
 /// EOB-class histogram of MCU rows `[start, end)` — the sparse-pricing

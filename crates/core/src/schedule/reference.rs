@@ -1,8 +1,10 @@
 //! The oracle of the split scheduler: the GPU, pipelined-GPU, SPS and PPS
 //! mode bodies and the batch staging and finish as they were before
 //! `split.rs` replaced them, changed only in their names and in reaching
-//! the device through [`gpu_on`]. `split::tests` holds the split scheduler
-//! to them bit for bit.
+//! the device through [`gpu_on`]; and the CPU modes' fill-then-render body
+//! (`Filled`, `render_cpu`) as it was before they became plans of the
+//! same loop, its band written out for a whole RGB image. `split::tests` holds the
+//! split scheduler to them bit for bit.
 //!
 //! Test code only. A change that moves a timeline on purpose deletes this
 //! file in the same change.
@@ -18,7 +20,8 @@ use hetjpeg_gpusim::CommandQueue;
 use hetjpeg_jpeg::coef::CoefBuffer;
 use hetjpeg_jpeg::decoder::{simd, Prepared};
 use hetjpeg_jpeg::error::Result;
-use hetjpeg_jpeg::metrics::ParallelWork;
+use hetjpeg_jpeg::metrics::{ParallelWork, RowMetrics};
+use hetjpeg_jpeg::progressive::{self, ProgressiveParsed};
 use hetjpeg_jpeg::types::RgbImage;
 
 fn entropy_into(
@@ -499,5 +502,99 @@ pub(crate) fn pps(
         partition: Some(part),
         mode: Mode::Pps,
         truncated: false,
+    })
+}
+
+/// `Sequential`, `Simd` and `ParallelEntropy` at one thread: the
+/// sequential fill — for a `salvage`, into a zeroed buffer and stopped at
+/// the damage — then the whole image as one CPU band.
+pub(crate) fn cpu(
+    prep: &Prepared<'_>,
+    platform: &Platform,
+    mode: Mode,
+    salvage: bool,
+    ws: &mut Workspace,
+) -> Result<DecodeOutcome> {
+    match salvage {
+        true => ws.ensure_zeroed(prep),
+        false => ws.ensure(prep),
+    }
+    let mut dec = prep.entropy_decoder()?;
+    let (mut rows, mut t_huff, mut truncated) = (Vec::new(), 0.0, false);
+    while rows.len() < prep.geom.mcus_y {
+        match dec.decode_mcu_row(ws.parts().coef) {
+            Ok(m) => {
+                t_huff += platform.cpu.huff_time(&m);
+                rows.push(m);
+            }
+            Err(_) if salvage => {
+                truncated = true;
+                break;
+            }
+            Err(e) => return Err(e),
+        }
+    }
+    let classes = eob_classes_in(&rows, 0, rows.len());
+    render_cpu(prep, platform, t_huff, classes, truncated, mode, ws)
+}
+
+/// A progressive scan script decoded in full, rendered as `mode`.
+pub(crate) fn progressive(
+    prep: &Prepared<'_>,
+    parsed: &ProgressiveParsed<'_>,
+    platform: &Platform,
+    mode: Mode,
+    ws: &mut Workspace,
+) -> Result<DecodeOutcome> {
+    ws.ensure(prep);
+    let coef = ws.parts().coef;
+    coef.reset_for(&prep.geom);
+    let out = progressive::decode_scans(parsed, &prep.geom, coef, None, false)?;
+    let mut total = RowMetrics::default();
+    for r in &out.rows {
+        total.add(r);
+    }
+    let t_huff = platform.cpu.progressive_huff_time(&total, out.block_visits);
+    let classes = eob_classes_in(&out.rows, 0, out.rows.len());
+    render_cpu(prep, platform, t_huff, classes, out.truncated, mode, ws)
+}
+
+/// A serial Huffman span of `t_huff` from time zero, then the whole image
+/// as one CPU band priced from `classes`, at the scalar costs for
+/// `Sequential`.
+fn render_cpu(
+    prep: &Prepared<'_>,
+    platform: &Platform,
+    t_huff: f64,
+    classes: [u64; 4],
+    truncated: bool,
+    mode: Mode,
+    ws: &mut Workspace,
+) -> Result<DecodeOutcome> {
+    let geom = &prep.geom;
+    let p = ws.parts();
+    let mut image = RgbImage::new(geom.width, geom.height);
+    let mut sink = simd::RgbBand::new(prep, 0, geom.mcus_y, &mut image.data)?;
+    simd::render_rows(prep, p.coef, 0, geom.mcus_y, p.scratch, &mut sink);
+    let use_simd = mode != Mode::Sequential;
+    let work = ParallelWork::for_mcu_rows(geom, 0, geom.mcus_y);
+    let t_band = platform.cpu.parallel_time_sparse(&work, &classes, use_simd);
+    let mut trace = Trace::default();
+    trace.push("huffman", Resource::Cpu, 0.0, t_huff);
+    let label = if use_simd { "cpu-simd" } else { "cpu-scalar" };
+    trace.push(label, Resource::Cpu, t_huff, t_huff + t_band);
+    Ok(DecodeOutcome {
+        image,
+        ycc: None,
+        times: Breakdown {
+            huffman: t_huff,
+            cpu_parallel: t_band,
+            total: t_huff + t_band,
+            ..Default::default()
+        },
+        trace,
+        partition: None,
+        mode,
+        truncated,
     })
 }

@@ -2,7 +2,6 @@
 //! plans, `Gpu` (Fig. 5a) and `PipelinedGpu` (Fig. 5b).
 
 use crate::platform::Platform;
-use crate::schedule::split::{self, Plan};
 use crate::schedule::tests::to_rgb;
 use crate::schedule::{dispatch, DecodeOutcome, Mode};
 use crate::workspace::Workspace;
@@ -28,17 +27,10 @@ fn jpeg_of(w: usize, h: usize) -> Vec<u8> {
     .unwrap()
 }
 
-/// `prep` decoded on the CPU only, in `mode`.
-fn cpu(mode: Mode, prep: &Prepared<'_>, platform: &Platform, ws: &mut Workspace) -> DecodeOutcome {
-    let model = platform.untrained_model();
-    to_rgb(|out| dispatch(prep, mode, platform, &model, 1, ws, out)).unwrap()
-}
-
-/// `prep` decoded in the GPU-involving `mode` on the platform's seed model.
+/// `prep` decoded in `mode` on the platform's seed model.
 fn run(mode: Mode, prep: &Prepared<'_>, platform: &Platform, ws: &mut Workspace) -> DecodeOutcome {
     let model = platform.untrained_model();
-    let plan = Plan::of(mode, prep, &model, 1);
-    to_rgb(|out| split::decode(prep, platform, &model, &plan, ws, out)).unwrap()
+    to_rgb(|out| dispatch(prep, mode, platform, &model, 1, None, ws, out)).unwrap()
 }
 
 #[test]
@@ -47,8 +39,8 @@ fn simd_is_faster_than_sequential() {
     let platform = Platform::gtx560();
     let prep = Prepared::new(&jpeg).unwrap();
     let mut ws = Workspace::default();
-    let seq = cpu(Mode::Sequential, &prep, &platform, &mut ws);
-    let simd = cpu(Mode::Simd, &prep, &platform, &mut ws);
+    let seq = run(Mode::Sequential, &prep, &platform, &mut ws);
+    let simd = run(Mode::Simd, &prep, &platform, &mut ws);
     assert_eq!(seq.image.data, simd.image.data);
     let speedup = seq.total() / simd.total();
     // §1: "twice as fast" overall.
@@ -61,7 +53,7 @@ fn gpu_outcome_matches_cpu_bytes() {
     let platform = Platform::gtx680();
     let prep = Prepared::new(&jpeg).unwrap();
     let mut ws = Workspace::default();
-    let simd = cpu(Mode::Simd, &prep, &platform, &mut ws);
+    let simd = run(Mode::Simd, &prep, &platform, &mut ws);
     let gpu = run(Mode::Gpu, &prep, &platform, &mut ws);
     assert_eq!(simd.image.data, gpu.image.data);
     // GPU breakdown contains transfers and kernels.
@@ -112,7 +104,7 @@ fn traces_have_consistent_makespan() {
     let prep = Prepared::new(&jpeg).unwrap();
     let mut ws = Workspace::default();
     for out in [
-        cpu(Mode::Simd, &prep, &platform, &mut ws),
+        run(Mode::Simd, &prep, &platform, &mut ws),
         run(Mode::Gpu, &prep, &platform, &mut ws),
         run(Mode::PipelinedGpu, &prep, &platform, &mut ws),
     ] {

@@ -1,24 +1,27 @@
-//! The split scheduler: `Gpu`, `PipelinedGpu`, `Sps`, `Pps` and
-//! `ParallelEntropy` as plans over one loop.
+//! The split scheduler: every concrete mode as a plan over one loop.
 //!
 //! The paper's GPU decoder, pipelined decoder, SPS and PPS are one
 //! two-phase schedule (Fig. 5a/5b, §4.5, §5.2.1–5.2.2): the GPU takes the
-//! image's initial MCU rows and the CPU the rest. They differ in two things
-//! only — where the split row sits, and whether Huffman decoding is chunked
-//! so that it overlaps device work — and a [`Plan`] holds just those:
+//! image's initial MCU rows and the CPU the rest; the CPU modes take none.
+//! The modes differ only in where the split row sits, whether Huffman
+//! decoding is chunked so that it overlaps device work, and how many
+//! threads decode it — and a [`Plan`] holds just those:
 //!
-//! | mode | GPU rows | Huffman chunk | re-partition |
-//! |---|---|---|---|
-//! | `Gpu` | all | none: every row first | no |
-//! | `PipelinedGpu` | all | `chunk_mcu_rows` | no |
-//! | `Sps` | Eq. 10 | none | no |
-//! | `Pps` | Eq. 15 | `chunk_mcu_rows` | before the last chunk (Eq. 16/17) |
-//! | `ParallelEntropy` | none | none | no |
+//! | mode | GPU rows | Huffman chunk | re-partition | entropy threads |
+//! |---|---|---|---|---|
+//! | `Sequential` | none | none | no | one; scalar CPU band |
+//! | `Simd` | none | none | no | one |
+//! | `Gpu` | all | none: every row first | no | session |
+//! | `PipelinedGpu` | all | `chunk_mcu_rows` | no | session |
+//! | `Sps` | Eq. 10 | none | no | session |
+//! | `Pps` | Eq. 15 | `chunk_mcu_rows` | before the last chunk (Eq. 16/17) | session |
+//! | `ParallelEntropy` | none | none | no | session |
 //!
-//! The entropy step's source is the plan's thread count: one is the
-//! paper's sequential Huffman on the loop's thread; more feed the loop
-//! from the session's entropy workers ([`super::entropy_par`]), and the
-//! plan with no GPU rows is the parallel-entropy decode.
+//! The entropy step has three sources: one thread is the paper's
+//! sequential Huffman on the loop's thread; more feed the loop from the
+//! session's entropy workers ([`super::entropy_par`]); and a filled buffer
+//! (a progressive scan script, a tolerant salvage) is charged as its one
+//! serial Huffman span at the first step, with no decoder built.
 //!
 //! [`decode`] runs a plan through the three steps of every decode: the
 //! entropy step (a chunk's rows, or every row first), the GPU chunk — its
@@ -29,7 +32,7 @@
 //! the batch's one coalesced transfer is priced.
 
 use super::{
-    entropy_par, eob_classes_in, rgb_rows, DecodeOutcome, Entropy, Mode, Target, Timeline,
+    entropy_par, eob_classes_in, rgb_rows, DecodeOutcome, Entropy, Fill, Mode, Target, Timeline,
 };
 use crate::gpu_decode::{GpuRegionResult, KernelPlan};
 use crate::model::PerformanceModel;
@@ -60,7 +63,8 @@ pub(crate) struct Plan {
     /// The split to report; its row counts become the final ones.
     pub(crate) partition: Option<Partition>,
     /// Entropy threads: one decodes sequentially on the loop's thread,
-    /// more feed the loop from that many workers.
+    /// more feed the loop from that many workers. `Sequential` and `Simd`
+    /// always decode with one.
     pub(crate) threads: usize,
     /// The height of a feed chunk in MCU rows: a `threads`-th of the image,
     /// and no more than a Huffman chunk, so that even a short image spreads
@@ -126,6 +130,11 @@ impl Plan {
         };
         match mode {
             Mode::Gpu => whole,
+            Mode::Sequential | Mode::Simd => Plan {
+                gpu_rows: 0,
+                threads: 1,
+                ..whole
+            },
             Mode::ParallelEntropy => Plan {
                 gpu_rows: 0,
                 ..whole
@@ -157,7 +166,7 @@ impl Plan {
                     ..plan
                 }
             }
-            _ => unreachable!("{mode:?} renders from a filled buffer"),
+            Mode::Auto => unreachable!("Auto is resolved to a concrete mode first"),
         }
     }
 
@@ -198,22 +207,30 @@ impl Plan {
 }
 
 /// Decode `prep` under `plan` into `out` on the workspace's pools and
-/// device. The GPU's rows go out chunk by chunk, then the CPU band, so a
-/// tile stream stays in row order; once its sink declines a tile, no
-/// further chunk ships and no band renders.
+/// device, from `fill` when the workspace's coefficient buffer already
+/// holds one, else from the scan. The GPU's rows go out chunk by chunk,
+/// then the CPU band, so a tile stream stays in row order; once its sink
+/// declines a tile, no further chunk ships and no band renders.
 pub(crate) fn decode(
     prep: &Prepared<'_>,
     platform: &Platform,
     model: &PerformanceModel,
     plan: &Plan,
+    fill: Option<Fill>,
     ws: &mut Workspace,
     out: &mut Target<'_>,
 ) -> Result<DecodeOutcome> {
     let geom = &prep.geom;
-    ws.ensure(prep);
+    let truncated = fill.as_ref().is_some_and(|f| f.truncated);
+    let mut ent = match fill {
+        Some(fill) => Entropy::filled(fill),
+        None => {
+            ws.ensure(prep);
+            Entropy::new(prep, platform, plan.threads, plan.feed_rows)?
+        }
+    };
     let mut p = ws.parts();
     let mut tl = Timeline::default();
-    let mut ent = Entropy::new(prep, platform, plan.threads, plan.feed_rows)?;
     let chunk = match plan.chunk {
         Some(rows) => rows,
         None => {
@@ -242,12 +259,13 @@ pub(crate) fn decode(
         tl.place(res.h2d_time, &res);
         row = end;
     }
-    // The CPU share: its Huffman, then the SIMD band, sparse-priced from
-    // the band's own EOB histograms.
+    // The CPU share: its Huffman, then the band, sparse-priced from the
+    // band's own EOB histograms.
     if gpu_end < geom.mcus_y && out.open() {
         ent.until(geom.mcus_y, p.coef, platform, &mut tl)?;
         let classes = eob_classes_in(&ent.rows, gpu_end, geom.mcus_y);
-        tl.cpu_band(prep, platform, &mut p, out, gpu_end, &classes, true)?;
+        let use_simd = plan.mode != Mode::Sequential;
+        tl.cpu_band(prep, platform, &mut p, out, gpu_end, &classes, use_simd)?;
     }
     let partition = plan.partition.map(|part| Partition {
         gpu_mcu_rows: gpu_end,
@@ -255,7 +273,7 @@ pub(crate) fn decode(
         ..part
     });
     p.spec.merge(&ent.spec());
-    Ok(tl.outcome(geom, plan.mode, partition, false))
+    Ok(tl.outcome(geom, plan.mode, partition, truncated))
 }
 
 /// Re-partition before the last GPU chunk (Eq. 16), once the GPU's `row`
@@ -439,8 +457,11 @@ mod tests {
     use crate::schedule::tests::to_rgb;
     use crate::session::{DecodeOptions, Decoder};
     use crate::timeline::Breakdown;
-    use hetjpeg_corpus::{generate_jpeg, generate_rgb, ImageSpec, Pattern};
+    use hetjpeg_corpus::{generate_jpeg, generate_progressive_jpeg, generate_rgb};
+    use hetjpeg_corpus::{ImageSpec, Pattern};
     use hetjpeg_jpeg::encoder::{encode_rgb, EncodeParams};
+    use hetjpeg_jpeg::markers::{self, Parsed};
+    use hetjpeg_jpeg::progressive::ScanPreset;
     use hetjpeg_jpeg::types::Subsampling;
 
     /// What an outcome says besides its pixels, every number as its bits.
@@ -491,7 +512,7 @@ mod tests {
         plan: &Plan,
         ws: &mut Workspace,
     ) -> Result<DecodeOutcome> {
-        to_rgb(|out| super::decode(prep, platform, model, plan, ws, out))
+        to_rgb(|out| super::decode(prep, platform, model, plan, None, ws, out))
     }
 
     /// `f`'s result on `ws`, with the H2D transfers and bytes it counted.
@@ -520,6 +541,7 @@ mod tests {
         ctx: &str,
     ) -> (Option<DecodeOutcome>, u64) {
         let (want, want_counts) = counted(&mut Workspace::default(), |ws| match plan.mode {
+            Mode::Sequential | Mode::Simd => reference::cpu(prep, platform, plan.mode, false, ws),
             Mode::Gpu => reference::gpu(prep, platform, model, ws),
             Mode::PipelinedGpu => reference::pipelined_gpu(prep, platform, model, ws),
             Mode::Sps => reference::sps(prep, platform, model, ws),
@@ -551,7 +573,8 @@ mod tests {
     /// Every plan of the matrix on one image, all on the shared `ws`:
     /// `PipelinedGpu` and PPS (re-partitioning on and off) at chunk
     /// heights of the default, 1 and past the image; `Sps` and PPS under
-    /// each model; `Gpu` once.
+    /// each model; `Gpu` once; `Sequential` and `Simd` once, priced for one
+    /// entropy thread and for four.
     fn assert_image(prep: &Prepared<'_>, platform: &Platform, ws: &mut Workspace, ctx: &str) {
         let mcus_y = prep.geom.mcus_y;
         for (m, model) in models(platform).into_iter().enumerate() {
@@ -573,6 +596,16 @@ mod tests {
                     chunk_mcu_rows: chunk,
                     ..model.clone()
                 };
+                if m == 0 && c == 0 {
+                    for mode in [Mode::Sequential, Mode::Simd] {
+                        for threads in [1, 4] {
+                            let plan = Plan::of(mode, prep, &model, threads);
+                            assert_eq!((plan.gpu_rows, plan.threads), (0, 1), "{ctx}");
+                            let ctx = format!("{ctx}, {mode:?} at {threads} threads");
+                            assert_parent_equal(prep, platform, &model, &plan, ws, &ctx);
+                        }
+                    }
+                }
                 for mode in [Mode::Gpu, Mode::PipelinedGpu, Mode::Sps, Mode::Pps] {
                     let reads_split = matches!(mode, Mode::Sps | Mode::Pps);
                     let reads_chunk = matches!(mode, Mode::PipelinedGpu | Mode::Pps);
@@ -621,8 +654,36 @@ mod tests {
                     let prep = Prepared::new(&jpeg).expect("parse");
                     let ctx = format!("{} {} {w}x{h}", platform.name, sub.notation());
                     assert_image(&prep, &platform, &mut ws, &ctx);
+                    let preset = ScanPreset::Standard10;
+                    let prog = generate_progressive_jpeg(&spec, 85, sub, preset).expect("encode");
+                    assert_progressive(&prog, &platform, &mut ws, &ctx);
                 }
             }
+        }
+    }
+
+    /// `Sequential` and `Simd` over the fill of `jpeg`'s progressive scan
+    /// script equal the parent's CPU body for it.
+    fn assert_progressive(jpeg: &[u8], platform: &Platform, ws: &mut Workspace, ctx: &str) {
+        let Ok(Parsed::Progressive(parsed)) = markers::parse(jpeg) else {
+            panic!("{ctx}: a progressive stream");
+        };
+        let prep = Prepared::from_progressive(&parsed).expect("frame");
+        let model = platform.untrained_model();
+        for mode in [Mode::Sequential, Mode::Simd] {
+            let opts = DecodeOptions::default();
+            let fill = Fill::progressive(&parsed, &prep, platform, &opts, ws).expect("fill");
+            let plan = Plan::of(mode, &prep, &model, 1);
+            let got =
+                to_rgb(|out| super::decode(&prep, platform, &model, &plan, Some(fill), ws, out));
+            let want =
+                reference::progressive(&prep, &parsed, platform, mode, &mut Workspace::default());
+            let (got, want) = (got.expect("decode"), want.expect("oracle"));
+            assert!(
+                got.image.data == want.image.data,
+                "{ctx}, progressive {mode:?}: pixels"
+            );
+            assert_eq!(exact(&got), exact(&want), "{ctx}, progressive {mode:?}");
         }
     }
 
@@ -747,6 +808,24 @@ mod tests {
                 }
                 assert_fed_fail_alike(&prep, &platform, &model, &plan, &ctx);
             }
+        }
+        // Salvaged, the cut is a fill: a plan with no GPU rows over it
+        // equals the parent's salvage.
+        let model = platform.untrained_model();
+        for mode in [Mode::Sequential, Mode::Simd, Mode::ParallelEntropy] {
+            ws.ensure_zeroed(&prep);
+            let fill = Fill::salvage(&prep, &platform, ws.parts().coef).expect("salvage");
+            let plan = Plan::of(mode, &prep, &model, 1);
+            let got = to_rgb(|out| {
+                super::decode(&prep, &platform, &model, &plan, Some(fill), &mut ws, out)
+            });
+            let want = reference::cpu(&prep, &platform, mode, true, &mut Workspace::default());
+            let (got, want) = (got.expect("salvage"), want.expect("oracle"));
+            assert!(
+                got.truncated && got.image.data == want.image.data,
+                "{mode:?} salvage"
+            );
+            assert_eq!(exact(&got), exact(&want), "{mode:?} salvage");
         }
     }
 

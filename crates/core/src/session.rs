@@ -27,16 +27,14 @@
 use crate::model::PerformanceModel;
 use crate::platform::Platform;
 use crate::schedule::split::{Density, GpuBatchMember};
-use crate::schedule::{
-    auto, dispatch, entropy_par, eob_classes_in, render_cpu, DecodeOutcome, Filled, Mode, Target,
-};
+use crate::schedule::{auto, dispatch, entropy_par, DecodeOutcome, Fill, Mode, Target};
 use crate::workspace::{PoolStats, Workspace};
 use hetjpeg_jpeg::decoder::kernels::SimdLevel;
 use hetjpeg_jpeg::decoder::Prepared;
 use hetjpeg_jpeg::error::{Error, Result};
 use hetjpeg_jpeg::markers::{self, Parsed};
-use hetjpeg_jpeg::metrics::{ParallelWork, RowMetrics};
-use hetjpeg_jpeg::progressive::{self, ProgressiveParsed};
+use hetjpeg_jpeg::metrics::ParallelWork;
+use hetjpeg_jpeg::progressive::ProgressiveParsed;
 use hetjpeg_jpeg::types::Subsampling;
 use std::collections::HashMap;
 use std::fmt;
@@ -264,7 +262,9 @@ impl DecoderBuilder {
         let mut platform = self.platform.unwrap_or_else(Platform::gtx560);
         platform.cpu = platform.cpu.at_level(simd_level);
         let model = self.model.unwrap_or_else(|| platform.untrained_model());
-        let threads = self.threads.unwrap_or(entropy_par_default_threads());
+        let threads = self
+            .threads
+            .unwrap_or(crate::schedule::DEFAULT_ENTROPY_THREADS);
         if threads == 0 || threads > MAX_THREADS {
             return Err(BuildError::InvalidThreads(threads));
         }
@@ -293,10 +293,6 @@ impl DecoderBuilder {
             }),
         })
     }
-}
-
-fn entropy_par_default_threads() -> usize {
-    crate::schedule::DEFAULT_ENTROPY_THREADS
 }
 
 /// Key under which `Mode::Auto` decisions are cached: every model input
@@ -769,7 +765,8 @@ impl Decoder {
 
     /// The one decode body: open the image, resolve the mode, dispatch
     /// into the target — a whole image in `opts.format`, or `tiles` — and,
-    /// for a tolerant call whose stream is damaged, salvage once.
+    /// for a tolerant call whose stream is damaged, salvage once: the same
+    /// dispatch over the salvaged fill, on the CPU.
     fn decode_locked(
         &self,
         state: &mut SessionState,
@@ -787,25 +784,21 @@ impl Decoder {
             Some(sink) => Target::tiles(sink),
             None => Target::whole(opts.format),
         };
+        let (platform, model, threads) = (&self.platform, &self.model, self.threads);
         // A scan script fills first: its `Auto` prices the fill's classes.
-        let filled = match &scans {
-            Some(parsed) => Some(self.fill_progressive(&mut state.ws, parsed, &prep, opts)?),
+        let fill = match &scans {
+            Some(s) => Some(Fill::progressive(s, &prep, platform, opts, &mut state.ws)?),
             None => None,
         };
-        let mode = self.resolve(state, &prep, filled.as_ref(), opts);
+        let mode = self.resolve(state, &prep, fill.as_ref(), opts);
         let ws = &mut state.ws;
         self.pin_level(ws, opts, mode);
-        let (platform, model, threads) = (&self.platform, &self.model, self.threads);
-        let res = match filled {
-            Some(filled) => render_cpu(&prep, platform, ws.parts(), filled, mode, &mut out),
-            None => dispatch(&prep, mode, platform, model, threads, ws, &mut out),
-        };
-        let outcome = match res {
+        let outcome = match dispatch(&prep, mode, platform, model, threads, fill, ws, &mut out) {
             Err(e) if opts.strictness == Strictness::Tolerant && is_stream_error(&e) => {
                 ws.ensure_zeroed(&prep);
-                let filled = Filled::sequential(&prep, platform, ws.parts().coef, true)?;
+                let fill = Some(Fill::salvage(&prep, platform, ws.parts().coef)?);
                 let mode = if mode.is_cpu_only() { mode } else { Mode::Simd };
-                render_cpu(&prep, platform, ws.parts(), filled, mode, &mut out)
+                dispatch(&prep, mode, platform, model, threads, fill, ws, &mut out)
             }
             other => other,
         }?;
@@ -813,79 +806,35 @@ impl Decoder {
     }
 
     /// The concrete mode of one call. `Auto` goes through the cache (for
-    /// planar output among the CPU modes). A progressive fill renders on the
-    /// CPU: `Auto` takes the cheaper band priced per EOB class (an early
-    /// prefix is very sparse), `Sequential` stays, anything else is SIMD. A
-    /// tolerant planar call falls back from a GPU mode to SIMD.
+    /// planar output among the CPU modes); over a progressive fill it takes
+    /// the cheaper CPU band priced per EOB class (an early prefix is very
+    /// sparse). A tolerant planar call falls back from a GPU mode to SIMD.
     fn resolve(
         &self,
         state: &mut SessionState,
         prep: &Prepared<'_>,
-        filled: Option<&Filled>,
+        fill: Option<&Fill>,
         opts: &DecodeOptions,
     ) -> Mode {
         let planar = opts.format == OutputFormat::PlanarYcc;
         let cpu_fallback = planar && opts.strictness == Strictness::Tolerant;
-        match (opts.mode, filled) {
+        match (opts.mode, fill) {
             (Mode::Auto, None) => self.auto_mode(state, prep, planar),
-            (Mode::Auto, Some(filled)) => {
+            (Mode::Auto, Some(fill)) => {
                 let cpu = &self.platform.cpu;
                 let work = ParallelWork::for_mcu_rows(&prep.geom, 0, prep.geom.mcus_y);
-                let scalar = cpu.parallel_time_sparse(&work, &filled.classes, false);
-                let simd = cpu.parallel_time_sparse(&work, &filled.classes, true);
+                let classes = fill.classes();
+                let scalar = cpu.parallel_time_sparse(&work, &classes, false);
+                let simd = cpu.parallel_time_sparse(&work, &classes, true);
                 if simd <= scalar {
                     Mode::Simd
                 } else {
                     Mode::Sequential
                 }
             }
-            (Mode::Sequential, _) => Mode::Sequential,
-            (_, Some(_)) => Mode::Simd,
-            (m, None) if cpu_fallback && !m.is_cpu_only() => Mode::Simd,
-            (m, None) => m,
+            (m, _) if cpu_fallback && !m.is_cpu_only() => Mode::Simd,
+            (m, _) => m,
         }
-    }
-
-    /// Fill from a progressive scan script: decode every scan (or the
-    /// `max_scans` prefix) sequentially into the pooled coefficient
-    /// buffer, which re-derives the EOB classes from the accumulated
-    /// state. A prefix or a tolerated truncation is a partial render.
-    fn fill_progressive(
-        &self,
-        ws: &mut Workspace,
-        parsed: &ProgressiveParsed<'_>,
-        prep: &Prepared<'_>,
-        opts: &DecodeOptions,
-    ) -> Result<Filled> {
-        // Progressive scans accumulate into prior state, and a prefix
-        // render leaves later bands untouched — the buffer must be zeroed.
-        ws.ensure(prep);
-        let coef = ws.parts().coef;
-        coef.reset_for(&prep.geom);
-        let outcome = progressive::decode_scans(
-            parsed,
-            &prep.geom,
-            coef,
-            opts.max_scans,
-            opts.strictness == Strictness::Tolerant,
-        )?;
-
-        let limited = opts.max_scans.is_some_and(|m| m < parsed.scans.len());
-        let partial = limited || outcome.truncated;
-        ws.progressive.scans_decoded += outcome.scans_decoded as u64;
-        ws.progressive.refine_passes += outcome.refine_passes;
-        ws.progressive.partial_renders += u64::from(partial);
-
-        let mut total = RowMetrics::default();
-        for r in &outcome.rows {
-            total.add(r);
-        }
-        let t_huff = self
-            .platform
-            .cpu
-            .progressive_huff_time(&total, outcome.block_visits);
-        let classes = eob_classes_in(&outcome.rows, 0, outcome.rows.len());
-        Ok(Filled::serial(t_huff, classes, partial))
     }
 
     /// `Mode::Auto` with the per-shape session cache. `cpu_only` restricts
@@ -1185,7 +1134,11 @@ mod tests {
             let (rows, rgb) = streamed(&dec, &jpeg, opts.tolerant());
             assert!(whole.truncated && rows.truncated, "{mode:?}");
             assert!(rgb == whole.image.data, "{mode:?}: streamed bytes");
-            assert_eq!(rows.mode, whole.mode, "{mode:?}");
+            assert_eq!(
+                (whole.mode, rows.mode),
+                (Mode::Simd, Mode::Simd),
+                "{mode:?}"
+            );
             assert_eq!(rows.times, whole.times, "{mode:?}");
             assert_eq!(rows.trace.spans, whole.trace.spans, "{mode:?}");
             assert_eq!(rows.partition, whole.partition, "{mode:?}");
@@ -1231,6 +1184,26 @@ mod tests {
             .decode(&jpeg, DecodeOptions::with_mode(Mode::Simd))
             .unwrap();
         assert_eq!(ycc.to_rgb().data, rgb.image.data);
+
+        // A progressive image follows the same rule, and its RGB decode
+        // runs the requested mode.
+        use hetjpeg_jpeg::progressive::{encode_rgb_progressive, ScanPreset};
+        let params = EncodeParams {
+            quality: 84,
+            subsampling: Subsampling::S422,
+            restart_interval: 0,
+        };
+        let prog =
+            encode_rgb_progressive(&rgb_of(64, 48, 3), 64, 48, &params, ScanPreset::Standard10)
+                .unwrap();
+        assert!(dec.decode(&prog, planar).is_err());
+        let out = dec.decode(&prog, planar.tolerant()).unwrap();
+        assert_eq!(out.mode, Mode::Simd);
+        let rgb = dec
+            .decode(&prog, DecodeOptions::with_mode(Mode::Pps))
+            .unwrap();
+        assert_eq!(rgb.mode, Mode::Pps);
+        assert_eq!(out.planar().expect("planes").to_rgb().data, rgb.image.data);
     }
 
     #[test]
@@ -1519,7 +1492,9 @@ mod tests {
                 .unwrap();
         let mut bad = Vec::new();
         write_soi(&mut bad);
-        let frame = progressive::parse_progressive(&good).unwrap().frame;
+        let frame = hetjpeg_jpeg::progressive::parse_progressive(&good)
+            .unwrap()
+            .frame;
         write_sof(&mut bad, m::SOF2, &frame);
         write_dri(&mut bad, 3);
         bad.truncate(bad.len() - 2);
@@ -1554,10 +1529,19 @@ mod tests {
                     .unwrap();
             let dec = Decoder::builder().build().unwrap();
             let want = dec.decode(&base, DecodeOptions::default()).unwrap();
-            for mode in [Mode::Auto, Mode::Sequential, Mode::Simd, Mode::Pps] {
+            for mode in [Mode::Auto].into_iter().chain(Mode::all()) {
                 let out = dec.decode(&prog, DecodeOptions::with_mode(mode)).unwrap();
                 assert!(!out.truncated);
-                assert!(out.mode.is_cpu_only(), "picked {:?}", out.mode);
+                // A concrete mode runs as requested; `Auto` picks between
+                // the two CPU bands from the fill's EOB classes.
+                match mode {
+                    Mode::Auto => assert!(
+                        matches!(out.mode, Mode::Sequential | Mode::Simd),
+                        "picked {:?}",
+                        out.mode
+                    ),
+                    _ => assert_eq!(out.mode, mode),
+                }
                 assert_eq!(
                     out.image.data,
                     want.image.data,
@@ -1566,8 +1550,8 @@ mod tests {
                 );
             }
             let s = dec.stats();
-            assert_eq!(s.progressive.scans_decoded, 4 * 10);
-            assert_eq!(s.progressive.refine_passes, 4 * 5);
+            assert_eq!(s.progressive.scans_decoded, 8 * 10);
+            assert_eq!(s.progressive.refine_passes, 8 * 5);
             assert_eq!(s.progressive.partial_renders, 0);
         }
     }
@@ -1641,5 +1625,36 @@ mod tests {
         assert!(out.truncated);
         assert_eq!(out.image.data.len(), w * h * 3);
         assert_eq!(dec.stats().progressive.partial_renders, 1);
+
+        // PPS over a partial fill, on a session whose split ships GPU
+        // chunks: the requested plan runs, whole or streamed, with the
+        // pixels of a `Simd` salvage and one pool use per decode.
+        let (_, sessions) = dri_cut_on_the_gpu();
+        let (_, _, dec) = sessions.into_iter().next().expect("a PPS session");
+        let spec = hetjpeg_corpus::ImageSpec {
+            width: 64,
+            height: 256,
+            pattern: hetjpeg_corpus::Pattern::PhotoLike { detail: 0.6 },
+            seed: 5,
+        };
+        let rgb = hetjpeg_corpus::generate_rgb(&spec);
+        let mut prog =
+            encode_rgb_progressive(&rgb, 64, 256, &params, ScanPreset::Standard10).unwrap();
+        prog.truncate(prog.len() / 2);
+        let simd = DecodeOptions::with_mode(Mode::Simd).tolerant();
+        let out = dec.decode(&prog, simd).unwrap();
+        let opts = DecodeOptions::with_mode(Mode::Pps).tolerant();
+        let whole = dec.decode(&prog, opts).unwrap();
+        let pool = dec.pool_stats();
+        assert!(pool.h2d_transfers > 0, "chunks ship");
+        assert_eq!(pool.coef_allocs + pool.coef_reuses, 2);
+        let (rows, rgb) = streamed(&dec, &prog, opts);
+        assert!(whole.truncated && rows.truncated);
+        assert_eq!((whole.mode, rows.mode), (Mode::Pps, Mode::Pps));
+        assert!(rgb == whole.image.data, "streamed bytes");
+        assert_eq!(rows.times, whole.times);
+        assert_eq!(rows.trace.spans, whole.trace.spans);
+        assert_eq!(rows.partition, whole.partition);
+        assert_eq!(whole.image.data, out.image.data, "the salvaged pixels");
     }
 }

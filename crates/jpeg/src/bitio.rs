@@ -109,12 +109,6 @@ impl<'a> BitReader<'a> {
         self.bits_consumed
     }
 
-    /// Byte offset of the next unread byte in the underlying slice.
-    #[inline]
-    pub fn byte_pos(&self) -> usize {
-        self.pos - (self.acc_len as usize) / 8
-    }
-
     /// The marker that terminated the stream, if one has been reached.
     #[inline]
     pub fn marker(&self) -> Option<u8> {

@@ -122,21 +122,6 @@ impl CoefBuffer {
         &self.data
     }
 
-    /// Mutable access to the raw flat storage. The caller may write any
-    /// coefficient, so every block's EOB is reset to the dense-safe
-    /// maximum — previously recorded sparsity is discarded.
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [i16] {
-        self.eob.fill(EOB_DENSE);
-        &mut self.data
-    }
-
-    /// Byte length of the buffer (what a host→device write would ship).
-    #[inline]
-    pub fn byte_len(&self) -> usize {
-        self.data.len() * 2
-    }
-
     /// Copy the coefficient range covering MCU rows `[start, end)` of every
     /// component into a packed staging vector, in component order. This is
     /// the chunk payload of the pipelined execution mode (§4.5): each
@@ -180,19 +165,6 @@ impl CoefBuffer {
         out.reserve(geom.blocks_in_mcu_rows(start, end));
         for r in packed_block_ranges(geom, start, end) {
             out.extend_from_slice(&self.eob[r]);
-        }
-    }
-
-    /// A copy of this buffer with every EOB forced to the dense-safe
-    /// maximum — the pre-PR-5 "GPU baseline is dense" behaviour. Kernel
-    /// tests/benches/examples stage this ablation through
-    /// `hetjpeg_core::kernels::testutil` rather than calling this directly,
-    /// so the three transfer-layout variants share one staging definition.
-    pub fn clone_with_dense_eobs(&self) -> Self {
-        CoefBuffer {
-            data: self.data.clone(),
-            eob: vec![EOB_DENSE; self.eob.len()],
-            history: Vec::new(),
         }
     }
 
@@ -342,7 +314,6 @@ mod tests {
         let g = Geometry::new(32, 16, Subsampling::S422).unwrap();
         let buf = CoefBuffer::new(&g);
         assert_eq!(buf.as_slice().len(), g.total_blocks * 64);
-        assert_eq!(buf.byte_len(), g.total_blocks * 128);
     }
 
     #[test]
@@ -366,9 +337,6 @@ mod tests {
         // Any raw rewrite must fall back to the dense-safe bound.
         buf.block_mut(0)[63] = 5;
         assert_eq!(buf.eob(0), EOB_DENSE);
-        buf.set_eob(1, 9);
-        let _ = buf.as_mut_slice();
-        assert_eq!(buf.eob(1), EOB_DENSE);
     }
 
     #[test]

@@ -101,12 +101,6 @@ impl<'a> EntropyDecoder<'a> {
         }
     }
 
-    /// MCU rows decoded so far.
-    #[inline]
-    pub fn rows_done(&self) -> usize {
-        self.next_row
-    }
-
     /// True once every MCU row has been decoded.
     #[inline]
     pub fn is_finished(&self) -> bool {

@@ -37,12 +37,6 @@ impl CompGeom {
     pub fn plane_height(&self) -> usize {
         self.height_blocks * 8
     }
-
-    /// Blocks per MCU row of the image for this component.
-    #[inline]
-    pub fn blocks_per_mcu_row(&self) -> usize {
-        self.width_blocks * self.v_samp
-    }
 }
 
 /// Whole-image geometry: dimensions, MCU grid and component planes.

@@ -34,13 +34,6 @@ impl Subsampling {
         (h * 8, v * 8)
     }
 
-    /// Number of 8x8 luma blocks per MCU.
-    #[inline]
-    pub fn luma_blocks_per_mcu(self) -> usize {
-        let (h, v) = self.luma_factors();
-        h * v
-    }
-
     /// Human-readable notation used in reports ("4:2:2", ...).
     pub fn notation(self) -> &'static str {
         match self {

@@ -304,7 +304,8 @@ fn progressive_full_scan_decode_matches_baseline_counterpart() {
     // PR-7 acceptance axis: the same pixels encoded baseline and
     // progressive share identical quantized coefficients, so a full-scan
     // progressive decode must reproduce the baseline decode bit for bit —
-    // under every scan-script preset, render mode and SIMD level. Since
+    // under every scan-script preset, concrete mode and `Auto`, whole and
+    // streamed, and at every SIMD level. Since
     // PR 25 also with DRI 3 (EOB runs and refinement state reset at every
     // RSTn), at the degenerate shapes whose padding blocks lie outside the
     // T.81 non-interleaved grid, and for a dense q95 member.
@@ -347,17 +348,21 @@ fn progressive_full_scan_decode_matches_baseline_counterpart() {
                         sub.notation()
                     );
                     for level in SimdLevel::all_available() {
-                        for mode in [Mode::Auto, Mode::Sequential, Mode::Simd] {
-                            let out = decoder
-                                .decode(&prog, DecodeOptions::with_mode(mode).force_simd(level))
-                                .unwrap_or_else(|e| panic!("{case} {mode:?}: {e}"));
+                        for mode in Mode::all().into_iter().chain([Mode::Auto]) {
+                            let ctx = format!("{case} {mode:?} at {}", level.name());
+                            let opts = DecodeOptions::with_mode(mode).force_simd(level);
+                            let out = (decoder.decode(&prog, opts))
+                                .unwrap_or_else(|e| panic!("{ctx}: {e}"));
                             assert!(!out.truncated);
-                            assert_eq!(
-                                out.image.data,
-                                reference,
-                                "{case} {mode:?} at {} differs from baseline",
-                                level.name()
-                            );
+                            assert!(out.image.data == reference, "{ctx} differs from baseline");
+                            // Every concrete mode runs as requested; `Auto`
+                            // picks a CPU band from the fill.
+                            if mode != Mode::Auto {
+                                assert_eq!(out.mode, mode, "{ctx}");
+                            }
+                            let (rows, rgb) = streamed(&decoder, &prog, opts);
+                            assert!(rgb == reference, "{ctx}: streamed bytes differ");
+                            assert_eq!(account(&rows), account(&out), "{ctx}: streamed outcome");
                         }
                     }
                 }

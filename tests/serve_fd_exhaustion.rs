@@ -18,7 +18,7 @@ use std::fs::File;
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 #[repr(C)]
 struct RLimit {
@@ -100,7 +100,10 @@ fn fd_exhaustion_sheds_in_band_instead_of_spinning() {
     let jpeg = generate_jpeg(&spec, 85, Subsampling::S420).unwrap();
     // One request served first: the loop is up, holding its poller, its
     // wake handle and its spare fd, before any of them could be refused.
-    drop(served(addr, &jpeg));
+    // The connection stays open until the table is given back: closed
+    // here, the loop could free its socket after the table is full, and
+    // accept the next client into that slot instead of shedding it.
+    let first = served(addr, &jpeg);
 
     // Fill the fd table: cap it a little above the highest fd in use, then
     // open files until the kernel says no.
@@ -124,10 +127,13 @@ fn fd_exhaustion_sheds_in_band_instead_of_spinning() {
     client
         .set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
-    // Let the loop shed the client, then watch it sit still: no passes,
-    // and no CPU burnt inside one either (on Linux `accept` keeps saying
-    // EMFILE while the table is full, waiting connection or not).
-    std::thread::sleep(Duration::from_millis(50));
+    // Wait for the loop to shed the client, then watch it sit still: no
+    // passes, and no CPU burnt inside one either (on Linux `accept` keeps
+    // saying EMFILE while the table is full, waiting connection or not).
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while fe.stats().rejected == before.rejected && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
     let cpu = process_cpu();
     std::thread::sleep(Duration::from_millis(200));
     let cpu = process_cpu() - cpu;
@@ -138,11 +144,12 @@ fn fd_exhaustion_sheds_in_band_instead_of_spinning() {
     // Give the table back before asserting, so a failure reports cleanly.
     drop(filler);
     set_nofile_soft(original);
+    drop(first);
 
     assert_eq!(exhausted.raw_os_error(), Some(24), "{exhausted}");
     assert!(
         passes <= 4,
-        "{passes} loop passes in 250 ms with the fd table full"
+        "{passes} loop passes to shed one client and idle 200 ms with the fd table full"
     );
     assert!(
         cpu < Duration::from_millis(50),
