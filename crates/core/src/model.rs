@@ -11,7 +11,10 @@
 //!   by a degree ≤ 1 entropy-density factor (`pcpu_density`): the
 //!   band's IDCT sparsity follows `d`, and the (w, h) form alone averages
 //!   it away;
-//! * `PGPU(w, h)` — GPU transfers + kernels for an h-row band (Eq. 7);
+//! * `PGPU(w, h)` — GPU transfers + kernels for an h-row band (Eq. 7),
+//!   with its three stages — H2D, kernels, D2H — fitted on their own as
+//!   well (`gpu_stages`), so a plan whose copy engine runs beside the
+//!   kernels can price each engine;
 //! * `Tdisp(w, h)` — host-side dispatch overhead.
 //!
 //! Models are persisted in a tiny `key = value` text format to stay inside
@@ -78,6 +81,27 @@ pub struct PerformanceModel {
     /// see. `[1.0]` (the seed and legacy default) makes it vanish bit for
     /// bit.
     pub pcpu_density: Poly1,
+    /// `PGPU` split into the three stages the device's engines run,
+    /// fitted from the same region decodes as `PGPU`: a fed, chunked plan
+    /// runs its transfers on the copy engine beside the kernels
+    /// ([`Self::gpu_stage_times`]). `None` — a file written before the copy
+    /// engine — prices those plans on the serial queue, every chunk's
+    /// transfers and kernels one after another in `PGPU`.
+    pub gpu_stages: Option<GpuStages>,
+}
+
+/// The stage forms of `PGPU` ([`PerformanceModel::gpu_stages`]), seconds of
+/// one band, each transfer paying its own latency.
+#[derive(Debug, Clone, PartialEq)]
+pub struct GpuStages {
+    /// Host→device, as `f(d, pixels)` of the band's entropy density and
+    /// pixels: the compacted coefficient payload ships each block's ≤ EOB
+    /// corner, so it tracks density as much as size.
+    pub h2d: Poly2,
+    /// The kernels, as `f(width, rows)`.
+    pub kernels: Poly2,
+    /// Device→host, the band's RGB, as `f(width, rows)`.
+    pub d2h: Poly2,
 }
 
 impl PerformanceModel {
@@ -134,6 +158,23 @@ impl PerformanceModel {
     /// form. Zero for an untrained `h2d_s_per_px`.
     pub fn h2d_correction(&self, d: f64) -> f64 {
         self.h2d_s_per_px.eval(d) - self.h2d_s_per_px.eval(self.h2d_ref_density)
+    }
+
+    /// The device time of a `width × rows` band at entropy density `d` as
+    /// the stages its engines run, `[H2D, kernels, D2H]`, each never
+    /// negative and zero for an empty band. `None` without the stage forms
+    /// ([`Self::gpu_stages`]).
+    pub fn gpu_stage_times(&self, width: f64, rows: f64, d: f64) -> Option<[f64; 3]> {
+        let st = self.gpu_stages.as_ref()?;
+        if rows <= 0.0 {
+            return Some([0.0; 3]);
+        }
+        let stages = [
+            st.h2d.eval(d, width * rows),
+            st.kernels.eval(width, rows),
+            st.d2h.eval(width, rows),
+        ];
+        Some(stages.map(|t| t.max(0.0)))
     }
 
     /// Dispatch-overhead estimate for a `width × rows` band.
@@ -193,6 +234,18 @@ impl PerformanceModel {
         p_gpu.coefs[0][0] =
             platform.pcie.latency_us * 2e-6 + platform.gpu.launch_overhead_us * 4e-6;
         p_gpu.coefs[1][1] = gpu_s_per_px;
+        // Its stages: each transfer one latency, the coefficients up and
+        // the RGB down; the kernels the launches and the rest.
+        let latency = platform.pcie.latency_us * 1e-6;
+        let per_byte = 1.0 / (platform.pcie.pinned_gbps * 1e9);
+        let mut h2d = Poly2::zero(1);
+        (h2d.coefs[0][0], h2d.coefs[0][1]) = (latency, 2.0 * 2.0 * per_byte);
+        let mut kernels = Poly2::zero(2);
+        kernels.coefs[0][0] = platform.gpu.launch_overhead_us * 4e-6;
+        kernels.coefs[1][1] = kernel_s_per_px.max(mem_s_per_px);
+        let mut d2h = Poly2::zero(2);
+        (d2h.coefs[0][0], d2h.coefs[1][1]) = (latency, 3.0 * per_byte);
+        let gpu_stages = Some(GpuStages { h2d, kernels, d2h });
 
         let mut t_disp = Poly2::zero(1);
         t_disp.coefs[0][0] = cpu.dispatch_base_us * 1e-6;
@@ -211,6 +264,7 @@ impl PerformanceModel {
             h2d_s_per_px: Poly1::new(vec![0.0]),
             h2d_ref_density: 0.0,
             pcpu_density: Poly1::new(vec![1.0]),
+            gpu_stages,
         }
     }
 
@@ -234,7 +288,11 @@ impl PerformanceModel {
             &self.h2d_s_per_px,
             &self.pcpu_density,
         ];
-        let poly2s = [&self.p_cpu, &self.p_gpu, &self.t_disp];
+        let stages = (self.gpu_stages.iter()).flat_map(|s| [&s.h2d, &s.kernels, &s.d2h]);
+        let poly2s: Vec<&Poly2> = [&self.p_cpu, &self.p_gpu, &self.t_disp]
+            .into_iter()
+            .chain(stages)
+            .collect();
         let finite_coefs = poly1s.iter().all(|p| p.coefs.iter().all(|c| c.is_finite()))
             && poly2s
                 .iter()
@@ -295,6 +353,11 @@ impl PerformanceModel {
         p2("p_cpu", &self.p_cpu, &mut out);
         p2("p_gpu", &self.p_gpu, &mut out);
         p2("t_disp", &self.t_disp, &mut out);
+        if let Some(st) = &self.gpu_stages {
+            p2("gpu_stages.h2d", &st.h2d, &mut out);
+            p2("gpu_stages.kernels", &st.kernels, &mut out);
+            p2("gpu_stages.d2h", &st.d2h, &mut out);
+        }
         out
     }
 
@@ -365,6 +428,13 @@ impl PerformanceModel {
             // Absent in files written before the density factor existed:
             // the identity factor, so those models price exactly as they did.
             pcpu_density: p1("pcpu_density").unwrap_or_else(|| Poly1::new(vec![1.0])),
+            // Absent in files written before the copy engine: the fed,
+            // chunked plans price on the serial queue.
+            gpu_stages: (|| {
+                let (h2d, kernels) = (p2("gpu_stages.h2d")?, p2("gpu_stages.kernels")?);
+                let d2h = p2("gpu_stages.d2h")?;
+                Some(GpuStages { h2d, kernels, d2h })
+            })(),
         })
     }
 }
@@ -475,6 +545,65 @@ mod tests {
         let d = prep.parsed.entropy_density();
         let simd = predict_all(&prep, &platform, &loaded, 4)[1].seconds;
         assert_eq!(simd, loaded.huff_time(w * h, d) + loaded.p_cpu(w, h));
+    }
+
+    #[test]
+    fn trained_model_roundtrips_with_its_stage_forms() {
+        let m = trained();
+        assert!(m.gpu_stages.is_some(), "the stage forms are fitted");
+        let back = PerformanceModel::load_str(&m.save_str()).expect("parse");
+        assert_eq!(back.gpu_stages, m.gpu_stages);
+        assert_eq!(back, m);
+    }
+
+    #[test]
+    fn a_file_without_the_stage_forms_prices_on_the_serial_queue() {
+        use crate::schedule::auto::predict_all;
+        use crate::schedule::Mode;
+        let m = trained();
+        let legacy: String = (m.save_str().lines())
+            .filter(|l| !l.starts_with("gpu_stages."))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        let loaded = PerformanceModel::load_str(&legacy).expect("parse");
+        assert_eq!(loaded.gpu_stages, None);
+        let serial = PerformanceModel {
+            gpu_stages: None,
+            ..m.clone()
+        };
+        assert_eq!(loaded, serial);
+        let spec = hetjpeg_corpus::ImageSpec {
+            width: 200,
+            height: 400,
+            pattern: hetjpeg_corpus::Pattern::PhotoLike { detail: 0.7 },
+            seed: 3,
+        };
+        let jpeg = hetjpeg_corpus::generate_jpeg(&spec, 85, Subsampling::S422).expect("encode");
+        let prep = hetjpeg_jpeg::decoder::Prepared::new(&jpeg).expect("parse");
+        let platform = Platform::gtx560();
+        let seconds = |model: &PerformanceModel, threads| -> Vec<f64> {
+            (predict_all(&prep, &platform, model, threads).iter())
+                .map(|p| p.seconds)
+                .collect()
+        };
+        // At one thread nothing is fed and the stage forms are unused.
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        assert_eq!(bits(seconds(&loaded, 1)), bits(seconds(&m, 1)));
+        // Fed, the serial queue runs every chunk's `PGPU` one after
+        // another: the pipelined plan is priced no faster than their sum.
+        let at = |v: &[f64], mode: Mode| v[Mode::all().iter().position(|&x| x == mode).unwrap()];
+        let fed = seconds(&loaded, 4);
+        let (w, h) = (prep.geom.width as f64, prep.geom.height as f64);
+        let chunk = (m.chunk_mcu_rows * prep.geom.mcu_h) as f64;
+        let mut serial_device = 0.0;
+        let mut done = 0.0;
+        while done < h {
+            let rows = chunk.min(h - done);
+            done += rows;
+            serial_device += m.p_gpu(w, rows);
+        }
+        assert!(at(&fed, Mode::PipelinedGpu) >= serial_device);
+        assert_eq!(bits(fed), bits(seconds(&serial, 4)));
     }
 
     #[test]

@@ -30,19 +30,34 @@
 //! With more than one session thread the Huffman decoding is not the CPU
 //! side's: the entropy workers release rows on a [`Release`] curve `R(r)`
 //! (waves of `threads` feed chunks, the first at the sequential rate), and
-//! Eq. 15/16 walk the loop chunk by chunk (`Overlap::fed`):
+//! Eq. 15/16 walk the loop chunk by chunk ([`Overlap::fed`]). A fed plan's
+//! device has two engines: the copy engine moves one transfer at a time
+//! while the compute engine runs kernels, so chunk `j+1`'s H2D runs under
+//! chunk `j`'s kernels and chunk `j`'s D2H under chunk `j+1`'s. A chunk's
+//! device time is its three stages `H(c) + K(c) + D(c)` by the model's
+//! stage forms ([`PerformanceModel::gpu_stage_times`]), and with `copy_j`
+//! and `comp_j` the engines' free times:
 //!
 //! ```text
 //! dispatch_j = max(dispatch_{j−1}, R(end_j)) + Tdisp(w, c_j)
-//! device_j   = max(device_{j−1}, dispatch_j) + PGPU(w, c_j)
+//! D2H_{j−1}  on the copy engine first if it can start sooner than H2D_j:
+//!              max(copy, comp_{j−1}) < max(copy, dispatch_j)
+//! h2d_j      = max(copy, dispatch_j) + H(c_j)           then D2H_{j−1}
+//! comp_j     = max(comp_{j−1}, h2d_j) + K(c_j)
 //! CPU(x)     = max(dispatch_n, R(h)) + PCPU(w, x)·k(d)
-//! GPU(x)     = device_n
+//! GPU(x)     = max(comp_n, copy_n after D2H_n)
 //! ```
 //!
-//! A fed split is device-bound, so its device work is always priced chunk
-//! by chunk. Eq. 16 evaluates the same walk over the rows still to come,
-//! on the plan's curve, from the loop's current time. At one thread every
-//! form is the sequential one above, bit for bit.
+//! Without the stage forms (a model file older than the copy engine)
+//! the walk prices the serial queue instead, `device_j = max(device_{j−1},
+//! dispatch_j) + PGPU(w, c_j)`, which never undercuts the two engines.
+//! Newton steers the fed balance by the busier engine's rate per row. A
+//! fed split is device-bound, so its device work is always priced chunk by
+//! chunk. Eq. 16 evaluates the same walk over the rows still to come, on
+//! the plan's curve, from the loop's current time and the engines' state
+//! ([`Engines`]: the held-back D2H included). At one thread every form is
+//! the sequential one above, bit for bit, on the paper's one in-order
+//! queue.
 
 use super::newton::newton_solve;
 use super::Partition;
@@ -82,11 +97,65 @@ impl AtWidth {
     }
 }
 
+/// Where the device's engines stand in a fed, chunked loop, in seconds
+/// into the decode: when each is next free, and the D2H the last chunk's
+/// kernels left, which the copy engine has not been given yet. The copy
+/// engine runs its transfers in the order it is given them, so a chunk's
+/// D2H is held back until the next chunk's H2D is issued, or issued first
+/// when it can start strictly sooner (on a tie the H2D goes first).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Engines {
+    /// When the compute engine is next free.
+    pub compute: f64,
+    /// When the copy engine is next free.
+    pub copy: f64,
+    /// The held-back D2H: when its kernels end, and its seconds.
+    pub pending: Option<(f64, f64)>,
+}
+
+impl Engines {
+    /// When both engines are done, the held-back D2H run.
+    pub fn drained(&self) -> f64 {
+        let copy = match self.pending {
+            Some((ready, t)) => self.copy.max(ready) + t,
+            None => self.copy,
+        };
+        self.compute.max(copy)
+    }
+
+    /// Place one chunk whose H2D is ready at `ready`, its device time split
+    /// into `[H2D, kernels, D2H]`: the held-back D2H and this H2D go to the
+    /// copy engine in the order they can start, the kernels follow the H2D
+    /// on the compute engine, and this chunk's D2H is held back.
+    fn place(&mut self, ready: f64, [h2d, kernels, d2h]: [f64; 3]) {
+        let mut pending = self.pending.take();
+        if let Some((at, t)) = pending.filter(|&(at, _)| d2h_first(self.copy, at, ready)) {
+            self.copy = self.copy.max(at) + t;
+            pending = None;
+        }
+        self.copy = self.copy.max(ready) + h2d;
+        let loaded = self.copy;
+        if let Some((at, t)) = pending {
+            self.copy = self.copy.max(at) + t;
+        }
+        self.compute = self.compute.max(loaded) + kernels;
+        self.pending = Some((self.compute, d2h));
+    }
+}
+
+/// Whether a copy engine free at `copy_free` runs a held-back D2H, ready at
+/// `d2h_ready`, before the next chunk's H2D, ready at `h2d_ready`: only
+/// when the D2H can start strictly sooner. On a tie the H2D goes first, so
+/// the compute engine is fed.
+pub(crate) fn d2h_first(copy_free: f64, d2h_ready: f64, h2d_ready: f64) -> bool {
+    d2h_ready.max(copy_free) < h2d_ready.max(copy_free)
+}
+
 /// The pipelined overlap of Eq. 15/16 for one image: what its two sides
 /// are priced from. The GPU takes rows in chunks of `chunk` pixel rows,
 /// all decoded at density `d`.
 #[derive(Debug, Clone)]
-pub(crate) struct Overlap {
+pub struct Overlap {
     w: f64,
     chunk: f64,
     backlog: f64,
@@ -94,11 +163,16 @@ pub(crate) struct Overlap {
     h2d: f64,
     t_disp: AtWidth,
     p_gpu: AtWidth,
+    /// The model's stage forms reduced for this image: the H2D at its
+    /// density, in a band's pixels; the kernels and the D2H at its width,
+    /// in a band's rows.
+    stages: Option<[Poly1; 3]>,
     /// Huffman seconds per pixel row: `THuff` is linear in the rows.
     huff_row: f64,
-    /// `Tdisp` and `PGPU` of one full chunk.
+    /// `Tdisp`, `PGPU` and the stages of one full chunk.
     chunk_disp: f64,
     chunk_dev: f64,
+    chunk_stages: Option<[f64; 3]>,
 }
 
 /// The overlap's prices for one GPU share, each with its slope in the
@@ -120,7 +194,7 @@ impl Overlap {
     /// work is priced chunk by chunk, each chunk paying the fixed terms of
     /// `PGPU` (latency, launches); without, as one band. `h2d` is added to
     /// every `PGPU` band per pixel ([`PerformanceModel::h2d_correction`]).
-    pub(crate) fn new(
+    pub fn new(
         model: &PerformanceModel,
         w: f64,
         d: f64,
@@ -138,13 +212,29 @@ impl Overlap {
             h2d,
             t_disp: AtWidth::new(&model.t_disp, w),
             p_gpu: AtWidth::new(&model.p_gpu, w),
+            stages: (model.gpu_stages.as_ref())
+                .map(|st| [st.h2d.at_x(d), st.kernels.at_x(w), st.d2h.at_x(w)]),
             huff_row: model.huff_time(w, d),
             chunk_disp: 0.0,
             chunk_dev: 0.0,
+            chunk_stages: None,
         };
         overlap.chunk_disp = overlap.t_disp.at(chunk).0;
         overlap.chunk_dev = overlap.device(chunk).0;
+        overlap.chunk_stages = overlap.stages(chunk);
         overlap
+    }
+
+    /// The device time of a band of `rows` as `[H2D, kernels, D2H]`, as
+    /// [`PerformanceModel::gpu_stage_times`] prices it; `None` without the
+    /// stage forms.
+    fn stages(&self, rows: f64) -> Option<[f64; 3]> {
+        let [h2d, kernels, d2h] = self.stages.as_ref()?;
+        if rows <= 0.0 {
+            return Some([0.0; 3]);
+        }
+        let stages = [h2d.eval(self.w * rows), kernels.eval(rows), d2h.eval(rows)];
+        Some(stages.map(|t| t.max(0.0)))
     }
 
     /// `PGPU` of a band of `rows` plus the H2D correction, and its slope,
@@ -209,35 +299,55 @@ impl Overlap {
 impl Overlap {
     /// The fed loop over a GPU share of `g` pixel rows that starts `from`
     /// rows into an image of `h`, on a loop that is free `start` seconds
-    /// into the decode: each chunk waits for its rows' [`Release`], is
-    /// dispatched, and is placed on the device once the dispatch returned
-    /// and the device is free (`start` plus the backlog); its device work
+    /// into the decode, with the device's `engines` where they stand: each
+    /// chunk waits for its rows' [`Release`], is dispatched, and is placed
+    /// on the two engines once the dispatch returned ([`Engines`]), or on
+    /// the serial queue without the model's stage forms; its device work
     /// is priced chunk by chunk. Returns, relative to `start`, when the
     /// loop can render its band — every GPU chunk dispatched and every row
-    /// final — and when the device finishes.
-    pub(crate) fn fed(
+    /// final — and when the device finishes, the last D2H included.
+    pub fn fed(
         &self,
         release: &Release,
         from: f64,
         g: f64,
         h: f64,
         start: f64,
+        engines: &Engines,
     ) -> (f64, f64) {
-        let (mut cpu, mut dev) = (start, start + self.backlog);
+        let (mut cpu, mut engines, mut serial) = (start, *engines, engines.drained());
         let mut done = 0.0;
         while done < g {
             let rows = self.chunk.min(g - done);
             done += rows;
             cpu = cpu.max(release.at(from + done)) + self.t_disp.at(rows).0;
-            dev = dev.max(cpu) + self.device(rows).0;
+            let stages = match rows == self.chunk {
+                true => self.chunk_stages,
+                false => self.stages(rows),
+            };
+            match stages {
+                Some(stages) => engines.place(cpu, stages),
+                None => serial = serial.max(cpu) + self.device(rows).0,
+            }
         }
+        let dev = match self.stages {
+            Some(_) => engines.drained(),
+            None => serial,
+        };
         (cpu.max(release.at(h)) - start, dev - start)
     }
 
-    /// The device's mean seconds per pixel row over a full chunk — the
-    /// slope Newton steers the fed balance by.
-    fn device_rate(&self) -> f64 {
-        self.chunk_dev / self.chunk
+    /// The device's mean seconds per pixel row over a full chunk on a GPU
+    /// share of `g` pixel rows — the slope Newton steers the fed balance
+    /// by. Over several chunks the engines overlap, and the busier one sets
+    /// the pace; a share of one chunk runs its stages one after another, as
+    /// does the serial queue without the stage forms.
+    fn device_rate(&self, g: f64) -> f64 {
+        match self.chunk_stages {
+            Some([h2d, kernels, d2h]) if g > self.chunk => kernels.max(h2d + d2h) / self.chunk,
+            Some([h2d, kernels, d2h]) => (h2d + kernels + d2h) / self.chunk,
+            None => self.chunk_dev / self.chunk,
+        }
     }
 }
 
@@ -337,12 +447,14 @@ enum Feed<'r> {
     /// Decoded on the CPU side's own thread: `huff` seconds of it.
     Sequential { huff: f64 },
     /// Released by the entropy workers; the share starts `from` rows into
-    /// an image of `h` on a loop free `start` seconds into the decode.
+    /// an image of `h` on a loop free `start` seconds into the decode, the
+    /// device's `engines` where they stand.
     Fed {
         release: &'r Release,
         from: f64,
         h: f64,
         start: f64,
+        engines: Engines,
     },
 }
 
@@ -367,6 +479,7 @@ pub fn initial_partition(
             from: 0.0,
             h,
             start: 0.0,
+            engines: Engines::default(),
         },
         None => Feed::Sequential {
             huff: model.huff_time(w * h, d),
@@ -409,8 +522,10 @@ pub fn corrected_density(
 /// `cpu_mcu_rows` of those).
 ///
 /// Fed, the rows still to come are released on the plan's `release`
-/// curve — the workers started with the image — and the loop is at `now`
-/// seconds into the decode.
+/// curve — the workers started with the image — the loop is at `now`
+/// seconds into the decode and the device's engines stand at `engines`
+/// (the backlog, a held-back D2H included; `prev_gpu_backlog` prices the
+/// sequential form only).
 #[allow(clippy::too_many_arguments)]
 pub fn repartition(
     model: &PerformanceModel,
@@ -420,18 +535,19 @@ pub fn repartition(
     prev_gpu_backlog: f64,
     cpu_scale: f64,
     chunk_pixel_rows: f64,
-    fed: Option<(&Release, f64)>,
+    fed: Option<(&Release, f64, Engines)>,
 ) -> Partition {
     let w = geom.width as f64;
     let h = geom.height as f64;
     let chunk = chunk_pixel_rows.min(h_left);
     let overlap = Overlap::new(model, w, d_new, chunk, prev_gpu_backlog, fed.is_some(), 0.0);
     let feed = match fed {
-        Some((release, now)) => Feed::Fed {
+        Some((release, now, engines)) => Feed::Fed {
             release,
             from: h - h_left,
             h,
             start: now,
+            engines,
         },
         None => Feed::Sequential {
             huff: model.huff_time(w * h_left, d_new),
@@ -480,10 +596,11 @@ fn balance(
                 from,
                 h: image,
                 start,
+                engines,
             } => {
-                let (ready, gpu) = overlap.fed(release, from, h - x, image, start);
+                let (ready, gpu) = overlap.fed(release, from, h - x, image, start, &engines);
                 let cpu = ready + band * cpu_scale;
-                [cpu, band_dx * cpu_scale, gpu, -overlap.device_rate()]
+                [cpu, band_dx * cpu_scale, gpu, -overlap.device_rate(h - x)]
             }
         };
         last.set((x, v));
@@ -561,6 +678,85 @@ mod tests {
         let r = Release::new(&model, w, h, d, mcus, 4, 16, true);
         assert!(r.at(h / 16.0) < r.at(h) / 3.0);
         assert_eq!(r.at(1.0), (thuff / h).min(r.at(h / 16.0)));
+    }
+
+    /// A 1024-wide image's fed walk over `g` of its 1024 rows, in chunks
+    /// of 64, on `model`: (when the loop can render, when the device ends).
+    fn walk(model: &PerformanceModel, g: f64) -> (f64, f64) {
+        let (w, h, d) = (1024.0, 1024.0, 0.2);
+        let release = Release::new(model, w, h, d, 8192.0, 4, 16, true);
+        let overlap = Overlap::new(model, w, d, 64.0, 0.0, true, 0.0);
+        overlap.fed(&release, 0.0, g, h, 0.0, &Engines::default())
+    }
+
+    #[test]
+    fn fed_walk_without_stage_forms_is_the_serial_queue() {
+        // A model file older than the copy engine: each chunk's transfers
+        // and kernels run one after another, after the previous chunk's,
+        // in `PGPU`.
+        let seeded = PerformanceModel::analytic_seed(&Platform::gtx560());
+        let model = PerformanceModel {
+            gpu_stages: None,
+            ..seeded
+        };
+        let (w, h, d) = (1024.0, 1024.0, 0.2);
+        let release = Release::new(&model, w, h, d, 8192.0, 4, 16, true);
+        for g in [0.0, 40.0, 64.0, 600.0, 1024.0] {
+            let (mut cpu, mut dev, mut done) = (0.0f64, 0.0f64, 0.0);
+            while done < g {
+                let rows = f64::min(64.0, g - done);
+                done += rows;
+                cpu = cpu.max(release.at(done)) + model.t_disp(w, rows);
+                dev = dev.max(cpu) + model.p_gpu(w, rows);
+            }
+            let want = (cpu.max(release.at(h)), dev);
+            let got = walk(&model, g);
+            assert!(
+                (got.0 - want.0).abs() <= 1e-15 && (got.1 - want.1).abs() <= 1e-15,
+                "{g}: {got:?} vs {want:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn fed_walk_overlaps_the_engines_and_never_beats_the_busier() {
+        // With the stage forms the device finishes no later than the
+        // serial queue of the same stages, and no sooner than the busier
+        // engine's work.
+        let model = PerformanceModel::analytic_seed(&Platform::gtx560());
+        let serial = PerformanceModel {
+            gpu_stages: None,
+            p_gpu: {
+                // `PGPU` as the sum of the seed's stages.
+                let st = model.gpu_stages.as_ref().expect("the seed has stage forms");
+                let mut p = model.p_gpu.clone();
+                p.coefs[0][0] = st.h2d.coefs[0][0] + st.kernels.coefs[0][0] + st.d2h.coefs[0][0];
+                p
+            },
+            ..model.clone()
+        };
+        for g in [64.0, 200.0, 600.0, 1024.0] {
+            let (_, two) = walk(&model, g);
+            let (_, one) = walk(&serial, g);
+            let (mut copy, mut compute, mut done) = (0.0, 0.0, 0.0);
+            while done < g {
+                let rows = f64::min(64.0, g - done);
+                done += rows;
+                let [h2d, kernels, d2h] = model.gpu_stage_times(1024.0, rows, 0.2).unwrap();
+                (copy, compute) = (copy + h2d + d2h, compute + kernels);
+            }
+            assert!(
+                two <= one * (1.0 + 1e-12),
+                "{g}: two engines {two} vs serial {one}"
+            );
+            assert!(
+                two >= f64::max(copy, compute),
+                "{g}: {two} under the busier engine"
+            );
+            if g > 64.0 {
+                assert!(two < one, "{g}: several chunks must overlap");
+            }
+        }
     }
 
     #[test]

@@ -6,10 +6,10 @@
 //! derive closed forms."
 
 use crate::gpu_decode::KernelPlan;
-use crate::model::PerformanceModel;
+use crate::model::{GpuStages, PerformanceModel};
 use crate::platform::Platform;
 use crate::profile::{tune_chunk_rows, tune_wg_blocks};
-use crate::regress::{fit_poly1_aic, fit_poly2_aic, Poly1};
+use crate::regress::{fit_poly1_aic, fit_poly2_aic, fit_poly2_rel_aic, Poly1};
 use crate::workspace::{gpu_on, Workspace};
 use hetjpeg_jpeg::decoder::Prepared;
 use hetjpeg_jpeg::metrics::ParallelWork;
@@ -72,6 +72,10 @@ pub fn train(
     let mut pcpu_samples = Vec::with_capacity(images.len());
     let mut pgpu_samples = Vec::with_capacity(images.len());
     let mut h2d_rate_samples = Vec::with_capacity(images.len());
+    let mut h2d_points = Vec::with_capacity(images.len());
+    let mut h2d_samples = Vec::with_capacity(images.len());
+    let mut kernel_samples = Vec::with_capacity(images.len());
+    let mut d2h_samples = Vec::with_capacity(images.len());
     let mut tdisp_samples = Vec::with_capacity(images.len());
     let mut subsampling = Subsampling::S422;
     let mut corpus_classes = [0u64; 4];
@@ -123,6 +127,12 @@ pub fn train(
         // density so `Mode::Auto` can correct `PGPU` for images departing
         // from the corpus average.
         h2d_rate_samples.push(res.h2d_time / pixels);
+        // The same decode's stages, for the forms that price the copy and
+        // compute engines apart.
+        h2d_points.push((d, pixels));
+        h2d_samples.push(res.h2d_time);
+        kernel_samples.push(res.kernels_total());
+        d2h_samples.push(res.d2h_time);
 
         // Dispatch overhead.
         tdisp_samples.push(platform.cpu.dispatch_time(geom, 0, geom.mcus_y));
@@ -180,6 +190,15 @@ pub fn train(
     };
     let (p_gpu, _) = fit_poly2_aic(&size_samples, &pgpu_samples, deg2);
     let (t_disp, _) = fit_poly2_aic(&size_samples, &tdisp_samples, deg2.min(2));
+    // The stages are priced per chunk, a band much smaller than most
+    // training images: their forms are fitted to relative residuals, so
+    // the small images weigh as much as the large. The H2D is a latency
+    // plus a payload that tracks the density as much as the size.
+    let gpu_stages = GpuStages {
+        h2d: fit_poly2_rel_aic(&h2d_points, &h2d_samples, opts.max_degree.min(2)).0,
+        kernels: fit_poly2_rel_aic(&size_samples, &kernel_samples, deg2).0,
+        d2h: fit_poly2_rel_aic(&size_samples, &d2h_samples, deg2).0,
+    };
 
     let mut model = PerformanceModel {
         platform: platform.name.to_string(),
@@ -199,6 +218,7 @@ pub fn train(
         h2d_s_per_px: h2d,
         h2d_ref_density: density_samples.iter().sum::<f64>() / density_samples.len() as f64,
         pcpu_density,
+        gpu_stages: Some(gpu_stages),
     };
 
     if opts.chunk_mcu_rows.is_none() {

@@ -69,6 +69,20 @@ pub fn fit_poly1_aic(xs: &[f64], ys: &[f64], max_degree: usize) -> (Poly1, f64) 
 /// Fit a bivariate polynomial with AIC degree selection in
 /// `1..=max_degree`.
 pub fn fit_poly2_aic(xys: &[(f64, f64)], zs: &[f64], max_degree: usize) -> (Poly2, f64) {
+    fit_poly2(xys, zs, max_degree, false)
+}
+
+/// [`fit_poly2_aic`] minimising the *relative* residuals `(p(x, y) − z) /
+/// z`, so that small samples weigh as much as large ones: the form for a
+/// quantity priced at every size — a chunk as well as a whole image. Every
+/// `z` must be positive. Returns the winning polynomial and its relative
+/// RSS.
+pub fn fit_poly2_rel_aic(xys: &[(f64, f64)], zs: &[f64], max_degree: usize) -> (Poly2, f64) {
+    assert!(zs.iter().all(|&z| z > 0.0), "relative residuals need z > 0");
+    fit_poly2(xys, zs, max_degree, true)
+}
+
+fn fit_poly2(xys: &[(f64, f64)], zs: &[f64], max_degree: usize, relative: bool) -> (Poly2, f64) {
     assert_eq!(xys.len(), zs.len());
     assert!(!xys.is_empty());
     let x_scale = xys
@@ -79,7 +93,16 @@ pub fn fit_poly2_aic(xys: &[(f64, f64)], zs: &[f64], max_degree: usize) -> (Poly
         .iter()
         .fold(0.0f64, |a, &(_, y)| a.max(y.abs()))
         .max(1e-12);
-    let floor = rss_floor_for(zs);
+    // Relative residuals divide each row of the system by its target, so
+    // every target becomes 1.
+    let ones: Vec<f64>;
+    let targets = if relative {
+        ones = vec![1.0; zs.len()];
+        &ones[..]
+    } else {
+        zs
+    };
+    let floor = rss_floor_for(targets);
     let mut best: Option<(f64, Poly2, f64)> = None;
     for degree in 1..=max_degree {
         let mons = Poly2::monomials(degree);
@@ -91,10 +114,11 @@ pub fn fit_poly2_aic(xys: &[(f64, f64)], zs: &[f64], max_degree: usize) -> (Poly
             let xn = x / x_scale;
             let yn = y / y_scale;
             for (col, &(i, j)) in mons.iter().enumerate() {
-                *a.at_mut(row, col) = xn.powi(i as i32) * yn.powi(j as i32);
+                let term = xn.powi(i as i32) * yn.powi(j as i32);
+                *a.at_mut(row, col) = if relative { term / zs[row] } else { term };
             }
         }
-        let (flat, rss) = lstsq(&a, zs);
+        let (flat, rss) = lstsq(&a, targets);
         let score = aic_score_floored(xys.len(), rss, mons.len(), floor);
         let poly = Poly2::from_flat(degree, &flat, x_scale, y_scale);
         if best.as_ref().map(|(s, _, _)| score < *s).unwrap_or(true) {

@@ -15,6 +15,6 @@ pub mod aic;
 pub mod lsq;
 pub mod poly;
 
-pub use aic::{aic_score, fit_poly1_aic, fit_poly2_aic};
+pub use aic::{aic_score, fit_poly1_aic, fit_poly2_aic, fit_poly2_rel_aic};
 pub use lsq::lstsq;
 pub use poly::{Poly1, Poly2};

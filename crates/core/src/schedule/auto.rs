@@ -158,14 +158,15 @@ fn predict_at(
                 (thuff + dispatches.0).max(gpu.0)
             }
             // Fed, each chunk is dispatched once its rows are released, and
-            // the plan is device-bound: its chunks are priced on the fitted
-            // `PGPU` alone. The H2D correction is a whole-image fit that
-            // folds the transfer latency into a per-pixel rate, and each
-            // chunk already pays its own latency in `PGPU(w, c)`.
+            // the plan is device-bound: its chunks are priced on the copy
+            // and compute engines from the model's stage forms (on `PGPU`
+            // alone without them). The H2D correction is a whole-image fit
+            // that folds the transfer latency into a per-pixel rate; each
+            // chunk already pays its own latency in its stages.
             (Mode::PipelinedGpu, true) => {
                 let release = plan(mode).release(prep, model).expect("fed");
                 let overlap = pps::Overlap::new(model, w, d, chunk_px, 0.0, true, 0.0);
-                let (cpu, gpu) = overlap.fed(&release, 0.0, h, h, 0.0);
+                let (cpu, gpu) = overlap.fed(&release, 0.0, h, h, 0.0, &pps::Engines::default());
                 cpu.max(gpu)
             }
             // Eq. 10: Huffman first, then the balanced split. The GPU
@@ -190,7 +191,8 @@ fn predict_at(
                 part.predicted_cpu.max(overlap.at(g_px).gpu.0)
             }
             // Fed, Eq. 15 balances the release curve's loop against the
-            // device chunk by chunk, as the fed pipeline is priced.
+            // device's two engines chunk by chunk, as the fed pipeline is
+            // priced.
             (Mode::Pps, true) => {
                 let plan = plan(mode);
                 let (part, release) = (plan.partition.expect("a split"), plan.release(prep, model));
@@ -200,7 +202,8 @@ fn predict_at(
                 }
                 let overlap = pps::Overlap::new(model, w, d, chunk_px, 0.0, true, 0.0);
                 let g_px = h.min((part.gpu_mcu_rows * geom.mcu_h) as f64);
-                let (_, gpu) = overlap.fed(&release.expect("fed"), 0.0, g_px, h, 0.0);
+                let release = release.expect("fed");
+                let (_, gpu) = overlap.fed(&release, 0.0, g_px, h, 0.0, &pps::Engines::default());
                 part.predicted_cpu.max(gpu)
             }
             // One thread runs the SIMD schedule; priced one chunk's
@@ -283,6 +286,17 @@ mod tests {
         .unwrap()
     }
 
+    /// `model` with the GPU priced ten seconds slower on every path: its
+    /// `PGPU`, and the kernels of the stage forms the fed, chunked plans
+    /// price instead.
+    fn gpu_off_the_table(mut model: PerformanceModel) -> PerformanceModel {
+        model.p_gpu.coefs[0][0] += 10.0;
+        if let Some(st) = &mut model.gpu_stages {
+            st.kernels.coefs[0][0] += 10.0;
+        }
+        model
+    }
+
     #[test]
     fn predictions_cover_all_modes_and_are_finite() {
         let jpeg = jpeg_of(256, 256, 0);
@@ -323,8 +337,7 @@ mod tests {
         let jpeg = jpeg_of(256, 256, 2);
         let prep = Prepared::new(&jpeg).unwrap();
         let platform = Platform::gt430();
-        let mut model = platform.untrained_model();
-        model.p_gpu.coefs[0][0] += 10.0; // GPU off the table
+        let model = gpu_off_the_table(platform.untrained_model());
         let decision = select_mode(&prep, &platform, &model, 8);
         assert_eq!(decision.mode, Mode::ParallelEntropy);
         // And with one thread it must not be chosen over plain SIMD.
@@ -340,8 +353,7 @@ mod tests {
         let jpeg = jpeg_of(384, 384, 0);
         let prep = Prepared::new(&jpeg).unwrap();
         let platform = Platform::gt430();
-        let mut model = platform.untrained_model();
-        model.p_gpu.coefs[0][0] += 10.0; // GPU off the table
+        let mut model = gpu_off_the_table(platform.untrained_model());
         let decision = select_mode(&prep, &platform, &model, 8);
         assert_eq!(decision.mode, Mode::ParallelEntropy);
 

@@ -288,15 +288,26 @@ impl Tiles<'_> {
 }
 
 /// The virtual timeline one decode builds as it runs (Figs. 5/8): the
-/// CPU's clock, the GPU's in-order command queue, the per-stage totals and
-/// the trace. The steps of the decode advance it — [`Entropy::until`], the
-/// GPU chunk (`split`) and [`Self::cpu_band`] — and [`Self::outcome`]
-/// closes it.
+/// CPU's clock, the GPU's command queues, the per-stage totals and the
+/// trace. On the paper's schedule the GPU has one in-order queue, its
+/// transfers and kernels one after another; a fed, chunked plan adds a
+/// copy engine beside the compute engine (`split`), so one chunk's
+/// transfers run under another's kernels. The steps of the decode advance
+/// it — [`Entropy::until`], the GPU chunk (`split`) and
+/// [`Self::cpu_band`] — and [`Self::outcome`] closes it.
 #[derive(Default)]
 struct Timeline {
     /// When the CPU is next free.
     cpu_now: f64,
+    /// The compute engine's queue; with no copy engine, the transfers'
+    /// too.
     q: CommandQueue,
+    /// The copy engine's queue, on a fed, chunked plan: every transfer,
+    /// one at a time.
+    copy: Option<CommandQueue>,
+    /// The last chunk's D2H, held back from the copy engine until the next
+    /// chunk's H2D is issued: when its kernels end, and its seconds.
+    held_d2h: Option<(f64, f64)>,
     b: Breakdown,
     trace: Trace,
 }
@@ -352,8 +363,9 @@ impl Timeline {
         Ok(())
     }
 
-    /// Close the timeline: the decode ends when the CPU and the GPU queue
-    /// are both done. The pixels are the target's ([`Target::finish`]).
+    /// Close the timeline: the last D2H goes to the copy engine, and the
+    /// decode ends when the CPU and every GPU engine are done. The pixels
+    /// are the target's ([`Target::finish`]).
     fn outcome(
         mut self,
         geom: &Geometry,
@@ -361,7 +373,16 @@ impl Timeline {
         partition: Option<Partition>,
         truncated: bool,
     ) -> DecodeOutcome {
-        self.b.total = self.cpu_now.max(self.q.drain_time());
+        self.b.total = match &mut self.copy {
+            None => self.cpu_now.max(self.q.drain_time()),
+            Some(copy) => {
+                if let Some(d2h) = self.held_d2h.take() {
+                    copy_d2h(copy, &mut self.trace, d2h);
+                }
+                let done = self.cpu_now.max(self.q.drain_time());
+                done.max(copy.drain_time())
+            }
+        };
         DecodeOutcome {
             image: RgbImage {
                 width: geom.width,
@@ -376,6 +397,13 @@ impl Timeline {
             truncated,
         }
     }
+}
+
+/// Issue a held-back D2H, `(ready, seconds)`, on the copy engine `copy`.
+fn copy_d2h(copy: &mut CommandQueue, trace: &mut Trace, (ready, t): (f64, f64)) {
+    let ev = copy.enqueue("d2h", ready, t);
+    debug_assert!(ev.start >= ready, "a D2H starts before its kernels end");
+    trace.push("d2h", Resource::Copy, ev.start, ev.end);
 }
 
 /// The entropy step's state for one image: where its rows come from, and

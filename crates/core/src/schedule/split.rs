@@ -26,13 +26,26 @@
 //! [`decode`] runs a plan through the three steps of every decode: the
 //! entropy step (a chunk's rows, or every row first), the GPU chunk — its
 //! CPU side ships the rows (dispatch, device decode, bytes counted), its
-//! device side places them (H2D, kernels, D2H on the one in-order queue) —
-//! and the CPU band for the rows the GPU does not take. A batched `Gpu`
-//! member ([`GpuBatchMember`]) ships when it is staged and is placed once
-//! the batch's one coalesced transfer is priced.
+//! device side places them (H2D, kernels, D2H) — and the CPU band for the
+//! rows the GPU does not take. A batched `Gpu` member ([`GpuBatchMember`])
+//! ships when it is staged and is placed once the batch's one coalesced
+//! transfer is priced.
+//!
+//! Where the device side goes depends on the plan. On the paper's schedule
+//! — one entropy thread, `Gpu`, `Sps`, a batched member — the GPU has one
+//! in-order queue: each chunk's H2D, kernels and D2H run one after another,
+//! and after the previous chunk's. A fed, chunked plan (`PipelinedGpu` and
+//! `Pps` on more than one entropy thread) adds a copy engine beside the
+//! compute engine, as a GTX 560 Ti has: it moves one transfer at a time
+//! while a kernel runs, so chunk k+1's H2D runs under chunk k's kernels and
+//! chunk k's D2H under chunk k+1's. Because the copy engine runs its
+//! transfers in the order it gets them, chunk k's D2H is held back until
+//! chunk k+1's H2D is issued — or issued first, when chunk k's kernels end
+//! before that H2D is ready — and the last one when the timeline closes.
 
 use super::{
-    entropy_par, eob_classes_in, rgb_rows, DecodeOutcome, Entropy, Fill, Mode, Target, Timeline,
+    copy_d2h, entropy_par, eob_classes_in, rgb_rows, DecodeOutcome, Entropy, Fill, Mode, Target,
+    Timeline,
 };
 use crate::gpu_decode::{GpuRegionResult, KernelPlan};
 use crate::model::PerformanceModel;
@@ -40,6 +53,7 @@ use crate::partition::{pps, sps, Partition};
 use crate::platform::Platform;
 use crate::timeline::Resource;
 use crate::workspace::{gpu_on, Workspace, WsParts};
+use hetjpeg_gpusim::CommandQueue;
 use hetjpeg_jpeg::decoder::Prepared;
 use hetjpeg_jpeg::error::Result;
 use hetjpeg_jpeg::geometry::Geometry;
@@ -231,6 +245,9 @@ pub(crate) fn decode(
     };
     let mut p = ws.parts();
     let mut tl = Timeline::default();
+    if plan.threads > 1 && plan.chunk.is_some() {
+        tl.copy = Some(CommandQueue::new());
+    }
     let chunk = match plan.chunk {
         Some(rows) => rows,
         None => {
@@ -278,13 +295,13 @@ pub(crate) fn decode(
 
 /// Re-partition before the last GPU chunk (Eq. 16), once the GPU's `row`
 /// rows are decoded and shipped (a fed step may have released more; the
-/// correction reads these rows only): from the corrected density (Eq. 17),
-/// the GPU's current backlog, the plan's `release` curve when fed, and —
-/// since the
-/// PR-3 sparse retrain — the tail's expected IDCT sparsity: the prefix's
-/// measured EOB discount, scaled by the density correction (denser entropy
-/// ⇒ denser blocks), against the corpus-average discount `PCPU` was fit
-/// at. Returns the GPU's new end row.
+/// correction reads these rows only). It prices the tail from the
+/// corrected density (Eq. 17), from the GPU's current backlog — fed, where
+/// both engines stand, the held-back D2H included — from the plan's
+/// `release` curve when fed, and from the tail's expected IDCT sparsity:
+/// the prefix's measured EOB discount, scaled by the density correction
+/// (denser entropy ⇒ denser blocks), against the corpus-average discount
+/// `PCPU` was fit at. Returns the GPU's new end row.
 fn repartitioned_end(
     prep: &Prepared<'_>,
     platform: &Platform,
@@ -306,7 +323,8 @@ fn repartitioned_end(
     let h_left = h - rows_done_px;
     let huff_so_far = (ent.rows[..row].iter()).fold(0.0, |t, m| t + platform.cpu.huff_time(m));
     let d_new = pps::corrected_density(d, est_total_huff, huff_so_far, h_left, h);
-    let backlog = (tl.q.drain_time() - tl.cpu_now).max(0.0);
+    let engines = tl.engines();
+    let backlog = (engines.drained() - tl.cpu_now).max(0.0);
     let prefix_discount = crate::cost::CpuCostModel::idct_discount(&prefix_classes);
     // Extrapolate the prefix's measured discount to the tail by the
     // tail-over-*prefix* density ratio (the prefix discount was observed
@@ -324,7 +342,7 @@ fn repartitioned_end(
         .cpu
         .band_scale_for_discount(&tail_work, tail_discount, fit_at);
     let chunk_px = (model.chunk_mcu_rows.max(1) * geom.mcu_h) as f64;
-    let fed = release.map(|r| (r, tl.cpu_now));
+    let fed = release.map(|r| (r, tl.cpu_now, engines));
     let re = pps::repartition(
         model, geom, h_left, d_new, backlog, cpu_scale, chunk_px, fed,
     );
@@ -375,22 +393,67 @@ impl Timeline {
         Ok(res)
     }
 
-    /// The GPU chunk's device side, in order on the one device queue: the
-    /// H2D once the dispatch has returned, taking `h2d` seconds (the
-    /// region's own transfer, or a batch member's share of one coalesced
-    /// transfer), then the kernels, then the D2H.
+    /// The GPU chunk's device side, once the dispatch has returned: the
+    /// H2D, taking `h2d` seconds (the region's own transfer, or a batch
+    /// member's share of one coalesced transfer), then the kernels, then
+    /// the D2H. On the one in-order queue they follow one another and the
+    /// previous chunk. With a copy engine the transfers go there: the last
+    /// chunk's held-back D2H before this H2D when it can start sooner
+    /// ([`pps::d2h_first`]), else after it; the kernels follow the H2D on
+    /// the compute engine; and this chunk's D2H is held back.
     fn place(&mut self, h2d: f64, res: &GpuRegionResult) {
-        let ev = self.q.enqueue("h2d", self.cpu_now, h2d);
-        self.trace.push("h2d", Resource::Gpu, ev.start, ev.end);
+        let ready = self.cpu_now;
+        let loaded = match &mut self.copy {
+            None => {
+                let ev = self.q.enqueue("h2d", ready, h2d);
+                self.trace.push("h2d", Resource::Gpu, ev.start, ev.end);
+                ev.end
+            }
+            Some(copy) => {
+                let mut held = self.held_d2h.take();
+                if let Some(d2h) =
+                    held.filter(|&(at, _)| pps::d2h_first(copy.drain_time(), at, ready))
+                {
+                    copy_d2h(copy, &mut self.trace, d2h);
+                    held = None;
+                }
+                let free = copy.drain_time();
+                let ev = copy.enqueue("h2d", ready, h2d);
+                debug_assert!(ev.start >= free, "two transfers at once on the copy engine");
+                self.trace.push("h2d", Resource::Copy, ev.start, ev.end);
+                if let Some(d2h) = held {
+                    copy_d2h(copy, &mut self.trace, d2h);
+                }
+                ev.end
+            }
+        };
         self.b.h2d += h2d;
+        let mut ready = loaded;
         for &(_, t) in &res.kernel_times {
-            let ev = self.q.enqueue("kernel", self.q.drain_time(), t);
+            let ev = self.q.enqueue("kernel", ready, t);
+            debug_assert!(ev.start >= loaded, "a kernel starts before its H2D ends");
             self.trace.push("kernel", Resource::Gpu, ev.start, ev.end);
             self.b.kernels += t;
+            ready = ev.end;
         }
-        let ev = self.q.enqueue("d2h", self.q.drain_time(), res.d2h_time);
-        self.trace.push("d2h", Resource::Gpu, ev.start, ev.end);
+        let computed = self.q.drain_time();
+        match self.copy {
+            None => {
+                let ev = self.q.enqueue("d2h", computed, res.d2h_time);
+                self.trace.push("d2h", Resource::Gpu, ev.start, ev.end);
+            }
+            Some(_) => self.held_d2h = Some((computed, res.d2h_time)),
+        }
         self.b.d2h += res.d2h_time;
+    }
+
+    /// Where the device's engines stand, for the Eq. 16 re-partition.
+    fn engines(&self) -> pps::Engines {
+        pps::Engines {
+            compute: self.q.drain_time(),
+            copy: self.copy.as_ref().map_or(0.0, CommandQueue::drain_time),
+            pending: self.held_d2h,
+        }
     }
 }
 
@@ -660,6 +723,123 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn fed_chunked_plans_run_two_engines() {
+        // Over the image matrix above, fed by two and four entropy
+        // workers, `PipelinedGpu` and PPS place their transfers on the copy
+        // engine beside the kernels. The timeline must still hold: one
+        // transfer at a time on the copy engine, one kernel at a time on
+        // the compute engine, no chunk's kernels before its H2D, no D2H
+        // before its chunk's kernels, and the decode ends when the CPU and
+        // both engines are done. The pixels are those of one thread.
+        let mut ws = Workspace::default();
+        for platform in Platform::all() {
+            for sub in [Subsampling::S444, Subsampling::S422, Subsampling::S420] {
+                let mcu_h = if sub == Subsampling::S420 { 16 } else { 8 };
+                for (w, h) in [
+                    (48, mcu_h),
+                    (48, 16 * mcu_h),
+                    (97, 61),
+                    (40, 51 * mcu_h - 3),
+                ] {
+                    let spec = ImageSpec {
+                        width: w,
+                        height: h,
+                        pattern: Pattern::PhotoLike { detail: 0.6 },
+                        seed: (w * h) as u64,
+                    };
+                    let jpeg = generate_jpeg(&spec, 85, sub).expect("encode");
+                    let prep = Prepared::new(&jpeg).expect("parse");
+                    let seed = platform.untrained_model();
+                    for chunk in [seed.chunk_mcu_rows, 1] {
+                        let model = PerformanceModel {
+                            chunk_mcu_rows: chunk,
+                            ..seed.clone()
+                        };
+                        for mode in [Mode::PipelinedGpu, Mode::Pps] {
+                            let one = Plan::of(mode, &prep, &model, 1);
+                            let want = decode(&prep, &platform, &model, &one, &mut ws);
+                            let want = want.expect("one thread").image.data;
+                            for threads in [2, 4] {
+                                let plan = Plan::of(mode, &prep, &model, threads);
+                                let ctx = format!(
+                                    "{} {} {w}x{h}, chunk {chunk}, {mode:?} at {threads} threads",
+                                    platform.name,
+                                    sub.notation()
+                                );
+                                let out = decode(&prep, &platform, &model, &plan, &mut ws);
+                                let out = out.expect("decode");
+                                assert!(out.image.data == want, "{ctx}: pixels");
+                                assert_two_engines(&out, &ctx);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The timeline invariants of a decode whose GPU has a copy engine.
+    fn assert_two_engines(out: &DecodeOutcome, ctx: &str) {
+        let spans = &out.trace.spans;
+        let on = |r: Resource| -> Vec<&crate::timeline::Span> {
+            let mut v: Vec<_> = spans.iter().filter(|s| s.resource == r).collect();
+            v.sort_by(|a, b| a.start.total_cmp(&b.start));
+            v
+        };
+        for (r, what) in [(Resource::Copy, "transfers"), (Resource::Gpu, "kernels")] {
+            for pair in on(r).windows(2) {
+                assert!(
+                    pair[1].start >= pair[0].end,
+                    "{ctx}: {what} overlap: {:?} and {:?}",
+                    pair[0],
+                    pair[1]
+                );
+            }
+        }
+        let gpu = on(Resource::Gpu);
+        assert!(
+            gpu.iter().all(|s| s.label == "kernel"),
+            "{ctx}: only kernels on the compute engine"
+        );
+        // Chunk k's kernels follow its H2D, and its D2H is the k-th.
+        let (mut h2d_ends, mut kernel_ends): (Vec<f64>, Vec<f64>) = (Vec::new(), Vec::new());
+        let mut d2h_starts = Vec::new();
+        for s in spans {
+            match s.label {
+                "h2d" => {
+                    h2d_ends.push(s.end);
+                    kernel_ends.push(s.end);
+                }
+                "kernel" => {
+                    let k = h2d_ends.len() - 1;
+                    assert!(
+                        s.start >= h2d_ends[k],
+                        "{ctx}: chunk {k}'s kernel before its H2D"
+                    );
+                    kernel_ends[k] = s.end;
+                }
+                "d2h" => d2h_starts.push(s.start),
+                _ => {}
+            }
+        }
+        assert_eq!(d2h_starts.len(), h2d_ends.len(), "{ctx}: one D2H per chunk");
+        for (k, (&start, &end)) in d2h_starts.iter().zip(&kernel_ends).enumerate() {
+            assert!(
+                start >= end,
+                "{ctx}: chunk {k}'s D2H before its kernels end"
+            );
+        }
+        let end = |r: Resource| on(r).iter().map(|s| s.end).fold(0.0, f64::max);
+        let last = end(Resource::Cpu)
+            .max(end(Resource::Gpu))
+            .max(end(Resource::Copy));
+        assert_eq!(
+            out.times.total, last,
+            "{ctx}: the later of the CPU and both engines"
+        );
     }
 
     /// `Sequential` and `Simd` over the fill of `jpeg`'s progressive scan

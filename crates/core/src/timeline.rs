@@ -10,11 +10,17 @@
 pub enum Resource {
     /// The (single-threaded) host CPU.
     Cpu,
-    /// The GPU's one in-order command queue: transfers and kernels run one
-    /// after another. That is the paper's single-queue schedule, a
-    /// modelling choice — a GTX 560 Ti's copy engine could overlap a kernel
-    /// with a transfer in one direction.
+    /// The GPU's compute engine. On the paper's single in-order queue
+    /// (one entropy thread, `Gpu`, `Sps`, a batched `Gpu` member) the
+    /// transfers run here too, one after another with the kernels. A fed,
+    /// chunked plan moves them to [`Resource::Copy`], so this resource's
+    /// busy time is the kernels alone.
     Gpu,
+    /// The GPU's copy engine, beside the compute engine on a fed, chunked
+    /// plan (`PipelinedGpu` and `Pps` with more than one entropy thread): a
+    /// GTX 560 Ti's one copy engine moves one transfer at a time, in either
+    /// direction, while a kernel runs.
+    Copy,
 }
 
 /// One labelled interval of work.
@@ -99,12 +105,13 @@ impl Trace {
                 .max(a + 1)
                 .min(width);
             let mut bar = vec![' '; width];
+            let mark = match s.resource {
+                Resource::Cpu => '#',
+                Resource::Gpu => '=',
+                Resource::Copy => '~',
+            };
             for c in bar.iter_mut().take(b).skip(a) {
-                *c = if s.resource == Resource::Cpu {
-                    '#'
-                } else {
-                    '='
-                };
+                *c = mark;
             }
             out.push_str(&format!(
                 "{:<14} {:>8.3}m {:>8.3}m |{}|\n",
@@ -114,7 +121,7 @@ impl Trace {
                 bar.into_iter().collect::<String>()
             ));
         }
-        out.push_str("(# = CPU, = = GPU)\n");
+        out.push_str("(# = CPU, = = GPU compute, ~ = GPU copy engine)\n");
         out
     }
 }
@@ -159,6 +166,18 @@ mod tests {
         assert_eq!(t.busy(Resource::Cpu), 2.0);
         assert_eq!(t.busy(Resource::Gpu), 2.0);
         assert_eq!(t.stage_total("huffman"), 2.0);
+    }
+
+    #[test]
+    fn busy_time_is_per_engine() {
+        let mut t = Trace::default();
+        t.push("h2d", Resource::Copy, 0.0, 1.0);
+        t.push("kernel", Resource::Gpu, 1.0, 3.0);
+        t.push("h2d", Resource::Copy, 1.0, 2.0);
+        assert_eq!(t.busy(Resource::Gpu), 2.0);
+        assert_eq!(t.busy(Resource::Copy), 2.0);
+        assert_eq!(t.makespan(), 3.0);
+        assert!(t.ascii().contains('~'));
     }
 
     #[test]

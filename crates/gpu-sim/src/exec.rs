@@ -1,11 +1,13 @@
 //! The device executor: buffers + parallel work-group dispatch.
 //!
-//! A launch runs its groups on the calling thread and on scoped helper
-//! threads spawned for that launch alone, one per 4096 work-items beyond
-//! the calling thread's share: a spawn and join cost more than a small
-//! launch's groups, so small launches stay on the calling thread.
+//! A launch runs its groups on the calling thread and on the device's
+//! launch helpers (`helpers.rs`), host threads that outlive the
+//! launch: one helper per `ITEMS_PER_HELPER` work-items beyond the calling
+//! thread's share, so that waking a helper costs less than the groups it
+//! takes.
 
 use crate::device::DeviceSpec;
+use crate::helpers::Helpers;
 use crate::kernel::{GroupCtx, GroupState, Kernel};
 use crate::memory::audit::LaunchLog;
 use crate::memory::Buffer;
@@ -13,9 +15,10 @@ use crate::stats::LaunchStats;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Work-items a launch must hold per host worker beyond the calling
-/// thread before it spawns that worker: a spawn and join cost 130–170 µs
-/// on a shared 2-vCPU host, about what a few thousand metered items take.
-const ITEMS_PER_HELPER: usize = 4096;
+/// thread before it wakes that worker. A spawned helper cost as much as
+/// 4096 items; a kept one, spinning or parked, pays for itself at 1024
+/// (no lower threshold measured faster on a 2-vCPU host).
+const ITEMS_PER_HELPER: usize = 1024;
 
 /// Handle to a device buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,7 +27,9 @@ pub struct BufId(pub usize);
 /// A simulated GPU: a device spec plus its global-memory buffers.
 ///
 /// Work-groups of a launch are handed out by an atomic counter to the
-/// calling thread and to scoped helper threads (see [`Self::host_threads`]);
+/// calling thread and to the device's launch helpers, which it spawns at
+/// the first launch that wants them and joins when it is dropped (see
+/// [`Self::host_threads`]);
 /// the **simulated** time is computed from the merged [`LaunchStats`] by
 /// [`crate::TimingModel`], so host parallelism affects only wall-clock,
 /// never results.
@@ -33,12 +38,14 @@ pub struct GpuSim {
     pub device: DeviceSpec,
     buffers: Vec<Buffer>,
     /// Most host workers a launch may use, the calling thread included. A
-    /// launch uses one worker more than it has whole multiples of 4096
+    /// launch uses one worker more than it has whole multiples of 1024
     /// work-items, up to this cap and never more than it has groups.
     pub host_threads: usize,
-    /// The workers' bookkeeping, kept between launches so its tables are
-    /// grown once per device rather than once per work-group.
-    workers: Vec<GroupState>,
+    /// The calling thread's bookkeeping, kept between launches so its
+    /// tables are grown once per device rather than once per work-group;
+    /// each helper keeps its own.
+    caller: GroupState,
+    helpers: Helpers,
 }
 
 impl GpuSim {
@@ -52,7 +59,8 @@ impl GpuSim {
             device,
             buffers: Vec::new(),
             host_threads,
-            workers: Vec::new(),
+            caller: GroupState::default(),
+            helpers: Helpers::default(),
         }
     }
 
@@ -101,26 +109,23 @@ impl GpuSim {
     /// launch retires. Taking `&mut self` keeps host-side buffer views from
     /// overlapping a launch.
     pub fn launch(&mut self, kernel: &dyn Kernel, num_groups: usize) -> LaunchStats {
-        // A helper thread is spawned for this launch alone, so each must
-        // have enough work-items to pay for its spawn and join.
+        // Each helper woken must have enough work-items to pay for it.
         let affordable = num_groups.saturating_mul(kernel.items_per_group()) / ITEMS_PER_HELPER;
         let threads = self
             .host_threads
             .min(affordable.saturating_add(1))
             .min(num_groups)
             .max(1);
-        let mut states = std::mem::take(&mut self.workers);
-        states.resize_with(states.len().max(threads), GroupState::default);
-        let idle = states.split_off(threads);
         let (buffers, warp_size) = (&self.buffers[..], self.device.warp_size);
 
         let next = AtomicUsize::new(0);
-        let work = |st: GroupState| {
-            let mut ctx = GroupCtx::new(st, kernel, warp_size, buffers);
+        let work = |st: &mut GroupState| {
+            let mut ctx = GroupCtx::new(std::mem::take(st), kernel, warp_size, buffers);
             let mut log = LaunchLog::default();
             loop {
                 // Relaxed: the counter only hands out indices; the groups'
-                // results are published by the join below.
+                // results are published when the helpers count themselves
+                // done.
                 let g = next.fetch_add(1, Ordering::Relaxed);
                 if g >= num_groups {
                     break;
@@ -131,25 +136,16 @@ impl GpuSim {
                     ctx.log_into(&mut log);
                 }
             }
-            (ctx.finish(), log)
+            let (stats, state) = ctx.finish();
+            *st = state;
+            (stats, log)
         };
-        let mut states = states.into_iter();
-        let mine = states.next().expect("at least one worker");
-        let done = std::thread::scope(|s| {
-            let spawned: Vec<_> = states.map(|st| s.spawn(|| work(st))).collect();
-            let mut done = vec![work(mine)];
-            for h in spawned {
-                done.push(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
-            }
-            done
-        });
+        let done = self.helpers.run(threads - 1, &mut self.caller, &work);
 
         let mut total = LaunchStats::default();
         let mut launch_log = LaunchLog::default();
-        self.workers = idle;
-        for ((stats, st), log) in done {
+        for (stats, log) in done {
             total.merge(&stats);
-            self.workers.push(st);
             launch_log.merge(log);
         }
         if cfg!(debug_assertions) {
@@ -201,6 +197,62 @@ mod tests {
 
         assert_eq!(par.read_buffer(dst), ser.read_buffer(dst2));
         assert_eq!(stats_par, stats_ser, "stats must be order-independent");
+    }
+
+    #[test]
+    fn helpers_outlive_launches_and_agree_with_serial_execution() {
+        // Two helpers kept across fifty launches of every size: none
+        // (fewer than 16 groups of 64 items), one or both of them wanted,
+        // in turn, on one device.
+        let mut par = GpuSim::new(DeviceSpec::gtx680());
+        par.host_threads = 3;
+        let mut ser = GpuSim::new(DeviceSpec::gtx680());
+        ser.host_threads = 1;
+        for launch in 0..50usize {
+            let groups = [1, 8, 20, 40, 203][launch % 5] + launch % 3;
+            let (dst, dst2) = (
+                par.create_buffer(groups * 64),
+                ser.create_buffer(groups * 64),
+            );
+            let stats_par = par.launch(&FillKernel { dst }, groups);
+            let stats_ser = ser.launch(&FillKernel { dst: dst2 }, groups);
+            assert_eq!(
+                par.read_buffer(dst),
+                ser.read_buffer(dst2),
+                "launch {launch}"
+            );
+            assert_eq!(stats_par, stats_ser, "launch {launch}");
+        }
+    }
+
+    struct PanicKernel;
+    impl Kernel for PanicKernel {
+        fn name(&self) -> &'static str {
+            "panic"
+        }
+        fn items_per_group(&self) -> usize {
+            64
+        }
+        fn run_group(&self, ctx: &mut GroupCtx<'_>) {
+            if ctx.group_id % 50 == 49 {
+                panic!("group {} failed", ctx.group_id);
+            }
+        }
+    }
+
+    #[test]
+    fn a_panicking_group_unwinds_the_launch_and_the_device_stays_usable() {
+        let mut sim = GpuSim::new(DeviceSpec::gtx680());
+        sim.host_threads = 3;
+        for _ in 0..3 {
+            let launch = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                sim.launch(&PanicKernel, 203);
+            }));
+            assert!(launch.is_err(), "the panic must reach the caller");
+        }
+        let dst = sim.create_buffer(203 * 64);
+        let stats = sim.launch(&FillKernel { dst }, 203);
+        assert_eq!(stats.groups, 203);
     }
 
     #[test]

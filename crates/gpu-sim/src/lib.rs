@@ -30,6 +30,7 @@
 
 pub mod device;
 pub mod exec;
+mod helpers;
 pub mod kernel;
 mod memory;
 pub mod pcie;

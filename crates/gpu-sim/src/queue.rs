@@ -7,10 +7,14 @@
 //! [`Event`] timestamps, the equivalent of the OpenCL event profiler the
 //! paper uses for measurements (§5.1).
 //!
-//! Serializing transfers with kernels is the paper's schedule — one
-//! in-order queue — and a modelling choice, not a limit of the hardware: a
-//! consumer Fermi such as the GTX 560 Ti (GF114) has one copy engine, which
-//! can overlap a running kernel with a transfer in one direction at a time.
+//! One queue is one engine: its commands run one at a time, in the order
+//! they are enqueued. The paper's schedule puts transfers and kernels on
+//! one in-order queue, so they serialize. That is a modelling choice, not a
+//! limit of the hardware: a consumer Fermi such as the GTX 560 Ti (GF114)
+//! has one copy engine, which moves one transfer at a time, in either
+//! direction, while a kernel runs. A scheduler models it with a second
+//! queue beside the compute queue, each command ready when what it depends
+//! on has finished on the other.
 
 /// Timestamped execution record of one enqueued command.
 #[derive(Debug, Clone, Copy, PartialEq)]
