@@ -11,6 +11,15 @@
 //! * optionally the unmerged plan (IDCT, upsample, color as separate
 //!   kernels) for the §4.4 ablation.
 //!
+//! The coefficients reach the device one of two ways. The paper's way ships
+//! them: the host packs the region's compacted coefficients and copies them
+//! over. A fed plan ships its GPU share's scan bytes and subsequence table
+//! instead, and [`GpuContext::decode_entropy`] runs the subsequence Huffman
+//! kernels (`hetjpeg_gpusim::subseq`), which write the same compacted
+//! layout on the device; its regions then decode from those resident
+//! coefficients, with nothing shipped. Either way the IDCT and merged
+//! kernels read the same buffers.
+//!
 //! The RGB bytes land in the caller's slice; the returned
 //! [`GpuRegionResult`] carries the *simulated* stage durations (H2D,
 //! per-kernel, D2H) that the schedulers place on the command-queue
@@ -22,6 +31,7 @@ use crate::kernels::merged::{IdctColorKernel444, UpsampleColorKernel};
 use crate::kernels::upsample::UpsampleKernel422;
 use crate::kernels::{CoefAccess, RegionLayout};
 use crate::platform::Platform;
+use hetjpeg_gpusim::subseq::{self, Compacted, SubseqBuffers, SubseqTable};
 use hetjpeg_gpusim::{BufId, GpuSim, Kernel, LaunchStats, PcieModel, TimingModel};
 use hetjpeg_jpeg::coef::{compact_packed_blocks, CoefBuffer, EOB_DENSE};
 use hetjpeg_jpeg::decoder::Prepared;
@@ -39,6 +49,50 @@ pub enum TransferMode {
     /// production layout: only each block's ≤EOB prefix crosses the bus.
     #[default]
     Compacted,
+}
+
+/// Bytes of one subsequence-table entry shipped with the scan: the lane's
+/// start byte and the first MCU it may be in sync at, a `u32` each.
+pub const SUBSEQ_ENTRY_BYTES: usize = 8;
+
+/// Bytes of the decoder state at one MCU row's start read back for a CPU
+/// band: the bit position and three DC predictors, a `u32` each.
+pub const STATE_BYTES: usize = 16;
+
+/// A share of MCU rows' entropy-coded source, for a device that decodes
+/// its Huffman itself: the rows' scan bytes and the lanes their
+/// subsequences measured.
+#[derive(Debug, Clone, Copy)]
+pub struct ScanSource<'a> {
+    /// The rows' scan bytes, as shipped.
+    pub bytes: &'a [u8],
+    /// Their subsequences, byte ranges relative to `bytes`.
+    pub table: &'a SubseqTable,
+}
+
+/// Simulated timings of one device Huffman decode
+/// ([`GpuContext::decode_entropy`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct GpuEntropyResult {
+    /// Host→device transfer time of the scan bytes and the subsequence
+    /// table, seconds.
+    pub h2d_time: f64,
+    /// Bytes shipped host→device.
+    pub h2d_bytes: usize,
+    /// The two subsequence kernels' simulated durations.
+    pub kernel_times: Vec<(&'static str, f64)>,
+    /// Their merged launch statistics.
+    pub stats: LaunchStats,
+    /// Reading the decoder state at every decoded MCU row's start back to
+    /// the host ([`STATE_BYTES`] a row), seconds.
+    pub readback_time: f64,
+}
+
+impl GpuEntropyResult {
+    /// Total kernel time.
+    pub fn kernels_total(&self) -> f64 {
+        self.kernel_times.iter().map(|(_, t)| t).sum()
+    }
 }
 
 /// Simulated timings of one GPU region decode.
@@ -104,6 +158,10 @@ struct DeviceBuffers {
     rgb: BufId,
     /// Upsampled chroma of the unmerged 4:2:2 plan.
     upsampled: BufId,
+    /// The scan bytes and the subsequence kernels' records.
+    scan: BufId,
+    records: BufId,
+    totals: BufId,
 }
 
 /// One simulated device and everything a session keeps on it between
@@ -121,6 +179,9 @@ pub struct GpuContext {
     /// staged by [`Self::decode_region`].
     packed: Vec<i16>,
     eobs: Vec<u8>,
+    /// The MCU rows whose compacted layout the device's coefficient
+    /// buffers hold, written by [`Self::decode_entropy`].
+    written: Option<(usize, usize)>,
 }
 
 struct Device {
@@ -143,6 +204,9 @@ impl GpuContext {
             planes: buf(),
             rgb: buf(),
             upsampled: buf(),
+            scan: buf(),
+            records: buf(),
+            totals: buf(),
         };
         GpuContext {
             device: Device {
@@ -154,6 +218,7 @@ impl GpuContext {
             },
             packed: Vec::new(),
             eobs: Vec::new(),
+            written: None,
         }
     }
 
@@ -188,28 +253,123 @@ impl GpuContext {
         plan: KernelPlan,
         out: &mut [u8],
     ) -> Result<GpuRegionResult> {
+        self.decode_resident(prep, coefbuf, false, row0, row1, wg_blocks, plan, out)
+    }
+
+    /// [`Self::decode_region`] from coefficients already `resident` on the
+    /// device — written there by [`Self::decode_entropy`]: nothing crosses
+    /// the bus before the kernels, which read what `coefbuf` holds for the
+    /// rows, the host's decode of the same scan.
+    #[allow(clippy::too_many_arguments)]
+    pub fn decode_resident(
+        &mut self,
+        prep: &Prepared<'_>,
+        coefbuf: &CoefBuffer,
+        resident: bool,
+        row0: usize,
+        row1: usize,
+        wg_blocks: usize,
+        plan: KernelPlan,
+        out: &mut [u8],
+    ) -> Result<GpuRegionResult> {
+        if resident && self.written == Some((row0, row1)) {
+            return (self.device).decode_packed(prep, None, row0, row1, wg_blocks, plan, out);
+        }
         coefbuf.pack_mcu_rows_into(&prep.geom, row0, row1, &mut self.packed);
         coefbuf.pack_eobs_mcu_rows_into(&prep.geom, row0, row1, &mut self.eobs);
-        self.device.decode_packed(
-            prep,
-            &self.packed,
-            &self.eobs,
-            row0,
-            row1,
-            wg_blocks,
-            plan,
-            out,
-        )
+        self.written = None;
+        let packed = Some((&self.packed[..], &self.eobs[..]));
+        let mut res =
+            (self.device).decode_packed(prep, packed, row0, row1, wg_blocks, plan, out)?;
+        if resident {
+            (res.h2d_time, res.h2d_bytes) = (0.0, 0);
+        }
+        Ok(res)
+    }
+
+    /// Decode the Huffman of MCU rows `[row0, row1)` on the device from
+    /// `scan`, their scan bytes and subsequence lanes: the bytes and the
+    /// table cross the bus, the two subsequence kernels write the rows'
+    /// compacted coefficients — the values `coefbuf` holds for them — into
+    /// the device's coefficient buffers, and the decoder state at each
+    /// row's start can be read back. Returns the pass's simulated timings.
+    pub fn decode_entropy(
+        &mut self,
+        prep: &Prepared<'_>,
+        coefbuf: &CoefBuffer,
+        scan: ScanSource<'_>,
+        row0: usize,
+        row1: usize,
+    ) -> GpuEntropyResult {
+        let geom = &prep.geom;
+        coefbuf.pack_eobs_mcu_rows_into(geom, row0, row1, &mut self.eobs);
+        let Device {
+            sim,
+            pcie,
+            bufs,
+            xfer,
+            ..
+        } = &mut self.device;
+        coefbuf.pack_compacted_into(geom, row0, row1, &mut xfer.payload, &mut xfer.offsets);
+        self.written = Some((row0, row1));
+        sim.recreate_buffer_from(bufs.scan, scan.bytes);
+        sim.recreate_buffer(bufs.coef, xfer.payload.len() * 2);
+        sim.recreate_buffer(bufs.offsets, xfer.offsets.len() * 4);
+        sim.recreate_buffer(bufs.eobs, self.eobs.len());
+        let sbufs = SubseqBuffers {
+            scan: bufs.scan,
+            records: bufs.records,
+            totals: bufs.totals,
+            coef: bufs.coef,
+            offsets: bufs.offsets,
+            eobs: bufs.eobs,
+        };
+        let (bytes, obytes) = (&mut xfer.bytes, &mut xfer.obytes);
+        bytes.clear();
+        bytes.extend(xfer.payload.iter().flat_map(|v| v.to_le_bytes()));
+        obytes.clear();
+        obytes.extend(xfer.offsets.iter().flat_map(|v| v.to_le_bytes()));
+        let out = Compacted {
+            payload: bytes,
+            offsets: &xfer.offsets,
+            offset_bytes: obytes,
+            eobs: &self.eobs,
+        };
+        let mut stats = LaunchStats::default();
+        let mut kernel_times = Vec::with_capacity(2);
+        let launches = subseq::launch_subseq_decode(sim, scan.table, sbufs, scan.bytes.len(), out);
+        for (s, items) in launches {
+            stats.merge(&s);
+            kernel_times.push(("huffman", TimingModel::kernel_time(&sim.device, &s, items)));
+        }
+        let h2d_bytes = scan.bytes.len() + scan.table.lanes.len() * SUBSEQ_ENTRY_BYTES;
+        GpuEntropyResult {
+            h2d_time: pcie.transfer_time(h2d_bytes, true),
+            h2d_bytes,
+            kernel_times,
+            stats,
+            readback_time: pcie.transfer_time((row1 - row0) * STATE_BYTES, true),
+        }
+    }
+
+    /// What the last [`Self::decode_entropy`] wrote on the device: the
+    /// compacted payload's bytes, the offset table's and the EOB sidecar.
+    pub fn entropy_written(&self) -> [&[u8]; 3] {
+        let (sim, bufs) = (&self.device.sim, &self.device.bufs);
+        [bufs.coef, bufs.offsets, bufs.eobs].map(|b| sim.read_buffer(b))
     }
 }
 
 impl Device {
     #[allow(clippy::too_many_arguments)]
+    /// Decode MCU rows `[row0, row1)` from `packed`, their dense packed
+    /// coefficients and EOB sidecar, shipped in the context's layout — or,
+    /// without them, from the compacted layout the device's buffers
+    /// already hold for exactly these rows, shipping nothing.
     fn decode_packed(
         &mut self,
         prep: &Prepared<'_>,
-        packed: &[i16],
-        eob_sidecar: &[u8],
+        packed: Option<(&[i16], &[u8])>,
         row0: usize,
         row1: usize,
         wg_blocks: usize,
@@ -223,8 +383,6 @@ impl Device {
             ));
         }
         let layout = RegionLayout::new(geom, row0, row1);
-        debug_assert_eq!(packed.len() * 2, layout.coef_bytes);
-        debug_assert_eq!(eob_sidecar.len(), layout.eob_bytes());
         assert_eq!(out.len(), layout.rgb_len, "destination is the region's RGB");
         let Device {
             sim,
@@ -240,62 +398,78 @@ impl Device {
             planes,
             rgb,
             upsampled,
+            ..
         } = *bufs;
 
-        // H2D staging per transfer layout (pinned buffers, §5.1). The byte
-        // serialization reuses the staging scratch: one exact resize +
-        // chunked stores — the iterator-of-arrays collect this replaces was
-        // measurably slower per chunk.
-        let bytes = &mut xfer.bytes;
-        bytes.clear();
-        let (access, payload_sidecar_bytes) = match mode {
-            TransferMode::Dense => {
-                bytes.resize(packed.len() * 2, 0);
-                for (dst, v) in bytes.chunks_exact_mut(2).zip(packed.iter()) {
-                    dst.copy_from_slice(&v.to_le_bytes());
+        let (access, h2d_bytes) = match packed {
+            None => (CoefAccess::Compacted { offsets }, 0),
+            Some((packed, eob_sidecar)) => {
+                debug_assert_eq!(packed.len() * 2, layout.coef_bytes);
+                debug_assert_eq!(eob_sidecar.len(), layout.eob_bytes());
+                // H2D staging per transfer layout (pinned buffers, §5.1). The byte
+                // serialization reuses the staging scratch: one exact resize +
+                // chunked stores — the iterator-of-arrays collect this replaces was
+                // measurably slower per chunk.
+                let bytes = &mut xfer.bytes;
+                bytes.clear();
+                let (access, payload_sidecar_bytes) = match mode {
+                    TransferMode::Dense => {
+                        bytes.resize(packed.len() * 2, 0);
+                        for (dst, v) in bytes.chunks_exact_mut(2).zip(packed.iter()) {
+                            dst.copy_from_slice(&v.to_le_bytes());
+                        }
+                        sim.recreate_buffer_from(coef, bytes);
+                        (CoefAccess::Dense, bytes.len())
+                    }
+                    TransferMode::Compacted => {
+                        // Only each block's ≤EOB class corner crosses the bus, plus a
+                        // u32 offset-table word per block locating it.
+                        xfer.payload.clear();
+                        xfer.offsets.clear();
+                        compact_packed_blocks(
+                            packed,
+                            eob_sidecar,
+                            &mut xfer.payload,
+                            &mut xfer.offsets,
+                        );
+                        bytes.resize(xfer.payload.len() * 2, 0);
+                        for (dst, v) in bytes.chunks_exact_mut(2).zip(xfer.payload.iter()) {
+                            dst.copy_from_slice(&v.to_le_bytes());
+                        }
+                        xfer.obytes.clear();
+                        xfer.obytes.resize(xfer.offsets.len() * 4, 0);
+                        for (dst, v) in xfer.obytes.chunks_exact_mut(4).zip(xfer.offsets.iter()) {
+                            dst.copy_from_slice(&v.to_le_bytes());
+                        }
+                        sim.recreate_buffer_from(coef, bytes);
+                        sim.recreate_buffer_from(offsets, &xfer.obytes);
+                        (
+                            CoefAccess::Compacted { offsets },
+                            bytes.len() + xfer.obytes.len(),
+                        )
+                    }
+                };
+
+                // The EOB sidecar rides along: one byte per block (~0.8% of the dense
+                // coefficient payload) buys the kernels their sparse dispatch. The
+                // Dense ablation ships an all-dense sidecar instead, blinding the
+                // kernels to sparsity exactly like the pre-PR-5 baseline.
+                if *mode == TransferMode::Dense {
+                    xfer.dense_eobs.clear();
+                    xfer.dense_eobs.resize(eob_sidecar.len(), EOB_DENSE);
+                    sim.recreate_buffer_from(eobs, &xfer.dense_eobs);
+                } else {
+                    sim.recreate_buffer_from(eobs, eob_sidecar);
                 }
-                sim.recreate_buffer_from(coef, bytes);
-                (CoefAccess::Dense, bytes.len())
-            }
-            TransferMode::Compacted => {
-                // Only each block's ≤EOB class corner crosses the bus, plus a
-                // u32 offset-table word per block locating it.
-                xfer.payload.clear();
-                xfer.offsets.clear();
-                compact_packed_blocks(packed, eob_sidecar, &mut xfer.payload, &mut xfer.offsets);
-                bytes.resize(xfer.payload.len() * 2, 0);
-                for (dst, v) in bytes.chunks_exact_mut(2).zip(xfer.payload.iter()) {
-                    dst.copy_from_slice(&v.to_le_bytes());
-                }
-                xfer.obytes.clear();
-                xfer.obytes.resize(xfer.offsets.len() * 4, 0);
-                for (dst, v) in xfer.obytes.chunks_exact_mut(4).zip(xfer.offsets.iter()) {
-                    dst.copy_from_slice(&v.to_le_bytes());
-                }
-                sim.recreate_buffer_from(coef, bytes);
-                sim.recreate_buffer_from(offsets, &xfer.obytes);
-                (
-                    CoefAccess::Compacted { offsets },
-                    bytes.len() + xfer.obytes.len(),
-                )
+                (access, payload_sidecar_bytes + eob_sidecar.len())
             }
         };
-
-        // The EOB sidecar rides along: one byte per block (~0.8% of the dense
-        // coefficient payload) buys the kernels their sparse dispatch. The
-        // Dense ablation ships an all-dense sidecar instead, blinding the
-        // kernels to sparsity exactly like the pre-PR-5 baseline.
-        if *mode == TransferMode::Dense {
-            xfer.dense_eobs.clear();
-            xfer.dense_eobs.resize(eob_sidecar.len(), EOB_DENSE);
-            sim.recreate_buffer_from(eobs, &xfer.dense_eobs);
-        } else {
-            sim.recreate_buffer_from(eobs, eob_sidecar);
-        }
         sim.recreate_buffer(planes, layout.planes_len);
         sim.recreate_buffer(rgb, layout.rgb_len);
-        let h2d_bytes = payload_sidecar_bytes + eob_sidecar.len();
-        let h2d_time = pcie.transfer_time(h2d_bytes, true);
+        let h2d_time = match h2d_bytes {
+            0 => 0.0,
+            n => pcie.transfer_time(n, true),
+        };
 
         let mut kernel_times: Vec<(&'static str, f64)> = Vec::new();
         let mut stats = LaunchStats::default();

@@ -15,7 +15,10 @@
 //!   with its three stages — H2D, kernels, D2H — fitted on their own as
 //!   well (`gpu_stages`), so a plan whose copy engine runs beside the
 //!   kernels can price each engine;
-//! * `Tdisp(w, h)` — host-side dispatch overhead.
+//! * `Tdisp(w, h)` — host-side dispatch overhead;
+//! * `THuffGPU(bytes, d)` — the device's subsequence Huffman decode of a
+//!   band's `bytes` scan bytes at entropy density `d` (`thuff_gpu`): a fed
+//!   plan ships its GPU rows' scan, not their coefficients.
 //!
 //! Models are persisted in a tiny `key = value` text format to stay inside
 //! the offline dependency set (no serde_json).
@@ -88,6 +91,54 @@ pub struct PerformanceModel {
     /// engine — prices those plans on the serial queue, every chunk's
     /// transfers and kernels one after another in `PGPU`.
     pub gpu_stages: Option<GpuStages>,
+    /// `THuffGPU`: the fed plans' Huffman on the device.
+    pub thuff_gpu: GpuEntropy,
+}
+
+/// `THuffGPU` ([`PerformanceModel::thuff_gpu`]): the subsequence Huffman
+/// kernels of one band, and reading the decoder state at the band's end
+/// back for the CPU band.
+#[derive(Debug, Clone, PartialEq)]
+pub struct GpuEntropy {
+    /// The kernels' seconds as `f(bytes, d)` of the band's scan bytes and
+    /// entropy density.
+    pub decode: Poly2,
+    /// Seconds to read the decoder state back.
+    pub readback: f64,
+}
+
+impl GpuEntropy {
+    /// The analytic seed for `platform`: two launches, each at least one
+    /// subsequence's decode issued serially, and the decode loop's ops per
+    /// scan byte over the device — about 1.45 symbols and 0.16 blocks per
+    /// byte at photo-like densities, decoded twice (passes 1 and 4) and a
+    /// convergence prefix of about a third more.
+    pub fn seed(platform: &Platform) -> GpuEntropy {
+        use hetjpeg_gpusim::subseq::{OPS_PER_BLOCK, OPS_PER_BYTE, OPS_PER_SYMBOL};
+        let gpu = &platform.gpu;
+        let per_byte =
+            OPS_PER_BYTE as f64 + 1.45 * OPS_PER_SYMBOL as f64 + 0.16 * OPS_PER_BLOCK as f64;
+        let lane = crate::schedule::entropy_par::SUBSEQ_BYTES as f64 * per_byte;
+        let issue = gpu.clock_mhz * 1e6 * gpu.ipc_efficiency;
+        let mut decode = Poly2::zero(1);
+        decode.coefs[0][0] = 2.0 * gpu.launch_overhead_us * 1e-6 + 2.0 * lane / issue;
+        decode.coefs[1][0] = 2.7 * per_byte / gpu.peak_ops_per_sec();
+        let state = crate::gpu_decode::STATE_BYTES;
+        GpuEntropy {
+            decode,
+            readback: platform.pcie.transfer_time(state, true),
+        }
+    }
+
+    /// The kernels' seconds for `bytes` scan bytes at density `d`, never
+    /// negative and zero for no bytes.
+    pub fn time(&self, bytes: f64, d: f64) -> f64 {
+        if bytes <= 0.0 {
+            0.0
+        } else {
+            self.decode.eval(bytes, d).max(0.0)
+        }
+    }
 }
 
 /// The stage forms of `PGPU` ([`PerformanceModel::gpu_stages`]), seconds of
@@ -162,8 +213,9 @@ impl PerformanceModel {
 
     /// The device time of a `width × rows` band at entropy density `d` as
     /// the stages its engines run, `[H2D, kernels, D2H]`, each never
-    /// negative and zero for an empty band. `None` without the stage forms
-    /// ([`Self::gpu_stages`]).
+    /// negative and zero for an empty band: the H2D of the band's scan and
+    /// subsequence table, the kernels after the Huffman ones. `None`
+    /// without the stage forms ([`Self::gpu_stages`]).
     pub fn gpu_stage_times(&self, width: f64, rows: f64, d: f64) -> Option<[f64; 3]> {
         let st = self.gpu_stages.as_ref()?;
         if rows <= 0.0 {
@@ -246,6 +298,7 @@ impl PerformanceModel {
         let mut d2h = Poly2::zero(2);
         (d2h.coefs[0][0], d2h.coefs[1][1]) = (latency, 3.0 * per_byte);
         let gpu_stages = Some(GpuStages { h2d, kernels, d2h });
+        let thuff_gpu = GpuEntropy::seed(platform);
 
         let mut t_disp = Poly2::zero(1);
         t_disp.coefs[0][0] = cpu.dispatch_base_us * 1e-6;
@@ -265,6 +318,7 @@ impl PerformanceModel {
             h2d_ref_density: 0.0,
             pcpu_density: Poly1::new(vec![1.0]),
             gpu_stages,
+            thuff_gpu,
         }
     }
 
@@ -289,10 +343,15 @@ impl PerformanceModel {
             &self.pcpu_density,
         ];
         let stages = (self.gpu_stages.iter()).flat_map(|s| [&s.h2d, &s.kernels, &s.d2h]);
-        let poly2s: Vec<&Poly2> = [&self.p_cpu, &self.p_gpu, &self.t_disp]
-            .into_iter()
-            .chain(stages)
-            .collect();
+        let poly2s: Vec<&Poly2> = [
+            &self.p_cpu,
+            &self.p_gpu,
+            &self.t_disp,
+            &self.thuff_gpu.decode,
+        ]
+        .into_iter()
+        .chain(stages)
+        .collect();
         let finite_coefs = poly1s.iter().all(|p| p.coefs.iter().all(|c| c.is_finite()))
             && poly2s
                 .iter()
@@ -313,6 +372,9 @@ impl PerformanceModel {
         }
         if !(self.spec_prefix_mcus.is_finite() && self.spec_prefix_mcus >= 0.0) {
             return Some("spec_prefix_mcus must be finite and >= 0");
+        }
+        if !positive(self.thuff_gpu.readback) {
+            return Some("thuff_gpu.readback must be finite and > 0");
         }
         None
     }
@@ -358,6 +420,11 @@ impl PerformanceModel {
             p2("gpu_stages.kernels", &st.kernels, &mut out);
             p2("gpu_stages.d2h", &st.d2h, &mut out);
         }
+        p2("thuff_gpu", &self.thuff_gpu.decode, &mut out);
+        out.push_str(&format!(
+            "thuff_gpu.readback = {:e}\n",
+            self.thuff_gpu.readback
+        ));
         out
     }
 
@@ -396,14 +463,30 @@ impl PerformanceModel {
             }
             Some(p)
         };
+        let platform = get("platform")?;
         let subsampling = match get("subsampling")?.as_str() {
             "4:4:4" => Subsampling::S444,
             "4:2:2" => Subsampling::S422,
             "4:2:0" => Subsampling::S420,
             _ => return None,
         };
+        // Absent in files written before the device decoded Huffman: the
+        // seed's form for the file's platform (the GTX 560 Ti's for a name
+        // no platform has).
+        let seed = || {
+            let all = Platform::all();
+            let named = (all.iter()).find(|p| p.name == platform);
+            GpuEntropy::seed(named.unwrap_or(&Platform::gtx560()))
+        };
+        let thuff_gpu = match (p2("thuff_gpu"), get("thuff_gpu.readback")) {
+            (Some(decode), Some(r)) => GpuEntropy {
+                decode,
+                readback: parse_f(&r)?,
+            },
+            _ => seed(),
+        };
         Some(PerformanceModel {
-            platform: get("platform")?,
+            platform,
             subsampling,
             thuff_ns_per_px: p1("thuff")?,
             p_cpu: p2("p_cpu")?,
@@ -435,6 +518,7 @@ impl PerformanceModel {
                 let d2h = p2("gpu_stages.d2h")?;
                 Some(GpuStages { h2d, kernels, d2h })
             })(),
+            thuff_gpu,
         })
     }
 }
@@ -604,6 +688,70 @@ mod tests {
         }
         assert!(at(&fed, Mode::PipelinedGpu) >= serial_device);
         assert_eq!(bits(fed), bits(seconds(&serial, 4)));
+    }
+
+    #[test]
+    fn trained_model_roundtrips_with_its_device_huffman_form() {
+        let m = trained();
+        let seed = GpuEntropy::seed(&Platform::gtx560());
+        assert_ne!(m.thuff_gpu.decode, seed.decode, "the form is fitted");
+        let back = PerformanceModel::load_str(&m.save_str()).expect("parse");
+        assert_eq!(back.thuff_gpu, m.thuff_gpu);
+        assert_eq!(back, m);
+    }
+
+    #[test]
+    fn a_file_without_the_device_huffman_form_loads_the_seeds() {
+        let m = trained();
+        let legacy: String = (m.save_str().lines())
+            .filter(|l| !l.starts_with("thuff_gpu"))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        let loaded = PerformanceModel::load_str(&legacy).expect("parse");
+        assert_eq!(loaded.thuff_gpu, GpuEntropy::seed(&Platform::gtx560()));
+        assert_eq!(
+            loaded,
+            PerformanceModel {
+                thuff_gpu: GpuEntropy::seed(&Platform::gtx560()),
+                ..m.clone()
+            }
+        );
+        // A platform no seed knows loads the GTX 560 Ti's; the GTX 680's
+        // file loads the GTX 680's.
+        let renamed = legacy.replace("platform = ", "platform = x");
+        let other = PerformanceModel::load_str(&renamed).expect("parse");
+        assert_eq!(other.thuff_gpu, GpuEntropy::seed(&Platform::gtx560()));
+        let gtx680 = Platform::gtx680();
+        let text: String = (PerformanceModel::analytic_seed(&gtx680).save_str().lines())
+            .filter(|l| !l.starts_with("thuff_gpu"))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        let loaded = PerformanceModel::load_str(&text).expect("parse");
+        assert_eq!(loaded.thuff_gpu, GpuEntropy::seed(&gtx680));
+    }
+
+    #[test]
+    fn defect_refuses_a_device_huffman_form_that_cannot_price() {
+        let m = PerformanceModel::analytic_seed(&Platform::gtx560());
+        assert_eq!(m.defect(), None);
+        for readback in [0.0, -1e-6, f64::NAN, f64::INFINITY] {
+            let mut bad = m.clone();
+            bad.thuff_gpu.readback = readback;
+            assert!(bad.defect().is_some(), "readback {readback}");
+        }
+        for (i, j) in [(0, 0), (1, 0), (0, 1)] {
+            let mut bad = m.clone();
+            bad.thuff_gpu.decode.coefs[i][j] = f64::NAN;
+            assert_eq!(bad.defect(), Some("non-finite coefficient"));
+        }
+        for scale in [0.0, -2.0] {
+            let mut bad = m.clone();
+            bad.thuff_gpu.decode.x_scale = scale;
+            assert!(bad.defect().is_some(), "x_scale {scale}");
+            let mut bad = m.clone();
+            bad.thuff_gpu.decode.y_scale = scale;
+            assert!(bad.defect().is_some(), "y_scale {scale}");
+        }
     }
 
     #[test]

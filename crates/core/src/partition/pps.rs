@@ -27,37 +27,17 @@
 //! with a corrected density (Eq. 17), the device's backlog, and `PCPU`
 //! scaled by the tail's measured sparsity instead of `k(d)`.
 //!
-//! With more than one session thread the Huffman decoding is not the CPU
-//! side's: the entropy workers release rows on a [`Release`] curve `R(r)`
-//! (waves of `threads` feed chunks, the first at the sequential rate), and
-//! Eq. 15/16 walk the loop chunk by chunk ([`Overlap::fed`]). A fed plan's
-//! device has two engines: the copy engine moves one transfer at a time
-//! while the compute engine runs kernels, so chunk `j+1`'s H2D runs under
-//! chunk `j`'s kernels and chunk `j`'s D2H under chunk `j+1`'s. A chunk's
-//! device time is its three stages `H(c) + K(c) + D(c)` by the model's
-//! stage forms ([`PerformanceModel::gpu_stage_times`]), and with `copy_j`
-//! and `comp_j` the engines' free times:
-//!
-//! ```text
-//! dispatch_j = max(dispatch_{j−1}, R(end_j)) + Tdisp(w, c_j)
-//! D2H_{j−1}  on the copy engine first if it can start sooner than H2D_j:
-//!              max(copy, comp_{j−1}) < max(copy, dispatch_j)
-//! h2d_j      = max(copy, dispatch_j) + H(c_j)           then D2H_{j−1}
-//! comp_j     = max(comp_{j−1}, h2d_j) + K(c_j)
-//! CPU(x)     = max(dispatch_n, R(h)) + PCPU(w, x)·k(d)
-//! GPU(x)     = max(comp_n, copy_n after D2H_n)
-//! ```
-//!
-//! Without the stage forms (a model file older than the copy engine)
-//! the walk prices the serial queue instead, `device_j = max(device_{j−1},
-//! dispatch_j) + PGPU(w, c_j)`, which never undercuts the two engines.
-//! Newton steers the fed balance by the busier engine's rate per row. A
-//! fed split is device-bound, so its device work is always priced chunk by
-//! chunk. Eq. 16 evaluates the same walk over the rows still to come, on
-//! the plan's curve, from the loop's current time and the engines' state
-//! ([`Engines`]: the held-back D2H included). At one thread every form is
-//! the sequential one above, bit for bit, on the paper's one in-order
-//! queue.
+//! With more than one session thread the GPU's rows are not Huffman-decoded
+//! on the CPU at all: the device decodes them from their scan
+//! (`Overlap::device_walk`), and only the CPU band's rows are the entropy
+//! workers', released on a [`Release`] curve. A fed plan's device has two
+//! engines when it is chunked: the copy engine moves one transfer at a time
+//! while the compute engine runs kernels ([`Engines`]). The GPU share's
+//! sides then jump — where the share outgrows the rows the device decoded,
+//! where a chunk starts — so the fed split is the MCU row of the smallest
+//! makespan, found by scanning every one ([`device_partition`], Eq. 16's
+//! [`repartition_device`]). At one thread every form is the sequential one
+//! above, bit for bit, on the paper's one in-order queue.
 
 use super::newton::newton_solve;
 use super::Partition;
@@ -123,11 +103,10 @@ impl Engines {
         self.compute.max(copy)
     }
 
-    /// Place one chunk whose H2D is ready at `ready`, its device time split
-    /// into `[H2D, kernels, D2H]`: the held-back D2H and this H2D go to the
-    /// copy engine in the order they can start, the kernels follow the H2D
-    /// on the compute engine, and this chunk's D2H is held back.
-    fn place(&mut self, ready: f64, [h2d, kernels, d2h]: [f64; 3]) {
+    /// An H2D of `h2d` seconds ready at `ready`: the held-back D2H and the
+    /// H2D go to the copy engine in the order they can start. Returns when
+    /// the bytes are on the device.
+    fn h2d(&mut self, ready: f64, h2d: f64) -> f64 {
         let mut pending = self.pending.take();
         if let Some((at, t)) = pending.filter(|&(at, _)| d2h_first(self.copy, at, ready)) {
             self.copy = self.copy.max(at) + t;
@@ -138,7 +117,25 @@ impl Engines {
         if let Some((at, t)) = pending {
             self.copy = self.copy.max(at) + t;
         }
-        self.compute = self.compute.max(loaded) + kernels;
+        loaded
+    }
+
+    /// The device's Huffman pass, ready at `ready`: its H2D, then `entropy`
+    /// seconds of kernels. Returns when the kernels end.
+    fn entropy_pass(&mut self, ready: f64, h2d: f64, entropy: f64) -> f64 {
+        let loaded = self.h2d(ready, h2d);
+        self.compute = self.compute.max(loaded) + entropy;
+        self.compute
+    }
+
+    /// A chunk whose coefficients are resident, dispatched at `ready`: the
+    /// held-back D2H goes to the copy engine at once, the kernels run on
+    /// the compute engine, and this chunk's D2H is held back.
+    fn place_resident(&mut self, ready: f64, kernels: f64, d2h: f64) {
+        if let Some((at, t)) = self.pending.take() {
+            self.copy = self.copy.max(at) + t;
+        }
+        self.compute = self.compute.max(ready) + kernels;
         self.pending = Some((self.compute, d2h));
     }
 }
@@ -173,6 +170,10 @@ pub struct Overlap {
     chunk_disp: f64,
     chunk_dev: f64,
     chunk_stages: Option<[f64; 3]>,
+    /// `THuffGPU` at the image's density, and its scan bytes per pixel.
+    entropy: crate::model::GpuEntropy,
+    d: f64,
+    scan_per_px: f64,
 }
 
 /// The overlap's prices for one GPU share, each with its slope in the
@@ -218,6 +219,9 @@ impl Overlap {
             chunk_disp: 0.0,
             chunk_dev: 0.0,
             chunk_stages: None,
+            entropy: model.thuff_gpu.clone(),
+            d,
+            scan_per_px: d,
         };
         overlap.chunk_disp = overlap.t_disp.at(chunk).0;
         overlap.chunk_dev = overlap.device(chunk).0;
@@ -297,57 +301,80 @@ impl Overlap {
 }
 
 impl Overlap {
-    /// The fed loop over a GPU share of `g` pixel rows that starts `from`
-    /// rows into an image of `h`, on a loop that is free `start` seconds
-    /// into the decode, with the device's `engines` where they stand: each
-    /// chunk waits for its rows' [`Release`], is dispatched, and is placed
-    /// on the two engines once the dispatch returned ([`Engines`]), or on
-    /// the serial queue without the model's stage forms; its device work
-    /// is priced chunk by chunk. Returns, relative to `start`, when the
-    /// loop can render its band — every GPU chunk dispatched and every row
-    /// final — and when the device finishes, the last D2H included.
-    pub fn fed(
+    /// The same overlap with the GPU's Huffman decoded on the device, from
+    /// a scan of `scan_per_px` bytes per pixel.
+    pub fn with_scan(self, scan_per_px: f64) -> Self {
+        Overlap {
+            scan_per_px,
+            ..self
+        }
+    }
+
+    /// `THuffGPU` of a band of `rows`.
+    fn entropy(&self, rows: f64) -> f64 {
+        self.entropy.time(self.scan_per_px * self.w * rows, self.d)
+    }
+
+    /// The device-entropy walk over a GPU share of `g` pixel rows on a loop
+    /// free at `start`, the device's `engines` where they stand, the
+    /// share's first `decoded` rows' Huffman already decoded on the device
+    /// and their states on the host at `state`. Before the first chunk's
+    /// dispatch the device's Huffman pass over the rest of the share is
+    /// placed: its scan's H2D, `THuffGPU`, and with `readback` every row's
+    /// state back. Every chunk — the whole share as one with `serial` — is
+    /// then dispatched at once and decodes from the resident coefficients:
+    /// its kernels and D2H, no H2D. With `serial` the device has one
+    /// in-order queue, else two engines. Returns when the dispatches end,
+    /// when the band's state is on the host, and when the device is done;
+    /// without the stage forms a chunk's device time is `PGPU` on the
+    /// serial queue.
+    #[allow(clippy::too_many_arguments)]
+    fn device_walk(
         &self,
-        release: &Release,
-        from: f64,
         g: f64,
-        h: f64,
         start: f64,
         engines: &Engines,
-    ) -> (f64, f64) {
-        let (mut cpu, mut engines, mut serial) = (start, *engines, engines.drained());
+        serial: bool,
+        readback: bool,
+        decoded: f64,
+        state: f64,
+    ) -> (f64, f64, f64) {
+        let two = !serial && self.stages.is_some();
+        let (mut cpu, mut eng, mut queue, mut state) = (start, *engines, engines.drained(), state);
+        let fresh = g - decoded;
+        if fresh > 0.0 {
+            let h2d = self.stages(fresh).map_or(0.0, |[h2d, _, _]| h2d);
+            let ent = self.entropy(fresh);
+            let back = if readback { self.entropy.readback } else { 0.0 };
+            if two {
+                let end = eng.entropy_pass(cpu, h2d, ent);
+                if readback {
+                    eng.copy = eng.copy.max(end) + back;
+                    state = eng.copy;
+                }
+            } else {
+                queue = queue.max(cpu) + h2d + ent + back;
+                state = queue;
+            }
+        }
+        let chunk = if serial { g } else { self.chunk };
         let mut done = 0.0;
         while done < g {
-            let rows = self.chunk.min(g - done);
+            let rows = chunk.min(g - done);
             done += rows;
-            cpu = cpu.max(release.at(from + done)) + self.t_disp.at(rows).0;
+            cpu += self.t_disp.at(rows).0;
             let stages = match rows == self.chunk {
                 true => self.chunk_stages,
                 false => self.stages(rows),
             };
             match stages {
-                Some(stages) => engines.place(cpu, stages),
-                None => serial = serial.max(cpu) + self.device(rows).0,
+                Some([_, kernels, d2h]) if two => eng.place_resident(cpu, kernels, d2h),
+                Some([_, kernels, d2h]) => queue = queue.max(cpu) + kernels + d2h,
+                None => queue = queue.max(cpu) + self.device(rows).0,
             }
         }
-        let dev = match self.stages {
-            Some(_) => engines.drained(),
-            None => serial,
-        };
-        (cpu.max(release.at(h)) - start, dev - start)
-    }
-
-    /// The device's mean seconds per pixel row over a full chunk on a GPU
-    /// share of `g` pixel rows — the slope Newton steers the fed balance
-    /// by. Over several chunks the engines overlap, and the busier one sets
-    /// the pace; a share of one chunk runs its stages one after another, as
-    /// does the serial queue without the stage forms.
-    fn device_rate(&self, g: f64) -> f64 {
-        match self.chunk_stages {
-            Some([h2d, kernels, d2h]) if g > self.chunk => kernels.max(h2d + d2h) / self.chunk,
-            Some([h2d, kernels, d2h]) => (h2d + kernels + d2h) / self.chunk,
-            None => self.chunk_dev / self.chunk,
-        }
+        let dev = if two { eng.drained() } else { queue };
+        (cpu, state, dev)
     }
 }
 
@@ -441,51 +468,123 @@ impl Release {
     }
 }
 
+/// The fed plans with GPU rows decode those rows' Huffman on the device:
+/// seconds until every row of a CPU band of its last `x` pixel rows is
+/// final, counted from when the band's first decoder state is on the host.
+pub type BandHuff<'a> = &'a dyn Fn(f64) -> f64;
+
 /// Where the balanced overlap's Huffman comes from.
 #[derive(Clone, Copy)]
 enum Feed<'r> {
     /// Decoded on the CPU side's own thread: `huff` seconds of it.
     Sequential { huff: f64 },
-    /// Released by the entropy workers; the share starts `from` rows into
-    /// an image of `h` on a loop free `start` seconds into the decode, the
-    /// device's `engines` where they stand.
-    Fed {
-        release: &'r Release,
-        from: f64,
-        h: f64,
+    /// Decoded on the device for the GPU's share
+    /// ([`Overlap::device_walk`]) and fed for the CPU band, which waits for
+    /// the device's state at its first row and then takes `band(x)`. The
+    /// share is placed on a loop free `start` seconds into the decode, the
+    /// device's `engines` where they stand, on one in-order queue and as
+    /// one chunk with `serial` (SPS); its first `decoded` rows are decoded
+    /// already, their states on the host at `state`.
+    Device {
+        band: BandHuff<'r>,
         start: f64,
         engines: Engines,
+        serial: bool,
+        decoded: f64,
+        state: f64,
     },
 }
 
 /// Initial PPS split for an image with density `d`, given the tuned chunk
-/// height in pixel rows (`c` in Eq. 15). With a `release` curve the
-/// entropy step is fed and the device work is priced chunk by chunk.
+/// height in pixel rows (`c` in Eq. 15), on the paper's schedule: one
+/// entropy thread, Huffman on the CPU side.
 pub fn initial_partition(
     model: &PerformanceModel,
     geom: &Geometry,
     d: f64,
     chunk_pixel_rows: f64,
-    release: Option<&Release>,
 ) -> Partition {
     let w = geom.width as f64;
     let h = geom.height as f64;
     let k = model.pcpu_density_factor(d);
-    let chunked = release.is_some();
-    let overlap = Overlap::new(model, w, d, chunk_pixel_rows.min(h), 0.0, chunked, 0.0);
-    let feed = match release {
-        Some(release) => Feed::Fed {
-            release,
-            from: 0.0,
-            h,
-            start: 0.0,
-            engines: Engines::default(),
-        },
-        None => Feed::Sequential {
-            huff: model.huff_time(w * h, d),
-        },
+    let overlap = Overlap::new(model, w, d, chunk_pixel_rows.min(h), 0.0, false, 0.0);
+    let feed = Feed::Sequential {
+        huff: model.huff_time(w * h, d),
     };
     balance(model, &overlap, h, geom.mcus_y, geom.mcu_h, feed, k)
+}
+
+/// The split of a fed plan whose GPU decodes its share's Huffman
+/// (Eq. 10 and 15 with `THuffGPU`): the share is dispatched at once, as one
+/// chunk on the in-order queue without `chunk_pixel_rows` (SPS), else in
+/// chunks of that many rows on the two engines (PPS); the CPU band waits for
+/// the decoder state at its first row, then takes `band(x)` and
+/// `PCPU(w, x)·k(d)`. The scan has `scan_per_px` bytes per pixel.
+pub fn device_partition(
+    model: &PerformanceModel,
+    geom: &Geometry,
+    d: f64,
+    scan_per_px: f64,
+    chunk_pixel_rows: Option<f64>,
+    band: BandHuff<'_>,
+) -> Partition {
+    let (w, h) = (geom.width as f64, geom.height as f64);
+    let chunk = chunk_pixel_rows.unwrap_or(h).min(h);
+    let overlap = Overlap::new(model, w, d, chunk, 0.0, true, 0.0).with_scan(scan_per_px);
+    let feed = Feed::Device {
+        band,
+        start: 0.0,
+        engines: Engines::default(),
+        serial: chunk_pixel_rows.is_none(),
+        decoded: 0.0,
+        state: 0.0,
+    };
+    let k = model.pcpu_density_factor(d);
+    balance(model, &overlap, h, geom.mcus_y, geom.mcu_h, feed, k)
+}
+
+/// Eq. 16 for a fed PPS whose GPU decodes its share's Huffman: the split
+/// of the `h_left` pixel rows still to come, at the corrected density
+/// `d_new` (its scan `scan_per_px` bytes per pixel), on a loop at `now`
+/// seconds into the decode with the device's `engines` where they stand,
+/// the first `decoded` of those rows decoded on the device already and
+/// their states on the host at `state`; `cpu_scale` as in [`repartition`].
+#[allow(clippy::too_many_arguments)]
+pub fn repartition_device(
+    model: &PerformanceModel,
+    geom: &Geometry,
+    h_left: f64,
+    d_new: f64,
+    scan_per_px: f64,
+    cpu_scale: f64,
+    chunk_pixel_rows: f64,
+    (now, engines): (f64, Engines),
+    (decoded, state): (f64, f64),
+    band: BandHuff<'_>,
+) -> Partition {
+    let w = geom.width as f64;
+    let chunk = chunk_pixel_rows.min(h_left);
+    let overlap = Overlap::new(model, w, d_new, chunk, 0.0, true, 0.0).with_scan(scan_per_px);
+    let feed = Feed::Device {
+        band,
+        start: now,
+        engines,
+        serial: false,
+        decoded,
+        state,
+    };
+    let rows = geom.round_rows_to_mcu(h_left);
+    balance(model, &overlap, h_left, rows, geom.mcu_h, feed, cpu_scale)
+}
+
+impl Overlap {
+    /// A device-entropy plan with every row on the GPU — `PipelinedGpu`
+    /// on the two engines, `Gpu` with `serial` as one chunk on the in-order
+    /// queue: when the later of the dispatches and the device ends.
+    pub(crate) fn device_only(&self, h: f64, serial: bool) -> f64 {
+        let (disp, _, dev) = self.device_walk(h, 0.0, &Engines::default(), serial, false, 0.0, 0.0);
+        disp.max(dev)
+    }
 }
 
 /// Density correction (Eq. 17): scale the global density by how much
@@ -520,13 +619,6 @@ pub fn corrected_density(
 ///
 /// Returns the new split of the *remaining* rows (CPU gets the final
 /// `cpu_mcu_rows` of those).
-///
-/// Fed, the rows still to come are released on the plan's `release`
-/// curve — the workers started with the image — the loop is at `now`
-/// seconds into the decode and the device's engines stand at `engines`
-/// (the backlog, a held-back D2H included; `prev_gpu_backlog` prices the
-/// sequential form only).
-#[allow(clippy::too_many_arguments)]
 pub fn repartition(
     model: &PerformanceModel,
     geom: &Geometry,
@@ -535,23 +627,12 @@ pub fn repartition(
     prev_gpu_backlog: f64,
     cpu_scale: f64,
     chunk_pixel_rows: f64,
-    fed: Option<(&Release, f64, Engines)>,
 ) -> Partition {
     let w = geom.width as f64;
-    let h = geom.height as f64;
     let chunk = chunk_pixel_rows.min(h_left);
-    let overlap = Overlap::new(model, w, d_new, chunk, prev_gpu_backlog, fed.is_some(), 0.0);
-    let feed = match fed {
-        Some((release, now, engines)) => Feed::Fed {
-            release,
-            from: h - h_left,
-            h,
-            start: now,
-            engines,
-        },
-        None => Feed::Sequential {
-            huff: model.huff_time(w * h_left, d_new),
-        },
+    let overlap = Overlap::new(model, w, d_new, chunk, prev_gpu_backlog, false, 0.0);
+    let feed = Feed::Sequential {
+        huff: model.huff_time(w * h_left, d_new),
     };
     // Rows are counted against the full-image geometry (MCU height).
     let rows = geom.round_rows_to_mcu(h_left);
@@ -591,16 +672,24 @@ fn balance(
                 let cpu_dx = band_dx * cpu_scale - dispatches.1;
                 [cpu, cpu_dx, gpu.0, -gpu.1]
             }
-            Feed::Fed {
-                release,
-                from,
-                h: image,
+            Feed::Device {
+                band: huff,
                 start,
                 engines,
+                serial,
+                decoded,
+                state,
             } => {
-                let (ready, gpu) = overlap.fed(release, from, h - x, image, start, &engines);
-                let cpu = ready + band * cpu_scale;
-                [cpu, band_dx * cpu_scale, gpu, -overlap.device_rate(h - x)]
+                let g = h - x;
+                let decoded = decoded.min(g);
+                let (disp, state, dev) =
+                    overlap.device_walk(g, start, &engines, serial, true, decoded, state);
+                let ready = match x > 0.0 {
+                    true => disp.max(state) + huff(x),
+                    false => disp,
+                };
+                // The split is scanned, not solved: no slopes.
+                [ready - start + band * cpu_scale, 0.0, dev - start, 0.0]
             }
         };
         last.set((x, v));
@@ -614,22 +703,35 @@ fn balance(
         let [_, cpu_dx, _, gpu_dx] = sides(x);
         cpu_dx - gpu_dx
     };
-    let r = newton_solve(f, df, h / 2.0, 0.0, h, 0.5, 30);
     // The CPU's pixel rows when it takes the final `k` MCU rows.
     let x_of = |k: usize| (h - ((rows - k) * mcu_h) as f64).clamp(0.0, h);
     let span = |k: usize| {
         let [cpu, _, gpu, _] = sides(x_of(k));
         cpu.max(gpu)
     };
-    let lo = rows.saturating_sub(((h - r.x) / mcu_h as f64).ceil() as usize);
-    let hi = (lo + 1).min(rows);
-    let cpu_mcu_rows = if span(hi) < span(lo) { hi } else { lo };
+    let (cpu_mcu_rows, x, iterations) = match feed {
+        // A device-entropy share's sides jump where it outgrows the rows
+        // the device decoded and where a chunk starts: the split is the
+        // MCU row of the smallest makespan, by scanning every one (the
+        // first of equals).
+        Feed::Device { .. } => {
+            let best = (0..=rows).fold(0, |b, k| if span(k) < span(b) { k } else { b });
+            (best, x_of(best), rows + 1)
+        }
+        _ => {
+            let r = newton_solve(f, df, h / 2.0, 0.0, h, 0.5, 30);
+            let lo = rows.saturating_sub(((h - r.x) / mcu_h as f64).ceil() as usize);
+            let hi = (lo + 1).min(rows);
+            let k = if span(hi) < span(lo) { hi } else { lo };
+            (k, r.x, r.iterations)
+        }
+    };
     let [predicted_cpu, _, predicted_gpu, _] = sides(x_of(cpu_mcu_rows));
     Partition {
         gpu_mcu_rows: rows - cpu_mcu_rows,
         cpu_mcu_rows,
-        x_pixel_rows: r.x,
-        iterations: r.iterations,
+        x_pixel_rows: x,
+        iterations,
         predicted_cpu,
         predicted_gpu,
     }
@@ -680,77 +782,74 @@ mod tests {
         assert_eq!(r.at(1.0), (thuff / h).min(r.at(h / 16.0)));
     }
 
-    /// A 1024-wide image's fed walk over `g` of its 1024 rows, in chunks
-    /// of 64, on `model`: (when the loop can render, when the device ends).
+    /// A 1024-wide image at density 0.2: the device walk over `g` of its
+    /// 1024 rows in chunks of 64 on the two engines: (when the dispatches
+    /// end, when the device ends).
     fn walk(model: &PerformanceModel, g: f64) -> (f64, f64) {
-        let (w, h, d) = (1024.0, 1024.0, 0.2);
-        let release = Release::new(model, w, h, d, 8192.0, 4, 16, true);
-        let overlap = Overlap::new(model, w, d, 64.0, 0.0, true, 0.0);
-        overlap.fed(&release, 0.0, g, h, 0.0, &Engines::default())
+        let overlap = Overlap::new(model, 1024.0, 0.2, 64.0, 0.0, true, 0.0).with_scan(0.2);
+        let e = Engines::default();
+        let (disp, _, dev) = overlap.device_walk(g, 0.0, &e, false, false, 0.0, 0.0);
+        (disp, dev)
     }
 
     #[test]
     fn fed_walk_without_stage_forms_is_the_serial_queue() {
-        // A model file older than the copy engine: each chunk's transfers
-        // and kernels run one after another, after the previous chunk's,
-        // in `PGPU`.
+        // A model file older than the copy engine: the device's Huffman
+        // pass, then each chunk's transfers and kernels one after another
+        // in `PGPU`, after the previous chunk's.
         let seeded = PerformanceModel::analytic_seed(&Platform::gtx560());
         let model = PerformanceModel {
             gpu_stages: None,
             ..seeded
         };
-        let (w, h, d) = (1024.0, 1024.0, 0.2);
-        let release = Release::new(&model, w, h, d, 8192.0, 4, 16, true);
+        let w = 1024.0;
         for g in [0.0, 40.0, 64.0, 600.0, 1024.0] {
-            let (mut cpu, mut dev, mut done) = (0.0f64, 0.0f64, 0.0);
+            let pass = model.thuff_gpu.time(0.2 * w * g, 0.2);
+            let (mut cpu, mut dev, mut done) = (0.0f64, pass, 0.0);
             while done < g {
                 let rows = f64::min(64.0, g - done);
                 done += rows;
-                cpu = cpu.max(release.at(done)) + model.t_disp(w, rows);
+                cpu += model.t_disp(w, rows);
                 dev = dev.max(cpu) + model.p_gpu(w, rows);
             }
-            let want = (cpu.max(release.at(h)), dev);
             let got = walk(&model, g);
             assert!(
-                (got.0 - want.0).abs() <= 1e-15 && (got.1 - want.1).abs() <= 1e-15,
-                "{g}: {got:?} vs {want:?}"
+                (got.0 - cpu).abs() <= 1e-15 && (got.1 - dev).abs() <= 1e-15,
+                "{g}: {got:?} vs {:?}",
+                (cpu, dev)
             );
         }
     }
 
     #[test]
     fn fed_walk_overlaps_the_engines_and_never_beats_the_busier() {
-        // With the stage forms the device finishes no later than the
-        // serial queue of the same stages, and no sooner than the busier
-        // engine's work.
+        // With the stage forms the device finishes no later than the same
+        // chunks on one in-order queue, and no sooner than the busier
+        // engine's work: the Huffman pass and every chunk's kernels on the
+        // compute engine, the pass's H2D and every chunk's D2H on the copy
+        // engine.
         let model = PerformanceModel::analytic_seed(&Platform::gtx560());
-        let serial = PerformanceModel {
-            gpu_stages: None,
-            p_gpu: {
-                // `PGPU` as the sum of the seed's stages.
-                let st = model.gpu_stages.as_ref().expect("the seed has stage forms");
-                let mut p = model.p_gpu.clone();
-                p.coefs[0][0] = st.h2d.coefs[0][0] + st.kernels.coefs[0][0] + st.d2h.coefs[0][0];
-                p
-            },
-            ..model.clone()
-        };
+        let w = 1024.0;
         for g in [64.0, 200.0, 600.0, 1024.0] {
             let (_, two) = walk(&model, g);
-            let (_, one) = walk(&serial, g);
-            let (mut copy, mut compute, mut done) = (0.0, 0.0, 0.0);
+            let [h2d, _, _] = model.gpu_stage_times(w, g, 0.2).unwrap();
+            let ent = model.thuff_gpu.time(0.2 * w * g, 0.2);
+            let (mut copy, mut compute, mut done) = (h2d, ent, 0.0);
+            let (mut cpu, mut one) = (0.0f64, h2d + ent);
             while done < g {
                 let rows = f64::min(64.0, g - done);
                 done += rows;
-                let [h2d, kernels, d2h] = model.gpu_stage_times(1024.0, rows, 0.2).unwrap();
-                (copy, compute) = (copy + h2d + d2h, compute + kernels);
+                let [_, kernels, d2h] = model.gpu_stage_times(w, rows, 0.2).unwrap();
+                (copy, compute) = (copy + d2h, compute + kernels);
+                cpu += model.t_disp(w, rows);
+                one = one.max(cpu) + kernels + d2h;
             }
             assert!(
                 two <= one * (1.0 + 1e-12),
-                "{g}: two engines {two} vs serial {one}"
+                "{g}: two engines {two} vs one queue {one}"
             );
             assert!(
-                two >= f64::max(copy, compute),
+                two >= f64::max(copy, compute) * (1.0 - 1e-12),
                 "{g}: {two} under the busier engine"
             );
             if g > 64.0 {
@@ -766,7 +865,7 @@ mod tests {
         let model = PerformanceModel::analytic_seed(&Platform::gtx560());
         let g = geom(2048, 2048);
         let sps = crate::partition::sps::partition(&model, &g, 0.2);
-        let pps = initial_partition(&model, &g, 0.2, 128.0, None);
+        let pps = initial_partition(&model, &g, 0.2, 128.0);
         assert!(
             pps.gpu_mcu_rows >= sps.gpu_mcu_rows,
             "pps gpu {} vs sps gpu {}",
@@ -781,8 +880,8 @@ mod tests {
         // should receive at least as many rows.
         let model = PerformanceModel::analytic_seed(&Platform::gtx560());
         let g = geom(1024, 1024);
-        let sparse = initial_partition(&model, &g, 0.05, 64.0, None);
-        let dense = initial_partition(&model, &g, 0.45, 64.0, None);
+        let sparse = initial_partition(&model, &g, 0.05, 64.0);
+        let dense = initial_partition(&model, &g, 0.45, 64.0);
         assert!(dense.gpu_mcu_rows >= sparse.gpu_mcu_rows);
     }
 
@@ -806,8 +905,8 @@ mod tests {
     fn backlog_shifts_work_to_cpu() {
         let model = PerformanceModel::analytic_seed(&Platform::gtx560());
         let g = geom(1024, 1024);
-        let no_backlog = repartition(&model, &g, 512.0, 0.2, 0.0, 1.0, 64.0, None);
-        let backlog = repartition(&model, &g, 512.0, 0.2, 0.05, 1.0, 64.0, None);
+        let no_backlog = repartition(&model, &g, 512.0, 0.2, 0.0, 1.0, 64.0);
+        let backlog = repartition(&model, &g, 512.0, 0.2, 0.05, 1.0, 64.0);
         assert!(
             backlog.cpu_mcu_rows >= no_backlog.cpu_mcu_rows,
             "backlogged GPU should shed rows: {} vs {}",
@@ -822,8 +921,8 @@ mod tests {
         // at) makes the CPU band pricier, so the CPU must keep fewer rows.
         let model = PerformanceModel::analytic_seed(&Platform::gt430());
         let g = geom(1024, 1024);
-        let neutral = repartition(&model, &g, 512.0, 0.25, 0.01, 1.0, 64.0, None);
-        let dense_tail = repartition(&model, &g, 512.0, 0.25, 0.01, 1.6, 64.0, None);
+        let neutral = repartition(&model, &g, 512.0, 0.25, 0.01, 1.0, 64.0);
+        let dense_tail = repartition(&model, &g, 512.0, 0.25, 0.01, 1.6, 64.0);
         assert!(
             dense_tail.cpu_mcu_rows <= neutral.cpu_mcu_rows,
             "denser tail should shed CPU rows: {} vs {}",
@@ -839,7 +938,7 @@ mod tests {
         for h_left in [48.0, 160.0, 480.0] {
             for backlog in [0.0, 0.001, 0.1] {
                 for cpu_scale in [0.6, 1.0, 1.8] {
-                    let p = repartition(&model, &g, h_left, 0.3, backlog, cpu_scale, 64.0, None);
+                    let p = repartition(&model, &g, h_left, 0.3, backlog, cpu_scale, 64.0);
                     assert!(p.cpu_mcu_rows + p.gpu_mcu_rows <= g.mcus_y);
                     assert!(p.x_pixel_rows >= 0.0 && p.x_pixel_rows <= h_left);
                 }

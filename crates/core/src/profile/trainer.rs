@@ -5,8 +5,8 @@
 //! set of images. Multivariate polynomial regression analysis is applied to
 //! derive closed forms."
 
-use crate::gpu_decode::KernelPlan;
-use crate::model::{GpuStages, PerformanceModel};
+use crate::gpu_decode::{KernelPlan, ScanSource};
+use crate::model::{GpuEntropy, GpuStages, PerformanceModel};
 use crate::platform::Platform;
 use crate::profile::{tune_chunk_rows, tune_wg_blocks};
 use crate::regress::{fit_poly1_aic, fit_poly2_aic, fit_poly2_rel_aic, Poly1};
@@ -76,6 +76,9 @@ pub fn train(
     let mut h2d_samples = Vec::with_capacity(images.len());
     let mut kernel_samples = Vec::with_capacity(images.len());
     let mut d2h_samples = Vec::with_capacity(images.len());
+    let mut entropy_points = Vec::with_capacity(images.len());
+    let mut entropy_samples = Vec::with_capacity(images.len());
+    let mut readbacks = Vec::with_capacity(images.len());
     let mut tdisp_samples = Vec::with_capacity(images.len());
     let mut subsampling = Subsampling::S422;
     let mut corpus_classes = [0u64; 4];
@@ -108,9 +111,29 @@ pub fn train(
             *a += b;
         }
 
+        // Speculation-waste term: run the speculative entropy path over
+        // the image and record the measured convergence prefix per chunk
+        // boundary — the input to the release curve (`pps::Release`). The
+        // same stitch measures the image's subsequences for the device's
+        // Huffman decode.
+        let segments = hetjpeg_jpeg::entropy::split_restart_segments(&prep.parsed, geom);
+        let mut scratch = hetjpeg_jpeg::coef::CoefBuffer::new(geom);
+        let fed = crate::schedule::entropy_par::speculation_stats(
+            &prep,
+            platform,
+            crate::schedule::DEFAULT_ENTROPY_THREADS,
+            &mut scratch,
+        );
+        if let Some((spec, _)) = &fed {
+            if spec.chunks > segments.len() as u64 {
+                prefix_samples.push(spec.prefix_mcus_per_boundary());
+            }
+        }
+
         // Parallel phase on the GPU: transfers + kernels (Eq. 7).
         rgb.resize(geom.rgb_bytes_in_mcu_rows(0, geom.mcus_y), 0);
-        let res = gpu_on(&mut ws.gpu, platform)
+        let gpu = gpu_on(&mut ws.gpu, platform);
+        let res = gpu
             .decode_region(
                 &prep,
                 &coef,
@@ -128,30 +151,27 @@ pub fn train(
         // from the corpus average.
         h2d_rate_samples.push(res.h2d_time / pixels);
         // The same decode's stages, for the forms that price the copy and
-        // compute engines apart.
+        // compute engines apart on the fed plans. Those ship the scan and
+        // decode its Huffman on the device: the H2D is the scan's, and the
+        // Huffman kernels give `THuffGPU`.
         h2d_points.push((d, pixels));
-        h2d_samples.push(res.h2d_time);
         kernel_samples.push(res.kernels_total());
         d2h_samples.push(res.d2h_time);
+        match &fed {
+            Some((_, (table, bytes))) => {
+                let bytes = &prep.parsed.scan_data[bytes.clone()];
+                let scan = ScanSource { bytes, table };
+                let ent = gpu.decode_entropy(&prep, &coef, scan, 0, geom.mcus_y);
+                h2d_samples.push(ent.h2d_time);
+                entropy_points.push((bytes.len() as f64, d));
+                entropy_samples.push(ent.kernels_total());
+                readbacks.push(ent.readback_time);
+            }
+            None => h2d_samples.push(res.h2d_time),
+        }
 
         // Dispatch overhead.
         tdisp_samples.push(platform.cpu.dispatch_time(geom, 0, geom.mcus_y));
-
-        // Speculation-waste term: run the speculative entropy path over
-        // the image and record the measured convergence prefix per chunk
-        // boundary — the input to the release curve (`pps::Release`).
-        let segments = hetjpeg_jpeg::entropy::split_restart_segments(&prep.parsed, geom);
-        let mut scratch = hetjpeg_jpeg::coef::CoefBuffer::new(geom);
-        if let Some(spec) = crate::schedule::entropy_par::speculation_stats(
-            &prep,
-            platform,
-            crate::schedule::DEFAULT_ENTROPY_THREADS,
-            &mut scratch,
-        ) {
-            if spec.chunks > segments.len() as u64 {
-                prefix_samples.push(spec.prefix_mcus_per_boundary());
-            }
-        }
     }
 
     // A degree-d bivariate polynomial has (d+1)(d+2)/2 coefficients; with a
@@ -199,6 +219,15 @@ pub fn train(
         kernels: fit_poly2_rel_aic(&size_samples, &kernel_samples, deg2).0,
         d2h: fit_poly2_rel_aic(&size_samples, &d2h_samples, deg2).0,
     };
+    // `THuffGPU` over the scan's bytes and density, to relative residuals
+    // like the stages it is priced beside; the state read-back at its mean.
+    let thuff_gpu = match readbacks.len() {
+        0 => GpuEntropy::seed(platform),
+        n => GpuEntropy {
+            decode: fit_poly2_rel_aic(&entropy_points, &entropy_samples, opts.max_degree.min(2)).0,
+            readback: readbacks.iter().sum::<f64>() / n as f64,
+        },
+    };
 
     let mut model = PerformanceModel {
         platform: platform.name.to_string(),
@@ -219,6 +248,7 @@ pub fn train(
         h2d_ref_density: density_samples.iter().sum::<f64>() / density_samples.len() as f64,
         pcpu_density,
         gpu_stages: Some(gpu_stages),
+        thuff_gpu,
     };
 
     if opts.chunk_mcu_rows.is_none() {

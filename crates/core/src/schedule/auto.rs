@@ -141,12 +141,14 @@ fn predict_at(
             // device phase. The GPU form is density-corrected (PR 9): the
             // compacted H2D payload of a dense image is larger than the
             // corpus reference the form was fit at, and vice versa.
-            (Mode::Gpu, fed) => {
-                let huff = match fed {
-                    true => release_all(&plan(mode)),
-                    false => thuff,
-                };
-                huff + model.t_disp(w, h) + model.p_gpu_at_density(w, h, d)
+            (Mode::Gpu, false) => thuff + model.t_disp(w, h) + model.p_gpu_at_density(w, h, d),
+            // Fed, the device decodes the Huffman of every row it takes
+            // (`THuffGPU`) from the scan it is shipped, on its one in-order
+            // queue as one chunk, or chunk by chunk on its two engines.
+            (Mode::Gpu | Mode::PipelinedGpu, true) => {
+                let overlap = pps::Overlap::new(model, w, d, chunk_px, 0.0, true, 0.0);
+                let overlap = overlap.with_scan(density.scan_per_px(geom));
+                overlap.device_only(h, mode == Mode::Gpu)
             }
             // Fig. 5b: Eq. 15's overlap with every row on the GPU. The CPU
             // side pays the Huffman and every dispatch; the GPU side is
@@ -157,54 +159,34 @@ fn predict_at(
                 let pps::Sides { dispatches, gpu } = overlap.at(h);
                 (thuff + dispatches.0).max(gpu.0)
             }
-            // Fed, each chunk is dispatched once its rows are released, and
-            // the plan is device-bound: its chunks are priced on the copy
-            // and compute engines from the model's stage forms (on `PGPU`
-            // alone without them). The H2D correction is a whole-image fit
-            // that folds the transfer latency into a per-pixel rate; each
-            // chunk already pays its own latency in its stages.
-            (Mode::PipelinedGpu, true) => {
-                let release = plan(mode).release(prep, model).expect("fed");
-                let overlap = pps::Overlap::new(model, w, d, chunk_px, 0.0, true, 0.0);
-                let (cpu, gpu) = overlap.fed(&release, 0.0, h, h, 0.0, &pps::Engines::default());
-                cpu.max(gpu)
-            }
             // Eq. 10: Huffman first, then the balanced split. The GPU
             // share's transfer is density-corrected over its own rows.
-            (Mode::Sps, fed) => {
+            (Mode::Sps, false) => {
                 let part = sps::partition(model, geom, d);
                 let g_px = (part.gpu_mcu_rows * geom.mcu_h) as f64;
                 let gpu = (part.predicted_gpu + h2d * w * g_px).max(0.0);
-                let huff = match fed {
-                    true => release_all(&plan(mode)),
-                    false => thuff,
-                };
-                huff + part.predicted_cpu.max(gpu)
+                thuff + part.predicted_cpu.max(gpu)
+            }
+            // Fed, Eq. 10 and 15 balance the device's Huffman and parallel
+            // work against the CPU band, which waits for the device's state
+            // at its first row: the split's sides are the prediction.
+            (Mode::Sps | Mode::Pps, true) => {
+                let plan = plan(mode);
+                let part = plan.partition.expect("a split");
+                if part.gpu_mcu_rows == 0 {
+                    // No GPU rows: the parallel-entropy schedule exactly.
+                    return release_all(&plan) + pcpu;
+                }
+                part.predicted_cpu.max(part.predicted_gpu)
             }
             // Eq. 15: both sides already price the overlapped Huffman; the
             // GPU side is re-priced at the split with the density-corrected
             // transfer.
             (Mode::Pps, false) => {
-                let part = pps::initial_partition(model, geom, d, chunk_px, None);
+                let part = pps::initial_partition(model, geom, d, chunk_px);
                 let overlap = pps::Overlap::new(model, w, d, chunk_px, 0.0, false, h2d);
                 let g_px = h.min((part.gpu_mcu_rows * geom.mcu_h) as f64);
                 part.predicted_cpu.max(overlap.at(g_px).gpu.0)
-            }
-            // Fed, Eq. 15 balances the release curve's loop against the
-            // device's two engines chunk by chunk, as the fed pipeline is
-            // priced.
-            (Mode::Pps, true) => {
-                let plan = plan(mode);
-                let (part, release) = (plan.partition.expect("a split"), plan.release(prep, model));
-                if part.gpu_mcu_rows == 0 {
-                    // No GPU rows: the parallel-entropy schedule exactly.
-                    return release_all(&plan) + pcpu;
-                }
-                let overlap = pps::Overlap::new(model, w, d, chunk_px, 0.0, true, 0.0);
-                let g_px = h.min((part.gpu_mcu_rows * geom.mcu_h) as f64);
-                let release = release.expect("fed");
-                let (_, gpu) = overlap.fed(&release, 0.0, g_px, h, 0.0, &pps::Engines::default());
-                part.predicted_cpu.max(gpu)
             }
             // One thread runs the SIMD schedule; priced one chunk's
             // overhead above it, so Auto picks SIMD.

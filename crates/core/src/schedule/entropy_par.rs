@@ -34,21 +34,42 @@
 //! released, then the SIMD band.
 
 use crate::platform::Platform;
+use hetjpeg_gpusim::subseq::{Lane, SubseqTable, Work};
 use hetjpeg_jpeg::coef::CoefBuffer;
 use hetjpeg_jpeg::decoder::Prepared;
 use hetjpeg_jpeg::entropy::{split_restart_segments, HuffmanTables, RestartSegment};
 use hetjpeg_jpeg::geometry::Geometry;
 use hetjpeg_jpeg::metrics::RowMetrics;
 use hetjpeg_jpeg::speculate::{
-    decode_chunk_speculative, plan_chunks, SpecStats, StagedChunk, Stitch, Written,
+    converge, converge_blocks, decode_chunk_speculative, plan_chunks, trace_blocks, BlockAt,
+    Convergence, McuMetrics, SpecStats, StagedChunk, Stitch, Written, MIN_CHUNK_BYTES,
 };
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Fixed virtual-time overhead charged per feed chunk (per-chunk set-up
 /// and worker hand-off in the real decode).
 pub const SEGMENT_OVERHEAD_S: f64 = 2e-6;
+
+/// Scan bytes per subsequence of the device's Huffman decode (1 024 bits).
+/// A lane issues its subsequence serially, so a longer one raises the
+/// launch's serial floor, and a shorter one makes the overflow into the
+/// next (a few MCUs) a larger share of the work; on the §5.1 corpus 128
+/// decoded fastest of 64–384 and priced closest (docs/PERF.md).
+pub const SUBSEQ_BYTES: usize = 128;
+
+/// Blocks' worth of scan a subsequence holds at least.
+pub const SUBSEQ_BLOCKS: usize = 16;
+
+/// Scan bytes per subsequence over a stretch of `mcus` MCUs of `blocks`
+/// blocks each in `bytes`: [`SUBSEQ_BYTES`], or [`SUBSEQ_BLOCKS`] blocks'
+/// worth where blocks are longer, so that a lane usually falls into step
+/// inside its own subsequence.
+fn subseq_bytes(mcus: usize, blocks: usize, bytes: usize) -> usize {
+    SUBSEQ_BYTES.max((SUBSEQ_BLOCKS * bytes).div_ceil((mcus * blocks).max(1)))
+}
 
 /// One feed chunk: the byte range `[start, stop)` of one restart segment's
 /// payload.
@@ -99,6 +120,10 @@ pub(crate) struct Feed<'a> {
     rows: Vec<RowMetrics>,
     /// MCU rows final so far.
     released: usize,
+    /// Per MCU stitched so far, in order: the canonical bit position it
+    /// starts at in its segment's payload, and its Huffman work.
+    at: Vec<u64>,
+    work: Vec<McuMetrics>,
     /// Counters of the segments stitched so far.
     pub(crate) spec: SpecStats,
 }
@@ -157,6 +182,8 @@ impl<'a> Feed<'a> {
             redecoded: RowMetrics::default(),
             rows: vec![RowMetrics::default(); geom.mcus_y],
             released: 0,
+            at: Vec::with_capacity(geom.mcus_x * geom.mcus_y),
+            work: Vec::with_capacity(geom.mcus_x * geom.mcus_y),
             spec: SpecStats::default(),
             segments,
             jobs,
@@ -244,7 +271,11 @@ impl<'a> Feed<'a> {
         if res.is_ok() && last {
             res = stitch.finish(coef, &mut self.rows);
         }
-        self.pending.extend(stitch.drain_written().map(|w| (k, w)));
+        for w in stitch.drain_written() {
+            self.at.push(w.at);
+            self.work.push(w.metrics);
+            self.pending.push_back((k, w));
+        }
         let expected = (job.segment & 7) as u8;
         if res.is_err()
             || (last && more && !matches!(stitch.restart_marker(), Some(Ok(n)) if n == expected))
@@ -339,6 +370,398 @@ impl<'a> Feed<'a> {
     }
 }
 
+impl Feed<'_> {
+    /// Make MCU rows up to `end` final for the device, which decodes their
+    /// Huffman: stitched on the host, with no time passing on the loop's
+    /// clock.
+    pub(crate) fn skip(&mut self, coef: &mut CoefBuffer, end: usize) -> Result<(), Handover> {
+        let want = end * self.geom.mcus_x;
+        while self.final_mcus < want {
+            self.take_pending(coef)?;
+            self.final_mcus += 1;
+        }
+        self.released = self.released.max(end);
+        Ok(())
+    }
+
+    /// The device's lanes over MCU rows `rows`, which are stitched: synced
+    /// block by block, [`subseq_bytes`] apart.
+    pub(crate) fn device_lanes(&self, rows: Range<usize>) -> (SubseqTable, Range<usize>) {
+        let bpm = self.geom.blocks_per_mcu();
+        self.lanes(rows, true, |mcus, bytes| subseq_bytes(mcus, bpm, bytes))
+    }
+
+    /// The lanes of a subsequence decode of MCU rows `rows`, which are
+    /// stitched, and the scan bytes they span. Each restart segment's share
+    /// of the rows starts a lane in sync at its first MCU (the device's
+    /// state there, or the restart marker), and a lane at every
+    /// `lane_bytes(MCUs, bytes)`-th byte after it, which a decoder started
+    /// there falls into step with at a measured unit of the exact decode,
+    /// before its subsequence ends: a block in its place in the MCU with
+    /// `by_block` — the device's lanes ([`converge_blocks`]) — else an MCU,
+    /// as the CPU's stitch ([`converge`]). A lane covers the units from its
+    /// own to the next lanes' first in-step unit: pass 1 decodes its
+    /// garbage and the rest of its subsequence, pass 2 the overflow past
+    /// the subsequence's end. Byte ranges are relative to the first MCU's
+    /// byte; blocks are packed indices of `rows`.
+    pub(crate) fn lanes(
+        &self,
+        rows: Range<usize>,
+        by_block: bool,
+        lane_bytes: impl Fn(usize, usize) -> usize,
+    ) -> (SubseqTable, Range<usize>) {
+        let (geom, mx) = (self.geom, self.geom.mcus_x);
+        let bpm = geom.blocks_per_mcu();
+        let mcus = rows.start * mx..rows.end * mx;
+        debug_assert!(self.at.len() >= mcus.end, "the rows are stitched");
+        let mut table = SubseqTable::default();
+        // Each block of an MCU, in scan order: its component, v and h.
+        let mut pattern = Vec::with_capacity(bpm);
+        for (c, comp) in geom.comps.iter().enumerate() {
+            for v in 0..comp.v_samp {
+                pattern.extend((0..comp.h_samp).map(|h| (c, v, h)));
+            }
+        }
+        // Where each component's blocks start in the packed region.
+        let mut base = Vec::with_capacity(geom.comps.len());
+        let mut acc = 0;
+        for c in &geom.comps {
+            base.push(acc);
+            acc += rows.len() * c.v_samp * c.width_blocks;
+        }
+        let packed = |m: usize, j: usize| {
+            let (c, v, h) = pattern[j];
+            let comp = &geom.comps[c];
+            let (row, x) = (m / mx - rows.start, m % mx);
+            (base[c] + (row * comp.v_samp + v) * comp.width_blocks + x * comp.h_samp + h) as u32
+        };
+        let seg_of = |g: usize| (self.segments.iter()).position(|s| g < s.start_mcu + s.mcu_count);
+        let (mut lo, mut hi) = (usize::MAX, 0);
+        let mut g = mcus.start;
+        while g < mcus.end {
+            let seg = self.segments[seg_of(g).expect("an MCU's segment")];
+            let (a, b) = (g, (seg.start_mcu + seg.mcu_count).min(mcus.end));
+            g = b;
+            let payload = self.payload(&seg);
+            let mut units = Units::new(self, payload, a, b, by_block);
+            let (n, upm) = (units.n, units.upm);
+            let bits = 8 * seg.len as u64;
+            let end = match n {
+                0 => 0,
+                n => {
+                    let last = a + (n - 1) / upm;
+                    let end = self.at[last].saturating_add(self.work[last].bits as u64);
+                    end.div_ceil(8).min(seg.len as u64) as usize
+                }
+            };
+            let first = (self.at[a].min(bits) / 8) as usize;
+            // Scan-relative byte where unit `u` of the portion starts.
+            let byte = |units: &mut Units<'_, '_>, u: usize| {
+                seg.offset
+                    + if u < n {
+                        (units.at(u).min(bits) / 8) as usize
+                    } else {
+                        end
+                    }
+            };
+            (lo, hi) = (lo.min(seg.offset + first), hi.max(seg.offset + end));
+            let step = lane_bytes(b - a, end.saturating_sub(first)).max(1);
+            let mut starts = vec![first];
+            let mut s = first + step;
+            while s < end {
+                let mut t = s;
+                while t < end && payload[t] == 0x00 && payload[t - 1] == 0xFF {
+                    t += 1;
+                }
+                if t < end && t > *starts.last().expect("a lane") {
+                    starts.push(t);
+                }
+                s += step;
+            }
+            // The first unit each lane's own subsequence may hold, and
+            // where its decoder falls into step. A lane's decoder runs to
+            // its subsequence's end at most: one that is not in step by
+            // then leaves its stretch to the lanes before it.
+            let own_first: Vec<usize> = starts
+                .iter()
+                .map(|&s| units.first_at(8 * s as u64))
+                .collect();
+            let mut sync = vec![0];
+            let mut garbage = vec![Work::default()];
+            for (i, &s) in starts.iter().enumerate().skip(1) {
+                let stop = 8 * starts.get(i + 1).copied().unwrap_or(end) as u64;
+                let c = match by_block {
+                    true => converge_blocks(self.tables, payload, s, |cp| units.lookup(cp), stop),
+                    false => {
+                        let k0 = own_first[i];
+                        let c =
+                            converge(geom, self.tables, payload, s, &self.at[a + k0..a + n], stop);
+                        Convergence {
+                            sync: c.sync.map(|j| k0 + j),
+                            ..c
+                        }
+                    }
+                };
+                sync.push(c.sync.unwrap_or(n));
+                garbage.push(Work {
+                    bits: c.bits,
+                    symbols: c.symbols,
+                    blocks: c.blocks,
+                });
+            }
+            let mut next = vec![n; starts.len()];
+            for i in (0..starts.len().saturating_sub(1)).rev() {
+                next[i] = next[i + 1].min(sync[i + 1]);
+            }
+            for i in 0..starts.len() {
+                let own_end = own_first.get(i + 1).copied().unwrap_or(n);
+                let (sy, nx) = (sync[i], next[i].max(sync[i]));
+                let split = own_end.max(sy).min(nx);
+                let mut own = garbage[i];
+                own.add(&units.sum(sy..split));
+                let o = table.overflow.len();
+                for u in split..nx {
+                    let w = units.work(u);
+                    table.overflow.push(w);
+                }
+                let b0 = table.blocks.len();
+                for u in sy..nx {
+                    match by_block {
+                        true => table.blocks.push(packed(a + u / bpm, u % bpm)),
+                        false => table.blocks.extend((0..bpm).map(|j| packed(a + u, j))),
+                    }
+                }
+                table.lanes.push(Lane {
+                    own_bytes: seg.offset + starts[i]..byte(&mut units, own_end),
+                    overflow_bytes: byte(&mut units, split)..byte(&mut units, nx),
+                    covered_bytes: byte(&mut units, sy)..byte(&mut units, nx),
+                    own,
+                    overflow: o..table.overflow.len(),
+                    covered: units.sum(sy..nx),
+                    blocks: b0..table.blocks.len(),
+                });
+            }
+            // MCUs past a padded end belong to no lane: the last one takes
+            // their blocks, which the device writes as zeros.
+            let last = table.lanes.last_mut().expect("a lane");
+            for m in a + n.div_ceil(upm)..b {
+                table.blocks.extend((0..bpm).map(|j| packed(m, j)));
+            }
+            last.blocks.end = table.blocks.len();
+        }
+        let r0 = lo;
+        for l in &mut table.lanes {
+            for r in [
+                &mut l.own_bytes,
+                &mut l.overflow_bytes,
+                &mut l.covered_bytes,
+            ] {
+                *r = r.start - r0..r.end.max(r.start) - r0;
+            }
+        }
+        (table, lo..hi)
+    }
+
+    /// The CPU band's Huffman from MCU row `from` on, the device's state at
+    /// that row in hand: seconds from the band's start until every row is
+    /// final. The band's rows are cut into feed chunks of at most
+    /// `feed_rows` rows per restart segment, a speculative chunk no shorter
+    /// than [`MIN_CHUNK_BYTES`], and priced as [`crate::partition::pps::Release`]
+    /// prices a feed, from the measured lanes of those chunks: each
+    /// worker's chunk, its garbage included, list-scheduled on `threads`
+    /// workers in row order; the loop stitching chunk `j` once its worker
+    /// is done, re-decoding the chunk before's overflow exactly; or, sooner,
+    /// decoding the rest itself since an earlier chunk was final.
+    pub(crate) fn band(
+        &mut self,
+        coef: &mut CoefBuffer,
+        platform: &Platform,
+        from: usize,
+        threads: usize,
+        feed_rows: usize,
+    ) -> Result<f64, Handover> {
+        let rows = self.geom.mcus_y;
+        self.skip(coef, rows)?;
+        let feed_mcus = feed_rows.max(1) * self.geom.mcus_x;
+        let (t, _) = self.lanes(from..rows, false, |mcus, bytes| {
+            let chunks = mcus.div_ceil(feed_mcus).min(bytes / MIN_CHUNK_BYTES).max(1);
+            bytes.div_ceil(chunks)
+        });
+        let huff = |w: &Work| {
+            platform.cpu.huff_time(&RowMetrics {
+                bits: w.bits,
+                symbols: w.symbols,
+                blocks: w.blocks,
+                ..RowMetrics::default()
+            })
+        };
+        let overflow = |l: &Lane| {
+            let mut w = Work::default();
+            for o in &t.overflow[l.overflow.clone()] {
+                w.add(o);
+            }
+            huff(&w)
+        };
+        let mut free_at = vec![0.0f64; threads.clamp(1, t.lanes.len().max(1))];
+        let (mut stitched, mut finals) = (0.0f64, Vec::with_capacity(t.lanes.len()));
+        for (j, lane) in t.lanes.iter().enumerate() {
+            let w = (0..free_at.len())
+                .min_by(|&a, &b| free_at[a].total_cmp(&free_at[b]))
+                .expect("at least one worker");
+            free_at[w] += huff(&lane.own) + SEGMENT_OVERHEAD_S;
+            let gap = if j > 0 {
+                overflow(&t.lanes[j - 1])
+            } else {
+                0.0
+            };
+            stitched = stitched.max(free_at[w]) + gap;
+            finals.push(stitched);
+        }
+        let done = stitched + t.lanes.last().map_or(0.0, overflow);
+        // The loop decoding the rest itself, from the start or once chunk
+        // `i − 1` is final.
+        let mut rest = 0.0;
+        let mut best = done;
+        for i in (0..t.lanes.len()).rev() {
+            rest += huff(&t.lanes[i].covered);
+            let since = if i == 0 { 0.0 } else { finals[i - 1] };
+            best = best.min(since + rest);
+        }
+        Ok(best)
+    }
+}
+
+/// The exact decode's units of a segment portion, MCUs `[a, b)` of a
+/// [`Feed`]'s stitched rows, as [`Feed::lanes`] measures lanes against
+/// them: the MCUs as the stitch found them, or their blocks, an MCU's
+/// decoded again exactly ([`trace_blocks`]) the first time a lane needs one
+/// of its blocks' position or work. MCUs a decode padded past a marker or
+/// the end have no position and are no units.
+struct Units<'f, 'a> {
+    feed: &'f Feed<'a>,
+    payload: &'a [u8],
+    a: usize,
+    /// Units per MCU: one, or its blocks.
+    upm: usize,
+    /// Units with a position.
+    n: usize,
+    /// Per MCU of the portion, its blocks once traced.
+    traced: Vec<Option<Box<[BlockAt]>>>,
+}
+
+impl<'f, 'a> Units<'f, 'a> {
+    fn new(feed: &'f Feed<'a>, payload: &'a [u8], a: usize, b: usize, by_block: bool) -> Self {
+        let upm = if by_block {
+            feed.geom.blocks_per_mcu()
+        } else {
+            1
+        };
+        let mcus = feed.at[a..b].partition_point(|&p| p != u64::MAX);
+        Units {
+            feed,
+            payload,
+            a,
+            upm,
+            n: mcus * upm,
+            traced: (0..if by_block { b - a } else { 0 })
+                .map(|_| None)
+                .collect(),
+        }
+    }
+
+    /// The blocks of the portion's MCU `m`, traced once.
+    fn blocks(&mut self, m: usize) -> &[BlockAt] {
+        let (feed, payload, at, upm) =
+            (self.feed, self.payload, self.feed.at[self.a + m], self.upm);
+        self.traced[m].get_or_insert_with(|| {
+            let mut v = Vec::with_capacity(upm);
+            trace_blocks(feed.tables, payload, at, 1, &mut v);
+            // A padded MCU's last blocks have no position either.
+            for j in v.len()..upm {
+                v.push(BlockAt {
+                    at: u64::MAX,
+                    phase: j as u8,
+                    ..BlockAt::default()
+                });
+            }
+            v.into_boxed_slice()
+        })
+    }
+
+    /// Where unit `u` starts.
+    fn at(&mut self, u: usize) -> u64 {
+        match u % self.upm {
+            0 => self.feed.at[self.a + u / self.upm],
+            j => self.blocks(u / self.upm)[j].at,
+        }
+    }
+
+    /// Unit `u`'s Huffman work.
+    fn work(&mut self, u: usize) -> Work {
+        let (m, bpm) = (u / self.upm, self.feed.geom.blocks_per_mcu() as u64);
+        if self.upm == 1 {
+            let w = self.feed.work[self.a + m];
+            return Work {
+                bits: w.bits as u64,
+                symbols: w.symbols as u64,
+                blocks: bpm,
+            };
+        }
+        let j = u % self.upm;
+        let b = self.blocks(m)[j];
+        Work {
+            bits: b.bits as u64,
+            symbols: b.symbols as u64,
+            blocks: 1,
+        }
+    }
+
+    /// The work of units `r`: whole MCUs from the stitch, the blocks of
+    /// the MCUs `r` starts or ends inside from their traces.
+    fn sum(&mut self, r: Range<usize>) -> Work {
+        let mut w = Work::default();
+        let mut u = r.start;
+        while u < r.end {
+            if u.is_multiple_of(self.upm) && u + self.upm <= r.end {
+                let m = self.feed.work[self.a + u / self.upm];
+                w.add(&Work {
+                    bits: m.bits as u64,
+                    symbols: m.symbols as u64,
+                    blocks: self.feed.geom.blocks_per_mcu() as u64,
+                });
+                u += self.upm;
+            } else {
+                w.add(&self.work(u));
+                u += 1;
+            }
+        }
+        w
+    }
+
+    /// The first unit that starts at or past `bit`.
+    fn first_at(&mut self, bit: u64) -> usize {
+        let m = self.feed.at[self.a..self.a + self.n / self.upm].partition_point(|&p| p < bit);
+        if self.upm > 1 && m > 0 {
+            if let Some(j) = self.blocks(m - 1).iter().position(|b| b.at >= bit) {
+                return (m - 1) * self.upm + j;
+            }
+        }
+        m * self.upm
+    }
+
+    /// The unit that starts at `bit`, and its place in its MCU, if any.
+    fn lookup(&mut self, bit: u64) -> Option<(usize, u8)> {
+        let mcus = &self.feed.at[self.a..self.a + self.n / self.upm];
+        let m = mcus.partition_point(|&p| p <= bit).checked_sub(1)?;
+        if mcus[m] == bit {
+            return Some((m * self.upm, 0));
+        }
+        let blocks = self.blocks(m);
+        let j = blocks.iter().position(|b| b.at == bit)?;
+        Some((m * self.upm + j, j as u8))
+    }
+}
+
 /// The entropy threads a plan for `prep` runs on: the session's
 /// `threads`, or one when the scan is not [`feedable`] — it is then decoded
 /// and priced sequentially.
@@ -363,13 +786,14 @@ pub(crate) fn feedable(prep: &Prepared<'_>) -> bool {
 
 /// Stitch every chunk of a fed decode of `prep` into `coef`, returning the
 /// speculation counters — the trainer's measurement of the convergence
-/// prefix, with `chunks` speculative chunks per restart segment.
+/// prefix, with `chunks` speculative chunks per restart segment — and the
+/// whole image's subsequence lanes with the scan bytes they span.
 pub(crate) fn speculation_stats(
     prep: &Prepared<'_>,
     platform: &Platform,
     chunks: usize,
     coef: &mut CoefBuffer,
-) -> Option<SpecStats> {
+) -> Option<(SpecStats, (SubseqTable, Range<usize>))> {
     let mut feed = Feed::new(prep, platform, chunks, |_| chunks)?;
     // At the end of time every worker is done: the reconciler never runs
     // ahead, so the counters are the chunks' own.
@@ -378,7 +802,8 @@ pub(crate) fn speculation_stats(
         feed.advance(coef, platform, &mut now, prep.geom.mcus_y)
             .ok()?;
     }
-    Some(feed.spec)
+    let lanes = feed.device_lanes(0..prep.geom.mcus_y);
+    Some((feed.spec, lanes))
 }
 
 #[cfg(test)]
@@ -609,6 +1034,170 @@ mod tests {
         }
         let chunks = ws.spec.chunks - before.chunks;
         assert!(chunks > 3 * segments.len() as u64, "{chunks} chunks");
+    }
+
+    /// The device's Huffman pass over `prep`'s rows, in two passes split at
+    /// `split` as a re-partition makes them, fed by `threads` workers: the
+    /// lanes cover every MCU once, inside the scan, and the subsequence
+    /// kernels write exactly the compacted layout of the sequential
+    /// decoder's coefficients. Returns whether a lane start was nudged off
+    /// the `00` of a stuffed `FF 00`, and whether a pass ended mid-byte.
+    fn assert_device_pass(
+        prep: &Prepared<'_>,
+        threads: usize,
+        split: usize,
+        ctx: &str,
+    ) -> (bool, bool) {
+        use crate::gpu_decode::{GpuContext, ScanSource, TransferMode};
+        let (geom, scan) = (&prep.geom, prep.parsed.scan_data);
+        let platform = Platform::gtx560();
+        let (want, _) = prep.entropy_decode_all().expect(ctx);
+        let feed_mcus = geom.mcus_y.div_ceil(threads) * geom.mcus_x;
+        let mut feed = Feed::new(prep, &platform, threads, |s| {
+            s.mcu_count.div_ceil(feed_mcus)
+        })
+        .unwrap_or_else(|| panic!("{ctx}: fed"));
+        let mut coef = CoefBuffer::new(geom);
+        let mut gpu = GpuContext::new(&platform, TransferMode::Compacted);
+        let (mut nudged, mut mid_byte) = (false, false);
+        for (r0, r1) in [(0, split), (split, geom.mcus_y)] {
+            if r0 == r1 {
+                continue;
+            }
+            feed.skip(&mut coef, r1)
+                .unwrap_or_else(|_| panic!("{ctx}: stitched"));
+            let (table, bytes) = feed.device_lanes(r0..r1);
+            let ctx = format!("{ctx}, rows {r0}..{r1}");
+            assert!(bytes.end <= scan.len(), "{ctx}: inside the scan");
+            let n = geom.blocks_in_mcu_rows(r0, r1);
+            let mut blocks = table.blocks.clone();
+            blocks.sort_unstable();
+            assert!(
+                blocks.iter().copied().eq(0..n as u32),
+                "{ctx}: every block once"
+            );
+            let covered: u64 = table.lanes.iter().map(|l| l.covered.blocks).sum();
+            assert_eq!(covered, n as u64, "{ctx}: the lanes tile the rows");
+            let ends = table.lanes.iter().map(|l| l.blocks.end);
+            assert!(ends.eq(table
+                .lanes
+                .iter()
+                .skip(1)
+                .map(|l| l.blocks.start)
+                .chain([n])));
+            for l in &table.lanes {
+                for r in [&l.own_bytes, &l.overflow_bytes, &l.covered_bytes] {
+                    assert!(r.start <= r.end && r.end <= bytes.len(), "{ctx}: {r:?}");
+                }
+                let s = bytes.start + l.own_bytes.start;
+                nudged |= s > 0 && scan[s - 1] == 0x00 && s > 1 && scan[s - 2] == 0xFF;
+            }
+            let m1 = r1 * geom.mcus_x - 1;
+            mid_byte |= !(feed.at[m1] + feed.work[m1].bits as u64).is_multiple_of(8);
+            let src = ScanSource {
+                bytes: &scan[bytes],
+                table: &table,
+            };
+            gpu.decode_entropy(prep, &coef, src, r0, r1);
+            let (mut payload, mut offsets) = (Vec::new(), Vec::new());
+            want.pack_compacted_into(geom, r0, r1, &mut payload, &mut offsets);
+            let mut eobs = Vec::new();
+            want.pack_eobs_mcu_rows_into(geom, r0, r1, &mut eobs);
+            let le = |v: &[i16]| v.iter().flat_map(|x| x.to_le_bytes()).collect::<Vec<u8>>();
+            let words: Vec<u8> = offsets.iter().flat_map(|x| x.to_le_bytes()).collect();
+            let [got_payload, got_offsets, got_eobs] = gpu.entropy_written();
+            assert!(got_payload == le(&payload), "{ctx}: coefficients");
+            assert!(got_offsets == words, "{ctx}: offset table");
+            assert!(got_eobs == eobs, "{ctx}: EOB sidecar");
+        }
+        (nudged, mid_byte)
+    }
+
+    #[test]
+    fn device_entropy_writes_the_sequential_coefficients() {
+        // Every subsampling × quality, widths from one block to past a
+        // thousand (odd ones included), restart intervals of none, one and
+        // three MCUs and one longer than a feed chunk; each image in two
+        // device passes split mid-image, fed by two and three workers.
+        let (mut nudged, mut mid_byte) = (false, false);
+        for sub in [Subsampling::S444, Subsampling::S422, Subsampling::S420] {
+            for (q, w, h, interval) in [
+                (30, 8, 8, 0),
+                (75, 9, 40, 1),
+                (95, 17, 33, 3),
+                (30, 63, 24, 0),
+                (75, 257, 40, 0),
+                (95, 513, 24, 3),
+                (75, 1031, 16, 0),
+                (95, 100, 64, 40),
+            ] {
+                let jpeg = noise_jpeg(w, h, (w * h) as u32, q, sub, interval);
+                let prep = Prepared::new(&jpeg).unwrap();
+                let ctx = format!("{} q{q} {w}x{h} DRI {interval}", sub.notation());
+                for threads in [2, 3] {
+                    let split = (prep.geom.mcus_y / 2).max(1);
+                    let (a, b) = assert_device_pass(&prep, threads, split, &ctx);
+                    (nudged, mid_byte) = (nudged | a, mid_byte | b);
+                }
+            }
+        }
+        assert!(nudged, "no lane start fell on a stuffed FF 00");
+        assert!(mid_byte, "no pass ended mid-byte");
+    }
+
+    #[test]
+    fn damaged_device_plans_fail_and_salvage_as_sequential() {
+        // Cut and byte-flipped streams through every fed GPU plan: strict
+        // handling returns the sequential decoder's error, tolerant
+        // handling the salvage fill's pixels.
+        use crate::session::{DecodeOptions, Decoder, Strictness};
+        let session = |threads| {
+            Decoder::builder()
+                .platform(Platform::gtx680())
+                .threads(threads)
+                .build()
+                .unwrap()
+        };
+        let (fed, one) = (session(2), session(1));
+        let mut checked = 0;
+        for interval in [0, 3] {
+            let jpeg = noise_jpeg(96, 128, 5, 75, Subsampling::S422, interval);
+            let mut cases: Vec<Vec<u8>> = [40, 70]
+                .map(|pct| jpeg[..jpeg.len() * pct / 100].to_vec())
+                .into();
+            for pct in [35, 55, 80] {
+                let mut bad = jpeg.clone();
+                let i = bad.len() * pct / 100;
+                bad[i] ^= 0x5A;
+                cases.push(bad);
+            }
+            for bad in &cases {
+                let strict = |dec: &Decoder, mode| dec.decode(bad, DecodeOptions::with_mode(mode));
+                let want = strict(&one, Mode::Simd);
+                let tolerant = |dec: &Decoder, mode| {
+                    let opts = DecodeOptions {
+                        strictness: Strictness::Tolerant,
+                        ..DecodeOptions::with_mode(mode)
+                    };
+                    dec.decode(bad, opts).map(|o| o.image.data)
+                };
+                let salvaged = tolerant(&one, Mode::Simd);
+                for mode in [Mode::Gpu, Mode::PipelinedGpu, Mode::Sps, Mode::Pps] {
+                    let ctx = format!("DRI {interval}, {} bytes, {mode:?}", bad.len());
+                    match (&want, strict(&fed, mode)) {
+                        (Err(w), Err(g)) => assert_eq!(&g, w, "{ctx}"),
+                        (Ok(w), Ok(g)) => assert!(g.image.data == w.image.data, "{ctx}"),
+                        (w, g) => panic!("{ctx}: {:?} vs {:?}", w.as_ref().err(), g.err()),
+                    }
+                    assert_eq!(tolerant(&fed, mode), salvaged, "{ctx}: salvage");
+                }
+                checked += u64::from(want.is_err());
+            }
+        }
+        assert!(
+            checked >= 3,
+            "only {checked} streams failed a strict decode"
+        );
     }
 
     #[test]

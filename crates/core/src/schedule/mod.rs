@@ -30,6 +30,7 @@ use crate::platform::Platform;
 use crate::session::{DecodeOptions, OutputFormat, RowStreamOutcome, RowTile, Strictness};
 use crate::timeline::{Breakdown, Resource, Trace};
 use crate::workspace::{Workspace, WsParts};
+use hetjpeg_gpusim::subseq::SubseqTable;
 use hetjpeg_gpusim::CommandQueue;
 use hetjpeg_jpeg::coef::CoefBuffer;
 use hetjpeg_jpeg::decoder::{simd, Prepared};
@@ -308,6 +309,9 @@ struct Timeline {
     /// The last chunk's D2H, held back from the copy engine until the next
     /// chunk's H2D is issued: when its kernels end, and its seconds.
     held_d2h: Option<(f64, f64)>,
+    /// When the device's decoder state at the CPU band's first row is on
+    /// the host, once the last GPU chunk's Huffman kernels read it back.
+    band_state: Option<f64>,
     b: Breakdown,
     trace: Trace,
 }
@@ -412,6 +416,9 @@ fn copy_d2h(copy: &mut CommandQueue, trace: &mut Trace, (ready, t): (f64, f64)) 
 struct Entropy<'a> {
     source: Source<'a>,
     rows: Vec<RowMetrics>,
+    /// Entropy threads, and the feed chunk's MCU rows.
+    threads: usize,
+    feed_rows: usize,
 }
 
 /// Where the entropy step's rows come from.
@@ -440,6 +447,8 @@ impl<'a> Entropy<'a> {
         Ok(Entropy {
             source: Source::Scan(dec, feed),
             rows: Vec::with_capacity(prep.geom.mcus_y),
+            threads,
+            feed_rows,
         })
     }
 
@@ -448,6 +457,66 @@ impl<'a> Entropy<'a> {
         Entropy {
             source: Source::Fill(fill),
             rows: Vec::new(),
+            threads: 1,
+            feed_rows: 1,
+        }
+    }
+
+    /// The entropy step of the GPU's MCU rows up to `end`, when the feed
+    /// is the source: the device decodes their Huffman, so no time passes
+    /// on the CPU; the host stitches them (the values the device writes)
+    /// and measures their subsequences. Returns the rows' subsequence lanes
+    /// and the scan bytes they span, or `None` when the CPU must decode the
+    /// rows — there is no feed, or it met damage it cannot vouch for and
+    /// handed over.
+    fn device(
+        &mut self,
+        end: usize,
+        coef: &mut CoefBuffer,
+    ) -> Result<Option<(SubseqTable, Range<usize>)>> {
+        let start = self.rows.len();
+        let Source::Scan(_, Some(feed)) = &mut self.source else {
+            return Ok(None);
+        };
+        if feed.skip(coef, end).is_err() {
+            self.hand_over(coef)?;
+            return Ok(None);
+        }
+        self.rows.extend((start..end).map(|r| feed.row(r)));
+        Ok(Some(feed.device_lanes(start..end)))
+    }
+
+    /// The CPU band's entropy step over MCU rows `from` to `rows`, the
+    /// last, fed, once the device's decoder state at row `from` is on the
+    /// host at `state_at`: one Huffman span from the CPU's clock, the wait
+    /// for the state included. Rows the device decoded past `from` (a
+    /// re-partition moved the split back) are decoded again here. Without
+    /// a feed, [`Self::until`].
+    fn band(
+        &mut self,
+        (from, rows): (usize, usize),
+        state_at: f64,
+        coef: &mut CoefBuffer,
+        platform: &Platform,
+        tl: &mut Timeline,
+    ) -> Result<()> {
+        let (threads, feed_rows, done) = (self.threads, self.feed_rows, self.rows.len());
+        let Source::Scan(_, Some(feed)) = &mut self.source else {
+            return self.until(rows, coef, platform, tl);
+        };
+        match feed.band(coef, platform, from, threads, feed_rows) {
+            Ok(span) => {
+                self.rows.extend((done..rows).map(|r| feed.row(r)));
+                let start = tl.cpu_now;
+                tl.cpu_now = tl.cpu_now.max(state_at) + span;
+                tl.b.huffman += tl.cpu_now - start;
+                tl.trace.push("huffman", Resource::Cpu, start, tl.cpu_now);
+                Ok(())
+            }
+            Err(_) => {
+                self.hand_over(coef)?;
+                self.until(rows, coef, platform, tl)
+            }
         }
     }
 

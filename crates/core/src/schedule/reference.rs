@@ -340,7 +340,7 @@ pub(crate) fn pps(
     let chunk_rows = model.chunk_mcu_rows.max(1);
     let chunk_px = (chunk_rows * geom.mcu_h) as f64;
 
-    let init = pps::initial_partition(model, geom, d, chunk_px, None);
+    let init = pps::initial_partition(model, geom, d, chunk_px);
     let mut gpu_end = init.gpu_mcu_rows;
     let est_total_huff = model.huff_time(w * h, d);
 
@@ -422,9 +422,7 @@ pub(crate) fn pps(
                 tail_discount,
                 model.pcpu_idct_discount,
             );
-            let re = pps::repartition(
-                model, geom, h_left, d_new, backlog, cpu_scale, chunk_px, None,
-            );
+            let re = pps::repartition(model, geom, h_left, d_new, backlog, cpu_scale, chunk_px);
             gpu_end = (row + re.gpu_mcu_rows).min(geom.mcus_y);
         }
         if row >= gpu_end {

@@ -21,7 +21,12 @@
 //! sequential Huffman on the loop's thread; more feed the loop from the
 //! session's entropy workers ([`super::entropy_par`]); and a filled buffer
 //! (a progressive scan script, a tolerant salvage) is charged as its one
-//! serial Huffman span at the first step, with no decoder built.
+//! serial Huffman span at the first step, with no decoder built. Fed, the
+//! GPU's rows are not the CPU's at all: the device decodes their Huffman
+//! from their scan in one pass before the first chunk
+//! ([`GpuContext::decode_entropy`](crate::gpu_decode::GpuContext::decode_entropy)),
+//! the chunks decode from its resident coefficients, and a split's CPU
+//! band waits for the decoder state the pass reads back.
 //!
 //! [`decode`] runs a plan through the three steps of every decode: the
 //! entropy step (a chunk's rows, or every row first), the GPU chunk — its
@@ -47,7 +52,7 @@ use super::{
     copy_d2h, entropy_par, eob_classes_in, rgb_rows, DecodeOutcome, Entropy, Fill, Mode, Target,
     Timeline,
 };
-use crate::gpu_decode::{GpuRegionResult, KernelPlan};
+use crate::gpu_decode::{GpuEntropyResult, GpuRegionResult, KernelPlan, ScanSource};
 use crate::model::PerformanceModel;
 use crate::partition::{pps, sps, Partition};
 use crate::platform::Platform;
@@ -107,6 +112,11 @@ impl Density {
             scan_bytes: prep.parsed.scan_data.len(),
         }
     }
+
+    /// Scan bytes per pixel of `geom`'s image.
+    pub(crate) fn scan_per_px(&self, geom: &Geometry) -> f64 {
+        self.scan_bytes as f64 / geom.pixels().max(1) as f64
+    }
 }
 
 impl Plan {
@@ -158,7 +168,10 @@ impl Plan {
                 ..whole
             },
             Mode::Sps => {
-                let part = sps::partition(model, geom, d); // Eq. 10
+                let part = match threads > 1 {
+                    true => whole.device_partition(prep, model, None),
+                    false => sps::partition(model, geom, d), // Eq. 10
+                };
                 Plan {
                     gpu_rows: part.gpu_mcu_rows,
                     partition: Some(part),
@@ -172,8 +185,10 @@ impl Plan {
                     repartition: true,
                     ..whole
                 };
-                let release = plan.release(prep, model);
-                let part = pps::initial_partition(model, geom, d, chunk_px, release.as_ref()); // Eq. 15
+                let part = match threads > 1 {
+                    true => plan.device_partition(prep, model, Some(chunk_px)),
+                    false => pps::initial_partition(model, geom, d, chunk_px), // Eq. 15
+                };
                 Plan {
                     gpu_rows: part.gpu_mcu_rows,
                     partition: Some(part),
@@ -197,26 +212,70 @@ impl Plan {
             return None;
         }
         let geom = &prep.geom;
-        let mcus = geom.mcus_x * geom.mcus_y;
+        let (mcus, h) = (geom.mcus_x * geom.mcus_y, geom.height as f64);
+        Some(self.release_of(prep, model, mcus, self.density.scan_bytes, h))
+    }
+
+    /// The release curve of `mcus` MCUs over `px` pixel rows and
+    /// `scan_bytes` of the scan, cut into feed chunks as [`Self::release`]
+    /// cuts the whole image's.
+    fn release_of(
+        &self,
+        prep: &Prepared<'_>,
+        model: &PerformanceModel,
+        mcus: usize,
+        scan_bytes: usize,
+        px: f64,
+    ) -> pps::Release {
+        let geom = &prep.geom;
         let feed_mcus = self.feed_rows * geom.mcus_x;
         let interval = match prep.parsed.frame.restart_interval {
             0 => mcus,
             i => i.min(mcus),
         };
         let segments = mcus.div_ceil(interval);
-        let bytes = self.density.scan_bytes / segments;
+        let bytes = scan_bytes / segments;
         let per_segment = (interval.div_ceil(feed_mcus)).min((bytes / MIN_CHUNK_BYTES).max(1));
-        let (w, h) = (geom.width as f64, geom.height as f64);
-        Some(pps::Release::new(
+        pps::Release::new(
             model,
-            w,
-            h,
+            geom.width as f64,
+            px,
             self.density.per_px,
             mcus as f64,
             self.threads,
             segments * per_segment,
             per_segment > 1,
-        ))
+        )
+    }
+
+    /// Seconds a fed CPU band of the image's last `x` pixel rows takes to
+    /// make every row final once the device's decoder state at its first
+    /// row is on the host: the release curve of the band's own feed chunks
+    /// (`entropy_par::Feed::band` measures the same).
+    pub(crate) fn band_huff(&self, prep: &Prepared<'_>, model: &PerformanceModel, x: f64) -> f64 {
+        if x <= 0.0 {
+            return 0.0;
+        }
+        let geom = &prep.geom;
+        let rows = ((x / geom.mcu_h as f64).ceil() as usize).clamp(1, geom.mcus_y);
+        let bytes = (self.density.scan_bytes as f64 * x / geom.height as f64) as usize;
+        self.release_of(prep, model, rows * geom.mcus_x, bytes, x)
+            .at(x)
+    }
+
+    /// The fed split of this plan, whose GPU decodes its rows' Huffman:
+    /// SPS without a chunk height, PPS with one
+    /// ([`pps::device_partition`]).
+    fn device_partition(
+        &self,
+        prep: &Prepared<'_>,
+        model: &PerformanceModel,
+        chunk_px: Option<f64>,
+    ) -> Partition {
+        let band = |x: f64| self.band_huff(prep, model, x);
+        let (geom, d) = (&prep.geom, self.density.per_px);
+        let scan = self.density.scan_per_px(geom);
+        pps::device_partition(model, geom, d, scan, chunk_px, &band)
     }
 }
 
@@ -248,38 +307,70 @@ pub(crate) fn decode(
     if plan.threads > 1 && plan.chunk.is_some() {
         tl.copy = Some(CommandQueue::new());
     }
+    // Fed, the GPU decodes its rows' Huffman: they need none on the CPU.
+    let mut device = plan.threads > 1 && plan.gpu_rows > 0 && ent.is_fed();
     let chunk = match plan.chunk {
         Some(rows) => rows,
         None => {
-            ent.until(geom.mcus_y, p.coef, platform, &mut tl)?;
+            if !device {
+                ent.until(geom.mcus_y, p.coef, platform, &mut tl)?;
+            }
             geom.mcus_y
         }
     };
     // The GPU share, chunk by chunk: Huffman, then an asynchronous
-    // dispatch after which the CPU resumes at once.
+    // dispatch after which the CPU resumes at once. Fed, the device decodes
+    // the share's Huffman in one pass before its first chunk — and the rows
+    // a re-partition adds, in another — and the chunks decode from its
+    // resident coefficients; a split reads every decoded row's state back.
     let mut gpu_end = plan.gpu_rows;
     let mut repartition = plan.repartition;
-    let mut row = 0;
+    let (mut row, mut decoded) = (0, 0);
     while row < gpu_end && out.open() {
         if repartition && row > 0 && row + chunk >= gpu_end {
             repartition = false;
-            let release = plan.release(prep, model).filter(|_| ent.is_fed());
-            gpu_end = repartitioned_end(prep, platform, model, &ent, &tl, row, release.as_ref());
+            let on_device = device.then_some(decoded);
+            gpu_end = repartitioned_end(prep, platform, model, plan, &ent, &tl, row, on_device);
             if row >= gpu_end {
                 break;
             }
         }
         let end = (row + chunk).min(gpu_end);
-        ent.until(end, p.coef, platform, &mut tl)?;
-        let res = tl.ship(prep, platform, model, &mut p, row..end, out)?;
-        p.stats.h2d_transfers += 1;
-        tl.place(res.h2d_time, &res);
+        if device && decoded < end {
+            match ent.device(gpu_end, p.coef)? {
+                Some((table, bytes)) => {
+                    let bytes = &prep.parsed.scan_data[bytes];
+                    let scan = ScanSource {
+                        bytes,
+                        table: &table,
+                    };
+                    let gpu = gpu_on(p.gpu, platform);
+                    let res = gpu.decode_entropy(prep, p.coef, scan, decoded, gpu_end);
+                    p.stats.h2d_transfers += 1;
+                    p.stats.h2d_bytes += res.h2d_bytes as u64;
+                    tl.place_entropy(&res, plan.partition.is_some());
+                    decoded = gpu_end;
+                }
+                // Damage the feed cannot vouch for: the CPU decodes the rest.
+                None => device = false,
+            }
+        }
+        let resident = end <= decoded;
+        if !resident {
+            ent.until(end, p.coef, platform, &mut tl)?;
+            p.stats.h2d_transfers += 1;
+        }
+        let res = tl.ship(prep, platform, model, &mut p, row..end, resident, out)?;
+        tl.place(res.h2d_time, &res, resident);
         row = end;
     }
     // The CPU share: its Huffman, then the band, sparse-priced from the
     // band's own EOB histograms.
     if gpu_end < geom.mcus_y && out.open() {
-        ent.until(geom.mcus_y, p.coef, platform, &mut tl)?;
+        match tl.band_state.take() {
+            Some(at) => ent.band((gpu_end, geom.mcus_y), at, p.coef, platform, &mut tl)?,
+            None => ent.until(geom.mcus_y, p.coef, platform, &mut tl)?,
+        }
         let classes = eob_classes_in(&ent.rows, gpu_end, geom.mcus_y);
         let use_simd = plan.mode != Mode::Sequential;
         tl.cpu_band(prep, platform, &mut p, out, gpu_end, &classes, use_simd)?;
@@ -297,19 +388,23 @@ pub(crate) fn decode(
 /// rows are decoded and shipped (a fed step may have released more; the
 /// correction reads these rows only). It prices the tail from the
 /// corrected density (Eq. 17), from the GPU's current backlog — fed, where
-/// both engines stand, the held-back D2H included — from the plan's
-/// `release` curve when fed, and from the tail's expected IDCT sparsity:
-/// the prefix's measured EOB discount, scaled by the density correction
-/// (denser entropy ⇒ denser blocks), against the corpus-average discount
-/// `PCPU` was fit at. Returns the GPU's new end row.
+/// both engines stand, the held-back D2H included — with the GPU's
+/// Huffman on the device when it decoded the rows `on_device` names so far
+/// and the band's on the plan's release curve, and from the tail's expected
+/// IDCT sparsity: the prefix's
+/// measured EOB discount, scaled by the density correction (denser entropy
+/// ⇒ denser blocks), against the corpus-average discount `PCPU` was fit
+/// at. Returns the GPU's new end row.
+#[allow(clippy::too_many_arguments)]
 fn repartitioned_end(
     prep: &Prepared<'_>,
     platform: &Platform,
     model: &PerformanceModel,
+    plan: &Plan,
     ent: &Entropy<'_>,
     tl: &Timeline,
     row: usize,
-    release: Option<&pps::Release>,
+    on_device: Option<usize>,
 ) -> usize {
     debug_assert!(ent.rows.len() >= row, "the GPU's rows are decoded");
     let geom = &prep.geom;
@@ -342,10 +437,27 @@ fn repartitioned_end(
         .cpu
         .band_scale_for_discount(&tail_work, tail_discount, fit_at);
     let chunk_px = (model.chunk_mcu_rows.max(1) * geom.mcu_h) as f64;
-    let fed = release.map(|r| (r, tl.cpu_now, engines));
-    let re = pps::repartition(
-        model, geom, h_left, d_new, backlog, cpu_scale, chunk_px, fed,
-    );
+    let re = if let Some(decoded) = on_device {
+        let band = |x: f64| plan.band_huff(prep, model, x);
+        let scan = plan.density.scan_per_px(geom) * d_new / d.max(f64::MIN_POSITIVE);
+        let decoded = (decoded.saturating_sub(row) * geom.mcu_h) as f64;
+        let state = tl.band_state.unwrap_or(tl.cpu_now);
+        let at = (tl.cpu_now, engines);
+        pps::repartition_device(
+            model,
+            geom,
+            h_left,
+            d_new,
+            scan,
+            cpu_scale,
+            chunk_px,
+            at,
+            (decoded, state),
+            &band,
+        )
+    } else {
+        pps::repartition(model, geom, h_left, d_new, backlog, cpu_scale, chunk_px)
+    };
     // New boundary: the GPU keeps `re.gpu_mcu_rows` of the remaining rows.
     (row + re.gpu_mcu_rows).min(geom.mcus_y)
 }
@@ -353,9 +465,12 @@ fn repartitioned_end(
 impl Timeline {
     /// The GPU chunk's CPU side: dispatch MCU rows `rows` asynchronously —
     /// the CPU resumes right after — and decode them on the workspace's
-    /// device into `out`, counting the bytes shipped. A tile stream stages
+    /// device into `out`, counting the bytes shipped: the coefficients, or
+    /// nothing when they are `resident` on the device, written by its
+    /// Huffman pass ([`Self::place_entropy`]). A tile stream stages
     /// the region alone in the pooled tile buffer and sends it one MCU row
     /// per tile. Returns the region's device times for [`Self::place`].
+    #[allow(clippy::too_many_arguments)]
     fn ship(
         &mut self,
         prep: &Prepared<'_>,
@@ -363,6 +478,7 @@ impl Timeline {
         model: &PerformanceModel,
         p: &mut WsParts<'_>,
         rows: Range<usize>,
+        resident: bool,
         out: &mut Target<'_>,
     ) -> Result<GpuRegionResult> {
         let t_disp = platform.cpu.dispatch_time(&prep.geom, rows.start, rows.end);
@@ -373,8 +489,9 @@ impl Timeline {
         self.b.dispatch += t_disp;
         let (geom, gpu, coef) = (&prep.geom, gpu_on(p.gpu, platform), &*p.coef);
         let (r0, r1) = (rows.start, rows.end);
+        let wg = model.wg_blocks;
         let mut decode = |dst: &mut [u8]| {
-            gpu.decode_region(prep, coef, r0, r1, model.wg_blocks, KernelPlan::Merged, dst)
+            gpu.decode_resident(prep, coef, resident, r0, r1, wg, KernelPlan::Merged, dst)
         };
         let res = match out {
             Target::Rgb(image) => decode(rgb_rows(image, geom, r0, r1))?,
@@ -400,34 +517,19 @@ impl Timeline {
     /// previous chunk. With a copy engine the transfers go there: the last
     /// chunk's held-back D2H before this H2D when it can start sooner
     /// ([`pps::d2h_first`]), else after it; the kernels follow the H2D on
-    /// the compute engine; and this chunk's D2H is held back.
-    fn place(&mut self, h2d: f64, res: &GpuRegionResult) {
-        let ready = self.cpu_now;
-        let loaded = match &mut self.copy {
-            None => {
-                let ev = self.q.enqueue("h2d", ready, h2d);
-                self.trace.push("h2d", Resource::Gpu, ev.start, ev.end);
-                ev.end
-            }
-            Some(copy) => {
-                let mut held = self.held_d2h.take();
-                if let Some(d2h) =
-                    held.filter(|&(at, _)| pps::d2h_first(copy.drain_time(), at, ready))
-                {
-                    copy_d2h(copy, &mut self.trace, d2h);
-                    held = None;
-                }
-                let free = copy.drain_time();
-                let ev = copy.enqueue("h2d", ready, h2d);
-                debug_assert!(ev.start >= free, "two transfers at once on the copy engine");
-                self.trace.push("h2d", Resource::Copy, ev.start, ev.end);
-                if let Some(d2h) = held {
+    /// the compute engine; and this chunk's D2H is held back. A chunk whose
+    /// coefficients are `resident` ships nothing: the held-back D2H goes to
+    /// the copy engine at once and the kernels follow the dispatch.
+    fn place(&mut self, h2d: f64, res: &GpuRegionResult, resident: bool) {
+        let loaded = match resident {
+            false => self.h2d(h2d),
+            true => {
+                if let (Some(copy), Some(d2h)) = (&mut self.copy, self.held_d2h.take()) {
                     copy_d2h(copy, &mut self.trace, d2h);
                 }
-                ev.end
+                self.cpu_now
             }
         };
-        self.b.h2d += h2d;
         let mut ready = loaded;
         for &(_, t) in &res.kernel_times {
             let ev = self.q.enqueue("kernel", ready, t);
@@ -445,6 +547,66 @@ impl Timeline {
             Some(_) => self.held_d2h = Some((computed, res.d2h_time)),
         }
         self.b.d2h += res.d2h_time;
+    }
+
+    /// An H2D of `t` seconds ready when the CPU is: on the in-order queue,
+    /// or on the copy engine with the last chunk's held-back D2H before it
+    /// when that can start sooner ([`pps::d2h_first`]), else after it.
+    /// Returns when the bytes are on the device.
+    fn h2d(&mut self, t: f64) -> f64 {
+        let ready = self.cpu_now;
+        let loaded = match &mut self.copy {
+            None => {
+                let ev = self.q.enqueue("h2d", ready, t);
+                self.trace.push("h2d", Resource::Gpu, ev.start, ev.end);
+                ev.end
+            }
+            Some(copy) => {
+                let mut held = self.held_d2h.take();
+                if let Some(d2h) =
+                    held.filter(|&(at, _)| pps::d2h_first(copy.drain_time(), at, ready))
+                {
+                    copy_d2h(copy, &mut self.trace, d2h);
+                    held = None;
+                }
+                let free = copy.drain_time();
+                let ev = copy.enqueue("h2d", ready, t);
+                debug_assert!(ev.start >= free, "two transfers at once on the copy engine");
+                self.trace.push("h2d", Resource::Copy, ev.start, ev.end);
+                if let Some(d2h) = held {
+                    copy_d2h(copy, &mut self.trace, d2h);
+                }
+                ev.end
+            }
+        };
+        self.b.h2d += t;
+        loaded
+    }
+
+    /// The device's Huffman pass over a fed plan's GPU rows: the scan and
+    /// its subsequence table up ([`Self::h2d`]), the two subsequence
+    /// kernels on the compute engine, and with `readback` every decoded
+    /// row's decoder state back to the host once they end — on the copy
+    /// engine when there is one — for whichever row the CPU band starts at.
+    fn place_entropy(&mut self, res: &GpuEntropyResult, readback: bool) {
+        let mut ready = self.h2d(res.h2d_time);
+        for &(_, t) in &res.kernel_times {
+            let ev = self.q.enqueue("gpu-huffman", ready, t);
+            self.trace
+                .push("gpu-huffman", Resource::Gpu, ev.start, ev.end);
+            self.b.kernels += t;
+            ready = ev.end;
+        }
+        if readback {
+            let t = res.readback_time;
+            let (ev, on) = match &mut self.copy {
+                None => (self.q.enqueue("state", ready, t), Resource::Gpu),
+                Some(copy) => (copy.enqueue("state", ready, t), Resource::Copy),
+            };
+            self.trace.push("state", on, ev.start, ev.end);
+            self.b.d2h += t;
+            self.band_state = Some(ev.end);
+        }
     }
 
     /// Where the device's engines stand, for the Eq. 16 re-partition.
@@ -490,7 +652,15 @@ impl GpuBatchMember {
         ent.until(geom.mcus_y, p.coef, platform, &mut tl)?;
         p.spec.merge(&ent.spec());
         let mut image = Target::Rgb(None);
-        let res = tl.ship(prep, platform, model, &mut p, 0..geom.mcus_y, &mut image)?;
+        let res = tl.ship(
+            prep,
+            platform,
+            model,
+            &mut p,
+            0..geom.mcus_y,
+            false,
+            &mut image,
+        )?;
         Ok(GpuBatchMember {
             image,
             tl,
@@ -507,7 +677,7 @@ impl GpuBatchMember {
     /// Place the member with `h2d_share`, its byte-proportional slice of
     /// the batch's single H2D time.
     pub(crate) fn finish(mut self, h2d_share: f64) -> DecodeOutcome {
-        self.tl.place(h2d_share, &self.res);
+        self.tl.place(h2d_share, &self.res, false);
         let out = self.tl.outcome(&self.geom, Mode::Gpu, None, false);
         self.image.finish(out).0
     }
@@ -801,23 +971,34 @@ mod tests {
         }
         let gpu = on(Resource::Gpu);
         assert!(
-            gpu.iter().all(|s| s.label == "kernel"),
+            gpu.iter()
+                .all(|s| matches!(s.label, "kernel" | "gpu-huffman")),
             "{ctx}: only kernels on the compute engine"
         );
-        // Chunk k's kernels follow its H2D, and its D2H is the k-th.
-        let (mut h2d_ends, mut kernel_ends): (Vec<f64>, Vec<f64>) = (Vec::new(), Vec::new());
+        // Fed, the device's Huffman pass ships the scan and its kernels
+        // decode it; every chunk then decodes from the resident
+        // coefficients: no kernel before the pass's H2D, no chunk kernel
+        // before the pass's kernels, and chunk k's D2H — the k-th — after
+        // chunk k's kernels.
+        let first_h2d = spans
+            .iter()
+            .find(|s| s.label == "h2d")
+            .map_or(0.0, |s| s.end);
+        let mut pass_end = 0.0f64;
+        let mut kernel_ends: Vec<f64> = Vec::new();
         let mut d2h_starts = Vec::new();
         for s in spans {
             match s.label {
-                "h2d" => {
-                    h2d_ends.push(s.end);
-                    kernel_ends.push(s.end);
+                "gpu-huffman" => {
+                    assert!(s.start >= first_h2d, "{ctx}: Huffman before the scan");
+                    pass_end = pass_end.max(s.end);
                 }
+                "dispatch" => kernel_ends.push(0.0),
                 "kernel" => {
-                    let k = h2d_ends.len() - 1;
+                    let k = kernel_ends.len() - 1;
                     assert!(
-                        s.start >= h2d_ends[k],
-                        "{ctx}: chunk {k}'s kernel before its H2D"
+                        s.start >= pass_end,
+                        "{ctx}: chunk {k}'s kernel before the pass"
                     );
                     kernel_ends[k] = s.end;
                 }
@@ -825,7 +1006,15 @@ mod tests {
                 _ => {}
             }
         }
-        assert_eq!(d2h_starts.len(), h2d_ends.len(), "{ctx}: one D2H per chunk");
+        assert!(
+            kernel_ends.is_empty() || pass_end > 0.0,
+            "{ctx}: the device's Huffman"
+        );
+        assert_eq!(
+            d2h_starts.len(),
+            kernel_ends.len(),
+            "{ctx}: one D2H per chunk"
+        );
         for (k, (&start, &end)) in d2h_starts.iter().zip(&kernel_ends).enumerate() {
             assert!(
                 start >= end,
@@ -1011,7 +1200,12 @@ mod tests {
 
     /// `plan` fed by two and four entropy workers fails as it fails with
     /// its Huffman decoded sequentially: the same error, after the same
-    /// H2D transfers and bytes.
+    /// H2D transfers and bytes at two and four workers. Fed, a scan the
+    /// feed takes ships the GPU share's scan bytes in one transfer when
+    /// the damage is past the share's rows — the chunks then decode from
+    /// the device's resident coefficients — and, when the damage is inside
+    /// them, hands over to the sequential decoder and ships what one
+    /// worker ships.
     fn assert_fed_fail_alike(
         prep: &Prepared<'_>,
         platform: &Platform,
@@ -1025,14 +1219,29 @@ mod tests {
                 decode(prep, platform, model, &plan, ws)
             })
         };
-        let (want, want_counts) = run(1);
+        let (want, (mut want_transfers, _)) = run(1);
         let want = want
             .err()
             .unwrap_or_else(|| panic!("{ctx}: the damage must fail"));
+        let mcus_y = prep.geom.mcus_y;
+        if plan.gpu_rows > 0 && entropy_par::feedable(prep) {
+            let mut dec = prep.entropy_decoder().expect("tables");
+            let mut coef = hetjpeg_jpeg::coef::CoefBuffer::new(&prep.geom);
+            let clean = (0..mcus_y).take_while(|_| dec.decode_mcu_row(&mut coef).is_ok());
+            if clean.count() >= plan.gpu_rows {
+                want_transfers = 1;
+            }
+        }
+        let mut fed_bytes = None;
         for threads in [2, 4] {
-            let (got, counts) = run(threads);
+            let (got, (transfers, bytes)) = run(threads);
             assert_eq!(got.err().as_ref(), Some(&want), "{ctx}, {threads} threads");
-            assert_eq!(counts, want_counts, "{ctx}, {threads} threads: H2D");
+            assert_eq!(transfers, want_transfers, "{ctx}, {threads} threads: H2D");
+            assert_eq!(
+                *fed_bytes.get_or_insert(bytes),
+                bytes,
+                "{ctx}, {threads} threads"
+            );
         }
     }
 

@@ -1331,7 +1331,7 @@ mod tests {
             };
             encode_rgb(&rgb, 128, 128, &params).unwrap()
         };
-        let (a, b) = (jpeg(0.53), jpeg(0.55));
+        let (a, b) = (jpeg(0.2175), jpeg(0.22));
         let session = || {
             Decoder::builder()
                 .platform(Platform::gtx560())
@@ -1361,8 +1361,11 @@ mod tests {
         let images: Vec<Vec<u8>> = (0..4).map(|i| jpeg_of(96, 64 + 16 * i, 0)).collect();
         let opts = DecodeOptions::with_mode(Mode::Gpu);
 
+        // A batch member ships its coefficients, as a solo `Gpu` decode on
+        // the paper's schedule does; fed, a solo decode ships its scan.
         let solo = Decoder::builder()
             .platform(Platform::gtx680())
+            .threads(1)
             .build()
             .unwrap();
         let solo_outs: Vec<_> = images

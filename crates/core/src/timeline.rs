@@ -10,11 +10,12 @@
 pub enum Resource {
     /// The (single-threaded) host CPU.
     Cpu,
-    /// The GPU's compute engine. On the paper's single in-order queue
-    /// (one entropy thread, `Gpu`, `Sps`, a batched `Gpu` member) the
-    /// transfers run here too, one after another with the kernels. A fed,
-    /// chunked plan moves them to [`Resource::Copy`], so this resource's
-    /// busy time is the kernels alone.
+    /// The GPU's compute engine: the kernels, the device's Huffman passes
+    /// of a fed plan (`gpu-huffman` spans) among them. On the paper's
+    /// single in-order queue (one entropy thread, `Gpu`, `Sps`, a batched
+    /// `Gpu` member) the transfers run here too, one after another with
+    /// the kernels. A fed, chunked plan moves them to [`Resource::Copy`],
+    /// so this resource's busy time is the kernels alone.
     Gpu,
     /// The GPU's copy engine, beside the compute engine on a fed, chunked
     /// plan (`PipelinedGpu` and `Pps` with more than one entropy thread): a
@@ -129,13 +130,19 @@ impl Trace {
 /// Per-stage time totals for one decode (the Fig. 9 bars).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Breakdown {
-    /// Sequential Huffman decoding on the CPU.
+    /// The CPU's Huffman span: its own decoding, sequential or stitching
+    /// what the entropy workers decoded, and its waits for their rows and
+    /// for the device's decoder state. The device's Huffman is in
+    /// [`Self::kernels`].
     pub huffman: f64,
-    /// Host→device transfers.
+    /// Host→device transfers: coefficients, or a fed plan's scan bytes
+    /// and subsequence table.
     pub h2d: f64,
-    /// GPU kernel time (all kernels).
+    /// GPU kernel time (all kernels, the device's Huffman passes
+    /// included).
     pub kernels: f64,
-    /// Device→host transfers.
+    /// Device→host transfers: the RGB, and a fed split's decoder-state
+    /// read-back.
     pub d2h: f64,
     /// CPU parallel-phase time (scalar or SIMD band).
     pub cpu_parallel: f64,

@@ -179,6 +179,45 @@ mod tests {
         }
     }
 
+    /// A lockstep-predicated loop, as a run or branch by branch, with a
+    /// load after it.
+    struct Loops {
+        run: bool,
+        dst: BufId,
+    }
+    impl Kernel for Loops {
+        fn name(&self) -> &'static str {
+            "loops"
+        }
+        fn items_per_group(&self) -> usize {
+            48
+        }
+        fn run_group(&self, ctx: &mut GroupCtx<'_>) {
+            let (run, dst) = (self.run, self.dst);
+            ctx.phase(|it| {
+                let (taken, trips) = (it.id() % 7, 9 + it.group_id() % 2);
+                if run {
+                    it.branch_run(taken, trips);
+                } else {
+                    for k in 0..trips {
+                        it.branch(k < taken);
+                    }
+                }
+                it.gload_u8(dst, it.global_id());
+            });
+        }
+    }
+
+    #[test]
+    fn a_branch_run_records_what_its_branches_do() {
+        let mut sim = GpuSim::new(DeviceSpec::gtx560ti());
+        let dst = sim.create_buffer(48 * 5);
+        let looped = sim.launch(&Loops { run: false, dst }, 5);
+        let run = sim.launch(&Loops { run: true, dst }, 5);
+        assert!(looped.divergent_branches > 0);
+        assert_eq!(run, looped);
+    }
+
     #[test]
     fn parallel_and_serial_execution_agree() {
         // Enough work-items for three workers.

@@ -56,6 +56,8 @@ pub(crate) struct GroupState {
     branch_slots: Vec<u8>,
     /// `branch_slots[..branch_seqs]` may be non-zero.
     branch_seqs: usize,
+    /// Issue slots of each warp of the running group so far.
+    warp_issue: Vec<u64>,
     stats: LaunchStats,
     /// Byte ranges the current group touched (recorded in debug builds).
     log: crate::memory::audit::GroupLog,
@@ -75,6 +77,13 @@ impl GroupState {
         }
         self.branch_seqs = 0;
         self.local.retire_warp();
+    }
+
+    /// Fold the finished group's longest warp into the counters.
+    fn retire_group(&mut self) {
+        let longest = self.warp_issue.iter().copied().max().unwrap_or(0);
+        self.stats.max_warp_ops = self.stats.max_warp_ops.max(longest);
+        self.warp_issue.clear();
     }
 }
 
@@ -113,6 +122,7 @@ impl<'a> GroupCtx<'a> {
     /// trackers are empty (every warp ends drained), and the counters keep
     /// summing over the groups this worker runs.
     pub(crate) fn reset(&mut self, group_id: usize) {
+        self.st.retire_group();
         self.group_id = group_id;
         self.st.local.reset();
         self.st.stats.groups += 1;
@@ -131,8 +141,12 @@ impl<'a> GroupCtx<'a> {
     pub fn phase<F: FnMut(&mut ItemCtx<'_, 'a>)>(&mut self, mut f: F) {
         let mut ops = 0u64;
         let mut first = 0;
+        self.st
+            .warp_issue
+            .resize(self.items.div_ceil(self.warp_size), 0);
         while first < self.items {
             let end = (first + self.warp_size).min(self.items);
+            let mut busiest = 0u64;
             for item in first..end {
                 let (lpos, wpos) = (self.st.local.logged(), self.st.gmem.logged());
                 let mut ictx = ItemCtx {
@@ -155,6 +169,7 @@ impl<'a> GroupCtx<'a> {
                 } = ictx;
                 // Every issued operation costs one op on top of the charges.
                 ops += charged + seq as u64;
+                busiest = busiest.max(charged + seq as u64);
                 // The trackers keep slots as `u32`.
                 assert!(seq <= u32::MAX as usize + 1, "too many operations");
                 self.st.local.end_lane(lpos);
@@ -162,6 +177,7 @@ impl<'a> GroupCtx<'a> {
                 self.st.branch_seqs = self.st.branch_seqs.max(branch_seqs);
             }
             self.st.retire_warp();
+            self.st.warp_issue[first / self.warp_size] += busiest;
             first = end;
         }
         self.st.stats.compute_ops += ops;
@@ -171,6 +187,7 @@ impl<'a> GroupCtx<'a> {
     /// worker state for the device to keep.
     pub(crate) fn finish(self) -> (LaunchStats, GroupState) {
         let mut st = self.st;
+        st.retire_group();
         st.stats.gmem_read_bytes = st.gmem.read_bytes;
         st.stats.gmem_write_bytes = st.gmem.write_bytes;
         st.stats.lmem_accesses = st.local.accesses;
@@ -252,6 +269,28 @@ impl<'g, 'a> ItemCtx<'g, 'a> {
         taken
     }
 
+    /// A lockstep-predicated loop of `trips` steps whose first `taken` the
+    /// lane takes: one potentially divergent branch per step, exactly as
+    /// `trips` calls of [`Self::branch`] record them.
+    #[inline(always)]
+    pub fn branch_run(&mut self, taken: usize, trips: usize) {
+        if trips == 0 {
+            return;
+        }
+        let seq = self.seq;
+        self.seq += trips;
+        let slots = &mut self.grp.st.branch_slots;
+        if seq + trips > slots.len() {
+            slots.resize(seq + trips, 0);
+        }
+        let taken = taken.min(trips);
+        slots[seq..seq + taken].iter_mut().for_each(|s| *s |= TAKEN);
+        slots[seq + taken..seq + trips]
+            .iter_mut()
+            .for_each(|s| *s |= NOT_TAKEN);
+        self.branch_seqs = seq + trips;
+    }
+
     #[inline(always)]
     fn record_gmem(&mut self, buf: usize, addr: usize, len: usize, write: bool) {
         let seq = self.issue_slot();
@@ -295,6 +334,13 @@ impl<'g, 'a> ItemCtx<'g, 'a> {
     pub fn gload_vec8(&mut self, buf: crate::BufId, addr: usize) -> [u8; 8] {
         self.record_gmem(buf.0, addr, 8, false);
         self.grp.buffers[buf.0].load::<8>(addr)
+    }
+
+    /// Global vectorized load of 16 bytes (`uint4`).
+    #[inline(always)]
+    pub fn gload_vec16(&mut self, buf: crate::BufId, addr: usize) -> [u8; 16] {
+        self.record_gmem(buf.0, addr, 16, false);
+        self.grp.buffers[buf.0].load::<16>(addr)
     }
 
     /// Global store of `N` bytes.

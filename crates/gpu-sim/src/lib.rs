@@ -47,7 +47,7 @@ pub use kernel::{GroupCtx, ItemCtx, Kernel};
 pub use pcie::PcieModel;
 pub use queue::{CommandQueue, Event};
 pub use stats::LaunchStats;
-pub use subseq::{launch_subseq_sync, SubseqSyncKernel};
+pub use subseq::{launch_subseq_decode, Compacted, Lane, SubseqBuffers, SubseqTable, Work};
 pub use timing::TimingModel;
 
 /// Memory transaction granularity in bytes (compute capability 2.x L1 line).

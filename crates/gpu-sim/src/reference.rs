@@ -137,15 +137,20 @@ fn reference_stats(trace: &Trace, items: usize, warp_size: usize) -> LaunchStats
         let mut local = LocalMem::new(warps, warp_size);
         let mut trackers: Vec<WarpTracker> = (0..warps).map(|_| WarpTracker::default()).collect();
         let mut branch_slots: Vec<Vec<(bool, bool)>> = vec![Vec::new(); warps];
+        let mut warp_issue = vec![0u64; warps];
         for phase in group {
+            let mut busiest = vec![0u64; warps];
             for (item, ops) in phase.iter().enumerate() {
                 let warp = item / warp_size;
                 let mut seq = 0usize;
+                let mut lane = 0u64;
                 for &op in ops {
                     if let Op::Charge(n) = op {
                         stats.compute_ops += n;
+                        lane += n;
                         continue;
                     }
+                    lane += 1;
                     stats.compute_ops += 1;
                     match op {
                         Op::Charge(_) => unreachable!(),
@@ -170,6 +175,10 @@ fn reference_stats(trace: &Trace, items: usize, warp_size: usize) -> LaunchStats
                     }
                     seq += 1;
                 }
+                busiest[warp] = busiest[warp].max(lane);
+            }
+            for (total, b) in warp_issue.iter_mut().zip(busiest) {
+                *total += b;
             }
             for t in trackers.iter_mut() {
                 let (r, w) = t.finish_phase();
@@ -188,6 +197,7 @@ fn reference_stats(trace: &Trace, items: usize, warp_size: usize) -> LaunchStats
         }
         stats.lmem_accesses = local.accesses;
         stats.lmem_conflict_cycles = local.conflict_cycles;
+        stats.max_warp_ops = warp_issue.into_iter().max().unwrap_or(0);
         total.merge(&stats);
     }
     total

@@ -23,6 +23,11 @@ pub struct LaunchStats {
     pub lmem_conflict_cycles: u64,
     /// Warp-divergent branch sites encountered.
     pub divergent_branches: u64,
+    /// Issue slots of the launch's longest warp: summed over the phases of
+    /// its work-group, each phase's busiest lane (its charged ops plus one
+    /// per issued operation). A warp issues in lockstep, so no spread of
+    /// the other warps can finish the launch before this one.
+    pub max_warp_ops: u64,
 }
 
 impl LaunchStats {
@@ -38,6 +43,7 @@ impl LaunchStats {
         self.lmem_accesses += other.lmem_accesses;
         self.lmem_conflict_cycles += other.lmem_conflict_cycles;
         self.divergent_branches += other.divergent_branches;
+        self.max_warp_ops = self.max_warp_ops.max(other.max_warp_ops);
     }
 
     /// Total global transactions.

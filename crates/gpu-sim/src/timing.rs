@@ -3,14 +3,19 @@
 //! Kernel device time follows the classic roofline shape:
 //!
 //! ```text
-//! t = launch_overhead + max(compute_time, memory_time)
+//! t = launch_overhead + max(compute_time, memory_time, serial_time)
 //! ```
 //!
 //! * `compute_time` charges every metered scalar op against the device's
 //!   effective issue rate, inflated by warp under-occupancy, bank-conflict
 //!   serialization and divergence replay;
 //! * `memory_time` charges coalesced 128-byte transactions against the
-//!   global-memory bandwidth.
+//!   global-memory bandwidth;
+//! * `serial_time` is the launch's longest warp issuing its instructions
+//!   one after another at one core's effective rate: however idle the
+//!   other cores are, a warp issues in lockstep, so a few long serial
+//!   lanes (one per Huffman subsequence, say) cannot be spread over the
+//!   device the way `compute_time` spreads the launch's total.
 //!
 //! The merged-kernel and vectorization optimizations of paper §4 show up
 //! directly: fewer transactions → smaller `memory_time`; the JPEG kernels
@@ -54,11 +59,18 @@ impl TimingModel {
         stats.bus_bytes() as f64 / (device.gmem_bandwidth_gbps * 1e9)
     }
 
+    /// Serial floor in seconds: the longest warp's issue slots at one
+    /// core's clock times the device's IPC efficiency.
+    pub fn serial_time(device: &DeviceSpec, stats: &LaunchStats) -> f64 {
+        stats.max_warp_ops as f64 / (device.clock_mhz * 1e6 * device.ipc_efficiency)
+    }
+
     /// Total kernel time in seconds.
     pub fn kernel_time(device: &DeviceSpec, stats: &LaunchStats, items_per_group: usize) -> f64 {
         device.launch_overhead_us * 1e-6
             + Self::compute_time(device, stats, items_per_group)
                 .max(Self::memory_time(device, stats))
+                .max(Self::serial_time(device, stats))
     }
 
     /// True when the launch is memory-bound on this device.
@@ -137,6 +149,22 @@ mod tests {
         assert!(
             TimingModel::compute_time(&d, &worse, 32) > TimingModel::compute_time(&d, &base, 32)
         );
+    }
+
+    #[test]
+    fn one_long_warp_is_priced_by_its_issue_not_the_device_width() {
+        // One warp of 32 lanes at 3 000 ops each on the GTX 560 Ti: spread
+        // over 384 cores it would take ≈ 0.3 µs, but the warp issues its
+        // 3 000 slots one after another, ≈ 3.9 µs at 1 644 MHz × 0.47.
+        let d = DeviceSpec::gtx560ti();
+        let mut s = stats(32 * 3000, 0, 0);
+        s.max_warp_ops = 3000;
+        let spread = TimingModel::compute_time(&d, &s, 32);
+        assert!(spread < 0.4e-6, "{spread}");
+        let serial = TimingModel::serial_time(&d, &s);
+        assert!((serial - 3000.0 / (1644e6 * 0.47)).abs() < 1e-15);
+        let t = TimingModel::kernel_time(&d, &s, 32) - d.launch_overhead_us * 1e-6;
+        assert!((t - serial).abs() < 1e-15, "{t} vs {serial}");
     }
 
     #[test]

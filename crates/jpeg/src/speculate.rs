@@ -324,6 +324,220 @@ pub fn decode_chunk_speculative<'a>(
     chunk
 }
 
+/// Where a decoder started mid-stream falls into step with the exact one:
+/// the index into `exact` of the first MCU start it lands on, if any, and
+/// the work it decoded before — MCUs whose values are garbage.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Convergence {
+    /// The index into `exact` of the MCU the decoder is in sync at.
+    pub sync: Option<usize>,
+    /// Bits consumed before it, failed attempts included.
+    pub bits: u64,
+    /// Huffman symbols decoded before it.
+    pub symbols: u64,
+    /// Blocks decoded before it.
+    pub blocks: u64,
+}
+
+/// Decode speculatively from byte `start_byte` of a marker-free `payload`,
+/// as [`decode_chunk_speculative`] does, until the decoder lands on one of
+/// the strictly increasing canonical MCU-start positions `exact` (the exact
+/// decode's), or reaches bit `stop` — the end of its chunk — or passes the
+/// last of them, or meets a marker or the end. A mis-phased attempt that
+/// fails restarts one byte past the failure point; its bits count as
+/// garbage.
+pub fn converge(
+    geom: &Geometry,
+    tables: &HuffmanTables,
+    payload: &[u8],
+    start_byte: usize,
+    exact: &[u64],
+    stop: u64,
+) -> Convergence {
+    let bpm = geom.blocks_per_mcu() as u64;
+    let mut out = Convergence::default();
+    let Some(&last) = exact.last() else {
+        return out;
+    };
+    let mut attempt = start_byte;
+    while attempt < payload.len() && 8 * (attempt as u64) < stop {
+        while attempt > 0
+            && attempt < payload.len()
+            && payload[attempt] == 0x00
+            && payload[attempt - 1] == 0xFF
+        {
+            attempt += 1;
+        }
+        let mut dec = McuDecoder::new_at(tables, payload, attempt);
+        loop {
+            let cp = dec.checkpoint();
+            if cp == u64::MAX || cp > last || cp >= stop {
+                return out;
+            }
+            if let Ok(j) = exact.binary_search(&cp) {
+                out.sync = Some(j);
+                return out;
+            }
+            match dec.decode_next_mcu(&mut |_, _, _, _, _| {}) {
+                Ok(m) => {
+                    out.bits += m.bits as u64;
+                    out.symbols += m.symbols as u64;
+                    out.blocks += bpm;
+                }
+                Err(_) => {
+                    let fail = dec.checkpoint();
+                    if fail == u64::MAX {
+                        return out;
+                    }
+                    out.bits += fail.saturating_sub(cp);
+                    attempt = ((fail / 8 + 1) as usize).max(attempt + 1);
+                    break;
+                }
+            }
+        }
+    }
+    out
+}
+
+/// One block of an exact decode, for a device that syncs its subsequences
+/// block by block: where it starts, its place in its MCU's block pattern,
+/// and its Huffman work.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BlockAt {
+    /// The canonical bit position it starts at ([`McuDecoder::checkpoint`]).
+    pub at: u64,
+    /// Its index in the MCU's blocks, in scan order.
+    pub phase: u8,
+    /// Bits consumed.
+    pub bits: u32,
+    /// Huffman symbols decoded (DC included).
+    pub symbols: u32,
+}
+
+/// A decoder that steps one block at a time through the MCU's block
+/// pattern, for positions and work only (no coefficients are kept and no
+/// DC predictor runs).
+struct BlockDecoder<'a> {
+    reader: BitReader<'a>,
+    tables: &'a HuffmanTables,
+    /// The component of each block of an MCU, in scan order.
+    pattern: Vec<usize>,
+    phase: usize,
+}
+
+impl<'a> BlockDecoder<'a> {
+    /// A decoder at canonical bit `at` of `payload`, about to decode an
+    /// MCU's first block.
+    fn new(tables: &'a HuffmanTables, payload: &'a [u8], at: u64) -> Self {
+        let mut reader = BitReader::new_at(payload, (at / 8) as usize);
+        reader.get_bits((at % 8) as u32);
+        let mut pattern = Vec::new();
+        for (ci, c) in tables.components().iter().enumerate() {
+            pattern.extend(std::iter::repeat_n(ci, c.h_samp * c.v_samp));
+        }
+        BlockDecoder {
+            reader,
+            tables,
+            pattern,
+            phase: 0,
+        }
+    }
+
+    /// Decode the next block.
+    fn next(&mut self) -> Result<BlockAt> {
+        let at = self.reader.bit_checkpoint();
+        let before = self.reader.bits_consumed();
+        let comp = &self.tables.components()[self.pattern[self.phase]];
+        let (dc, ac) = self.tables.of(comp);
+        HuffDecoder::decode_dc_diff(&mut self.reader, dc)?;
+        let (symbols, _, _) = HuffDecoder::decode_ac_block(&mut self.reader, ac, &mut [0; 64])?;
+        let block = BlockAt {
+            at,
+            phase: self.phase as u8,
+            bits: (self.reader.bits_consumed() - before) as u32,
+            symbols: symbols + 1,
+        };
+        self.phase = (self.phase + 1) % self.pattern.len();
+        Ok(block)
+    }
+}
+
+/// Append the blocks of `mcus` MCUs of a marker-free `payload`, decoded
+/// exactly from canonical bit `at` — an MCU's start — to `out`; stops
+/// early at damage, a marker or the end.
+pub fn trace_blocks(
+    tables: &HuffmanTables,
+    payload: &[u8],
+    at: u64,
+    mcus: usize,
+    out: &mut Vec<BlockAt>,
+) {
+    let mut dec = BlockDecoder::new(tables, payload, at);
+    debug_assert_eq!(dec.reader.bit_checkpoint(), at, "positioned at the MCU");
+    for _ in 0..mcus * dec.pattern.len() {
+        match dec.next() {
+            Ok(b) if b.at != u64::MAX => out.push(b),
+            _ => return,
+        }
+    }
+}
+
+/// [`converge`] block by block: a decoder started at `start_byte`, at an
+/// MCU's first block, is in step once it starts a block at the position
+/// and in the place of its MCU of one of an exact decode's blocks, before
+/// bit `stop`. `exact(bit)` names the exact decode's block that starts at
+/// `bit`, if any: its index and its place in its MCU. Returns that index,
+/// if the decoder falls into step, and the work decoded before it.
+pub fn converge_blocks(
+    tables: &HuffmanTables,
+    payload: &[u8],
+    start_byte: usize,
+    mut exact: impl FnMut(u64) -> Option<(usize, u8)>,
+    stop: u64,
+) -> Convergence {
+    let mut out = Convergence::default();
+    let mut attempt = start_byte;
+    while attempt < payload.len() && 8 * (attempt as u64) < stop {
+        while attempt > 0
+            && attempt < payload.len()
+            && payload[attempt] == 0x00
+            && payload[attempt - 1] == 0xFF
+        {
+            attempt += 1;
+        }
+        let mut dec = BlockDecoder::new(tables, payload, 8 * attempt as u64);
+        loop {
+            let cp = dec.reader.bit_checkpoint();
+            if cp == u64::MAX || cp >= stop {
+                return out;
+            }
+            if let Some((j, phase)) = exact(cp) {
+                if phase as usize == dec.phase {
+                    out.sync = Some(j);
+                    return out;
+                }
+            }
+            match dec.next() {
+                Ok(b) => {
+                    out.bits += b.bits as u64;
+                    out.symbols += b.symbols as u64;
+                    out.blocks += 1;
+                }
+                Err(_) => {
+                    let fail = dec.reader.bit_checkpoint();
+                    if fail == u64::MAX {
+                        return out;
+                    }
+                    out.bits += fail.saturating_sub(cp);
+                    attempt = ((fail / 8 + 1) as usize).max(attempt + 1);
+                    break;
+                }
+            }
+        }
+    }
+    out
+}
+
 /// Outcome of stitching one segment's staged chunks.
 #[derive(Debug, Clone, Default)]
 pub struct StitchOutcome {
@@ -340,6 +554,9 @@ pub struct StitchOutcome {
 /// reconciler decoded it itself rather than adopting it from a staging.
 #[derive(Debug, Clone, Copy)]
 pub struct Written {
+    /// The canonical bit position the MCU starts at in the segment's
+    /// payload ([`McuDecoder::checkpoint`]).
+    pub at: u64,
     /// The MCU's Huffman work.
     pub metrics: McuMetrics,
     /// Decoded by the reconciler (a convergence gap or the tail).
@@ -441,6 +658,7 @@ impl<'a> Stitch<'a> {
         let (mcu_x, row) = (g % self.geom.mcus_x, g / self.geom.mcus_x);
         let (geom, comps) = (&self.geom, &self.comps);
         let mut classes = RowMetrics::default();
+        let at = self.dec.checkpoint();
         let m = self.dec.decode_next_mcu(&mut |ci, v, h, block, eob| {
             let (h_samp, v_samp) = comps[ci];
             let idx = geom.block_index(ci, mcu_x * h_samp + h, row * v_samp + v);
@@ -456,6 +674,7 @@ impl<'a> Stitch<'a> {
         self.mcu += 1;
         self.out.stats.redecoded_mcus += 1;
         self.written.push(Written {
+            at,
             metrics: m,
             exact: true,
         });
@@ -542,6 +761,7 @@ impl<'a> Stitch<'a> {
             self.mcu += 1;
             self.out.stats.adopted_mcus += 1;
             self.written.push(Written {
+                at: ch.checkpoints[k],
                 metrics: ch.mcu_metrics[k],
                 exact: false,
             });

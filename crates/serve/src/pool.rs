@@ -2326,7 +2326,17 @@ mod tests {
             ("decode error", None, vec![(&b"not a jpeg"[..], plain)]),
             ("alloc fault", Some(("alloc=#1", 5)), vec![(j, plain)]),
             ("panic + rebuild", Some(("panic=#1", 5)), vec![(j, plain)]),
-            ("breaker open", Some(("panic=#1", 1)), vec![(j, plain); 2]),
+            // The first request is held 200 ms before it panics, so the
+            // second is queued behind it in both shapes and the two are one
+            // busy period: the panic's reply (sent once the session is
+            // rebuilt) and the worker's next look at its queue are
+            // microseconds apart, and a second request submitted after the
+            // reply could land on either side of that look.
+            (
+                "breaker open",
+                Some(("latency=#1x200ms,panic=#1", 1)),
+                vec![(j, plain); 2],
+            ),
             ("late-deadline shed", None, vec![(j, late)]),
             ("degraded", None, vec![(j, degrade)]),
         ];
@@ -2344,12 +2354,15 @@ mod tests {
                 })
                 .unwrap();
                 let handle = server.handle();
-                let mut served = 0;
-                for &(data, mut opts) in &requests {
-                    opts.options.streaming = streaming;
-                    let ticket = handle.submit_with(data.to_vec(), opts).unwrap();
-                    served += u64::from(ticket.wait_served().is_ok());
-                }
+                let tickets: Vec<_> = (requests.iter())
+                    .map(|&(data, mut opts)| {
+                        opts.options.streaming = streaming;
+                        handle.submit_with(data.to_vec(), opts).unwrap()
+                    })
+                    .collect();
+                let served = (tickets.into_iter())
+                    .map(|t| u64::from(t.wait_served().is_ok()))
+                    .sum::<u64>();
                 (server.shutdown().total(), served)
             };
             let (whole, served) = run(false);

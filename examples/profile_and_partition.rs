@@ -79,7 +79,6 @@ fn main() {
             &prep.geom,
             d,
             (model.chunk_mcu_rows * prep.geom.mcu_h) as f64,
-            None, // the paper's Huffman, on the CPU side's own thread
         );
         println!(
             "{:<12} {:>10.3} {:>9.0}% {:>9.0}%",
