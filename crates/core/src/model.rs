@@ -146,13 +146,30 @@ impl GpuEntropy {
 #[derive(Debug, Clone, PartialEq)]
 pub struct GpuStages {
     /// Host→device, as `f(d, pixels)` of the band's entropy density and
-    /// pixels: the compacted coefficient payload ships each block's ≤ EOB
-    /// corner, so it tracks density as much as size.
+    /// pixels: the band's scan bytes and subsequence table, which track
+    /// density as much as size.
     pub h2d: Poly2,
     /// The kernels, as `f(width, rows)`.
     pub kernels: Poly2,
     /// Device→host, the band's RGB, as `f(width, rows)`.
     pub d2h: Poly2,
+}
+
+impl GpuStages {
+    /// The analytic seed's H2D form for `platform`: one transfer latency,
+    /// and a band's scan — about `d` bytes a pixel — with its subsequence
+    /// table, an entry per [`crate::schedule::entropy_par::SUBSEQ_BYTES`]
+    /// of scan, at the pinned bandwidth.
+    pub fn seed_h2d(platform: &Platform) -> Poly2 {
+        use crate::gpu_decode::SUBSEQ_ENTRY_BYTES;
+        use crate::schedule::entropy_par::SUBSEQ_BYTES;
+        let per_byte = 1.0 / (platform.pcie.pinned_gbps * 1e9);
+        let table = SUBSEQ_ENTRY_BYTES as f64 / SUBSEQ_BYTES as f64;
+        let mut h2d = Poly2::zero(2);
+        h2d.coefs[0][0] = platform.pcie.latency_us * 1e-6;
+        h2d.coefs[1][1] = (1.0 + table) * per_byte;
+        h2d
+    }
 }
 
 impl PerformanceModel {
@@ -286,12 +303,12 @@ impl PerformanceModel {
         p_gpu.coefs[0][0] =
             platform.pcie.latency_us * 2e-6 + platform.gpu.launch_overhead_us * 4e-6;
         p_gpu.coefs[1][1] = gpu_s_per_px;
-        // Its stages: each transfer one latency, the coefficients up and
-        // the RGB down; the kernels the launches and the rest.
+        // Its stages, as the fed plans run them: each transfer one
+        // latency, the scan up and the RGB down; the kernels the launches
+        // and the rest.
         let latency = platform.pcie.latency_us * 1e-6;
         let per_byte = 1.0 / (platform.pcie.pinned_gbps * 1e9);
-        let mut h2d = Poly2::zero(1);
-        (h2d.coefs[0][0], h2d.coefs[0][1]) = (latency, 2.0 * 2.0 * per_byte);
+        let h2d = GpuStages::seed_h2d(platform);
         let mut kernels = Poly2::zero(2);
         kernels.coefs[0][0] = platform.gpu.launch_overhead_us * 4e-6;
         kernels.coefs[1][1] = kernel_s_per_px.max(mem_s_per_px);
@@ -472,18 +489,18 @@ impl PerformanceModel {
         };
         // Absent in files written before the device decoded Huffman: the
         // seed's form for the file's platform (the GTX 560 Ti's for a name
-        // no platform has).
-        let seed = || {
-            let all = Platform::all();
-            let named = (all.iter()).find(|p| p.name == platform);
-            GpuEntropy::seed(named.unwrap_or(&Platform::gtx560()))
-        };
-        let thuff_gpu = match (p2("thuff_gpu"), get("thuff_gpu.readback")) {
-            (Some(decode), Some(r)) => GpuEntropy {
-                decode,
-                readback: parse_f(&r)?,
-            },
-            _ => seed(),
+        // no platform has). Such a file's stage H2D was fitted to the
+        // compacted coefficients, several times the scan a fed plan ships
+        // now: it takes the seed's scan H2D too.
+        let all = Platform::all();
+        let gtx560 = Platform::gtx560();
+        let seed = (all.iter()).find(|p| p.name == platform).unwrap_or(&gtx560);
+        let (thuff_gpu, scan_h2d) = match (p2("thuff_gpu"), get("thuff_gpu.readback")) {
+            (Some(decode), Some(r)) => {
+                let readback = parse_f(&r)?;
+                (GpuEntropy { decode, readback }, None)
+            }
+            _ => (GpuEntropy::seed(seed), Some(GpuStages::seed_h2d(seed))),
         };
         Some(PerformanceModel {
             platform,
@@ -516,6 +533,7 @@ impl PerformanceModel {
             gpu_stages: (|| {
                 let (h2d, kernels) = (p2("gpu_stages.h2d")?, p2("gpu_stages.kernels")?);
                 let d2h = p2("gpu_stages.d2h")?;
+                let h2d = scan_h2d.unwrap_or(h2d);
                 Some(GpuStages { h2d, kernels, d2h })
             })(),
             thuff_gpu,
@@ -709,10 +727,15 @@ mod tests {
             .collect();
         let loaded = PerformanceModel::load_str(&legacy).expect("parse");
         assert_eq!(loaded.thuff_gpu, GpuEntropy::seed(&Platform::gtx560()));
+        let stages = m.gpu_stages.clone().expect("trained stage forms");
         assert_eq!(
             loaded,
             PerformanceModel {
                 thuff_gpu: GpuEntropy::seed(&Platform::gtx560()),
+                gpu_stages: Some(GpuStages {
+                    h2d: GpuStages::seed_h2d(&Platform::gtx560()),
+                    ..stages
+                }),
                 ..m.clone()
             }
         );
@@ -728,6 +751,87 @@ mod tests {
             .collect();
         let loaded = PerformanceModel::load_str(&text).expect("parse");
         assert_eq!(loaded.thuff_gpu, GpuEntropy::seed(&gtx680));
+    }
+
+    /// A model file as the build before the device decoded Huffman wrote
+    /// it: trained on the GTX 560 Ti, its stage H2D fitted to the
+    /// compacted coefficients, no `thuff_gpu`.
+    const COEFFICIENT_H2D_MODEL: &str = "\
+platform = GTX 560
+subsampling = 4:2:2
+chunk_mcu_rows = 4
+wg_blocks = 8
+pcpu_idct_discount = 6.283550347222222e-1
+spec_prefix_mcus = 3.7884615384615383e0
+h2d_ref_density = 3.1241183810763884e-1
+thuff.x_scale = 1.0185546875e0
+thuff.coefs = 7.631886436072706e-1,7.284357592819498e0,2.985626482713203e0
+h2d.x_scale = 1.0185546875e0
+h2d.coefs = 2.831320706915097e-10,6.176466345278848e-9,-4.807693921836518e-9
+pcpu_density.x_scale = 9.166666666666666e-1
+pcpu_density.coefs = 6.659073822054381e-1,6.655143734810955e-1
+p_cpu.degree = 1
+p_cpu.x_scale = 1.92e2
+p_cpu.y_scale = 1.92e2
+p_cpu.coefs = -4.657160040939446e-5,6.983818681318679e-5,6.897437459599221e-5,0e0
+p_gpu.degree = 1
+p_gpu.x_scale = 1.92e2
+p_gpu.y_scale = 1.92e2
+p_gpu.coefs = 1.871282359833693e-5,3.5336819252471894e-5,3.752759859478986e-5,0e0
+t_disp.degree = 1
+t_disp.x_scale = 1.92e2
+t_disp.y_scale = 1.92e2
+t_disp.coefs = 1.4890624999999998e-5,1.6406249999999983e-7,1.640624999999999e-7,0e0
+gpu_stages.h2d.degree = 2
+gpu_stages.h2d.x_scale = 1.0185546875e0
+gpu_stages.h2d.y_scale = 3.6864e4
+gpu_stages.h2d.coefs = 4.459580917491292e-6,1.1966418311585605e-5,-5.5933320343662344e-6,2.259554048330565e-5,2.779687852070377e-5,0e0,-2.0321980396984733e-5,0e0,0e0
+gpu_stages.kernels.degree = 1
+gpu_stages.kernels.x_scale = 1.92e2
+gpu_stages.kernels.y_scale = 1.92e2
+gpu_stages.kernels.coefs = 1.5720453958542634e-5,1.1489378756651342e-5,1.4395873125553632e-5,0e0
+gpu_stages.d2h.degree = 1
+gpu_stages.d2h.x_scale = 1.92e2
+gpu_stages.d2h.y_scale = 1.92e2
+gpu_stages.d2h.coefs = 4.8917151472860186e-6,9.524997052543867e-6,9.52499705254387e-6,0e0
+";
+
+    #[test]
+    fn a_file_with_coefficient_stage_h2d_prices_the_scan_h2d() {
+        let loaded = PerformanceModel::load_str(COEFFICIENT_H2D_MODEL).expect("parse");
+        assert_eq!(loaded.defect(), None);
+        let gtx560 = Platform::gtx560();
+        assert_eq!(loaded.thuff_gpu, GpuEntropy::seed(&gtx560));
+        // The kernels and D2H are the file's; its H2D, fitted to a payload
+        // several times the scan, is not.
+        let stages = loaded.gpu_stages.as_ref().expect("the file's stage forms");
+        assert_eq!(stages.h2d, GpuStages::seed_h2d(&gtx560));
+        assert_eq!(stages.kernels.coefs[0][0], 1.5720453958542634e-5);
+        assert_eq!(stages.d2h.coefs[0][0], 4.8917151472860186e-6);
+        // A 256×256 band at the file's reference density ships its scan:
+        // the H2D the fed plans price is the scan's, a fraction of the
+        // coefficients' the file fitted.
+        let d = loaded.h2d_ref_density;
+        let [h2d, _, _] = loaded
+            .gpu_stage_times(256.0, 256.0, d)
+            .expect("stage forms");
+        let scan = gtx560
+            .pcie
+            .transfer_time((d * 256.0 * 256.0) as usize, true);
+        assert!(
+            (h2d - scan).abs() < 0.1 * scan,
+            "{h2d} against the scan's {scan}"
+        );
+        let fitted = (COEFFICIENT_H2D_MODEL.lines())
+            .find(|l| l.starts_with("gpu_stages.h2d.coefs"))
+            .expect("the file's H2D");
+        assert!(
+            !loaded.save_str().contains(fitted),
+            "the coefficient H2D is dropped"
+        );
+        // Saved again, the file carries the device form and loads as saved.
+        let back = PerformanceModel::load_str(&loaded.save_str()).expect("parse");
+        assert_eq!(back, loaded);
     }
 
     #[test]

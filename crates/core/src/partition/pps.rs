@@ -327,7 +327,9 @@ impl Overlap {
     /// in-order queue, else two engines. Returns when the dispatches end,
     /// when the band's state is on the host, and when the device is done;
     /// without the stage forms a chunk's device time is `PGPU` on the
-    /// serial queue.
+    /// serial queue, and the pass has no H2D of its own: the coefficient
+    /// H2D in each chunk's `PGPU`, several times the scan's, stands in for
+    /// it, so such a model over-prices the fed plans' transfers.
     #[allow(clippy::too_many_arguments)]
     fn device_walk(
         &self,
@@ -392,12 +394,16 @@ pub struct Release {
     chunk_rows: f64,
     /// Sequential Huffman seconds per pixel row.
     huff_row: f64,
-    /// When each chunk, in row order, is final.
+    /// The image's pixel rows above the rows released, and the chunk that
+    /// holds the first released row.
+    skip: f64,
+    first: usize,
+    /// When each chunk from `first` on, in row order, is final.
     final_at: Vec<f64>,
-    /// Per chunk `j`: the earliest the loop can decode row 0 onwards at
-    /// the sequential rate, having waited from the start or for a chunk
-    /// `i ≤ j` — min over `i` of (chunk `i − 1` final) − (rows before chunk
-    /// `i`)·`huff_row`.
+    /// Per chunk `j`: the earliest the loop can decode the first released
+    /// row onwards at the sequential rate, having waited from the start or
+    /// for a chunk `i ≤ j` — min over `i` of (chunk `i − 1` final) − (rows
+    /// released before chunk `i`)·`huff_row`.
     ramp: Vec<f64>,
 }
 
@@ -417,6 +423,26 @@ impl Release {
         chunks: usize,
         speculative: bool,
     ) -> Release {
+        Self::from_row(model, w, h, d, mcus, threads, chunks, speculative, 0.0)
+    }
+
+    /// [`Self::new`]'s release of the image's rows from pixel row `skip`
+    /// on, the decoder state at that row in hand: the workers start on the
+    /// chunks [`Self::new`] cuts the image into from the one holding that
+    /// row — which decodes from the row, in step, with no convergence
+    /// prefix — and [`Self::at`] counts rows from it.
+    #[allow(clippy::too_many_arguments)]
+    pub fn from_row(
+        model: &PerformanceModel,
+        w: f64,
+        h: f64,
+        d: f64,
+        mcus: f64,
+        threads: usize,
+        chunks: usize,
+        speculative: bool,
+        skip: f64,
+    ) -> Release {
         let n = chunks.max(1);
         let thuff = model.huff_time(w * h, d);
         let share = thuff / n as f64 + SEGMENT_OVERHEAD_S;
@@ -424,11 +450,20 @@ impl Release {
             true => 0.5 * model.spec_prefix_mcus.max(0.0) * thuff / mcus.max(1.0),
             false => 0.0,
         };
-        let mut free_at = vec![0.0f64; threads.clamp(1, n)];
+        let (chunk_rows, huff_row) = (h / n as f64, thuff / h);
+        let first = ((skip / chunk_rows) as usize).min(n - 1);
+        let mut free_at = vec![0.0f64; threads.clamp(1, n - first)];
         let mut stitched = 0.0f64;
-        let final_at: Vec<f64> = (0..n)
+        let final_at: Vec<f64> = (first..n)
             .map(|j| {
-                let waste = if j == 0 { 0.0 } else { prefix };
+                let (share, waste) = match j == first {
+                    true if skip > 0.0 => {
+                        let rows = (first + 1) as f64 * chunk_rows - skip;
+                        (rows.max(0.0) * huff_row + SEGMENT_OVERHEAD_S, 0.0)
+                    }
+                    true => (share, 0.0),
+                    false => (share, prefix),
+                };
                 let worker = (0..free_at.len())
                     .min_by(|&a, &b| free_at[a].total_cmp(&free_at[b]))
                     .expect("at least one worker");
@@ -437,33 +472,38 @@ impl Release {
                 stitched
             })
             .collect();
-        let (chunk_rows, huff_row) = (h / n as f64, thuff / h);
         let mut lowest = f64::INFINITY;
-        let ramp = (0..n)
+        let ramp = (first..n)
             .map(|i| {
-                let since = if i == 0 { 0.0 } else { final_at[i - 1] };
-                lowest = lowest.min(since - i as f64 * chunk_rows * huff_row);
+                let (since, before) = match i == first {
+                    true => (0.0, 0.0),
+                    false => (final_at[i - first - 1], i as f64 * chunk_rows - skip),
+                };
+                lowest = lowest.min(since - before * huff_row);
                 lowest
             })
             .collect();
         Release {
             chunk_rows,
             huff_row,
+            skip,
+            first,
             final_at,
             ramp,
         }
     }
 
-    /// When the first `rows` pixel rows are final: when the chunk holding
-    /// the last of them is stitched, or earlier if the loop, waiting since
-    /// an earlier chunk was stitched, decodes the rest itself at the
-    /// sequential rate.
+    /// When the first `rows` pixel rows released are final: when the chunk
+    /// holding the last of them is stitched, or earlier if the loop,
+    /// waiting since an earlier chunk was stitched, decodes the rest itself
+    /// at the sequential rate.
     pub fn at(&self, rows: f64) -> f64 {
         if rows <= 0.0 {
             return 0.0;
         }
-        let n = self.final_at.len();
-        let j = ((rows / self.chunk_rows).ceil() as usize).clamp(1, n) - 1;
+        let n = self.first + self.final_at.len();
+        let y = self.skip + rows;
+        let j = ((y / self.chunk_rows).ceil() as usize).clamp(self.first + 1, n) - 1 - self.first;
         self.final_at[j].min(self.ramp[j] + rows * self.huff_row)
     }
 }
@@ -581,7 +621,7 @@ impl Overlap {
     /// A device-entropy plan with every row on the GPU — `PipelinedGpu`
     /// on the two engines, `Gpu` with `serial` as one chunk on the in-order
     /// queue: when the later of the dispatches and the device ends.
-    pub(crate) fn device_only(&self, h: f64, serial: bool) -> f64 {
+    pub fn device_only(&self, h: f64, serial: bool) -> f64 {
         let (disp, _, dev) = self.device_walk(h, 0.0, &Engines::default(), serial, false, 0.0, 0.0);
         disp.max(dev)
     }
@@ -712,10 +752,12 @@ fn balance(
     let (cpu_mcu_rows, x, iterations) = match feed {
         // A device-entropy share's sides jump where it outgrows the rows
         // the device decoded and where a chunk starts: the split is the
-        // MCU row of the smallest makespan, by scanning every one (the
+        // MCU row of the smallest makespan, by pricing every one once (the
         // first of equals).
         Feed::Device { .. } => {
-            let best = (0..=rows).fold(0, |b, k| if span(k) < span(b) { k } else { b });
+            let spans = (0..=rows).map(|k| (k, span(k)));
+            let best = spans.reduce(|b, c| if c.1 < b.1 { c } else { b });
+            let best = best.map_or(0, |(k, _)| k);
             (best, x_of(best), rows + 1)
         }
         _ => {
@@ -780,6 +822,41 @@ mod tests {
         let r = Release::new(&model, w, h, d, mcus, 4, 16, true);
         assert!(r.at(h / 16.0) < r.at(h) / 3.0);
         assert_eq!(r.at(1.0), (thuff / h).min(r.at(h / 16.0)));
+    }
+
+    #[test]
+    fn a_release_from_a_row_runs_the_chunks_from_there() {
+        let model = PerformanceModel::analytic_seed(&Platform::gtx560());
+        let (w, h, d, mcus) = (1024.0, 1024.0, 0.2, 8192.0);
+        let from = |skip| Release::from_row(&model, w, h, d, mcus, 4, 16, true, skip);
+        // From the top it is the whole image's curve, bit for bit.
+        let whole = Release::new(&model, w, h, d, mcus, 4, 16, true);
+        for rows in [0.5, 1.0, 63.9, 64.0, 64.1, 500.0, h] {
+            assert_eq!(from(0.0).at(rows).to_bits(), whole.at(rows).to_bits());
+        }
+        let (huff_row, chunk) = (model.huff_time(w * h, d) / h, h / 16.0);
+        for skip in [100.0, 128.0, 900.0, 1000.0] {
+            let x = h - skip;
+            let tail = from(skip);
+            // Never faster than its rows' Huffman over the workers, never
+            // slower than the loop decoding them itself.
+            let all = tail.at(x);
+            assert!(all >= x * huff_row / 4.0, "{skip}: {all}");
+            assert!(all <= x * huff_row * (1.0 + 1e-12), "{skip}: {all}");
+            // Its first chunk starts in step at the row: the rows up to
+            // the chunk grid's next boundary are final at the sequential
+            // rate, or once that chunk's worker is done.
+            let first = (skip / chunk).floor() * chunk + chunk - skip;
+            let t = tail.at(first);
+            assert!(
+                t <= first * huff_row + SEGMENT_OVERHEAD_S * (1.0 + 1e-9),
+                "{skip}: {t}"
+            );
+        }
+        // A tail inside the last chunk is one in-step chunk: the loop's own
+        // sequential decode of it.
+        let last = from(h - 10.0).at(10.0);
+        assert!((last - 10.0 * huff_row).abs() <= 1e-12 * last, "{last}");
     }
 
     /// A 1024-wide image at density 0.2: the device walk over `g` of its

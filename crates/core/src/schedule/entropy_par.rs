@@ -41,8 +41,8 @@ use hetjpeg_jpeg::entropy::{split_restart_segments, HuffmanTables, RestartSegmen
 use hetjpeg_jpeg::geometry::Geometry;
 use hetjpeg_jpeg::metrics::RowMetrics;
 use hetjpeg_jpeg::speculate::{
-    converge, converge_blocks, decode_chunk_speculative, plan_chunks, trace_blocks, BlockAt,
-    Convergence, McuMetrics, SpecStats, StagedChunk, Stitch, Written, MIN_CHUNK_BYTES,
+    converge_blocks, decode_chunk_speculative, plan_chunks, trace_blocks, BlockAt, McuMetrics,
+    SpecStats, StagedChunk, Stitch, Written,
 };
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -95,6 +95,11 @@ pub(crate) struct Feed<'a> {
     jobs: Vec<Job>,
     /// Each job's staged output until it is stitched.
     staged: Vec<Option<StagedChunk<'a>>>,
+    /// Each job's worker seconds: its measured effort, convergence waste
+    /// included, and [`SEGMENT_OVERHEAD_S`].
+    effort: Vec<f64>,
+    /// The workers the jobs are list-scheduled onto.
+    workers: usize,
     /// When each job's worker finishes on the virtual clock.
     ready_at: Vec<f64>,
     /// Jobs stitched into the coefficient buffer so far. The stitch runs
@@ -172,7 +177,9 @@ impl<'a> Feed<'a> {
             tables,
             scan,
             staged: Vec::new(),
-            ready_at: Vec::with_capacity(jobs.len()),
+            effort: Vec::with_capacity(jobs.len()),
+            workers: threads.min(jobs.len()).max(1),
+            ready_at: Vec::new(),
             stitched: 0,
             stitch: None,
             pending: VecDeque::new(),
@@ -189,17 +196,26 @@ impl<'a> Feed<'a> {
             jobs,
         };
         feed.staged = feed.decode_jobs(threads);
-        // List-schedule the measured efforts onto the workers in ticket
-        // order: each chunk goes to the worker that frees up first.
-        let mut free_at = vec![0.0f64; threads.min(feed.jobs.len()).max(1)];
-        for ch in feed.staged.iter().flatten() {
+        feed.effort = (feed.staged.iter().flatten())
+            .map(|ch| platform.cpu.huff_time(&ch.metrics) + SEGMENT_OVERHEAD_S)
+            .collect();
+        feed.schedule(0, 0.0);
+        Some(feed)
+    }
+
+    /// List-schedule the efforts of jobs `first..` onto the workers, all
+    /// free at `start`, in ticket order: each job goes to the worker that
+    /// frees up first.
+    fn schedule(&mut self, first: usize, start: f64) {
+        let mut free_at = vec![start; self.workers];
+        self.ready_at.resize(first, 0.0);
+        for &effort in &self.effort[first..] {
             let w = (0..free_at.len())
                 .min_by(|&a, &b| free_at[a].total_cmp(&free_at[b]))
                 .expect("at least one worker");
-            free_at[w] += platform.cpu.huff_time(&ch.metrics) + SEGMENT_OVERHEAD_S;
-            feed.ready_at.push(free_at[w]);
+            free_at[w] += effort;
+            self.ready_at.push(free_at[w]);
         }
-        Some(feed)
     }
 
     /// A segment's entropy bytes, with the restart marker that ends it: a
@@ -321,13 +337,7 @@ impl<'a> Feed<'a> {
         want: usize,
     ) -> Result<(), Handover> {
         let (mcus_x, bpm) = (self.geom.mcus_x, self.geom.blocks_per_mcu());
-        let cost = |w: &Written| RowMetrics {
-            bits: w.metrics.bits as u64,
-            symbols: w.metrics.symbols as u64,
-            nonzero_coefs: w.metrics.nonzero as u64,
-            blocks: bpm as u64,
-            ..RowMetrics::default()
-        };
+        let cost = |w: &Written| mcu_cost(&w.metrics, bpm);
         let k = self.next;
         let seg = self.segments[self.jobs[k].segment];
         let seg_end = seg.start_mcu + seg.mcu_count;
@@ -384,32 +394,18 @@ impl Feed<'_> {
         Ok(())
     }
 
-    /// The device's lanes over MCU rows `rows`, which are stitched: synced
-    /// block by block, [`subseq_bytes`] apart.
+    /// The device's lanes over MCU rows `rows`, which are stitched, and
+    /// the scan bytes they span. Each restart segment's share of the rows
+    /// starts a lane in sync at its first MCU (the device's state there, or
+    /// the restart marker), and a lane at every [`subseq_bytes`]-th byte
+    /// after it, which a decoder started there falls into step with at a
+    /// block of the exact decode, in its place in the MCU, before its
+    /// subsequence ends ([`converge_blocks`]). A lane covers the blocks
+    /// from its own to the next lanes' first in-step block: pass 1 decodes
+    /// its garbage and the rest of its subsequence, pass 2 the overflow
+    /// past the subsequence's end. Byte ranges are relative to the first
+    /// MCU's byte; blocks are packed indices of `rows`.
     pub(crate) fn device_lanes(&self, rows: Range<usize>) -> (SubseqTable, Range<usize>) {
-        let bpm = self.geom.blocks_per_mcu();
-        self.lanes(rows, true, |mcus, bytes| subseq_bytes(mcus, bpm, bytes))
-    }
-
-    /// The lanes of a subsequence decode of MCU rows `rows`, which are
-    /// stitched, and the scan bytes they span. Each restart segment's share
-    /// of the rows starts a lane in sync at its first MCU (the device's
-    /// state there, or the restart marker), and a lane at every
-    /// `lane_bytes(MCUs, bytes)`-th byte after it, which a decoder started
-    /// there falls into step with at a measured unit of the exact decode,
-    /// before its subsequence ends: a block in its place in the MCU with
-    /// `by_block` — the device's lanes ([`converge_blocks`]) — else an MCU,
-    /// as the CPU's stitch ([`converge`]). A lane covers the units from its
-    /// own to the next lanes' first in-step unit: pass 1 decodes its
-    /// garbage and the rest of its subsequence, pass 2 the overflow past
-    /// the subsequence's end. Byte ranges are relative to the first MCU's
-    /// byte; blocks are packed indices of `rows`.
-    pub(crate) fn lanes(
-        &self,
-        rows: Range<usize>,
-        by_block: bool,
-        lane_bytes: impl Fn(usize, usize) -> usize,
-    ) -> (SubseqTable, Range<usize>) {
         let (geom, mx) = (self.geom, self.geom.mcus_x);
         let bpm = geom.blocks_per_mcu();
         let mcus = rows.start * mx..rows.end * mx;
@@ -443,7 +439,7 @@ impl Feed<'_> {
             let (a, b) = (g, (seg.start_mcu + seg.mcu_count).min(mcus.end));
             g = b;
             let payload = self.payload(&seg);
-            let mut units = Units::new(self, payload, a, b, by_block);
+            let mut units = Units::new(self, payload, a, b);
             let (n, upm) = (units.n, units.upm);
             let bits = 8 * seg.len as u64;
             let end = match n {
@@ -465,7 +461,7 @@ impl Feed<'_> {
                     }
             };
             (lo, hi) = (lo.min(seg.offset + first), hi.max(seg.offset + end));
-            let step = lane_bytes(b - a, end.saturating_sub(first)).max(1);
+            let step = subseq_bytes(b - a, bpm, end.saturating_sub(first)).max(1);
             let mut starts = vec![first];
             let mut s = first + step;
             while s < end {
@@ -490,18 +486,7 @@ impl Feed<'_> {
             let mut garbage = vec![Work::default()];
             for (i, &s) in starts.iter().enumerate().skip(1) {
                 let stop = 8 * starts.get(i + 1).copied().unwrap_or(end) as u64;
-                let c = match by_block {
-                    true => converge_blocks(self.tables, payload, s, |cp| units.lookup(cp), stop),
-                    false => {
-                        let k0 = own_first[i];
-                        let c =
-                            converge(geom, self.tables, payload, s, &self.at[a + k0..a + n], stop);
-                        Convergence {
-                            sync: c.sync.map(|j| k0 + j),
-                            ..c
-                        }
-                    }
-                };
+                let c = converge_blocks(self.tables, payload, s, |cp| units.lookup(cp), stop);
                 sync.push(c.sync.unwrap_or(n));
                 garbage.push(Work {
                     bits: c.bits,
@@ -525,12 +510,9 @@ impl Feed<'_> {
                     table.overflow.push(w);
                 }
                 let b0 = table.blocks.len();
-                for u in sy..nx {
-                    match by_block {
-                        true => table.blocks.push(packed(a + u / bpm, u % bpm)),
-                        false => table.blocks.extend((0..bpm).map(|j| packed(a + u, j))),
-                    }
-                }
+                table
+                    .blocks
+                    .extend((sy..nx).map(|u| packed(a + u / bpm, u % bpm)));
                 table.lanes.push(Lane {
                     own_bytes: seg.offset + starts[i]..byte(&mut units, own_end),
                     overflow_bytes: byte(&mut units, split)..byte(&mut units, nx),
@@ -562,86 +544,74 @@ impl Feed<'_> {
         (table, lo..hi)
     }
 
-    /// The CPU band's Huffman from MCU row `from` on, the device's state at
-    /// that row in hand: seconds from the band's start until every row is
-    /// final. The band's rows are cut into feed chunks of at most
-    /// `feed_rows` rows per restart segment, a speculative chunk no shorter
-    /// than [`MIN_CHUNK_BYTES`], and priced as [`crate::partition::pps::Release`]
-    /// prices a feed, from the measured lanes of those chunks: each
-    /// worker's chunk, its garbage included, list-scheduled on `threads`
-    /// workers in row order; the loop stitching chunk `j` once its worker
-    /// is done, re-decoding the chunk before's overflow exactly; or, sooner,
-    /// decoding the rest itself since an earlier chunk was final.
+    /// Hand the loop the CPU band from MCU row `from` on, its clock `now`
+    /// where the device's decoder state at that row reached the host. The
+    /// rows before are the device's, final at no CPU time
+    /// ([`Self::skip`]); rows after `from` the device decoded already (a
+    /// re-partition moved the split back) the loop decodes again, exactly.
+    /// The workers then start over at `now` on the chunks the band's rows
+    /// are in, as [`Self::new`] cut them — the first of them from the
+    /// loop's next row, in step, with no garbage — for [`Self::advance`]
+    /// to release as it releases any feed's rows.
     pub(crate) fn band(
         &mut self,
         coef: &mut CoefBuffer,
         platform: &Platform,
         from: usize,
-        threads: usize,
-        feed_rows: usize,
-    ) -> Result<f64, Handover> {
-        let rows = self.geom.mcus_y;
-        self.skip(coef, rows)?;
-        let feed_mcus = feed_rows.max(1) * self.geom.mcus_x;
-        let (t, _) = self.lanes(from..rows, false, |mcus, bytes| {
-            let chunks = mcus.div_ceil(feed_mcus).min(bytes / MIN_CHUNK_BYTES).max(1);
-            bytes.div_ceil(chunks)
-        });
-        let huff = |w: &Work| {
-            platform.cpu.huff_time(&RowMetrics {
-                bits: w.bits,
-                symbols: w.symbols,
-                blocks: w.blocks,
-                ..RowMetrics::default()
-            })
-        };
-        let overflow = |l: &Lane| {
-            let mut w = Work::default();
-            for o in &t.overflow[l.overflow.clone()] {
-                w.add(o);
+        now: &mut f64,
+    ) -> Result<(), Handover> {
+        let bpm = self.geom.blocks_per_mcu();
+        self.skip(coef, from)?;
+        let again = (self.work[from * self.geom.mcus_x..self.final_mcus].iter()).fold(
+            RowMetrics::default(),
+            |mut t, m| {
+                t.add(&mcu_cost(m, bpm));
+                t
+            },
+        );
+        *now += platform.cpu.huff_time(&again);
+        while self.pending.is_empty() {
+            if self.broken.is_some() || self.stitched == self.jobs.len() {
+                return Err(Handover);
             }
-            huff(&w)
-        };
-        let mut free_at = vec![0.0f64; threads.clamp(1, t.lanes.len().max(1))];
-        let (mut stitched, mut finals) = (0.0f64, Vec::with_capacity(t.lanes.len()));
-        for (j, lane) in t.lanes.iter().enumerate() {
-            let w = (0..free_at.len())
-                .min_by(|&a, &b| free_at[a].total_cmp(&free_at[b]))
-                .expect("at least one worker");
-            free_at[w] += huff(&lane.own) + SEGMENT_OVERHEAD_S;
-            let gap = if j > 0 {
-                overflow(&t.lanes[j - 1])
-            } else {
-                0.0
-            };
-            stitched = stitched.max(free_at[w]) + gap;
-            finals.push(stitched);
+            self.stitch_next(coef);
         }
-        let done = stitched + t.lanes.last().map_or(0.0, overflow);
-        // The loop decoding the rest itself, from the start or once chunk
-        // `i − 1` is final.
-        let mut rest = 0.0;
-        let mut best = done;
-        for i in (0..t.lanes.len()).rev() {
-            rest += huff(&t.lanes[i].covered);
-            let since = if i == 0 { 0.0 } else { finals[i - 1] };
-            best = best.min(since + rest);
+        let k = self.pending.front().expect("a pending MCU").0;
+        let mut first = RowMetrics::default();
+        for (_, w) in self.pending.iter().take_while(|&&(j, _)| j == k) {
+            first.add(&mcu_cost(&w.metrics, bpm));
         }
-        Ok(best)
+        self.effort[k] = platform.cpu.huff_time(&first) + SEGMENT_OVERHEAD_S;
+        self.next = k;
+        self.redecoded = RowMetrics::default();
+        self.schedule(k, *now);
+        Ok(())
     }
 }
 
-/// The exact decode's units of a segment portion, MCUs `[a, b)` of a
-/// [`Feed`]'s stitched rows, as [`Feed::lanes`] measures lanes against
-/// them: the MCUs as the stitch found them, or their blocks, an MCU's
-/// decoded again exactly ([`trace_blocks`]) the first time a lane needs one
-/// of its blocks' position or work. MCUs a decode padded past a marker or
-/// the end have no position and are no units.
+/// The Huffman work of one MCU of `bpm` blocks, as the CPU prices it.
+fn mcu_cost(m: &McuMetrics, bpm: usize) -> RowMetrics {
+    RowMetrics {
+        bits: m.bits as u64,
+        symbols: m.symbols as u64,
+        nonzero_coefs: m.nonzero as u64,
+        blocks: bpm as u64,
+        ..RowMetrics::default()
+    }
+}
+
+/// The exact decode's blocks of a segment portion, MCUs `[a, b)` of a
+/// [`Feed`]'s stitched rows, as [`Feed::device_lanes`] measures lanes
+/// against them — its units: an MCU's first block starts where the stitch
+/// found the MCU, and its blocks are decoded again exactly
+/// ([`trace_blocks`]) the first time a lane needs one of their positions
+/// or work. MCUs a decode padded past a marker or the end have no position
+/// and hold no units.
 struct Units<'f, 'a> {
     feed: &'f Feed<'a>,
     payload: &'a [u8],
     a: usize,
-    /// Units per MCU: one, or its blocks.
+    /// Units per MCU: its blocks.
     upm: usize,
     /// Units with a position.
     n: usize,
@@ -650,12 +620,8 @@ struct Units<'f, 'a> {
 }
 
 impl<'f, 'a> Units<'f, 'a> {
-    fn new(feed: &'f Feed<'a>, payload: &'a [u8], a: usize, b: usize, by_block: bool) -> Self {
-        let upm = if by_block {
-            feed.geom.blocks_per_mcu()
-        } else {
-            1
-        };
+    fn new(feed: &'f Feed<'a>, payload: &'a [u8], a: usize, b: usize) -> Self {
+        let upm = feed.geom.blocks_per_mcu();
         let mcus = feed.at[a..b].partition_point(|&p| p != u64::MAX);
         Units {
             feed,
@@ -663,9 +629,7 @@ impl<'f, 'a> Units<'f, 'a> {
             a,
             upm,
             n: mcus * upm,
-            traced: (0..if by_block { b - a } else { 0 })
-                .map(|_| None)
-                .collect(),
+            traced: (a..b).map(|_| None).collect(),
         }
     }
 
@@ -699,6 +663,7 @@ impl<'f, 'a> Units<'f, 'a> {
     /// Unit `u`'s Huffman work.
     fn work(&mut self, u: usize) -> Work {
         let (m, bpm) = (u / self.upm, self.feed.geom.blocks_per_mcu() as u64);
+        // An MCU of one block: the stitch measured it.
         if self.upm == 1 {
             let w = self.feed.work[self.a + m];
             return Work {

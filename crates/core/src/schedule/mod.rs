@@ -416,9 +416,6 @@ fn copy_d2h(copy: &mut CommandQueue, trace: &mut Trace, (ready, t): (f64, f64)) 
 struct Entropy<'a> {
     source: Source<'a>,
     rows: Vec<RowMetrics>,
-    /// Entropy threads, and the feed chunk's MCU rows.
-    threads: usize,
-    feed_rows: usize,
 }
 
 /// Where the entropy step's rows come from.
@@ -447,8 +444,6 @@ impl<'a> Entropy<'a> {
         Ok(Entropy {
             source: Source::Scan(dec, feed),
             rows: Vec::with_capacity(prep.geom.mcus_y),
-            threads,
-            feed_rows,
         })
     }
 
@@ -457,8 +452,6 @@ impl<'a> Entropy<'a> {
         Entropy {
             source: Source::Fill(fill),
             rows: Vec::new(),
-            threads: 1,
-            feed_rows: 1,
         }
     }
 
@@ -489,9 +482,10 @@ impl<'a> Entropy<'a> {
     /// The CPU band's entropy step over MCU rows `from` to `rows`, the
     /// last, fed, once the device's decoder state at row `from` is on the
     /// host at `state_at`: one Huffman span from the CPU's clock, the wait
-    /// for the state included. Rows the device decoded past `from` (a
-    /// re-partition moved the split back) are decoded again here. Without
-    /// a feed, [`Self::until`].
+    /// for the state included, in which the workers decode the band's rows
+    /// from that state on ([`entropy_par::Feed::band`]). Rows the device
+    /// decoded past `from` (a re-partition moved the split back) are
+    /// decoded again here. Without a feed, [`Self::until`].
     fn band(
         &mut self,
         (from, rows): (usize, usize),
@@ -500,24 +494,20 @@ impl<'a> Entropy<'a> {
         platform: &Platform,
         tl: &mut Timeline,
     ) -> Result<()> {
-        let (threads, feed_rows, done) = (self.threads, self.feed_rows, self.rows.len());
         let Source::Scan(_, Some(feed)) = &mut self.source else {
             return self.until(rows, coef, platform, tl);
         };
-        match feed.band(coef, platform, from, threads, feed_rows) {
-            Ok(span) => {
-                self.rows.extend((done..rows).map(|r| feed.row(r)));
-                let start = tl.cpu_now;
-                tl.cpu_now = tl.cpu_now.max(state_at) + span;
-                tl.b.huffman += tl.cpu_now - start;
-                tl.trace.push("huffman", Resource::Cpu, start, tl.cpu_now);
-                Ok(())
-            }
-            Err(_) => {
-                self.hand_over(coef)?;
-                self.until(rows, coef, platform, tl)
-            }
+        let start = tl.cpu_now;
+        let mut now = start.max(state_at);
+        if feed.band(coef, platform, from, &mut now).is_err() {
+            self.hand_over(coef)?;
+            return self.until(rows, coef, platform, tl);
         }
+        tl.cpu_now = now;
+        self.release(rows, coef, platform, tl)?;
+        tl.b.huffman += tl.cpu_now - start;
+        tl.trace.push("huffman", Resource::Cpu, start, tl.cpu_now);
+        Ok(())
     }
 
     /// The entropy step: make the MCU rows up to `end` final in `coef` as
@@ -536,6 +526,20 @@ impl<'a> Entropy<'a> {
             return Ok(());
         }
         let start = tl.cpu_now;
+        self.release(end, coef, platform, tl)?;
+        tl.b.huffman += tl.cpu_now - start;
+        tl.trace.push("huffman", Resource::Cpu, start, tl.cpu_now);
+        Ok(())
+    }
+
+    /// [`Self::until`]'s decode, on `tl`'s CPU clock, without its span.
+    fn release(
+        &mut self,
+        end: usize,
+        coef: &mut CoefBuffer,
+        platform: &Platform,
+        tl: &mut Timeline,
+    ) -> Result<()> {
         while self.rows.len() < end {
             let m = match &mut self.source {
                 Source::Scan(dec, None) => {
@@ -560,8 +564,6 @@ impl<'a> Entropy<'a> {
             };
             self.rows.push(m);
         }
-        tl.b.huffman += tl.cpu_now - start;
-        tl.trace.push("huffman", Resource::Cpu, start, tl.cpu_now);
         Ok(())
     }
 

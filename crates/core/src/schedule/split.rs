@@ -211,56 +211,50 @@ impl Plan {
         if self.threads <= 1 {
             return None;
         }
-        let geom = &prep.geom;
-        let (mcus, h) = (geom.mcus_x * geom.mcus_y, geom.height as f64);
-        Some(self.release_of(prep, model, mcus, self.density.scan_bytes, h))
+        Some(self.release_from(prep, model, 0.0))
     }
 
-    /// The release curve of `mcus` MCUs over `px` pixel rows and
-    /// `scan_bytes` of the scan, cut into feed chunks as [`Self::release`]
-    /// cuts the whole image's.
-    fn release_of(
+    /// [`Self::release`]'s curve of the image's rows from pixel row `skip`
+    /// on, on the same chunks ([`pps::Release::from_row`]).
+    fn release_from(
         &self,
         prep: &Prepared<'_>,
         model: &PerformanceModel,
-        mcus: usize,
-        scan_bytes: usize,
-        px: f64,
+        skip: f64,
     ) -> pps::Release {
         let geom = &prep.geom;
+        let mcus = geom.mcus_x * geom.mcus_y;
         let feed_mcus = self.feed_rows * geom.mcus_x;
         let interval = match prep.parsed.frame.restart_interval {
             0 => mcus,
             i => i.min(mcus),
         };
         let segments = mcus.div_ceil(interval);
-        let bytes = scan_bytes / segments;
+        let bytes = self.density.scan_bytes / segments;
         let per_segment = (interval.div_ceil(feed_mcus)).min((bytes / MIN_CHUNK_BYTES).max(1));
-        pps::Release::new(
+        pps::Release::from_row(
             model,
             geom.width as f64,
-            px,
+            geom.height as f64,
             self.density.per_px,
             mcus as f64,
             self.threads,
             segments * per_segment,
             per_segment > 1,
+            skip,
         )
     }
 
     /// Seconds a fed CPU band of the image's last `x` pixel rows takes to
     /// make every row final once the device's decoder state at its first
-    /// row is on the host: the release curve of the band's own feed chunks
-    /// (`entropy_par::Feed::band` measures the same).
+    /// row is on the host: the release curve of the feed's chunks from that
+    /// row on, as `entropy_par::Feed::band` runs them.
     pub(crate) fn band_huff(&self, prep: &Prepared<'_>, model: &PerformanceModel, x: f64) -> f64 {
         if x <= 0.0 {
             return 0.0;
         }
-        let geom = &prep.geom;
-        let rows = ((x / geom.mcu_h as f64).ceil() as usize).clamp(1, geom.mcus_y);
-        let bytes = (self.density.scan_bytes as f64 * x / geom.height as f64) as usize;
-        self.release_of(prep, model, rows * geom.mcus_x, bytes, x)
-            .at(x)
+        let h = prep.geom.height as f64;
+        self.release_from(prep, model, (h - x).max(0.0)).at(x)
     }
 
     /// The fed split of this plan, whose GPU decodes its rows' Huffman:

@@ -1331,7 +1331,7 @@ mod tests {
             };
             encode_rgb(&rgb, 128, 128, &params).unwrap()
         };
-        let (a, b) = (jpeg(0.2175), jpeg(0.22));
+        let (a, b) = (jpeg(0.175), jpeg(0.1755));
         let session = || {
             Decoder::builder()
                 .platform(Platform::gtx560())

@@ -324,12 +324,13 @@ pub fn decode_chunk_speculative<'a>(
     chunk
 }
 
-/// Where a decoder started mid-stream falls into step with the exact one:
-/// the index into `exact` of the first MCU start it lands on, if any, and
-/// the work it decoded before — MCUs whose values are garbage.
+/// Where a decoder started mid-stream falls into step with the exact one
+/// ([`converge_blocks`]): the index of the exact decode's block it lands
+/// on, if any, and the work it decoded before — blocks whose values are
+/// garbage.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Convergence {
-    /// The index into `exact` of the MCU the decoder is in sync at.
+    /// The index of the exact decode's block the decoder is in sync at.
     pub sync: Option<usize>,
     /// Bits consumed before it, failed attempts included.
     pub bits: u64,
@@ -337,66 +338,6 @@ pub struct Convergence {
     pub symbols: u64,
     /// Blocks decoded before it.
     pub blocks: u64,
-}
-
-/// Decode speculatively from byte `start_byte` of a marker-free `payload`,
-/// as [`decode_chunk_speculative`] does, until the decoder lands on one of
-/// the strictly increasing canonical MCU-start positions `exact` (the exact
-/// decode's), or reaches bit `stop` — the end of its chunk — or passes the
-/// last of them, or meets a marker or the end. A mis-phased attempt that
-/// fails restarts one byte past the failure point; its bits count as
-/// garbage.
-pub fn converge(
-    geom: &Geometry,
-    tables: &HuffmanTables,
-    payload: &[u8],
-    start_byte: usize,
-    exact: &[u64],
-    stop: u64,
-) -> Convergence {
-    let bpm = geom.blocks_per_mcu() as u64;
-    let mut out = Convergence::default();
-    let Some(&last) = exact.last() else {
-        return out;
-    };
-    let mut attempt = start_byte;
-    while attempt < payload.len() && 8 * (attempt as u64) < stop {
-        while attempt > 0
-            && attempt < payload.len()
-            && payload[attempt] == 0x00
-            && payload[attempt - 1] == 0xFF
-        {
-            attempt += 1;
-        }
-        let mut dec = McuDecoder::new_at(tables, payload, attempt);
-        loop {
-            let cp = dec.checkpoint();
-            if cp == u64::MAX || cp > last || cp >= stop {
-                return out;
-            }
-            if let Ok(j) = exact.binary_search(&cp) {
-                out.sync = Some(j);
-                return out;
-            }
-            match dec.decode_next_mcu(&mut |_, _, _, _, _| {}) {
-                Ok(m) => {
-                    out.bits += m.bits as u64;
-                    out.symbols += m.symbols as u64;
-                    out.blocks += bpm;
-                }
-                Err(_) => {
-                    let fail = dec.checkpoint();
-                    if fail == u64::MAX {
-                        return out;
-                    }
-                    out.bits += fail.saturating_sub(cp);
-                    attempt = ((fail / 8 + 1) as usize).max(attempt + 1);
-                    break;
-                }
-            }
-        }
-    }
-    out
 }
 
 /// One block of an exact decode, for a device that syncs its subsequences
@@ -482,12 +423,16 @@ pub fn trace_blocks(
     }
 }
 
-/// [`converge`] block by block: a decoder started at `start_byte`, at an
-/// MCU's first block, is in step once it starts a block at the position
-/// and in the place of its MCU of one of an exact decode's blocks, before
-/// bit `stop`. `exact(bit)` names the exact decode's block that starts at
-/// `bit`, if any: its index and its place in its MCU. Returns that index,
-/// if the decoder falls into step, and the work decoded before it.
+/// Decode speculatively from byte `start_byte` of a marker-free `payload`,
+/// block by block through the MCU's block pattern from its first block,
+/// until the decoder starts a block at the position and in the place of
+/// its MCU of one of an exact decode's blocks, before bit `stop` — the end
+/// of its subsequence — or meets a marker or the end. `exact(bit)` names
+/// the exact decode's block that starts at `bit`, if any: its index and
+/// its place in its MCU. A mis-phased attempt that fails restarts one byte
+/// past the failure point, as [`decode_chunk_speculative`] does; its bits
+/// count as garbage. Returns the index the decoder falls into step at, if
+/// it does, and the work decoded before it.
 pub fn converge_blocks(
     tables: &HuffmanTables,
     payload: &[u8],

@@ -60,6 +60,32 @@ fn trained_on(platform: &Platform) -> PerformanceModel {
     train(platform, &jpegs, opts)
 }
 
+/// The busier engine's work over a device-entropy share of `g` rows of a
+/// `w`-wide image at density `d` in chunks of `c` rows, its scan `scan`
+/// bytes per pixel: `THuffGPU` of the share plus every chunk's kernels on
+/// the compute engine, or the share's scan H2D plus every chunk's D2H on
+/// the copy engine.
+fn busier_engine(
+    model: &PerformanceModel,
+    w: f64,
+    d: f64,
+    scan: f64,
+) -> impl Fn(f64, f64) -> f64 + '_ {
+    move |g, c| {
+        let stage = |rows| model.gpu_stage_times(w, rows, d).expect("stage forms");
+        let mut compute = model.thuff_gpu.time(scan * w * g, d);
+        let mut copy = if g > 0.0 { stage(g)[0] } else { 0.0 };
+        let mut done = 0.0;
+        while done < g {
+            let rows = c.min(g - done);
+            done += rows;
+            let [_, kernels, d2h] = stage(rows);
+            (compute, copy) = (compute + kernels, copy + d2h);
+        }
+        f64::max(compute, copy)
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -137,7 +163,10 @@ proptest! {
     /// Fed, Eq. 10's and 15's sides cover the work each needs: the CPU's
     /// its band's release (the band waits for the device's state, then
     /// decodes its rows fed), and the device's its share's Huffman pass
-    /// (`THuffGPU`) — with and without a chunk height.
+    /// (`THuffGPU`) — with and without a chunk height. The band is
+    /// released by the image's feed chunks from its first row on. A release
+    /// is never faster than `THuff / threads`: the band's, the whole
+    /// image's, and the whole image's release of the GPU's rows.
     #[test]
     fn fed_eq15_sides_cover_their_release(
         w in 16usize..2048,
@@ -155,10 +184,13 @@ proptest! {
         let chunk_px = (chunk_mcu_rows * geom.mcu_h) as f64;
         let mcus = (geom.mcus_x * geom.mcus_y) as f64;
         let (wf, hf) = (w as f64, h as f64);
-        let band = |x: f64| {
-            let release = pps::Release::new(&model, wf, x, d, mcus * x / hf, threads, chunks, speculative);
-            release.at(x)
+        let release = |skip: f64| {
+            pps::Release::from_row(&model, wf, hf, d, mcus, threads, chunks, speculative, skip)
         };
+        let band = |x: f64| release(hf - x).at(x);
+        let floor = |x: f64| model.huff_time(wf * x, d) / threads as f64;
+        let all = band(hf);
+        prop_assert!(all >= floor(hf), "release {} < THuff/{} {}", all, threads, floor(hf));
         for chunk in [None, Some(chunk_px)] {
             let part = pps::device_partition(&model, &geom, d, d, chunk, &band);
             // The split's pixel rows as the balance counts them: the GPU
@@ -166,10 +198,19 @@ proptest! {
             let cpu_px = (hf - (part.gpu_mcu_rows * geom.mcu_h) as f64).clamp(0.0, hf);
             let released = band(cpu_px);
             prop_assert!(
+                released >= floor(cpu_px),
+                "{:?}: band release {} of {} rows < THuff/{} {}", chunk, released, cpu_px, threads, floor(cpu_px)
+            );
+            prop_assert!(
                 part.predicted_cpu >= released,
                 "{:?}: CPU side {} < its band's release {}", chunk, part.predicted_cpu, released
             );
             let gpu_px = hf - cpu_px;
+            let fed = release(0.0).at(gpu_px);
+            prop_assert!(
+                fed >= floor(gpu_px),
+                "{:?}: release {} of {} rows < THuff/{} {}", chunk, fed, gpu_px, threads, floor(gpu_px)
+            );
             let pass = model.thuff_gpu.time(d * wf * gpu_px, d);
             prop_assert!(
                 part.predicted_gpu >= pass,
@@ -178,15 +219,59 @@ proptest! {
         }
     }
 
-    /// Fed, the GPU decodes its share's Huffman: a device-entropy plan's
-    /// price never beats the busier engine, the Huffman kernels counted as
-    /// compute-engine work. `Gpu` and the pipeline take every row — one
-    /// chunk, or chunks of the model's height — and SPS and PPS their
-    /// split's; the device finishes no sooner than `THuffGPU` of the share
-    /// plus every chunk's kernels, nor than the share's scan H2D plus every
-    /// chunk's D2H.
+    /// Fed, the GPU decodes its share's Huffman, and the walk of Eq. 10,
+    /// 15 and 16 runs each chunk's transfers on the copy engine beside the
+    /// kernels — but never beats the busier engine, the Huffman kernels
+    /// counted as compute-engine work. `Gpu` (one chunk on the in-order
+    /// queue) and the pipeline (chunks on the two engines) take every row,
+    /// SPS and PPS their split's, whichever band release the CPU side
+    /// waits for; the device finishes no sooner than `THuffGPU` of the
+    /// share plus every chunk's kernels, nor than the share's scan H2D plus
+    /// every chunk's D2H.
     #[test]
     fn fed_walk_never_beats_the_busier_engine(
+        w in 16usize..2048,
+        h in 16usize..2048,
+        d in 0.01f64..1.0,
+        chunk_mcu_rows in 1usize..40,
+        chunks in 1usize..64,
+        threads in 2usize..8,
+        speculative in any::<bool>(),
+        sub in subsampling_strategy(),
+        trained_model in any::<bool>(),
+    ) {
+        let geom = Geometry::new(w, h, sub).expect("geometry");
+        let model = if trained_model { trained().clone() } else { Platform::gtx560().untrained_model() };
+        let (wf, hf) = (w as f64, h as f64);
+        let chunk_px = ((chunk_mcu_rows * geom.mcu_h) as f64).min(hf);
+        let mcus = (geom.mcus_x * geom.mcus_y) as f64;
+        let floors = busier_engine(&model, wf, d, d);
+        for (serial, c) in [(true, hf), (false, chunk_px)] {
+            let overlap = pps::Overlap::new(&model, wf, d, c, 0.0, true, 0.0).with_scan(d);
+            let (price, floor) = (overlap.device_only(hf, serial), floors(hf, c));
+            prop_assert!(price >= floor * (1.0 - 1e-12), "serial {}: {} < {}", serial, price, floor);
+        }
+        let band = |x: f64| {
+            let release = pps::Release::from_row(&model, wf, hf, d, mcus, threads, chunks, speculative, hf - x);
+            release.at(x)
+        };
+        for chunk in [None, Some(chunk_px)] {
+            let part = pps::device_partition(&model, &geom, d, d, chunk, &band);
+            let g = hf.min((part.gpu_mcu_rows * geom.mcu_h) as f64);
+            let floor = floors(g, chunk.unwrap_or(g));
+            prop_assert!(
+                part.predicted_gpu >= floor * (1.0 - 1e-12),
+                "split {:?} on {} rows: {} < {}", chunk, g, part.predicted_gpu, floor
+            );
+        }
+    }
+
+    /// `Auto`'s prices of the fed plans on real scans never beat the busier
+    /// engine either, the scan's bytes per pixel its own: `Gpu` and the
+    /// pipeline over every row — one chunk, or chunks of the model's
+    /// height — and SPS and PPS over their split's.
+    #[test]
+    fn fed_prices_never_beat_the_busier_engine(
         w in 16usize..1200,
         h in 16usize..1200,
         detail in 0.05f64..1.0,
@@ -206,20 +291,7 @@ proptest! {
         let scan = prep.parsed.scan_data.len() as f64 / geom.pixels() as f64;
         let (wf, hf) = (w as f64, h as f64);
         let chunk_px = ((chunk_mcu_rows * geom.mcu_h) as f64).min(hf);
-        // The two engines' work over a share of `g` rows in chunks of `c`.
-        let floors = |g: f64, c: f64| {
-            let stage = |rows| model.gpu_stage_times(wf, rows, d).expect("stage forms");
-            let mut compute = model.thuff_gpu.time(scan * wf * g, d);
-            let mut copy = if g > 0.0 { stage(g)[0] } else { 0.0 };
-            let mut done = 0.0;
-            while done < g {
-                let rows = c.min(g - done);
-                done += rows;
-                let [_, kernels, d2h] = stage(rows);
-                (compute, copy) = (compute + kernels, copy + d2h);
-            }
-            f64::max(compute, copy)
-        };
+        let floors = busier_engine(&model, wf, d, scan);
         let prices = predict_all(&prep, &platform, &model, 2);
         let price = |mode| prices.iter().find(|p| p.mode == mode).expect("a price").seconds;
         for (mode, c) in [(Mode::Gpu, hf), (Mode::PipelinedGpu, chunk_px)] {
