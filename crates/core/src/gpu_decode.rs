@@ -324,13 +324,11 @@ impl GpuContext {
             offsets: bufs.offsets,
             eobs: bufs.eobs,
         };
-        let (bytes, obytes) = (&mut xfer.bytes, &mut xfer.obytes);
-        bytes.clear();
-        bytes.extend(xfer.payload.iter().flat_map(|v| v.to_le_bytes()));
+        let obytes = &mut xfer.obytes;
         obytes.clear();
         obytes.extend(xfer.offsets.iter().flat_map(|v| v.to_le_bytes()));
         let out = Compacted {
-            payload: bytes,
+            payload: &xfer.payload,
             offsets: &xfer.offsets,
             offset_bytes: obytes,
             eobs: &self.eobs,

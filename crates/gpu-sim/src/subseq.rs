@@ -139,8 +139,8 @@ impl SubseqTable {
 /// ≤ EOB corner in `payload` from `offsets[b]` (in `i16`s), and its EOB.
 #[derive(Debug, Clone, Copy)]
 pub struct Compacted<'a> {
-    /// Every block's corner, back to back, as little-endian `i16` bytes.
-    pub payload: &'a [u8],
+    /// Every block's corner, back to back.
+    pub payload: &'a [i16],
     /// Per block, where its corner starts, in `i16`s.
     pub offsets: &'a [u32],
     /// `offsets` as little-endian bytes.
@@ -346,10 +346,20 @@ impl Kernel for SubseqWriteKernel<'_> {
                 _ => runs.push(b as usize..b as usize + 1),
             }
         }
+        // Each run's corners as the little-endian bytes the warp stores,
+        // staged once for the group.
+        let corners: Vec<(usize, Vec<u8>)> = (runs.iter())
+            .map(|r| {
+                let coefs = out.offsets[r.start] as usize..corner_end(&out, r.end - 1);
+                let bytes = out.payload[coefs.clone()]
+                    .iter()
+                    .flat_map(|v| v.to_le_bytes());
+                (2 * coefs.start, bytes.collect())
+            })
+            .collect();
         ctx.phase(|it| {
-            for r in &runs {
-                let coefs = 2 * out.offsets[r.start] as usize..2 * corner_end(&out, r.end - 1);
-                copy_out(it, bufs.coef, coefs.start, &out.payload[coefs]);
+            for (r, (addr, corner)) in runs.iter().zip(&corners) {
+                copy_out(it, bufs.coef, *addr, corner);
                 let words = 4 * r.start..4 * r.end;
                 copy_out(it, bufs.offsets, words.start, &out.offset_bytes[words]);
                 copy_out(it, bufs.eobs, r.start, &out.eobs[r.clone()]);
@@ -392,7 +402,7 @@ fn copy_out(it: &mut ItemCtx<'_, '_>, buf: BufId, addr: usize, src: &[u8]) {
 fn corner_end(out: &Compacted<'_>, b: usize) -> usize {
     out.offsets
         .get(b + 1)
-        .map_or(out.payload.len() / 2, |&o| o as usize)
+        .map_or(out.payload.len(), |&o| o as usize)
 }
 
 /// The `i16`s of block `b`'s compacted corner in `out`.
@@ -498,10 +508,9 @@ mod tests {
         sim.recreate_buffer(bufs.coef, payload.len() * 2);
         sim.recreate_buffer(bufs.offsets, n * 4);
         sim.recreate_buffer(bufs.eobs, n);
-        let bytes: Vec<u8> = payload.iter().flat_map(|v| v.to_le_bytes()).collect();
         let words: Vec<u8> = offsets.iter().flat_map(|o| o.to_le_bytes()).collect();
         let out = Compacted {
-            payload: &bytes,
+            payload: &payload,
             offsets: &offsets,
             offset_bytes: &words,
             eobs: &eobs,
