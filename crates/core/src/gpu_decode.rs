@@ -562,8 +562,7 @@ impl Device {
                         rgb,
                         width: layout.width,
                         rows: layout.pixel_rows,
-                        segments_per_group: 64,
-                        block_order: true,
+                        blocks_per_group: 8,
                     };
                     run(sim, "color", &k, k.num_groups());
                 }

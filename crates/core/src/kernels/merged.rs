@@ -19,8 +19,22 @@
 //!   eight-pixel row segments to avoid branch-divergence."
 //! * 4:2:0 is handled "in a similar manner as 4:2:2" with an extra
 //!   vertical blend.
+//!
+//! Neither kernel stores a pixel from its work-item. Both convert into the
+//! group's output tile in local memory (`color.rs` module docs) and, after
+//! a barrier, write the tile out as row runs of aligned `uchar16` stores:
+//!
+//! * `UpsampleColorKernel`'s tile is the pixel rows of its chroma blocks,
+//!   16 px wide each: 8 rows × 128 px for 4:2:2 at 8 blocks a group, 16
+//!   rows × 64 px for 4:2:0 at 4, i.e. 3 072 bytes of pixels, plus one
+//!   4-byte pad a row (3 104 and 3 136 bytes of `local_bytes`). Its items
+//!   run blocks fastest within each parity half, so a warp's plane loads
+//!   span a row of the group's blocks.
+//! * `IdctColorKernel444`'s tile follows its column-pass intermediates: 8
+//!   rows of `blocks_per_group` 8×8 blocks, 8 · (24 · `blocks_per_group`
+//!   + 4) bytes.
 
-use super::color::ColorKernel;
+use super::color::Tile;
 use super::idct::BLOCK_LMEM_STRIDE;
 use super::ops;
 use super::{CoefAccess, RegionLayout};
@@ -50,9 +64,30 @@ pub struct IdctColorKernel444 {
 }
 
 impl IdctColorKernel444 {
+    /// Local bytes of the three components' column-pass intermediates.
+    fn idct_bytes(&self) -> usize {
+        self.blocks_per_group * 3 * BLOCK_LMEM_STRIDE * 8
+    }
+
+    /// The group's output tile, after the intermediates: 8 rows of
+    /// `blocks_per_group` 8×8 blocks.
+    fn tile(&self) -> Tile {
+        Tile {
+            base: self.idct_bytes(),
+            blocks: self.blocks_per_group,
+            block_w: 8,
+            block_h: 8,
+            grid_w: self.layout.comp_width_blocks[0],
+            grid_blocks: self.layout.comp_blocks[0],
+            width: self.layout.width,
+            pixel_rows: self.layout.pixel_rows,
+            rgb: self.rgb,
+        }
+    }
+
     /// Work-groups needed (over the shared 4:4:4 block grid).
     pub fn num_groups(&self) -> usize {
-        self.layout.comp_blocks[0].div_ceil(self.blocks_per_group)
+        self.tile().groups()
     }
 }
 
@@ -66,18 +101,18 @@ impl Kernel for IdctColorKernel444 {
     }
 
     fn local_bytes(&self) -> usize {
-        // Three components' intermediates per block position.
-        self.blocks_per_group * 3 * BLOCK_LMEM_STRIDE * 8
+        // Three components' intermediates per block position, then the tile.
+        self.idct_bytes() + self.tile().bytes()
     }
 
     fn run_group(&self, ctx: &mut GroupCtx<'_>) {
         let nblocks = self.layout.comp_blocks[0];
         let wb = self.layout.comp_width_blocks[0];
         let first_block = ctx.group_id * self.blocks_per_group;
-        let (coef, eobs, rgb) = (self.coef, self.eobs, self.rgb);
-        let width = self.layout.width;
+        let (coef, eobs) = (self.coef, self.eobs);
         let pixel_rows = self.layout.pixel_rows;
         let lstride = BLOCK_LMEM_STRIDE;
+        let tile = self.tile();
 
         // Phase 1 — column pass for all three components ("the IDCT kernel
         // repeats the computation three times for the three color spaces"),
@@ -129,7 +164,8 @@ impl Kernel for IdctColorKernel444 {
             }
         });
 
-        // Phase 2 — row pass ×3 plus color conversion from registers.
+        // Phase 2 — row pass ×3 plus color conversion from registers into
+        // the tile.
         ctx.phase(|it| {
             let lb = it.id() / 8;
             let row = it.id() % 8;
@@ -150,23 +186,14 @@ impl Kernel for IdctColorKernel444 {
                 it.charge(ops::idct_1d_class(class) + ops::PACK_ROW);
                 *row_out = idct_row_class(&v, class);
             }
-            let by = bidx / wb;
-            let bx = bidx % wb;
-            let y_px = by * 8 + row;
-            if !it.branch(y_px < pixel_rows) {
+            if !it.branch((bidx / wb) * 8 + row < pixel_rows) {
                 return;
             }
-            ColorKernel::convert_segment(
-                it,
-                rgb,
-                width,
-                y_px,
-                bx * 8,
-                &rows[0],
-                &rows[1],
-                &rows[2],
-            );
+            tile.convert_segment(it, lb, row, 0, &rows[0], &rows[1], &rows[2]);
         });
+
+        // Phase 3 — the tile's row runs out to the RGB buffer.
+        tile.store(ctx);
     }
 }
 
@@ -198,9 +225,26 @@ impl UpsampleColorKernel {
         }
     }
 
+    /// The group's output tile: the pixel rows of `blocks_per_group`
+    /// chroma blocks, 16 pixels wide each (8 rows × 128 px for 4:2:2, 16
+    /// rows × 64 px for 4:2:0 at the paper's group sizes).
+    fn tile(&self) -> Tile {
+        Tile {
+            base: 0,
+            blocks: self.blocks_per_group,
+            block_w: 16,
+            block_h: self.items_per_block() / 2,
+            grid_w: self.layout.comp_width_blocks[1],
+            grid_blocks: self.layout.comp_blocks[1],
+            width: self.layout.width,
+            pixel_rows: self.layout.pixel_rows,
+            rgb: self.rgb,
+        }
+    }
+
     /// Work-groups needed (over the chroma block grid).
     pub fn num_groups(&self) -> usize {
-        self.layout.comp_blocks[1].div_ceil(self.blocks_per_group)
+        self.tile().groups()
     }
 
     /// Map a work-item id to (local block, output row, odd parity).
@@ -210,10 +254,16 @@ impl UpsampleColorKernel {
         if self.parity_major {
             // First half of the group: even halves of every row of every
             // block; second half: odd halves — warps never mix parity.
+            // Blocks fastest, so a warp's loads span a row of the group's
+            // blocks.
             let half = self.blocks_per_group * rows_per_block;
             let odd = id >= half;
             let idx = id % half;
-            (idx / rows_per_block, idx % rows_per_block, odd)
+            (
+                idx % self.blocks_per_group,
+                idx / self.blocks_per_group,
+                odd,
+            )
         } else {
             // Naive order: (block, row, parity) interleaved.
             let per_block = self.items_per_block();
@@ -237,6 +287,10 @@ impl Kernel for UpsampleColorKernel {
         self.blocks_per_group * self.items_per_block()
     }
 
+    fn local_bytes(&self) -> usize {
+        self.tile().bytes()
+    }
+
     fn run_group(&self, ctx: &mut GroupCtx<'_>) {
         let nblocks = self.layout.comp_blocks[1];
         let wb = self.layout.comp_width_blocks[1];
@@ -246,9 +300,9 @@ impl Kernel for UpsampleColorKernel {
         let y_base = self.layout.plane_base[0];
         let y_stride = self.layout.plane_stride[0];
         let first_block = ctx.group_id * self.blocks_per_group;
-        let (planes, rgb) = (self.planes, self.rgb);
-        let width = self.layout.width;
+        let planes = self.planes;
         let pixel_rows = self.layout.pixel_rows;
+        let tile = self.tile();
 
         ctx.phase(|it| {
             let (lb, out_row, odd) = self.decompose(it.id());
@@ -308,11 +362,13 @@ impl Kernel for UpsampleColorKernel {
                 )
             };
 
-            // Load the 8 luma samples for this half-row and convert.
-            let x0 = bx * 16 + if odd { 8 } else { 0 };
-            let yv = it.gload_vec8(planes, y_base + y_px * y_stride + x0);
-            ColorKernel::convert_segment(it, rgb, width, y_px, x0, &yv, &cb, &cr);
+            // Load the 8 luma samples for this half-row and convert into
+            // the tile.
+            let half = if odd { 8 } else { 0 };
+            let yv = it.gload_vec8(planes, y_base + y_px * y_stride + bx * 16 + half);
+            tile.convert_segment(it, lb, out_row, half, &yv, &cb, &cr);
         });
+        tile.store(ctx);
     }
 }
 
@@ -395,46 +451,11 @@ mod tests {
     ) -> (Vec<u8>, Vec<u8>, u64) {
         let jpeg = make_jpeg(w, h, sub);
         let prep = Prepared::new(&jpeg).unwrap();
-        let geom = &prep.geom;
         let (coefbuf, _) = prep.entropy_decode_all().unwrap();
-        let layout = RegionLayout::new(geom, 0, geom.mcus_y);
-
-        let mut sim = GpuSim::new(DeviceSpec::gtx560ti());
-        let planes = sim.create_buffer(layout.planes_len);
-        let rgb = sim.create_buffer(layout.rgb_len);
-        let staged = stage_region(&mut sim, &layout, &coefbuf, geom, TransferMode::Compacted);
-
-        for c in 0..3 {
-            let k = IdctKernel {
-                coef: staged.coef,
-                eobs: staged.eobs,
-                planes,
-                layout: layout.clone(),
-                comp: c,
-                quant: prep.quant[c].values,
-                blocks_per_group: 4,
-                pad_lmem: true,
-                access: staged.access,
-            };
-            sim.launch(&k, k.num_groups());
-        }
-        let k = UpsampleColorKernel {
-            planes,
-            rgb,
-            layout: layout.clone(),
-            v2: sub == Subsampling::S420,
-            blocks_per_group: if sub == Subsampling::S420 { 4 } else { 8 },
-            parity_major,
-        };
-        let stats = sim.launch(&k, k.num_groups());
-
-        let mut want = vec![0u8; layout.rgb_len];
-        stages::decode_region_rgb(&prep, &coefbuf, 0, geom.mcus_y, &mut want).unwrap();
-        (
-            sim.read_buffer(rgb).to_vec(),
-            want,
-            stats.divergent_branches,
-        )
+        let rows = (0, prep.geom.mcus_y);
+        let wg = if sub == Subsampling::S420 { 4 } else { 8 };
+        let (got, want, stats) = run_tiled(&prep, &coefbuf, rows, wg, true, parity_major);
+        (got, want, stats.divergent_branches)
     }
 
     #[test]
@@ -463,5 +484,187 @@ mod tests {
         assert_eq!(got, want, "naive order must still be correct");
         assert_eq!(div_good, 0, "parity-major should not diverge");
         assert!(div_bad > 0, "interleaved order should diverge");
+    }
+
+    /// The RGB of MCU rows `rows` through one tiled kernel of `wg` blocks
+    /// a group — `merged`: `IdctColorKernel444` or IDCT +
+    /// `UpsampleColorKernel` (in `parity_major` order or the naive one);
+    /// unmerged: IDCT (+ `UpsampleKernel422`) + `ColorKernel` — with that
+    /// kernel's launch statistics, and the CPU's RGB of the same rows.
+    fn run_tiled(
+        prep: &Prepared<'_>,
+        coefbuf: &hetjpeg_jpeg::coef::CoefBuffer,
+        rows: (usize, usize),
+        wg: usize,
+        merged: bool,
+        parity_major: bool,
+    ) -> (Vec<u8>, Vec<u8>, hetjpeg_gpusim::LaunchStats) {
+        use crate::kernels::color::ColorKernel;
+        use crate::kernels::upsample::UpsampleKernel422;
+        let geom = &prep.geom;
+        let layout = RegionLayout::new(geom, rows.0, rows.1);
+        let mut sim = GpuSim::new(DeviceSpec::gtx560ti());
+        let planes = sim.create_buffer(layout.planes_len);
+        let rgb = sim.create_buffer(layout.rgb_len);
+        let staged = stage_region(&mut sim, &layout, coefbuf, geom, TransferMode::Compacted);
+        let quant = |c: usize| prep.quant[c].values;
+        let sub = geom.subsampling;
+        let stats = if merged && sub == Subsampling::S444 {
+            let k = IdctColorKernel444 {
+                coef: staged.coef,
+                eobs: staged.eobs,
+                rgb,
+                layout: layout.clone(),
+                quant: [quant(0), quant(1), quant(2)],
+                blocks_per_group: wg,
+                access: staged.access,
+            };
+            sim.launch(&k, k.num_groups())
+        } else {
+            for c in 0..3 {
+                let k = IdctKernel {
+                    coef: staged.coef,
+                    eobs: staged.eobs,
+                    planes,
+                    layout: layout.clone(),
+                    comp: c,
+                    quant: quant(c),
+                    blocks_per_group: 4,
+                    pad_lmem: true,
+                    access: staged.access,
+                };
+                sim.launch(&k, k.num_groups());
+            }
+            if merged {
+                let k = UpsampleColorKernel {
+                    planes,
+                    rgb,
+                    layout: layout.clone(),
+                    v2: sub == Subsampling::S420,
+                    blocks_per_group: wg,
+                    parity_major,
+                };
+                sim.launch(&k, k.num_groups())
+            } else {
+                let lw = layout.plane_stride[0];
+                let mut chroma = (planes, layout.plane_base[1], layout.plane_base[2]);
+                if sub == Subsampling::S422 {
+                    let lrows = layout.comp_block_rows[0] * 8;
+                    let upsampled = sim.create_buffer(2 * lw * lrows);
+                    for (comp, out_base) in [(1usize, 0usize), (2, lw * lrows)] {
+                        let k = UpsampleKernel422 {
+                            planes,
+                            upsampled,
+                            layout: layout.clone(),
+                            comp,
+                            out_base,
+                            out_stride: lw,
+                            blocks_per_group: 8,
+                        };
+                        sim.launch(&k, k.num_groups());
+                    }
+                    chroma = (upsampled, 0, lw * lrows);
+                }
+                let k = ColorKernel {
+                    y_buf: planes,
+                    y_base: layout.plane_base[0],
+                    y_stride: lw,
+                    cb_buf: chroma.0,
+                    cb_base: chroma.1,
+                    cr_buf: chroma.0,
+                    cr_base: chroma.2,
+                    c_stride: lw,
+                    rgb,
+                    width: layout.width,
+                    rows: layout.pixel_rows,
+                    blocks_per_group: wg,
+                };
+                sim.launch(&k, k.num_groups())
+            }
+        };
+        let mut want = vec![0u8; layout.rgb_len];
+        stages::decode_region_rgb(prep, coefbuf, rows.0, rows.1, &mut want).unwrap();
+        (sim.read_buffer(rgb).to_vec(), want, stats)
+    }
+
+    #[test]
+    fn tiled_kernels_match_decode_region_rgb() {
+        // Every tiled kernel, bit for bit against the CPU region decode:
+        // ragged widths and heights, whole images and chunks from an MCU
+        // row past the first, three group sizes. Groups straddling a block
+        // row's end and last groups past the final block both occur; debug
+        // builds also check that the groups' copy-outs write disjoint
+        // ranges (the launch audit).
+        let (mut straddles, mut past_end) = (0usize, 0usize);
+        for sub in [Subsampling::S444, Subsampling::S422, Subsampling::S420] {
+            for w in [1usize, 17, 50, 127, 300, 1031] {
+                for h in [1usize, 23, 93] {
+                    let jpeg = make_jpeg(w, h, sub);
+                    let prep = Prepared::new(&jpeg).unwrap();
+                    let (coefbuf, _) = prep.entropy_decode_all().unwrap();
+                    let n = prep.geom.mcus_y;
+                    let mut regions = vec![(0, n)];
+                    if n > 1 {
+                        regions.extend([(1, n), (n / 2, n / 2 + 1)]);
+                    }
+                    for &rows in &regions {
+                        let layout = RegionLayout::new(&prep.geom, rows.0, rows.1);
+                        // The tiles' block grid: luma for 4:4:4, else chroma.
+                        let c = usize::from(sub != Subsampling::S444);
+                        let (wb, blocks) = (layout.comp_width_blocks[c], layout.comp_blocks[c]);
+                        for wg in [4usize, 8, 32] {
+                            straddles += usize::from(wb % wg != 0 && blocks > wb);
+                            past_end += usize::from(blocks % wg != 0);
+                            for merged in [true, false] {
+                                if !merged && sub == Subsampling::S420 {
+                                    continue; // no unmerged 4:2:0 plan
+                                }
+                                let (got, want, _) =
+                                    run_tiled(&prep, &coefbuf, rows, wg, merged, true);
+                                assert!(
+                                    got == want,
+                                    "{sub:?} {w}x{h} rows {rows:?} wg {wg} merged {merged}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(straddles > 0 && past_end > 0, "{straddles} {past_end}");
+    }
+
+    #[test]
+    fn merged_kernels_write_whole_segments() {
+        // A 512×512 image's RGB is 786 432 bytes: at least 6 144 write
+        // transactions. The tile copy-out may pay one more per tile row
+        // (a run that shares a 128-byte segment with its neighbour's). The
+        // per-item stores paid one per item row in each warp slot: 98 304
+        // for 4:2:2 (gpu_kernel_inspect). Measured: 4:2:2 6 144; 4:4:4 and
+        // 4:2:0 8 704, because their tile rows are 192 bytes (8 blocks of
+        // 8 px, 4 of 16), so every other run shares a segment with its
+        // neighbour's, and a run whose windows two warps split pays its
+        // middle segment twice.
+        let want = [
+            (Subsampling::S444, 8704),
+            (Subsampling::S422, 6144),
+            (Subsampling::S420, 8704),
+        ];
+        for (sub, tx) in want {
+            let jpeg = make_jpeg(512, 512, sub);
+            let prep = Prepared::new(&jpeg).unwrap();
+            let (coefbuf, _) = prep.entropy_decode_all().unwrap();
+            let n = prep.geom.mcus_y;
+            let wg = if sub == Subsampling::S420 { 4 } else { 8 };
+            let (got, want, stats) = run_tiled(&prep, &coefbuf, (0, n), wg, true, true);
+            assert!(got == want, "{sub:?}");
+            let rgb = 512 * 512 * 3;
+            let tile_rows = stats.groups * if sub == Subsampling::S420 { 16 } else { 8 };
+            assert!(
+                stats.gmem_write_transactions <= (rgb as u64).div_ceil(128) + tile_rows,
+                "{sub:?}: {stats:?}"
+            );
+            assert_eq!(stats.gmem_write_transactions, tx, "{sub:?}");
+        }
     }
 }

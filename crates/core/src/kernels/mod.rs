@@ -11,12 +11,16 @@
 //! * [`upsample::UpsampleKernel422`] — 16 work-items per chroma block,
 //!   even/odd row halves of Algorithm 1 (§4.2);
 //! * [`color::ColorKernel`] — one work-item per 8-pixel row segment,
-//!   24 output bytes packed into six `uchar4` stores (§4.3, Fig. 4);
+//!   24 output bytes packed into six `uchar4` vectors (§4.3, Fig. 4);
 //! * [`merged::IdctColorKernel444`] — IDCT×3 + color conversion in one
 //!   kernel for 4:4:4 (§4.4);
 //! * [`merged::UpsampleColorKernel`] — upsampling + color conversion in one
 //!   kernel for 4:2:2 / 4:2:0, 128 work-items per group, parity-major item
 //!   order to avoid branch divergence (§4.4).
+//!
+//! The three pixel kernels convert into a work-group tile in local memory
+//! and write it out as row-contiguous `uchar16` stores (`color.rs`
+//! module docs).
 //!
 //! [`RegionLayout`] fixes the buffer geometry: a packed coefficient buffer
 //! (planar Y‖Cb‖Cr, §4), per-component sample planes, and the interleaved
@@ -79,6 +83,9 @@ pub mod ops {
     pub const COLOR_PX: u64 = 10;
     /// Range-limit + pack of one 8-sample row.
     pub const PACK_ROW: u64 = 10;
+    /// Locating one 16-byte window of a tile copy-out (its run, its output
+    /// and tile addresses) and shifting its staged words into place.
+    pub const TILE_WINDOW: u64 = 6;
 }
 
 /// Byte/element offsets of one decode region inside the device buffers.

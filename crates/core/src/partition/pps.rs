@@ -668,15 +668,83 @@ pub fn repartition(
     cpu_scale: f64,
     chunk_pixel_rows: f64,
 ) -> Partition {
-    let w = geom.width as f64;
-    let chunk = chunk_pixel_rows.min(h_left);
-    let overlap = Overlap::new(model, w, d_new, chunk, prev_gpu_backlog, false, 0.0);
-    let feed = Feed::Sequential {
-        huff: model.huff_time(w * h_left, d_new),
-    };
+    let (overlap, huff) = remaining(
+        model,
+        geom,
+        h_left,
+        d_new,
+        prev_gpu_backlog,
+        chunk_pixel_rows,
+    );
+    let feed = Feed::Sequential { huff };
     // Rows are counted against the full-image geometry (MCU height).
     let rows = geom.round_rows_to_mcu(h_left);
     balance(model, &overlap, h_left, rows, geom.mcu_h, feed, cpu_scale)
+}
+
+/// Eq. 16's predicted makespan of the remaining rows when the GPU keeps
+/// `gpu_mcu_rows` of them, over [`repartition`]'s arguments: the value its
+/// split minimises.
+#[cfg(test)]
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn repartition_makespan(
+    model: &PerformanceModel,
+    geom: &Geometry,
+    h_left: f64,
+    d_new: f64,
+    prev_gpu_backlog: f64,
+    cpu_scale: f64,
+    chunk_pixel_rows: f64,
+    gpu_mcu_rows: usize,
+) -> f64 {
+    let (overlap, huff) = remaining(
+        model,
+        geom,
+        h_left,
+        d_new,
+        prev_gpu_backlog,
+        chunk_pixel_rows,
+    );
+    let x = (h_left - (gpu_mcu_rows * geom.mcu_h) as f64).clamp(0.0, h_left);
+    let p_cpu = AtWidth::new(&model.p_cpu, overlap.w);
+    let [cpu, _, gpu, _] = sequential_sides(&p_cpu, &overlap, h_left, huff, cpu_scale, x);
+    cpu.max(gpu)
+}
+
+/// The sides of a split of `h` pixel rows, `x` of them the CPU's, on the
+/// sequential feed: the CPU decodes all the Huffman (`huff`), then its band
+/// at `PCPU(w, x)·cpu_scale`, and dispatches the GPU's chunks; the GPU's
+/// side is the overlap's walk of the other `h − x` rows. Returns `[CPU,
+/// dCPU/dx, GPU, dGPU/dx]`.
+fn sequential_sides(
+    p_cpu: &AtWidth,
+    overlap: &Overlap,
+    h: f64,
+    huff: f64,
+    cpu_scale: f64,
+    x: f64,
+) -> [f64; 4] {
+    let (band, band_dx) = p_cpu.at(x);
+    let Sides { dispatches, gpu } = overlap.at(h - x);
+    let cpu = huff + band * cpu_scale + dispatches.0;
+    let cpu_dx = band_dx * cpu_scale - dispatches.1;
+    [cpu, cpu_dx, gpu.0, -gpu.1]
+}
+
+/// Eq. 16's overlap of the `h_left` rows still to decode on the paper's
+/// schedule, and their Huffman time on the CPU.
+fn remaining(
+    model: &PerformanceModel,
+    geom: &Geometry,
+    h_left: f64,
+    d_new: f64,
+    prev_gpu_backlog: f64,
+    chunk_pixel_rows: f64,
+) -> (Overlap, f64) {
+    let w = geom.width as f64;
+    let chunk = chunk_pixel_rows.min(h_left);
+    let overlap = Overlap::new(model, w, d_new, chunk, prev_gpu_backlog, false, 0.0);
+    (overlap, model.huff_time(w * h_left, d_new))
 }
 
 /// Solve `CPU(x) = GPU(h − x)` over `h` pixel rows (`rows` MCU rows of
@@ -704,14 +772,8 @@ fn balance(
         if at == x {
             return v;
         }
-        let (band, band_dx) = p_cpu.at(x);
         let v = match feed {
-            Feed::Sequential { huff } => {
-                let Sides { dispatches, gpu } = overlap.at(h - x);
-                let cpu = huff + band * cpu_scale + dispatches.0;
-                let cpu_dx = band_dx * cpu_scale - dispatches.1;
-                [cpu, cpu_dx, gpu.0, -gpu.1]
-            }
+            Feed::Sequential { huff } => sequential_sides(&p_cpu, overlap, h, huff, cpu_scale, x),
             Feed::Device {
                 band: huff,
                 start,
@@ -729,7 +791,12 @@ fn balance(
                     false => disp,
                 };
                 // The split is scanned, not solved: no slopes.
-                [ready - start + band * cpu_scale, 0.0, dev - start, 0.0]
+                [
+                    ready - start + p_cpu.at(x).0 * cpu_scale,
+                    0.0,
+                    dev - start,
+                    0.0,
+                ]
             }
         };
         last.set((x, v));
@@ -1006,6 +1073,31 @@ mod tests {
             dense_tail.cpu_mcu_rows,
             neutral.cpu_mcu_rows
         );
+    }
+
+    #[test]
+    fn repartition_keeps_the_argmin_of_its_makespan() {
+        // Eq. 16 rounds its Newton root to the better of two MCU rows: a
+        // row either way of the split it keeps prices no lower.
+        let g = geom(640, 480);
+        for platform in Platform::all() {
+            let model = PerformanceModel::analytic_seed(&platform);
+            for (h_left, backlog, cpu_scale) in
+                [(160.0, 0.0, 1.0), (480.0, 1e-4, 1.6), (96.0, 5e-4, 0.7)]
+            {
+                let p = repartition(&model, &g, h_left, 0.3, backlog, cpu_scale, 64.0);
+                let price = |gpu| {
+                    repartition_makespan(&model, &g, h_left, 0.3, backlog, cpu_scale, 64.0, gpu)
+                };
+                let kept = price(p.gpu_mcu_rows);
+                let rows = g.round_rows_to_mcu(h_left);
+                for gpu in [p.gpu_mcu_rows.wrapping_sub(1), p.gpu_mcu_rows + 1] {
+                    if gpu <= rows {
+                        assert!(price(gpu) >= kept, "{} {h_left}: {gpu} rows", platform.name);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -156,8 +156,13 @@ fn repartitioning_helps_on_skewed_entropy() {
     // Eq. 16/17 correction — now with the sparsity-corrected `PCPU`
     // term (prefix discount extrapolated by the tail/prefix density
     // ratio) — moves it. Across platforms × ramp directions the
-    // corrected split must never lose and win clearly in most
-    // configurations.
+    // corrected split must never lose, must win clearly wherever a fixed
+    // split beats the initial one by 1 % or more, and must win clearly or
+    // leave nothing to win — no fixed split more than 0.1 % faster than
+    // its own — in most configurations. (On the faster device of the
+    // tiled pixel kernels, three of the six initial splits are within 1 %
+    // of every fixed split, so no split can win clearly there:
+    // docs/PERF.md, "Eq. 16 on the faster device".)
     use hetjpeg_corpus::{generate_jpeg, ImageSpec, Pattern};
     let mut improved = 0usize;
     let mut cases = 0usize;
@@ -175,30 +180,70 @@ fn repartitioning_helps_on_skewed_entropy() {
             let mut ws = Workspace::default();
             let with = pps(&prep, &platform, &model, true, &mut ws);
             let without = pps(&prep, &platform, &model, false, &mut ws);
+            let (kept, initial) = (
+                with.partition.unwrap().gpu_mcu_rows,
+                without.partition.unwrap().gpu_mcu_rows,
+            );
             assert_eq!(with.image.data, without.image.data);
+            let ctx = format!("{} ramp {top}->{bottom}", platform.name);
             assert!(
                 with.total() <= without.total() * 1.001,
-                "{} ramp {top}->{bottom}: repartitioning hurt: {:.3}ms vs {:.3}ms",
-                platform.name,
+                "{ctx}: repartitioning hurt: {:.3}ms vs {:.3}ms",
                 with.total() * 1e3,
                 without.total() * 1e3
             );
-            // The boundary must actually have moved.
-            assert_ne!(
-                with.partition.unwrap().gpu_mcu_rows,
-                without.partition.unwrap().gpu_mcu_rows,
-                "{} ramp {top}->{bottom}: Eq. 16/17 should adjust the split",
-                platform.name
+            let case = (top, bottom);
+            split::assert_ramp_repartition(
+                &model, &prep.geom, &platform, case, initial, kept, &ctx,
             );
             cases += 1;
-            if with.total() < without.total() * 0.99 {
+            // The best fixed boundary near the initial one: walk downhill
+            // from it both ways. The total falls towards one minimum but
+            // steps up by a few µs where the GPU's share starts a chunk, so
+            // this finds a local minimum.
+            let fixed = Plan {
+                repartition: false,
+                ..Plan::of(Mode::Pps, &prep, &model, 1)
+            };
+            let mut total = |gpu_rows: usize| {
+                let plan = Plan { gpu_rows, ..fixed };
+                let out = to_rgb(|out| {
+                    split::decode(&prep, &platform, &model, &plan, None, &mut ws, out)
+                });
+                out.unwrap().total()
+            };
+            let mut best = without.total();
+            for dir in [-1isize, 1] {
+                let (mut gpu_rows, mut last) = (initial as isize + dir, without.total());
+                while (0..=prep.geom.mcus_y as isize).contains(&gpu_rows) {
+                    let t = total(gpu_rows as usize);
+                    if t >= last {
+                        break;
+                    }
+                    best = best.min(t);
+                    (gpu_rows, last) = (gpu_rows + dir, t);
+                }
+            }
+            let clear_win = with.total() < without.total() * 0.99;
+            if best < without.total() * 0.99 {
+                assert!(
+                    clear_win,
+                    "{ctx}: a fixed split takes {:.3}ms, the initial {:.3}ms: \
+                     repartitioning should clearly win, took {:.3}ms",
+                    best * 1e3,
+                    without.total() * 1e3,
+                    with.total() * 1e3
+                );
+            }
+            if clear_win || with.total() <= best * 1.001 {
                 improved += 1;
             }
         }
     }
     assert!(
         improved * 3 >= cases * 2,
-        "repartitioning should clearly win in most skewed cases: {improved}/{cases}"
+        "repartitioning should clearly win, or leave nothing to win, in most skewed cases: \
+         {improved}/{cases}"
     );
 }
 

@@ -378,6 +378,58 @@ pub(crate) fn decode(
     Ok(tl.outcome(geom, plan.mode, partition, truncated))
 }
 
+#[cfg(test)]
+thread_local! {
+    /// This thread's latest sequential Eq. 16: the GPU rows decoded before
+    /// it and `pps::repartition`'s arguments after the geometry, for tests
+    /// that price the splits beside the one it chose.
+    pub(crate) static LAST_EQ16: std::cell::Cell<Option<(usize, [f64; 5])>> =
+        const { std::cell::Cell::new(None) };
+}
+
+/// Assert where Eq. 16 put the split of the re-partition tests' 384×512
+/// detail ramp `top → bottom` on `platform`'s analytic seed at `threads(1)`,
+/// from `initial` GPU rows to `kept`: it moves it, except on the GTX 680
+/// with the dense top, where its own makespan is lowest at the initial
+/// split (docs/PERF.md, "Eq. 16 on the faster device"). There it must keep
+/// it, as the argmin of this thread's latest sequential Eq. 16: a row either
+/// way prices no lower.
+#[cfg(test)]
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn assert_ramp_repartition(
+    model: &PerformanceModel,
+    geom: &Geometry,
+    platform: &Platform,
+    (top, bottom): (f64, f64),
+    initial: usize,
+    kept: usize,
+    ctx: &str,
+) {
+    if !(platform.name == "GTX 680" && top > bottom) {
+        assert_ne!(kept, initial, "{ctx}: Eq. 16/17 should move the split");
+        return;
+    }
+    assert_eq!(kept, initial, "{ctx}: Eq. 16 keeps the split");
+    let (row, [h_left, d_new, backlog, cpu_scale, chunk_px]) =
+        LAST_EQ16.take().expect("a sequential Eq. 16 ran");
+    let price = |gpu| {
+        pps::repartition_makespan(
+            model, geom, h_left, d_new, backlog, cpu_scale, chunk_px, gpu,
+        )
+    };
+    let kept = kept - row;
+    let re = pps::repartition(model, geom, h_left, d_new, backlog, cpu_scale, chunk_px);
+    assert_eq!(re.gpu_mcu_rows, kept, "{ctx}: Eq. 16's split");
+    for gpu in [kept - 1, kept + 1] {
+        assert!(
+            price(gpu) >= price(kept),
+            "{ctx}: Eq. 16 prices {gpu} GPU rows at {:.6} ms, below the kept {kept} at {:.6} ms",
+            price(gpu) * 1e3,
+            price(kept) * 1e3
+        );
+    }
+}
+
 /// Re-partition before the last GPU chunk (Eq. 16), once the GPU's `row`
 /// rows are decoded and shipped (a fed step may have released more; the
 /// correction reads these rows only). It prices the tail from the
@@ -450,6 +502,8 @@ fn repartitioned_end(
             &band,
         )
     } else {
+        #[cfg(test)]
+        LAST_EQ16.set(Some((row, [h_left, d_new, backlog, cpu_scale, chunk_px])));
         pps::repartition(model, geom, h_left, d_new, backlog, cpu_scale, chunk_px)
     };
     // New boundary: the GPU keeps `re.gpu_mcu_rows` of the remaining rows.
@@ -1070,7 +1124,16 @@ mod tests {
                 let ctx = format!("{} ramp {top}->{bottom}", platform.name);
                 let (out, _) = assert_parent_equal(&prep, &platform, &model, &plan, &mut ws, &ctx);
                 let moved = out.expect("decode").partition.expect("split").gpu_mcu_rows;
-                assert_ne!(moved, plan.gpu_rows, "{ctx}: the boundary must move");
+                let case = (top, bottom);
+                assert_ramp_repartition(
+                    &model,
+                    &prep.geom,
+                    &platform,
+                    case,
+                    plan.gpu_rows,
+                    moved,
+                    &ctx,
+                );
                 let fixed = Plan {
                     repartition: false,
                     ..plan
