@@ -25,6 +25,13 @@
 //! the feed hands over to the sequential decoder (`Entropy::until`), so
 //! errors are the sequential decoder's too.
 //!
+//! The workers and the stitch record every block they decode — its
+//! canonical start bit, bits and symbols ([`BlockAt`]) — and the feed
+//! keeps the record of each stitched block beside its MCU's work. The
+//! device's Huffman lanes over the GPU rows (`Feed::device_lanes`) are
+//! read off that record, so the host decodes every block once; only a
+//! lane's unsynchronised prefix is decoded again.
+//!
 //! On the virtual clock the chunks are list-scheduled onto `threads`
 //! workers in ticket order, each priced from its measured effort
 //! (convergence waste included) plus [`SEGMENT_OVERHEAD_S`]; the loop's
@@ -41,7 +48,7 @@ use hetjpeg_jpeg::entropy::{split_restart_segments, HuffmanTables, RestartSegmen
 use hetjpeg_jpeg::geometry::Geometry;
 use hetjpeg_jpeg::metrics::RowMetrics;
 use hetjpeg_jpeg::speculate::{
-    converge_blocks, decode_chunk_speculative, plan_chunks, trace_blocks, BlockAt, McuMetrics,
+    converge_blocks, decode_chunk_speculative, off_stuffing, plan_chunks, BlockAt, McuMetrics,
     SpecStats, StagedChunk, Stitch, Written,
 };
 use std::collections::VecDeque;
@@ -125,9 +132,11 @@ pub(crate) struct Feed<'a> {
     rows: Vec<RowMetrics>,
     /// MCU rows final so far.
     released: usize,
-    /// Per MCU stitched so far, in order: the canonical bit position it
-    /// starts at in its segment's payload, and its Huffman work.
-    at: Vec<u64>,
+    /// Per block of the MCUs stitched so far, in scan order: where it
+    /// starts in its segment's payload and its Huffman work, as the workers
+    /// and the stitch decoded it.
+    blocks: Vec<BlockAt>,
+    /// Per MCU stitched so far, in order: its Huffman work.
     work: Vec<McuMetrics>,
     /// Counters of the segments stitched so far.
     pub(crate) spec: SpecStats,
@@ -189,7 +198,7 @@ impl<'a> Feed<'a> {
             redecoded: RowMetrics::default(),
             rows: vec![RowMetrics::default(); geom.mcus_y],
             released: 0,
-            at: Vec::with_capacity(geom.mcus_x * geom.mcus_y),
+            blocks: Vec::with_capacity(geom.mcus_x * geom.mcus_y * geom.blocks_per_mcu()),
             work: Vec::with_capacity(geom.mcus_x * geom.mcus_y),
             spec: SpecStats::default(),
             segments,
@@ -287,8 +296,7 @@ impl<'a> Feed<'a> {
         if res.is_ok() && last {
             res = stitch.finish(coef, &mut self.rows);
         }
-        for w in stitch.drain_written() {
-            self.at.push(w.at);
+        for w in stitch.drain_written(&mut self.blocks) {
             self.work.push(w.metrics);
             self.pending.push_back((k, w));
         }
@@ -395,21 +403,24 @@ impl Feed<'_> {
     }
 
     /// The device's lanes over MCU rows `rows`, which are stitched, and
-    /// the scan bytes they span. Each restart segment's share of the rows
-    /// starts a lane in sync at its first MCU (the device's state there, or
-    /// the restart marker), and a lane at every [`subseq_bytes`]-th byte
-    /// after it, which a decoder started there falls into step with at a
-    /// block of the exact decode, in its place in the MCU, before its
-    /// subsequence ends ([`converge_blocks`]). A lane covers the blocks
-    /// from its own to the next lanes' first in-step block: pass 1 decodes
-    /// its garbage and the rest of its subsequence, pass 2 the overflow
-    /// past the subsequence's end. Byte ranges are relative to the first
-    /// MCU's byte; blocks are packed indices of `rows`.
+    /// the scan bytes they span, read off the blocks the feed recorded. Each
+    /// restart segment's share of the rows starts a lane in sync at its
+    /// first MCU (the device's state there, or the restart marker), and a
+    /// lane at every [`subseq_bytes`]-th byte after it, which a decoder
+    /// started there falls into step with at a block of the exact decode,
+    /// in its place in the MCU, before its subsequence ends
+    /// ([`converge_blocks`]). A lane covers the blocks from its own to the
+    /// next lanes' first in-step block: pass 1 decodes its garbage and the
+    /// rest of its subsequence, pass 2 the overflow past the subsequence's
+    /// end. Blocks a decode padded past a marker or the end have no
+    /// position and no work; MCUs that start in the padding belong to no
+    /// lane. Byte ranges are relative to the first MCU's byte; blocks are
+    /// packed indices of `rows`.
     pub(crate) fn device_lanes(&self, rows: Range<usize>) -> (SubseqTable, Range<usize>) {
         let (geom, mx) = (self.geom, self.geom.mcus_x);
         let bpm = geom.blocks_per_mcu();
         let mcus = rows.start * mx..rows.end * mx;
-        debug_assert!(self.at.len() >= mcus.end, "the rows are stitched");
+        debug_assert!(self.work.len() >= mcus.end, "the rows are stitched");
         let mut table = SubseqTable::default();
         // Each block of an MCU, in scan order: its component, v and h.
         let mut pattern = Vec::with_capacity(bpm);
@@ -431,62 +442,83 @@ impl Feed<'_> {
             let (row, x) = (m / mx - rows.start, m % mx);
             (base[c] + (row * comp.v_samp + v) * comp.width_blocks + x * comp.h_samp + h) as u32
         };
-        let seg_of = |g: usize| (self.segments.iter()).position(|s| g < s.start_mcu + s.mcu_count);
         let (mut lo, mut hi) = (usize::MAX, 0);
-        let mut g = mcus.start;
-        while g < mcus.end {
-            let seg = self.segments[seg_of(g).expect("an MCU's segment")];
-            let (a, b) = (g, (seg.start_mcu + seg.mcu_count).min(mcus.end));
-            g = b;
-            let payload = self.payload(&seg);
-            let mut units = Units::new(self, payload, a, b);
-            let (n, upm) = (units.n, units.upm);
+        // The segments in order, from the one holding the first MCU.
+        let from = (self.segments).partition_point(|s| s.start_mcu + s.mcu_count <= mcus.start);
+        for seg in self.segments[from..]
+            .iter()
+            .take_while(|s| s.start_mcu < mcus.end)
+        {
+            let a = mcus.start.max(seg.start_mcu);
+            let b = (seg.start_mcu + seg.mcu_count).min(mcus.end);
+            let payload = self.payload(seg);
+            // The portion's blocks, the first `n` of them in MCUs that start
+            // at a position.
+            let recs = &self.blocks[a * bpm..b * bpm];
+            let work = &self.work[a..b];
+            let n = recs.partition_point(|r| r.at != u64::MAX).div_ceil(bpm) * bpm;
             let bits = 8 * seg.len as u64;
             let end = match n {
                 0 => 0,
                 n => {
-                    let last = a + (n - 1) / upm;
-                    let end = self.at[last].saturating_add(self.work[last].bits as u64);
+                    let last = (n - 1) / bpm;
+                    let end = recs[last * bpm].at.saturating_add(work[last].bits as u64);
                     end.div_ceil(8).min(seg.len as u64) as usize
                 }
             };
-            let first = (self.at[a].min(bits) / 8) as usize;
-            // Scan-relative byte where unit `u` of the portion starts.
-            let byte = |units: &mut Units<'_, '_>, u: usize| {
+            let first = (recs[0].at.min(bits) / 8) as usize;
+            // Scan-relative byte where block `u` of the portion starts.
+            let byte = |u: usize| {
                 seg.offset
                     + if u < n {
-                        (units.at(u).min(bits) / 8) as usize
+                        (recs[u].at.min(bits) / 8) as usize
                     } else {
                         end
                     }
+            };
+            // The work of blocks `r`: whole MCUs as the decode measured them.
+            let sum = |r: Range<usize>| {
+                let mut w = Work::default();
+                let mut u = r.start;
+                while u < r.end {
+                    if u.is_multiple_of(bpm) && u + bpm <= r.end {
+                        w.add(&mcu_work(&work[u / bpm], bpm));
+                        u += bpm;
+                    } else {
+                        w.add(&block_work(&recs[u]));
+                        u += 1;
+                    }
+                }
+                w
             };
             (lo, hi) = (lo.min(seg.offset + first), hi.max(seg.offset + end));
             let step = subseq_bytes(b - a, bpm, end.saturating_sub(first)).max(1);
             let mut starts = vec![first];
             let mut s = first + step;
             while s < end {
-                let mut t = s;
-                while t < end && payload[t] == 0x00 && payload[t - 1] == 0xFF {
-                    t += 1;
-                }
+                let t = off_stuffing(payload, s);
                 if t < end && t > *starts.last().expect("a lane") {
                     starts.push(t);
                 }
                 s += step;
             }
-            // The first unit each lane's own subsequence may hold, and
+            // The first block each lane's own subsequence may hold, and
             // where its decoder falls into step. A lane's decoder runs to
             // its subsequence's end at most: one that is not in step by
             // then leaves its stretch to the lanes before it.
-            let own_first: Vec<usize> = starts
-                .iter()
-                .map(|&s| units.first_at(8 * s as u64))
+            let placed = &recs[..n];
+            let own_first: Vec<usize> = (starts.iter())
+                .map(|&s| placed.partition_point(|r| r.at < 8 * s as u64))
                 .collect();
+            let exact = |cp: u64| {
+                let u = placed.binary_search_by_key(&cp, |r| r.at).ok()?;
+                Some((u, (u % bpm) as u8))
+            };
             let mut sync = vec![0];
             let mut garbage = vec![Work::default()];
             for (i, &s) in starts.iter().enumerate().skip(1) {
-                let stop = 8 * starts.get(i + 1).copied().unwrap_or(end) as u64;
-                let c = converge_blocks(self.tables, payload, s, |cp| units.lookup(cp), stop);
+                let stop = starts.get(i + 1).copied().unwrap_or(end);
+                let c = converge_blocks(self.tables, payload, s, exact, stop);
                 sync.push(c.sync.unwrap_or(n));
                 garbage.push(Work {
                     bits: c.bits,
@@ -503,30 +535,29 @@ impl Feed<'_> {
                 let (sy, nx) = (sync[i], next[i].max(sync[i]));
                 let split = own_end.max(sy).min(nx);
                 let mut own = garbage[i];
-                own.add(&units.sum(sy..split));
+                own.add(&sum(sy..split));
                 let o = table.overflow.len();
-                for u in split..nx {
-                    let w = units.work(u);
-                    table.overflow.push(w);
-                }
+                table
+                    .overflow
+                    .extend(recs[split..nx].iter().map(block_work));
                 let b0 = table.blocks.len();
                 table
                     .blocks
                     .extend((sy..nx).map(|u| packed(a + u / bpm, u % bpm)));
                 table.lanes.push(Lane {
-                    own_bytes: seg.offset + starts[i]..byte(&mut units, own_end),
-                    overflow_bytes: byte(&mut units, split)..byte(&mut units, nx),
-                    covered_bytes: byte(&mut units, sy)..byte(&mut units, nx),
+                    own_bytes: seg.offset + starts[i]..byte(own_end),
+                    overflow_bytes: byte(split)..byte(nx),
+                    covered_bytes: byte(sy)..byte(nx),
                     own,
                     overflow: o..table.overflow.len(),
-                    covered: units.sum(sy..nx),
+                    covered: sum(sy..nx),
                     blocks: b0..table.blocks.len(),
                 });
             }
             // MCUs past a padded end belong to no lane: the last one takes
             // their blocks, which the device writes as zeros.
             let last = table.lanes.last_mut().expect("a lane");
-            for m in a + n.div_ceil(upm)..b {
+            for m in a + n / bpm..b {
                 table.blocks.extend((0..bpm).map(|j| packed(m, j)));
             }
             last.blocks.end = table.blocks.len();
@@ -600,130 +631,24 @@ fn mcu_cost(m: &McuMetrics, bpm: usize) -> RowMetrics {
     }
 }
 
-/// The exact decode's blocks of a segment portion, MCUs `[a, b)` of a
-/// [`Feed`]'s stitched rows, as [`Feed::device_lanes`] measures lanes
-/// against them — its units: an MCU's first block starts where the stitch
-/// found the MCU, and its blocks are decoded again exactly
-/// ([`trace_blocks`]) the first time a lane needs one of their positions
-/// or work. MCUs a decode padded past a marker or the end have no position
-/// and hold no units.
-struct Units<'f, 'a> {
-    feed: &'f Feed<'a>,
-    payload: &'a [u8],
-    a: usize,
-    /// Units per MCU: its blocks.
-    upm: usize,
-    /// Units with a position.
-    n: usize,
-    /// Per MCU of the portion, its blocks once traced.
-    traced: Vec<Option<Box<[BlockAt]>>>,
+/// The Huffman work of one MCU of `bpm` blocks, as the device prices it.
+fn mcu_work(m: &McuMetrics, bpm: usize) -> Work {
+    Work {
+        bits: m.bits as u64,
+        symbols: m.symbols as u64,
+        blocks: bpm as u64,
+    }
 }
 
-impl<'f, 'a> Units<'f, 'a> {
-    fn new(feed: &'f Feed<'a>, payload: &'a [u8], a: usize, b: usize) -> Self {
-        let upm = feed.geom.blocks_per_mcu();
-        let mcus = feed.at[a..b].partition_point(|&p| p != u64::MAX);
-        Units {
-            feed,
-            payload,
-            a,
-            upm,
-            n: mcus * upm,
-            traced: (a..b).map(|_| None).collect(),
-        }
-    }
-
-    /// The blocks of the portion's MCU `m`, traced once.
-    fn blocks(&mut self, m: usize) -> &[BlockAt] {
-        let (feed, payload, at, upm) =
-            (self.feed, self.payload, self.feed.at[self.a + m], self.upm);
-        self.traced[m].get_or_insert_with(|| {
-            let mut v = Vec::with_capacity(upm);
-            trace_blocks(feed.tables, payload, at, 1, &mut v);
-            // A padded MCU's last blocks have no position either.
-            for j in v.len()..upm {
-                v.push(BlockAt {
-                    at: u64::MAX,
-                    phase: j as u8,
-                    ..BlockAt::default()
-                });
-            }
-            v.into_boxed_slice()
-        })
-    }
-
-    /// Where unit `u` starts.
-    fn at(&mut self, u: usize) -> u64 {
-        match u % self.upm {
-            0 => self.feed.at[self.a + u / self.upm],
-            j => self.blocks(u / self.upm)[j].at,
-        }
-    }
-
-    /// Unit `u`'s Huffman work.
-    fn work(&mut self, u: usize) -> Work {
-        let (m, bpm) = (u / self.upm, self.feed.geom.blocks_per_mcu() as u64);
-        // An MCU of one block: the stitch measured it.
-        if self.upm == 1 {
-            let w = self.feed.work[self.a + m];
-            return Work {
-                bits: w.bits as u64,
-                symbols: w.symbols as u64,
-                blocks: bpm,
-            };
-        }
-        let j = u % self.upm;
-        let b = self.blocks(m)[j];
-        Work {
-            bits: b.bits as u64,
-            symbols: b.symbols as u64,
-            blocks: 1,
-        }
-    }
-
-    /// The work of units `r`: whole MCUs from the stitch, the blocks of
-    /// the MCUs `r` starts or ends inside from their traces.
-    fn sum(&mut self, r: Range<usize>) -> Work {
-        let mut w = Work::default();
-        let mut u = r.start;
-        while u < r.end {
-            if u.is_multiple_of(self.upm) && u + self.upm <= r.end {
-                let m = self.feed.work[self.a + u / self.upm];
-                w.add(&Work {
-                    bits: m.bits as u64,
-                    symbols: m.symbols as u64,
-                    blocks: self.feed.geom.blocks_per_mcu() as u64,
-                });
-                u += self.upm;
-            } else {
-                w.add(&self.work(u));
-                u += 1;
-            }
-        }
-        w
-    }
-
-    /// The first unit that starts at or past `bit`.
-    fn first_at(&mut self, bit: u64) -> usize {
-        let m = self.feed.at[self.a..self.a + self.n / self.upm].partition_point(|&p| p < bit);
-        if self.upm > 1 && m > 0 {
-            if let Some(j) = self.blocks(m - 1).iter().position(|b| b.at >= bit) {
-                return (m - 1) * self.upm + j;
-            }
-        }
-        m * self.upm
-    }
-
-    /// The unit that starts at `bit`, and its place in its MCU, if any.
-    fn lookup(&mut self, bit: u64) -> Option<(usize, u8)> {
-        let mcus = &self.feed.at[self.a..self.a + self.n / self.upm];
-        let m = mcus.partition_point(|&p| p <= bit).checked_sub(1)?;
-        if mcus[m] == bit {
-            return Some((m * self.upm, 0));
-        }
-        let blocks = self.blocks(m);
-        let j = blocks.iter().position(|b| b.at == bit)?;
-        Some((m * self.upm + j, j as u8))
+/// The Huffman work of one recorded block, as the device prices it: none
+/// for a block without a position, which a decode padded past a marker or
+/// the end.
+fn block_work(r: &BlockAt) -> Work {
+    let placed = r.at != u64::MAX;
+    Work {
+        bits: if placed { r.bits as u64 } else { 0 },
+        symbols: if placed { r.symbols as u64 } else { 0 },
+        blocks: 1,
     }
 }
 
@@ -778,6 +703,7 @@ mod tests {
     use crate::schedule::{dispatch, split, DecodeOutcome, Mode};
     use crate::workspace::Workspace;
     use hetjpeg_jpeg::encoder::{encode_rgb, EncodeParams};
+    use hetjpeg_jpeg::speculate::McuDecoder;
     use hetjpeg_jpeg::types::Subsampling;
 
     fn decode(
@@ -1058,7 +984,8 @@ mod tests {
                 nudged |= s > 0 && scan[s - 1] == 0x00 && s > 1 && scan[s - 2] == 0xFF;
             }
             let m1 = r1 * geom.mcus_x - 1;
-            mid_byte |= !(feed.at[m1] + feed.work[m1].bits as u64).is_multiple_of(8);
+            let at = feed.blocks[m1 * geom.blocks_per_mcu()].at;
+            mid_byte |= !(at + feed.work[m1].bits as u64).is_multiple_of(8);
             let src = ScanSource {
                 bytes: &scan[bytes],
                 table: &table,
@@ -1078,17 +1005,17 @@ mod tests {
         (nudged, mid_byte)
     }
 
-    #[test]
-    fn device_entropy_writes_the_sequential_coefficients() {
-        // Every subsampling × quality, widths from one block to past a
-        // thousand (odd ones included), restart intervals of none, one and
-        // three MCUs and one longer than a feed chunk; each image in two
-        // device passes split mid-image, fed by two and three workers.
-        let (mut nudged, mut mid_byte) = (false, false);
+    /// The device lanes' test images: every subsampling × quality, widths
+    /// from one block to past a thousand (odd ones included), restart
+    /// intervals of none, one (small and wide images) and three MCUs and
+    /// one longer than a feed chunk. Each comes with a name for messages.
+    fn lane_matrix() -> Vec<(String, Vec<u8>)> {
+        let mut out = Vec::new();
         for sub in [Subsampling::S444, Subsampling::S422, Subsampling::S420] {
             for (q, w, h, interval) in [
                 (30, 8, 8, 0),
                 (75, 9, 40, 1),
+                (30, 257, 48, 1),
                 (95, 17, 33, 3),
                 (30, 63, 24, 0),
                 (75, 257, 40, 0),
@@ -1096,18 +1023,106 @@ mod tests {
                 (75, 1031, 16, 0),
                 (95, 100, 64, 40),
             ] {
-                let jpeg = noise_jpeg(w, h, (w * h) as u32, q, sub, interval);
-                let prep = Prepared::new(&jpeg).unwrap();
                 let ctx = format!("{} q{q} {w}x{h} DRI {interval}", sub.notation());
-                for threads in [2, 3] {
-                    let split = (prep.geom.mcus_y / 2).max(1);
-                    let (a, b) = assert_device_pass(&prep, threads, split, &ctx);
-                    (nudged, mid_byte) = (nudged | a, mid_byte | b);
-                }
+                out.push((ctx, noise_jpeg(w, h, (w * h) as u32, q, sub, interval)));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn device_entropy_writes_the_sequential_coefficients() {
+        // Every image of the lane matrix in two device passes split
+        // mid-image, fed by two and three workers.
+        let (mut nudged, mut mid_byte) = (false, false);
+        for (ctx, jpeg) in lane_matrix() {
+            let prep = Prepared::new(&jpeg).unwrap();
+            for threads in [2, 3] {
+                let split = (prep.geom.mcus_y / 2).max(1);
+                let (a, b) = assert_device_pass(&prep, threads, split, &ctx);
+                (nudged, mid_byte) = (nudged | a, mid_byte | b);
             }
         }
         assert!(nudged, "no lane start fell on a stuffed FF 00");
         assert!(mid_byte, "no pass ended mid-byte");
+    }
+
+    /// A plain sequential decode's record of `prep`'s blocks, block by
+    /// block through each restart segment, up to the first failing block.
+    fn sequential_records(prep: &Prepared<'_>) -> Vec<BlockAt> {
+        let (geom, scan) = (&prep.geom, prep.parsed.scan_data);
+        let tables = prep.huffman_tables().unwrap();
+        let mut pattern = Vec::new();
+        for (ci, c) in geom.comps.iter().enumerate() {
+            pattern.extend(std::iter::repeat_n(ci, c.h_samp * c.v_samp));
+        }
+        let mut out = Vec::new();
+        for seg in split_restart_segments(&prep.parsed, geom) {
+            let payload = &scan[seg.offset..(seg.offset + seg.len + 2).min(scan.len())];
+            let mut dec = McuDecoder::new_at(tables, payload, 0);
+            for _ in 0..seg.mcu_count {
+                for &ci in &pattern {
+                    match dec.decode_block(ci, &mut [0; 64]) {
+                        Ok((rec, _, _)) => out.push(rec),
+                        Err(_) => return out,
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn the_feed_records_each_block_as_a_sequential_decode_does() {
+        // The lane matrix cut into 2–8 feed chunks a segment, pristine, cut
+        // and byte-flipped: the feed's record of every block it stitched
+        // equals a plain sequential block-by-block decode, up to the
+        // handover on damage. Blocks decoded from the padding past a
+        // marker or the end have no position and read as no work.
+        let platform = Platform::gtx560();
+        let (mut padded, mut handed_over) = (0, 0);
+        for (ctx, jpeg) in lane_matrix() {
+            let scan = Prepared::new(&jpeg).unwrap().parsed.scan_data;
+            let (at, len) = (scan.as_ptr() as usize - jpeg.as_ptr() as usize, scan.len());
+            let mut cut = jpeg[..at + len * 2 / 3].to_vec();
+            cut.extend_from_slice(&[0xFF, 0xD9]);
+            let mut flipped = jpeg.clone();
+            flipped[at + len / 2] ^= 0x5A;
+            for (case, bytes) in [("pristine", &jpeg), ("cut", &cut), ("flipped", &flipped)] {
+                let Ok(prep) = Prepared::new(bytes) else {
+                    continue;
+                };
+                let want = sequential_records(&prep);
+                let blocks = prep.geom.mcus_x * prep.geom.mcus_y * prep.geom.blocks_per_mcu();
+                for chunks in 2..=8 {
+                    let ctx = format!("{ctx}, {case}, {chunks} chunks");
+                    let Some(mut feed) = Feed::new(&prep, &platform, 2, |_| chunks) else {
+                        continue; // a damaged restart structure is never fed
+                    };
+                    let mut coef = CoefBuffer::new(&prep.geom);
+                    let whole = feed.skip(&mut coef, prep.geom.mcus_y).is_ok();
+                    let got = &feed.blocks;
+                    assert!(got.len() <= want.len(), "{ctx}: {} blocks", got.len());
+                    assert!(got[..] == want[..got.len()], "{ctx}: records");
+                    if whole {
+                        assert_eq!(got.len(), blocks, "{ctx}: every block");
+                    } else {
+                        assert!(case != "pristine", "{ctx}: handed over");
+                        handed_over += 1;
+                    }
+                    for r in got.iter().filter(|r| r.at == u64::MAX) {
+                        let none = Work {
+                            blocks: 1,
+                            ..Work::default()
+                        };
+                        assert_eq!(block_work(r), none, "{ctx}: padded block");
+                        padded += 1;
+                    }
+                }
+            }
+        }
+        assert!(padded > 0, "no block was decoded from padding");
+        assert!(handed_over > 0, "no damaged stream handed over");
     }
 
     #[test]

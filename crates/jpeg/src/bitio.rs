@@ -86,8 +86,21 @@ impl<'a> BitReader<'a> {
         if self.marker.is_some() || self.padded {
             return u64::MAX;
         }
-        // Walk back over the raw bytes feeding the pending accumulator bits;
-        // stuffed bytes contributed nothing.
+        // The pending bits came from at most the eight bytes before `pos`:
+        // when no byte in front of one of them is 0xFF, none was stuffed.
+        if self.pos >= 9 {
+            let window = &self.data[self.pos - 9..self.pos - 1];
+            if !contains_ff_byte8(u64::from_be_bytes(window.try_into().unwrap())) {
+                return 8 * self.pos as u64 - self.acc_len as u64;
+            }
+        }
+        self.walk_checkpoint()
+    }
+
+    /// [`Self::bit_checkpoint`] of a reader short of a marker and padding,
+    /// by walking back over the raw bytes feeding the pending accumulator
+    /// bits; stuffed bytes contributed nothing.
+    fn walk_checkpoint(&self) -> u64 {
         let mut j = self.pos;
         let mut need = self.acc_len as i64;
         while need > 0 {
@@ -321,6 +334,13 @@ fn contains_ff_byte6(v: u64) -> bool {
     x.wrapping_sub(ONES) & !x & HIGH != 0
 }
 
+/// True if any byte of `v` is 0xFF (the eight-byte [`contains_ff_byte6`]).
+#[inline(always)]
+fn contains_ff_byte8(v: u64) -> bool {
+    let x = !v;
+    x.wrapping_sub(0x0101_0101_0101_0101) & !x & 0x8080_8080_8080_8080 != 0
+}
+
 /// Big-endian bit writer producing a byte-stuffed entropy segment.
 #[derive(Debug, Default)]
 pub struct BitWriter {
@@ -387,6 +407,42 @@ impl BitWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn checkpoint_fast_path_equals_the_walk() {
+        // Streams dense in stuffed `FF 00` pairs, read in random steps: the
+        // window test gives the walk's position at every step.
+        let mut state = 0x9E37_79B9u32;
+        let mut rand = |n: u32| {
+            state = state.wrapping_mul(1664525).wrapping_add(1013904223);
+            (state >> 8) % n
+        };
+        let mut checked = 0;
+        for _ in 0..400 {
+            let mut w = BitWriter::new();
+            for _ in 0..200 {
+                match rand(4) {
+                    0 => w.put_bits(0xFF, 8),
+                    _ => w.put_bits(rand(1 << 16), 16),
+                }
+            }
+            let bytes = w.finish();
+            let mut r = BitReader::new(&bytes);
+            while r.bit_checkpoint() != u64::MAX {
+                assert_eq!(r.bit_checkpoint(), r.walk_checkpoint());
+                checked += 1;
+                match rand(3) {
+                    0 => {
+                        r.peek_bits(1 + rand(24));
+                    }
+                    _ => {
+                        r.get_bits(1 + rand(24));
+                    }
+                }
+            }
+        }
+        assert!(checked > 100_000, "{checked}");
+    }
 
     #[test]
     fn roundtrip_simple_bits() {

@@ -2,8 +2,10 @@
 //!
 //! Paper §4.1 implements the 2-D IDCT as a 1-D column pass followed by a 1-D
 //! row pass (Equations (1) and (2)) using the AAN fast algorithm of
-//! Arai–Agui–Nakajima (paper reference \[26\]), the same family libjpeg-turbo
-//! uses. This module provides:
+//! Arai–Agui–Nakajima (paper reference \[26\]). Every decode path here, the
+//! simulated GPU's kernels included, runs libjpeg's integer islow pass
+//! instead, so that CPU and GPU partitions produce identical pixels. This
+//! module provides:
 //!
 //! * [`reference`](mod@crate::dct::reference) — a direct f64 evaluation of Equations (1)/(2); slow but
 //!   obviously correct, used as the oracle in tests,
@@ -11,8 +13,6 @@
 //!   integer FDCT (libjpeg's accuracy-first pair); these are the *bit-exact*
 //!   transforms used by every decode mode so that CPU and GPU partitions
 //!   produce identical pixels,
-//! * [`aan`] — the AAN float IDCT with quantization-table prescaling, the
-//!   algorithm the paper's GPU kernel implements,
 //! * [`sparse`] — EOB-dispatched pruned islow variants (DC-only flat fill,
 //!   2×2 / 4×4 corner butterflies) with fused dequantize+IDCT+store; the
 //!   per-block dispatch the CPU hot paths run, bit-identical to [`islow`],
@@ -22,7 +22,6 @@
 //!   bit-identical to [`sparse`] at every level; what the render loop runs
 //!   when the session's `SimdLevel` allows.
 
-pub mod aan;
 pub mod islow;
 pub mod reference;
 pub mod simd_islow;

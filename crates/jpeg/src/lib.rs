@@ -16,8 +16,8 @@
 //! * [`huffman`] — canonical Huffman coding (Annex K tables, fused 9-bit lookup tables),
 //! * [`quant`] — quantization tables and IJG quality scaling,
 //! * [`zigzag`] — zigzag ↔ natural coefficient order,
-//! * [`dct`] — forward DCT and three IDCT variants (reference f64,
-//!   integer *islow*, AAN float; paper §4.1),
+//! * [`dct`] — forward DCT and the IDCT (reference f64, integer *islow*
+//!   with its sparse and SIMD variants; paper §4.1),
 //! * [`color`] — YCbCr ↔ RGB conversion (paper Algorithm 2),
 //! * [`sample`] — chroma down/upsampling incl. the blockwise fancy
 //!   upsampler of paper Algorithm 1,

@@ -9,7 +9,7 @@
 //! CPU so both devices produce the same bytes.
 //!
 //! A row-wide variant (the filter libjpeg applies across whole rows) is also
-//! provided for comparison and is exercised by tests and an ablation bench.
+//! provided; tests use it as a reference.
 
 /// Paper Algorithm 1: upsample an 8-sample row segment to 16 samples.
 ///
@@ -105,16 +105,6 @@ pub fn upsample_row_h2v1_rowwide(input: &[u8], output: &mut [u8]) {
         }
     }
     output[2 * n - 1] = input[n - 1];
-}
-
-/// Duplicate-sample ("non-fancy") h2v1 upsampling, kept for the ablation
-/// bench: cheapest filter, visibly blockier chroma.
-pub fn upsample_row_h2v1_replicate(input: &[u8], output: &mut [u8]) {
-    debug_assert_eq!(output.len(), input.len() * 2);
-    for (i, &s) in input.iter().enumerate() {
-        output[2 * i] = s;
-        output[2 * i + 1] = s;
-    }
 }
 
 /// Encoder direction: average horizontal sample pairs (h2v1).
@@ -222,13 +212,6 @@ mod tests {
         let mut out = [0u8; 2];
         downsample_h2v2(&r0, &r1, &mut out);
         assert_eq!(out, [6, 106]);
-    }
-
-    #[test]
-    fn replicate_duplicates() {
-        let mut out = [0u8; 4];
-        upsample_row_h2v1_replicate(&[9, 200], &mut out);
-        assert_eq!(out, [9, 9, 200, 200]);
     }
 
     #[test]

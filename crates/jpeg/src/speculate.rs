@@ -10,18 +10,23 @@
 //! output **provably bit-identical** to the sequential pass:
 //!
 //! 1. [`plan_chunks`] splits a marker-free payload into evenly spaced,
-//!    byte-aligned chunks (start bytes nudged off stuffed `FF 00` pairs).
+//!    byte-aligned chunks (start bytes nudged off stuffed `FF 00` pairs,
+//!    [`off_stuffing`]).
 //! 2. Each chunk is decoded speculatively by [`decode_chunk_speculative`]
-//!    into a staging area, recording at every MCU boundary the canonical
-//!    raw-bit position ([`crate::bitio::BitReader::bit_checkpoint`]) and the
-//!    worker-local DC predictors. Chunk workers are embarrassingly parallel.
+//!    into a staging area, recording for every block its canonical raw-bit
+//!    start position ([`crate::bitio::BitReader::bit_checkpoint`]), bits
+//!    and symbols ([`BlockAt`]), and at every MCU boundary the worker-local
+//!    DC predictors. Chunk workers are embarrassingly parallel.
 //! 3. [`Stitch`] replays the stream exactly, resumable chunk by chunk
 //!    ([`stitch_segment`] in one go): a single reconciling decoder walks
 //!    the chunks in order, re-decodes each chunk's short
 //!    unconverged prefix, and — the moment its canonical position equals a
-//!    staged checkpoint — **adopts** the remaining staged MCUs wholesale,
+//!    staged MCU's — **adopts** the remaining staged MCUs wholesale,
 //!    fixing up DC coefficients by the per-component predictor delta and
-//!    jumping to the worker's exit state.
+//!    jumping to the worker's exit state. Adopted or re-decoded, every final
+//!    MCU is handed on with its blocks' records ([`Stitch::drain_written`]),
+//!    so the exact decode's block positions are known without decoding the
+//!    scan again.
 //!
 //! Correctness rests on determinism: decoding is a pure function of the
 //! canonical bit position and the byte slice, so once positions agree, the
@@ -94,10 +99,26 @@ pub struct McuMetrics {
     pub nonzero: u32,
 }
 
+/// One block of a decode: where it starts and its Huffman work. Records are
+/// kept in scan order, so a block's place in its MCU follows from its
+/// index.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BlockAt {
+    /// The canonical bit position it starts at ([`McuDecoder::checkpoint`]);
+    /// `u64::MAX` for a block decoded from the padding past a marker or the
+    /// end, which has no position.
+    pub at: u64,
+    /// Bits consumed.
+    pub bits: u32,
+    /// Huffman symbols decoded (DC included).
+    pub symbols: u32,
+}
+
 /// MCU-granular Huffman decoder resumable from an arbitrary byte offset of a
-/// marker-free payload. Used both by the speculative chunk workers (starting
-/// mid-stream with zeroed predictors) and by the stitch pass's exact
-/// reconciling decoder (starting at offset 0).
+/// marker-free payload. Used by the speculative chunk workers (starting
+/// mid-stream with zeroed predictors), by the stitch pass's exact
+/// reconciling decoder (starting at offset 0), and block by block by
+/// [`converge_blocks`].
 pub struct McuDecoder<'a> {
     reader: BitReader<'a>,
     tables: &'a HuffmanTables,
@@ -130,33 +151,89 @@ impl<'a> McuDecoder<'a> {
         self.dc_pred = dc_pred;
     }
 
-    /// Decode one MCU, handing each block to `emit(ci, v, h, coefs, eob)` in
-    /// scan order. Block DC values reflect `self.dc_pred` — relative when
-    /// the decoder started mid-stream.
+    /// Decode the next block, of component `ci`, into `block` (all zeros on
+    /// entry): its record, its nonzero coefficients (DC included) and its
+    /// EOB. The DC value reflects `self.dc_pred` — relative when the decoder
+    /// started mid-stream. The record counts the bits and symbols decoded
+    /// even where it has no position.
+    #[inline]
+    pub fn decode_block(&mut self, ci: usize, block: &mut [i16; 64]) -> Result<(BlockAt, u32, u8)> {
+        let at = self.reader.bit_checkpoint();
+        let before = self.reader.bits_consumed();
+        let (dc, ac) = self.tables.of(&self.tables.components()[ci]);
+        let diff = HuffDecoder::decode_dc_diff(&mut self.reader, dc)?;
+        self.dc_pred[ci] = self.dc_pred[ci].wrapping_add(diff);
+        block[0] = self.dc_pred[ci] as i16;
+        let (symbols, nonzero, eob) = HuffDecoder::decode_ac_block(&mut self.reader, ac, block)?;
+        let rec = BlockAt {
+            at,
+            bits: (self.reader.bits_consumed() - before) as u32,
+            symbols: symbols + 1,
+        };
+        Ok((rec, nonzero + u32::from(diff != 0), eob))
+    }
+
+    /// Decode one MCU block by block ([`Self::decode_block`]), handing each
+    /// to `emit(ci, v, h, coefs, record, eob)` in scan order.
     pub fn decode_next_mcu(
         &mut self,
-        emit: &mut impl FnMut(usize, usize, usize, &[i16; 64], u8),
+        emit: &mut impl FnMut(usize, usize, usize, &[i16; 64], BlockAt, u8),
     ) -> Result<McuMetrics> {
-        let bits_before = self.reader.bits_consumed();
         let mut m = McuMetrics::default();
         for (ci, comp) in self.tables.components().iter().enumerate() {
-            let (dc, ac) = self.tables.of(comp);
             for v in 0..comp.v_samp {
                 for h in 0..comp.h_samp {
                     let mut block = [0i16; 64];
-                    let diff = HuffDecoder::decode_dc_diff(&mut self.reader, dc)?;
-                    self.dc_pred[ci] = self.dc_pred[ci].wrapping_add(diff);
-                    block[0] = self.dc_pred[ci] as i16;
-                    let (symbols, nonzero, eob) =
-                        HuffDecoder::decode_ac_block(&mut self.reader, ac, &mut block)?;
-                    m.symbols += symbols + 1;
-                    m.nonzero += nonzero + (diff != 0) as u32;
-                    emit(ci, v, h, &block, eob);
+                    let (rec, nonzero, eob) = self.decode_block(ci, &mut block)?;
+                    m.bits += rec.bits;
+                    m.symbols += rec.symbols;
+                    m.nonzero += nonzero;
+                    emit(ci, v, h, &block, rec, eob);
                 }
             }
         }
-        m.bits = (self.reader.bits_consumed() - bits_before) as u32;
         Ok(m)
+    }
+}
+
+/// `byte`, or the first byte past it that is not the `00` of a stuffed
+/// `FF 00` pair: such a byte carries no bits and a reader arriving from
+/// the left skips it, so a decoder never starts on one.
+pub fn off_stuffing(payload: &[u8], mut byte: usize) -> usize {
+    while byte > 0 && byte < payload.len() && payload[byte] == 0x00 && payload[byte - 1] == 0xFF {
+        byte += 1;
+    }
+    byte
+}
+
+/// Decode speculatively from byte `start` of a marker-free `payload`:
+/// `attempt` runs a decoder positioned at an attempt's start and returns
+/// `Ok` once it is done. A mis-phased attempt can hit a bad code on
+/// garbage; when `attempt` fails, the next one starts one byte past the
+/// failure point — unless it failed inside the padding past a marker or
+/// the end, or the next start would be at or past `stop`.
+fn speculate<'a>(
+    tables: &'a HuffmanTables,
+    payload: &'a [u8],
+    start: usize,
+    stop: usize,
+    mut attempt: impl FnMut(&mut McuDecoder<'a>) -> Result<()>,
+) {
+    let mut byte = start;
+    loop {
+        byte = off_stuffing(payload, byte);
+        let mut dec = McuDecoder::new_at(tables, payload, byte);
+        if attempt(&mut dec).is_ok() {
+            return;
+        }
+        let fail = dec.checkpoint();
+        if fail == u64::MAX {
+            return;
+        }
+        byte = ((fail / 8 + 1) as usize).max(byte + 1);
+        if byte >= stop.min(payload.len()) {
+            return;
+        }
     }
 }
 
@@ -164,15 +241,15 @@ impl<'a> McuDecoder<'a> {
 pub struct StagedChunk<'a> {
     /// Payload byte offset this worker started at.
     pub start_byte: usize,
-    /// Canonical bit position at the start of each staged MCU, strictly
-    /// increasing; one entry per staged MCU.
-    checkpoints: Vec<u64>,
-    /// Worker-local DC predictors before each checkpointed MCU.
+    /// Worker-local DC predictors before each staged MCU.
     pred_before: Vec<[i32; 4]>,
     /// Flat staging area: `staged × blocks_per_mcu` blocks of 64 coefficients.
     blocks: Vec<i16>,
     /// EOB sidecar, one per staged block.
     eobs: Vec<u8>,
+    /// Record of each staged block; an MCU starts where its first block
+    /// does, and the positions strictly increase.
+    records: Vec<BlockAt>,
     /// Work counters per staged MCU.
     mcu_metrics: Vec<McuMetrics>,
     /// Reader state + predictors after the last staged MCU (absent when no
@@ -193,9 +270,10 @@ impl StagedChunk<'_> {
         self.mcu_metrics.len()
     }
 
-    /// Canonical bit positions recorded at staged MCU boundaries.
-    pub fn checkpoints(&self) -> &[u64] {
-        &self.checkpoints
+    /// The staged MCU of `bpm` blocks that starts at canonical bit `cp`.
+    fn mcu_at(&self, cp: u64, bpm: usize) -> Option<usize> {
+        let i = self.records.binary_search_by_key(&cp, |r| r.at).ok()?;
+        i.is_multiple_of(bpm).then_some(i / bpm)
     }
 }
 
@@ -209,10 +287,7 @@ pub fn plan_chunks(payload: &[u8], want: usize) -> Vec<(usize, usize)> {
     let n = want.clamp(1, max_n);
     let mut starts: Vec<usize> = Vec::with_capacity(n);
     for i in 0..n {
-        let mut s = i * payload.len() / n;
-        while s > 0 && s < payload.len() && payload[s] == 0x00 && payload[s - 1] == 0xFF {
-            s += 1;
-        }
+        let s = off_stuffing(payload, i * payload.len() / n);
         if starts.last().is_none_or(|&p| s > p) {
             starts.push(s);
         }
@@ -259,68 +334,50 @@ pub fn decode_chunk_speculative<'a>(
     let expect = (max_mcus * span / payload.len().max(1)) * 9 / 8 + 4;
     let mut chunk = StagedChunk {
         start_byte,
-        checkpoints: Vec::with_capacity(expect),
         pred_before: Vec::with_capacity(expect),
         blocks: Vec::with_capacity(expect * bpm * 64),
         eobs: Vec::with_capacity(expect * bpm),
+        records: Vec::with_capacity(expect * bpm),
         mcu_metrics: Vec::with_capacity(expect),
         exit: None,
         discarded_mcus: 0,
         metrics: RowMetrics::default(),
     };
-    let mut attempt_start = start_byte;
-    'attempts: while attempt_start < stop_byte.min(payload.len()) || attempt_start == start_byte {
-        // Never start on the 00 of a stuffed FF 00 pair (it carries no bits
-        // and a left-arriving reader would skip it).
-        while attempt_start > 0
-            && attempt_start < payload.len()
-            && payload[attempt_start] == 0x00
-            && payload[attempt_start - 1] == 0xFF
-        {
-            attempt_start += 1;
+    speculate(tables, payload, start_byte, stop_byte, |dec| loop {
+        let cp = dec.checkpoint();
+        if cp == u64::MAX || cp >= stop_bits || chunk.staged() >= max_mcus {
+            chunk.exit = Some((dec.reader.clone(), dec.dc_pred));
+            return Ok(());
         }
-        let mut dec = McuDecoder::new_at(tables, payload, attempt_start);
-        loop {
-            let cp = dec.checkpoint();
-            if cp == u64::MAX || cp >= stop_bits || chunk.staged() >= max_mcus {
-                chunk.exit = Some((dec.reader.clone(), dec.dc_pred));
-                break 'attempts;
-            }
-            chunk.checkpoints.push(cp);
-            chunk.pred_before.push(dec.dc_pred);
-            let res = dec.decode_next_mcu(&mut |_ci, _v, _h, block, eob| {
-                chunk.blocks.extend_from_slice(block);
-                chunk.eobs.push(eob);
-            });
-            match res {
-                Ok(m) => {
-                    chunk.mcu_metrics.push(m);
-                    chunk.metrics.bits += m.bits as u64;
-                    chunk.metrics.symbols += m.symbols as u64;
-                    chunk.metrics.nonzero_coefs += m.nonzero as u64;
-                    chunk.metrics.blocks += bpm as u64;
-                    for &e in &chunk.eobs[chunk.eobs.len() - bpm..] {
-                        chunk.metrics.record_eob(e);
-                    }
-                }
-                Err(_) => {
-                    // Discard the attempt, restart past the failure point.
-                    chunk.discarded_mcus += chunk.staged() as u64;
-                    let fail_cp = dec.checkpoint();
-                    chunk.checkpoints.clear();
-                    chunk.pred_before.clear();
-                    chunk.blocks.clear();
-                    chunk.eobs.clear();
-                    chunk.mcu_metrics.clear();
-                    if fail_cp == u64::MAX {
-                        break 'attempts; // failed inside EOF/marker padding
-                    }
-                    attempt_start = ((fail_cp / 8 + 1) as usize).max(attempt_start + 1);
-                    continue 'attempts;
+        chunk.pred_before.push(dec.dc_pred);
+        let res = dec.decode_next_mcu(&mut |_ci, _v, _h, block, rec, eob| {
+            chunk.blocks.extend_from_slice(block);
+            chunk.eobs.push(eob);
+            chunk.records.push(rec);
+        });
+        match res {
+            Ok(m) => {
+                chunk.mcu_metrics.push(m);
+                chunk.metrics.bits += m.bits as u64;
+                chunk.metrics.symbols += m.symbols as u64;
+                chunk.metrics.nonzero_coefs += m.nonzero as u64;
+                chunk.metrics.blocks += bpm as u64;
+                for &e in &chunk.eobs[chunk.eobs.len() - bpm..] {
+                    chunk.metrics.record_eob(e);
                 }
             }
+            Err(e) => {
+                // Discard the attempt: the next restarts past the failure.
+                chunk.discarded_mcus += chunk.staged() as u64;
+                chunk.pred_before.clear();
+                chunk.blocks.clear();
+                chunk.eobs.clear();
+                chunk.records.clear();
+                chunk.mcu_metrics.clear();
+                return Err(e);
+            }
         }
-    }
+    });
     chunk
 }
 
@@ -340,146 +397,57 @@ pub struct Convergence {
     pub blocks: u64,
 }
 
-/// One block of an exact decode, for a device that syncs its subsequences
-/// block by block: where it starts, its place in its MCU's block pattern,
-/// and its Huffman work.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BlockAt {
-    /// The canonical bit position it starts at ([`McuDecoder::checkpoint`]).
-    pub at: u64,
-    /// Its index in the MCU's blocks, in scan order.
-    pub phase: u8,
-    /// Bits consumed.
-    pub bits: u32,
-    /// Huffman symbols decoded (DC included).
-    pub symbols: u32,
-}
-
-/// A decoder that steps one block at a time through the MCU's block
-/// pattern, for positions and work only (no coefficients are kept and no
-/// DC predictor runs).
-struct BlockDecoder<'a> {
-    reader: BitReader<'a>,
-    tables: &'a HuffmanTables,
-    /// The component of each block of an MCU, in scan order.
-    pattern: Vec<usize>,
-    phase: usize,
-}
-
-impl<'a> BlockDecoder<'a> {
-    /// A decoder at canonical bit `at` of `payload`, about to decode an
-    /// MCU's first block.
-    fn new(tables: &'a HuffmanTables, payload: &'a [u8], at: u64) -> Self {
-        let mut reader = BitReader::new_at(payload, (at / 8) as usize);
-        reader.get_bits((at % 8) as u32);
-        let mut pattern = Vec::new();
-        for (ci, c) in tables.components().iter().enumerate() {
-            pattern.extend(std::iter::repeat_n(ci, c.h_samp * c.v_samp));
-        }
-        BlockDecoder {
-            reader,
-            tables,
-            pattern,
-            phase: 0,
-        }
-    }
-
-    /// Decode the next block.
-    fn next(&mut self) -> Result<BlockAt> {
-        let at = self.reader.bit_checkpoint();
-        let before = self.reader.bits_consumed();
-        let comp = &self.tables.components()[self.pattern[self.phase]];
-        let (dc, ac) = self.tables.of(comp);
-        HuffDecoder::decode_dc_diff(&mut self.reader, dc)?;
-        let (symbols, _, _) = HuffDecoder::decode_ac_block(&mut self.reader, ac, &mut [0; 64])?;
-        let block = BlockAt {
-            at,
-            phase: self.phase as u8,
-            bits: (self.reader.bits_consumed() - before) as u32,
-            symbols: symbols + 1,
-        };
-        self.phase = (self.phase + 1) % self.pattern.len();
-        Ok(block)
-    }
-}
-
-/// Append the blocks of `mcus` MCUs of a marker-free `payload`, decoded
-/// exactly from canonical bit `at` — an MCU's start — to `out`; stops
-/// early at damage, a marker or the end.
-pub fn trace_blocks(
-    tables: &HuffmanTables,
-    payload: &[u8],
-    at: u64,
-    mcus: usize,
-    out: &mut Vec<BlockAt>,
-) {
-    let mut dec = BlockDecoder::new(tables, payload, at);
-    debug_assert_eq!(dec.reader.bit_checkpoint(), at, "positioned at the MCU");
-    for _ in 0..mcus * dec.pattern.len() {
-        match dec.next() {
-            Ok(b) if b.at != u64::MAX => out.push(b),
-            _ => return,
-        }
-    }
-}
-
 /// Decode speculatively from byte `start_byte` of a marker-free `payload`,
 /// block by block through the MCU's block pattern from its first block,
 /// until the decoder starts a block at the position and in the place of
-/// its MCU of one of an exact decode's blocks, before bit `stop` — the end
-/// of its subsequence — or meets a marker or the end. `exact(bit)` names
-/// the exact decode's block that starts at `bit`, if any: its index and
-/// its place in its MCU. A mis-phased attempt that fails restarts one byte
-/// past the failure point, as [`decode_chunk_speculative`] does; its bits
-/// count as garbage. Returns the index the decoder falls into step at, if
-/// it does, and the work decoded before it.
+/// its MCU of one of an exact decode's blocks, before byte `stop_byte` —
+/// the end of its subsequence — or meets a marker or the end. `exact(bit)`
+/// names the exact decode's block that starts at `bit`, if any: its index
+/// and its place in its MCU. A mis-phased attempt that fails restarts one
+/// byte past the failure point, as [`decode_chunk_speculative`] does; its
+/// bits count as garbage. Returns the index the decoder falls into step
+/// at, if it does, and the work decoded before it.
 pub fn converge_blocks(
     tables: &HuffmanTables,
     payload: &[u8],
     start_byte: usize,
     mut exact: impl FnMut(u64) -> Option<(usize, u8)>,
-    stop: u64,
+    stop_byte: usize,
 ) -> Convergence {
+    // The component of each block of an MCU, in scan order.
+    let mut pattern = Vec::new();
+    for (ci, c) in tables.components().iter().enumerate() {
+        pattern.extend(std::iter::repeat_n(ci, c.h_samp * c.v_samp));
+    }
+    let stop = 8 * stop_byte as u64;
     let mut out = Convergence::default();
-    let mut attempt = start_byte;
-    while attempt < payload.len() && 8 * (attempt as u64) < stop {
-        while attempt > 0
-            && attempt < payload.len()
-            && payload[attempt] == 0x00
-            && payload[attempt - 1] == 0xFF
-        {
-            attempt += 1;
-        }
-        let mut dec = BlockDecoder::new(tables, payload, 8 * attempt as u64);
-        loop {
-            let cp = dec.reader.bit_checkpoint();
+    speculate(tables, payload, start_byte, stop_byte, |dec| {
+        for (phase, &ci) in pattern.iter().enumerate().cycle() {
+            let cp = dec.checkpoint();
             if cp == u64::MAX || cp >= stop {
-                return out;
+                break;
             }
-            if let Some((j, phase)) = exact(cp) {
-                if phase as usize == dec.phase {
-                    out.sync = Some(j);
-                    return out;
-                }
+            if let Some((j, _)) = exact(cp).filter(|&(_, p)| p as usize == phase) {
+                out.sync = Some(j);
+                break;
             }
-            match dec.next() {
-                Ok(b) => {
+            match dec.decode_block(ci, &mut [0; 64]) {
+                Ok((b, _, _)) => {
                     out.bits += b.bits as u64;
                     out.symbols += b.symbols as u64;
                     out.blocks += 1;
                 }
-                Err(_) => {
-                    let fail = dec.reader.bit_checkpoint();
-                    if fail == u64::MAX {
-                        return out;
+                Err(e) => {
+                    let fail = dec.checkpoint();
+                    if fail != u64::MAX {
+                        out.bits += fail.saturating_sub(cp);
                     }
-                    out.bits += fail.saturating_sub(cp);
-                    attempt = ((fail / 8 + 1) as usize).max(attempt + 1);
-                    break;
+                    return Err(e);
                 }
             }
         }
-    }
+        Ok(())
+    });
     out
 }
 
@@ -497,11 +465,9 @@ pub struct StitchOutcome {
 
 /// One MCU a [`Stitch`] made final: its decode work, and whether the
 /// reconciler decoded it itself rather than adopting it from a staging.
+/// Its blocks' records travel beside it ([`Stitch::drain_written`]).
 #[derive(Debug, Clone, Copy)]
 pub struct Written {
-    /// The canonical bit position the MCU starts at in the segment's
-    /// payload ([`McuDecoder::checkpoint`]).
-    pub at: u64,
     /// The MCU's Huffman work.
     pub metrics: McuMetrics,
     /// Decoded by the reconciler (a convergence gap or the tail).
@@ -534,8 +500,10 @@ pub struct Stitch<'a> {
     /// Set once a push found the segment complete.
     ended: bool,
     out: StitchOutcome,
-    /// The MCUs made final since the last [`Self::drain_written`], in order.
+    /// The MCUs made final since the last [`Self::drain_written`], in order,
+    /// and their blocks' records.
     written: Vec<Written>,
+    records: Vec<BlockAt>,
 }
 
 impl<'a> Stitch<'a> {
@@ -564,6 +532,7 @@ impl<'a> Stitch<'a> {
             ended: false,
             out: StitchOutcome::default(),
             written: Vec::new(),
+            records: Vec::new(),
         }
     }
 
@@ -582,8 +551,10 @@ impl<'a> Stitch<'a> {
         &self.out
     }
 
-    /// The MCUs made final since the last call, in order.
-    pub fn drain_written(&mut self) -> std::vec::Drain<'_, Written> {
+    /// The MCUs made final since the last call, in order; their blocks'
+    /// records, in scan order, are appended to `records`.
+    pub fn drain_written(&mut self, records: &mut Vec<BlockAt>) -> std::vec::Drain<'_, Written> {
+        records.append(&mut self.records);
         self.written.drain(..)
     }
 
@@ -601,15 +572,15 @@ impl<'a> Stitch<'a> {
     fn step(&mut self, coef: &mut CoefBuffer, rows: &mut [RowMetrics]) -> Result<()> {
         let g = self.start_mcu + self.mcu;
         let (mcu_x, row) = (g % self.geom.mcus_x, g / self.geom.mcus_x);
-        let (geom, comps) = (&self.geom, &self.comps);
+        let (geom, comps, records) = (&self.geom, &self.comps, &mut self.records);
         let mut classes = RowMetrics::default();
-        let at = self.dec.checkpoint();
-        let m = self.dec.decode_next_mcu(&mut |ci, v, h, block, eob| {
+        let m = self.dec.decode_next_mcu(&mut |ci, v, h, block, rec, eob| {
             let (h_samp, v_samp) = comps[ci];
             let idx = geom.block_index(ci, mcu_x * h_samp + h, row * v_samp + v);
             *coef.block_mut(idx) = *block;
             coef.set_eob(idx, eob);
             classes.record_eob(eob);
+            records.push(rec);
         })?;
         let bpm = self.geom.blocks_per_mcu();
         add_mcu(&mut classes, &m, bpm);
@@ -619,7 +590,6 @@ impl<'a> Stitch<'a> {
         self.mcu += 1;
         self.out.stats.redecoded_mcus += 1;
         self.written.push(Written {
-            at,
             metrics: m,
             exact: true,
         });
@@ -651,9 +621,11 @@ impl<'a> Stitch<'a> {
             self.ended = true;
             return Ok(());
         }
-        let Some(&last_cp) = ch.checkpoints.last() else {
+        if ch.staged() == 0 {
             return Ok(()); // every attempt was discarded: nothing to adopt
-        };
+        }
+        let bpm = self.geom.blocks_per_mcu();
+        let last_cp = ch.records[(ch.staged() - 1) * bpm].at;
         // Advance exactly until we land on one of this chunk's checkpoints
         // or overshoot its coverage.
         let j = loop {
@@ -668,7 +640,7 @@ impl<'a> Stitch<'a> {
                 self.out.stats.wasted_mcus += ch.staged() as u64;
                 return Ok(());
             }
-            if let Ok(j) = ch.checkpoints.binary_search(&cp) {
+            if let Some(j) = ch.mcu_at(cp, bpm) {
                 break j;
             }
             self.step(coef, rows)?;
@@ -679,7 +651,7 @@ impl<'a> Stitch<'a> {
         let delta: [i32; 4] =
             std::array::from_fn(|c| self.dec.dc_pred[c].wrapping_sub(ch.pred_before[j][c]));
         let take = (ch.staged() - j).min(self.mcu_count - self.mcu);
-        let (geom, bpm) = (&self.geom, self.geom.blocks_per_mcu());
+        let geom = &self.geom;
         for k in j..j + take {
             let g = self.start_mcu + self.mcu;
             let (mcu_x, row) = (g % geom.mcus_x, g / geom.mcus_x);
@@ -706,11 +678,11 @@ impl<'a> Stitch<'a> {
             self.mcu += 1;
             self.out.stats.adopted_mcus += 1;
             self.written.push(Written {
-                at: ch.checkpoints[k],
                 metrics: ch.mcu_metrics[k],
                 exact: false,
             });
         }
+        (self.records).extend_from_slice(&ch.records[j * bpm..(j + take) * bpm]);
         // Wasted staged MCUs include any tail beyond the segment (take
         // capped by its MCU count).
         self.out.stats.wasted_mcus += (ch.staged() - j - take) as u64;
@@ -830,7 +802,9 @@ mod tests {
         let tables = HuffmanTables::new(&parsed).unwrap();
         let ch = decode_chunk_speculative(&geom, &tables, payload, 0, payload.len(), total);
         assert!(ch.staged() > 0);
-        assert!(ch.checkpoints.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(ch.records.len(), ch.staged() * geom.blocks_per_mcu());
+        let placed = ch.records.iter().take_while(|r| r.at != u64::MAX);
+        assert!(placed.clone().zip(placed.skip(1)).all(|(a, b)| a.at < b.at));
         assert_eq!(ch.discarded_mcus, 0, "chunk 0 starts exact: no restarts");
     }
 
@@ -1018,7 +992,8 @@ mod tests {
         let tables = HuffmanTables::new(&parsed).unwrap();
 
         let mut seq = McuDecoder::new_at(&tables, payload, 0);
-        let seq_err = (0..total).find_map(|_| seq.decode_next_mcu(&mut |_, _, _, _, _| {}).err());
+        let seq_err =
+            (0..total).find_map(|_| seq.decode_next_mcu(&mut |_, _, _, _, _, _| {}).err());
 
         let ranges = plan_chunks(payload, 4);
         let chunks: Vec<_> = ranges
