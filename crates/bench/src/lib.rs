@@ -119,21 +119,9 @@ fn model_path(platform: &Platform, sub: Subsampling, scale: Scale) -> PathBuf {
     ))
 }
 
-/// The model a cache file holds, if it is one for `sub` carrying every key
-/// [`PerformanceModel::save_str`] writes. A file from an older build that
-/// lacks a key would load with that key's legacy default and price
-/// differently from a fresh training, so it is a miss.
+/// The model a cache file holds, if it loads and is one for `sub`.
 fn cached_model(text: &str, sub: Subsampling) -> Option<PerformanceModel> {
-    let model = PerformanceModel::load_str(text).filter(|m| m.subsampling == sub)?;
-    let keys: Vec<&str> = text
-        .lines()
-        .filter_map(|l| l.split_once('='))
-        .map(|(k, _)| k.trim())
-        .collect();
-    let complete = (model.save_str().lines())
-        .filter_map(|l| l.split_once('='))
-        .all(|(k, _)| keys.contains(&k.trim()));
-    complete.then_some(model)
+    PerformanceModel::load_str(text).filter(|m| m.subsampling == sub)
 }
 
 /// Load a previously trained model for (platform, subsampling, scale), or
@@ -399,20 +387,12 @@ mod tests {
     }
 
     #[test]
-    fn a_cache_file_missing_a_key_is_a_miss() {
+    fn a_cache_file_for_another_subsampling_is_a_miss() {
         let model = Platform::gtx560().untrained_model();
         let text = model.save_str();
         assert_eq!(cached_model(&text, model.subsampling), Some(model.clone()));
         // Another subsampling's model is not this one.
         assert_eq!(cached_model(&text, Subsampling::S444), None);
-        // A file written before the `PCPU` density factor existed still
-        // parses, with the identity factor, but is not served from cache.
-        let old: String = (text.lines())
-            .filter(|l| !l.starts_with("pcpu_density."))
-            .map(|l| format!("{l}\n"))
-            .collect();
-        assert!(PerformanceModel::load_str(&old).is_some());
-        assert_eq!(cached_model(&old, model.subsampling), None);
     }
 
     #[test]

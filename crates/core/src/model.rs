@@ -73,7 +73,7 @@ pub struct PerformanceModel {
     /// only each block's ≤EOB corner, so its size — unlike the dense
     /// layout's — tracks content density; `Mode::Auto` corrects the fitted
     /// `PGPU` form by this term's departure from the reference density.
-    /// Zero (the legacy/seed default) makes the correction vanish.
+    /// Zero (the seed's) makes the correction vanish.
     pub h2d_s_per_px: Poly1,
     /// Entropy density (bytes/pixel) the training corpus averaged — the
     /// point `PGPU` already embeds, where the density correction is zero.
@@ -81,16 +81,13 @@ pub struct PerformanceModel {
     /// Factor on `PCPU` as a function of entropy density, degree ≤ 1: the
     /// training samples over `PCPU(w, h)`, fitted against `d`. Denser
     /// entropy means denser IDCT blocks, which the `(w, h)` form cannot
-    /// see. `[1.0]` (the seed and legacy default) makes it vanish bit for
-    /// bit.
+    /// see. `[1.0]` (the seed's) makes it vanish bit for bit.
     pub pcpu_density: Poly1,
     /// `PGPU` split into the three stages the device's engines run,
     /// fitted from the same region decodes as `PGPU`: a fed, chunked plan
     /// runs its transfers on the copy engine beside the kernels
-    /// ([`Self::gpu_stage_times`]). `None` — a file written before the copy
-    /// engine — prices those plans on the serial queue, every chunk's
-    /// transfers and kernels one after another in `PGPU`.
-    pub gpu_stages: Option<GpuStages>,
+    /// ([`Self::gpu_stage_times`]).
+    pub gpu_stages: GpuStages,
     /// `THuffGPU`: the fed plans' Huffman on the device.
     pub thuff_gpu: GpuEntropy,
 }
@@ -155,23 +152,6 @@ pub struct GpuStages {
     pub d2h: Poly2,
 }
 
-impl GpuStages {
-    /// The analytic seed's H2D form for `platform`: one transfer latency,
-    /// and a band's scan — about `d` bytes a pixel — with its subsequence
-    /// table, an entry per [`crate::schedule::entropy_par::SUBSEQ_BYTES`]
-    /// of scan, at the pinned bandwidth.
-    pub fn seed_h2d(platform: &Platform) -> Poly2 {
-        use crate::gpu_decode::SUBSEQ_ENTRY_BYTES;
-        use crate::schedule::entropy_par::SUBSEQ_BYTES;
-        let per_byte = 1.0 / (platform.pcie.pinned_gbps * 1e9);
-        let table = SUBSEQ_ENTRY_BYTES as f64 / SUBSEQ_BYTES as f64;
-        let mut h2d = Poly2::zero(2);
-        h2d.coefs[0][0] = platform.pcie.latency_us * 1e-6;
-        h2d.coefs[1][1] = (1.0 + table) * per_byte;
-        h2d
-    }
-}
-
 impl PerformanceModel {
     /// Eq. (4): whole-image (or band) Huffman time for `pixels` pixels at
     /// density `d` bytes/pixel.
@@ -231,19 +211,18 @@ impl PerformanceModel {
     /// The device time of a `width × rows` band at entropy density `d` as
     /// the stages its engines run, `[H2D, kernels, D2H]`, each never
     /// negative and zero for an empty band: the H2D of the band's scan and
-    /// subsequence table, the kernels after the Huffman ones. `None`
-    /// without the stage forms ([`Self::gpu_stages`]).
-    pub fn gpu_stage_times(&self, width: f64, rows: f64, d: f64) -> Option<[f64; 3]> {
-        let st = self.gpu_stages.as_ref()?;
+    /// subsequence table, the kernels after the Huffman ones.
+    pub fn gpu_stage_times(&self, width: f64, rows: f64, d: f64) -> [f64; 3] {
         if rows <= 0.0 {
-            return Some([0.0; 3]);
+            return [0.0; 3];
         }
+        let st = &self.gpu_stages;
         let stages = [
             st.h2d.eval(d, width * rows),
             st.kernels.eval(width, rows),
             st.d2h.eval(width, rows),
         ];
-        Some(stages.map(|t| t.max(0.0)))
+        stages.map(|t| t.max(0.0))
     }
 
     /// Dispatch-overhead estimate for a `width × rows` band.
@@ -305,16 +284,20 @@ impl PerformanceModel {
         p_gpu.coefs[1][1] = gpu_s_per_px;
         // Its stages, as the fed plans run them: each transfer one
         // latency, the scan up and the RGB down; the kernels the launches
-        // and the rest.
+        // and the rest. The scan is about `d` bytes a pixel, with its
+        // subsequence table, an entry per `SUBSEQ_BYTES` of scan.
         let latency = platform.pcie.latency_us * 1e-6;
         let per_byte = 1.0 / (platform.pcie.pinned_gbps * 1e9);
-        let h2d = GpuStages::seed_h2d(platform);
+        let table = crate::gpu_decode::SUBSEQ_ENTRY_BYTES as f64
+            / crate::schedule::entropy_par::SUBSEQ_BYTES as f64;
+        let mut h2d = Poly2::zero(2);
+        (h2d.coefs[0][0], h2d.coefs[1][1]) = (latency, (1.0 + table) * per_byte);
         let mut kernels = Poly2::zero(2);
         kernels.coefs[0][0] = platform.gpu.launch_overhead_us * 4e-6;
         kernels.coefs[1][1] = kernel_s_per_px.max(mem_s_per_px);
         let mut d2h = Poly2::zero(2);
         (d2h.coefs[0][0], d2h.coefs[1][1]) = (latency, 3.0 * per_byte);
-        let gpu_stages = Some(GpuStages { h2d, kernels, d2h });
+        let gpu_stages = GpuStages { h2d, kernels, d2h };
         let thuff_gpu = GpuEntropy::seed(platform);
 
         let mut t_disp = Poly2::zero(1);
@@ -359,16 +342,16 @@ impl PerformanceModel {
             &self.h2d_s_per_px,
             &self.pcpu_density,
         ];
-        let stages = (self.gpu_stages.iter()).flat_map(|s| [&s.h2d, &s.kernels, &s.d2h]);
-        let poly2s: Vec<&Poly2> = [
+        let st = &self.gpu_stages;
+        let poly2s = [
             &self.p_cpu,
             &self.p_gpu,
             &self.t_disp,
             &self.thuff_gpu.decode,
-        ]
-        .into_iter()
-        .chain(stages)
-        .collect();
+            &st.h2d,
+            &st.kernels,
+            &st.d2h,
+        ];
         let finite_coefs = poly1s.iter().all(|p| p.coefs.iter().all(|c| c.is_finite()))
             && poly2s
                 .iter()
@@ -432,11 +415,9 @@ impl PerformanceModel {
         p2("p_cpu", &self.p_cpu, &mut out);
         p2("p_gpu", &self.p_gpu, &mut out);
         p2("t_disp", &self.t_disp, &mut out);
-        if let Some(st) = &self.gpu_stages {
-            p2("gpu_stages.h2d", &st.h2d, &mut out);
-            p2("gpu_stages.kernels", &st.kernels, &mut out);
-            p2("gpu_stages.d2h", &st.d2h, &mut out);
-        }
+        p2("gpu_stages.h2d", &self.gpu_stages.h2d, &mut out);
+        p2("gpu_stages.kernels", &self.gpu_stages.kernels, &mut out);
+        p2("gpu_stages.d2h", &self.gpu_stages.d2h, &mut out);
         p2("thuff_gpu", &self.thuff_gpu.decode, &mut out);
         out.push_str(&format!(
             "thuff_gpu.readback = {:e}\n",
@@ -445,98 +426,72 @@ impl PerformanceModel {
         out
     }
 
-    /// Parse the text format back.
+    /// Parse the text format back: `None` unless every key
+    /// [`Self::save_str`] writes is present and parses.
     pub fn load_str(text: &str) -> Option<Self> {
         let mut map = std::collections::HashMap::new();
         for line in text.lines() {
             if let Some((k, v)) = line.split_once('=') {
-                map.insert(k.trim().to_string(), v.trim().to_string());
+                map.insert(k.trim(), v.trim());
             }
         }
-        let get = |k: &str| map.get(k).cloned();
-        let parse_f = |s: &str| s.parse::<f64>().ok();
+        let get = |k: &str| map.get(k).copied();
+        let num = |k: &str| get(k)?.parse::<f64>().ok();
+        let count = |k: &str| get(k)?.parse::<usize>().ok();
         let parse_list = |s: &str| -> Option<Vec<f64>> {
             s.split(',').map(|t| t.trim().parse::<f64>().ok()).collect()
         };
         let p1 = |name: &str| -> Option<Poly1> {
             Some(Poly1 {
-                coefs: parse_list(&get(&format!("{name}.coefs"))?)?,
-                x_scale: parse_f(&get(&format!("{name}.x_scale"))?)?,
+                coefs: parse_list(get(&format!("{name}.coefs"))?)?,
+                x_scale: num(&format!("{name}.x_scale"))?,
             })
         };
         let p2 = |name: &str| -> Option<Poly2> {
-            let degree: usize = get(&format!("{name}.degree"))?.parse().ok()?;
-            let flat = parse_list(&get(&format!("{name}.coefs"))?)?;
-            if flat.len() != (degree + 1) * (degree + 1) {
+            let degree = count(&format!("{name}.degree"))?;
+            let flat = parse_list(get(&format!("{name}.coefs"))?)?;
+            // The degree is the file's: a huge one must refuse, not overflow.
+            let side = degree.checked_add(1)?;
+            if Some(flat.len()) != side.checked_mul(side) {
                 return None;
             }
             let mut p = Poly2::zero(degree);
-            p.x_scale = parse_f(&get(&format!("{name}.x_scale"))?)?;
-            p.y_scale = parse_f(&get(&format!("{name}.y_scale"))?)?;
-            for i in 0..=degree {
-                for j in 0..=degree {
-                    p.coefs[i][j] = flat[i * (degree + 1) + j];
-                }
+            p.x_scale = num(&format!("{name}.x_scale"))?;
+            p.y_scale = num(&format!("{name}.y_scale"))?;
+            for (row, values) in p.coefs.iter_mut().zip(flat.chunks(side)) {
+                row.copy_from_slice(values);
             }
             Some(p)
         };
-        let platform = get("platform")?;
-        let subsampling = match get("subsampling")?.as_str() {
+        let subsampling = match get("subsampling")? {
             "4:4:4" => Subsampling::S444,
             "4:2:2" => Subsampling::S422,
             "4:2:0" => Subsampling::S420,
             _ => return None,
         };
-        // Absent in files written before the device decoded Huffman: the
-        // seed's form for the file's platform (the GTX 560 Ti's for a name
-        // no platform has). Such a file's stage H2D was fitted to the
-        // compacted coefficients, several times the scan a fed plan ships
-        // now: it takes the seed's scan H2D too.
-        let all = Platform::all();
-        let gtx560 = Platform::gtx560();
-        let seed = (all.iter()).find(|p| p.name == platform).unwrap_or(&gtx560);
-        let (thuff_gpu, scan_h2d) = match (p2("thuff_gpu"), get("thuff_gpu.readback")) {
-            (Some(decode), Some(r)) => {
-                let readback = parse_f(&r)?;
-                (GpuEntropy { decode, readback }, None)
-            }
-            _ => (GpuEntropy::seed(seed), Some(GpuStages::seed_h2d(seed))),
-        };
         Some(PerformanceModel {
-            platform,
+            platform: get("platform")?.to_string(),
             subsampling,
             thuff_ns_per_px: p1("thuff")?,
             p_cpu: p2("p_cpu")?,
             p_gpu: p2("p_gpu")?,
             t_disp: p2("t_disp")?,
-            chunk_mcu_rows: get("chunk_mcu_rows")?.parse().ok()?,
-            wg_blocks: get("wg_blocks")?.parse().ok()?,
-            // Absent in pre-PR-3 files: those models were fit dense.
-            pcpu_idct_discount: get("pcpu_idct_discount")
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(1.0),
-            // Absent in pre-PR-6 files: use the analytic seed.
-            spec_prefix_mcus: get("spec_prefix_mcus")
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(SEED_SPEC_PREFIX_MCUS),
-            // Absent in pre-PR-9 files: zero correction (those models were
-            // fit on the dense transfer, which does not vary with density).
-            h2d_s_per_px: p1("h2d").unwrap_or_else(|| Poly1::new(vec![0.0])),
-            h2d_ref_density: get("h2d_ref_density")
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(0.0),
-            // Absent in files written before the density factor existed:
-            // the identity factor, so those models price exactly as they did.
-            pcpu_density: p1("pcpu_density").unwrap_or_else(|| Poly1::new(vec![1.0])),
-            // Absent in files written before the copy engine: the fed,
-            // chunked plans price on the serial queue.
-            gpu_stages: (|| {
-                let (h2d, kernels) = (p2("gpu_stages.h2d")?, p2("gpu_stages.kernels")?);
-                let d2h = p2("gpu_stages.d2h")?;
-                let h2d = scan_h2d.unwrap_or(h2d);
-                Some(GpuStages { h2d, kernels, d2h })
-            })(),
-            thuff_gpu,
+            chunk_mcu_rows: count("chunk_mcu_rows")?,
+            wg_blocks: count("wg_blocks")?,
+            pcpu_idct_discount: num("pcpu_idct_discount")?,
+            spec_prefix_mcus: num("spec_prefix_mcus")?,
+            h2d_s_per_px: p1("h2d")?,
+            h2d_ref_density: num("h2d_ref_density")?,
+            pcpu_density: p1("pcpu_density")?,
+            gpu_stages: GpuStages {
+                h2d: p2("gpu_stages.h2d")?,
+                kernels: p2("gpu_stages.kernels")?,
+                d2h: p2("gpu_stages.d2h")?,
+            },
+            thuff_gpu: GpuEntropy {
+                decode: p2("thuff_gpu")?,
+                readback: num("thuff_gpu.readback")?,
+            },
         })
     }
 }
@@ -544,6 +499,7 @@ impl PerformanceModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hetjpeg_jpeg::decoder::Prepared;
 
     #[test]
     fn seed_model_is_sane() {
@@ -600,6 +556,23 @@ mod tests {
         crate::profile::train(&Platform::gtx560(), &jpegs, opts)
     }
 
+    /// A `width × height` photo-like 4:2:2 image.
+    fn photo(width: usize, height: usize) -> Vec<u8> {
+        let spec = hetjpeg_corpus::ImageSpec {
+            width,
+            height,
+            pattern: hetjpeg_corpus::Pattern::PhotoLike { detail: 0.7 },
+            seed: 3,
+        };
+        hetjpeg_corpus::generate_jpeg(&spec, 85, Subsampling::S422).expect("encode")
+    }
+
+    /// Every mode's predicted seconds for `prep` on the GTX 560 Ti, as bits.
+    fn price_bits(prep: &Prepared, model: &PerformanceModel, threads: usize) -> Vec<u64> {
+        let preds = crate::schedule::auto::predict_all(prep, &Platform::gtx560(), model, threads);
+        preds.iter().map(|p| p.seconds.to_bits()).collect()
+    }
+
     #[test]
     fn trained_model_roundtrips_with_its_density_factor() {
         let m = trained();
@@ -610,102 +583,66 @@ mod tests {
         );
         let back = PerformanceModel::load_str(&m.save_str()).expect("parse");
         assert_eq!(m, back);
-    }
-
-    #[test]
-    fn a_file_without_the_density_factor_prices_with_the_identity() {
-        use crate::schedule::auto::predict_all;
-        let m = trained();
-        let legacy: String = (m.save_str().lines())
-            .filter(|l| !l.starts_with("pcpu_density."))
-            .map(|l| format!("{l}\n"))
-            .collect();
-        let loaded = PerformanceModel::load_str(&legacy).expect("parse");
-        assert_eq!(loaded.pcpu_density, Poly1::new(vec![1.0]));
+        // The identity factor (the seed's) prices `Simd` as exactly
+        // `THuff + PCPU`.
         let identity = PerformanceModel {
             pcpu_density: Poly1::new(vec![1.0]),
             ..m
         };
-        assert_eq!(loaded, identity);
-        let spec = hetjpeg_corpus::ImageSpec {
-            width: 200,
-            height: 136,
-            pattern: hetjpeg_corpus::Pattern::PhotoLike { detail: 0.7 },
-            seed: 3,
-        };
-        let jpeg = hetjpeg_corpus::generate_jpeg(&spec, 85, Subsampling::S422).expect("encode");
-        let prep = hetjpeg_jpeg::decoder::Prepared::new(&jpeg).expect("parse");
-        let platform = Platform::gtx560();
-        let bits = |model: &PerformanceModel| -> Vec<u64> {
-            (predict_all(&prep, &platform, model, 4).iter())
-                .map(|p| p.seconds.to_bits())
-                .collect()
-        };
-        assert_eq!(bits(&loaded), bits(&identity));
-        // The identity factor leaves `PCPU` exactly as fitted.
+        let jpeg = photo(200, 136);
+        let prep = Prepared::new(&jpeg).expect("parse");
         let (w, h) = (prep.geom.width as f64, prep.geom.height as f64);
         let d = prep.parsed.entropy_density();
-        let simd = predict_all(&prep, &platform, &loaded, 4)[1].seconds;
-        assert_eq!(simd, loaded.huff_time(w * h, d) + loaded.p_cpu(w, h));
+        let preds = crate::schedule::auto::predict_all(&prep, &Platform::gtx560(), &identity, 4);
+        let simd = preds.iter().find(|p| p.mode == crate::schedule::Mode::Simd);
+        let exact = identity.huff_time(w * h, d) + identity.p_cpu(w, h);
+        assert_eq!(simd.expect("a Simd price").seconds, exact);
     }
 
     #[test]
     fn trained_model_roundtrips_with_its_stage_forms() {
         let m = trained();
-        assert!(m.gpu_stages.is_some(), "the stage forms are fitted");
         let back = PerformanceModel::load_str(&m.save_str()).expect("parse");
         assert_eq!(back.gpu_stages, m.gpu_stages);
         assert_eq!(back, m);
+        // At one thread nothing is fed and no price reads the stage forms;
+        // fed, the chunked plans do.
+        let mut doctored = m.clone();
+        let st = &mut doctored.gpu_stages;
+        for form in [&mut st.h2d, &mut st.kernels, &mut st.d2h] {
+            form.coefs[0][0] += 1.0;
+        }
+        let jpeg = photo(200, 400);
+        let prep = Prepared::new(&jpeg).expect("parse");
+        assert_eq!(price_bits(&prep, &doctored, 1), price_bits(&prep, &m, 1));
+        assert_ne!(price_bits(&prep, &doctored, 4), price_bits(&prep, &m, 4));
     }
 
     #[test]
-    fn a_file_without_the_stage_forms_prices_on_the_serial_queue() {
-        use crate::schedule::auto::predict_all;
-        use crate::schedule::Mode;
-        let m = trained();
-        let legacy: String = (m.save_str().lines())
-            .filter(|l| !l.starts_with("gpu_stages."))
-            .map(|l| format!("{l}\n"))
-            .collect();
-        let loaded = PerformanceModel::load_str(&legacy).expect("parse");
-        assert_eq!(loaded.gpu_stages, None);
-        let serial = PerformanceModel {
-            gpu_stages: None,
-            ..m.clone()
-        };
-        assert_eq!(loaded, serial);
-        let spec = hetjpeg_corpus::ImageSpec {
-            width: 200,
-            height: 400,
-            pattern: hetjpeg_corpus::Pattern::PhotoLike { detail: 0.7 },
-            seed: 3,
-        };
-        let jpeg = hetjpeg_corpus::generate_jpeg(&spec, 85, Subsampling::S422).expect("encode");
-        let prep = hetjpeg_jpeg::decoder::Prepared::new(&jpeg).expect("parse");
-        let platform = Platform::gtx560();
-        let seconds = |model: &PerformanceModel, threads| -> Vec<f64> {
-            (predict_all(&prep, &platform, model, threads).iter())
-                .map(|p| p.seconds)
-                .collect()
-        };
-        // At one thread nothing is fed and the stage forms are unused.
-        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
-        assert_eq!(bits(seconds(&loaded, 1)), bits(seconds(&m, 1)));
-        // Fed, the serial queue runs every chunk's `PGPU` one after
-        // another: the pipelined plan is priced no faster than their sum.
-        let at = |v: &[f64], mode: Mode| v[Mode::all().iter().position(|&x| x == mode).unwrap()];
-        let fed = seconds(&loaded, 4);
-        let (w, h) = (prep.geom.width as f64, prep.geom.height as f64);
-        let chunk = (m.chunk_mcu_rows * prep.geom.mcu_h) as f64;
-        let mut serial_device = 0.0;
-        let mut done = 0.0;
-        while done < h {
-            let rows = chunk.min(h - done);
-            done += rows;
-            serial_device += m.p_gpu(w, rows);
+    fn a_file_missing_any_key_is_refused() {
+        let text = trained().save_str();
+        let lines: Vec<&str> = text.lines().collect();
+        assert!(PerformanceModel::load_str(&text).is_some());
+        for (i, dropped) in lines.iter().enumerate() {
+            let partial: String = (lines.iter().enumerate())
+                .filter(|&(j, _)| j != i)
+                .map(|(_, l)| format!("{l}\n"))
+                .collect();
+            let loaded = PerformanceModel::load_str(&partial);
+            assert!(loaded.is_none(), "loaded without {dropped:?}");
         }
-        assert!(at(&fed, Mode::PipelinedGpu) >= serial_device);
-        assert_eq!(bits(fed), bits(seconds(&serial, 4)));
+    }
+
+    #[test]
+    fn load_refuses_a_degree_that_overflows() {
+        let text = PerformanceModel::analytic_seed(&Platform::gtx560()).save_str();
+        let line = (text.lines())
+            .find(|l| l.starts_with("p_cpu.degree"))
+            .expect("a degree");
+        for degree in ["4294967296", "18446744073709551615"] {
+            let bad = text.replace(line, &format!("p_cpu.degree = {degree}"));
+            assert!(PerformanceModel::load_str(&bad).is_none(), "{degree}");
+        }
     }
 
     #[test]
@@ -716,122 +653,6 @@ mod tests {
         let back = PerformanceModel::load_str(&m.save_str()).expect("parse");
         assert_eq!(back.thuff_gpu, m.thuff_gpu);
         assert_eq!(back, m);
-    }
-
-    #[test]
-    fn a_file_without_the_device_huffman_form_loads_the_seeds() {
-        let m = trained();
-        let legacy: String = (m.save_str().lines())
-            .filter(|l| !l.starts_with("thuff_gpu"))
-            .map(|l| format!("{l}\n"))
-            .collect();
-        let loaded = PerformanceModel::load_str(&legacy).expect("parse");
-        assert_eq!(loaded.thuff_gpu, GpuEntropy::seed(&Platform::gtx560()));
-        let stages = m.gpu_stages.clone().expect("trained stage forms");
-        assert_eq!(
-            loaded,
-            PerformanceModel {
-                thuff_gpu: GpuEntropy::seed(&Platform::gtx560()),
-                gpu_stages: Some(GpuStages {
-                    h2d: GpuStages::seed_h2d(&Platform::gtx560()),
-                    ..stages
-                }),
-                ..m.clone()
-            }
-        );
-        // A platform no seed knows loads the GTX 560 Ti's; the GTX 680's
-        // file loads the GTX 680's.
-        let renamed = legacy.replace("platform = ", "platform = x");
-        let other = PerformanceModel::load_str(&renamed).expect("parse");
-        assert_eq!(other.thuff_gpu, GpuEntropy::seed(&Platform::gtx560()));
-        let gtx680 = Platform::gtx680();
-        let text: String = (PerformanceModel::analytic_seed(&gtx680).save_str().lines())
-            .filter(|l| !l.starts_with("thuff_gpu"))
-            .map(|l| format!("{l}\n"))
-            .collect();
-        let loaded = PerformanceModel::load_str(&text).expect("parse");
-        assert_eq!(loaded.thuff_gpu, GpuEntropy::seed(&gtx680));
-    }
-
-    /// A model file as the build before the device decoded Huffman wrote
-    /// it: trained on the GTX 560 Ti, its stage H2D fitted to the
-    /// compacted coefficients, no `thuff_gpu`.
-    const COEFFICIENT_H2D_MODEL: &str = "\
-platform = GTX 560
-subsampling = 4:2:2
-chunk_mcu_rows = 4
-wg_blocks = 8
-pcpu_idct_discount = 6.283550347222222e-1
-spec_prefix_mcus = 3.7884615384615383e0
-h2d_ref_density = 3.1241183810763884e-1
-thuff.x_scale = 1.0185546875e0
-thuff.coefs = 7.631886436072706e-1,7.284357592819498e0,2.985626482713203e0
-h2d.x_scale = 1.0185546875e0
-h2d.coefs = 2.831320706915097e-10,6.176466345278848e-9,-4.807693921836518e-9
-pcpu_density.x_scale = 9.166666666666666e-1
-pcpu_density.coefs = 6.659073822054381e-1,6.655143734810955e-1
-p_cpu.degree = 1
-p_cpu.x_scale = 1.92e2
-p_cpu.y_scale = 1.92e2
-p_cpu.coefs = -4.657160040939446e-5,6.983818681318679e-5,6.897437459599221e-5,0e0
-p_gpu.degree = 1
-p_gpu.x_scale = 1.92e2
-p_gpu.y_scale = 1.92e2
-p_gpu.coefs = 1.871282359833693e-5,3.5336819252471894e-5,3.752759859478986e-5,0e0
-t_disp.degree = 1
-t_disp.x_scale = 1.92e2
-t_disp.y_scale = 1.92e2
-t_disp.coefs = 1.4890624999999998e-5,1.6406249999999983e-7,1.640624999999999e-7,0e0
-gpu_stages.h2d.degree = 2
-gpu_stages.h2d.x_scale = 1.0185546875e0
-gpu_stages.h2d.y_scale = 3.6864e4
-gpu_stages.h2d.coefs = 4.459580917491292e-6,1.1966418311585605e-5,-5.5933320343662344e-6,2.259554048330565e-5,2.779687852070377e-5,0e0,-2.0321980396984733e-5,0e0,0e0
-gpu_stages.kernels.degree = 1
-gpu_stages.kernels.x_scale = 1.92e2
-gpu_stages.kernels.y_scale = 1.92e2
-gpu_stages.kernels.coefs = 1.5720453958542634e-5,1.1489378756651342e-5,1.4395873125553632e-5,0e0
-gpu_stages.d2h.degree = 1
-gpu_stages.d2h.x_scale = 1.92e2
-gpu_stages.d2h.y_scale = 1.92e2
-gpu_stages.d2h.coefs = 4.8917151472860186e-6,9.524997052543867e-6,9.52499705254387e-6,0e0
-";
-
-    #[test]
-    fn a_file_with_coefficient_stage_h2d_prices_the_scan_h2d() {
-        let loaded = PerformanceModel::load_str(COEFFICIENT_H2D_MODEL).expect("parse");
-        assert_eq!(loaded.defect(), None);
-        let gtx560 = Platform::gtx560();
-        assert_eq!(loaded.thuff_gpu, GpuEntropy::seed(&gtx560));
-        // The kernels and D2H are the file's; its H2D, fitted to a payload
-        // several times the scan, is not.
-        let stages = loaded.gpu_stages.as_ref().expect("the file's stage forms");
-        assert_eq!(stages.h2d, GpuStages::seed_h2d(&gtx560));
-        assert_eq!(stages.kernels.coefs[0][0], 1.5720453958542634e-5);
-        assert_eq!(stages.d2h.coefs[0][0], 4.8917151472860186e-6);
-        // A 256×256 band at the file's reference density ships its scan:
-        // the H2D the fed plans price is the scan's, a fraction of the
-        // coefficients' the file fitted.
-        let d = loaded.h2d_ref_density;
-        let [h2d, _, _] = loaded
-            .gpu_stage_times(256.0, 256.0, d)
-            .expect("stage forms");
-        let scan = gtx560
-            .pcie
-            .transfer_time((d * 256.0 * 256.0) as usize, true);
-        assert!(
-            (h2d - scan).abs() < 0.1 * scan,
-            "{h2d} against the scan's {scan}"
-        );
-        let fitted = (COEFFICIENT_H2D_MODEL.lines())
-            .find(|l| l.starts_with("gpu_stages.h2d.coefs"))
-            .expect("the file's H2D");
-        assert!(
-            !loaded.save_str().contains(fitted),
-            "the coefficient H2D is dropped"
-        );
-        // Saved again, the file carries the device form and loads as saved.
-        let back = PerformanceModel::load_str(&loaded.save_str()).expect("parse");
-        assert_eq!(back, loaded);
     }
 
     #[test]

@@ -163,13 +163,13 @@ pub struct Overlap {
     /// The model's stage forms reduced for this image: the H2D at its
     /// density, in a band's pixels; the kernels and the D2H at its width,
     /// in a band's rows.
-    stages: Option<[Poly1; 3]>,
+    stages: [Poly1; 3],
     /// Huffman seconds per pixel row: `THuff` is linear in the rows.
     huff_row: f64,
     /// `Tdisp`, `PGPU` and the stages of one full chunk.
     chunk_disp: f64,
     chunk_dev: f64,
-    chunk_stages: Option<[f64; 3]>,
+    chunk_stages: [f64; 3],
     /// `THuffGPU` at the image's density, and its scan bytes per pixel.
     entropy: crate::model::GpuEntropy,
     d: f64,
@@ -205,6 +205,7 @@ impl Overlap {
         h2d: f64,
     ) -> Self {
         let chunk = chunk.max(1.0);
+        let st = &model.gpu_stages;
         let mut overlap = Overlap {
             w,
             chunk,
@@ -213,12 +214,11 @@ impl Overlap {
             h2d,
             t_disp: AtWidth::new(&model.t_disp, w),
             p_gpu: AtWidth::new(&model.p_gpu, w),
-            stages: (model.gpu_stages.as_ref())
-                .map(|st| [st.h2d.at_x(d), st.kernels.at_x(w), st.d2h.at_x(w)]),
+            stages: [st.h2d.at_x(d), st.kernels.at_x(w), st.d2h.at_x(w)],
             huff_row: model.huff_time(w, d),
             chunk_disp: 0.0,
             chunk_dev: 0.0,
-            chunk_stages: None,
+            chunk_stages: [0.0; 3],
             entropy: model.thuff_gpu.clone(),
             d,
             scan_per_px: d,
@@ -230,15 +230,14 @@ impl Overlap {
     }
 
     /// The device time of a band of `rows` as `[H2D, kernels, D2H]`, as
-    /// [`PerformanceModel::gpu_stage_times`] prices it; `None` without the
-    /// stage forms.
-    fn stages(&self, rows: f64) -> Option<[f64; 3]> {
-        let [h2d, kernels, d2h] = self.stages.as_ref()?;
+    /// [`PerformanceModel::gpu_stage_times`] prices it.
+    fn stages(&self, rows: f64) -> [f64; 3] {
         if rows <= 0.0 {
-            return Some([0.0; 3]);
+            return [0.0; 3];
         }
+        let [h2d, kernels, d2h] = &self.stages;
         let stages = [h2d.eval(self.w * rows), kernels.eval(rows), d2h.eval(rows)];
-        Some(stages.map(|t| t.max(0.0)))
+        stages.map(|t| t.max(0.0))
     }
 
     /// `PGPU` of a band of `rows` plus the H2D correction, and its slope,
@@ -325,11 +324,7 @@ impl Overlap {
     /// then dispatched at once and decodes from the resident coefficients:
     /// its kernels and D2H, no H2D. With `serial` the device has one
     /// in-order queue, else two engines. Returns when the dispatches end,
-    /// when the band's state is on the host, and when the device is done;
-    /// without the stage forms a chunk's device time is `PGPU` on the
-    /// serial queue, and the pass has no H2D of its own: the coefficient
-    /// H2D in each chunk's `PGPU`, several times the scan's, stands in for
-    /// it, so such a model over-prices the fed plans' transfers.
+    /// when the band's state is on the host, and when the device is done.
     #[allow(clippy::too_many_arguments)]
     fn device_walk(
         &self,
@@ -341,22 +336,21 @@ impl Overlap {
         decoded: f64,
         state: f64,
     ) -> (f64, f64, f64) {
-        let two = !serial && self.stages.is_some();
         let (mut cpu, mut eng, mut queue, mut state) = (start, *engines, engines.drained(), state);
         let fresh = g - decoded;
         if fresh > 0.0 {
-            let h2d = self.stages(fresh).map_or(0.0, |[h2d, _, _]| h2d);
+            let [h2d, _, _] = self.stages(fresh);
             let ent = self.entropy(fresh);
             let back = if readback { self.entropy.readback } else { 0.0 };
-            if two {
+            if serial {
+                queue = queue.max(cpu) + h2d + ent + back;
+                state = queue;
+            } else {
                 let end = eng.entropy_pass(cpu, h2d, ent);
                 if readback {
                     eng.copy = eng.copy.max(end) + back;
                     state = eng.copy;
                 }
-            } else {
-                queue = queue.max(cpu) + h2d + ent + back;
-                state = queue;
             }
         }
         let chunk = if serial { g } else { self.chunk };
@@ -365,17 +359,17 @@ impl Overlap {
             let rows = chunk.min(g - done);
             done += rows;
             cpu += self.t_disp.at(rows).0;
-            let stages = match rows == self.chunk {
+            let [_, kernels, d2h] = match rows == self.chunk {
                 true => self.chunk_stages,
                 false => self.stages(rows),
             };
-            match stages {
-                Some([_, kernels, d2h]) if two => eng.place_resident(cpu, kernels, d2h),
-                Some([_, kernels, d2h]) => queue = queue.max(cpu) + kernels + d2h,
-                None => queue = queue.max(cpu) + self.device(rows).0,
+            if serial {
+                queue = queue.max(cpu) + kernels + d2h;
+            } else {
+                eng.place_resident(cpu, kernels, d2h);
             }
         }
-        let dev = if two { eng.drained() } else { queue };
+        let dev = if serial { queue } else { eng.drained() };
         (cpu, state, dev)
     }
 }
@@ -937,53 +931,23 @@ mod tests {
     }
 
     #[test]
-    fn fed_walk_without_stage_forms_is_the_serial_queue() {
-        // A model file older than the copy engine: the device's Huffman
-        // pass, then each chunk's transfers and kernels one after another
-        // in `PGPU`, after the previous chunk's.
-        let seeded = PerformanceModel::analytic_seed(&Platform::gtx560());
-        let model = PerformanceModel {
-            gpu_stages: None,
-            ..seeded
-        };
-        let w = 1024.0;
-        for g in [0.0, 40.0, 64.0, 600.0, 1024.0] {
-            let pass = model.thuff_gpu.time(0.2 * w * g, 0.2);
-            let (mut cpu, mut dev, mut done) = (0.0f64, pass, 0.0);
-            while done < g {
-                let rows = f64::min(64.0, g - done);
-                done += rows;
-                cpu += model.t_disp(w, rows);
-                dev = dev.max(cpu) + model.p_gpu(w, rows);
-            }
-            let got = walk(&model, g);
-            assert!(
-                (got.0 - cpu).abs() <= 1e-15 && (got.1 - dev).abs() <= 1e-15,
-                "{g}: {got:?} vs {:?}",
-                (cpu, dev)
-            );
-        }
-    }
-
-    #[test]
     fn fed_walk_overlaps_the_engines_and_never_beats_the_busier() {
-        // With the stage forms the device finishes no later than the same
-        // chunks on one in-order queue, and no sooner than the busier
-        // engine's work: the Huffman pass and every chunk's kernels on the
-        // compute engine, the pass's H2D and every chunk's D2H on the copy
-        // engine.
+        // The device finishes no later than the same chunks on one in-order
+        // queue, and no sooner than the busier engine's work: the Huffman
+        // pass and every chunk's kernels on the compute engine, the pass's
+        // H2D and every chunk's D2H on the copy engine.
         let model = PerformanceModel::analytic_seed(&Platform::gtx560());
         let w = 1024.0;
         for g in [64.0, 200.0, 600.0, 1024.0] {
             let (_, two) = walk(&model, g);
-            let [h2d, _, _] = model.gpu_stage_times(w, g, 0.2).unwrap();
+            let [h2d, _, _] = model.gpu_stage_times(w, g, 0.2);
             let ent = model.thuff_gpu.time(0.2 * w * g, 0.2);
             let (mut copy, mut compute, mut done) = (h2d, ent, 0.0);
             let (mut cpu, mut one) = (0.0f64, h2d + ent);
             while done < g {
                 let rows = f64::min(64.0, g - done);
                 done += rows;
-                let [_, kernels, d2h] = model.gpu_stage_times(w, rows, 0.2).unwrap();
+                let [_, kernels, d2h] = model.gpu_stage_times(w, rows, 0.2);
                 (copy, compute) = (copy + d2h, compute + kernels);
                 cpu += model.t_disp(w, rows);
                 one = one.max(cpu) + kernels + d2h;

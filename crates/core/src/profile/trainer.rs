@@ -247,7 +247,7 @@ pub fn train(
         h2d_s_per_px: h2d,
         h2d_ref_density: density_samples.iter().sum::<f64>() / density_samples.len() as f64,
         pcpu_density,
-        gpu_stages: Some(gpu_stages),
+        gpu_stages,
         thuff_gpu,
     };
 

@@ -121,7 +121,7 @@ fn predict_at(
     let chunk_px = ((model.chunk_mcu_rows.max(1) * geom.mcu_h) as f64).min(h);
     // PR 9: the compacted H2D payload tracks content density, so every
     // GPU-involving mode's transfer cost departs from the fitted `PGPU`
-    // form by this per-pixel delta (zero for untrained/legacy models).
+    // form by this per-pixel delta (zero for the analytic seed).
     let h2d = model.h2d_correction(d);
 
     // With more than one thread every plan's entropy step is fed: its
@@ -273,9 +273,7 @@ mod tests {
     /// price instead.
     fn gpu_off_the_table(mut model: PerformanceModel) -> PerformanceModel {
         model.p_gpu.coefs[0][0] += 10.0;
-        if let Some(st) = &mut model.gpu_stages {
-            st.kernels.coefs[0][0] += 10.0;
-        }
+        model.gpu_stages.kernels.coefs[0][0] += 10.0;
         model
     }
 

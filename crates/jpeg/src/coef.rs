@@ -4,7 +4,7 @@
 //! buffers "large enough to keep an image as a whole in memory", and §4
 //! fixes the layout as "Y blocks followed by Cb blocks followed by Cr
 //! blocks" so the upsampling kernel never has to skip over interleaved luma
-//! data — the property the coalescing ablation bench measures.
+//! data.
 //!
 //! Alongside the coefficients the buffer carries one **end-of-block index**
 //! per block: the highest zigzag position that may hold a nonzero

@@ -12,6 +12,7 @@
 //! `predict` prints the §5.1 cost-model ranking without decoding — the same
 //! estimate `hetjpeg-serve` uses for SLO admission control.
 
+use hetjpeg_core::model::PerformanceModel;
 use hetjpeg_core::platform::Platform;
 use hetjpeg_core::schedule::Mode;
 use hetjpeg_core::{DecodeOptions, Decoder, OutputFormat};
@@ -57,6 +58,54 @@ fn main() -> ExitCode {
     }
 }
 
+/// The session `decode` and `predict` run on, from `--platform`, `--model`
+/// and `--threads`, or the exit code to leave with: usage for an unknown
+/// platform or a thread count that does not parse, failure for a model
+/// file that does not load or a configuration the builder refuses.
+fn session(args: &[String]) -> Result<Decoder, ExitCode> {
+    let platform = match arg_value(args, "--platform").as_deref().unwrap_or("gtx560") {
+        "gt430" => Platform::gt430(),
+        "gtx560" => Platform::gtx560(),
+        "gtx680" => Platform::gtx680(),
+        other => {
+            eprintln!("unknown platform {other}");
+            return Err(usage());
+        }
+    };
+    let model = match arg_value(args, "--model") {
+        Some(path) => match std::fs::read_to_string(&path)
+            .ok()
+            .and_then(|t| PerformanceModel::load_str(&t))
+        {
+            Some(m) => m,
+            None => {
+                eprintln!("cannot load model from {path}");
+                return Err(ExitCode::FAILURE);
+            }
+        },
+        None => platform.untrained_model(),
+    };
+    let threads: usize = match arg_value(args, "--threads") {
+        Some(v) => match v.parse() {
+            Ok(n) => n,
+            Err(_) => {
+                eprintln!("invalid --threads value {v:?}");
+                return Err(usage());
+            }
+        },
+        None => 4,
+    };
+    Decoder::builder()
+        .platform(platform)
+        .model(model)
+        .threads(threads)
+        .build()
+        .map_err(|e| {
+            eprintln!("invalid decoder configuration: {e}");
+            ExitCode::FAILURE
+        })
+}
+
 fn cmd_decode(input: &str, args: &[String]) -> ExitCode {
     let data = match std::fs::read(input) {
         Ok(d) => d,
@@ -79,50 +128,9 @@ fn cmd_decode(input: &str, args: &[String]) -> ExitCode {
             return usage();
         }
     };
-    let platform = match arg_value(args, "--platform").as_deref().unwrap_or("gtx560") {
-        "gt430" => Platform::gt430(),
-        "gtx560" => Platform::gtx560(),
-        "gtx680" => Platform::gtx680(),
-        other => {
-            eprintln!("unknown platform {other}");
-            return usage();
-        }
-    };
-    let model = match arg_value(args, "--model") {
-        Some(path) => match std::fs::read_to_string(&path)
-            .ok()
-            .and_then(|t| hetjpeg_core::model::PerformanceModel::load_str(&t))
-        {
-            Some(m) => m,
-            None => {
-                eprintln!("cannot load model from {path}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => platform.untrained_model(),
-    };
-    let threads: usize = match arg_value(args, "--threads") {
-        Some(v) => match v.parse() {
-            Ok(n) => n,
-            Err(_) => {
-                eprintln!("invalid --threads value {v:?}");
-                return usage();
-            }
-        },
-        None => 4,
-    };
-
-    let decoder = match Decoder::builder()
-        .platform(platform.clone())
-        .model(model)
-        .threads(threads)
-        .build()
-    {
+    let decoder = match session(args) {
         Ok(d) => d,
-        Err(e) => {
-            eprintln!("invalid decoder configuration: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(code) => return code,
     };
     let mut opts = DecodeOptions::with_mode(mode);
     if args.iter().any(|a| a == "--planar") {
@@ -182,7 +190,7 @@ fn cmd_decode(input: &str, args: &[String]) -> ExitCode {
         out.image.width,
         out.image.height,
         out.mode.name(),
-        platform.name,
+        decoder.platform().name,
         output,
         if out.truncated {
             " (truncated stream salvaged)"
@@ -218,42 +226,9 @@ fn cmd_predict(input: &str, args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let platform = match arg_value(args, "--platform").as_deref().unwrap_or("gtx560") {
-        "gt430" => Platform::gt430(),
-        "gtx560" => Platform::gtx560(),
-        "gtx680" => Platform::gtx680(),
-        other => {
-            eprintln!("unknown platform {other}");
-            return usage();
-        }
-    };
-    let model = match arg_value(args, "--model") {
-        Some(path) => match std::fs::read_to_string(&path)
-            .ok()
-            .and_then(|t| hetjpeg_core::model::PerformanceModel::load_str(&t))
-        {
-            Some(m) => m,
-            None => {
-                eprintln!("cannot load model from {path}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => platform.untrained_model(),
-    };
-    let threads: usize = arg_value(args, "--threads")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4);
-    let decoder = match Decoder::builder()
-        .platform(platform.clone())
-        .model(model)
-        .threads(threads)
-        .build()
-    {
+    let decoder = match session(args) {
         Ok(d) => d,
-        Err(e) => {
-            eprintln!("invalid decoder configuration: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(code) => return code,
     };
     // Progressive (SOF2) streams have no per-mode cost model; the server
     // prices them from measured shard throughput instead.
@@ -266,7 +241,7 @@ fn cmd_predict(input: &str, args: &[String]) -> ExitCode {
     };
     println!(
         "{input} on {}: would choose {}",
-        platform.name,
+        decoder.platform().name,
         decision.mode.name()
     );
     for p in &decision.predictions {

@@ -72,7 +72,7 @@ fn busier_engine(
     scan: f64,
 ) -> impl Fn(f64, f64) -> f64 + '_ {
     move |g, c| {
-        let stage = |rows| model.gpu_stage_times(w, rows, d).expect("stage forms");
+        let stage = |rows| model.gpu_stage_times(w, rows, d);
         let mut compute = model.thuff_gpu.time(scan * w * g, d);
         let mut copy = if g > 0.0 { stage(g)[0] } else { 0.0 };
         let mut done = 0.0;
